@@ -10,7 +10,7 @@ import (
 // proofSource abstracts the full and partial Merkle trees behind the prover.
 type proofSource interface {
 	Root() []byte
-	Prove(i int) (*merkle.Proof, error)
+	ProveAll(indices []uint64) ([]*merkle.Proof, error)
 }
 
 // Prover is the participant side of CBS. It owns the committed Merkle tree
@@ -71,17 +71,15 @@ func (p *Prover) Respond(indices []uint64) (*Response, error) {
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("%w: empty challenge", ErrProtocol)
 	}
-	proofs := make([]*merkle.Proof, len(indices))
-	for k, idx := range indices {
+	for _, idx := range indices {
 		if idx >= uint64(p.n) {
 			return nil, fmt.Errorf("%w: challenged index %d outside domain [0,%d)",
 				ErrProtocol, idx, p.n)
 		}
-		proof, err := p.source.Prove(int(idx))
-		if err != nil {
-			return nil, fmt.Errorf("core: prove index %d: %w", idx, err)
-		}
-		proofs[k] = proof
+	}
+	proofs, err := p.source.ProveAll(indices)
+	if err != nil {
+		return nil, fmt.Errorf("core: prove samples: %w", err)
 	}
 	return &Response{Proofs: proofs}, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"uncheatgrid/internal/hashchain"
 	"uncheatgrid/internal/merkle"
@@ -14,6 +15,11 @@ type Verifier struct {
 	commitment  Commitment
 	treeOptions []merkle.Option
 	rng         challengeRand
+	// proofs is the hash state root reconstruction needs, set up once per
+	// task instead of once per sample. Verify takes it out of the slot for
+	// the duration of a call; a concurrent Verify finds the slot empty and
+	// sets up its own, so concurrent calls stay safe.
+	proofs atomic.Pointer[merkle.ProofVerifier]
 }
 
 // challengeRand is the minimal randomness surface Challenge needs.
@@ -35,6 +41,7 @@ func NewVerifier(c Commitment, opts ...Option) (*Verifier, error) {
 		commitment:  Commitment{Root: append([]byte(nil), c.Root...), N: c.N},
 		treeOptions: cfg.treeOptions,
 	}
+	v.proofs.Store(merkle.NewProofVerifier(cfg.treeOptions...))
 	if cfg.rng != nil {
 		v.rng = cfg.rng
 	} else {
@@ -82,8 +89,13 @@ func (v *Verifier) Verify(ch Challenge, resp *Response, check CheckFunc) error {
 		return fmt.Errorf("%w: %d proofs for %d challenged samples",
 			ErrProtocol, len(resp.Proofs), len(ch.Indices))
 	}
+	proofs := v.proofs.Swap(nil)
+	if proofs == nil {
+		proofs = merkle.NewProofVerifier(v.treeOptions...)
+	}
+	defer v.proofs.Store(proofs)
 	for k, idx := range ch.Indices {
-		if err := v.verifySample(idx, resp.Proofs[k], check); err != nil {
+		if err := v.verifySample(proofs, idx, resp.Proofs[k], check); err != nil {
 			return err
 		}
 	}
@@ -107,7 +119,7 @@ func (v *Verifier) VerifyNonInteractive(chain *hashchain.Chain, m int, resp *Res
 	return v.Verify(Challenge{Indices: indices}, resp, check)
 }
 
-func (v *Verifier) verifySample(idx uint64, proof *merkle.Proof, check CheckFunc) error {
+func (v *Verifier) verifySample(proofs *merkle.ProofVerifier, idx uint64, proof *merkle.Proof, check CheckFunc) error {
 	if proof == nil {
 		return fmt.Errorf("%w: nil proof for sample %d", ErrProtocol, idx)
 	}
@@ -127,7 +139,7 @@ func (v *Verifier) verifySample(idx uint64, proof *merkle.Proof, check CheckFunc
 		return &CheatError{Index: idx, Err: fmt.Errorf("%w: %v", ErrWrongOutput, err)}
 	}
 	// Step 4, case 2: was that value committed before the challenge?
-	switch err := merkle.Verify(v.commitment.Root, proof, v.treeOptions...); {
+	switch err := proofs.Verify(v.commitment.Root, proof); {
 	case err == nil:
 		return nil
 	case errors.Is(err, merkle.ErrRootMismatch):

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"uncheatgrid/internal/merkle"
 )
@@ -120,52 +121,77 @@ func (ch Challenge) EncodedSize() int {
 }
 
 // MarshalBinary encodes the response as uvarint(count) followed by each
-// proof length-prefixed.
+// proof length-prefixed, into one buffer sized by EncodedSize.
 func (resp *Response) MarshalBinary() ([]byte, error) {
 	if resp == nil || len(resp.Proofs) == 0 {
 		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
 	}
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(resp.Proofs)))
 	for k, proof := range resp.Proofs {
 		if proof == nil {
 			return nil, fmt.Errorf("%w: nil proof %d", ErrProtocol, k)
 		}
-		encoded, err := proof.MarshalBinary()
-		if err != nil {
+	}
+	buf := make([]byte, 0, resp.EncodedSize())
+	buf = binary.AppendUvarint(buf, uint64(len(resp.Proofs)))
+	for k, proof := range resp.Proofs {
+		buf = binary.AppendUvarint(buf, uint64(proof.EncodedSize()))
+		var err error
+		if buf, err = proof.AppendBinary(buf); err != nil {
 			return nil, fmt.Errorf("core: marshal proof %d: %w", k, err)
 		}
-		writeUvarint(&buf, uint64(len(encoded)))
-		buf.Write(encoded)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// UnmarshalBinary decodes a response produced by MarshalBinary.
+// maxProofs bounds a decoded response's sample count: far above any useful
+// m.
+const maxProofs = 1 << 20
+
+// UnmarshalBinary decodes a response produced by MarshalBinary. The decoded
+// proofs keep no reference to data: their digests alias one private copy of
+// it, and the proofs and their sibling headers are carved from slabs shared
+// by the whole response.
 func (resp *Response) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("%w: response count: %v", ErrProtocol, err)
+	count, n := binary.Uvarint(data)
+	if n <= 0 {
+		return fmt.Errorf("%w: response count: malformed varint", ErrProtocol)
 	}
-	const maxProofs = 1 << 20
 	if count == 0 || count > maxProofs {
 		return fmt.Errorf("%w: response count %d outside [1, %d]", ErrProtocol, count, maxProofs)
 	}
+	if count > uint64(len(data)-n) {
+		// Every proof occupies at least its length prefix; checked before
+		// the slabs are sized so a bare count cannot buy an allocation.
+		return fmt.Errorf("%w: response declares %d proofs, %d bytes remain", ErrProtocol, count, len(data)-n)
+	}
+	rest := append([]byte(nil), data[n:]...)
 	proofs := make([]*merkle.Proof, count)
+	slab := make([]merkle.Proof, count)
+	var siblings [][]byte
 	for k := range proofs {
-		encoded, err := readLengthPrefixed(r, fmt.Sprintf("proof %d", k))
-		if err != nil {
-			return err
+		size, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("%w: proof %d length: malformed varint", ErrProtocol, k)
 		}
-		var proof merkle.Proof
-		if err := proof.UnmarshalBinary(encoded); err != nil {
+		rest = rest[n:]
+		if size > uint64(len(rest)) {
+			return fmt.Errorf("%w: proof %d declares %d bytes, %d remain", ErrProtocol, k, size, len(rest))
+		}
+		var err error
+		if siblings, err = slab[k].UnmarshalAliased(rest[:size:size], siblings); err != nil {
 			return fmt.Errorf("%w: proof %d: %v", ErrProtocol, k, err)
 		}
-		proofs[k] = &proof
+		rest = rest[size:]
+		proofs[k] = &slab[k]
+		if k == 0 && len(proofs) > 1 {
+			// Proofs from one tree share a depth: size the sibling slab for
+			// the rest from the first, never beyond one header per remaining
+			// byte. A response that outgrows the guess just grows the slab.
+			siblings = make([][]byte, 0, min(len(siblings)*(len(proofs)-1), len(rest)))
+		}
 	}
-	if err := expectEOF(r); err != nil {
-		return err
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
 	}
 	resp.Proofs = proofs
 	return nil
@@ -188,9 +214,9 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:n])
 }
 
+// uvarintLen reports how many bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], v)
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 func readLengthPrefixed(r *bytes.Reader, what string) ([]byte, error) {

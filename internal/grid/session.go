@@ -341,8 +341,12 @@ func (s *Session) fail(err error) {
 type sessionTaskConn struct {
 	sess *Session
 	id   uint64
-	// inbox holds routed-but-unconsumed messages; guarded by sess.mu.
+	// inbox holds routed-but-unconsumed messages from index head on; both
+	// guarded by sess.mu. Popping advances head instead of reslicing, and a
+	// drained inbox rewinds to the front of its backing array, so routing
+	// the task's next message appends in place instead of reallocating.
 	inbox []transport.Message
+	head  int
 	// sent counts this task's tagged bytes that actually entered the wire —
 	// credited by the batch writer at flush time, not at enqueue, so frames
 	// discarded by a quarantined writer never inflate it. recv is guarded by
@@ -394,9 +398,13 @@ func (s *Session) recvFor(c *sessionTaskConn) (transport.Message, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(c.inbox) > 0 {
-			m := c.inbox[0]
-			c.inbox = c.inbox[1:]
+		if c.head < len(c.inbox) {
+			m := c.inbox[c.head]
+			c.inbox[c.head] = transport.Message{} // do not pin the payload
+			c.head++
+			if c.head == len(c.inbox) {
+				c.inbox, c.head = c.inbox[:0], 0
+			}
 			return m, nil
 		}
 		if s.err != nil {

@@ -764,3 +764,69 @@ func TestRunSimPipelinedBlacklist(t *testing.T) {
 		t.Errorf("%d honest participants accused", report.HonestAccused)
 	}
 }
+
+// TestSessionInboxReusesBackingArray pins the demultiplexer's inbox
+// discipline: popping advances a head index, a drained inbox rewinds to the
+// front of its backing array, and a popped slot no longer pins its payload —
+// so a task's steady trickle of messages is routed in place instead of
+// reallocating the inbox on every refill.
+func TestSessionInboxReusesBackingArray(t *testing.T) {
+	supConn, partConn := transport.Pipe()
+	defer supConn.Close()
+	defer partConn.Close()
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 4}, Seed: 1})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	sess, err := sup.OpenSession(supConn, 1)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	defer sess.Close()
+	tc, err := sess.register(7)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	route := func(payloads ...string) {
+		t.Helper()
+		msgs := make([]taggedMsg, len(payloads))
+		for i, p := range payloads {
+			msgs[i] = taggedMsg{TaskID: 7, Type: msgCommit, Payload: []byte(p)}
+		}
+		frame := transport.Message{Type: msgBatch, Payload: encodeBatch(msgs)}
+		sess.mu.Lock()
+		err := sess.routeLocked(frame, frame.FrameSize())
+		sess.mu.Unlock()
+		if err != nil {
+			t.Fatalf("routeLocked: %v", err)
+		}
+	}
+	pop := func(want string) {
+		t.Helper()
+		m, err := tc.Recv()
+		if err != nil || string(m.Payload) != want {
+			t.Fatalf("Recv = %q, %v; want %q", m.Payload, err, want)
+		}
+	}
+
+	route("a", "b", "c")
+	pop("a")
+	if tc.inbox[0].Payload != nil {
+		t.Fatal("popped slot still pins its payload")
+	}
+	pop("b")
+	route("d") // refill behind a half-drained inbox: order must hold
+	pop("c")
+	pop("d")
+	if len(tc.inbox) != 0 || tc.head != 0 {
+		t.Fatalf("drained inbox not rewound: len %d, head %d", len(tc.inbox), tc.head)
+	}
+	base := &tc.inbox[:1][0]
+	for i := 0; i < 100; i++ {
+		route("x")
+		if &tc.inbox[0] != base {
+			t.Fatalf("refill %d reallocated the inbox", i)
+		}
+		pop("x")
+	}
+}

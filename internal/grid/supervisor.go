@@ -75,9 +75,37 @@ type taskRun struct {
 func (s *Supervisor) newTaskRun(task Task) *taskRun {
 	return &taskRun{
 		sup: s,
-		rng: rand.New(rand.NewSource(taskSeed(s.cfg.Seed, task.ID))),
+		rng: rand.New(&taskSource{state: uint64(taskSeed(s.cfg.Seed, task.ID))}),
 	}
 }
+
+// taskSource is the generator under a task's randomness stream: splitmix64
+// (Steele, Lea & Flood, "Fast splittable pseudorandom number generators",
+// OOPSLA 2014) started at the task seed. A task draws a handful of values —
+// m sample indices, or the ringer positions — so what matters is that a
+// stream costs nothing to start: math/rand's default source fills a
+// 607-word table per seed, which was more than the draws it then served.
+// splitmix64 is one word of state, equidistributed over its 2^64 period,
+// and passes BigCrush; taskSeed's SHA-256 already decorrelates the
+// starting points of different tasks.
+type taskSource struct{ state uint64 }
+
+var _ rand.Source64 = (*taskSource)(nil)
+
+// Uint64 implements rand.Source64.
+func (s *taskSource) Uint64() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Int63 implements rand.Source.
+func (s *taskSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed implements rand.Source.
+func (s *taskSource) Seed(seed int64) { s.state = uint64(seed) }
 
 // TaskOutcome summarizes one verified task execution.
 type TaskOutcome struct {

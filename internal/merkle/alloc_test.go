@@ -128,3 +128,40 @@ func TestVariableHasherFallbackStillCorrect(t *testing.T) {
 		t.Fatalf("fallback proof rejected: %v", err)
 	}
 }
+
+// TestProofPathAllocs pins the per-response costs of the exchange path: a
+// batch of audit paths is four slabs however many samples it holds, a proof
+// encodes into one exactly-sized buffer, and a ProofVerifier set up once
+// climbs any number of proofs without allocating.
+func TestProofPathAllocs(t *testing.T) {
+	tree, err := Build(leafValues(64))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	root := tree.Root()
+	indices := []uint64{3, 60, 17, 17, 0, 63, 31, 32}
+	var proofs []*Proof
+	if allocs := testing.AllocsPerRun(100, func() { proofs, err = tree.ProveAll(indices) }); allocs > 4 {
+		t.Errorf("ProveAll(8 samples) allocates %.1f, want <= 4", allocs)
+	}
+	if err != nil {
+		t.Fatalf("ProveAll: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, err = proofs[0].MarshalBinary() }); allocs > 1 {
+		t.Errorf("MarshalBinary allocates %.1f, want <= 1", allocs)
+	}
+	v := NewProofVerifier()
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range proofs {
+			if err = v.Verify(root, p); err != nil {
+				break
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("ProofVerifier.Verify allocates %.1f per 8 proofs, want 0", allocs)
+	}
+}

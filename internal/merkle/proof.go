@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Proof verification errors. ErrRootMismatch is the signal that a participant
@@ -34,34 +36,46 @@ type Proof struct {
 	Siblings [][]byte
 }
 
-// RootFromProof reconstructs the Merkle root implied by the proof. This is
-// the Λ(Φ(L), λ1..λH) computation of Section 3.2.
-func RootFromProof(p *Proof, opts ...Option) ([]byte, error) {
+// ProofVerifier reconstructs roots from audit paths with the hash state set
+// up once — the hasher, its reusable node state, one scratch digest —
+// instead of once per proof: a supervisor builds one per task and climbs all
+// m samples with it. A ProofVerifier is not safe for concurrent use.
+type ProofVerifier struct {
+	nh *nodeHasher
+	// scratch is the one digest the climb rewrites level by level; nil for
+	// variable-size hashers, which allocate per level.
+	scratch []byte
+}
+
+// NewProofVerifier prepares verification under the given tree options, which
+// must match the ones the tree was built with.
+func NewProofVerifier(opts ...Option) *ProofVerifier {
+	hs := newHashers(buildOptions(opts))
+	v := &ProofVerifier{nh: hs.node()}
+	if hs.fixedLen > 0 {
+		v.scratch = make([]byte, 0, hs.fixedLen)
+	}
+	return v
+}
+
+// root computes Λ(Φ(L), λ1..λH) of Section 3.2. The result aliases the
+// verifier's scratch digest (or p.Value, for a one-leaf tree) and is valid
+// until the next call.
+func (v *ProofVerifier) root(p *Proof) ([]byte, error) {
 	if err := validateProof(p); err != nil {
 		return nil, err
 	}
-	hs := newHashers(buildOptions(opts))
-	nh := hs.node()
-	// One scratch digest serves the whole climb: combineInto absorbs its
-	// inputs before writing, so cur may alias the scratch it is rewritten
-	// into. The fallback (fixedLen == 0) allocates per level as before.
-	var scratch []byte
-	if hs.fixedLen > 0 {
-		scratch = make([]byte, 0, hs.fixedLen)
-	}
+	// combineInto absorbs its inputs before writing, so cur may alias the
+	// scratch it is rewritten into.
 	cur := p.Value
 	pos := nextPow2(p.N) + p.Index
 	for _, sib := range p.Siblings {
 		if pos&1 == 0 {
-			cur = nh.combineInto(scratch, cur, sib)
+			cur = v.nh.combineInto(v.scratch, cur, sib)
 		} else {
-			cur = nh.combineInto(scratch, sib, cur)
+			cur = v.nh.combineInto(v.scratch, sib, cur)
 		}
 		pos /= 2
-	}
-	if hs.fixedLen > 0 && len(p.Siblings) > 0 {
-		// Detach the result from the scratch buffer before handing it out.
-		cur = cloneBytes(cur)
 	}
 	return cur, nil
 }
@@ -70,8 +84,8 @@ func RootFromProof(p *Proof, opts ...Option) ([]byte, error) {
 // the proof is consistent with the commitment, ErrRootMismatch when the
 // participant's claimed value was not the one committed (a caught cheat),
 // and ErrMalformedProof for structurally invalid proofs.
-func Verify(root []byte, p *Proof, opts ...Option) error {
-	got, err := RootFromProof(p, opts...)
+func (v *ProofVerifier) Verify(root []byte, p *Proof) error {
+	got, err := v.root(p)
 	if err != nil {
 		return err
 	}
@@ -81,12 +95,35 @@ func Verify(root []byte, p *Proof, opts ...Option) error {
 	return nil
 }
 
+// RootFromProof reconstructs the Merkle root implied by the proof. This is
+// the Λ(Φ(L), λ1..λH) computation of Section 3.2.
+func RootFromProof(p *Proof, opts ...Option) ([]byte, error) {
+	root, err := NewProofVerifier(opts...).root(p)
+	if err != nil {
+		return nil, err
+	}
+	// Detach the result from the proof and the verifier's scratch.
+	return cloneBytes(root), nil
+}
+
+// Verify checks one proof against the committed root; see
+// ProofVerifier.Verify for the verdicts. Callers with many proofs under one
+// commitment keep a ProofVerifier instead.
+func Verify(root []byte, p *Proof, opts ...Option) error {
+	return NewProofVerifier(opts...).Verify(root, p)
+}
+
 func validateProof(p *Proof) error {
 	if p == nil {
 		return fmt.Errorf("%w: nil proof", ErrMalformedProof)
 	}
 	if p.N <= 0 {
 		return fmt.Errorf("%w: non-positive leaf count %d", ErrMalformedProof, p.N)
+	}
+	if p.N > maxProofLeaves {
+		// Past this the padded capacity overflows int, and nextPow2 never
+		// returns: a proof off the wire must be refused before it is asked.
+		return fmt.Errorf("%w: leaf count %d exceeds %d", ErrMalformedProof, p.N, maxProofLeaves)
 	}
 	if p.Index < 0 || p.Index >= p.N {
 		return fmt.Errorf("%w: index %d not in [0, %d)", ErrMalformedProof, p.Index, p.N)
@@ -113,69 +150,95 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 	if err := validateProof(p); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putUvarint(uint64(p.Index))
-	putUvarint(uint64(p.N))
-	putUvarint(uint64(len(p.Value)))
-	buf.Write(p.Value)
-	putUvarint(uint64(len(p.Siblings)))
-	for _, s := range p.Siblings {
-		putUvarint(uint64(len(s)))
-		buf.Write(s)
-	}
-	return buf.Bytes(), nil
+	return p.appendTo(make([]byte, 0, p.EncodedSize())), nil
 }
 
-// UnmarshalBinary decodes a proof produced by MarshalBinary.
+// AppendBinary appends the MarshalBinary encoding to dst, so a message of
+// many proofs is written into one buffer.
+func (p *Proof) AppendBinary(dst []byte) ([]byte, error) {
+	if err := validateProof(p); err != nil {
+		return nil, err
+	}
+	return p.appendTo(dst), nil
+}
+
+func (p *Proof) appendTo(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(p.Index))
+	dst = binary.AppendUvarint(dst, uint64(p.N))
+	dst = binary.AppendUvarint(dst, uint64(len(p.Value)))
+	dst = append(dst, p.Value...)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Siblings)))
+	for _, s := range p.Siblings {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	return dst
+}
+
+// UnmarshalBinary decodes a proof produced by MarshalBinary. The proof keeps
+// no reference to data.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	index, err := binary.ReadUvarint(r)
+	_, err := p.UnmarshalAliased(cloneBytes(data), nil)
+	return err
+}
+
+// maxSiblings bounds a decoded proof's depth: a complete binary tree cannot
+// be deeper on 64-bit indices.
+const maxSiblings = 64
+
+// maxProofLeaves is the largest leaf count a proof may claim: the largest
+// whose padded capacity, the next power of two, still fits an int.
+const maxProofLeaves = 1 << 62
+
+// UnmarshalAliased decodes like UnmarshalBinary without copying: the value
+// and every sibling alias data, which the caller must leave unmodified for
+// the proof's lifetime. The sibling headers are appended to siblings and the
+// grown slice is returned, so a decoder of many proofs threads one slab
+// through all of them; on error p and siblings are left as they were.
+func (p *Proof) UnmarshalAliased(data []byte, siblings [][]byte) ([][]byte, error) {
+	index, rest, err := takeUvarint(data)
 	if err != nil {
-		return fmt.Errorf("%w: index: %v", ErrMalformedProof, err)
+		return siblings, fmt.Errorf("%w: index: %v", ErrMalformedProof, err)
 	}
-	n, err := binary.ReadUvarint(r)
+	n, rest, err := takeUvarint(rest)
 	if err != nil {
-		return fmt.Errorf("%w: leaf count: %v", ErrMalformedProof, err)
+		return siblings, fmt.Errorf("%w: leaf count: %v", ErrMalformedProof, err)
 	}
-	value, err := readBytes(r)
+	value, rest, err := takeBytes(rest)
 	if err != nil {
-		return fmt.Errorf("%w: value: %v", ErrMalformedProof, err)
+		return siblings, fmt.Errorf("%w: value: %v", ErrMalformedProof, err)
 	}
-	count, err := binary.ReadUvarint(r)
+	count, rest, err := takeUvarint(rest)
 	if err != nil {
-		return fmt.Errorf("%w: sibling count: %v", ErrMalformedProof, err)
+		return siblings, fmt.Errorf("%w: sibling count: %v", ErrMalformedProof, err)
 	}
-	const maxSiblings = 64 // a complete binary tree cannot be deeper on 64-bit indices
 	if count > maxSiblings {
-		return fmt.Errorf("%w: sibling count %d exceeds %d", ErrMalformedProof, count, maxSiblings)
+		return siblings, fmt.Errorf("%w: sibling count %d exceeds %d", ErrMalformedProof, count, maxSiblings)
 	}
-	siblings := make([][]byte, 0, count)
+	start := len(siblings)
+	siblings = slices.Grow(siblings, int(count))
 	for i := uint64(0); i < count; i++ {
-		s, err := readBytes(r)
+		var s []byte
+		s, rest, err = takeBytes(rest)
 		if err != nil {
-			return fmt.Errorf("%w: sibling %d: %v", ErrMalformedProof, i, err)
+			return siblings[:start], fmt.Errorf("%w: sibling %d: %v", ErrMalformedProof, i, err)
 		}
 		siblings = append(siblings, s)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformedProof, r.Len())
+	if len(rest) != 0 {
+		return siblings[:start], fmt.Errorf("%w: %d trailing bytes", ErrMalformedProof, len(rest))
 	}
 	decoded := Proof{
 		Index:    int(index),
 		N:        int(n),
 		Value:    value,
-		Siblings: siblings,
+		Siblings: siblings[start:len(siblings):len(siblings)],
 	}
 	if err := validateProof(&decoded); err != nil {
-		return err
+		return siblings[:start], err
 	}
 	*p = decoded
-	return nil
+	return siblings, nil
 }
 
 // EncodedSize reports the exact number of bytes MarshalBinary will produce.
@@ -190,27 +253,33 @@ func (p *Proof) EncodedSize() int {
 	return size
 }
 
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
+// takeUvarint splits a uvarint off the front of data.
+func takeUvarint(data []byte) (v uint64, rest []byte, err error) {
+	v, n := binary.Uvarint(data)
+	switch {
+	case n == 0:
+		return 0, data, errors.New("truncated varint")
+	case n < 0:
+		return 0, data, errors.New("varint overflows 64 bits")
 	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("declared length %d exceeds remaining %d", n, r.Len())
-	}
-	out := make([]byte, n)
-	if n == 0 {
-		// bytes.Reader reports io.EOF for empty reads at the end of the
-		// buffer; zero-length leaf values are legal.
-		return out, nil
-	}
-	if _, err := r.Read(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return v, data[n:], nil
 }
 
+// takeBytes splits a length-prefixed field off the front of data. The field
+// aliases data, capacity-bounded so it can never grow into its neighbour,
+// and is non-nil even when empty: zero-length leaf values are legal.
+func takeBytes(data []byte) (field, rest []byte, err error) {
+	n, rest, err := takeUvarint(data)
+	if err != nil {
+		return nil, data, err
+	}
+	if n > uint64(len(rest)) {
+		return nil, data, fmt.Errorf("declared length %d exceeds remaining %d", n, len(rest))
+	}
+	return rest[:n:n], rest[n:], nil
+}
+
+// uvarintLen reports how many bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], v)
+	return (bits.Len64(v|1) + 6) / 7
 }

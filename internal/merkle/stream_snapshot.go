@@ -575,3 +575,24 @@ func (s *StreamSnapshot) UnmarshalBinary(data []byte) error {
 	*s = decoded
 	return nil
 }
+
+// readBytes reads one length-prefixed field of a snapshot.
+func readBytes(r *bytes.Reader) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Len()) {
+		return nil, fmt.Errorf("declared length %d exceeds remaining %d", n, r.Len())
+	}
+	out := make([]byte, n)
+	if n == 0 {
+		// bytes.Reader reports io.EOF for empty reads at the end of the
+		// buffer; zero-length digests are rejected later, by validation.
+		return out, nil
+	}
+	if _, err := r.Read(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -115,7 +115,7 @@ func (o windowTrackingOption) apply(opts *options) {
 func WithWindowTracking(w, keep int) Option { return windowTrackingOption{w: w, keep: keep} }
 
 func buildOptions(opts []Option) options {
-	o := options{hasher: sha256.New}
+	var o options // a nil hasher selects the default, SHA-256
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
@@ -133,8 +133,21 @@ type hashers struct {
 	fixedLen int
 }
 
+// defaultHashers is the SHA-256 bundle every tree, builder and verification
+// without WithHasher shares, so the pad digest is hashed once per process
+// instead of once per tree or proof. The pad is read-only like every node
+// value a Tree hands out.
+var defaultHashers = sync.OnceValue(func() hashers { return deriveHashers(sha256.New) })
+
 func newHashers(o options) hashers {
-	h := o.hasher()
+	if o.hasher == nil {
+		return defaultHashers()
+	}
+	return deriveHashers(o.hasher)
+}
+
+func deriveHashers(newHash Hasher) hashers {
+	h := newHash()
 	h.Write([]byte{padPrefix})
 	h.Write([]byte("uncheatgrid/merkle: pad leaf"))
 	pad := h.Sum(nil)
@@ -142,7 +155,7 @@ func newHashers(o options) hashers {
 	if h.Size() == len(pad) {
 		fixedLen = len(pad)
 	}
-	return hashers{newHash: o.hasher, pad: pad, fixedLen: fixedLen}
+	return hashers{newHash: newHash, pad: pad, fixedLen: fixedLen}
 }
 
 // combine computes the Φ value of an internal node from its two children,
@@ -442,13 +455,51 @@ func (t *Tree) Prove(i int) (*Proof, error) {
 	if i < 0 || i >= t.n {
 		return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, t.n)
 	}
-	siblings := make([][]byte, 0, t.Height())
-	for pos := t.cap + i; pos > 1; pos /= 2 {
-		siblings = append(siblings, t.nodes[pos^1])
+	p := new(Proof)
+	t.proveInto(p, i, make([][]byte, t.Height()), make([]byte, len(t.nodes[t.cap+i])))
+	return p, nil
+}
+
+// ProveAll produces the audit paths for the given leaves, in order and equal
+// to what Prove returns for each, with the storage of the whole batch — the
+// proofs, their sibling headers, their value copies — carved from one slab
+// each instead of allocated per proof: a CBS response is m proofs from one
+// tree.
+func (t *Tree) ProveAll(indices []uint64) ([]*Proof, error) {
+	valueBytes := 0
+	for _, idx := range indices {
+		if idx >= uint64(t.n) {
+			return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, idx, t.n)
+		}
+		valueBytes += len(t.nodes[t.cap+int(idx)])
 	}
-	value := make([]byte, len(t.nodes[t.cap+i]))
+	height := t.Height()
+	proofs := make([]*Proof, len(indices))
+	slab := make([]Proof, len(indices))
+	siblings := make([][]byte, len(indices)*height)
+	values := make([]byte, valueBytes)
+	for k, idx := range indices {
+		i := int(idx)
+		n := len(t.nodes[t.cap+i])
+		t.proveInto(&slab[k], i, siblings[:height:height], values[:n:n])
+		siblings, values = siblings[height:], values[n:]
+		proofs[k] = &slab[k]
+	}
+	return proofs, nil
+}
+
+// proveInto fills p with leaf i's audit path: the sibling digests (aliasing
+// the tree's immutable nodes) go into siblings, which must hold Height()
+// entries, and a copy of the leaf value into value, which must be exactly
+// its length.
+func (t *Tree) proveInto(p *Proof, i int, siblings [][]byte, value []byte) {
+	level := 0
+	for pos := t.cap + i; pos > 1; pos /= 2 {
+		siblings[level] = t.nodes[pos^1]
+		level++
+	}
 	copy(value, t.nodes[t.cap+i])
-	return &Proof{Index: i, N: t.n, Value: value, Siblings: siblings}, nil
+	*p = Proof{Index: i, N: t.n, Value: value, Siblings: siblings}
 }
 
 // nextPow2 returns the smallest power of two >= n (n >= 1).

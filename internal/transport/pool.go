@@ -10,13 +10,23 @@ import "sync"
 // buffer is dead the moment decoding returns).
 var payloadPool sync.Pool
 
+// boxPool recycles the *[]byte boxes payloadPool stores its buffers in
+// (sync.Pool wants pointer-shaped values), so handing a buffer back costs no
+// allocation: getPayload returns the emptied box here and RecyclePayload
+// takes one out.
+var boxPool sync.Pool
+
 // getPayload returns a length-n buffer for an incoming frame payload,
 // reusing a recycled buffer when its capacity suffices. A pooled buffer that
 // is too small for this frame is dropped for the GC instead of re-pooled, so
 // a stream of growing frames cannot churn the pool.
 func getPayload(n int) []byte {
 	if v := payloadPool.Get(); v != nil {
-		if buf := *(v.(*[]byte)); cap(buf) >= n {
+		box := v.(*[]byte)
+		buf := *box
+		*box = nil
+		boxPool.Put(box)
+		if cap(buf) >= n {
 			return buf[:n]
 		}
 	}
@@ -38,5 +48,10 @@ func RecyclePayload(p []byte) {
 	if cap(p) == 0 {
 		return
 	}
-	payloadPool.Put(&p)
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = p
+	payloadPool.Put(box)
 }

@@ -63,40 +63,62 @@ func DialTimeout(addr string, d time.Duration) (Conn, error) {
 // [type:1][len:4 BE][crc:4 BE][payload], where crc is CRC-32 (IEEE) over
 // the type byte and the payload.
 type tcpConn struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	wmu   sync.Mutex // serializes writes
+	conn net.Conn
+	br   *bufio.Reader
+	// rhdr is the receive-side frame header. Recv has one caller at a time
+	// by the Conn contract, so the header lives here instead of escaping to
+	// the heap on every frame.
+	rhdr [frameOverhead]byte
+
+	wmu sync.Mutex // serializes writes; guards wbuf
+	// wbuf holds the frame being written: header plus, up to
+	// coalesceMaxPayload, the payload, so a frame is one write.
+	wbuf []byte
+
 	stats Stats
 }
 
 var _ Conn = (*tcpConn)(nil)
 
+// coalesceMaxPayload is the largest payload Send copies behind its header
+// for a single write. Larger frames go out as one vectored write (writev on
+// a TCP socket) so big uploads are never copied.
+const coalesceMaxPayload = 64 << 10
+
 func newTCPConn(c net.Conn) *tcpConn {
 	return &tcpConn{conn: c, br: bufio.NewReader(c)}
 }
 
-// Send implements Conn.
+// Send implements Conn. A frame enters the socket as one write: two would
+// cost a second syscall and, under TCP_NODELAY, put the 9-byte header on
+// the wire as a segment of its own.
 func (c *tcpConn) Send(m Message) error {
 	if err := checkFrameSize(len(m.Payload)); err != nil {
 		return err
 	}
-	var header [frameOverhead]byte
-	header[0] = m.Type
-	binary.BigEndian.PutUint32(header[1:5], uint32(len(m.Payload)))
-	sum := frameChecksum(m)
+	sum := frameChecksum(m.Type, m.Payload)
 	if m.corrupted {
 		// A fault injector upstream garbled the frame; emit a broken CRC so
 		// the damage is real on the socket, not just a process-local flag.
 		sum = ^sum
 	}
-	binary.BigEndian.PutUint32(header[5:], sum)
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.conn.Write(header[:]); err != nil {
-		return normalizeNetErr(err)
+	hdr := append(c.wbuf[:0], m.Type, 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(m.Payload)))
+	binary.BigEndian.PutUint32(hdr[5:], sum)
+
+	var err error
+	if len(m.Payload) <= coalesceMaxPayload {
+		c.wbuf = append(hdr, m.Payload...)
+		_, err = c.conn.Write(c.wbuf)
+	} else {
+		c.wbuf = hdr
+		frame := net.Buffers{hdr, m.Payload}
+		_, err = frame.WriteTo(c.conn)
 	}
-	if _, err := c.conn.Write(m.Payload); err != nil {
+	if err != nil {
 		return normalizeNetErr(err)
 	}
 	c.stats.recordSend(m)
@@ -105,8 +127,8 @@ func (c *tcpConn) Send(m Message) error {
 
 // Recv implements Conn.
 func (c *tcpConn) Recv() (Message, error) {
-	var header [frameOverhead]byte
-	if _, err := io.ReadFull(c.br, header[:]); err != nil {
+	header := c.rhdr[:]
+	if _, err := io.ReadFull(c.br, header); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Message{}, io.EOF
 		}
@@ -125,7 +147,7 @@ func (c *tcpConn) Recv() (Message, error) {
 	// The frame crossed the wire either way; count it before the integrity
 	// check so receiver accounting matches the link.
 	c.stats.recordRecv(m)
-	if got, want := frameChecksum(m), binary.BigEndian.Uint32(header[5:]); got != want {
+	if got, want := frameChecksum(header[0], payload), binary.BigEndian.Uint32(header[5:]); got != want {
 		// The corrupt payload is dropped here, never delivered; its buffer
 		// can go straight back to the pool (its bytes were already counted).
 		RecyclePayload(payload)
@@ -136,10 +158,19 @@ func (c *tcpConn) Recv() (Message, error) {
 
 // frameChecksum is the per-frame CRC-32 (IEEE) over the type byte and the
 // payload — the integrity check every framed transport carries.
-func frameChecksum(m Message) uint32 {
-	sum := crc32.Update(0, crc32.IEEETable, []byte{m.Type})
-	return crc32.Update(sum, crc32.IEEETable, m.Payload)
+func frameChecksum(typ uint8, payload []byte) uint32 {
+	return crc32.Update(typeChecksums[typ], crc32.IEEETable, payload)
 }
+
+// typeChecksums[t] is the CRC-32 of the one-byte message {t}: the running
+// checksum every frame of that type starts from, tabulated so no one-byte
+// slice is built (and heap-allocated) per frame.
+var typeChecksums = func() (sums [256]uint32) {
+	for t := range sums {
+		sums[t] = crc32.ChecksumIEEE([]byte{byte(t)})
+	}
+	return sums
+}()
 
 // Close implements Conn.
 func (c *tcpConn) Close() error { return c.conn.Close() }
