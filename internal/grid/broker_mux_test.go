@@ -507,14 +507,16 @@ func TestMuxCreditBackpressureIsolatesSlowRoute(t *testing.T) {
 // TestRunSimBrokeredMuxReport pins the sim-level mux surface: a clean
 // brokered pipelined run rides exactly one physical supervisor link, the
 // report's mux ledgers are populated, and the per-worker route snapshots
-// reconcile with the supervisor's endpoint totals.
+// reconcile with the supervisor's endpoint totals. Every route must show
+// traffic, so the run carries enough tasks that the shared queue cannot
+// drain before the last route's worker claims from it.
 func TestRunSimBrokeredMuxReport(t *testing.T) {
 	cfg := SimConfig{
 		Spec:           SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1},
 		Workload:       "synthetic",
 		Seed:           13,
 		TaskSize:       128,
-		Tasks:          6,
+		Tasks:          96,
 		Honest:         3,
 		PipelineWindow: 2,
 		Broker:         true,

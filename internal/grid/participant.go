@@ -61,7 +61,10 @@ func (o proverParallelismOption) applyParticipant(c *participantConfig) {
 // evaluated and screened serially in index order — the committed root and
 // the report stream are identical to a sequential participant's; only the
 // tree construction fans out. p <= 1, non-CBS schemes, and storage-bounded
-// (SubtreeHeight > 0) assignments build sequentially.
+// (SubtreeHeight > 0) assignments build sequentially. Either way every claim
+// of one task, and so every evaluation of f, is made from that task's own
+// goroutine: the per-task evaluation tally (workload.Counter) is a plain
+// field and relies on it.
 func WithProverParallelism(p int) ParticipantOption { return proverParallelismOption(p) }
 
 type checkpointDirOption string
@@ -665,11 +668,13 @@ func (e *taskExecution) claimAndScreen(i uint64, reports *[]Report) []byte {
 // issued arrives replayed inside res instead of over the wire.
 func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashchain.Chain, res *resumeMsg) error {
 	var reports []Report
-	// Screening happens once per input on the first (tree-building) pass.
-	screened := make(map[uint64]bool, e.task.N)
+	// Screening happens once per input, on the tree-building pass: NewProver
+	// calls claim exactly once per index (merkle.BuildFunc and NewPartial
+	// guarantee it), and every call after it returns is a §3.3 subtree
+	// rebuild, which re-claims but must not re-screen or re-report.
+	committing := true
 	claim := func(i uint64) []byte {
-		if !screened[i] {
-			screened[i] = true
+		if committing {
 			return e.claimAndScreen(i, &reports)
 		}
 		return e.producer.Claim(e.task.Start + i)
@@ -696,6 +701,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 	if err != nil {
 		return err
 	}
+	committing = false
 	e.digest = prover.Commitment().Root
 	commitPayload, err := prover.Commitment().MarshalBinary()
 	if err != nil {

@@ -4,6 +4,8 @@ package merkle
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -80,29 +82,46 @@ func TestStreamBuilderAddZeroAllocSteadyState(t *testing.T) {
 
 func TestBuildAllocsAreDepthBound(t *testing.T) {
 	const n = 1 << 14
-	values := leafValues(n)
+	values := make([][]byte, n)
+	for i, v := range leafValues(n) {
+		values[i] = v[:8]
+	}
 	at := func(i int) []byte { return values[i] }
-	allocs := testing.AllocsPerRun(3, func() {
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := BuildFunc(n, at); err != nil {
 			t.Fatalf("BuildFunc: %v", err)
 		}
 	})
-	// A handful of fixed allocations (nodes slice, arena slab, tree header,
-	// hash states) — O(depth) at worst, never O(leaves). The seed build
-	// allocated ~4 per leaf (65536+ here).
-	if allocs > 16 {
-		t.Fatalf("Build of %d leaves allocates %.0f, want <= 16", n, allocs)
+	runtime.ReadMemStats(&after)
+	// A fixed handful (tree header, arena, leaf slab, offset table, hash
+	// state) whatever n is. The seed build allocated ~4 per leaf (65536+
+	// here); the [][]byte heap that followed it, 80 B per leaf plus the
+	// caller's values.
+	if allocs > 10 {
+		t.Errorf("Build of %d leaves allocates %.0f, want <= 10", n, allocs)
+	}
+	// Per leaf: a 32-byte arena row, its 8 value bytes, a 4-byte offset.
+	perLeaf := float64(after.TotalAlloc-before.TotalAlloc) / float64((runs+1)*n)
+	if perLeaf > 64 {
+		t.Errorf("Build of %d 8-byte leaves allocates %.1f B per leaf, want <= 64", n, perLeaf)
 	}
 }
 
 func TestVariableHasherFallbackStillCorrect(t *testing.T) {
-	// Custom hashers with variable digest sizes take the allocating path;
-	// tree, stream, and proofs must stay mutually consistent there.
+	// Custom hashers with variable digest sizes take the allocating path in
+	// the partial tree, the stream builder and verification, which must stay
+	// mutually consistent there; the arena-backed Tree refuses them.
 	const n = 37
 	values := leafValues(n)
-	tree, err := Build(values, WithHasher(newVariableHash))
+	if _, err := Build(values, WithHasher(newVariableHash)); !errors.Is(err, ErrHasherSize) {
+		t.Fatalf("Build: err = %v, want ErrHasherSize", err)
+	}
+	tree, err := NewPartial(n, 0, func(i int) []byte { return values[i] }, WithHasher(newVariableHash))
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("NewPartial: %v", err)
 	}
 	b, err := NewStreamBuilder(n, WithHasher(newVariableHash))
 	if err != nil {

@@ -46,9 +46,10 @@ type PartialTree struct {
 }
 
 // NewPartial builds a partial tree over n leaves whose values are produced
-// by leafAt. leafAt must be deterministic: it is called once per leaf during
-// construction and again for every leaf of a rebuilt subtree during Prove.
-// ℓ = 0 stores the full tree; ℓ = H stores only the root.
+// by leafAt. leafAt must be deterministic: construction calls it exactly
+// once per index in [0, n) — callers may hang once-per-input side effects on
+// that pass — and Prove calls it again for every leaf of the subtree it
+// rebuilds. ℓ = 0 stores the full tree; ℓ = H stores only the root.
 //
 // WithParallelism(p) shards each subtree rebuild — at construction and for
 // every Prove — across up to p goroutines; leafAt is then called

@@ -318,15 +318,25 @@ func TestProveAllMatchesProve(t *testing.T) {
 
 func TestProofVerifierReuseCarriesNoState(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name     string
+		opts     []Option
+		buildErr error
 	}{
-		{"sha256", nil},
-		{"md5", []Option{WithHasher(md5.New)}},
-		{"variable-size", []Option{WithHasher(newVariableHash)}},
+		{"sha256", nil, nil},
+		{"md5", []Option{WithHasher(md5.New)}, nil},
+		{"variable-size", []Option{WithHasher(newVariableHash)}, ErrHasherSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tree := mustBuild(t, raggedValues(37), tc.opts...)
+			// The partial tree at ℓ=0 serves every hasher, the variable-size
+			// one Build refuses included, with the proofs a Tree would give.
+			values := raggedValues(37)
+			tree, err := NewPartial(len(values), 0, func(i int) []byte { return values[i] }, tc.opts...)
+			if err != nil {
+				t.Fatalf("NewPartial: %v", err)
+			}
+			if _, err := Build(values, tc.opts...); !errors.Is(err, tc.buildErr) {
+				t.Fatalf("Build: err = %v, want %v", err, tc.buildErr)
+			}
 			root := tree.Root()
 			v := NewProofVerifier(tc.opts...)
 			for i := 0; i < 37; i++ {

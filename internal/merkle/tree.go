@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,13 @@ var (
 	// ErrNilLeaf is returned when a leaf value is nil. Empty (zero-length)
 	// values are legal; nil indicates a caller bug.
 	ErrNilLeaf = errors.New("merkle: leaf value must not be nil")
+	// ErrHasherSize is returned by Build and BuildFunc for a hasher whose Sum
+	// length disagrees with its Size(): the node arena is laid out in
+	// Size()-byte rows.
+	ErrHasherSize = errors.New("merkle: hasher Sum length disagrees with Size()")
+	// ErrLeafSlabTooLarge is returned by Build and BuildFunc when the leaf
+	// values together exceed what the tree's 32-bit leaf offsets can address.
+	ErrLeafSlabTooLarge = errors.New("merkle: leaf values exceed 4 GiB in total")
 )
 
 const (
@@ -128,8 +136,9 @@ type hashers struct {
 	newHash Hasher
 	pad     []byte
 	// fixedLen is the digest length when the hash produces fixed-size
-	// output (every standard hash does). 0 selects the allocating fallback
-	// for custom hashers whose Sum length disagrees with Size().
+	// output (every standard hash does). 0 marks a custom hasher whose Sum
+	// length disagrees with Size(): Build and BuildFunc refuse it, the stream
+	// and partial builders and verification take an allocating fallback.
 	fixedLen int
 }
 
@@ -227,22 +236,29 @@ func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
 // Tree is a fully materialized Merkle tree over n leaf values. It is the
 // participant-side data structure of the CBS scheme (Step 1, Section 3.1).
 // A Tree is immutable after construction and safe for concurrent reads.
+//
+// The tree holds no per-node pointers: internal digests live in one arena,
+// leaf values are copied into one slab delimited by an offset table, and
+// every padding leaf is the shared pad digest. node is the single accessor
+// over the three, so a finished tree is a handful of allocations the
+// collector never walks, however many leaves it has.
 type Tree struct {
-	n     int      // number of real leaves
-	cap   int      // leaves after padding; power of two, cap >= n
-	nodes [][]byte // heap layout; nodes[1] is the root, nodes[cap+i] leaf i
-	hs    hashers
-	// arena backs every internal-node digest in one contiguous slab
-	// (nodes[i] = arena[i*fixedLen:(i+1)*fixedLen] for 1 <= i < cap), so a
-	// materialized tree costs O(1) allocations instead of one per node. nil
-	// for variable-size hashers, where each digest is allocated individually.
+	n   int // number of real leaves
+	cap int // leaves after padding; power of two, cap >= n
+	hs  hashers
+	// arena backs the internal nodes in heap layout: node i (1 <= i < cap,
+	// node 1 the root) is arena[i*fixedLen:(i+1)*fixedLen].
 	arena []byte
+	// slab holds the leaf values back to back in index order; leaf i is
+	// slab[offs[i]:offs[i+1]]. offs has n+1 entries.
+	slab []byte
+	offs []uint32
 }
 
 // Build constructs the tree over the given leaf values. values[i] holds the
 // raw computation result f(xi); values must be non-empty and every entry
-// non-nil. The slice contents are retained by reference: callers must not
-// mutate them afterwards.
+// non-nil. The values are copied into the tree's leaf slab: the tree keeps
+// no reference to the caller's slices.
 func Build(values [][]byte, opts ...Option) (*Tree, error) {
 	if len(values) == 0 {
 		return nil, ErrEmptyTree
@@ -251,42 +267,132 @@ func Build(values [][]byte, opts ...Option) (*Tree, error) {
 }
 
 // BuildFunc constructs the tree over n leaves whose values are produced by
-// at(i). It avoids materializing a separate value slice; at is called exactly
-// once per index — in order by default, concurrently (and out of order) when
-// WithParallelism selects a worker pool.
+// at(i). It avoids materializing a separate value slice: each value is
+// copied into the tree's leaf slab as it is produced and not retained, so at
+// may reuse its buffer between calls.
+//
+// Construction calls at exactly once per index in [0, n) — in order by
+// default, concurrently (and out of order) when WithParallelism selects a
+// worker pool — and never afterwards: proofs read the slab. Callers may hang
+// once-per-input side effects on at.
 func BuildFunc(n int, at func(i int) []byte, opts ...Option) (*Tree, error) {
 	if n <= 0 {
 		return nil, ErrEmptyTree
 	}
 	o := buildOptions(opts)
 	hs := newHashers(o)
-	capacity := nextPow2(n)
-	nodes := make([][]byte, 2*capacity)
-	arena := newNodeArena(hs, capacity)
-
-	workers := buildWorkers(o.parallelism, capacity)
-	if workers > 1 {
-		if err := fillParallel(nodes, arena, n, capacity, at, hs, workers); err != nil {
+	if hs.fixedLen == 0 {
+		return nil, ErrHasherSize
+	}
+	t := newTree(n, hs)
+	if workers := buildWorkers(o.parallelism, t.cap); workers > 1 {
+		if err := t.fillParallel(at, workers); err != nil {
 			return nil, err
 		}
-		return &Tree{n: n, cap: capacity, nodes: nodes, hs: hs, arena: arena}, nil
+		return t, nil
 	}
+	slab, err := t.fillLeaves(0, n, at, nil)
+	if err != nil {
+		return nil, err
+	}
+	t.slab = slab
+	t.hashSubtree(hs.node(), 1, t.cap)
+	return t, nil
+}
 
-	for i := 0; i < n; i++ {
+// newTree allocates an n-leaf tree for a builder to fill: the node arena and
+// the offset table, no leaves yet.
+func newTree(n int, hs hashers) *Tree {
+	capacity := nextPow2(n)
+	return &Tree{
+		n:     n,
+		cap:   capacity,
+		hs:    hs,
+		arena: newNodeArena(hs, capacity),
+		offs:  make([]uint32, n+1),
+	}
+}
+
+// node returns the Φ value of heap node i (1 <= i < 2*cap): an arena row
+// for an internal node, a slab span for a real leaf, the pad digest past
+// the last one. The result aliases the tree and is capacity-bounded.
+func (t *Tree) node(i int) []byte {
+	if i < t.cap {
+		size := t.hs.fixedLen
+		return t.arena[i*size : (i+1)*size : (i+1)*size]
+	}
+	if leaf := i - t.cap; leaf < t.n {
+		lo, hi := t.offs[leaf], t.offs[leaf+1]
+		return t.slab[lo:hi:hi]
+	}
+	return t.hs.pad
+}
+
+// slabGuessMax caps the leaf slab reserved from the first value's length;
+// past it append's doubling takes over.
+const slabGuessMax = 1 << 26
+
+// slabGuess sizes a slab for count leaves from the length of the first,
+// exact when values are uniform (every workload's are).
+func slabGuess(count, first int) int {
+	if first > 0 && count > slabGuessMax/first {
+		return slabGuessMax
+	}
+	return count * first
+}
+
+// checkSlab reports whether a slab holding size bytes can take add more
+// without an end offset wrapping uint32.
+func checkSlab(size, add int) error {
+	if uint64(size)+uint64(add) > math.MaxUint32 {
+		return ErrLeafSlabTooLarge
+	}
+	return nil
+}
+
+// abortStride bounds how many leaves a fill evaluates between checks of the
+// shared failure flag, so one bad leaf stops a parallel build quickly
+// instead of after every other shard finishes.
+const abortStride = 256
+
+// fillLeaves evaluates leaves [lo, hi) into a fresh slab, calling at once per
+// index in order, and records each leaf's end offset within that slab in
+// offs[i+1]; offs[lo] is not touched, so concurrent fills of disjoint spans
+// do not share an entry. With a non-nil stop (the parallel builder's shared
+// failure flag) it returns early with a nil slab once stop is set.
+func (t *Tree) fillLeaves(lo, hi int, at func(i int) []byte, stop *atomic.Bool) ([]byte, error) {
+	var slab []byte
+	for i := lo; i < hi; i++ {
+		if stop != nil && i%abortStride == 0 && stop.Load() {
+			return nil, nil
+		}
 		v := at(i)
 		if v == nil {
 			return nil, fmt.Errorf("%w: index %d", ErrNilLeaf, i)
 		}
-		nodes[capacity+i] = v
+		if i == lo {
+			slab = make([]byte, 0, slabGuess(hi-lo, len(v)))
+		}
+		if err := checkSlab(len(slab), len(v)); err != nil {
+			return nil, err
+		}
+		slab = append(slab, v...)
+		t.offs[i+1] = uint32(len(slab))
 	}
-	for i := n; i < capacity; i++ {
-		nodes[capacity+i] = hs.pad
+	return slab, nil
+}
+
+// hashSubtree fills the internal nodes of the subtree rooted at heap node
+// root, which spans span leaves (a power of two), bottom-up. The nodes of
+// the level holding w of them are exactly [root*w, (root+1)*w) in heap
+// layout. The leaves below must already be in place.
+func (t *Tree) hashSubtree(nh *nodeHasher, root, span int) {
+	size := t.hs.fixedLen
+	for w := span / 2; w >= 1; w /= 2 {
+		for q := root * w; q < (root+1)*w; q++ {
+			nh.combineInto(arenaRow(t.arena, size, q), t.node(2*q), t.node(2*q+1))
+		}
 	}
-	nh := hs.node()
-	for i := capacity - 1; i >= 1; i-- {
-		nodes[i] = nh.combineInto(arenaRow(arena, hs.fixedLen, i), nodes[2*i], nodes[2*i+1])
-	}
-	return &Tree{n: n, cap: capacity, nodes: nodes, hs: hs, arena: arena}, nil
 }
 
 // newNodeArena allocates the contiguous slab backing all internal-node
@@ -330,92 +436,85 @@ func buildWorkers(requested, capacity int) int {
 	return requested
 }
 
-// fillParallel populates nodes (heap layout, padded capacity `capacity`)
-// using a pool of workers. The leaf span is cut into shards equal-sized
-// subtrees; each worker evaluates its shard's leaves and hashes the subtree
-// bottom-up, fully independently. The top log2(shards) levels are then
-// combined sequentially — shards-1 nodes, a negligible tail. The node
-// values are bit-identical to the sequential schedule because the tree
-// structure, padding, and hash inputs are unchanged.
-func fillParallel(nodes [][]byte, arena []byte, n, capacity int, at func(i int) []byte, hs hashers, workers int) error {
+// fillParallel builds the tree with a pool of workers. The leaf span is cut
+// into shards equal-sized subtrees. First every shard's leaves are evaluated
+// into a slab of its own, since no shard knows where its values start before
+// its predecessors are done; the shard slabs are then joined into the tree's
+// one slab and the offsets rebased, and every shard's subtree is hashed
+// bottom-up, fully independently. The top log2(shards) levels are combined
+// sequentially — shards-1 nodes, a negligible tail. The node values are
+// bit-identical to the sequential schedule because the tree structure,
+// padding, and hash inputs are unchanged.
+func (t *Tree) fillParallel(at func(i int) []byte, workers int) error {
 	shards := nextPow2(workers)
-	if shards > capacity/2 {
-		shards = capacity / 2
+	if shards > t.cap/2 {
+		shards = t.cap / 2
 	}
-	span := capacity / shards // leaves per shard; a power of two >= 2
+	span := t.cap / shards // leaves per shard; a power of two >= 2
+	// realLeaves bounds the part of shard s below n; empty for a shard that
+	// is all padding.
+	realLeaves := func(s int) (lo, hi int) { return min(s*span, t.n), min((s+1)*span, t.n) }
 
+	// forShards runs do over every shard on the worker pool. Workers write
+	// disjoint state (their shards' offsets, slabs and arena rows), so no
+	// synchronization is needed beyond the WaitGroup.
+	forShards := func(do func(s int)) {
+		next := make(chan int, shards)
+		for s := 0; s < shards; s++ {
+			next <- s
+		}
+		close(next)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for s := range next {
+					do(s)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	slabs := make([][]byte, shards)
 	errs := make([]error, shards)
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	next := make(chan int, shards)
-	for s := 0; s < shards; s++ {
-		next <- s
-	}
-	close(next)
-
-	// abortStride bounds how much work a shard does between checks of the
-	// shared failure flag, so one bad leaf stops the whole build quickly
-	// instead of after every other shard finishes.
-	const abortStride = 256
-
-	worker := func() {
-		defer wg.Done()
-		// Hash state is per-goroutine; the arena rows each worker writes are
-		// disjoint (its own subtree's node indices), so no synchronization is
-		// needed beyond the WaitGroup.
-		nh := hs.node()
-		for s := range next {
-			if failed.Load() {
-				return
-			}
-			lo := s * span // first leaf index of the shard
-			for i := lo; i < lo+span; i++ {
-				if i%abortStride == 0 && failed.Load() {
-					return
-				}
-				switch {
-				case i < n:
-					v := at(i)
-					if v == nil {
-						errs[s] = fmt.Errorf("%w: index %d", ErrNilLeaf, i)
-						failed.Store(true)
-						return
-					}
-					nodes[capacity+i] = v
-				default:
-					nodes[capacity+i] = hs.pad
-				}
-			}
-			if failed.Load() {
-				return
-			}
-			// Bottom-up within the shard's subtree: the nodes of level
-			// width w are exactly [root*w, (root+1)*w) in heap layout,
-			// where root = shards + s scaled down level by level.
-			root := (capacity + lo) / span
-			for w := span / 2; w >= 1; w /= 2 {
-				for q := root * w; q < (root+1)*w; q++ {
-					nodes[q] = nh.combineInto(arenaRow(arena, hs.fixedLen, q), nodes[2*q], nodes[2*q+1])
-				}
-			}
+	forShards(func(s int) {
+		lo, hi := realLeaves(s)
+		slabs[s], errs[s] = t.fillLeaves(lo, hi, at, &failed)
+		if errs[s] != nil {
+			failed.Store(true)
 		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 
-	// Shard roots occupy [shards, 2*shards); finish the top of the heap.
-	nh := hs.node()
-	for i := shards - 1; i >= 1; i-- {
-		nodes[i] = nh.combineInto(arenaRow(arena, hs.fixedLen, i), nodes[2*i], nodes[2*i+1])
+	total := 0
+	for _, slab := range slabs {
+		if err := checkSlab(total, len(slab)); err != nil {
+			return err
+		}
+		total += len(slab)
 	}
+	t.slab = make([]byte, 0, total)
+	for s, slab := range slabs {
+		base := uint32(len(t.slab))
+		lo, hi := realLeaves(s)
+		for i := lo; i < hi; i++ {
+			t.offs[i+1] += base
+		}
+		t.slab = append(t.slab, slab...)
+	}
+
+	forShards(func(s int) {
+		t.hashSubtree(t.hs.node(), shards+s, span)
+	})
+	// Shard roots occupy [shards, 2*shards); finish the top of the heap.
+	t.hashSubtree(t.hs.node(), 1, shards)
 	return nil
 }
 
@@ -427,25 +526,20 @@ func (t *Tree) N() int { return t.n }
 func (t *Tree) Height() int { return log2(t.cap) }
 
 // Root returns Φ(R), the commitment the participant sends to the supervisor.
-// The returned slice is a copy and safe to retain.
+// The returned slice is a copy and safe to retain. For the degenerate
+// single-leaf tree the root is the leaf value itself, exactly as Eq. (1)
+// degenerates for n = 1.
 func (t *Tree) Root() []byte {
-	root := t.nodes[1]
-	if t.cap == 1 {
-		// Degenerate single-leaf tree: the root is the leaf value itself,
-		// exactly as Eq. (1) degenerates for n = 1.
-		root = t.nodes[t.cap]
-	}
-	out := make([]byte, len(root))
-	copy(out, root)
-	return out
+	return cloneBytes(t.node(1))
 }
 
-// Leaf returns the value stored at leaf index i.
+// Leaf returns the value stored at leaf index i. The slice aliases the
+// tree's leaf slab and must not be modified.
 func (t *Tree) Leaf(i int) ([]byte, error) {
 	if i < 0 || i >= t.n {
 		return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, t.n)
 	}
-	return t.nodes[t.cap+i], nil
+	return t.node(t.cap + i), nil
 }
 
 // Prove produces the audit path for leaf i: the leaf value plus the Φ values
@@ -456,7 +550,7 @@ func (t *Tree) Prove(i int) (*Proof, error) {
 		return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, t.n)
 	}
 	p := new(Proof)
-	t.proveInto(p, i, make([][]byte, t.Height()), make([]byte, len(t.nodes[t.cap+i])))
+	t.proveInto(p, i, make([][]byte, t.Height()), make([]byte, len(t.node(t.cap+i))))
 	return p, nil
 }
 
@@ -471,7 +565,7 @@ func (t *Tree) ProveAll(indices []uint64) ([]*Proof, error) {
 		if idx >= uint64(t.n) {
 			return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, idx, t.n)
 		}
-		valueBytes += len(t.nodes[t.cap+int(idx)])
+		valueBytes += len(t.node(t.cap + int(idx)))
 	}
 	height := t.Height()
 	proofs := make([]*Proof, len(indices))
@@ -480,7 +574,7 @@ func (t *Tree) ProveAll(indices []uint64) ([]*Proof, error) {
 	values := make([]byte, valueBytes)
 	for k, idx := range indices {
 		i := int(idx)
-		n := len(t.nodes[t.cap+i])
+		n := len(t.node(t.cap + i))
 		t.proveInto(&slab[k], i, siblings[:height:height], values[:n:n])
 		siblings, values = siblings[height:], values[n:]
 		proofs[k] = &slab[k]
@@ -495,10 +589,10 @@ func (t *Tree) ProveAll(indices []uint64) ([]*Proof, error) {
 func (t *Tree) proveInto(p *Proof, i int, siblings [][]byte, value []byte) {
 	level := 0
 	for pos := t.cap + i; pos > 1; pos /= 2 {
-		siblings[level] = t.nodes[pos^1]
+		siblings[level] = t.node(pos ^ 1)
 		level++
 	}
-	copy(value, t.nodes[t.cap+i])
+	copy(value, t.node(t.cap+i))
 	*p = Proof{Index: i, N: t.n, Value: value, Siblings: siblings}
 }
 

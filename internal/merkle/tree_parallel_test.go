@@ -13,23 +13,19 @@ import (
 // buildParallelDirect constructs a tree through the parallel fill path with
 // the given worker count, bypassing the size gate of buildWorkers so tiny
 // and oddly-shaped domains exercise the sharding logic too.
-func buildParallelDirect(t *testing.T, n, workers int, at func(i int) []byte, opts ...Option) *Tree {
+func buildParallelDirect(t testing.TB, n, workers int, at func(i int) []byte, opts ...Option) *Tree {
 	t.Helper()
-	o := buildOptions(opts)
-	hs := newHashers(o)
-	capacity := nextPow2(n)
-	if workers > capacity/2 {
-		workers = capacity / 2
+	tree := newTree(n, newHashers(buildOptions(opts)))
+	if workers > tree.cap/2 {
+		workers = tree.cap / 2
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	nodes := make([][]byte, 2*capacity)
-	arena := newNodeArena(hs, capacity)
-	if err := fillParallel(nodes, arena, n, capacity, at, hs, workers); err != nil {
+	if err := tree.fillParallel(at, workers); err != nil {
 		t.Fatalf("fillParallel(n=%d, workers=%d): %v", n, workers, err)
 	}
-	return &Tree{n: n, cap: capacity, nodes: nodes, hs: hs, arena: arena}
+	return tree
 }
 
 // TestParallelRootsMatchSequentialQuick is the core equivalence property:
@@ -58,7 +54,7 @@ func TestParallelRootsMatchSequentialQuick(t *testing.T) {
 		// The whole heap must agree, not just the root: proofs read
 		// interior nodes.
 		for i := 1; i < 2*seq.cap; i++ {
-			if !bytes.Equal(seq.nodes[i], par.nodes[i]) {
+			if !bytes.Equal(seq.node(i), par.node(i)) {
 				t.Logf("node %d mismatch at n=%d workers=%d", i, n, workers)
 				return false
 			}

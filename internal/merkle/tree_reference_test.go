@@ -1,0 +1,218 @@
+package merkle
+
+import (
+	"bytes"
+	"crypto/md5"
+	"errors"
+	"fmt"
+	"math"
+	"sync/atomic"
+	"testing"
+)
+
+// referenceHeap is the construction Tree replaced, kept as the specification
+// the flat layout is fuzzed against: a [][]byte heap holding the caller's
+// leaf slices, the pad digest past them, and one allocating hashers.combine
+// per internal node. heap[1] is the root, heap[cap+i] leaf i.
+func referenceHeap(hs hashers, values [][]byte) [][]byte {
+	capacity := nextPow2(len(values))
+	heap := make([][]byte, 2*capacity)
+	for i := range heap[capacity:] {
+		heap[capacity+i] = hs.pad
+	}
+	copy(heap[capacity:], values)
+	for i := capacity - 1; i >= 1; i-- {
+		heap[i] = hs.combine(heap[2*i], heap[2*i+1])
+	}
+	return heap
+}
+
+// referenceProof reads leaf i's audit path off the reference heap.
+func referenceProof(heap [][]byte, n, i int) *Proof {
+	capacity := len(heap) / 2
+	p := &Proof{Index: i, N: n, Value: heap[capacity+i], Siblings: [][]byte{}}
+	for pos := capacity + i; pos > 1; pos /= 2 {
+		p.Siblings = append(p.Siblings, heap[pos^1])
+	}
+	return p
+}
+
+// carveLeaves cuts n leaf values out of data, each led by a length byte:
+// ragged lengths, empty values (a zero length byte, or data run dry), never
+// nil.
+func carveLeaves(n int, data []byte) [][]byte {
+	values := make([][]byte, n)
+	for i := range values {
+		values[i] = []byte{}
+		if len(data) == 0 {
+			continue
+		}
+		take := min(int(data[0])%40, len(data)-1)
+		values[i] = data[1 : 1+take : 1+take]
+		data = data[1+take:]
+	}
+	return values
+}
+
+// checkTreeMatchesReference builds the flat Tree — through the sharded
+// builder with 4 workers when parallel, whatever the size — and demands the
+// reference's root and, for every leaf, its value and sibling list from both
+// Prove and ProveAll.
+func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool, data []byte) {
+	n := int(nSeed)%1100 + 1
+	values := carveLeaves(n, data)
+	var opts []Option
+	if useMD5 {
+		opts = append(opts, WithHasher(md5.New))
+	}
+	heap := referenceHeap(newHashers(buildOptions(opts)), values)
+	root := heap[1] // for n = 1, the leaf itself
+
+	at := func(i int) []byte { return values[i] }
+	var tree *Tree
+	if parallel && n > 1 {
+		tree = buildParallelDirect(t, n, 4, at, opts...)
+	} else {
+		var err error
+		if tree, err = BuildFunc(n, at, opts...); err != nil {
+			t.Fatalf("BuildFunc(n=%d): %v", n, err)
+		}
+	}
+	if got := tree.Root(); !bytes.Equal(got, root) {
+		t.Fatalf("n=%d parallel=%v md5=%v: root %x, reference %x", n, parallel, useMD5, got, root)
+	}
+	indices := make([]uint64, n)
+	for i := range indices {
+		indices[i] = uint64(i)
+	}
+	all, err := tree.ProveAll(indices)
+	if err != nil {
+		t.Fatalf("ProveAll: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		want := referenceProof(heap, n, i)
+		got, err := tree.Prove(i)
+		if err != nil {
+			t.Fatalf("Prove(%d): %v", i, err)
+		}
+		if !sameProof(got, want) || got.Value == nil {
+			t.Fatalf("n=%d parallel=%v md5=%v: Prove(%d) differs from the reference", n, parallel, useMD5, i)
+		}
+		if !sameProof(all[i], want) || all[i].Value == nil {
+			t.Fatalf("n=%d parallel=%v md5=%v: ProveAll[%d] differs from the reference", n, parallel, useMD5, i)
+		}
+	}
+}
+
+// FuzzTreeMatchesReference is the differential for the pointer-free layout:
+// arena rows, slab spans and the shared pad behind node(i) against the
+// [][]byte heap they replaced, over ragged and empty leaves, padded domains,
+// both builders and two digest sizes.
+func FuzzTreeMatchesReference(f *testing.F) {
+	f.Add(uint16(0), false, false, []byte{0x03, 'a', 'b', 'c'})           // one leaf: the root is the value
+	f.Add(uint16(1), true, false, []byte{})                               // two empty leaves
+	f.Add(uint16(36), false, true, []byte("\x05hello\x00\x02hi\x27fuzz")) // n=37, md5, ragged then dry
+	f.Add(uint16(36), true, false, bytes.Repeat([]byte{0x07}, 400))
+	f.Add(uint16(1023), true, true, bytes.Repeat([]byte{0x00, 0x01, 0xAA, 0x28}, 300))
+	f.Add(uint16(1024), false, false, bytes.Repeat([]byte{0x20}, 2048)) // n=1025: almost half padding
+	f.Fuzz(checkTreeMatchesReference)
+}
+
+// TestConstructionCallsLeafProducerOnce pins the contract grid's screening
+// pass rests on: building a Tree or a PartialTree calls the leaf producer
+// exactly once per index, whatever the size, the worker count or ℓ.
+func TestConstructionCallsLeafProducerOnce(t *testing.T) {
+	for _, n := range []int{1, 37, 1024, 1500} {
+		values := leafValues(n)
+		counts := make([]atomic.Int64, n)
+		at := func(i int) []byte {
+			counts[i].Add(1)
+			return values[i]
+		}
+		check := func(what string) {
+			t.Helper()
+			for i := range counts {
+				if c := counts[i].Swap(0); c != 1 {
+					t.Fatalf("%s: leaf %d produced %d times, want exactly 1", what, i, c)
+				}
+			}
+		}
+		for _, p := range []int{1, 4} {
+			if _, err := BuildFunc(n, at, WithParallelism(p)); err != nil {
+				t.Fatalf("BuildFunc(n=%d, p=%d): %v", n, p, err)
+			}
+			check(fmt.Sprintf("BuildFunc(n=%d, p=%d)", n, p))
+			for _, ell := range []int{0, 3} {
+				ell = min(ell, log2(nextPow2(n)))
+				if _, err := NewPartial(n, ell, at, WithParallelism(p)); err != nil {
+					t.Fatalf("NewPartial(n=%d, ℓ=%d, p=%d): %v", n, ell, p, err)
+				}
+				check(fmt.Sprintf("NewPartial(n=%d, ℓ=%d, p=%d)", n, ell, p))
+			}
+		}
+	}
+}
+
+// TestBuildCopiesLeaves: the tree owns its leaf bytes, so a producer may
+// reuse one buffer and a caller may scribble on its values afterwards.
+func TestBuildCopiesLeaves(t *testing.T) {
+	values := raggedValues(37)
+	want := mustBuild(t, values)
+	buf := make([]byte, 0, 64)
+	tree, err := BuildFunc(len(values), func(i int) []byte {
+		buf = append(buf[:0], values[i]...)
+		return buf
+	})
+	if err != nil {
+		t.Fatalf("BuildFunc: %v", err)
+	}
+	for i := range buf[:cap(buf)] {
+		buf[:cap(buf)][i] = 0xff
+	}
+	if !bytes.Equal(tree.Root(), want.Root()) {
+		t.Fatal("root differs when the producer reuses its buffer")
+	}
+	for i, v := range values {
+		got, err := tree.Leaf(i)
+		if err != nil {
+			t.Fatalf("Leaf(%d): %v", i, err)
+		}
+		if !bytes.Equal(got, v) || got == nil {
+			t.Fatalf("Leaf(%d) = %x, want %x", i, got, v)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Leaf(%d) can grow into its neighbour", i)
+		}
+	}
+}
+
+// TestLeafSlabBound checks the arithmetic that keeps the 32-bit leaf offsets
+// from wrapping, at the bound rather than with a 4 GiB build.
+func TestLeafSlabBound(t *testing.T) {
+	for _, tc := range []struct {
+		size, add int
+		ok        bool
+	}{
+		{0, 0, true},
+		{0, math.MaxUint32, true},
+		{math.MaxUint32 - 8, 8, true},
+		{math.MaxUint32 - 8, 9, false},
+		{math.MaxUint32, 1, false},
+		{math.MaxUint32, 0, true},
+		{math.MaxInt, math.MaxInt, false}, // the sum itself must not wrap
+	} {
+		if err := checkSlab(tc.size, tc.add); (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrLeafSlabTooLarge)) {
+			t.Errorf("checkSlab(%d, %d) = %v, want ok=%v", tc.size, tc.add, err, tc.ok)
+		}
+	}
+	// The reservation guess is capped, and never overflows on the way.
+	if got := slabGuess(1<<14, 8); got != 1<<17 {
+		t.Errorf("slabGuess(2^14, 8) = %d, want exact", got)
+	}
+	if got := slabGuess(math.MaxInt/2, 1<<20); got != slabGuessMax {
+		t.Errorf("slabGuess(huge) = %d, want the cap %d", got, slabGuessMax)
+	}
+	if got := slabGuess(1<<20, 0); got != 0 {
+		t.Errorf("slabGuess(empty first leaf) = %d, want 0", got)
+	}
+}

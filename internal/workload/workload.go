@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 )
 
 // Errors reported by this package.
@@ -75,15 +74,19 @@ func (f ScreenerFunc) Screen(x uint64, output []byte) (string, bool) { return f(
 
 // Counter wraps a Function and counts evaluations. The experiments use it to
 // measure participant effort (honest work, cheat savings, §3.3 rebuild cost,
-// §4.2 attack cost). Safe for concurrent use.
+// §4.2 attack cost). The tally is a plain field: a Counter belongs to one
+// task, whose evaluations are made from one goroutine, and is not safe for
+// concurrent use.
 type Counter struct {
 	inner Function
-	evals atomic.Int64
+	evals int64
 }
 
 var _ Function = (*Counter)(nil)
 
-// Count wraps f with an evaluation counter.
+// Count wraps f with an evaluation counter. The Counter is not safe for
+// concurrent use: a leaf function handed to a parallel tree build
+// (merkle.WithParallelism) must not evaluate through it.
 func Count(f Function) *Counter {
 	return &Counter{inner: f}
 }
@@ -95,7 +98,7 @@ func (c *Counter) Name() string { return c.inner.Name() }
 //
 //gridlint:credit the Counter wrapper exists to count evaluations
 func (c *Counter) Eval(x uint64) []byte {
-	c.evals.Add(1)
+	c.evals++
 	return c.inner.Eval(x)
 }
 
@@ -111,12 +114,10 @@ func (c *Counter) GuessProb() float64 { return c.inner.GuessProb() }
 func (c *Counter) Screener() Screener { return c.inner.Screener() }
 
 // Evals reports the number of Eval calls since construction or Reset.
-func (c *Counter) Evals() int64 { return c.evals.Load() }
+func (c *Counter) Evals() int64 { return c.evals }
 
 // Reset zeroes the counter.
-//
-//gridlint:credit the Counter wrapper owns its own field
-func (c *Counter) Reset() { c.evals.Store(0) }
+func (c *Counter) Reset() { c.evals = 0 }
 
 // Unwrap returns the underlying Function.
 func (c *Counter) Unwrap() Function { return c.inner }

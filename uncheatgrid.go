@@ -163,7 +163,10 @@ type (
 	Workload = workload.Function
 	// Screener is the report filter S of Section 2.1.
 	Screener = workload.Screener
-	// WorkloadCounter counts evaluations of f.
+	// WorkloadCounter counts evaluations of f. Its tally is a plain field:
+	// evaluate a counted workload from one goroutine at a time. A prover
+	// or tree built with merkle.WithParallelism calls its leaf function
+	// concurrently, so materialise the values serially first.
 	WorkloadCounter = workload.Counter
 )
 
@@ -173,7 +176,8 @@ var (
 	NewWorkload = workload.New
 	// WorkloadNames lists the registered workloads.
 	WorkloadNames = workload.Names
-	// CountWorkload wraps a workload with an evaluation counter.
+	// CountWorkload wraps a workload with an evaluation counter (not safe
+	// for concurrent use, see WorkloadCounter).
 	CountWorkload = workload.Count
 	// NewPasswordWorkload is the brute-force keyspace search (Section 3).
 	NewPasswordWorkload = workload.NewPassword
