@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"uncheatgrid/internal/core"
-	"uncheatgrid/internal/merkle"
 	"uncheatgrid/internal/workload"
 )
 
@@ -24,14 +23,15 @@ func runFig1(w io.Writer) error {
 	fmt.Fprintf(w, "participant builds a %d-leaf Merkle tree with Φ(Li) = f(xi)\n", n)
 	fmt.Fprintf(w, "commitment Φ(R) = %x\n", commitment.Root)
 
-	// Sample x3 is leaf index 2; its path carries H = 4 sibling values,
-	// the nodes labeled L4, A, D, F in the paper's figure.
+	// Sample x3 is leaf index 2. For one sample the response's multiproof is
+	// the audit path: H = 4 sibling values, bottom-up, the nodes labeled L4,
+	// A, D, F in the paper's figure.
 	resp, err := prover.Respond([]uint64{2})
 	if err != nil {
 		return err
 	}
-	proof := resp.Proofs[0]
-	fmt.Fprintf(w, "sample x3 (leaf index 2): participant sends f(x3) = %x…\n", proof.Value[:8])
+	proof := resp.Proof
+	fmt.Fprintf(w, "sample x3 (leaf index 2): participant sends f(x3) = %x…\n", proof.Values[0][:8])
 	labels := []string{"Φ(L4)", "Φ(A) ", "Φ(D) ", "Φ(F) "}
 	for i, sib := range proof.Siblings {
 		fmt.Fprintf(w, "  sibling %d %s = %x…\n", i+1, labels[i], sib[:8])
@@ -50,10 +50,10 @@ func runFig1(w io.Writer) error {
 
 	// The flip side: splicing a different (even correct-looking) value into
 	// the proof fails to reconstruct the committed root.
-	forged := *proof
-	forged.Value = f.Eval(9)
+	forged := proof
+	forged.Values = [][]byte{f.Eval(9)}
 	err = verifier.Verify(core.Challenge{Indices: []uint64{2}},
-		&core.Response{Proofs: []*merkle.Proof{&forged}}, core.AcceptAnyOutput)
+		&core.Response{Proof: forged}, core.AcceptAnyOutput)
 	if err == nil {
 		return fmt.Errorf("forged leaf value was accepted")
 	}

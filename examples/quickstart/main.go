@@ -74,7 +74,8 @@ func audit(prover *uncheatgrid.Prover, m int, check uncheatgrid.CheckFunc) (stri
 	if err != nil {
 		return "", err
 	}
-	// Step 3: the participant returns f(x) plus the audit path per sample.
+	// Step 3: the participant returns f(x) per sample plus the sibling
+	// values on their audit paths, as one multiproof.
 	response, err := prover.Respond(challenge.Indices)
 	if err != nil {
 		return "", err

@@ -10,11 +10,15 @@
 //  2. Sample selection: the supervisor draws m uniform indices
 //     (Verifier.Challenge); in the non-interactive variant both sides derive
 //     them from the commitment via a hash chain (Eq. 4).
-//  3. Proof of honesty: the participant returns f(x) and the sibling path
-//     for every sample (Prover.Respond).
-//  4. Verification: the supervisor checks each claimed output and
-//     reconstructs the root from the proof (Verifier.Verify); any mismatch
-//     convicts the participant (Theorems 1-2).
+//  3. Proof of honesty: the participant returns f(x) for every sample and
+//     the sibling values on their paths to the root (Prover.Respond) — as
+//     one Merkle multiproof, which sends a sibling the paths share once and
+//     leaves out those the supervisor can compute from the samples
+//     themselves: at most the paper's O(m log n), typically 40-60% of it.
+//  4. Verification: the supervisor checks each claimed output, once per
+//     challenged sample, and reconstructs the root from the multiproof
+//     (Verifier.Verify); any mismatch convicts the participant
+//     (Theorems 1-2).
 //
 // The storage-bounded prover of Section 3.3 is selected with
 // WithSubtreeHeight: it keeps only the top H-ℓ tree levels and recomputes
@@ -55,7 +59,10 @@ var (
 // participant and why. Use errors.As to extract it and errors.Is to test for
 // ErrWrongOutput or ErrCommitmentMismatch.
 type CheatError struct {
-	// Index is the domain index of the convicting sample.
+	// Index is the domain index of the convicting sample: the first
+	// challenged sample whose claimed output is wrong, or — for
+	// ErrCommitmentMismatch, which convicts the response as a whole — the
+	// first challenged index.
 	Index uint64
 	// Err is ErrWrongOutput or ErrCommitmentMismatch (possibly wrapped).
 	Err error

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uncheatgrid/internal/cheat"
 	"uncheatgrid/internal/hashchain"
-	"uncheatgrid/internal/merkle"
 	"uncheatgrid/internal/workload"
 )
 
@@ -113,10 +113,56 @@ func TestUncheatability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Respond: %v", err)
 		}
-		resp.Proofs[0].Value = f.Eval(badIndex)
+		resp.Proof.Values[0] = f.Eval(badIndex)
 		err = verifier.Verify(Challenge{Indices: []uint64{badIndex}}, resp, recompute(f))
 		if !errors.Is(err, ErrCommitmentMismatch) {
 			t.Fatalf("err = %v, want ErrCommitmentMismatch", err)
+		}
+	})
+
+	t.Run("convicted at the first exposing sample", func(t *testing.T) {
+		// Honest samples before and after, the lie challenged twice: the
+		// output check runs in challenge order and stops at the lie.
+		ch := Challenge{Indices: []uint64{40, 3, badIndex, 9, badIndex}}
+		resp, err := cheater.Respond(ch.Indices)
+		if err != nil {
+			t.Fatalf("Respond: %v", err)
+		}
+		var checked []uint64
+		check := func(i uint64, out []byte) error {
+			checked = append(checked, i)
+			return recompute(f)(i, out)
+		}
+		var cheatErr *CheatError
+		if err := verifier.Verify(ch, resp, check); !errors.As(err, &cheatErr) || !errors.Is(err, ErrWrongOutput) {
+			t.Fatalf("Verify: err = %v, want a *CheatError with ErrWrongOutput", err)
+		}
+		if cheatErr.Index != badIndex || len(checked) != 3 || checked[2] != badIndex {
+			t.Fatalf("convicted at %d after checking %v, want %d after [40 3 %d]", cheatErr.Index, checked, badIndex, badIndex)
+		}
+	})
+
+	t.Run("a forged sample convicts the response as a whole", func(t *testing.T) {
+		// A value consistent with f but not with the commitment, in the
+		// middle of honest samples: every output check passes, the one root
+		// reconstruction fails, and the verdict names the first challenged
+		// index.
+		ch := Challenge{Indices: []uint64{40, badIndex, 3}}
+		resp, err := cheater.Respond(ch.Indices)
+		if err != nil {
+			t.Fatalf("Respond: %v", err)
+		}
+		at, ok := slices.BinarySearch(resp.Proof.Indices, badIndex)
+		if !ok {
+			t.Fatalf("response does not cover %d", badIndex)
+		}
+		resp.Proof.Values[at] = f.Eval(badIndex)
+		var cheatErr *CheatError
+		if err := verifier.Verify(ch, resp, recompute(f)); !errors.As(err, &cheatErr) || !errors.Is(err, ErrCommitmentMismatch) {
+			t.Fatalf("Verify: err = %v, want a *CheatError with ErrCommitmentMismatch", err)
+		}
+		if cheatErr.Index != 40 {
+			t.Fatalf("CheatError.Index = %d, want the first challenged index 40", cheatErr.Index)
 		}
 	})
 
@@ -192,17 +238,97 @@ func TestVerifierValidation(t *testing.T) {
 	if err := v.Verify(Challenge{}, resp, recompute(f)); !errors.Is(err, ErrProtocol) {
 		t.Errorf("empty challenge: err = %v, want ErrProtocol", err)
 	}
-	short := &Response{Proofs: resp.Proofs[:1]}
-	if err := v.Verify(ch, short, recompute(f)); !errors.Is(err, ErrProtocol) {
-		t.Errorf("short response: err = %v, want ErrProtocol", err)
+	if err := v.Verify(ch, &Response{}, recompute(f)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("empty response: err = %v, want ErrProtocol", err)
+	}
+}
+
+// TestVerifyChecksResponseAgainstChallenge: the response must prove exactly
+// the challenged indices of the committed domain. Anything else is a
+// protocol violation, found before the output check spends an evaluation.
+func TestVerifyChecksResponseAgainstChallenge(t *testing.T) {
+	f := testFunction(13)
+	p := honestProver(t, f, 37)
+	v := seededVerifier(t, p.Commitment(), 1)
+	ch := Challenge{Indices: []uint64{20, 5, 36, 5}}
+	respond := func(indices ...uint64) *Response {
+		t.Helper()
+		resp, err := p.Respond(indices)
+		if err != nil {
+			t.Fatalf("Respond(%v): %v", indices, err)
+		}
+		return resp
+	}
+	if err := v.Verify(ch, respond(ch.Indices...), recompute(f)); err != nil {
+		t.Fatalf("honest response rejected: %v", err)
 	}
 
-	// A proof re-ordered against the challenge is a protocol violation.
-	if len(ch.Indices) == 2 && ch.Indices[0] != ch.Indices[1] {
-		swapped := &Response{Proofs: []*merkle.Proof{resp.Proofs[1], resp.Proofs[0]}}
-		if err := v.Verify(ch, swapped, recompute(f)); !errors.Is(err, ErrProtocol) {
-			t.Errorf("swapped proofs: err = %v, want ErrProtocol", err)
+	otherDomain := respond(ch.Indices...)
+	otherDomain.Proof.N = 38
+	outOfDomain := respond(ch.Indices...)
+	outOfDomain.Proof.Indices[2] = 37
+	unsorted := respond(ch.Indices...)
+	unsorted.Proof.Indices[0], unsorted.Proof.Indices[1] = unsorted.Proof.Indices[1], unsorted.Proof.Indices[0]
+	noValue := respond(ch.Indices...)
+	noValue.Proof.Values = noValue.Proof.Values[:2]
+	noSiblings := respond(ch.Indices...)
+	noSiblings.Proof.Siblings = nil
+	for name, resp := range map[string]*Response{
+		"missing index":        respond(20, 36),
+		"extra index":          respond(20, 5, 36, 6),
+		"other indices":        respond(1, 2, 3),
+		"another domain size":  otherDomain,
+		"out-of-domain index":  outOfDomain,
+		"unsorted indices":     unsorted,
+		"fewer values":         noValue,
+		"sibling list dropped": noSiblings,
+	} {
+		evals := 0
+		check := func(i uint64, out []byte) error {
+			evals++
+			return recompute(f)(i, out)
 		}
+		err := v.Verify(ch, resp, check)
+		var cheatErr *CheatError
+		if !errors.Is(err, ErrProtocol) || errors.As(err, &cheatErr) {
+			t.Errorf("%s: err = %v, want a bare ErrProtocol", name, err)
+		}
+		if name != "sibling list dropped" && name != "fewer values" && evals != 0 {
+			t.Errorf("%s: %d outputs checked before the response was refused", name, evals)
+		}
+	}
+	// A challenge outside the committed domain can never be answered.
+	if err := v.Verify(Challenge{Indices: []uint64{37}}, respond(36), recompute(f)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("challenge past the domain: err = %v, want ErrProtocol", err)
+	}
+}
+
+// TestVerifyChecksEveryChallengedSample pins Theorem 3's accounting: the
+// draws are with replacement, so a challenge of m indices costs exactly m
+// output checks, in challenge order, however many of them repeat — while the
+// response proves each distinct index once.
+func TestVerifyChecksEveryChallengedSample(t *testing.T) {
+	f := testFunction(14)
+	p := honestProver(t, f, 64)
+	v := seededVerifier(t, p.Commitment(), 1)
+	ch := Challenge{Indices: []uint64{17, 3, 17, 17, 60, 3, 0, 63}}
+	resp, err := p.Respond(ch.Indices)
+	if err != nil {
+		t.Fatalf("Respond: %v", err)
+	}
+	if got := len(resp.Proof.Indices); got != 5 {
+		t.Fatalf("response proves %d indices, want the 5 distinct ones", got)
+	}
+	var checked []uint64
+	check := func(i uint64, out []byte) error {
+		checked = append(checked, i)
+		return recompute(f)(i, out)
+	}
+	if err := v.Verify(ch, resp, check); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if !slices.Equal(checked, ch.Indices) {
+		t.Fatalf("checked %v, want the challenge %v in order", checked, ch.Indices)
 	}
 }
 

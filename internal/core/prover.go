@@ -10,7 +10,7 @@ import (
 // proofSource abstracts the full and partial Merkle trees behind the prover.
 type proofSource interface {
 	Root() []byte
-	ProveAll(indices []uint64) ([]*merkle.Proof, error)
+	ProveMulti(indices []uint64) (merkle.MultiProof, error)
 }
 
 // Prover is the participant side of CBS. It owns the committed Merkle tree
@@ -65,8 +65,10 @@ func (p *Prover) Commitment() Commitment {
 }
 
 // Respond produces the participant's proof of honesty (Step 3) for the
-// challenged sample indices: for each index, the claimed f(x) plus the
-// sibling Φ values along the leaf-to-root path.
+// challenged sample indices, which may repeat: one multiproof carrying the
+// claimed f(x) of every distinct index and each sibling Φ value on the
+// leaf-to-root paths that the supervisor cannot compute from the samples
+// themselves.
 func (p *Prover) Respond(indices []uint64) (*Response, error) {
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("%w: empty challenge", ErrProtocol)
@@ -77,16 +79,16 @@ func (p *Prover) Respond(indices []uint64) (*Response, error) {
 				ErrProtocol, idx, p.n)
 		}
 	}
-	proofs, err := p.source.ProveAll(indices)
+	proof, err := p.source.ProveMulti(indices)
 	if err != nil {
 		return nil, fmt.Errorf("core: prove samples: %w", err)
 	}
-	return &Response{Proofs: proofs}, nil
+	return &Response{Proof: proof}, nil
 }
 
 // RespondNonInteractive runs Steps 2-3 of the NI-CBS scheme (Section 4.1):
 // the participant derives its own m sample indices from the commitment via
-// the hash chain g (Eq. 4) and returns the proofs. No supervisor round trip
+// the hash chain g (Eq. 4) and returns their multiproof. No supervisor round trip
 // is needed; the verifier re-derives the same indices from the root.
 func (p *Prover) RespondNonInteractive(chain *hashchain.Chain, m int) (*Response, error) {
 	if chain == nil {

@@ -5,16 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"uncheatgrid/internal/merkle"
 )
 
-// The reference decoders below are the bytes.Reader implementations
-// Response.UnmarshalBinary and merkle.Proof.UnmarshalBinary replaced: every
-// field read through a reader and copied out. They stay here as the
-// specification the slice-walking decoder is fuzzed against.
+// The reference decoder below reads a response the way the codecs in this
+// repository did before they became slice walkers: every field through a
+// bytes.Reader, copied out. It stays here as the specification
+// Response.UnmarshalBinary is fuzzed against.
 
 func referenceReadBytes(r *bytes.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
@@ -34,101 +35,85 @@ func referenceReadBytes(r *bytes.Reader) ([]byte, error) {
 	return out, nil
 }
 
-// referenceUnmarshalProof decodes one proof; structural validation is the
-// caller's (it needs merkle's unexported validateProof, reached through a
-// marshal of the decoded value).
-func referenceUnmarshalProof(data []byte) (*merkle.Proof, error) {
+// referenceUnmarshalMultiProof decodes uvarint(n) || uvarint(k) ||
+// uvarint(s) || the k indices (the first absolute, the rest as gaps less
+// one) || k values || s siblings. The slices grow as fields arrive, so a
+// fuzzer's absurd count costs nothing; structural validation is merkle's
+// unexported validate, reached through a marshal of the decoded value.
+func referenceUnmarshalMultiProof(data []byte) (*merkle.MultiProof, error) {
 	r := bytes.NewReader(data)
-	index, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	value, err := referenceReadBytes(r)
-	if err != nil {
-		return nil, err
-	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if count > 64 {
-		return nil, fmt.Errorf("sibling count %d", count)
-	}
-	siblings := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s, err := referenceReadBytes(r)
+	var header [3]uint64
+	for i := range header {
+		v, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, err
 		}
-		siblings = append(siblings, s)
+		header[i] = v
+	}
+	n, k, s := header[0], header[1], header[2]
+	if n == 0 || n > 1<<62 {
+		return nil, fmt.Errorf("leaf count %d", n)
+	}
+	proof := &merkle.MultiProof{N: int(n), Values: [][]byte{}, Siblings: [][]byte{}}
+	for i := uint64(0); i < k; i++ {
+		gap, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, err
+		}
+		idx := gap
+		if i > 0 {
+			idx = proof.Indices[i-1] + 1 + gap
+			if idx <= proof.Indices[i-1] {
+				return nil, fmt.Errorf("index %d wraps", i)
+			}
+		}
+		if idx >= n {
+			return nil, fmt.Errorf("index %d outside the domain", idx)
+		}
+		proof.Indices = append(proof.Indices, idx)
+	}
+	for i := uint64(0); i < k; i++ {
+		value, err := referenceReadBytes(r)
+		if err != nil {
+			return nil, err
+		}
+		proof.Values = append(proof.Values, value)
+	}
+	for i := uint64(0); i < s; i++ {
+		sibling, err := referenceReadBytes(r)
+		if err != nil {
+			return nil, err
+		}
+		proof.Siblings = append(proof.Siblings, sibling)
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", r.Len())
 	}
-	proof := &merkle.Proof{Index: int(index), N: int(n), Value: value, Siblings: siblings}
 	if _, err := proof.MarshalBinary(); err != nil {
-		return nil, err // validateProof's verdict
+		return nil, err // validate's verdict
 	}
 	return proof, nil
 }
 
 func referenceUnmarshalResponse(data []byte) (*Response, error) {
-	r := bytes.NewReader(data)
-	count, err := binary.ReadUvarint(r)
+	proof, err := referenceUnmarshalMultiProof(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: response count: %v", ErrProtocol, err)
+		return nil, fmt.Errorf("%w: response: %v", ErrProtocol, err)
 	}
-	if count == 0 || count > maxProofs {
-		return nil, fmt.Errorf("%w: response count %d outside [1, %d]", ErrProtocol, count, maxProofs)
-	}
-	// The old decoder sized this slice from the bare count; the reference
-	// grows it instead so a fuzzer's 2^20 costs nothing. Same verdicts.
-	var proofs []*merkle.Proof
-	for k := uint64(0); k < count; k++ {
-		encoded, err := referenceReadBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: proof %d: %v", ErrProtocol, k, err)
-		}
-		proof, err := referenceUnmarshalProof(encoded)
-		if err != nil {
-			return nil, fmt.Errorf("%w: proof %d: %v", ErrProtocol, k, err)
-		}
-		proofs = append(proofs, proof)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrProtocol, r.Len())
-	}
-	return &Response{Proofs: proofs}, nil
+	return &Response{Proof: *proof}, nil
 }
 
 func sameResponse(a, b *Response) bool {
-	if len(a.Proofs) != len(b.Proofs) {
-		return false
+	same := func(x, y [][]byte) bool {
+		return slices.EqualFunc(x, y, func(p, q []byte) bool { return p != nil && q != nil && bytes.Equal(p, q) })
 	}
-	for k, p := range a.Proofs {
-		q := b.Proofs[k]
-		if p.Index != q.Index || p.N != q.N || !bytes.Equal(p.Value, q.Value) || len(p.Siblings) != len(q.Siblings) {
-			return false
-		}
-		if p.Value == nil || q.Value == nil {
-			return false
-		}
-		for i := range p.Siblings {
-			if !bytes.Equal(p.Siblings[i], q.Siblings[i]) {
-				return false
-			}
-		}
-	}
-	return true
+	p, q := &a.Proof, &b.Proof
+	return p.N == q.N && slices.Equal(p.Indices, q.Indices) && same(p.Values, q.Values) && same(p.Siblings, q.Siblings)
 }
 
 // encodedResponses returns real encoded responses: the benchmark's n=64/m=8
-// shape, a single-sample one, a one-leaf domain (proofs without siblings)
-// and a padded domain.
+// shape, a single-sample one (the multiproof is one audit path), a one-leaf
+// domain (a proof without siblings) and a padded domain.
 func encodedResponses(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
@@ -173,7 +158,7 @@ func checkResponseDecodersAgree(t *testing.T, data []byte) {
 		if !errors.Is(gotErr, ErrProtocol) || !errors.Is(wantErr, ErrProtocol) {
 			t.Fatalf("rejections must carry ErrProtocol: decoder %v, reference %v", gotErr, wantErr)
 		}
-		if got.Proofs != nil {
+		if got.Proof.N != 0 || got.Proof.Indices != nil || got.Proof.Values != nil || got.Proof.Siblings != nil {
 			t.Fatal("failed decode modified its receiver")
 		}
 		return
@@ -201,14 +186,17 @@ func FuzzResponseUnmarshal(f *testing.F) {
 		f.Add(append(append([]byte(nil), data...), 0))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x00})                                                 // zero proofs
-	f.Add([]byte{0x80, 0x80, 0x40})                                     // 2^20 proofs, no bytes
-	f.Add([]byte{0x81, 0x80, 0x40})                                     // one past maxProofs
-	f.Add([]byte{0x02, 0x04, 0x00, 0x01, 0x00, 0x00})                   // second proof missing
-	f.Add([]byte{0x01, 0x04, 0x00, 0x01, 0x00, 0x00})                   // n=1, empty value: valid
-	f.Add([]byte{0x01, 0x05, 0x00, 0x01, 0x00, 0x00})                   // proof length past the end
-	f.Add([]byte{0x01, 0x84, 0x00, 0x00, 0x01, 0x00, 0x00})             // non-canonical length varint
-	f.Add([]byte{0x01, 0x07, 0x00, 0x02, 0x00, 0x01, 0x01, 0xaa, 0xbb}) // trailing byte inside the proof
+	f.Add([]byte{0x01, 0x01, 0x00, 0x00, 0x00})                               // n=1, one empty value: valid
+	f.Add([]byte{0x01, 0x00, 0x00})                                           // zero samples
+	f.Add([]byte{0x40, 0x80, 0x80, 0x40, 0x00, 0x00, 0x00})                   // 2^20 samples, no bytes for them
+	f.Add([]byte{0x40, 0x01, 0x80, 0x80, 0x40, 0x00, 0x00})                   // 2^20 siblings, no bytes for them
+	f.Add([]byte{0x02, 0x02, 0x00, 0x00, 0x00, 0x01, 0xaa})                   // second value missing
+	f.Add([]byte{0x02, 0x02, 0x00, 0x00, 0x01, 0x00, 0x00})                   // gap leaves the domain
+	f.Add([]byte{0x02, 0x01, 0x00, 0x01, 0x00})                               // sibling list short by one
+	f.Add([]byte{0x02, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00})             // both leaves sampled, a surplus sibling
+	f.Add([]byte{0x02, 0x81, 0x00, 0x01, 0x00, 0x00, 0x01, 0xbb})             // non-canonical count varint
+	f.Add([]byte{0x02, 0x01, 0x01, 0x01, 0x01, 0xaa, 0x01, 0xbb, 0xcc})       // trailing byte
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // varint overflow
 	f.Fuzz(checkResponseDecodersAgree)
 }
 
@@ -241,36 +229,17 @@ func TestResponseUnmarshalKeepsNoReferenceToInput(t *testing.T) {
 		if !sameResponse(&resp, want) {
 			t.Fatal("mutating the input after UnmarshalBinary changed the decoded response")
 		}
-		// Proofs share slabs; none may be able to grow into its neighbour.
-		for k, p := range resp.Proofs {
-			if cap(p.Siblings) != len(p.Siblings) || cap(p.Value) != len(p.Value) {
-				t.Fatalf("proof %d can grow into storage it shares", k)
+		// The fields share two slabs; none may be able to grow into its
+		// neighbour.
+		if cap(resp.Proof.Values) != len(resp.Proof.Values) {
+			t.Fatal("values can grow into the sibling headers")
+		}
+		for _, field := range append(slices.Clone(resp.Proof.Values), resp.Proof.Siblings...) {
+			if cap(field) != len(field) {
+				t.Fatal("a decoded field can grow into the next")
 			}
 		}
 	}
-}
-
-// TestResponseOfUnevenProofsDecodes covers the sibling slab's growth path:
-// UnmarshalBinary sizes it from the first proof's depth, and nothing on the
-// wire forces later proofs to agree with the first.
-func TestResponseOfUnevenProofsDecodes(t *testing.T) {
-	shallow := &merkle.Proof{Index: 0, N: 1, Value: []byte{1}}
-	deep := func(v byte) *merkle.Proof {
-		return &merkle.Proof{Index: 1, N: 8, Value: []byte{v}, Siblings: [][]byte{{v, 1}, {v, 2}, {v, 3}}}
-	}
-	resp := &Response{Proofs: []*merkle.Proof{shallow, deep(7), deep(8), shallow, deep(9)}}
-	data, err := resp.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	var decoded Response
-	if err := decoded.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
-	if !sameResponse(&decoded, resp) {
-		t.Fatal("uneven response did not round-trip")
-	}
-	checkResponseDecodersAgree(t, data)
 }
 
 // TestVerifierConcurrentVerify runs one Verifier from several goroutines:
@@ -288,11 +257,9 @@ func TestVerifierConcurrentVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Respond: %v", err)
 	}
-	forged := &Response{Proofs: append([]*merkle.Proof(nil), resp.Proofs...)}
-	bad := *forged.Proofs[3]
-	bad.Siblings = append([][]byte(nil), bad.Siblings...)
-	bad.Siblings[0] = bytes.Repeat([]byte{0xee}, len(bad.Siblings[0]))
-	forged.Proofs[3] = &bad
+	forged := &Response{Proof: resp.Proof}
+	forged.Proof.Siblings = slices.Clone(resp.Proof.Siblings)
+	forged.Proof.Siblings[3] = bytes.Repeat([]byte{0xee}, len(forged.Proof.Siblings[3]))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"uncheatgrid/internal/hashchain"
@@ -15,10 +16,10 @@ type Verifier struct {
 	commitment  Commitment
 	treeOptions []merkle.Option
 	rng         challengeRand
-	// proofs is the hash state root reconstruction needs, set up once per
-	// task instead of once per sample. Verify takes it out of the slot for
-	// the duration of a call; a concurrent Verify finds the slot empty and
-	// sets up its own, so concurrent calls stay safe.
+	// proofs is the hash state root reconstruction needs, set up with the
+	// task. Verify takes it out of the slot for the duration of a call; a
+	// concurrent Verify finds the slot empty and sets up its own, so
+	// concurrent calls stay safe.
 	proofs atomic.Pointer[merkle.ProofVerifier]
 }
 
@@ -71,10 +72,18 @@ func (v *Verifier) Challenge(m int) (Challenge, error) {
 	return Challenge{Indices: indices}, nil
 }
 
-// Verify runs Step 4 for every challenged sample: first the output
-// correctness check, then the root reconstruction against the commitment.
-// It returns nil when the participant passes, a *CheatError at the first
-// convicting sample, or an ErrProtocol-wrapped error for malformed input.
+// Verify runs Step 4. The response must prove exactly the challenged
+// indices under the committed domain size; anything else, and any malformed
+// input, is an ErrProtocol-wrapped error. The output check then runs once per
+// challenged sample in challenge order, repeats included — Theorem 3 counts
+// m independent draws with replacement, so a participant is convicted at the
+// first sample, of m, that exposes it, and a verified task costs the
+// supervisor exactly m checks — and returns a *CheatError with ErrWrongOutput
+// at the first sample that fails. Last, the root is reconstructed from all
+// samples at once: a mismatch means some claimed value was not the committed
+// one, and since one reconstruction cannot say which, the *CheatError with
+// ErrCommitmentMismatch names the first challenged index and stands for the
+// response as a whole. Verify returns nil when the participant passes.
 func (v *Verifier) Verify(ch Challenge, resp *Response, check CheckFunc) error {
 	if resp == nil {
 		return fmt.Errorf("%w: nil response", ErrProtocol)
@@ -85,21 +94,59 @@ func (v *Verifier) Verify(ch Challenge, resp *Response, check CheckFunc) error {
 	if len(ch.Indices) == 0 {
 		return fmt.Errorf("%w: empty challenge", ErrProtocol)
 	}
-	if len(resp.Proofs) != len(ch.Indices) {
-		return fmt.Errorf("%w: %d proofs for %d challenged samples",
-			ErrProtocol, len(resp.Proofs), len(ch.Indices))
+	proof := &resp.Proof
+	if uint64(proof.N) != v.commitment.N {
+		return fmt.Errorf("%w: proof domain %d, committed %d", ErrProtocol, proof.N, v.commitment.N)
 	}
+	// Every challenged index must be proven and every proven index
+	// challenged: covered marks the proof's entries the challenge names.
+	var stack [1]uint64
+	covered := stack[:]
+	if len(proof.Indices) > 64 {
+		covered = make([]uint64, (len(proof.Indices)+63)/64)
+	}
+	distinct := 0
+	for _, idx := range ch.Indices {
+		at, ok := slices.BinarySearch(proof.Indices, idx)
+		if !ok {
+			return fmt.Errorf("%w: challenged index %d is not in the response", ErrProtocol, idx)
+		}
+		if covered[at/64]&(1<<(at%64)) == 0 {
+			covered[at/64] |= 1 << (at % 64)
+			distinct++
+		}
+	}
+	if distinct != len(proof.Indices) {
+		return fmt.Errorf("%w: response proves %d indices, %d challenged",
+			ErrProtocol, len(proof.Indices), distinct)
+	}
+	// Step 4, case 1: is each claimed f(x) correct?
+	for _, idx := range ch.Indices {
+		value, ok := proof.Value(idx)
+		if !ok {
+			return fmt.Errorf("%w: no value for challenged index %d", ErrProtocol, idx)
+		}
+		if err := check(idx, value); err != nil {
+			if errors.Is(err, ErrWrongOutput) {
+				return &CheatError{Index: idx, Err: err}
+			}
+			return &CheatError{Index: idx, Err: fmt.Errorf("%w: %v", ErrWrongOutput, err)}
+		}
+	}
+	// Step 4, case 2: were those values committed before the challenge?
 	proofs := v.proofs.Swap(nil)
 	if proofs == nil {
 		proofs = merkle.NewProofVerifier(v.treeOptions...)
 	}
 	defer v.proofs.Store(proofs)
-	for k, idx := range ch.Indices {
-		if err := v.verifySample(proofs, idx, resp.Proofs[k], check); err != nil {
-			return err
-		}
+	switch err := proofs.VerifyMulti(v.commitment.Root, proof); {
+	case err == nil:
+		return nil
+	case errors.Is(err, merkle.ErrRootMismatch):
+		return &CheatError{Index: ch.Indices[0], Err: ErrCommitmentMismatch}
+	default:
+		return fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	return nil
 }
 
 // VerifyNonInteractive audits an NI-CBS response (Section 4.1, Step 4): the
@@ -117,36 +164,6 @@ func (v *Verifier) VerifyNonInteractive(chain *hashchain.Chain, m int, resp *Res
 		return fmt.Errorf("core: re-derive samples: %w", err)
 	}
 	return v.Verify(Challenge{Indices: indices}, resp, check)
-}
-
-func (v *Verifier) verifySample(proofs *merkle.ProofVerifier, idx uint64, proof *merkle.Proof, check CheckFunc) error {
-	if proof == nil {
-		return fmt.Errorf("%w: nil proof for sample %d", ErrProtocol, idx)
-	}
-	if uint64(proof.Index) != idx || idx >= v.commitment.N {
-		return fmt.Errorf("%w: proof is for index %d, challenged %d",
-			ErrProtocol, proof.Index, idx)
-	}
-	if uint64(proof.N) != v.commitment.N {
-		return fmt.Errorf("%w: proof domain %d, committed %d",
-			ErrProtocol, proof.N, v.commitment.N)
-	}
-	// Step 4, case 1: is the claimed f(x) correct?
-	if err := check(idx, proof.Value); err != nil {
-		if errors.Is(err, ErrWrongOutput) {
-			return &CheatError{Index: idx, Err: err}
-		}
-		return &CheatError{Index: idx, Err: fmt.Errorf("%w: %v", ErrWrongOutput, err)}
-	}
-	// Step 4, case 2: was that value committed before the challenge?
-	switch err := proofs.Verify(v.commitment.Root, proof); {
-	case err == nil:
-		return nil
-	case errors.Is(err, merkle.ErrRootMismatch):
-		return &CheatError{Index: idx, Err: ErrCommitmentMismatch}
-	default:
-		return fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
 }
 
 // uniformIndex draws uniformly from [0, n) without modulo bias.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -25,11 +24,14 @@ type Challenge struct {
 	Indices []uint64
 }
 
-// Response is the Step 3 message: one audit-path proof per challenged
-// sample, each carrying the claimed f(x) as its leaf value.
+// Response is the Step 3 message: one Merkle multiproof covering every
+// challenged sample — the claimed f(x) of each distinct index and, once each,
+// the sibling Φ values the supervisor cannot compute from the samples
+// themselves. There is no per-sample form: a single-sample response is the
+// multiproof whose siblings are that sample's audit path.
 type Response struct {
-	// Proofs are ordered to match the challenge indices.
-	Proofs []*merkle.Proof
+	// Proof proves the distinct challenged indices, sorted.
+	Proof merkle.MultiProof
 }
 
 // MarshalBinary encodes the commitment as
@@ -38,31 +40,34 @@ func (c Commitment) MarshalBinary() ([]byte, error) {
 	if len(c.Root) == 0 {
 		return nil, fmt.Errorf("%w: empty commitment root", ErrProtocol)
 	}
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(c.Root)))
-	buf.Write(c.Root)
-	writeUvarint(&buf, c.N)
-	return buf.Bytes(), nil
+	buf := make([]byte, 0, c.EncodedSize())
+	buf = binary.AppendUvarint(buf, uint64(len(c.Root)))
+	buf = append(buf, c.Root...)
+	return binary.AppendUvarint(buf, c.N), nil
 }
 
-// UnmarshalBinary decodes a commitment produced by MarshalBinary.
+// UnmarshalBinary decodes a commitment produced by MarshalBinary. The
+// commitment keeps no reference to data.
 func (c *Commitment) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	root, err := readLengthPrefixed(r, "root")
+	size, rest, err := takeUvarint(data, "root length")
 	if err != nil {
 		return err
 	}
-	if len(root) == 0 {
+	if size > uint64(len(rest)) {
+		return fmt.Errorf("%w: root declares %d bytes, %d remain", ErrProtocol, size, len(rest))
+	}
+	if size == 0 {
 		return fmt.Errorf("%w: empty commitment root", ErrProtocol)
 	}
-	n, err := binary.ReadUvarint(r)
+	root, rest := rest[:size], rest[size:]
+	n, rest, err := takeUvarint(rest, "commitment n")
 	if err != nil {
-		return fmt.Errorf("%w: commitment n: %v", ErrProtocol, err)
-	}
-	if err := expectEOF(r); err != nil {
 		return err
 	}
-	c.Root = root
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
+	}
+	c.Root = append([]byte(nil), root...)
 	c.N = n
 	return nil
 }
@@ -77,35 +82,37 @@ func (ch Challenge) MarshalBinary() ([]byte, error) {
 	if len(ch.Indices) == 0 {
 		return nil, fmt.Errorf("%w: empty challenge", ErrProtocol)
 	}
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(ch.Indices)))
+	buf := make([]byte, 0, ch.EncodedSize())
+	buf = binary.AppendUvarint(buf, uint64(len(ch.Indices)))
 	for _, idx := range ch.Indices {
-		writeUvarint(&buf, idx)
+		buf = binary.AppendUvarint(buf, idx)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // UnmarshalBinary decodes a challenge produced by MarshalBinary.
 func (ch *Challenge) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	m, err := binary.ReadUvarint(r)
+	m, rest, err := takeUvarint(data, "challenge count")
 	if err != nil {
-		return fmt.Errorf("%w: challenge count: %v", ErrProtocol, err)
+		return err
 	}
-	const maxSamples = 1 << 20 // far above any useful m; bounds allocation
+	const maxSamples = 1 << 20 // far above any useful m
 	if m == 0 || m > maxSamples {
 		return fmt.Errorf("%w: challenge count %d outside [1, %d]", ErrProtocol, m, maxSamples)
 	}
+	if m > uint64(len(rest)) {
+		// An index occupies at least one byte; checked before the slice is
+		// sized so a bare count cannot buy an allocation.
+		return fmt.Errorf("%w: challenge declares %d indices, %d bytes remain", ErrProtocol, m, len(rest))
+	}
 	indices := make([]uint64, m)
 	for k := range indices {
-		idx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("%w: challenge index %d: %v", ErrProtocol, k, err)
+		if indices[k], rest, err = takeUvarint(rest, "challenge index"); err != nil {
+			return err
 		}
-		indices[k] = idx
 	}
-	if err := expectEOF(r); err != nil {
-		return err
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
 	}
 	ch.Indices = indices
 	return nil
@@ -120,128 +127,48 @@ func (ch Challenge) EncodedSize() int {
 	return size
 }
 
-// MarshalBinary encodes the response as uvarint(count) followed by each
-// proof length-prefixed, into one buffer sized by EncodedSize.
+// MarshalBinary encodes the response: it is the multiproof's encoding (see
+// merkle.MultiProof.MarshalBinary), in one buffer sized by EncodedSize.
 func (resp *Response) MarshalBinary() ([]byte, error) {
-	if resp == nil || len(resp.Proofs) == 0 {
-		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
+	if resp == nil {
+		return nil, fmt.Errorf("%w: nil response", ErrProtocol)
 	}
-	for k, proof := range resp.Proofs {
-		if proof == nil {
-			return nil, fmt.Errorf("%w: nil proof %d", ErrProtocol, k)
-		}
-	}
-	buf := make([]byte, 0, resp.EncodedSize())
-	buf = binary.AppendUvarint(buf, uint64(len(resp.Proofs)))
-	for k, proof := range resp.Proofs {
-		buf = binary.AppendUvarint(buf, uint64(proof.EncodedSize()))
-		var err error
-		if buf, err = proof.AppendBinary(buf); err != nil {
-			return nil, fmt.Errorf("core: marshal proof %d: %w", k, err)
-		}
+	buf, err := resp.Proof.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("%w: response: %v", ErrProtocol, err)
 	}
 	return buf, nil
 }
 
-// maxProofs bounds a decoded response's sample count: far above any useful
-// m.
-const maxProofs = 1 << 20
-
 // UnmarshalBinary decodes a response produced by MarshalBinary. The decoded
-// proofs keep no reference to data: their digests alias one private copy of
-// it, and the proofs and their sibling headers are carved from slabs shared
-// by the whole response.
+// proof keeps no reference to data: its values and digests alias one private
+// copy of it. A sample or sibling count larger than the bytes that follow it
+// is refused before anything is allocated. On error resp is left as it was.
 func (resp *Response) UnmarshalBinary(data []byte) error {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("%w: response count: malformed varint", ErrProtocol)
+	if err := resp.Proof.UnmarshalAliased(append([]byte(nil), data...)); err != nil {
+		return fmt.Errorf("%w: response: %v", ErrProtocol, err)
 	}
-	if count == 0 || count > maxProofs {
-		return fmt.Errorf("%w: response count %d outside [1, %d]", ErrProtocol, count, maxProofs)
-	}
-	if count > uint64(len(data)-n) {
-		// Every proof occupies at least its length prefix; checked before
-		// the slabs are sized so a bare count cannot buy an allocation.
-		return fmt.Errorf("%w: response declares %d proofs, %d bytes remain", ErrProtocol, count, len(data)-n)
-	}
-	rest := append([]byte(nil), data[n:]...)
-	proofs := make([]*merkle.Proof, count)
-	slab := make([]merkle.Proof, count)
-	var siblings [][]byte
-	for k := range proofs {
-		size, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return fmt.Errorf("%w: proof %d length: malformed varint", ErrProtocol, k)
-		}
-		rest = rest[n:]
-		if size > uint64(len(rest)) {
-			return fmt.Errorf("%w: proof %d declares %d bytes, %d remain", ErrProtocol, k, size, len(rest))
-		}
-		var err error
-		if siblings, err = slab[k].UnmarshalAliased(rest[:size:size], siblings); err != nil {
-			return fmt.Errorf("%w: proof %d: %v", ErrProtocol, k, err)
-		}
-		rest = rest[size:]
-		proofs[k] = &slab[k]
-		if k == 0 && len(proofs) > 1 {
-			// Proofs from one tree share a depth: size the sibling slab for
-			// the rest from the first, never beyond one header per remaining
-			// byte. A response that outgrows the guess just grows the slab.
-			siblings = make([][]byte, 0, min(len(siblings)*(len(proofs)-1), len(rest)))
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
-	}
-	resp.Proofs = proofs
 	return nil
 }
 
 // EncodedSize reports the exact MarshalBinary length. It is the quantity the
-// communication-cost experiment measures: O(m log n) by Section 3.1.
+// communication-cost experiment measures: at most the O(m log n) of Section
+// 3.1, less every sibling the m paths share.
 func (resp *Response) EncodedSize() int {
-	size := uvarintLen(uint64(len(resp.Proofs)))
-	for _, proof := range resp.Proofs {
-		ps := proof.EncodedSize()
-		size += uvarintLen(uint64(ps)) + ps
-	}
-	return size
+	return resp.Proof.EncodedSize()
 }
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
+// takeUvarint splits a uvarint off the front of data; what names the field
+// in the error.
+func takeUvarint(data []byte, what string) (v uint64, rest []byte, err error) {
+	v, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, data, fmt.Errorf("%w: %s: truncated or overlong varint", ErrProtocol, what)
+	}
+	return v, data[n:], nil
 }
 
 // uvarintLen reports how many bytes binary.PutUvarint writes for v.
 func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
-}
-
-func readLengthPrefixed(r *bytes.Reader, what string) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s length: %v", ErrProtocol, what, err)
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("%w: %s declares %d bytes, %d remain", ErrProtocol, what, n, r.Len())
-	}
-	out := make([]byte, n)
-	if n == 0 {
-		// bytes.Reader reports io.EOF for empty reads at the end of the
-		// buffer; a zero-length field is valid wherever it appears.
-		return out, nil
-	}
-	if _, err := r.Read(out); err != nil {
-		return nil, fmt.Errorf("%w: %s payload: %v", ErrProtocol, what, err)
-	}
-	return out, nil
-}
-
-func expectEOF(r *bytes.Reader) error {
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, r.Len())
-	}
-	return nil
 }

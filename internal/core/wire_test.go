@@ -79,6 +79,36 @@ func TestChallengeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCommitmentChallengeGoldenBytes pins the Step 1 and Step 2 encodings
+// byte for byte: they predate the slice-walking codecs and peers, resume
+// records and checkpoints hold them.
+func TestCommitmentChallengeGoldenBytes(t *testing.T) {
+	c := Commitment{Root: []byte{0xde, 0xad, 0xbe, 0xef}, N: 300}
+	wantC := []byte{0x04, 0xde, 0xad, 0xbe, 0xef, 0xac, 0x02}
+	if got, err := c.MarshalBinary(); err != nil || !bytes.Equal(got, wantC) {
+		t.Fatalf("Commitment.MarshalBinary = %x (%v), want %x", got, err, wantC)
+	}
+	ch := Challenge{Indices: []uint64{0, 127, 128, 1 << 14, 5}}
+	wantCh := []byte{0x05, 0x00, 0x7f, 0x80, 0x01, 0x80, 0x80, 0x01, 0x05}
+	if got, err := ch.MarshalBinary(); err != nil || !bytes.Equal(got, wantCh) {
+		t.Fatalf("Challenge.MarshalBinary = %x (%v), want %x", got, err, wantCh)
+	}
+	// Non-canonical varints decoded before and still do.
+	var c2 Commitment
+	if err := c2.UnmarshalBinary([]byte{0x81, 0x00, 0xaa, 0x85, 0x00}); err != nil || c2.N != 5 || !bytes.Equal(c2.Root, []byte{0xaa}) {
+		t.Fatalf("non-canonical commitment: %+v, %v", c2, err)
+	}
+	// The decoded root is a copy.
+	wire := append([]byte(nil), wantC...)
+	if err := c2.UnmarshalBinary(wire); err != nil {
+		t.Fatalf("UnmarshalBinary: %v", err)
+	}
+	wire[1] ^= 0xff
+	if !bytes.Equal(c2.Root, c.Root) {
+		t.Fatal("Commitment.UnmarshalBinary kept a reference to its input")
+	}
+}
+
 func TestChallengeUnmarshalBounds(t *testing.T) {
 	var ch Challenge
 	if err := ch.UnmarshalBinary([]byte{0x00}); !errors.Is(err, ErrProtocol) {
@@ -88,6 +118,16 @@ func TestChallengeUnmarshalBounds(t *testing.T) {
 	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
 	if err := ch.UnmarshalBinary(huge); !errors.Is(err, ErrProtocol) {
 		t.Errorf("huge count: err = %v, want ErrProtocol", err)
+	}
+	// A count inside the cap but past the bytes that follow sizes nothing.
+	short := []byte{0x80, 0x80, 0x40, 0x01, 0x02}
+	if err := ch.UnmarshalBinary(short); !errors.Is(err, ErrProtocol) {
+		t.Errorf("count past the payload: err = %v, want ErrProtocol", err)
+	}
+	for _, data := range [][]byte{{0x02, 0x01}, {0x01, 0x01, 0x02}, {0x01, 0x80}} {
+		if err := ch.UnmarshalBinary(data); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%x: err = %v, want ErrProtocol", data, err)
+		}
 	}
 }
 

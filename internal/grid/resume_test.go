@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"uncheatgrid/internal/core"
+	"uncheatgrid/internal/hashchain"
 	"uncheatgrid/internal/transport"
 )
 
@@ -134,6 +137,85 @@ func TestStreamResumesMidProtocol(t *testing.T) {
 				t.Errorf("no reconnect happened (dials = %d); the cut never forced a resume", r.dials())
 			}
 		})
+	}
+}
+
+// TestResumedProofsReplayIsByteIdentical: a participant that resumes an
+// exchange rebuilds its tree and re-derives its response, so wherever the
+// resume picks up — and whether the prover stores the whole tree or rebuilds
+// 2^ℓ-leaf subtrees per sample — the msgProofs payload is the same bytes: one
+// multiproof, accepted against the commitment the fresh run sent.
+func TestResumedProofsReplayIsByteIdentical(t *testing.T) {
+	const n, m = 96, 5
+	ch := core.Challenge{Indices: []uint64{0, 17, 17, 64, 95}}
+	challenge, err := ch.MarshalBinary()
+	if err != nil {
+		t.Fatalf("marshal challenge: %v", err)
+	}
+	for _, kind := range []SchemeKind{SchemeCBS, SchemeNICBS} {
+		var want []byte
+		for _, ell := range []int{0, 3} {
+			for _, rc := range []struct {
+				name string
+				res  *resumeMsg
+			}{
+				{"fresh", nil},
+				{"resumed after commit", &resumeMsg{HaveCommit: true}},
+				{"resumed after reports", &resumeMsg{HaveCommit: true, HaveReports: true}},
+				{"resumed after challenge", &resumeMsg{HaveCommit: true, HaveReports: true, Challenge: challenge}},
+			} {
+				name, res := fmt.Sprintf("%v/ℓ=%d/%s", kind, ell, rc.name), rc.res
+				spec := SchemeSpec{Kind: kind, M: m, ChainIters: 1, SubtreeHeight: ell}
+				exec, _ := newCommitExecution(t, n, spec, nil)
+				conn := &scriptConn{sent: make(map[uint8][]byte)}
+				var chain *hashchain.Chain
+				if kind == SchemeNICBS {
+					if chain, err = hashchain.New(spec.ChainIters); err != nil {
+						t.Fatalf("hashchain.New: %v", err)
+					}
+				} else if res == nil || res.Challenge == nil {
+					conn.in = []transport.Message{{Type: msgChallenge, Payload: challenge}}
+				}
+				if err := exec.runCBS(conn, kind == SchemeNICBS, chain, res); err != nil {
+					t.Fatalf("%s: runCBS: %v", name, err)
+				}
+				proofs := conn.sent[msgProofs]
+				if proofs == nil {
+					t.Fatalf("%s: no proofs sent", name)
+				}
+				if want == nil {
+					want = proofs
+				}
+				if !bytes.Equal(proofs, want) {
+					t.Errorf("%s: msgProofs payload differs from the fresh full-tree run's", name)
+				}
+				if res != nil {
+					continue
+				}
+				// The fresh run also sent its commitment: the replayed bytes
+				// are a response the supervisor accepts against it.
+				var commitment core.Commitment
+				if err := commitment.UnmarshalBinary(conn.sent[msgCommit]); err != nil {
+					t.Fatalf("%s: commitment: %v", name, err)
+				}
+				verifier, err := core.NewVerifier(commitment)
+				if err != nil {
+					t.Fatalf("%s: NewVerifier: %v", name, err)
+				}
+				var resp core.Response
+				if err := resp.UnmarshalBinary(proofs); err != nil {
+					t.Fatalf("%s: response: %v", name, err)
+				}
+				if kind == SchemeNICBS {
+					err = verifier.VerifyNonInteractive(chain, m, &resp, core.AcceptAnyOutput)
+				} else {
+					err = verifier.Verify(ch, &resp, core.AcceptAnyOutput)
+				}
+				if err != nil {
+					t.Errorf("%s: replayed response rejected: %v", name, err)
+				}
+			}
+		}
 	}
 }
 

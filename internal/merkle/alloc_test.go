@@ -149,9 +149,10 @@ func TestVariableHasherFallbackStillCorrect(t *testing.T) {
 }
 
 // TestProofPathAllocs pins the per-response costs of the exchange path: a
-// batch of audit paths is four slabs however many samples it holds, a proof
+// multiproof is three slabs however many samples it holds (the index list,
+// the value and sibling headers, the value bytes), a proof of either kind
 // encodes into one exactly-sized buffer, and a ProofVerifier set up once
-// climbs any number of proofs without allocating.
+// climbs any number of audit paths without allocating.
 func TestProofPathAllocs(t *testing.T) {
 	tree, err := Build(leafValues(64))
 	if err != nil {
@@ -159,12 +160,26 @@ func TestProofPathAllocs(t *testing.T) {
 	}
 	root := tree.Root()
 	indices := []uint64{3, 60, 17, 17, 0, 63, 31, 32}
-	var proofs []*Proof
-	if allocs := testing.AllocsPerRun(100, func() { proofs, err = tree.ProveAll(indices) }); allocs > 4 {
-		t.Errorf("ProveAll(8 samples) allocates %.1f, want <= 4", allocs)
+	var mp MultiProof
+	if allocs := testing.AllocsPerRun(100, func() { mp, err = tree.ProveMulti(indices) }); allocs > 3 {
+		t.Errorf("ProveMulti(8 samples) allocates %.1f, want <= 3", allocs)
 	}
 	if err != nil {
-		t.Fatalf("ProveAll: %v", err)
+		t.Fatalf("ProveMulti: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, err = mp.MarshalBinary() }); allocs > 1 {
+		t.Errorf("MultiProof.MarshalBinary allocates %.1f, want <= 1", allocs)
+	}
+	if err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	}
+	var proofs []*Proof
+	for _, idx := range indices {
+		proof, err := tree.Prove(int(idx))
+		if err != nil {
+			t.Fatalf("Prove: %v", err)
+		}
+		proofs = append(proofs, proof)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, err = proofs[0].MarshalBinary() }); allocs > 1 {
 		t.Errorf("MarshalBinary allocates %.1f, want <= 1", allocs)
@@ -182,5 +197,47 @@ func TestProofPathAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("ProofVerifier.Verify allocates %.1f per 8 proofs, want 0", allocs)
+	}
+}
+
+// TestVerifyMultiZeroAlloc: the climb keeps its positions and node headers on
+// the stack up to stackSamples samples and its digests in the verifier's
+// scratch, sized by the first call — so a verifier in steady state allocates
+// nothing, whether the proof came from a tree or off the wire.
+func TestVerifyMultiZeroAlloc(t *testing.T) {
+	for _, shape := range []struct{ n, m int }{{64, 8}, {256, 16}, {1 << 14, stackSamples}} {
+		tree, err := Build(leafValues(shape.n))
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		root := tree.Root()
+		indices := make([]uint64, shape.m)
+		for i := range indices {
+			indices[i] = uint64(i*i*7+3) % uint64(shape.n)
+		}
+		mp, err := tree.ProveMulti(indices)
+		if err != nil {
+			t.Fatalf("ProveMulti: %v", err)
+		}
+		wire, err := mp.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		var decoded MultiProof
+		if allocs := testing.AllocsPerRun(100, func() { err = decoded.UnmarshalAliased(wire) }); allocs > 2 {
+			t.Errorf("n=%d m=%d: UnmarshalAliased allocates %.1f, want <= 2", shape.n, shape.m, allocs)
+		}
+		if err != nil {
+			t.Fatalf("UnmarshalAliased: %v", err)
+		}
+		v := NewProofVerifier()
+		for _, p := range []*MultiProof{&mp, &decoded} {
+			if allocs := testing.AllocsPerRun(100, func() { err = v.VerifyMulti(root, p) }); allocs != 0 {
+				t.Errorf("n=%d m=%d: VerifyMulti allocates %.1f in steady state, want 0", shape.n, shape.m, allocs)
+			}
+			if err != nil {
+				t.Fatalf("VerifyMulti: %v", err)
+			}
+		}
 	}
 }

@@ -1,0 +1,474 @@
+package merkle
+
+import (
+	"bytes"
+	"crypto/md5"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// referenceMultiProof reads a multiproof off the reference heap the slow,
+// obvious way: mark every node on a sampled path, then take, level by level
+// and left to right, the sibling of each marked node that is not marked
+// itself. It is the specification multiWalk and both ProveMulti are checked
+// against.
+func referenceMultiProof(heap [][]byte, n int, challenged []uint64) MultiProof {
+	capacity := len(heap) / 2
+	onPath := make(map[int]bool)
+	leaves := make(map[uint64]bool)
+	for _, idx := range challenged {
+		leaves[idx] = true
+		for pos := capacity + int(idx); pos >= 1; pos /= 2 {
+			onPath[pos] = true
+		}
+	}
+	mp := MultiProof{N: n, Values: [][]byte{}, Siblings: [][]byte{}}
+	for idx := range leaves {
+		mp.Indices = append(mp.Indices, idx)
+	}
+	slices.Sort(mp.Indices)
+	for _, idx := range mp.Indices {
+		mp.Values = append(mp.Values, heap[capacity+int(idx)])
+	}
+	for lo := capacity; lo > 1; lo /= 2 {
+		for pos := lo; pos < 2*lo; pos++ {
+			if onPath[pos] && !onPath[pos^1] {
+				mp.Siblings = append(mp.Siblings, heap[pos^1])
+			}
+		}
+	}
+	return mp
+}
+
+// sameMultiProof compares two multiproofs field by field, by content.
+func sameMultiProof(a, b *MultiProof) bool {
+	same := func(x, y [][]byte) bool {
+		return slices.EqualFunc(x, y, func(p, q []byte) bool { return p != nil && q != nil && bytes.Equal(p, q) })
+	}
+	return a.N == b.N && slices.Equal(a.Indices, b.Indices) && same(a.Values, b.Values) && same(a.Siblings, b.Siblings)
+}
+
+// mustEncodeMulti marshals a proof the test built honestly.
+func mustEncodeMulti(tb testing.TB, mp *MultiProof) []byte {
+	tb.Helper()
+	data, err := mp.MarshalBinary()
+	if err != nil {
+		tb.Fatalf("MarshalBinary: %v", err)
+	}
+	if len(data) != mp.EncodedSize() {
+		tb.Fatalf("encoded %d bytes, EncodedSize says %d", len(data), mp.EncodedSize())
+	}
+	return data
+}
+
+// checkMultiProofMatchesPaths is the body of FuzzMultiProofMatchesPaths.
+func checkMultiProofMatchesPaths(t *testing.T, nSeed uint16, mSeed uint8, deep, useMD5 bool, data []byte) {
+	n := int(nSeed)%300 + 1
+	values := carveLeaves(n, data)
+	var opts []Option
+	if useMD5 {
+		opts = append(opts, WithHasher(md5.New))
+	}
+	// m draws with replacement, and one index repeated outright.
+	rng := rand.New(rand.NewSource(int64(nSeed)<<8 | int64(mSeed)))
+	challenged := make([]uint64, int(mSeed)%40+1)
+	for i := range challenged {
+		challenged[i] = uint64(rng.Intn(n))
+	}
+	challenged = append(challenged, challenged[0])
+
+	at := func(i int) []byte { return values[i] }
+	tree, err := BuildFunc(n, at, opts...)
+	if err != nil {
+		t.Fatalf("BuildFunc(n=%d): %v", n, err)
+	}
+	ell := 0
+	if deep {
+		ell = min(2, tree.Height())
+	}
+	partial, err := NewPartial(n, ell, at, opts...)
+	if err != nil {
+		t.Fatalf("NewPartial(n=%d, ℓ=%d): %v", n, ell, err)
+	}
+	mp, err := tree.ProveMulti(challenged)
+	if err != nil {
+		t.Fatalf("Tree.ProveMulti: %v", err)
+	}
+	fromPartial, err := partial.ProveMulti(challenged)
+	if err != nil {
+		t.Fatalf("PartialTree.ProveMulti: %v", err)
+	}
+	encoded := mustEncodeMulti(t, &mp)
+	if !bytes.Equal(encoded, mustEncodeMulti(t, &fromPartial)) {
+		t.Fatalf("n=%d ℓ=%d: Tree and PartialTree emit different multiproofs for %v", n, ell, challenged)
+	}
+	want := referenceMultiProof(referenceHeap(newHashers(buildOptions(opts)), values), n, challenged)
+	if !sameMultiProof(&mp, &want) {
+		t.Fatalf("n=%d: multiproof for %v differs from the reference", n, challenged)
+	}
+
+	// One root: the tree's, the multiproof's, every single path's.
+	root := tree.Root()
+	v := NewProofVerifier(opts...)
+	got, err := v.rootMulti(&mp)
+	if err != nil || !bytes.Equal(got, root) {
+		t.Fatalf("n=%d: multiproof root %x (%v), tree root %x", n, got, err, root)
+	}
+	for _, idx := range mp.Indices {
+		path, err := tree.Prove(int(idx))
+		if err != nil {
+			t.Fatalf("Prove(%d): %v", idx, err)
+		}
+		if fromPath, err := RootFromProof(path, opts...); err != nil || !bytes.Equal(fromPath, root) {
+			t.Fatalf("n=%d: path %d root %x (%v), tree root %x", n, idx, fromPath, err, root)
+		}
+	}
+	var decoded MultiProof
+	if err := decoded.UnmarshalBinary(encoded); err != nil || !sameMultiProof(&decoded, &mp) {
+		t.Fatalf("n=%d: decode of an honest multiproof: %v", n, err)
+	}
+	if err := v.VerifyMulti(root, &decoded); err != nil {
+		t.Fatalf("n=%d: decoded multiproof rejected: %v", n, err)
+	}
+
+	// Every tampering is refused with one of the two sentinels, and the
+	// verifier is none the worse for it.
+	refuse := func(what string, forged MultiProof, want error) {
+		t.Helper()
+		if err := v.VerifyMulti(root, &forged); !errors.Is(err, want) {
+			t.Fatalf("n=%d %v: %s: err = %v, want %v", n, challenged, what, err, want)
+		}
+		if _, err := forged.MarshalBinary(); want == ErrMalformedProof && !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("n=%d %v: %s: MarshalBinary err = %v, want ErrMalformedProof", n, challenged, what, err)
+		}
+	}
+	flip := func(field []byte) []byte {
+		if len(field) == 0 {
+			return []byte{0x5a}
+		}
+		out := bytes.Clone(field)
+		out[len(out)/2] ^= 0x01
+		return out
+	}
+	for i := range mp.Values {
+		forged := mp
+		forged.Values = slices.Clone(mp.Values)
+		forged.Values[i] = flip(mp.Values[i])
+		refuse("flipped value", forged, ErrRootMismatch)
+	}
+	for i := range mp.Siblings {
+		forged := mp
+		forged.Siblings = slices.Clone(mp.Siblings)
+		forged.Siblings[i] = flip(mp.Siblings[i])
+		refuse("flipped sibling", forged, ErrRootMismatch)
+	}
+	if len(mp.Siblings) > 0 {
+		forged := mp
+		forged.Siblings = mp.Siblings[:len(mp.Siblings)-1]
+		refuse("dropped sibling", forged, ErrMalformedProof)
+	}
+	forged := mp
+	forged.Siblings = append(slices.Clone(mp.Siblings), root)
+	refuse("surplus sibling", forged, ErrMalformedProof)
+	if k := len(mp.Indices); k > 1 {
+		forged := mp
+		forged.Indices = slices.Clone(mp.Indices)
+		forged.Indices[0], forged.Indices[k-1] = forged.Indices[k-1], forged.Indices[0]
+		refuse("swapped indices", forged, ErrMalformedProof)
+	}
+	if err := v.VerifyMulti(root, &mp); err != nil {
+		t.Fatalf("n=%d: honest multiproof rejected after the forgeries: %v", n, err)
+	}
+}
+
+// FuzzMultiProofMatchesPaths is the differential for the multiproof: over
+// fuzzed domain sizes (one leaf and non-powers of two included), ragged and
+// empty leaf values, challenges with repeats, ℓ ∈ {0, 2} and two digest
+// sizes, it must reconstruct the root the tree and every single audit path
+// give, come out of Tree and PartialTree byte-identical, and survive no
+// tampering.
+func FuzzMultiProofMatchesPaths(f *testing.F) {
+	f.Add(uint16(0), uint8(0), false, false, []byte{0x03, 'a', 'b', 'c'}) // one leaf: the root is the value
+	f.Add(uint16(1), uint8(3), true, false, []byte{})                     // two empty leaves, both sampled
+	f.Add(uint16(36), uint8(7), true, true, []byte("\x05hello\x00\x02hi\x27fuzz"))
+	f.Add(uint16(63), uint8(7), false, false, bytes.Repeat([]byte{0x08}, 600)) // the benchmark's n=64, m=8
+	f.Add(uint16(255), uint8(15), true, false, bytes.Repeat([]byte{0x08, 0xAA}, 1200))
+	f.Add(uint16(299), uint8(39), false, true, bytes.Repeat([]byte{0x00, 0x01, 0xAA, 0x28}, 300))
+	f.Fuzz(checkMultiProofMatchesPaths)
+}
+
+// TestMultiProofSingleSampleIsAuditPath: for one sample nothing is shared, so
+// the multiproof is Prove's audit path — the same value, the same H siblings,
+// bottom-up.
+func TestMultiProofSingleSampleIsAuditPath(t *testing.T) {
+	for _, values := range [][][]byte{leafValues(1), leafValues(2), raggedValues(5), leafValues(64), raggedValues(37)} {
+		tree := mustBuild(t, values)
+		for i := range values {
+			path, err := tree.Prove(i)
+			if err != nil {
+				t.Fatalf("Prove(%d): %v", i, err)
+			}
+			mp, err := tree.ProveMulti([]uint64{uint64(i), uint64(i)})
+			if err != nil {
+				t.Fatalf("ProveMulti(%d): %v", i, err)
+			}
+			asPath := &Proof{Index: int(mp.Indices[0]), N: mp.N, Value: mp.Values[0], Siblings: mp.Siblings}
+			if len(mp.Indices) != 1 || len(mp.Siblings) != tree.Height() || !sameProof(asPath, path) {
+				t.Fatalf("n=%d: multiproof of leaf %d is not its audit path", len(values), i)
+			}
+			// The proof shares the tree's slab and one header slab; neither
+			// field may be able to grow into its neighbour.
+			if cap(mp.Values) != len(mp.Values) || cap(mp.Values[0]) != len(mp.Values[0]) {
+				t.Fatalf("n=%d: multiproof of leaf %d can grow into storage it shares", len(values), i)
+			}
+		}
+		if _, err := tree.ProveMulti([]uint64{0, uint64(len(values))}); !errors.Is(err, ErrIndexOutOfRange) {
+			t.Fatalf("ProveMulti past the domain: err = %v, want ErrIndexOutOfRange", err)
+		}
+	}
+}
+
+// TestPartialProveMultiRebuildsPerSample pins the §3.3 accounting: one 2^ℓ
+// rebuild per challenged sample, repeats and samples sharing a subtree
+// included, exactly as one Prove per sample costs.
+func TestPartialProveMultiRebuildsPerSample(t *testing.T) {
+	const n, ell = 128, 3
+	partial, err := NewPartial(n, ell, leafFunc(n))
+	if err != nil {
+		t.Fatalf("NewPartial: %v", err)
+	}
+	challenged := []uint64{5, 6, 5, 127, 64, 0, 7} // 5, 6, 7 and 0 share one subtree
+	if _, err := partial.ProveMulti(challenged); err != nil {
+		t.Fatalf("ProveMulti: %v", err)
+	}
+	if got, want := partial.RebuiltLeaves(), int64(len(challenged)<<ell); got != want {
+		t.Fatalf("RebuiltLeaves() = %d, want %d (m·2^ℓ)", got, want)
+	}
+	if _, err := partial.ProveMulti([]uint64{n}); !errors.Is(err, ErrIndexOutOfRange) {
+		t.Fatalf("ProveMulti past the domain: err = %v, want ErrIndexOutOfRange", err)
+	}
+}
+
+// TestVerifyMultiRejectsMalformedProofs covers the shapes no honest prover
+// emits; each must be refused as malformed by verification and by the
+// encoder, never read out of bounds.
+func TestVerifyMultiRejectsMalformedProofs(t *testing.T) {
+	tree := mustBuild(t, leafValues(16))
+	root := tree.Root()
+	honest, err := tree.ProveMulti([]uint64{2, 9, 10})
+	if err != nil {
+		t.Fatalf("ProveMulti: %v", err)
+	}
+	mutate := func(change func(mp *MultiProof)) *MultiProof {
+		mp := honest
+		mp.Indices = slices.Clone(honest.Indices)
+		mp.Values = slices.Clone(honest.Values)
+		mp.Siblings = slices.Clone(honest.Siblings)
+		change(&mp)
+		return &mp
+	}
+	for name, mp := range map[string]*MultiProof{
+		"nil proof":        nil,
+		"zero n":           mutate(func(mp *MultiProof) { mp.N = 0 }),
+		"n past capacity":  mutate(func(mp *MultiProof) { mp.N = maxProofLeaves + 1 }),
+		"no samples":       mutate(func(mp *MultiProof) { mp.Indices, mp.Values = nil, nil }),
+		"missing value":    mutate(func(mp *MultiProof) { mp.Values = mp.Values[:2] }),
+		"surplus value":    mutate(func(mp *MultiProof) { mp.Values = append(mp.Values, []byte{1}) }),
+		"nil value":        mutate(func(mp *MultiProof) { mp.Values[1] = nil }),
+		"nil sibling":      mutate(func(mp *MultiProof) { mp.Siblings[0] = nil }),
+		"index beyond n":   mutate(func(mp *MultiProof) { mp.Indices[2] = 16 }),
+		"repeated index":   mutate(func(mp *MultiProof) { mp.Indices[1] = 2 }),
+		"descending index": mutate(func(mp *MultiProof) { mp.Indices[0], mp.Indices[1] = 9, 2 }),
+		"no siblings":      mutate(func(mp *MultiProof) { mp.Siblings = nil }),
+		// Adjacent samples need fewer siblings than these three carry.
+		"siblings of other samples": mutate(func(mp *MultiProof) { mp.Indices[0] = 8 }),
+	} {
+		if err := NewProofVerifier().VerifyMulti(root, mp); !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("%s: VerifyMulti err = %v, want ErrMalformedProof", name, err)
+		}
+		if _, err := mp.MarshalBinary(); !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("%s: MarshalBinary err = %v, want ErrMalformedProof", name, err)
+		}
+		if _, err := mp.AppendBinary(nil); !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("%s: AppendBinary err = %v, want ErrMalformedProof", name, err)
+		}
+	}
+	if _, ok := honest.Value(9); !ok {
+		t.Error("Value(9) not found in a proof that covers leaf 9")
+	}
+	if _, ok := honest.Value(3); ok {
+		t.Error("Value(3) found in a proof that does not cover leaf 3")
+	}
+}
+
+// TestProofVerifierMixesPathsAndMultiProofs: one verifier serves audit paths
+// and multiproofs of any size in any order, under every hasher — the
+// variable-size one the arena-backed Tree refuses included — and a
+// convicting proof in between disturbs nothing.
+func TestProofVerifierMixesPathsAndMultiProofs(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"sha256":        nil,
+		"md5":           {WithHasher(md5.New)},
+		"variable-size": {WithHasher(newVariableHash)},
+	} {
+		values := raggedValues(37)
+		tree, err := NewPartial(len(values), 0, func(i int) []byte { return values[i] }, opts...)
+		if err != nil {
+			t.Fatalf("%s: NewPartial: %v", name, err)
+		}
+		root := tree.Root()
+		v := NewProofVerifier(opts...)
+		for _, challenged := range [][]uint64{{4}, {0, 36, 17, 18, 19, 3}, {36}, {1, 2}} {
+			mp, err := tree.ProveMulti(challenged)
+			if err != nil {
+				t.Fatalf("%s: ProveMulti: %v", name, err)
+			}
+			if err := v.VerifyMulti(root, &mp); err != nil {
+				t.Fatalf("%s: multiproof of %v rejected: %v", name, challenged, err)
+			}
+			forged := mp
+			forged.Values = slices.Clone(mp.Values)
+			forged.Values[0] = append([]byte{0x5a}, mp.Values[0]...)
+			if err := v.VerifyMulti(root, &forged); !errors.Is(err, ErrRootMismatch) {
+				t.Fatalf("%s: forged multiproof of %v: err = %v, want ErrRootMismatch", name, challenged, err)
+			}
+			path, err := tree.Prove(int(challenged[0]))
+			if err != nil {
+				t.Fatalf("%s: Prove: %v", name, err)
+			}
+			if err := v.Verify(root, path); err != nil {
+				t.Fatalf("%s: path %d rejected between multiproofs: %v", name, challenged[0], err)
+			}
+		}
+	}
+}
+
+// encodedMultiProofs returns real encoded multiproofs across tree shapes:
+// one leaf (no siblings), padded domains, ragged and empty values, every
+// leaf sampled (no siblings either).
+func encodedMultiProofs(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, shape := range []struct {
+		values     [][]byte
+		challenged []uint64
+	}{
+		{leafValues(1), []uint64{0}},
+		{leafValues(2), []uint64{1, 0}},
+		{raggedValues(5), []uint64{4, 0, 4}},
+		{leafValues(64), []uint64{3, 60, 17, 17, 0, 63, 31, 32}},
+		{raggedValues(37), []uint64{36, 0, 20, 21}},
+		{raggedValues(300), []uint64{299, 128, 127}},
+	} {
+		mp, err := mustBuild(tb, shape.values).ProveMulti(shape.challenged)
+		if err != nil {
+			tb.Fatalf("ProveMulti: %v", err)
+		}
+		out = append(out, mustEncodeMulti(tb, &mp))
+	}
+	return out
+}
+
+func TestMultiProofCodec(t *testing.T) {
+	for _, data := range encodedMultiProofs(t) {
+		var mp MultiProof
+		if err := mp.UnmarshalBinary(data); err != nil {
+			t.Fatalf("UnmarshalBinary: %v", err)
+		}
+		if again := mustEncodeMulti(t, &mp); !bytes.Equal(again, data) {
+			t.Fatalf("encode∘decode changed the bytes:\n got %x\nwant %x", again, data)
+		}
+		appended, err := mp.AppendBinary([]byte("prefix"))
+		if err != nil || !bytes.Equal(appended, append([]byte("prefix"), data...)) {
+			t.Fatalf("AppendBinary differs from MarshalBinary (%v)", err)
+		}
+		// The headers share one slab; no field may grow into the next.
+		if cap(mp.Values) != len(mp.Values) {
+			t.Fatal("decoded values can grow into the sibling headers")
+		}
+		for _, field := range append(slices.Clone(mp.Values), mp.Siblings...) {
+			if field == nil || cap(field) != len(field) {
+				t.Fatal("decoded field is nil or can grow into its neighbour")
+			}
+		}
+
+		// Every truncation and any trailing byte is malformed, and a failed
+		// decode leaves its receiver alone.
+		for cut := 0; cut < len(data); cut++ {
+			kept := mp
+			if err := kept.UnmarshalBinary(data[:cut]); !errors.Is(err, ErrMalformedProof) {
+				t.Fatalf("truncation at %d of %d: err = %v, want ErrMalformedProof", cut, len(data), err)
+			}
+			if !sameMultiProof(&kept, &mp) {
+				t.Fatalf("truncation at %d: failed decode modified its receiver", cut)
+			}
+		}
+		if err := new(MultiProof).UnmarshalBinary(append(bytes.Clone(data), 0)); !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("trailing byte: err = %v, want ErrMalformedProof", err)
+		}
+
+		// UnmarshalBinary keeps no reference to its input; UnmarshalAliased
+		// promises the opposite.
+		var aliased MultiProof
+		input, original := bytes.Clone(data), bytes.Clone(data)
+		if err := aliased.UnmarshalAliased(input); err != nil {
+			t.Fatalf("UnmarshalAliased: %v", err)
+		}
+		for i := range data {
+			data[i] ^= 0xff
+			input[i] ^= 0xff
+		}
+		if again, err := mp.MarshalBinary(); err != nil || !bytes.Equal(again, original) {
+			t.Fatal("mutating the input after UnmarshalBinary changed the decoded proof")
+		}
+		if sameMultiProof(&aliased, &mp) {
+			t.Fatal("UnmarshalAliased copied the fields it promises to alias")
+		}
+	}
+}
+
+// TestMultiProofUnmarshalChecksCountsBeforeAllocating: a declared sample or
+// sibling count the remaining bytes cannot hold is refused before it sizes
+// anything — 2^24 of either would otherwise cost hundreds of megabytes.
+func TestMultiProofUnmarshalChecksCountsBeforeAllocating(t *testing.T) {
+	header := func(n, k, s uint64) []byte {
+		data := binary.AppendUvarint(nil, n)
+		data = binary.AppendUvarint(data, k)
+		return binary.AppendUvarint(data, s)
+	}
+	tail := bytes.Repeat([]byte{0x00}, 64)
+	for name, data := range map[string][]byte{
+		"samples":           append(header(1<<30, 1<<24, 0), tail...),
+		"siblings":          append(header(1<<30, 1, 1<<24), tail...),
+		"samples, absurd":   append(header(1<<30, 1<<62, 0), tail...),
+		"siblings, absurd":  append(header(1<<30, 1, ^uint64(0)), tail...),
+		"both fill exactly": append(header(1<<30, 20, 25), tail...), // 2·20+25 > 64
+		"zero samples":      append(header(1<<30, 0, 0), tail...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := new(MultiProof).UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("%s: err = %v, want ErrMalformedProof", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: refused only after allocating %d bytes", name, grew)
+		}
+	}
+	// An index list cannot leave the domain or wrap around it.
+	for name, data := range map[string][]byte{
+		"first index is n":    {0x05, 0x01, 0x00, 0x05, 0x00},
+		"gap reaches n":       {0x05, 0x02, 0x00, 0x03, 0x01, 0x00, 0x00},
+		"gap wraps 64 bits":   append(append([]byte{0x05, 0x02, 0x00, 0x03}, binary.AppendUvarint(nil, ^uint64(0)-3)...), 0x00, 0x00),
+		"leaf count past cap": append(binary.AppendUvarint(nil, maxProofLeaves+1), 0x01, 0x00, 0x00, 0x00),
+	} {
+		if err := new(MultiProof).UnmarshalBinary(data); !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("%s: err = %v, want ErrMalformedProof", name, err)
+		}
+	}
+}

@@ -151,23 +151,6 @@ func (p *PartialTree) Prove(i int) (*Proof, error) {
 	return &Proof{Index: i, N: p.n, Value: value, Siblings: siblings}, nil
 }
 
-// ProveAll produces the audit paths for the given leaves in order; it is
-// Prove per index, each rebuilding its subtree.
-func (p *PartialTree) ProveAll(indices []uint64) ([]*Proof, error) {
-	proofs := make([]*Proof, len(indices))
-	for k, idx := range indices {
-		if idx >= uint64(p.n) { // before the conversion: int(idx) may wrap
-			return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, idx, p.n)
-		}
-		proof, err := p.Prove(int(idx))
-		if err != nil {
-			return nil, err
-		}
-		proofs[k] = proof
-	}
-	return proofs, nil
-}
-
 // subtreeRoot computes the root of block b. When counted is true the leaf
 // evaluations are added to the rebuild accounting. The root is cloned out of
 // the scratch state, which the next rebuild overwrites.

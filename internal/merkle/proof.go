@@ -36,26 +36,31 @@ type Proof struct {
 	Siblings [][]byte
 }
 
-// ProofVerifier reconstructs roots from audit paths with the hash state set
-// up once — the hasher, its reusable node state, one scratch digest —
-// instead of once per proof: a supervisor builds one per task and climbs all
-// m samples with it. A ProofVerifier is not safe for concurrent use.
+// ProofVerifier reconstructs roots from audit paths and multiproofs with the
+// hash state set up once — the hasher, its reusable node state, the scratch
+// digests of the climb — instead of once per proof: a supervisor builds one
+// per task. A ProofVerifier is not safe for concurrent use.
 type ProofVerifier struct {
 	nh *nodeHasher
-	// scratch is the one digest the climb rewrites level by level; nil for
-	// variable-size hashers, which allocate per level.
+	// scratch holds the digests a climb rewrites level by level: one row for
+	// an audit path, one per sample for a multiproof. It is sized by the
+	// first climb that needs it and stays empty for variable-size hashers,
+	// which allocate per node.
 	scratch []byte
 }
 
 // NewProofVerifier prepares verification under the given tree options, which
 // must match the ones the tree was built with.
 func NewProofVerifier(opts ...Option) *ProofVerifier {
-	hs := newHashers(buildOptions(opts))
-	v := &ProofVerifier{nh: hs.node()}
-	if hs.fixedLen > 0 {
-		v.scratch = make([]byte, 0, hs.fixedLen)
+	return &ProofVerifier{nh: newHashers(buildOptions(opts)).node()}
+}
+
+// rows returns scratch space for k digests.
+func (v *ProofVerifier) rows(k int) []byte {
+	if need := k * v.nh.hs.fixedLen; cap(v.scratch) < need {
+		v.scratch = make([]byte, 0, need)
 	}
-	return v
+	return v.scratch
 }
 
 // root computes Λ(Φ(L), λ1..λH) of Section 3.2. The result aliases the
@@ -67,13 +72,13 @@ func (v *ProofVerifier) root(p *Proof) ([]byte, error) {
 	}
 	// combineInto absorbs its inputs before writing, so cur may alias the
 	// scratch it is rewritten into.
-	cur := p.Value
+	cur, row := p.Value, v.rows(1)
 	pos := nextPow2(p.N) + p.Index
 	for _, sib := range p.Siblings {
 		if pos&1 == 0 {
-			cur = v.nh.combineInto(v.scratch, cur, sib)
+			cur = v.nh.combineInto(row, cur, sib)
 		} else {
-			cur = v.nh.combineInto(v.scratch, sib, cur)
+			cur = v.nh.combineInto(row, sib, cur)
 		}
 		pos /= 2
 	}

@@ -278,44 +278,6 @@ func TestUvarintLenMatchesEncoding(t *testing.T) {
 	}
 }
 
-func TestProveAllMatchesProve(t *testing.T) {
-	for _, values := range [][][]byte{leafValues(1), raggedValues(5), leafValues(64), raggedValues(37)} {
-		tree := mustBuild(t, values)
-		indices := make([]uint64, 0, 2*len(values))
-		for i := range values {
-			indices = append(indices, uint64(i), uint64(len(values)-1-i)) // repeats included
-		}
-		proofs, err := tree.ProveAll(indices)
-		if err != nil {
-			t.Fatalf("ProveAll: %v", err)
-		}
-		for k, idx := range indices {
-			want, err := tree.Prove(int(idx))
-			if err != nil {
-				t.Fatalf("Prove(%d): %v", idx, err)
-			}
-			if !sameProof(proofs[k], want) {
-				t.Fatalf("n=%d: ProveAll[%d] differs from Prove(%d)", len(values), k, idx)
-			}
-			if proofs[k].Value == nil {
-				t.Fatalf("n=%d: ProveAll[%d] has a nil value", len(values), k)
-			}
-			if err := Verify(tree.Root(), proofs[k]); err != nil {
-				t.Fatalf("n=%d: ProveAll[%d] rejected: %v", len(values), k, err)
-			}
-		}
-		// The batch shares slabs; no proof may be able to grow into another.
-		for k, p := range proofs {
-			if cap(p.Siblings) != len(p.Siblings) || cap(p.Value) != len(p.Value) {
-				t.Fatalf("n=%d: proof %d can grow into its neighbour's storage", len(values), k)
-			}
-		}
-		if _, err := tree.ProveAll([]uint64{0, uint64(len(values))}); !errors.Is(err, ErrIndexOutOfRange) {
-			t.Fatalf("ProveAll past the domain: err = %v, want ErrIndexOutOfRange", err)
-		}
-	}
-}
-
 func TestProofVerifierReuseCarriesNoState(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

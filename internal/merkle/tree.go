@@ -18,6 +18,16 @@
 //
 // The package provides a fully materialized Tree, a constant-memory
 // StreamBuilder, and the storage-bounded PartialTree of Section 3.3.
+//
+// There are two kinds of evidence. A Proof is one leaf's audit path — the
+// leaf value and the H sibling values up to the root (Step 3, Section 3.1) —
+// for users that audit single leaves. A MultiProof is the evidence for a
+// whole challenge of m samples from one tree and is what a CBS response
+// carries: the m paths merge on their way up, so it holds each distinct
+// sample's value and only the siblings that are not themselves on a sampled
+// path, every one once — 51.9 siblings instead of 128 for 16 samples of 256
+// leaves. Both trees produce both, byte-identically, and a ProofVerifier
+// reconstructs the root from either.
 package merkle
 
 import (
@@ -549,51 +559,13 @@ func (t *Tree) Prove(i int) (*Proof, error) {
 	if i < 0 || i >= t.n {
 		return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, i, t.n)
 	}
-	p := new(Proof)
-	t.proveInto(p, i, make([][]byte, t.Height()), make([]byte, len(t.node(t.cap+i))))
-	return p, nil
-}
-
-// ProveAll produces the audit paths for the given leaves, in order and equal
-// to what Prove returns for each, with the storage of the whole batch — the
-// proofs, their sibling headers, their value copies — carved from one slab
-// each instead of allocated per proof: a CBS response is m proofs from one
-// tree.
-func (t *Tree) ProveAll(indices []uint64) ([]*Proof, error) {
-	valueBytes := 0
-	for _, idx := range indices {
-		if idx >= uint64(t.n) {
-			return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, idx, t.n)
-		}
-		valueBytes += len(t.node(t.cap + int(idx)))
-	}
-	height := t.Height()
-	proofs := make([]*Proof, len(indices))
-	slab := make([]Proof, len(indices))
-	siblings := make([][]byte, len(indices)*height)
-	values := make([]byte, valueBytes)
-	for k, idx := range indices {
-		i := int(idx)
-		n := len(t.node(t.cap + i))
-		t.proveInto(&slab[k], i, siblings[:height:height], values[:n:n])
-		siblings, values = siblings[height:], values[n:]
-		proofs[k] = &slab[k]
-	}
-	return proofs, nil
-}
-
-// proveInto fills p with leaf i's audit path: the sibling digests (aliasing
-// the tree's immutable nodes) go into siblings, which must hold Height()
-// entries, and a copy of the leaf value into value, which must be exactly
-// its length.
-func (t *Tree) proveInto(p *Proof, i int, siblings [][]byte, value []byte) {
-	level := 0
+	// The sibling digests alias the tree's immutable nodes; the leaf value
+	// is a copy.
+	siblings := make([][]byte, 0, t.Height())
 	for pos := t.cap + i; pos > 1; pos /= 2 {
-		siblings[level] = t.node(pos ^ 1)
-		level++
+		siblings = append(siblings, t.node(pos^1))
 	}
-	copy(value, t.node(t.cap+i))
-	*p = Proof{Index: i, N: t.n, Value: value, Siblings: siblings}
+	return &Proof{Index: i, N: t.n, Value: cloneBytes(t.node(t.cap + i)), Siblings: siblings}, nil
 }
 
 // nextPow2 returns the smallest power of two >= n (n >= 1).

@@ -56,8 +56,8 @@ func carveLeaves(n int, data []byte) [][]byte {
 
 // checkTreeMatchesReference builds the flat Tree — through the sharded
 // builder with 4 workers when parallel, whatever the size — and demands the
-// reference's root and, for every leaf, its value and sibling list from both
-// Prove and ProveAll.
+// reference's root, for every leaf its value and sibling list from Prove,
+// and the reference's multiproof over every third leaf from ProveMulti.
 func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool, data []byte) {
 	n := int(nSeed)%1100 + 1
 	values := carveLeaves(n, data)
@@ -81,13 +81,16 @@ func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool
 	if got := tree.Root(); !bytes.Equal(got, root) {
 		t.Fatalf("n=%d parallel=%v md5=%v: root %x, reference %x", n, parallel, useMD5, got, root)
 	}
-	indices := make([]uint64, n)
-	for i := range indices {
-		indices[i] = uint64(i)
+	var challenged []uint64
+	for i := 0; i < n; i += 3 {
+		challenged = append(challenged, uint64(i))
 	}
-	all, err := tree.ProveAll(indices)
+	mp, err := tree.ProveMulti(challenged)
 	if err != nil {
-		t.Fatalf("ProveAll: %v", err)
+		t.Fatalf("ProveMulti: %v", err)
+	}
+	if want := referenceMultiProof(heap, n, challenged); !sameMultiProof(&mp, &want) {
+		t.Fatalf("n=%d parallel=%v md5=%v: ProveMulti differs from the reference", n, parallel, useMD5)
 	}
 	for i := 0; i < n; i++ {
 		want := referenceProof(heap, n, i)
@@ -97,9 +100,6 @@ func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool
 		}
 		if !sameProof(got, want) || got.Value == nil {
 			t.Fatalf("n=%d parallel=%v md5=%v: Prove(%d) differs from the reference", n, parallel, useMD5, i)
-		}
-		if !sameProof(all[i], want) || all[i].Value == nil {
-			t.Fatalf("n=%d parallel=%v md5=%v: ProveAll[%d] differs from the reference", n, parallel, useMD5, i)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func leafValues(n int) [][]byte {
 	return values
 }
 
-func mustBuild(t *testing.T, values [][]byte, opts ...Option) *Tree {
+func mustBuild(t testing.TB, values [][]byte, opts ...Option) *Tree {
 	t.Helper()
 	tree, err := Build(values, opts...)
 	if err != nil {

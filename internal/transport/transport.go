@@ -34,8 +34,8 @@ var (
 	ErrFrameCorrupt = errors.New("transport: frame failed integrity check")
 )
 
-// MaxFrameBytes bounds a single frame payload. Responses carry m proofs of
-// O(log n) digests each, far below this limit; full naive uploads of very
+// MaxFrameBytes bounds a single frame payload. Responses carry at most m
+// O(log n)-digest audit paths, far below this limit; full naive uploads of very
 // large tasks must be chunked by the caller.
 const MaxFrameBytes = 64 << 20
 

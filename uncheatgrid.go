@@ -9,8 +9,9 @@
 // # Quick start
 //
 // The participant commits to its results with a Merkle tree, the supervisor
-// challenges m random samples, and the participant proves each sampled
-// result was in the committed tree:
+// challenges m random samples, and the participant proves — with one Merkle
+// multiproof for all of them — that each sampled result was in the committed
+// tree:
 //
 //	f := uncheatgrid.NewSyntheticWorkload(1, 4, 64)
 //	prover, _ := uncheatgrid.NewProver(1024, func(i uint64) []byte { return f.Eval(i) })
@@ -50,7 +51,8 @@ type (
 	Commitment = core.Commitment
 	// Challenge is the Step 2 message (sample indices).
 	Challenge = core.Challenge
-	// Response is the Step 3 message (per-sample audit proofs).
+	// Response is the Step 3 message: one Merkle multiproof covering every
+	// challenged sample.
 	Response = core.Response
 	// CheckFunc validates a claimed f(x) on the supervisor side.
 	CheckFunc = core.CheckFunc
@@ -94,6 +96,10 @@ type (
 	MerkleTree = merkle.Tree
 	// MerkleProof is one leaf's audit path.
 	MerkleProof = merkle.Proof
+	// MerkleMultiProof is the evidence for a whole set of samples from one
+	// tree — what a Response carries: each distinct sample's value and only
+	// the siblings the samples' paths do not supply themselves.
+	MerkleMultiProof = merkle.MultiProof
 	// PartialMerkleTree is the Section 3.3 storage-bounded tree.
 	PartialMerkleTree = merkle.PartialTree
 	// MerkleStreamBuilder computes roots in O(log n) memory.
