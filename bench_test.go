@@ -119,7 +119,8 @@ func BenchmarkEq2MonteCarlo(b *testing.B) {
 }
 
 // BenchmarkCommCBS and BenchmarkCommNaive measure the end-to-end task
-// exchange whose byte counts the comm experiment reports.
+// exchange whose byte counts the comm experiment reports: the task's tagged
+// upload bytes, which batch framing cannot move.
 func BenchmarkCommCBS(b *testing.B) {
 	benchScheme(b, SchemeSpec{Kind: SchemeCBS, M: 50})
 }
@@ -148,7 +149,7 @@ func benchScheme(b *testing.B, spec SchemeSpec) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(report.SupervisorBytesRecv), "upload-B")
+		b.ReportMetric(float64(report.TaskBytesRecv), "upload-B")
 	}
 }
 
@@ -316,119 +317,69 @@ func BenchmarkMerkleStreamBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSupervisionPooled compares serial and pooled supervision of an
-// 8-participant population: the same 8 CBS tasks verified one at a time
-// versus concurrently through the SupervisorPool. Per-task seed derivation
-// makes the two runs produce identical reports.
-func BenchmarkSupervisionPooled(b *testing.B) {
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				report, err := RunSim(SimConfig{
-					Spec:     SchemeSpec{Kind: SchemeCBS, M: 33},
-					Workload: "synthetic",
-					Seed:     uint64(i),
-					TaskSize: 1 << 12,
-					Tasks:    8,
-					Honest:   8,
-					Workers:  workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.TasksAssigned != 8 {
-					b.Fatalf("assigned %d tasks, want 8", report.TasksAssigned)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPipelinedSession compares one-dialogue-per-task supervision with
-// a pipelined multi-task session on the same single connection — the
-// transport-level batching experiment. The latency variants model a real
-// link where every frame pays a fixed one-way send delay: pipelining
-// overlaps the waits and batching shares frames across tasks, so the
-// session sustains far more tasks per second. Over a zero-latency in-memory
-// pipe the two should be within noise on one CPU — the session machinery
-// costs (nearly) nothing when it cannot help.
+// BenchmarkPipelinedSession measures a window-8 session carrying 8 tasks on
+// one connection — the transport-level batching experiment. The latency
+// variant models a real link where every frame pays a fixed one-way send
+// delay: pipelining overlaps the waits and batching shares frames across
+// tasks.
 func BenchmarkPipelinedSession(b *testing.B) {
 	const tasks = 8
 	const window = 8
 	const taskSize = 1 << 10
 	for _, latency := range []time.Duration{0, 500 * time.Microsecond} {
-		for _, pipelined := range []bool{false, true} {
-			mode := "dialogue"
-			if pipelined {
-				mode = fmt.Sprintf("session-w%d", window)
-			}
-			b.Run(fmt.Sprintf("latency=%s/%s", latency, mode), func(b *testing.B) {
-				var wire int64
-				for i := 0; i < b.N; i++ {
-					supConn, partConn := Pipe()
-					p, err := NewParticipant("p", HonestFactory)
-					if err != nil {
-						b.Fatal(err)
-					}
-					serveErr := make(chan error, 1)
-					go func() { serveErr <- p.Serve(WithLatency(partConn, latency)) }()
-					sup, err := NewSupervisor(SupervisorConfig{
-						Spec: SchemeSpec{Kind: SchemeCBS, M: 20},
-						Seed: int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					conn := WithLatency(supConn, latency)
-					taskList := make([]Task, tasks)
-					for j := range taskList {
-						taskList[j] = Task{
-							ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
-							Workload: "synthetic", Seed: 7,
-						}
-					}
-					if pipelined {
-						sess, err := sup.OpenSession(conn, window)
-						if err != nil {
-							b.Fatal(err)
-						}
-						var wg sync.WaitGroup
-						for _, task := range taskList {
-							wg.Add(1)
-							go func(task Task) {
-								defer wg.Done()
-								if _, err := sess.RunTask(task); err != nil {
-									b.Error(err)
-								}
-							}(task)
-						}
-						wg.Wait()
-						if err := sess.Close(); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						for _, task := range taskList {
-							if _, err := sup.RunTask(conn, task); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-					wire += supConn.Stats().BytesSent() + supConn.Stats().BytesRecv()
-					_ = supConn.Close()
-					if err := <-serveErr; err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("latency=%s/session-w%d", latency, window), func(b *testing.B) {
+			var wire int64
+			for i := 0; i < b.N; i++ {
+				supConn, partConn := Pipe()
+				p, err := NewParticipant("p", HonestFactory)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
-				b.ReportMetric(float64(wire)/float64(int64(b.N)*tasks), "wire-B/task")
-			})
-		}
+				serveErr := make(chan error, 1)
+				go func() { serveErr <- p.Serve(WithLatency(partConn, latency)) }()
+				sup, err := NewSupervisor(SupervisorConfig{
+					Spec: SchemeSpec{Kind: SchemeCBS, M: 20},
+					Seed: int64(i),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sess, err := sup.OpenSession(WithLatency(supConn, latency), window)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for j := 0; j < tasks; j++ {
+					task := Task{
+						ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
+						Workload: "synthetic", Seed: 7,
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if _, err := sess.RunTask(task); err != nil {
+							b.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+				if err := sess.Close(); err != nil {
+					b.Fatal(err)
+				}
+				wire += supConn.Stats().BytesSent() + supConn.Stats().BytesRecv()
+				_ = supConn.Close()
+				if err := <-serveErr; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
+			b.ReportMetric(float64(wire)/float64(int64(b.N)*tasks), "wire-B/task")
+		})
 	}
 }
 
-// BenchmarkResumedSession extends the dialogue-vs-session comparison with
-// the fault-recovery row: the same 8-task pipelined workload on one
-// connection, but over a link that garbles frames. Corruption is caught by
+// BenchmarkResumedSession is the fault-recovery row: BenchmarkPipelinedSession's
+// 8-task workload on one connection, but over a link that garbles frames. Corruption is caught by
 // the batch checksum, the connection is quarantined, and in-flight tasks
 // resume mid-protocol on a redialed replacement — the metric shows what
 // reconnect-and-resume costs relative to the clean session run.
@@ -479,8 +430,8 @@ func BenchmarkResumedSession(b *testing.B) {
 						Workload: "synthetic", Seed: 7,
 					}
 				}
-				stream, err := pool.RunTasksStream(context.Background(),
-					[]Conn{dial()}, taskList, window,
+				stream, err := pool.RunTaskSource(context.Background(),
+					[]Conn{dial()}, SliceTaskSource(taskList), window,
 					WithStreamRedial(func(Conn) (Conn, error) { return dial(), nil }),
 					WithStreamMaxReconnects(1000),
 					WithStreamRecvTimeout(2*time.Second))
@@ -519,111 +470,83 @@ func BenchmarkResumedSession(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicatedDoubleCheck compares the two ways to run the
-// double-check scheme on the same R connections: the serial RunReplicated
-// dialogue (replicas exchanged one at a time, one frame per message) versus
-// a replicated pipelined stream (uploads overlap freely inside each
-// connection's window; only the comparison meets at the cross-connection
-// rendezvous). On a link where every frame pays a fixed send delay the
-// pipelined form must sustain a multiple of the dialogue's replicated
-// tasks/s — the acceptance bar is >= 2x at 500µs.
+// BenchmarkReplicatedDoubleCheck measures the double-check scheme on R
+// connections as a replicated window-4 stream: uploads overlap freely inside
+// each connection's window; only the comparison meets at the
+// cross-connection rendezvous. The latency variant charges every frame a
+// fixed send delay.
 func BenchmarkReplicatedDoubleCheck(b *testing.B) {
 	const tasks = 6
 	const replicas = 3
 	const window = 4
 	const taskSize = 1 << 10
 	for _, latency := range []time.Duration{0, 500 * time.Microsecond} {
-		for _, pipelined := range []bool{false, true} {
-			mode := "dialogue"
-			if pipelined {
-				mode = fmt.Sprintf("stream-w%d", window)
-			}
-			b.Run(fmt.Sprintf("latency=%s/%s", latency, mode), func(b *testing.B) {
-				var wire int64
-				for i := 0; i < b.N; i++ {
-					conns := make([]Conn, replicas)
-					raw := make([]Conn, replicas)
-					serveErrs := make([]chan error, replicas)
-					for j := 0; j < replicas; j++ {
-						supConn, partConn := Pipe(WithPipeBuffer(8))
-						p, err := NewParticipant(fmt.Sprintf("p%d", j), HonestFactory)
-						if err != nil {
-							b.Fatal(err)
-						}
-						serveErrs[j] = make(chan error, 1)
-						go func(ch chan error, c Conn) { ch <- p.Serve(c) }(serveErrs[j], WithLatency(partConn, latency))
-						raw[j] = supConn
-						conns[j] = WithLatency(supConn, latency)
+		b.Run(fmt.Sprintf("latency=%s/stream-w%d", latency, window), func(b *testing.B) {
+			var wire int64
+			for i := 0; i < b.N; i++ {
+				conns := make([]Conn, replicas)
+				raw := make([]Conn, replicas)
+				serveErrs := make([]chan error, replicas)
+				for j := 0; j < replicas; j++ {
+					supConn, partConn := Pipe(WithPipeBuffer(8))
+					p, err := NewParticipant(fmt.Sprintf("p%d", j), HonestFactory)
+					if err != nil {
+						b.Fatal(err)
 					}
-					cfg := SupervisorConfig{
-						Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1},
-						Seed: int64(i),
-					}
-					taskList := make([]Task, tasks)
-					for j := range taskList {
-						taskList[j] = Task{
-							ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
-							Workload: "synthetic", Seed: 7,
-						}
-					}
-					if pipelined {
-						// Size the worker bound like RunSim does
-						// (connections x window): an exchange holds a worker
-						// slot across its link-latency stalls, so the default
-						// (NumCPU, 1 on this box) would serialize the stream.
-						pool, err := NewSupervisorPool(cfg, replicas*window)
-						if err != nil {
-							b.Fatal(err)
-						}
-						stream, err := pool.RunTasksStream(context.Background(), conns, taskList, window,
-							WithStreamReplicas(replicas))
-						if err != nil {
-							b.Fatal(err)
-						}
-						count := 0
-						for so := range stream.Outcomes() {
-							count++
-							if !so.Outcome.Verdict.Accepted {
-								b.Errorf("honest replica rejected: %s", so.Outcome.Verdict.Reason)
-							}
-						}
-						if err := stream.Err(); err != nil {
-							b.Fatal(err)
-						}
-						if count != tasks*replicas {
-							b.Fatalf("streamed %d replica outcomes, want %d", count, tasks*replicas)
-						}
-					} else {
-						sup, err := NewSupervisor(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						for _, task := range taskList {
-							outcomes, err := sup.RunReplicated(conns, task)
-							if err != nil {
-								b.Fatal(err)
-							}
-							for _, o := range outcomes {
-								if !o.Verdict.Accepted {
-									b.Errorf("honest replica rejected: %s", o.Verdict.Reason)
-								}
-							}
-						}
-					}
-					for _, c := range raw {
-						wire += c.Stats().BytesSent() + c.Stats().BytesRecv()
-						_ = c.Close()
-					}
-					for _, ch := range serveErrs {
-						if err := <-ch; err != nil {
-							b.Fatal(err)
-						}
+					serveErrs[j] = make(chan error, 1)
+					go func(ch chan error, c Conn) { ch <- p.Serve(c) }(serveErrs[j], WithLatency(partConn, latency))
+					raw[j] = supConn
+					conns[j] = WithLatency(supConn, latency)
+				}
+				taskList := make([]Task, tasks)
+				for j := range taskList {
+					taskList[j] = Task{
+						ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
+						Workload: "synthetic", Seed: 7,
 					}
 				}
-				b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
-				b.ReportMetric(float64(wire)/float64(int64(b.N)*tasks), "wire-B/task")
-			})
-		}
+				// Size the worker bound like RunSim does (connections x
+				// window): an exchange holds a worker slot across its
+				// link-latency stalls, so the default (NumCPU) would
+				// serialize the stream.
+				pool, err := NewSupervisorPool(SupervisorConfig{
+					Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1},
+					Seed: int64(i),
+				}, replicas*window)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(taskList), window,
+					WithStreamReplicas(replicas))
+				if err != nil {
+					b.Fatal(err)
+				}
+				count := 0
+				for so := range stream.Outcomes() {
+					count++
+					if !so.Outcome.Verdict.Accepted {
+						b.Errorf("honest replica rejected: %s", so.Outcome.Verdict.Reason)
+					}
+				}
+				if err := stream.Err(); err != nil {
+					b.Fatal(err)
+				}
+				if count != tasks*replicas {
+					b.Fatalf("streamed %d replica outcomes, want %d", count, tasks*replicas)
+				}
+				for _, c := range raw {
+					wire += c.Stats().BytesSent() + c.Stats().BytesRecv()
+					_ = c.Close()
+				}
+				for _, ch := range serveErrs {
+					if err := <-ch; err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
+			b.ReportMetric(float64(wire)/float64(int64(b.N)*tasks), "wire-B/task")
+		})
 	}
 }
 
@@ -738,9 +661,10 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 
 // BenchmarkChunkedUpload measures a naive-scheme task whose full result
 // upload exceeds MaxFrameBytes: 2^21 password digests encode to ~69 MiB and
-// must travel as an ordered chunk stream. Byte accounting stays exact — the
-// outcome's receive total equals the connection counter, frame headers
-// included.
+// must travel as an ordered chunk stream, here one exchange at a time (a
+// window-1 session). Byte accounting stays exact — the outcome's tagged
+// receive total plus the session's framing overhead equals the connection
+// counter.
 func BenchmarkChunkedUpload(b *testing.B) {
 	const n = 1 << 21
 	task := Task{ID: 1, N: n, Workload: "password", Seed: 3}
@@ -759,8 +683,15 @@ func BenchmarkChunkedUpload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		outcome, err := sup.RunTask(supConn, task)
+		sess, err := sup.OpenSession(supConn, 1)
 		if err != nil {
+			b.Fatal(err)
+		}
+		outcome, err := sess.RunTask(task)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if !outcome.Verdict.Accepted {
@@ -769,8 +700,9 @@ func BenchmarkChunkedUpload(b *testing.B) {
 		if outcome.BytesRecv <= MaxFrameBytes {
 			b.Fatalf("upload of %d bytes does not exceed MaxFrameBytes — not a chunked case", outcome.BytesRecv)
 		}
-		if outcome.BytesRecv != supConn.Stats().BytesRecv() {
-			b.Fatalf("byte accounting drifted: outcome %d, connection %d", outcome.BytesRecv, supConn.Stats().BytesRecv())
+		if _, overhead := sess.OverheadBytes(); outcome.BytesRecv+overhead != supConn.Stats().BytesRecv() {
+			b.Fatalf("byte accounting drifted: outcome %d + overhead %d, connection %d",
+				outcome.BytesRecv, overhead, supConn.Stats().BytesRecv())
 		}
 		b.SetBytes(outcome.BytesRecv)
 		_ = supConn.Close()

@@ -46,3 +46,43 @@ func TestFig1PrintsTheAuditPath(t *testing.T) {
 		t.Errorf("fig1 prints more than H = 4 siblings:\n%s", out.String())
 	}
 }
+
+// TestCommExtrapolationRows pins the analytic rows of the comm figure: 2^62
+// inputs of 8 bytes are 2^65 B, which does not fit an int64 and used to
+// print as 0.
+func TestCommExtrapolationRows(t *testing.T) {
+	var out bytes.Buffer
+	writeCommExtrapolation(&out)
+	for _, want := range []string{
+		"2^40        8796093022208            64432",
+		"2^62 36893488147419103232            99632",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("comm extrapolation lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestSchemesRowsShape pins the schemes table's claims: every scheme
+// detects the r = 0.5 cheaters, and CBS and NI-CBS move fewer supervisor
+// bytes than the two full-upload schemes.
+func TestSchemesRowsShape(t *testing.T) {
+	rows, err := measureSchemes()
+	if err != nil {
+		t.Fatalf("measureSchemes: %v", err)
+	}
+	bytesOf := make(map[string]int64, len(rows))
+	for _, row := range rows {
+		if row.total != 4 || row.caught != row.total {
+			t.Errorf("%s caught %d of %d cheaters", row.scheme, row.caught, row.total)
+		}
+		bytesOf[row.scheme] = row.supervisorBytes
+	}
+	for _, light := range []string{"cbs", "ni-cbs"} {
+		for _, heavy := range []string{"naive", "double-check"} {
+			if bytesOf[light] <= 0 || bytesOf[light] >= bytesOf[heavy] {
+				t.Errorf("%s moved %d supervisor bytes, %s %d: want fewer", light, bytesOf[light], heavy, bytesOf[heavy])
+			}
+		}
+	}
+}

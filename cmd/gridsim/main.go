@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"text/tabwriter"
 
@@ -50,18 +49,16 @@ func run(w io.Writer, args []string) error {
 		replicas   = fs.Int("replicas", 3, "double-check group size")
 		blacklist  = fs.Bool("blacklist", false, "stop assigning to participants after a rejection")
 		crossCheck = fs.Bool("crosscheck", true, "cross-check screener reports on sampled inputs")
-		workers    = fs.Int("workers", runtime.NumCPU(), "concurrent verification workers (1 = serial)")
-		pipeline   = fs.Int("pipeline", 0, "pipelined session window per connection (0 = per-task dialogue)")
+		pipeline   = fs.Int("pipeline", 1, "session window: task exchanges in flight per connection (1 = one at a time, the paper's dialogue)")
 		broker     = fs.Bool("broker", false, "route all traffic through a GRACE-style broker hub (identity-routed relay with relay-hop batching)")
-		routes     = fs.Int("routes", 0, "total multiplexed supervisor routes (0 = one per participant; needs -broker and -pipeline)")
-		drop       = fs.Float64("drop", 0, "probability a frame silently vanishes in transit (needs -pipeline)")
-		garble     = fs.Float64("garble", 0, "probability a frame has one bit flipped in transit (needs -pipeline)")
+		routes     = fs.Int("routes", 0, "total multiplexed supervisor routes (0 = one per participant; needs -broker)")
+		drop       = fs.Float64("drop", 0, "probability a frame silently vanishes in transit")
+		garble     = fs.Float64("garble", 0, "probability a frame has one bit flipped in transit")
 		reconnect  = fs.Int("reconnect", 0, "max replacement connections per participant under faults (0 = default 8)")
 		faultWait  = fs.Duration("faultwait", 0, "receive watchdog that converts dropped frames into reconnects (0 = default 2s)")
-		stream     = fs.Bool("stream", false, "long-horizon streaming mode: tasks drawn lazily from a source under bounded look-ahead (needs -pipeline)")
-		windowT    = fs.Int("windowtasks", 0, "tasks per rolling commitment window (needs -stream; 0 = no window commitments)")
+		windowT    = fs.Int("windowtasks", 0, "tasks per rolling commitment window (0 = no window commitments)")
 		windowM    = fs.Int("windowsamples", 0, "membership proofs sampled per window commit (needs -windowtasks)")
-		checkEvery = fs.Int("checkevery", 0, "tasks per durable checkpoint segment (needs -stream and -checkpoint)")
+		checkEvery = fs.Int("checkevery", 0, "tasks per durable checkpoint segment (needs -checkpoint)")
 		checkDir   = fs.String("checkpoint", "", "directory for durable supervisor/participant checkpoints")
 		killAfter  = fs.Int("killafter", 0, "inject a crash after this many settled tasks and restart from the last checkpoint (needs -checkevery)")
 		killTarget = fs.String("killtarget", "", "what the -killafter crash takes down: supervisor (default, whole attempt) or participant (pool restored via its checkpoints while the supervisor survives)")
@@ -110,7 +107,6 @@ func run(w io.Writer, args []string) error {
 		Replicas:          *replicas,
 		Blacklist:         *blacklist,
 		CrossCheckReports: *crossCheck,
-		Workers:           *workers,
 		PipelineWindow:    *pipeline,
 		Broker:            *broker,
 		Routes:            *routes,
@@ -118,7 +114,6 @@ func run(w io.Writer, args []string) error {
 		GarbleProb:        *garble,
 		ReconnectLimit:    *reconnect,
 		FaultRecvTimeout:  *faultWait,
-		Stream:            *stream,
 		CheckpointEvery:   *checkEvery,
 		CheckpointDir:     *checkDir,
 		KillAfter:         *killAfter,
@@ -132,18 +127,16 @@ func run(w io.Writer, args []string) error {
 }
 
 func printReport(w io.Writer, report *grid.SimReport) {
-	mode := ""
-	if report.PipelineWindow > 0 {
-		mode = fmt.Sprintf(" pipeline=%d", report.PipelineWindow)
-	}
+	mode := fmt.Sprintf(" pipeline=%d", report.PipelineWindow)
 	if report.Brokered {
 		mode += " broker"
 	}
 	fmt.Fprintf(w, "scheme=%s%s tasks=%d detection=%d/%d honest-accused=%d\n",
 		report.Scheme, mode, report.TasksAssigned,
 		report.CheatersDetected, report.CheatersTotal, report.HonestAccused)
-	fmt.Fprintf(w, "supervisor: sent=%dB recv=%dB verify-evals=%d\n",
-		report.SupervisorBytesSent, report.SupervisorBytesRecv, report.SupervisorEvals)
+	fmt.Fprintf(w, "supervisor: sent=%dB recv=%dB (task messages: sent=%dB recv=%dB) verify-evals=%d\n",
+		report.SupervisorBytesSent, report.SupervisorBytesRecv,
+		report.TaskBytesSent, report.TaskBytesRecv, report.SupervisorEvals)
 	if report.WindowsSettled > 0 || report.WindowsPending > 0 || report.WindowViolations > 0 {
 		fmt.Fprintf(w, "windows: settled=%d violations=%d pending-tasks=%d\n",
 			report.WindowsSettled, report.WindowViolations, report.WindowsPending)

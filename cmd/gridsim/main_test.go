@@ -20,7 +20,7 @@ func runGridsim(t *testing.T, args ...string) string {
 func TestRunSmallSimulation(t *testing.T) {
 	out := runGridsim(t,
 		"-scheme", "cbs", "-tasks", "2", "-tasksize", "256",
-		"-honest", "1", "-semihonest", "1", "-m", "20", "-workers", "2")
+		"-honest", "1", "-semihonest", "1", "-m", "20")
 	for _, want := range []string{"scheme=cbs", "supervisor:", "honest-0", "semihonest-0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -70,8 +70,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(&buf, []string{"-tasks", "0"}); err == nil {
 		t.Error("zero tasks accepted")
 	}
-	if err := run(&buf, []string{"-workers", "-2"}); err == nil {
-		t.Error("negative workers accepted")
+	if err := run(&buf, []string{"-workers", "2"}); err == nil {
+		t.Error("the deleted -workers flag accepted")
 	}
 }
 
@@ -89,9 +89,6 @@ func TestRunFaultySimulation(t *testing.T) {
 	}
 	if !strings.Contains(out, "detection=1/1") {
 		t.Errorf("cheater not detected under faults:\n%s", out)
-	}
-	if err := run(&bytes.Buffer{}, []string{"-drop", "0.5"}); err == nil {
-		t.Error("faults without -pipeline accepted")
 	}
 	if err := run(&bytes.Buffer{}, []string{"-drop", "1.5", "-pipeline", "2"}); err == nil {
 		t.Error("out-of-range drop probability accepted")
@@ -185,7 +182,7 @@ func TestRunStreamKillTargetParticipant(t *testing.T) {
 	args := []string{
 		"-scheme", "cbs", "-tasks", "12", "-tasksize", "128",
 		"-honest", "1", "-semihonest", "1", "-m", "20", "-pipeline", "2",
-		"-stream", "-windowtasks", "4", "-windowsamples", "2",
+		"-windowtasks", "4", "-windowsamples", "2",
 		"-checkevery", "4", "-checkpoint", t.TempDir(),
 		"-killafter", "6", "-killtarget", "participant",
 	}

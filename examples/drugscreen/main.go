@@ -80,8 +80,13 @@ func run() error {
 		return err
 	}
 
+	// One exchange at a time over the broker link: a session with window 1.
+	session, err := supervisor.OpenSession(supConn, 1)
+	if err != nil {
+		return err
+	}
 	for taskID := uint64(0); taskID < 4; taskID++ {
-		outcome, err := supervisor.RunTask(supConn, uncheatgrid.Task{
+		outcome, err := session.RunTask(uncheatgrid.Task{
 			ID:       taskID,
 			Start:    taskID * taskSize,
 			N:        taskSize,
@@ -98,6 +103,9 @@ func run() error {
 		}
 	}
 
+	if err := session.Close(); err != nil {
+		return err
+	}
 	if err := supConn.Close(); err != nil {
 		return err
 	}

@@ -171,9 +171,7 @@ func killAndRestart() error {
 		Honest:         2,
 		SemiHonest:     1,
 		HonestyRatio:   0.5,
-		Workers:        4,
 		PipelineWindow: 4,
-		Stream:         true,
 	}
 
 	clean, err := uncheatgrid.RunSim(base)

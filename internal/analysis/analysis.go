@@ -213,9 +213,11 @@ func HonestChainOverhead(n float64, fCost float64, r float64, m int) (float64, e
 }
 
 // NaiveCommunicationBytes estimates the per-participant upload of the naive
-// sampling scheme: all n results of resultSize bytes each.
-func NaiveCommunicationBytes(n int64, resultSize int64) int64 {
-	return n * resultSize
+// sampling scheme: all n results of resultSize bytes each. The product
+// leaves int64 at the domain sizes the paper argues from (2^62 inputs of 8
+// bytes are 2^65 B), hence the float.
+func NaiveCommunicationBytes(n int64, resultSize int64) float64 {
+	return float64(n) * float64(resultSize)
 }
 
 // CBSCommunicationBytes is the paper's bound on the per-participant upload of

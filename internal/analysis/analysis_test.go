@@ -316,7 +316,7 @@ func TestCommunicationModels(t *testing.T) {
 	naive1k := NaiveCommunicationBytes(1<<10, resultSize)
 	naive1M := NaiveCommunicationBytes(1<<20, resultSize)
 	if naive1M != 1024*naive1k {
-		t.Fatalf("naive cost not linear: %d vs %d", naive1M, naive1k)
+		t.Fatalf("naive cost not linear: %.0f vs %.0f", naive1M, naive1k)
 	}
 	cbs1k := CBSCommunicationBytes(1<<10, resultSize, digestSize, m)
 	cbs1M := CBSCommunicationBytes(1<<20, resultSize, digestSize, m)
@@ -335,7 +335,12 @@ func TestPaperHeadline64BitTask(t *testing.T) {
 	// 16 EiB ≈ 16.8M TB); CBS ships kilobytes per participant.
 	naive := NaiveCommunicationBytes(math.MaxInt64, 1) // 2^63-1 as int64 stand-in
 	if naive < (1<<63)-1 {
-		t.Fatalf("naive bytes overflowed: %d", naive)
+		t.Fatalf("naive bytes overflowed: %.0f", naive)
+	}
+	// 2^62 results of 8 bytes are 2^65 B — past int64, where the product
+	// used to wrap to 0.
+	if got := NaiveCommunicationBytes(1<<62, 8); got != math.Ldexp(1, 65) {
+		t.Fatalf("naive bytes for 2^62 × 8 B = %.0f, want 2^65", got)
 	}
 	cbs := CBSCommunicationBytes(math.MaxInt64, 32, 32, 50)
 	if cbs > 200_000 {

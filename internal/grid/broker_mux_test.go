@@ -100,7 +100,7 @@ func TestMuxOneLinkCarriesManyRoutes(t *testing.T) {
 			defer wg.Done()
 			task := syntheticTask(128)
 			task.ID = uint64(i)
-			outcomes[i], errs[i] = sup.RunTask(routes[i], task)
+			outcomes[i], errs[i] = runDialogue(sup, routes[i], task)
 		}(i)
 	}
 	wg.Wait()
@@ -385,7 +385,7 @@ func TestMuxCorruptLinkQuarantinesLinkNotHub(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
 	}
-	outcome, err := sup.RunTask(routeB, syntheticTask(128))
+	outcome, err := runDialogue(sup, routeB, syntheticTask(128))
 	if err != nil {
 		t.Fatalf("RunTask over surviving link: %v", err)
 	}
@@ -611,11 +611,12 @@ func TestSimConfigRoutesValidation(t *testing.T) {
 	if _, err := RunSim(noBroker); err == nil {
 		t.Error("Routes without Broker was accepted")
 	}
-	noWindow := base
-	noWindow.Routes = 2
-	noWindow.Broker = true
-	if _, err := RunSim(noWindow); err == nil {
-		t.Error("Routes without PipelineWindow was accepted")
+	windowed := base
+	windowed.Routes = 2
+	windowed.Broker = true
+	windowed.Spec.WindowTasks, windowed.Spec.WindowSamples = 4, 2
+	if _, err := RunSim(windowed); err == nil {
+		t.Error("Routes with window commitments was accepted")
 	}
 	tooFew := base
 	tooFew.Broker = true

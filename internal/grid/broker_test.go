@@ -119,7 +119,7 @@ func TestBrokerHubRoutesByIdentity(t *testing.T) {
 			defer wg.Done()
 			task := syntheticTask(128)
 			task.ID = uint64(i)
-			outcomes[i], errs[i] = sup.RunTask(conn, task)
+			outcomes[i], errs[i] = runDialogue(sup, conn, task)
 		}(i, conn)
 	}
 	wg.Wait()
@@ -374,7 +374,7 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{ID: uint64(i), Start: uint64(i) * 64, N: 64, Workload: "synthetic", Seed: 9}
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, tasks, window,
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(tasks), window,
 		WithStreamRecvTimeout(2*time.Second),
 		WithMaxReconnects(200),
 		WithRedial(func(old transport.Conn) (transport.Conn, error) {
@@ -384,7 +384,7 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 			return dial(w), nil
 		}))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	count := 0
 	for so := range stream.Outcomes() {
@@ -583,7 +583,7 @@ func TestReplaceReplicaAllowsDeadMembersOwnWorker(t *testing.T) {
 		slots[i] = newConnSlot(conn, nil)
 	}
 	cfg := streamConfig{identity: func(c transport.Conn) string { return ids[c] }}
-	d := newDispatcher(pool, &cfg, cancel)
+	d := newDispatcher(pool, &cfg, SliceTaskSource(nil), 1, cancel)
 	d.allSlots = slots
 
 	grp := &replicaGroup{
@@ -592,10 +592,10 @@ func TestReplaceReplicaAllowsDeadMembersOwnWorker(t *testing.T) {
 		// Pre-placed on the first route to each worker: A, B, C.
 		slots: []*connSlot{slots[0], slots[1], slots[2]},
 	}
-	d.groups = append(d.groups, grp)
+	d.groups[grp] = struct{}{}
 
 	d.mu.Lock()
-	d.dead[slots[0]] = true
+	d.dead[slots[0]], d.retired[slots[0]] = true, true
 	d.replaceReplicaLocked(ticket{task: grp.task, grp: grp, repIdx: 0}, slots[0])
 	pinned := len(d.pinned[slots[3]])
 	d.mu.Unlock()
@@ -614,7 +614,7 @@ func TestReplaceReplicaAllowsDeadMembersOwnWorker(t *testing.T) {
 	// 0) and C (hosting replica 2), so replica 1 must be declared lost —
 	// its slot entry untouched — rather than placed on a sibling's worker.
 	d.mu.Lock()
-	d.dead[slots[1]] = true
+	d.dead[slots[1]], d.retired[slots[1]] = true, true
 	d.replaceReplicaLocked(ticket{task: grp.task, grp: grp, repIdx: 1}, slots[1])
 	moved := grp.slots[1]
 	d.mu.Unlock()

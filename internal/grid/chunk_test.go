@@ -34,10 +34,37 @@ func expectedUpload(t *testing.T, task Task) []byte {
 	return encodeResults(results)
 }
 
-// TestChunkedUploadDialogue pins the dialogue-mode chunk path: an upload
-// larger than the chunk threshold travels as an ordered chunk stream — one
-// frame per chunk, observable in the message counters — reassembles exactly,
-// and is byte-accounted like any other traffic.
+// chunkTap counts the upload chunks a supervisor receives, decoding every
+// incoming batch frame the way the session will.
+type chunkTap struct {
+	transport.Conn
+	chunks, finals int
+}
+
+func (c *chunkTap) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == msgBatch {
+		msgs, derr := decodeBatch(m.Payload)
+		if derr != nil {
+			return m, derr
+		}
+		for _, tm := range msgs {
+			if tm.Type != msgResultChunk {
+				continue
+			}
+			c.chunks++
+			if rc, cerr := decodeChunk(tm.Payload); cerr == nil && rc.Final {
+				c.finals++
+			}
+		}
+	}
+	return m, err
+}
+
+// TestChunkedUploadDialogue pins the chunk path one exchange at a time: an
+// upload larger than the chunk threshold travels as an ordered chunk stream
+// — one tagged message per chunk, however the writer frames them —
+// reassembles exactly, and is byte-accounted like any other traffic.
 func TestChunkedUploadDialogue(t *testing.T) {
 	withChunkSize(t, 512)
 	conn, shutdown := sessionFixture(t, HonestFactory)
@@ -54,23 +81,33 @@ func TestChunkedUploadDialogue(t *testing.T) {
 	}
 	wantChunks := (len(payload) + uploadChunkBytes - 1) / uploadChunkBytes
 
-	outcome, err := sup.RunTask(conn, task)
+	tap := &chunkTap{Conn: conn}
+	sess, err := sup.OpenSession(tap, 1)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	outcome, err := sess.RunTask(task)
 	if err != nil {
 		t.Fatalf("RunTask: %v", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("session close: %v", err)
 	}
 	if !outcome.Verdict.Accepted {
 		t.Errorf("honest chunked upload rejected: %s", outcome.Verdict.Reason)
 	}
-	// Dialogue mode is one frame per message: chunks + the report list +
-	// the verdict acknowledgement.
-	if got, want := conn.Stats().MsgsRecv(), int64(wantChunks+2); got != want {
-		t.Errorf("supervisor received %d frames, want %d (%d chunks + reports + verdict ack)", got, want, wantChunks)
+	if tap.chunks != wantChunks || tap.finals != 1 {
+		t.Errorf("supervisor received %d chunks (%d final), want %d (1 final)", tap.chunks, tap.finals, wantChunks)
 	}
-	if outcome.BytesRecv != conn.Stats().BytesRecv() {
-		t.Errorf("outcome BytesRecv = %d, connection counted %d", outcome.BytesRecv, conn.Stats().BytesRecv())
+	if outcome.BytesRecv < int64(len(payload)) {
+		t.Errorf("outcome BytesRecv = %d, below the %d-byte upload it carried", outcome.BytesRecv, len(payload))
 	}
-	if outcome.BytesSent != conn.Stats().BytesSent() {
-		t.Errorf("outcome BytesSent = %d, connection counted %d", outcome.BytesSent, conn.Stats().BytesSent())
+	ovSent, ovRecv := sess.OverheadBytes()
+	if got, want := conn.Stats().BytesRecv(), outcome.BytesRecv+ovRecv; got != want {
+		t.Errorf("BytesRecv = %d, task + overhead = %d", got, want)
+	}
+	if got, want := conn.Stats().BytesSent(), outcome.BytesSent+ovSent; got != want {
+		t.Errorf("BytesSent = %d, task + overhead = %d", got, want)
 	}
 }
 

@@ -49,8 +49,8 @@ const (
 	// phaseAwaitProofs waits for the CBS audit-path response.
 	phaseAwaitProofs
 	// phaseDecide has every input; verification runs without touching the
-	// wire — except in replica mode, where it blocks on the cross-connection
-	// rendezvous that compares the group's uploads.
+	// wire — in replica mode it is the cross-connection rendezvous that
+	// compares the group's uploads.
 	phaseDecide
 	// phaseVerdict owes the participant the verdict.
 	phaseVerdict
@@ -139,10 +139,9 @@ func (st *exchangeState) resumeState(a assignment) resumeMsg {
 // the challenge and verdict when due. It returns nil once the task reaches
 // its terminal phase. On error the state survives in pt; calling runExchange
 // again with a fresh connection resumes mid-protocol instead of restarting.
-// replicaResults selects RunReplicated's serial double-check mode, which
-// collects the upload here and compares after its own barrier; pipelined
-// replica exchanges instead carry a rendezvous in pt and block at decide.
-func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask, replicaResults *[][]byte) error {
+// A replica exchange that reaches its rendezvous before the group is
+// complete returns errReplicaParked.
+func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask) error {
 	st := pt.st
 	if err := pt.announce(conn); err != nil {
 		return err
@@ -154,7 +153,7 @@ func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask, replicaResult
 				return err
 			}
 		case phaseDecide:
-			if err := pt.decide(replicaResults); err != nil {
+			if err := pt.decide(); err != nil {
 				return err
 			}
 		case phaseVerdict:
@@ -235,8 +234,7 @@ func (pt *preparedTask) issueChallenge(conn protoConn) error {
 }
 
 // ingest advances the state machine with one participant message. Only the
-// message kind the current phase expects is legal — the same strict ordering
-// the dialogue protocol always had.
+// message kind the current phase expects is legal.
 func (pt *preparedTask) ingest(msg transport.Message) error {
 	st := pt.st
 	var err error
@@ -401,9 +399,9 @@ func (pt *preparedTask) ingestProofs(payload []byte) error {
 // sends nothing, runs its verification exactly once per task (the phase
 // moves on), and charges its evaluations to the task's budget — all of
 // which keeps resumed verdicts identical to clean ones. In replica mode
-// the decision is the group rendezvous: parkable attempts detach while it
-// is unready, others block for it.
-func (pt *preparedTask) decide(replicaResults *[][]byte) error {
+// the decision is the group rendezvous, and the attempt detaches while it
+// is unready.
+func (pt *preparedTask) decide() error {
 	pt.recordStreamDigest()
 	st := pt.st
 	tr := pt.tr
@@ -456,27 +454,21 @@ func (pt *preparedTask) decide(replicaResults *[][]byte) error {
 		return nil
 
 	case SchemeDoubleCheck:
-		if replicaResults != nil {
-			// Verdict decided by RunReplicated after its serial barrier.
-			*replicaResults = st.results
-			st.phase = phaseDone
-			return nil
-		}
 		if pt.rdv == nil {
-			return fmt.Errorf("%w: double-check requires replication (RunReplicated or a replicated stream)", ErrBadConfig)
+			return fmt.Errorf("%w: double-check runs replicated (SupervisorPool.RunTaskSource)", ErrBadConfig)
 		}
-		// The pipelined replica barrier: bank the upload, then block until
-		// every sibling delivered (or was lost) and the comparison ran. The
-		// submission is recorded so a post-fault resume re-waits instead of
-		// voting twice.
+		// The replica barrier: bank the upload, then take the group verdict
+		// once every sibling delivered (or was lost) and the comparison ran.
+		// The submission is recorded so a post-fault resume re-waits instead
+		// of voting twice.
 		if !st.submitted {
 			pt.rdv.submit(pt.repIdx, st.results)
 			st.submitted = true
 		}
-		// Dispatcher-run replicas must not block holding a window slot and
-		// a worker: if the group is still incomplete, detach and let the
-		// scheduler re-claim the attempt once the rendezvous settles.
-		if pt.parkable && !pt.rdv.ready() {
+		// A replica must not block holding a window slot and a worker: if
+		// the group is still incomplete, detach and let the scheduler
+		// re-claim the attempt once the rendezvous settles.
+		if !pt.rdv.ready() {
 			return errReplicaParked
 		}
 		v, err := pt.rdv.await(pt.repIdx)

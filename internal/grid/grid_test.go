@@ -1,12 +1,51 @@
 package grid
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"uncheatgrid/internal/transport"
 )
+
+// runDialogue runs one task over conn the way the paper states the
+// protocol — one exchange, assignment through verdict, with the connection
+// to itself: a window-1 session carrying that task alone. Successive calls
+// may share a connection.
+func runDialogue(sup *Supervisor, conn transport.Conn, task Task) (*TaskOutcome, error) {
+	sess, err := sup.OpenSession(conn, 1)
+	if err != nil {
+		return nil, err
+	}
+	outcome, err := sess.RunTask(task)
+	if cerr := sess.Close(); err == nil && cerr != nil {
+		return nil, cerr
+	}
+	return outcome, err
+}
+
+// runReplicated runs one double-check task over conns, one replica each,
+// and returns the outcomes in replica order.
+func runReplicated(t *testing.T, cfg SupervisorConfig, conns []transport.Conn, task Task) []*TaskOutcome {
+	t.Helper()
+	pool, err := NewSupervisorPool(cfg, len(conns))
+	if err != nil {
+		t.Fatalf("NewSupervisorPool: %v", err)
+	}
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource([]Task{task}), 1, WithReplicas(len(conns)))
+	if err != nil {
+		t.Fatalf("RunTaskSource: %v", err)
+	}
+	outcomes := make([]*TaskOutcome, len(conns))
+	for so := range stream.Outcomes() {
+		outcomes[so.Outcome.Replica] = so.Outcome
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("replicated run: %v", err)
+	}
+	return outcomes
+}
 
 func runOneTask(t *testing.T, spec SchemeSpec, factory ProducerFactory, task Task) *TaskOutcome {
 	t.Helper()
@@ -22,7 +61,7 @@ func runOneTask(t *testing.T, spec SchemeSpec, factory ProducerFactory, task Tas
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- participant.Serve(partConn) }()
 
-	outcome, err := supervisor.RunTask(supConn, task)
+	outcome, err := runDialogue(supervisor, supConn, task)
 	if err != nil {
 		t.Fatalf("RunTask: %v", err)
 	}
@@ -184,14 +223,6 @@ func TestReportsReachSupervisor(t *testing.T) {
 }
 
 func TestDoubleCheckReplication(t *testing.T) {
-	supervisor, err := NewSupervisor(SupervisorConfig{
-		Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1},
-		Seed: 7,
-	})
-	if err != nil {
-		t.Fatalf("NewSupervisor: %v", err)
-	}
-
 	honest, err := NewParticipant("honest", HonestFactory)
 	if err != nil {
 		t.Fatalf("NewParticipant: %v", err)
@@ -218,12 +249,10 @@ func TestDoubleCheckReplication(t *testing.T) {
 		endpoints = append(endpoints, ep)
 	}
 
-	outcomes, err := supervisor.RunReplicated(
+	outcomes := runReplicated(t,
+		SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 7},
 		[]transport.Conn{endpoints[0].sup, endpoints[1].sup, endpoints[2].sup},
 		syntheticTask(64))
-	if err != nil {
-		t.Fatalf("RunReplicated: %v", err)
-	}
 	if !outcomes[0].Verdict.Accepted || !outcomes[2].Verdict.Accepted {
 		t.Fatal("honest replicas rejected")
 	}
@@ -257,7 +286,7 @@ func TestParticipantTotals(t *testing.T) {
 		task := syntheticTask(taskSize)
 		task.ID = uint64(i)
 		task.Start = uint64(i * taskSize)
-		if _, err := supervisor.RunTask(supConn, task); err != nil {
+		if _, err := runDialogue(supervisor, supConn, task); err != nil {
 			t.Fatalf("RunTask %d: %v", i, err)
 		}
 	}
@@ -293,7 +322,7 @@ func TestCheaterSavesWork(t *testing.T) {
 		supConn, partConn := transport.Pipe(transport.WithBuffer(8))
 		serveErr := make(chan error, 1)
 		go func() { serveErr <- participant.Serve(partConn) }()
-		if _, err := supervisor.RunTask(supConn, syntheticTask(1024)); err != nil {
+		if _, err := runDialogue(supervisor, supConn, syntheticTask(1024)); err != nil {
 			t.Fatalf("RunTask: %v", err)
 		}
 		_ = supConn.Close()
@@ -344,7 +373,7 @@ func TestBrokeredNICBS(t *testing.T) {
 		t.Fatalf("Attach(supervisor): %v", err)
 	}
 
-	outcome, err := supervisor.RunTask(supConn, syntheticTask(128))
+	outcome, err := runDialogue(supervisor, supConn, syntheticTask(128))
 	if err != nil {
 		t.Fatalf("RunTask through broker: %v", err)
 	}
@@ -423,7 +452,7 @@ func TestGridOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
 	}
-	outcome, err := supervisor.RunTask(supConn, syntheticTask(256))
+	outcome, err := runDialogue(supervisor, supConn, syntheticTask(256))
 	if err != nil {
 		t.Fatalf("RunTask over TCP: %v", err)
 	}
@@ -452,7 +481,7 @@ func TestGarbledProofIsRejectedNotAccepted(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- participant.Serve(lossy) }()
 
-	outcome, err := supervisor.RunTask(supConn, syntheticTask(64))
+	outcome, err := runDialogue(supervisor, supConn, syntheticTask(64))
 	if err == nil && outcome.Verdict.Accepted {
 		t.Fatal("garbled traffic led to acceptance")
 	}
@@ -469,16 +498,16 @@ func TestTaskValidation(t *testing.T) {
 	defer supConn.Close()
 	defer partConn.Close()
 
-	if _, err := supervisor.RunTask(supConn, Task{Workload: "synthetic", N: 0}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runDialogue(supervisor, supConn, Task{Workload: "synthetic", N: 0}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty task: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := supervisor.RunTask(supConn, Task{Workload: "", N: 4}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runDialogue(supervisor, supConn, Task{Workload: "", N: 4}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("no workload: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := supervisor.RunTask(supConn, Task{Workload: "synthetic", N: maxTaskSize + 1}); !errors.Is(err, ErrTaskTooLarge) {
+	if _, err := runDialogue(supervisor, supConn, Task{Workload: "synthetic", N: maxTaskSize + 1}); !errors.Is(err, ErrTaskTooLarge) {
 		t.Errorf("huge task: err = %v, want ErrTaskTooLarge", err)
 	}
-	if _, err := supervisor.RunTask(supConn, Task{Workload: "unknown", N: 4}); err == nil {
+	if _, err := runDialogue(supervisor, supConn, Task{Workload: "unknown", N: 4}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -501,7 +530,7 @@ func TestSupervisorConfigValidation(t *testing.T) {
 	supConn, partConn := transport.Pipe()
 	defer supConn.Close()
 	defer partConn.Close()
-	if _, err := s.RunTask(supConn, syntheticTask(4)); !errors.Is(err, ErrBadConfig) {
+	if _, err := runDialogue(s, supConn, syntheticTask(4)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("double-check RunTask: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -82,9 +82,8 @@ func WithCheckpointDir(dir string) ParticipantOption { return checkpointDirOptio
 
 // Participant is a grid worker: it receives task assignments over a
 // connection, evaluates its (possibly cheating) results, and speaks the
-// verification protocol named in each assignment. It serves both wire
-// modes: the classic one-dialogue-per-task exchange and pipelined sessions
-// with many interleaved tasks per connection.
+// verification protocol named in each assignment, with as many tasks
+// interleaved on the connection as the supervisor's session window allows.
 type Participant struct {
 	id      string
 	factory ProducerFactory
@@ -176,57 +175,16 @@ func (p *Participant) Totals() Totals {
 	}
 }
 
-// Serve processes assignments from conn until the peer closes (io.EOF). Any
-// other transport or protocol error is returned.
-//
-// Bare msgAssign frames run the classic one-dialogue-per-task exchange.
-// The first msgBatch frame switches the connection into pipelined-session
-// mode: tagged messages are demultiplexed by task ID and the assigned
-// tasks execute concurrently until the peer closes.
-func (p *Participant) Serve(conn transport.Conn) error {
-	for {
-		msg, err := conn.Recv()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if errors.Is(err, transport.ErrFrameCorrupt) {
-			// Link damage, not peer misbehavior: kill the connection so the
-			// peer observes a dead link (and, in session mode, quarantines
-			// and resumes elsewhere) instead of a wedged exchange.
-			_ = conn.Close()
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("grid: participant %s recv: %w", p.id, err)
-		}
-		switch msg.Type {
-		case msgAssign:
-			a, err := decodeAssignment(msg.Payload)
-			if err != nil {
-				return fmt.Errorf("grid: participant %s: %w", p.id, err)
-			}
-			if err := p.executeTask(conn, a, nil); err != nil {
-				return fmt.Errorf("grid: participant %s task %d: %w", p.id, a.Task.ID, err)
-			}
-		case msgBatch:
-			return p.servePipelined(conn, msg)
-		default:
-			return fmt.Errorf("%w: participant %s got type %d, want assignment",
-				ErrUnexpectedMessage, p.id, msg.Type)
-		}
-	}
-}
-
-// sessionInboxCap bounds undelivered messages per in-flight pipelined task.
+// sessionInboxCap bounds undelivered messages per in-flight task.
 // No scheme sends more than two supervisor→participant messages per task
 // after the assignment (challenge and verdict), so exceeding the bound
 // means the peer is violating the protocol.
 const sessionInboxCap = 8
 
-// participantSession is the worker-side end of a pipelined session: the
-// serve loop demultiplexes tagged messages by task ID and executes the
-// assigned tasks concurrently, reusing taskExecution per task. Outgoing
-// messages funnel through a coalescing batch writer.
+// participantSession is the worker-side end of a session: the serve loop
+// demultiplexes tagged messages by task ID and executes the assigned tasks
+// concurrently, one taskExecution each. Outgoing messages funnel through a
+// coalescing batch writer.
 type participantSession struct {
 	p      *Participant
 	conn   transport.Conn
@@ -239,9 +197,13 @@ type participantSession struct {
 	taskErr error
 }
 
-// servePipelined owns the connection from the first batch frame until the
-// peer closes. It returns the first receive, dispatch, task, or send error.
-func (p *Participant) servePipelined(conn transport.Conn, first transport.Message) error {
+// Serve owns conn until the peer closes it (io.EOF), serving the
+// supervisor's session: every frame is a msgBatch of task-tagged messages,
+// demultiplexed by task ID, and the assigned tasks execute concurrently.
+// Anything else — a bare msgAssign included — is ErrUnexpectedMessage and
+// ends the serve with the connection closed. It returns the first receive,
+// dispatch, task, or send error.
+func (p *Participant) Serve(conn transport.Conn) error {
 	ps := &participantSession{
 		p:       p,
 		conn:    conn,
@@ -251,7 +213,7 @@ func (p *Participant) servePipelined(conn transport.Conn, first transport.Messag
 	// the serve loop, which tears the inboxes down so blocked tasks (and
 	// the peer) cannot wait forever on frames that were discarded.
 	ps.writer = newBatchWriter(conn, func(error) { _ = conn.Close() })
-	err := ps.handleFrame(first)
+	var err error
 	for err == nil {
 		var msg transport.Message
 		msg, err = conn.Recv()
@@ -313,7 +275,7 @@ func (p *Participant) servePipelined(conn transport.Conn, first transport.Messag
 // handleFrame validates and dispatches one incoming session frame.
 func (ps *participantSession) handleFrame(frame transport.Message) error {
 	if frame.Type != msgBatch {
-		return fmt.Errorf("%w: participant %s got frame type %d during a pipelined session, want batch",
+		return fmt.Errorf("%w: participant %s got frame type %d, want batch",
 			ErrUnexpectedMessage, ps.p.id, frame.Type)
 	}
 	msgs, err := decodeBatch(frame.Payload)
@@ -447,7 +409,7 @@ func (ps *participantSession) startTask(a assignment, res *resumeMsg) error {
 	return nil
 }
 
-// participantTaskConn is the virtual protoConn of one pipelined task on the
+// participantTaskConn is the virtual protoConn of one task on the
 // participant side.
 type participantTaskConn struct {
 	ps    *participantSession
@@ -470,12 +432,11 @@ func (c *participantTaskConn) Recv() (transport.Message, error) {
 }
 
 // executeTask runs one assignment end to end, including the verification
-// dialogue the scheme requires. conn is either a whole connection (dialogue
-// mode) or a per-task session endpoint (pipelined mode). A non-nil res means
-// the supervisor is resuming the task on a replacement connection: the
-// execution recomputes its deterministic state (producers decide per input,
-// so a re-run claims identical values) and replays only the messages the
-// supervisor does not already hold.
+// exchange the scheme requires, over the task's session endpoint. A non-nil
+// res means the supervisor is resuming the task on a replacement connection:
+// the execution recomputes its deterministic state (producers decide per
+// input, so a re-run claims identical values) and replays only the messages
+// the supervisor does not already hold.
 func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) error {
 	if err := a.Task.validate(); err != nil {
 		return err

@@ -1,37 +1,18 @@
 package grid
 
 import (
-	"context"
-	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"uncheatgrid/internal/transport"
 )
 
-// Assignment pairs a task with the connection to the participant that
-// should execute it. It is the unit of work of SupervisorPool.RunTasks.
-type Assignment struct {
-	// Conn is the supervisor-side endpoint to the participant.
-	Conn transport.Conn
-	// Task is the domain window to assign.
-	Task Task
-}
-
-// SupervisorPool verifies many participants concurrently: it schedules
-// assignments across a bounded worker pool, keeping each connection's
-// protocol exchange strictly serial (distinct connections proceed in
-// parallel). Because the supervisor derives per-task randomness from
-// hash(seed, task ID), a pooled run produces the same outcomes as a serial
-// one for equal seeds and inputs, regardless of scheduling.
-//
-// The double-check scheme replicates one task across several connections
-// and compares uploads at a barrier; RunTasksStream runs it pipelined with
-// a cross-connection rendezvous per task (see WithReplicas), while the
-// per-connection RunTasks batch API cannot express replication and rejects
-// it.
+// SupervisorPool verifies many participants concurrently: RunTaskSource
+// streams tasks over one pipelined session per connection, with a bound on
+// how many exchanges execute at once. Because the supervisor derives
+// per-task randomness from hash(seed, task ID), the verdict of a given
+// (task, participant) pair does not depend on scheduling.
 type SupervisorPool struct {
 	sup     *Supervisor
 	workers int
@@ -71,99 +52,6 @@ func (p *SupervisorPool) BytesSent() int64 { return p.bytesSent.Load() }
 // all completed pooled tasks.
 func (p *SupervisorPool) BytesRecv() int64 { return p.bytesRecv.Load() }
 
-// RunTasks runs every assignment to completion and returns the outcomes in
-// input order. Assignments sharing a connection are executed serially in
-// input order (the wire protocol is strictly request/response); assignments
-// on distinct connections run concurrently, at most `workers` at a time.
-//
-// The first transport or protocol error cancels all unstarted work and is
-// returned; outcomes already completed are lost with it, as in the serial
-// API. Detected cheats are not errors — they land in the outcome verdicts.
-// Cancelling ctx stops the pool before the next task on each connection;
-// in-flight exchanges finish first.
-//
-//gridlint:credit pool totals fold in each outcome's settled bytes as it completes
-func (p *SupervisorPool) RunTasks(ctx context.Context, assignments []Assignment) ([]*TaskOutcome, error) {
-	if p.sup.cfg.Spec.Kind == SchemeDoubleCheck {
-		return nil, fmt.Errorf("%w: double-check needs a replica barrier; use RunReplicated or a replicated RunTasksStream", ErrBadConfig)
-	}
-	if len(assignments) == 0 {
-		return nil, nil
-	}
-	outcomes := make([]*TaskOutcome, len(assignments))
-
-	// Group assignment indices by connection, preserving input order both
-	// across groups and within each group.
-	groups := make(map[transport.Conn][]int)
-	order := make([]transport.Conn, 0, len(assignments))
-	for i, a := range assignments {
-		if a.Conn == nil {
-			return nil, fmt.Errorf("%w: assignment %d has nil connection", ErrBadConfig, i)
-		}
-		if _, seen := groups[a.Conn]; !seen {
-			order = append(order, a.Conn)
-		}
-		groups[a.Conn] = append(groups[a.Conn], i)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	sem := make(chan struct{}, p.workers)
-	var wg sync.WaitGroup
-	for _, conn := range order {
-		wg.Add(1)
-		go func(conn transport.Conn, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				// Give up before starting the next task if the run is
-				// already cancelled; the select alone is not enough, since
-				// it chooses randomly when a worker slot is also free.
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				// Acquire a worker slot; give up if the run is cancelled
-				// while waiting.
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					fail(ctx.Err())
-					return
-				}
-				outcome, err := p.sup.RunTask(conn, assignments[i].Task)
-				<-sem
-				if err != nil {
-					fail(fmt.Errorf("grid: task %d: %w", assignments[i].Task.ID, err))
-					return
-				}
-				outcomes[i] = outcome
-				p.bytesSent.Add(outcome.BytesSent)
-				p.bytesRecv.Add(outcome.BytesRecv)
-			}
-		}(conn, groups[conn])
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return outcomes, nil
-}
-
 // StreamedOutcome pairs a completed task outcome with the connection (and
 // thus the participant) that executed it — needed because work stealing
 // makes the task→connection pairing scheduling-dependent.
@@ -192,15 +80,14 @@ func (s *TaskStream) Err() error {
 }
 
 // Retire permanently retires a connection (and every replacement dialed for
-// it) from claiming fresh tasks. Claims the connection holds but has not
-// started — its revocable leases — are recalled and rerouted to other
-// connections; exchanges already started, including resumed ones, still
-// finish. Because retirement and exchange starts serialize on the
-// dispatcher's lock, a Retire call happens-before every later start: no task
-// can begin on a connection retired between claim re-check and exchange
-// start, which fully closes the race the polling eligibility gate leaves
-// open. The simulator's blacklist calls this on the rejected outcome's
-// connection.
+// it) from taking fresh tasks. Everything on the connection that has not
+// begun an exchange — claims its workers hold but have not started, and
+// tickets placement queued on it (pinned or replicated streams) — is
+// recalled and rerouted to other connections; exchanges already started,
+// including resumed ones, still finish. Because retirement, placement and
+// exchange starts serialize on the dispatcher's lock, a Retire call
+// happens-before every later start: no task begins on a connection after
+// Retire returned.
 func (s *TaskStream) Retire(conn transport.Conn) {
 	s.d.retireConn(conn)
 }
@@ -210,7 +97,8 @@ func (s *TaskStream) Retire(conn transport.Conn) {
 // exhausted. Sources are consulted lazily under the dispatcher lock — only
 // a bounded look-ahead of tickets is ever materialized, so a source backed
 // by a generator can describe runs far larger than memory. A source must be
-// deterministic in i: checkpoint restore re-reads the same indices.
+// deterministic in i: checkpoint restore re-reads the same indices, and so
+// does a placement that had to wait for a busy connection.
 type TaskSource func(i uint64) (Task, bool)
 
 // SliceTaskSource adapts a finite task slice to a TaskSource.
@@ -223,9 +111,8 @@ func SliceTaskSource(tasks []Task) TaskSource {
 	}
 }
 
-// streamConfig collects RunTasksStream options.
+// streamConfig collects RunTaskSource options.
 type streamConfig struct {
-	eligible      func(transport.Conn) bool
 	redial        func(old transport.Conn) (transport.Conn, error)
 	maxReconnects int
 	recvTimeout   time.Duration
@@ -237,26 +124,15 @@ type streamConfig struct {
 	sourceBase    uint64
 	drainCkpt     uint64
 	doDrainCkpt   bool
+	// retireOnReject is the simulator's blacklist policy; see
+	// withRetireOnReject.
+	retireOnReject bool
 }
 
-// StreamOption configures RunTasksStream.
+// StreamOption configures RunTaskSource.
 type StreamOption interface {
 	applyStream(*streamConfig)
 }
-
-type eligibleOption struct {
-	fn func(transport.Conn) bool
-}
-
-func (o eligibleOption) applyStream(c *streamConfig) { c.eligible = o.fn }
-
-// WithEligibility gates scheduling: the function is consulted — under the
-// dispatcher lock, so it must be fast and must not call back into the pool —
-// each time a connection is about to claim or start a task, and returning
-// false retires that connection (tasks already in flight on it still
-// finish). The simulator's blacklist used this before TaskStream.Retire
-// existed; Retire is the stronger, synchronous form.
-func WithEligibility(fn func(transport.Conn) bool) StreamOption { return eligibleOption{fn} }
 
 type redialOption struct {
 	fn func(old transport.Conn) (transport.Conn, error)
@@ -322,12 +198,11 @@ type replicasOption int
 
 func (o replicasOption) applyStream(c *streamConfig) { c.replicas = int(o) }
 
-// WithReplicas sets the double-check group size of a replicated
-// RunTasksStream: every task fans out to n pairwise-distinct connections
-// whose uploads meet at a comparison rendezvous (default 2 for the
-// double-check scheme). Only valid with the double-check scheme, which in
-// turn requires at least n connections. The stream emits n outcomes per
-// task, one per replica.
+// WithReplicas sets the double-check group size of a replicated stream:
+// every task fans out to n pairwise-distinct connections whose uploads meet
+// at a comparison rendezvous (default 2 for the double-check scheme). Only
+// valid with the double-check scheme, which in turn requires at least n
+// connections. The stream emits n outcomes per task, one per replica.
 func WithReplicas(n int) StreamOption { return replicasOption(n) }
 
 type windowSettleOption struct {
@@ -365,7 +240,10 @@ func (o pinnedPlacementOption) applyStream(c *streamConfig) { c.pinned = true }
 // task i runs on connection i mod len(conns), independent of scheduling
 // timing. Checkpoint/restore runs use this so a restarted run re-executes
 // each task on the same participant the clean run would have used, keeping
-// verdicts and per-participant tallies byte-identical.
+// verdicts and per-participant tallies byte-identical. A retired or dead
+// connection drops out of the rotation, which shifts every later pairing;
+// the promise holds while every link lives and none is retired. Replicated
+// streams always place this way.
 func WithPinnedPlacement() StreamOption { return pinnedPlacementOption{} }
 
 type sourceBaseOption uint64
@@ -375,7 +253,8 @@ func (o sourceBaseOption) applyStream(c *streamConfig) { c.sourceBase = uint64(o
 // WithSourceBase starts the task source's index walk at base instead of 0:
 // the source is consulted with absolute indices base, base+1, … — and, under
 // WithPinnedPlacement, task index i maps to connection i mod len(conns)
-// using that absolute index. Segmented runs (checkpoint/restore) pass each
+// using that absolute index (the placement cursor starts where base tasks
+// would have left it). Segmented runs (checkpoint/restore) pass each
 // segment's first task index here so placement is a pure function of the
 // task's position in the whole stream, not of where segment boundaries fall.
 func WithSourceBase(base uint64) StreamOption { return sourceBaseOption(base) }
@@ -394,3 +273,15 @@ func (o drainCheckpointOption) applyStream(c *streamConfig) {
 // see WithCheckpointDir). Dead connections are skipped — their participants
 // restore from the previous checkpoint.
 func WithDrainCheckpoint(seq uint64) StreamOption { return drainCheckpointOption(seq) }
+
+type retireOnRejectOption struct{}
+
+func (retireOnRejectOption) applyStream(c *streamConfig) { c.retireOnReject = true }
+
+// withRetireOnReject is the simulator's blacklist (SimConfig.Blacklist),
+// decided where tasks are placed: a rejecting outcome retires its connection
+// as it settles, under the dispatcher lock, and placement waits on a
+// connection that already holds `window` undecided tasks instead of looking
+// past it (see dispatcher.placeLocked). Unexported: outside the simulator a
+// caller blacklists with TaskStream.Retire on whatever evidence it likes.
+func withRetireOnReject() StreamOption { return retireOnRejectOption{} }

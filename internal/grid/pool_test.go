@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"uncheatgrid/internal/transport"
@@ -55,6 +54,37 @@ func poolTasks(n int, size uint64) []Task {
 	return tasks
 }
 
+// runPinned runs tasks over conns with pinned placement (task i on
+// connection i mod len(conns)) and returns the outcomes indexed like tasks.
+func runPinned(t *testing.T, pool *SupervisorPool, conns []transport.Conn, tasks []Task, window int) []*TaskOutcome {
+	t.Helper()
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(tasks), window, WithPinnedPlacement())
+	if err != nil {
+		t.Fatalf("RunTaskSource: %v", err)
+	}
+	byID := make(map[uint64]int, len(tasks))
+	for i, task := range tasks {
+		byID[task.ID] = i
+	}
+	outcomes := make([]*TaskOutcome, len(tasks))
+	for so := range stream.Outcomes() {
+		i := byID[so.Outcome.Task.ID]
+		if so.Conn != conns[i%len(conns)] {
+			t.Errorf("task %d ran off its pinned connection", so.Outcome.Task.ID)
+		}
+		outcomes[i] = so.Outcome
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+	for i, outcome := range outcomes {
+		if outcome == nil {
+			t.Fatalf("task %d never settled", tasks[i].ID)
+		}
+	}
+	return outcomes
+}
+
 // TestPoolRunsManyParticipantsConcurrently is the headline concurrency
 // test: 12 participants verified at once, honest ones accepted, cheaters
 // caught, eval/byte aggregation consistent. Run under -race it also proves
@@ -78,36 +108,25 @@ func TestPoolRunsManyParticipantsConcurrently(t *testing.T) {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
 
-	tasks := poolTasks(participants, 256)
-	assignments := make([]Assignment, participants)
-	for i := range assignments {
-		assignments[i] = Assignment{Conn: conns[i], Task: tasks[i]}
+	outcomes := runPinned(t, pool, conns, poolTasks(participants, 256), 1)
+	var wireSent, wireRecv int64
+	for _, conn := range conns {
+		wireSent += conn.Stats().BytesSent()
+		wireRecv += conn.Stats().BytesRecv()
 	}
-	outcomes, err := pool.RunTasks(context.Background(), assignments)
 	shutdown()
-	if err != nil {
-		t.Fatalf("RunTasks: %v", err)
-	}
 
-	var sent, recv, evals int64
+	var evals int64
 	for i, outcome := range outcomes {
-		if outcome == nil {
-			t.Fatalf("outcome %d is nil", i)
-		}
-		if outcome.Task.ID != tasks[i].ID {
-			t.Fatalf("outcome %d carries task %d; order not preserved", i, outcome.Task.ID)
-		}
 		if cheaterAt(i) == outcome.Verdict.Accepted {
 			t.Errorf("participant %d (cheater=%v): accepted=%v, reason=%q",
 				i, cheaterAt(i), outcome.Verdict.Accepted, outcome.Verdict.Reason)
 		}
-		sent += outcome.BytesSent
-		recv += outcome.BytesRecv
 		evals += outcome.VerifyEvals
 	}
-	if pool.BytesSent() != sent || pool.BytesRecv() != recv {
-		t.Errorf("pool counters sent=%d recv=%d, outcome sums sent=%d recv=%d",
-			pool.BytesSent(), pool.BytesRecv(), sent, recv)
+	if pool.BytesSent() != wireSent || pool.BytesRecv() != wireRecv {
+		t.Errorf("pool counters sent=%d recv=%d, wire totals sent=%d recv=%d",
+			pool.BytesSent(), pool.BytesRecv(), wireSent, wireRecv)
 	}
 	if pool.VerifyEvals() != evals {
 		t.Errorf("pool VerifyEvals = %d, outcome sum = %d", pool.VerifyEvals(), evals)
@@ -117,8 +136,8 @@ func TestPoolRunsManyParticipantsConcurrently(t *testing.T) {
 	}
 }
 
-// TestPoolSerializesSharedConnection gives one participant several tasks:
-// the pool must keep that connection's protocol exchanges ordered.
+// TestPoolSerializesSharedConnection gives one participant several tasks
+// at window 1: the connection carries them one exchange at a time, in order.
 func TestPoolSerializesSharedConnection(t *testing.T) {
 	conns, shutdown := poolFixture(t, 1, func(int) ProducerFactory { return HonestFactory })
 	pool, err := NewSupervisorPool(SupervisorConfig{
@@ -128,122 +147,83 @@ func TestPoolSerializesSharedConnection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	tasks := poolTasks(6, 64)
-	assignments := make([]Assignment, len(tasks))
-	for i, task := range tasks {
-		assignments[i] = Assignment{Conn: conns[0], Task: task}
-	}
-	outcomes, err := pool.RunTasks(context.Background(), assignments)
-	shutdown()
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(6, 64)), 1)
 	if err != nil {
-		t.Fatalf("RunTasks on shared conn: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
-	for i, outcome := range outcomes {
-		if !outcome.Verdict.Accepted {
-			t.Fatalf("task %d rejected on shared conn: %s", i, outcome.Verdict.Reason)
+	next := uint64(0)
+	for so := range stream.Outcomes() {
+		if so.Outcome.Task.ID != next {
+			t.Errorf("task %d settled when task %d was due", so.Outcome.Task.ID, next)
 		}
+		next++
+		if !so.Outcome.Verdict.Accepted {
+			t.Errorf("task %d rejected on shared conn: %s", so.Outcome.Task.ID, so.Outcome.Verdict.Reason)
+		}
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+	shutdown()
+	if next != 6 {
+		t.Fatalf("settled %d tasks, want 6", next)
 	}
 }
 
-// TestPoolMatchesSerialSupervisor runs the same assignments serially and
-// pooled: per-task seed derivation must make verdicts, traffic, and eval
-// counts identical.
+// TestPoolMatchesSerialSupervisor runs eight participants at once, one task
+// each, and checks every outcome against what one serial dialogue per
+// participant produced (golden_runs.json): per-task seed derivation must
+// make verdicts, convicting samples and eval counts identical.
 func TestPoolMatchesSerialSupervisor(t *testing.T) {
 	const participants = 8
-	factory := func(i int) ProducerFactory {
+	conns, shutdown := poolFixture(t, participants, func(i int) ProducerFactory {
 		if i%2 == 1 {
 			return SemiHonestFactory(0.5, uint64(i))
 		}
 		return HonestFactory
-	}
-	cfg := SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 16}, Seed: 9}
-	tasks := poolTasks(participants, 128)
-
-	type digest struct {
-		Verdict     Verdict
-		BytesSent   int64
-		BytesRecv   int64
-		VerifyEvals int64
-		CheatIndex  int64
-	}
-	digestOf := func(o *TaskOutcome) digest {
-		return digest{o.Verdict, o.BytesSent, o.BytesRecv, o.VerifyEvals, o.CheatIndex}
-	}
-
-	// Serial reference.
-	serial := make([]digest, participants)
-	{
-		conns, shutdown := poolFixture(t, participants, factory)
-		sup, err := NewSupervisor(cfg)
-		if err != nil {
-			t.Fatalf("NewSupervisor: %v", err)
-		}
-		for i := range tasks {
-			outcome, err := sup.RunTask(conns[i], tasks[i])
-			if err != nil {
-				t.Fatalf("serial RunTask %d: %v", i, err)
-			}
-			serial[i] = digestOf(outcome)
-		}
-		shutdown()
-	}
-
-	// Pooled run over a fresh, identically-seeded population.
-	conns, shutdown := poolFixture(t, participants, factory)
-	pool, err := NewSupervisorPool(cfg, 4)
+	})
+	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 16}, Seed: 9}, 4)
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	assignments := make([]Assignment, participants)
-	for i := range assignments {
-		assignments[i] = Assignment{Conn: conns[i], Task: tasks[i]}
-	}
-	outcomes, err := pool.RunTasks(context.Background(), assignments)
+	outcomes := runPinned(t, pool, conns, poolTasks(participants, 128), 2)
 	shutdown()
-	if err != nil {
-		t.Fatalf("pooled RunTasks: %v", err)
-	}
+	got := make([]goldenOutcome, len(outcomes))
 	for i, outcome := range outcomes {
-		if got := digestOf(outcome); !reflect.DeepEqual(got, serial[i]) {
-			t.Errorf("task %d: pooled %+v != serial %+v", i, got, serial[i])
-		}
+		got[i] = goldenOutcomeOf(outcome)
 	}
+	assertGoldenOutcomes(t, "TestPoolMatchesSerialSupervisor", got)
 }
 
 // TestPoolRejectsBadConfig covers constructor and input validation.
 func TestPoolRejectsBadConfig(t *testing.T) {
-	// Double-check pools are legal (RunTasksStream replicates them), but
-	// the per-connection RunTasks batch API cannot express the replica
-	// barrier and refuses the scheme.
-	dcPool, err := NewSupervisorPool(SupervisorConfig{
-		Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1},
-	}, 4)
-	if err != nil {
-		t.Fatalf("double-check pool: %v", err)
-	}
-	dcConn, _ := transport.Pipe()
-	if _, err := dcPool.RunTasks(context.Background(),
-		[]Assignment{{Conn: dcConn, Task: poolTasks(1, 64)[0]}}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("double-check RunTasks: err = %v, want ErrBadConfig", err)
-	}
 	pool, err := NewSupervisorPool(SupervisorConfig{
 		Spec: SchemeSpec{Kind: SchemeCBS, M: 5},
 	}, 0) // 0 workers defaults to NumCPU
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	if _, err := pool.RunTasks(context.Background(),
-		[]Assignment{{Conn: nil, Task: poolTasks(1, 64)[0]}}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("nil conn: err = %v, want ErrBadConfig", err)
+	conn, _ := transport.Pipe()
+	ctx := context.Background()
+	if _, err := pool.RunTaskSource(ctx, nil, SliceTaskSource(poolTasks(1, 64)), 1); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("no connections: err = %v, want ErrBadConfig", err)
 	}
-	outcomes, err := pool.RunTasks(context.Background(), nil)
-	if err != nil || outcomes != nil {
-		t.Fatalf("empty assignments: outcomes=%v err=%v, want nil/nil", outcomes, err)
+	if _, err := pool.RunTaskSource(ctx, []transport.Conn{conn}, nil, 1); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("nil source: err = %v, want ErrBadConfig", err)
+	}
+	if _, err := pool.RunTaskSource(ctx, []transport.Conn{nil}, SliceTaskSource(poolTasks(1, 64)), 1); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("nil conn: err = %v, want ErrBadConfig", err)
+	}
+	if _, err := pool.RunTaskSource(ctx, []transport.Conn{conn}, SliceTaskSource(poolTasks(1, 64)), 0); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("window 0: err = %v, want ErrBadConfig", err)
+	}
+	if _, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS}}, 1); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("m=0 pool: err = %v, want ErrBadConfig", err)
 	}
 }
 
 // TestPoolHonorsCancelledContext starts with an already-cancelled context:
-// no task may run and the context error must surface.
+// no task may run.
 func TestPoolHonorsCancelledContext(t *testing.T) {
 	conns, shutdown := poolFixture(t, 2, func(int) ProducerFactory { return HonestFactory })
 	defer shutdown()
@@ -255,18 +235,23 @@ func TestPoolHonorsCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tasks := poolTasks(2, 64)
-	_, err = pool.RunTasks(ctx, []Assignment{
-		{Conn: conns[0], Task: tasks[0]},
-		{Conn: conns[1], Task: tasks[1]},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+	stream, err := pool.RunTaskSource(ctx, conns, SliceTaskSource(poolTasks(2, 64)), 1)
+	if err != nil {
+		t.Fatalf("RunTaskSource: %v", err)
+	}
+	for so := range stream.Outcomes() {
+		t.Errorf("task %d ran under a cancelled context", so.Outcome.Task.ID)
+	}
+	if err := stream.Err(); err != nil {
+		t.Errorf("cancelled stream: err = %v, want a clean end", err)
+	}
+	if pool.VerifyEvals() != 0 {
+		t.Errorf("pool spent %d verification evaluations under a cancelled context", pool.VerifyEvals())
 	}
 }
 
-// TestPoolPropagatesTransportErrors closes a connection mid-pool: the
-// failure must come back as an error, not a verdict.
+// TestPoolPropagatesTransportErrors closes every connection under the pool:
+// the failure must come back as a shortfall, never as a verdict.
 func TestPoolPropagatesTransportErrors(t *testing.T) {
 	conns, shutdown := poolFixture(t, 2, func(int) ProducerFactory { return HonestFactory })
 	pool, err := NewSupervisorPool(SupervisorConfig{
@@ -275,18 +260,19 @@ func TestPoolPropagatesTransportErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	_ = conns[1].Close()
-	tasks := poolTasks(2, 64)
-	_, err = pool.RunTasks(context.Background(), []Assignment{
-		{Conn: conns[0], Task: tasks[0]},
-		{Conn: conns[1], Task: tasks[1]},
-	})
-	if err == nil {
-		t.Fatal("RunTasks succeeded over a closed connection")
-	}
 	_ = conns[0].Close()
-	// Participant 1's serve loop sees its peer closed and exits cleanly;
-	// only drain participant 0 via the fixture's shutdown.
+	_ = conns[1].Close()
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(2, 64)), 1)
+	if err != nil {
+		t.Fatalf("RunTaskSource: %v", err)
+	}
+	for so := range stream.Outcomes() {
+		t.Errorf("task %d got a verdict over a closed connection: %+v", so.Outcome.Task.ID, so.Outcome.Verdict)
+	}
+	if err := stream.Err(); err != nil {
+		t.Errorf("stream error: %v (dead connections end the stream short, they do not fail it)", err)
+	}
+	// Both serve loops saw their peer closed and exit cleanly.
 	shutdown()
 }
 

@@ -1,14 +1,13 @@
 package grid
 
-// Pipelined double-check: the replica rendezvous.
+// Double-check: the replica rendezvous.
 //
 // The double-check scheme replicates one task across R participants and
-// compares their uploads, so it needs a barrier that spans connections —
-// the reason PR 2/3 left it locked out of the session layer. This file
-// supplies that barrier as its own synchronization object: each replica's
-// exchange runs as an ordinary pipelined session task on its own
-// connection (upload phase fully overlapped with other tasks in the
-// window), and the settle phase meets a rendezvous that collects all R
+// compares their uploads, so it needs a barrier that spans connections.
+// This file supplies that barrier as its own synchronization object: each
+// replica's exchange runs as an ordinary session task on its own connection
+// (upload phase fully overlapped with other tasks in the window), and the
+// settle phase meets a rendezvous that collects all R
 // uploads, runs the index-wise majority comparison exactly once, and hands
 // every replica its own verdict to deliver on its own connection. An
 // exchange that arrives before its group is complete parks — releasing its
@@ -46,9 +45,7 @@ var errReplicaParked = errors.New("grid: replica parked at its rendezvous")
 
 // compareReplicas maps the index-wise majority comparison onto per-replica
 // verdicts. uploads[i] is the i-th replica's full result vector; the i-th
-// verdict rules on it. Both the serial RunReplicated barrier and the
-// pipelined rendezvous go through here, so their verdicts — reason strings
-// included — are byte-identical for equal uploads.
+// verdict rules on it.
 func compareReplicas(uploads [][][]byte) ([]Verdict, error) {
 	comparator, err := baseline.NewDoubleCheck(len(uploads))
 	if err != nil {
@@ -87,8 +84,7 @@ func compareReplicas(uploads [][][]byte) ([]Verdict, error) {
 //
 // Waiting at the barrier must not hold a scheduler resource: an exchange
 // that finds the rendezvous unready parks (its window slot and worker go
-// back to other tasks) and is re-claimed when onReady fires. Blocking in
-// await is reserved for callers outside the dispatcher.
+// back to other tasks) and is re-claimed when onReady fires.
 type replicaRendezvous struct {
 	r int
 	// onReady, when set, is invoked once as the rendezvous settles
@@ -174,10 +170,8 @@ func (rv *replicaRendezvous) ready() bool {
 }
 
 // await blocks until the comparison ran (or the barrier aborted) and
-// returns replica idx's verdict. Dispatcher-run replicas never block here
-// — they park while the rendezvous is unready and are re-claimed on
-// onReady — so a blocking await only happens for callers that drive
-// attempts by hand.
+// returns replica idx's verdict. Exchanges never block here — they park
+// while the rendezvous is unready and are re-claimed on onReady.
 func (rv *replicaRendezvous) await(idx int) (Verdict, error) {
 	<-rv.done
 	rv.mu.Lock()
@@ -219,8 +213,8 @@ func (rv *replicaRendezvous) maybeCompleteLocked() {
 		rv.err = fmt.Errorf("%w: %d of %d uploads survived", ErrReplicaLost, len(rv.uploads), rv.r)
 		return
 	}
-	// Compare in replica-index order so the quorum case is deterministic
-	// and the full-group case is positionally identical to RunReplicated.
+	// Compare in replica-index order so the verdicts do not depend on
+	// arrival order.
 	members := make([]int, 0, len(rv.uploads))
 	for idx := 0; idx < rv.r; idx++ {
 		if _, ok := rv.uploads[idx]; ok {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -19,54 +20,34 @@ type replicaDigest struct {
 }
 
 // TestRunTasksStreamReplicatedMatchesRunReplicated is the pipelined
-// double-check acceptance test at the pool level: the same tasks, seeds,
-// and participant personas run once through the serial RunReplicated
-// dialogue and once through a replicated RunTasksStream must yield
-// byte-identical verdicts per (task, replica). Using exactly R connections
-// pins the group placement to the identity walk in both modes.
+// double-check acceptance test at the pool level: a replicated window-3
+// stream must yield, per (task, replica), the verdicts the serial barrier —
+// upload after upload on one connection after another, then one comparison
+// — produced for the same tasks, seeds and personas (golden_runs.json).
+// Using exactly R connections pins the group placement to the identity walk.
 func TestRunTasksStreamReplicatedMatchesRunReplicated(t *testing.T) {
 	const replicas = 3
 	const tasks = 4
-	factories := func(i int) ProducerFactory {
+	conns, shutdown := poolFixture(t, replicas, func(i int) ProducerFactory {
 		if i == 1 {
 			return SemiHonestFactory(0.5, 99) // a real dissenter keeps the comparison honest
 		}
 		return HonestFactory
-	}
-	cfg := SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 11}
-	taskList := poolTasks(tasks, 64)
-
-	var serial []replicaDigest
-	{
-		conns, shutdown := poolFixture(t, replicas, factories)
-		sup, err := NewSupervisor(cfg)
-		if err != nil {
-			t.Fatalf("NewSupervisor: %v", err)
-		}
-		for _, task := range taskList {
-			outcomes, err := sup.RunReplicated(conns, task)
-			if err != nil {
-				t.Fatalf("RunReplicated(%d): %v", task.ID, err)
-			}
-			for _, o := range outcomes {
-				serial = append(serial, replicaDigest{o.Task.ID, o.Replica, o.Verdict})
-			}
-		}
-		shutdown()
-	}
-
-	conns, shutdown := poolFixture(t, replicas, factories)
-	pool, err := NewSupervisorPool(cfg, replicas*4)
+	})
+	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 11}, replicas*4)
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, taskList, 3, WithReplicas(replicas))
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 64)), 3, WithReplicas(replicas))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
-	var piped []replicaDigest
+	var piped []goldenOutcome
 	for so := range stream.Outcomes() {
-		piped = append(piped, replicaDigest{so.Outcome.Task.ID, so.Outcome.Replica, so.Outcome.Verdict})
+		if so.Conn != conns[so.Outcome.Replica] {
+			t.Errorf("task %d replica %d ran off connection %d", so.Outcome.Task.ID, so.Outcome.Replica, so.Outcome.Replica)
+		}
+		piped = append(piped, goldenOutcomeOf(so.Outcome))
 	}
 	if err := stream.Err(); err != nil {
 		t.Fatalf("stream error: %v", err)
@@ -78,13 +59,13 @@ func TestRunTasksStreamReplicatedMatchesRunReplicated(t *testing.T) {
 	}
 	shutdown()
 
-	if len(piped) != tasks*replicas {
-		t.Fatalf("streamed %d replica outcomes, want %d", len(piped), tasks*replicas)
-	}
-	sortDigests(piped)
-	if !reflect.DeepEqual(piped, serial) {
-		t.Errorf("replicated verdicts diverge:\nserial:    %+v\npipelined: %+v", serial, piped)
-	}
+	sort.Slice(piped, func(i, j int) bool {
+		if piped[i].TaskID != piped[j].TaskID {
+			return piped[i].TaskID < piped[j].TaskID
+		}
+		return piped[i].Replica < piped[j].Replica
+	})
+	assertGoldenOutcomes(t, "TestRunTasksStreamReplicatedMatchesRunReplicated", piped)
 	// The session layer's exact accounting holds through replica barriers:
 	// pool counters mean wire bytes.
 	if pool.BytesSent() != wireSent || pool.BytesRecv() != wireRecv {
@@ -93,15 +74,150 @@ func TestRunTasksStreamReplicatedMatchesRunReplicated(t *testing.T) {
 	}
 }
 
-func sortDigests(ds []replicaDigest) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ds[j-1], ds[j]
-			if a.TaskID < b.TaskID || (a.TaskID == b.TaskID && a.Replica <= b.Replica) {
-				break
+// eagerReplicaPlacement is the placement loop the slice-only stream entry
+// ran up front over its whole task list, kept as the reference for the lazy
+// placement that replaced it: one persistent round-robin cursor over the
+// connections, skipping any that already hosts a sibling (by connection, or
+// by worker identity when ids are given). It returns, per task, the
+// connection index of each replica.
+func eagerReplicaPlacement(conns, replicas, tasks int, ids []string) [][]int {
+	hosts := func(group []int, cand int) bool {
+		for _, member := range group {
+			if member == cand || (ids != nil && ids[cand] != "" && ids[member] == ids[cand]) {
+				return true
 			}
-			ds[j-1], ds[j] = b, a
 		}
+		return false
+	}
+	placement := make([][]int, tasks)
+	cursor := 0
+	for t := range placement {
+		for j := 0; j < replicas; j++ {
+			for tries := 0; tries < conns; tries++ {
+				cand := cursor % conns
+				cursor++
+				if !hosts(placement[t], cand) {
+					placement[t] = append(placement[t], cand)
+					break
+				}
+			}
+		}
+	}
+	return placement
+}
+
+// TestLazyReplicaPlacementMatchesEager diffs the dispatcher's lazy
+// placement — groups placed as the source is drawn, under a small look-ahead
+// — against the eager reference loop over (connections, replicas,
+// identities) tables.
+func TestLazyReplicaPlacementMatchesEager(t *testing.T) {
+	const tasks = 40
+	cases := []struct {
+		name     string
+		replicas int
+		ids      []string // one per connection; nil = distinct by connection
+		conns    int
+	}{
+		{name: "2of2", replicas: 2, conns: 2},
+		{name: "2of3", replicas: 2, conns: 3},
+		{name: "2of5", replicas: 2, conns: 5},
+		{name: "3of3", replicas: 3, conns: 3},
+		{name: "3of4", replicas: 3, conns: 4},
+		{name: "3of7", replicas: 3, conns: 7},
+		{name: "4of6", replicas: 4, conns: 6},
+		{name: "2of4-two-routes-each", replicas: 2, conns: 4, ids: []string{"A", "B", "A", "B"}},
+		{name: "2of5-shared-worker", replicas: 2, conns: 5, ids: []string{"A", "A", "B", "C", "A"}},
+		{name: "3of6-adjacent-routes", replicas: 3, conns: 6, ids: []string{"A", "A", "B", "B", "C", "C"}},
+		{name: "3of5-one-unknown", replicas: 3, conns: 5, ids: []string{"A", "", "B", "A", "C"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}}, 1)
+			if err != nil {
+				t.Fatalf("NewSupervisorPool: %v", err)
+			}
+			cfg := streamConfig{replicas: tc.replicas, highWater: 2 * tc.replicas}
+			index := make(map[*connSlot]int, tc.conns)
+			slots := make([]*connSlot, tc.conns)
+			connIdx := make(map[transport.Conn]int, tc.conns)
+			for i := range slots {
+				conn, _ := transport.Pipe()
+				slots[i] = newConnSlot(conn, nil)
+				index[slots[i]] = i
+				connIdx[conn] = i
+			}
+			if tc.ids != nil {
+				cfg.identity = func(c transport.Conn) string { return tc.ids[connIdx[c]] }
+			}
+			_, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			d := newDispatcher(pool, &cfg, SliceTaskSource(poolTasks(tasks, 64)), 1, cancel)
+			d.allSlots = slots
+
+			// Drain the dispatcher by hand: refill, record where each
+			// replica landed, drop the tickets, repeat — the look-ahead never
+			// holds more than two groups.
+			got := make([][]int, tasks)
+			d.mu.Lock()
+			for d.refillLocked() {
+				if len(d.groups) > 2 {
+					t.Fatalf("%d groups materialized under a two-group high water", len(d.groups))
+				}
+				for g := range d.groups {
+					placed := make([]int, len(g.slots))
+					for j, sl := range g.slots {
+						placed[j] = index[sl]
+					}
+					got[g.task.ID] = placed
+					delete(d.groups, g)
+				}
+				for sl := range d.pinned {
+					delete(d.pinned, sl)
+				}
+			}
+			d.mu.Unlock()
+
+			want := eagerReplicaPlacement(tc.conns, tc.replicas, tasks, tc.ids)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("lazy placement diverges from the eager reference:\neager: %v\nlazy:  %v", want, got)
+			}
+		})
+	}
+}
+
+// TestReplicatedStreamGroupsStayBounded runs a 10k-task replicated stream
+// from a lazy source and samples the dispatcher as outcomes arrive: settled
+// groups must leave it, so the live set never exceeds the look-ahead.
+func TestReplicatedStreamGroupsStayBounded(t *testing.T) {
+	const tasks, replicas, highWater = 10000, 2, 12
+	conns, shutdown := poolFixture(t, 3, func(int) ProducerFactory { return HonestFactory })
+	defer shutdown()
+	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 4}, 0)
+	if err != nil {
+		t.Fatalf("NewSupervisorPool: %v", err)
+	}
+	stream, err := pool.RunTaskSource(context.Background(), conns, syntheticSource(tasks, 4), 4,
+		WithReplicas(replicas), WithHighWater(highWater))
+	if err != nil {
+		t.Fatalf("RunTaskSource: %v", err)
+	}
+	outcomes, peak := 0, 0
+	for range stream.Outcomes() {
+		outcomes++
+		stream.d.mu.Lock()
+		peak = max(peak, len(stream.d.groups))
+		stream.d.mu.Unlock()
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+	if outcomes != tasks*replicas {
+		t.Errorf("streamed %d replica outcomes, want %d", outcomes, tasks*replicas)
+	}
+	// Tickets outstanding never exceed the high water by more than one
+	// group, and every live group holds at least one outstanding ticket.
+	if peak == 0 || peak > highWater+replicas {
+		t.Errorf("peak live groups = %d, want within (0, %d]", peak, highWater+replicas)
 	}
 }
 
@@ -117,9 +233,9 @@ func TestRunTasksStreamReplicatedManyConns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(tasks, 64), 4, WithReplicas(replicas))
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 64)), 4, WithReplicas(replicas))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	seen := make(map[replicaDigest]bool)
 	for so := range stream.Outcomes() {
@@ -151,10 +267,10 @@ func TestRunTasksStreamReplicatedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool(double-check): %v", err)
 	}
-	if _, err := dc.RunTasksStream(context.Background(), conns, poolTasks(1, 64), 2, WithReplicas(3)); !errors.Is(err, ErrBadConfig) {
+	if _, err := dc.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(1, 64)), 2, WithReplicas(3)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("3 replicas on 2 conns: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := dc.RunTasksStream(context.Background(), conns, poolTasks(1, 64), 2, WithReplicas(1)); !errors.Is(err, ErrBadConfig) {
+	if _, err := dc.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(1, 64)), 2, WithReplicas(1)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("1 replica: err = %v, want ErrBadConfig", err)
 	}
 
@@ -162,7 +278,7 @@ func TestRunTasksStreamReplicatedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool(cbs): %v", err)
 	}
-	if _, err := cbs.RunTasksStream(context.Background(), conns, poolTasks(1, 64), 2, WithReplicas(2)); !errors.Is(err, ErrBadConfig) {
+	if _, err := cbs.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(1, 64)), 2, WithReplicas(2)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("WithReplicas on cbs: err = %v, want ErrBadConfig", err)
 	}
 }
@@ -183,11 +299,11 @@ func TestStreamReplicaResumesAfterCut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(3, 64), 2,
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(3, 64)), 2,
 		WithReplicas(replicas),
 		WithRedial(func(transport.Conn) (transport.Conn, error) { return r.dial(), nil }))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	count := 0
 	for so := range stream.Outcomes() {
@@ -225,9 +341,9 @@ func TestStreamReplicaReplacedWhenSlotDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(tasks, 64), 2, WithReplicas(replicas))
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 64)), 2, WithReplicas(replicas))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	seen := make(map[uint64]map[int]bool)
 	for so := range stream.Outcomes() {
@@ -319,10 +435,10 @@ func TestStreamReplicaBankedWhenSlotDiesAfterUpload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(),
-		[]transport.Conn{doomedConn, partnerConn}, poolTasks(1, 64), 2, WithReplicas(replicas))
+	stream, err := pool.RunTaskSource(context.Background(),
+		[]transport.Conn{doomedConn, partnerConn}, SliceTaskSource(poolTasks(1, 64)), 2, WithReplicas(replicas))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	// Replica 0 uploads while replica 1 is still gated, then its link dies;
 	// only then may replica 1 proceed and complete the rendezvous.
@@ -373,7 +489,7 @@ func TestReplicaRendezvousQuorum(t *testing.T) {
 		t.Errorf("lost replica verdict: err = %v, want ErrReplicaLost", err)
 	}
 	// With two survivors no strict majority exists on the disputed index:
-	// both sides are rejected, mirroring RunReplicated's pair semantics.
+	// both sides are rejected.
 	v0, err := rv.await(0)
 	if err != nil {
 		t.Fatalf("await(0): %v", err)
@@ -412,14 +528,13 @@ func TestReplicaRendezvousQuorum(t *testing.T) {
 	}
 }
 
-// TestRunSimReplicatedPipelinedMatchesSerial compares a clean pipelined
-// double-check population against the serial scheduler: identical group
-// placement plus the shared comparator must give byte-identical reports.
-func TestRunSimReplicatedPipelinedMatchesSerial(t *testing.T) {
-	base := SimConfig{
+// replicatedSimConfig is the double-check population of the two tests
+// below: R = 3 over two honest and two semi-honest participants.
+func replicatedSimConfig(seed uint64) SimConfig {
+	return SimConfig{
 		Spec:         SchemeSpec{Kind: SchemeDoubleCheck, M: 1},
 		Workload:     "synthetic",
-		Seed:         23,
+		Seed:         seed,
 		TaskSize:     96,
 		Tasks:        6,
 		Honest:       2,
@@ -427,58 +542,35 @@ func TestRunSimReplicatedPipelinedMatchesSerial(t *testing.T) {
 		HonestyRatio: 0.4,
 		Replicas:     3,
 	}
-	serial, err := RunSim(base)
-	if err != nil {
-		t.Fatalf("serial RunSim: %v", err)
-	}
-	piped := base
-	piped.PipelineWindow = 3
-	pipelined, err := RunSim(piped)
-	if err != nil {
-		t.Fatalf("pipelined RunSim: %v", err)
-	}
+}
 
-	if pipelined.PipelineWindow != 3 {
-		t.Errorf("report PipelineWindow = %d, want 3", pipelined.PipelineWindow)
-	}
-	if serial.TasksAssigned != pipelined.TasksAssigned {
-		t.Errorf("TasksAssigned: serial %d, pipelined %d", serial.TasksAssigned, pipelined.TasksAssigned)
-	}
-	if !reflect.DeepEqual(serial.TaskVerdicts, pipelined.TaskVerdicts) {
-		t.Errorf("verdicts diverge:\nserial:    %+v\npipelined: %+v", serial.TaskVerdicts, pipelined.TaskVerdicts)
-	}
-	if !reflect.DeepEqual(serial.Reports, pipelined.Reports) {
-		t.Errorf("report streams diverge: serial %d, pipelined %d", len(serial.Reports), len(pipelined.Reports))
-	}
-	for i := range serial.Participants {
-		s, p := serial.Participants[i], pipelined.Participants[i]
-		if s.Tasks != p.Tasks || s.Accepted != p.Accepted || s.Rejected != p.Rejected {
-			t.Errorf("participant %s counters: serial %+v, pipelined %+v", s.ID, s, p)
+// TestRunSimReplicatedPipelinedMatchesSerial compares clean double-check
+// populations at window 1 and window 3 against the serial scheduler's run
+// (golden_runs.json): identical group placement plus the shared comparator
+// must give identical reports.
+func TestRunSimReplicatedPipelinedMatchesSerial(t *testing.T) {
+	for _, window := range []int{0, 3} {
+		cfg := replicatedSimConfig(23)
+		cfg.PipelineWindow = window
+		report, err := RunSim(cfg)
+		if err != nil {
+			t.Fatalf("RunSim(window %d): %v", window, err)
 		}
+		assertGoldenSim(t, "TestRunSimReplicatedPipelinedMatchesSerial", report)
 	}
 }
 
 // TestRunSimReplicatedFaultyMatchesClean is the replicated fault-injection
-// acceptance test: pipelined double-check under drops, garbles, and
+// acceptance test: window-3 double-check under drops, garbles, and
 // reconnects must produce verdicts and reports byte-identical to the clean
-// serial dialogue run for equal seeds, with no replica execution lost, and
+// window-1 run for equal seeds, with no replica execution lost, and
 // — thanks to verdict acknowledgement — participant-side counters that
 // converge to the clean run's.
 func TestRunSimReplicatedFaultyMatchesClean(t *testing.T) {
-	base := SimConfig{
-		Spec:         SchemeSpec{Kind: SchemeDoubleCheck, M: 1},
-		Workload:     "synthetic",
-		Seed:         29,
-		TaskSize:     96,
-		Tasks:        6,
-		Honest:       2,
-		SemiHonest:   2,
-		HonestyRatio: 0.4,
-		Replicas:     3,
-	}
+	base := replicatedSimConfig(29)
 	clean, err := RunSim(base)
 	if err != nil {
-		t.Fatalf("clean serial RunSim: %v", err)
+		t.Fatalf("clean RunSim: %v", err)
 	}
 
 	faulty := base
@@ -612,11 +704,11 @@ func TestStreamReplicatedWindowOneSurvivesQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(tasks, 64), 1,
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 64)), 1,
 		WithReplicas(replicas),
 		WithRedial(func(transport.Conn) (transport.Conn, error) { return r.dial(), nil }))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	done := make(chan int, 1)
 	go func() {

@@ -114,11 +114,11 @@ func TestStreamResumesMidProtocol(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSupervisorPool: %v", err)
 			}
-			stream, err := pool.RunTasksStream(context.Background(),
-				[]transport.Conn{first}, poolTasks(3, 64), 2,
+			stream, err := pool.RunTaskSource(context.Background(),
+				[]transport.Conn{first}, SliceTaskSource(poolTasks(3, 64)), 2,
 				WithRedial(func(transport.Conn) (transport.Conn, error) { return r.dial(), nil }))
 			if err != nil {
-				t.Fatalf("RunTasksStream: %v", err)
+				t.Fatalf("RunTaskSource: %v", err)
 			}
 			count := 0
 			for so := range stream.Outcomes() {
@@ -234,9 +234,9 @@ func TestStreamRestartsWhenRedialFails(t *testing.T) {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
 	const tasks = 8
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(tasks, 64), 2)
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 64)), 2)
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	seen := make(map[uint64]bool)
 	for so := range stream.Outcomes() {
@@ -267,7 +267,7 @@ func TestDispatcherRevokesClaimOnRetire(t *testing.T) {
 	}
 	_, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	d := newDispatcher(pool, &streamConfig{}, cancel)
+	d := newDispatcher(pool, &streamConfig{}, SliceTaskSource(nil), 1, cancel)
 	connA, _ := transport.Pipe()
 	slotA := newConnSlot(connA, nil)
 	d.registerConn(connA, slotA)
@@ -292,6 +292,63 @@ func TestDispatcherRevokesClaimOnRetire(t *testing.T) {
 	}
 	if !leaseGone {
 		t.Error("revoked lease still outstanding")
+	}
+}
+
+// TestRetireRecallsPlacedTickets pins Retire on streams that place tickets
+// on connections ahead of execution — pinned and replicated ones. A ticket
+// that placement queued on a connection has begun nothing there, so
+// retiring the connection must recall it and steer the rotation past the
+// connection from then on; only what was already outstanding when Retire
+// was called may still settle there. (Placed tickets used to be
+// indistinguishable from mid-protocol resume pins: every later task of the
+// connection's round-robin share still started on it.)
+func TestRetireRecallsPlacedTickets(t *testing.T) {
+	const tasks, highWater = 90, 6
+	for _, replicas := range []int{0, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			conns, shutdown := poolFixture(t, 3, func(int) ProducerFactory { return HonestFactory })
+			defer shutdown()
+			spec := SchemeSpec{Kind: SchemeCBS, M: 4}
+			opts := []StreamOption{WithPinnedPlacement(), WithHighWater(highWater)}
+			perTask := 1
+			if replicas > 0 {
+				spec = SchemeSpec{Kind: SchemeDoubleCheck, M: 1}
+				opts = append(opts, WithReplicas(replicas))
+				perTask = replicas
+			}
+			pool, err := NewSupervisorPool(SupervisorConfig{Spec: spec, Seed: 3}, 0)
+			if err != nil {
+				t.Fatalf("NewSupervisorPool: %v", err)
+			}
+			stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 64)), 1, opts...)
+			if err != nil {
+				t.Fatalf("RunTaskSource: %v", err)
+			}
+			retired, total, after := false, 0, 0
+			for so := range stream.Outcomes() {
+				total++
+				if so.Conn != conns[0] {
+					continue
+				}
+				if retired {
+					after++
+				} else {
+					stream.Retire(conns[0])
+					retired = true
+				}
+			}
+			if err := stream.Err(); err != nil {
+				t.Fatalf("stream error: %v", err)
+			}
+			if total != tasks*perTask {
+				t.Errorf("settled %d task executions, want %d — recalled tickets were lost", total, tasks*perTask)
+			}
+			if after > highWater {
+				t.Errorf("%d executions settled on the retired connection after Retire; at most the %d outstanding ones may",
+					after, highWater)
+			}
+		})
 	}
 }
 
@@ -433,11 +490,10 @@ func TestRunSimRejectsBadFaultConfig(t *testing.T) {
 		TaskSize: 64, Tasks: 1, Honest: 1, PipelineWindow: 2,
 	}
 	for name, mutate := range map[string]func(*SimConfig){
-		"faults without pipeline": func(c *SimConfig) { c.DropProb = 0.1; c.PipelineWindow = 0 },
-		"drop out of range":       func(c *SimConfig) { c.DropProb = 1.5 },
-		"garble negative":         func(c *SimConfig) { c.GarbleProb = -0.1 },
-		"negative reconnects":     func(c *SimConfig) { c.ReconnectLimit = -1 },
-		"negative watchdog":       func(c *SimConfig) { c.FaultRecvTimeout = -time.Second },
+		"drop out of range":   func(c *SimConfig) { c.DropProb = 1.5 },
+		"garble negative":     func(c *SimConfig) { c.GarbleProb = -0.1 },
+		"negative reconnects": func(c *SimConfig) { c.ReconnectLimit = -1 },
+		"negative watchdog":   func(c *SimConfig) { c.FaultRecvTimeout = -time.Second },
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -525,12 +581,12 @@ func TestDroppedVerdictIsRedelivered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(),
-		[]transport.Conn{first}, poolTasks(tasks, 64), 1,
+	stream, err := pool.RunTaskSource(context.Background(),
+		[]transport.Conn{first}, SliceTaskSource(poolTasks(tasks, 64)), 1,
 		WithRedial(func(transport.Conn) (transport.Conn, error) { return r.dial(), nil }),
 		WithStreamRecvTimeout(200*time.Millisecond))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	count := 0
 	for so := range stream.Outcomes() {
@@ -628,13 +684,13 @@ func TestStreamFaultyByteAccountingExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(),
-		[]transport.Conn{dial()}, poolTasks(tasks, 64), 3,
+	stream, err := pool.RunTaskSource(context.Background(),
+		[]transport.Conn{dial()}, SliceTaskSource(poolTasks(tasks, 64)), 3,
 		WithRedial(func(transport.Conn) (transport.Conn, error) { return dial(), nil }),
 		WithMaxReconnects(500),
 		WithStreamRecvTimeout(250*time.Millisecond))
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	count := 0
 	for range stream.Outcomes() {
@@ -694,7 +750,7 @@ func TestDialogueGarbleSurfacesAsLinkFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
 	}
-	_, err = sup.RunTask(supConn, poolTasks(1, 64)[0])
+	_, err = runDialogue(sup, supConn, poolTasks(1, 64)[0])
 	if !errors.Is(err, transport.ErrFrameCorrupt) {
 		t.Errorf("RunTask error = %v, want transport.ErrFrameCorrupt", err)
 	}
@@ -717,7 +773,7 @@ func TestParticipantRecountsReusedTaskIDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSupervisor: %v", err)
 		}
-		outcome, err := sup.RunTask(r.dial(), poolTasks(1, 64)[0]) // task ID 0 both runs
+		outcome, err := runDialogue(sup, r.dial(), poolTasks(1, 64)[0]) // task ID 0 both runs
 		if err != nil {
 			t.Fatalf("run %d RunTask: %v", run, err)
 		}

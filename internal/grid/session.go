@@ -11,26 +11,24 @@ import (
 	"uncheatgrid/internal/transport"
 )
 
-// This file implements pipelined multi-task sessions: instead of one
-// request/response dialogue per task, a supervisor opens a Session on a
-// connection and keeps up to `window` tasks in flight at once. Every
-// protocol message is tagged with its task ID and travels inside msgBatch
-// frames, so small messages from concurrent tasks coalesce and share frame
-// headers — the audit-pipeline shape of Goodrich (arXiv:0906.1225) applied
-// to the CBS schemes.
+// This file implements sessions, the one wire mode: a supervisor opens a
+// Session on a connection and keeps up to `window` tasks in flight at once
+// (window 1 is the paper's one-exchange-at-a-time dialogue). Every protocol
+// message is tagged with its task ID and travels inside msgBatch frames, so
+// small messages from concurrent tasks coalesce and share frame headers —
+// the audit-pipeline shape of Goodrich (arXiv:0906.1225) applied to the CBS
+// schemes.
 
 // batchTargetBytes is the soft cap on how much tagged payload one coalesced
 // frame carries before the writer stops gathering more. A single oversized
-// sub-message still travels alone, exactly as it would have in dialogue
-// mode.
+// sub-message still travels alone.
 const batchTargetBytes = 1 << 20
 
 // maxBatchPayload is the hard cap: a coalesced frame's payload must stay a
 // legal transport frame, with headroom for the batch count prefix. A batch
 // always carries at least one message, so tag framing shaves ~20 bytes off
-// the largest single payload a session can carry versus dialogue mode;
-// payloads that close to transport.MaxFrameBytes must be chunked by the
-// caller in either mode (see ROADMAP "Chunked uploads").
+// the largest single payload a session can carry versus a bare frame;
+// uploads are chunked well below it (uploadChunkBytes).
 const maxBatchPayload = transport.MaxFrameBytes - 16
 
 // outMsg is one queued tagged message plus its sender's flush callback:
@@ -256,8 +254,8 @@ func WithSessionRecvTimeout(d time.Duration) SessionOption {
 
 // Session is a pipelined multi-task exchange owned by a supervisor: up to
 // `window` tasks proceed concurrently over one connection, their messages
-// tagged by task ID and coalesced into batch frames. The peer participant
-// enters pipelined mode automatically on the first batch frame.
+// tagged by task ID and coalesced into batch frames — the only frames a
+// participant's Serve accepts.
 //
 // A Session must be the connection's only user while open. Close flushes
 // and shuts the session down but leaves the connection open.
@@ -287,11 +285,11 @@ type Session struct {
 	recvOverhead int64
 }
 
-// OpenSession starts a pipelined session on conn with the given in-flight
-// window. Double-check sessions carry replica exchanges whose settle phase
-// reports to a cross-connection rendezvous; they are driven by
-// SupervisorPool.RunTasksStream, and RunTask refuses them (a lone session
-// has no sibling replicas to compare against).
+// OpenSession starts a session on conn with the given in-flight window.
+// Double-check sessions carry replica exchanges whose settle phase reports
+// to a cross-connection rendezvous; they are driven by
+// SupervisorPool.RunTaskSource, and RunTask refuses them (a lone session has
+// no sibling replicas to compare against).
 func (s *Supervisor) OpenSession(conn transport.Conn, window int, opts ...SessionOption) (*Session, error) {
 	if conn == nil {
 		return nil, fmt.Errorf("%w: nil connection", ErrBadConfig)
@@ -609,17 +607,18 @@ func (s *Session) release(taskID uint64) {
 // RunTask runs one task through the session, from assignment to verdict.
 // It is safe for concurrent use; at most `window` calls proceed at once and
 // further callers block for a slot. Task IDs must be unique across the
-// session's lifetime. Detected cheats land in the outcome verdict, exactly
-// as in dialogue mode — equal seeds and task IDs produce identical
-// verdicts however the exchanges interleave.
+// session's lifetime. Protocol and transport failures are returned as
+// errors; a detected cheat is not an error — it lands in the outcome verdict,
+// and equal seeds and task IDs produce identical verdicts however the
+// exchanges interleave.
 //
 // The outcome's byte counts cover the task's tagged messages on the wire;
 // shared batch framing is reported by OverheadBytes. A failed RunTask is
-// terminal for the task; callers that want reconnect-and-resume drive
-// RunAttempt themselves (SupervisorPool.RunTasksStream does).
+// terminal for the task; reconnect-and-resume is SupervisorPool.RunTaskSource's
+// job, which drives RunAttempt itself.
 func (sess *Session) RunTask(task Task) (*TaskOutcome, error) {
 	if sess.sup.cfg.Spec.Kind == SchemeDoubleCheck {
-		return nil, fmt.Errorf("%w: double-check needs a replica barrier; use RunReplicated or a replicated RunTasksStream", ErrBadConfig)
+		return nil, fmt.Errorf("%w: double-check needs a replica barrier; use SupervisorPool.RunTaskSource", ErrBadConfig)
 	}
 	at, err := sess.sup.NewAttempt(task)
 	if err != nil {
@@ -668,7 +667,7 @@ func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 	at.pt.st.suppressAnnounce = at.attachedTo == sess
 	at.attachedTo = sess
 
-	err = sess.sup.runExchange(c, at.pt, nil)
+	err = sess.sup.runExchange(c, at.pt)
 	// Settle the attempt's byte totals only after the writer has flushed or
 	// discarded everything this task enqueued — sent bytes mean wire bytes.
 	c.awaitSends()
@@ -725,7 +724,7 @@ func (sess *Session) OverheadBytes() (sent, recv int64) {
 // abandon closes a session whose connection died: late RunAttempt arrivals
 // observe a quarantine (resumable) instead of a configuration error, and the
 // writer's failure to flush is expected rather than reported. No exchange
-// can be blocked at a replica barrier here — parkable attempts detach from
+// can be blocked at a replica barrier here — attempts detach from an
 // unready rendezvous — so waiting out the window slots cannot deadlock.
 func (sess *Session) abandon() {
 	sess.quarantined.Store(true)

@@ -62,43 +62,13 @@ func runSessionTasks(t *testing.T, sess *Session, tasks []Task) []*TaskOutcome {
 // TestSessionMatchesDialogue is the pipelining acceptance test: a session
 // with window 4 over a single connection must produce byte-identical
 // verdicts and reports to the serial one-dialogue-per-task run for equal
-// seeds, however the in-flight exchanges interleave.
+// seeds (recorded in golden_runs.json), however the in-flight exchanges
+// interleave.
 func TestSessionMatchesDialogue(t *testing.T) {
 	// A half-lazy cheater makes the comparison meaningful: verdicts hinge
 	// on the per-task challenge randomness and the cheater's claimed set.
-	factory := func() ProducerFactory { return SemiHonestFactory(0.6, 77) }
-	cfg := SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 12}, Seed: 5, CrossCheckReports: true}
-	tasks := poolTasks(8, 128)
-
-	type digest struct {
-		Verdict     Verdict
-		Reports     []Report
-		VerifyEvals int64
-		CheatIndex  int64
-	}
-	digestOf := func(o *TaskOutcome) digest {
-		return digest{o.Verdict, o.Reports, o.VerifyEvals, o.CheatIndex}
-	}
-
-	serial := make([]digest, len(tasks))
-	{
-		conn, shutdown := sessionFixture(t, factory())
-		sup, err := NewSupervisor(cfg)
-		if err != nil {
-			t.Fatalf("NewSupervisor: %v", err)
-		}
-		for i, task := range tasks {
-			outcome, err := sup.RunTask(conn, task)
-			if err != nil {
-				t.Fatalf("serial RunTask %d: %v", i, err)
-			}
-			serial[i] = digestOf(outcome)
-		}
-		shutdown()
-	}
-
-	conn, shutdown := sessionFixture(t, factory())
-	sup, err := NewSupervisor(cfg)
+	conn, shutdown := sessionFixture(t, SemiHonestFactory(0.6, 77))
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 12}, Seed: 5, CrossCheckReports: true})
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
 	}
@@ -106,17 +76,17 @@ func TestSessionMatchesDialogue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSession: %v", err)
 	}
-	outcomes := runSessionTasks(t, sess, tasks)
+	outcomes := runSessionTasks(t, sess, poolTasks(8, 128))
 	if err := sess.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
 	}
 	shutdown()
 
+	got := make([]goldenOutcome, len(outcomes))
 	for i, outcome := range outcomes {
-		if got := digestOf(outcome); !reflect.DeepEqual(got, serial[i]) {
-			t.Errorf("task %d: pipelined %+v != serial %+v", i, got, serial[i])
-		}
+		got[i] = goldenOutcomeOf(outcome)
 	}
+	assertGoldenOutcomes(t, "TestSessionMatchesDialogue", got)
 }
 
 // TestSessionByteAccountingExact pins the session accounting invariant: the
@@ -159,8 +129,8 @@ func TestSessionByteAccountingExact(t *testing.T) {
 }
 
 // TestSessionBatchingSavesFrames verifies the coalescing actually batches:
-// a pipelined run of n tasks must use fewer frames than the dialogue run's
-// fixed per-task message count.
+// a window-n run of n tasks must use fewer frames than one exchange at a
+// time, whose every message travels alone.
 func TestSessionBatchingSavesFrames(t *testing.T) {
 	const tasks = 8
 
@@ -172,7 +142,7 @@ func TestSessionBatchingSavesFrames(t *testing.T) {
 			t.Fatalf("NewSupervisor: %v", err)
 		}
 		for _, task := range poolTasks(tasks, 64) {
-			if _, err := sup.RunTask(conn, task); err != nil {
+			if _, err := runDialogue(sup, conn, task); err != nil {
 				t.Fatalf("RunTask: %v", err)
 			}
 		}
@@ -263,7 +233,7 @@ func TestSessionRejectsBadConfig(t *testing.T) {
 		t.Errorf("window 0: err = %v, want ErrBadConfig", err)
 	}
 
-	// Double-check sessions exist (RunTasksStream drives replica exchanges
+	// Double-check sessions exist (RunTaskSource drives replica exchanges
 	// through them), but a lone RunTask has no sibling replicas to compare
 	// against and is refused.
 	dc, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}})
@@ -465,9 +435,9 @@ func TestRunTasksStreamWorkStealing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(tasks, 128), 2)
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(tasks, 128)), 2)
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 
 	seen := make(map[uint64]bool)
@@ -508,10 +478,10 @@ func TestRunTasksStreamWorkStealing(t *testing.T) {
 	}
 }
 
-// TestRunTasksStreamEligibilityRetiresConn retires every connection via the
-// eligibility gate after the first outcome: the stream must end cleanly
-// with fewer outcomes than tasks instead of deadlocking.
-func TestRunTasksStreamEligibilityRetiresConn(t *testing.T) {
+// TestStreamRetireEveryConnEndsShort retires every connection after the
+// first outcome: the stream must end cleanly with fewer outcomes than tasks
+// instead of deadlocking.
+func TestStreamRetireEveryConnEndsShort(t *testing.T) {
 	conns, shutdown := poolFixture(t, 2, func(int) ProducerFactory { return HonestFactory })
 	defer shutdown()
 	pool, err := NewSupervisorPool(SupervisorConfig{
@@ -521,29 +491,24 @@ func TestRunTasksStreamEligibilityRetiresConn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	var mu sync.Mutex
-	retired := false
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(32, 64), 1,
-		WithEligibility(func(transport.Conn) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return !retired
-		}))
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(32, 64)), 1)
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	count := 0
 	for range stream.Outcomes() {
-		count++
-		mu.Lock()
-		retired = true
-		mu.Unlock()
+		if count++; count == 1 {
+			for _, conn := range conns {
+				stream.Retire(conn)
+			}
+		}
 	}
 	if err := stream.Err(); err != nil {
 		t.Fatalf("stream error: %v", err)
 	}
-	if count == 0 || count == 32 {
-		t.Errorf("streamed %d outcomes; retirement should land strictly between 0 and 32", count)
+	// One exchange per connection may have been under way at the retirement.
+	if count == 0 || count > 1+len(conns) {
+		t.Errorf("streamed %d outcomes; want the first plus at most one in flight per connection", count)
 	}
 }
 
@@ -559,9 +524,9 @@ func TestRunTasksStreamSurvivesDeadConn(t *testing.T) {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
 	_ = conns[1].Close()
-	stream, err := pool.RunTasksStream(context.Background(), conns, poolTasks(8, 64), 2)
+	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(poolTasks(8, 64)), 2)
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	count := 0
 	for so := range stream.Outcomes() {
@@ -580,6 +545,46 @@ func TestRunTasksStreamSurvivesDeadConn(t *testing.T) {
 	shutdown()
 }
 
+// taggedPeer speaks the session wire format by hand for one task: every
+// message travels task-tagged inside a msgBatch frame, and whatever the
+// participant's writer coalesced is queued until expected.
+type taggedPeer struct {
+	t     *testing.T
+	conn  transport.Conn
+	id    uint64
+	queue []taggedMsg
+}
+
+func (p *taggedPeer) send(typ uint8, payload []byte) {
+	p.t.Helper()
+	batch := encodeBatch([]taggedMsg{{TaskID: p.id, Type: typ, Payload: payload}})
+	if err := p.conn.Send(transport.Message{Type: msgBatch, Payload: batch}); err != nil {
+		p.t.Fatalf("send type %d: %v", typ, err)
+	}
+}
+
+func (p *taggedPeer) expect(typ uint8) []byte {
+	p.t.Helper()
+	for len(p.queue) == 0 {
+		frame, err := p.conn.Recv()
+		if err != nil {
+			p.t.Fatalf("recv (want type %d): %v", typ, err)
+		}
+		if frame.Type != msgBatch {
+			p.t.Fatalf("got frame type %d, want batch", frame.Type)
+		}
+		if p.queue, err = decodeBatch(frame.Payload); err != nil {
+			p.t.Fatalf("decode batch: %v", err)
+		}
+	}
+	tm := p.queue[0]
+	p.queue = p.queue[1:]
+	if tm.TaskID != p.id || tm.Type != typ {
+		p.t.Fatalf("got type %d for task %d, want type %d for task %d", tm.Type, tm.TaskID, typ, p.id)
+	}
+	return tm.Payload
+}
+
 // commitmentRootVia runs one manual CBS exchange against a serving
 // participant and returns the root it committed to.
 func commitmentRootVia(t *testing.T, opts ...ParticipantOption) []byte {
@@ -589,38 +594,51 @@ func commitmentRootVia(t *testing.T, opts ...ParticipantOption) []byte {
 
 	task := Task{ID: 9, Start: 64, N: 512, Workload: "synthetic", Seed: 13}
 	a := assignment{Task: task, Spec: SchemeSpec{Kind: SchemeCBS, M: 2}}
-	if err := conn.Send(transport.Message{Type: msgAssign, Payload: encodeAssignment(a)}); err != nil {
-		t.Fatalf("send assignment: %v", err)
-	}
-	commitMsg, err := expectMsg(conn, msgCommit)
-	if err != nil {
-		t.Fatalf("recv commitment: %v", err)
-	}
+	peer := &taggedPeer{t: t, conn: conn, id: task.ID}
+	peer.send(msgAssign, encodeAssignment(a))
 	var commitment core.Commitment
-	if err := commitment.UnmarshalBinary(commitMsg.Payload); err != nil {
+	if err := commitment.UnmarshalBinary(peer.expect(msgCommit)); err != nil {
 		t.Fatalf("decode commitment: %v", err)
 	}
-	if _, err := expectMsg(conn, msgReports); err != nil {
-		t.Fatalf("recv reports: %v", err)
-	}
+	peer.expect(msgReports)
 	challenge := core.Challenge{Indices: []uint64{0, 511}}
 	payload, err := challenge.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal challenge: %v", err)
 	}
-	if err := conn.Send(transport.Message{Type: msgChallenge, Payload: payload}); err != nil {
-		t.Fatalf("send challenge: %v", err)
-	}
-	if _, err := expectMsg(conn, msgProofs); err != nil {
-		t.Fatalf("recv proofs: %v", err)
-	}
-	if err := conn.Send(transport.Message{Type: msgVerdict, Payload: encodeVerdict(Verdict{Accepted: true})}); err != nil {
-		t.Fatalf("send verdict: %v", err)
-	}
-	if _, err := expectMsg(conn, msgVerdictAck); err != nil {
-		t.Fatalf("recv verdict ack: %v", err)
-	}
+	peer.send(msgChallenge, payload)
+	peer.expect(msgProofs)
+	peer.send(msgVerdict, encodeVerdict(Verdict{Accepted: true}))
+	peer.expect(msgVerdictAck)
 	return commitment.Root
+}
+
+// TestServeRefusesBareAssign pins the one wire mode: a first frame that is
+// not a msgBatch — here the bare msgAssign that used to open a per-task
+// dialogue — is a protocol error, and the participant closes the connection.
+func TestServeRefusesBareAssign(t *testing.T) {
+	p, err := NewParticipant("p", HonestFactory)
+	if err != nil {
+		t.Fatalf("NewParticipant: %v", err)
+	}
+	supConn, partConn := transport.Pipe(transport.WithBuffer(4))
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- p.Serve(partConn) }()
+
+	a := assignment{Task: poolTasks(1, 64)[0], Spec: SchemeSpec{Kind: SchemeCBS, M: 2}}
+	if err := supConn.Send(transport.Message{Type: msgAssign, Payload: encodeAssignment(a)}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := <-serveErr; !errors.Is(err, ErrUnexpectedMessage) {
+		t.Errorf("serve error = %v, want ErrUnexpectedMessage", err)
+	}
+	if _, err := supConn.Recv(); err == nil {
+		t.Error("connection still delivering after a bare assignment")
+	}
+	if totals := p.Totals(); totals.Tasks != 0 || totals.FEvals != 0 {
+		t.Errorf("participant worked on a bare assignment: %+v", totals)
+	}
+	_ = supConn.Close()
 }
 
 // TestParallelProverRootMatchesSequential pins the satellite guarantee of
@@ -637,48 +655,29 @@ func TestParallelProverRootMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunSimPipelinedMatchesSerialSingleParticipant compares a pipelined
-// simulation against the serial dialogue for a single-participant pool,
-// where work stealing cannot change the task→participant pairing: detection
-// stats and the report stream must be identical.
+// TestRunSimPipelinedMatchesSerialSingleParticipant compares simulations at
+// window 1 and window 4 against the serial dialogue run of the same
+// single-participant pool (golden_runs.json): verdicts, reports, detection
+// stats and participant counters must be identical.
 func TestRunSimPipelinedMatchesSerialSingleParticipant(t *testing.T) {
-	base := SimConfig{
-		Spec:         SchemeSpec{Kind: SchemeCBS, M: 14},
-		Workload:     "synthetic",
-		Seed:         21,
-		TaskSize:     128,
-		Tasks:        6,
-		SemiHonest:   1,
-		HonestyRatio: 0.5,
-	}
-	serial, err := RunSim(base)
-	if err != nil {
-		t.Fatalf("serial RunSim: %v", err)
-	}
-	piped := base
-	piped.PipelineWindow = 4
-	pipelined, err := RunSim(piped)
-	if err != nil {
-		t.Fatalf("pipelined RunSim: %v", err)
-	}
-
-	if pipelined.PipelineWindow != 4 {
-		t.Errorf("report PipelineWindow = %d, want 4", pipelined.PipelineWindow)
-	}
-	if serial.TasksAssigned != pipelined.TasksAssigned {
-		t.Errorf("TasksAssigned: serial %d, pipelined %d", serial.TasksAssigned, pipelined.TasksAssigned)
-	}
-	if serial.CheatersDetected != pipelined.CheatersDetected || serial.HonestAccused != pipelined.HonestAccused {
-		t.Errorf("detection: serial %d/%d accused %d, pipelined %d/%d accused %d",
-			serial.CheatersDetected, serial.CheatersTotal, serial.HonestAccused,
-			pipelined.CheatersDetected, pipelined.CheatersTotal, pipelined.HonestAccused)
-	}
-	if !reflect.DeepEqual(serial.Reports, pipelined.Reports) {
-		t.Errorf("report streams differ: serial %d reports, pipelined %d", len(serial.Reports), len(pipelined.Reports))
-	}
-	s, p := serial.Participants[0], pipelined.Participants[0]
-	if s.Tasks != p.Tasks || s.Accepted != p.Accepted || s.Rejected != p.Rejected || s.FEvals != p.FEvals {
-		t.Errorf("participant counters: serial %+v, pipelined %+v", s, p)
+	for _, window := range []int{0, 4} {
+		report, err := RunSim(SimConfig{
+			Spec:           SchemeSpec{Kind: SchemeCBS, M: 14},
+			Workload:       "synthetic",
+			Seed:           21,
+			TaskSize:       128,
+			Tasks:          6,
+			SemiHonest:     1,
+			HonestyRatio:   0.5,
+			PipelineWindow: window,
+		})
+		if err != nil {
+			t.Fatalf("RunSim(window %d): %v", window, err)
+		}
+		if want := max(1, window); report.PipelineWindow != want {
+			t.Errorf("report PipelineWindow = %d, want %d", report.PipelineWindow, want)
+		}
+		assertGoldenSim(t, "TestRunSimPipelinedMatchesSerialSingleParticipant", report)
 	}
 }
 
@@ -702,10 +701,8 @@ func TestRunSimPipelinedPopulation(t *testing.T) {
 	if report.TasksAssigned != 12 {
 		t.Errorf("TasksAssigned = %d, want 12", report.TasksAssigned)
 	}
-	// Work stealing makes the task→participant pairing scheduling-dependent,
-	// so a cheater that never claimed a task legitimately goes undetected;
-	// every cheater that DID execute must be caught, every honest
-	// participant must sail through.
+	// Every cheater that executed must be caught, every honest participant
+	// must sail through.
 	executedCheaters := 0
 	total := 0
 	for _, p := range report.Participants {

@@ -41,35 +41,23 @@ type SimConfig struct {
 	Blacklist bool
 	// CrossCheckReports enables the sampled-index screener cross-check.
 	CrossCheckReports bool
-	// Workers sets how many participants are verified concurrently.
-	// Values <= 1 run the legacy serial scheduler; larger values drive a
-	// SupervisorPool. The report is identical for equal seeds whatever the
-	// worker count — task randomness is derived per task ID, and the
-	// pooled scheduler preserves the serial round-robin assignment
-	// (including blacklisting, which both schedulers apply before any
-	// participant can be picked twice). The double-check scheme runs
-	// serially under Workers (its barrier spans connections); use
-	// PipelineWindow to pipeline it.
-	Workers int
-	// PipelineWindow, when > 0, replaces the per-task dialogue with
-	// pipelined multi-task sessions: every participant connection carries up
-	// to PipelineWindow concurrent task exchanges in batched frames, and
-	// connections claim tasks from a shared queue (work stealing). Unlike
-	// Workers, the task→participant pairing then depends on scheduling;
-	// each (task, participant) verdict is still deterministic, and the
-	// report is recorded in task order. Blacklisting retires a participant
-	// from claiming after its first rejection, but tasks already in flight
-	// on it still finish. PipelineWindow takes precedence over Workers.
+	// PipelineWindow is the session window: how many task exchanges every
+	// participant connection carries at once, in batched frames. 0 means 1 —
+	// one exchange at a time per participant, the paper's dialogue. Tasks are
+	// placed round-robin over the (non-blacklisted) pool whatever the window,
+	// so the task→participant pairing, and with it the report, is the same
+	// for every window; only byte counters differ (batch framing).
 	//
-	// The double-check scheme pipelines too: replica groups are pre-placed
-	// round-robin exactly like the serial scheduler picks them (so verdicts
-	// are byte-identical to the dialogue run for equal seeds), each
-	// replica's upload overlaps other tasks inside its connection's window,
-	// and only the comparison waits at a cross-connection rendezvous. Since
-	// groups are placed up front, Blacklist cannot recall a rejected
-	// participant's pre-placed replicas — replication itself is the defense
-	// there — so replicated pipelined runs with Blacklist diverge from the
-	// serial scheduler's pairing.
+	// With Blacklist the pairing depends on verdicts. At window 1 it is the
+	// strictly serial one — each task goes to the next participant that no
+	// earlier task rejected. A larger window lets a participant hold that
+	// many undecided tasks, which still finish after its first rejection;
+	// everything not yet started on it is recalled.
+	//
+	// The double-check scheme places each task's replica group on the next
+	// Replicas distinct participants of the same rotation; each replica's
+	// upload overlaps other tasks inside its connection's window, and only
+	// the comparison waits at a cross-connection rendezvous.
 	PipelineWindow int
 	// Broker routes every supervisor↔participant link through one
 	// GRACE-style BrokerHub (Section 4): each participant registers a
@@ -86,16 +74,15 @@ type SimConfig struct {
 	// brokered pipelined run opens — at least one per participant, with any
 	// surplus distributed round-robin as extra routes to the same
 	// participants, all multiplexed over the supervisor's physical hub
-	// link(s) and fed from the shared work-stealing queue. 0 keeps the
-	// default of exactly one route per participant. Requires Broker and
-	// PipelineWindow > 0; values below the participant count are rejected.
+	// link(s); the placement rotation then runs over routes. 0 keeps the
+	// default of exactly one route per participant. Requires Broker; values
+	// below the participant count are rejected.
 	Routes int
 	// DropProb and GarbleProb inject transport faults on every connection
 	// (send side, both directions, seeded deterministically from Seed):
-	// frames silently vanish or have one bit flipped in transit. Faults
-	// require PipelineWindow > 0 — only pipelined sessions carry the
-	// integrity checks, receive watchdog, and reconnect-and-resume machinery
-	// that recover from them. Each (task, participant) verdict is unaffected
+	// frames silently vanish or have one bit flipped in transit. Sessions
+	// recover through their integrity checks, receive watchdog, and
+	// reconnect-and-resume. Each (task, participant) verdict is unaffected
 	// by injected faults: resumed exchanges replay their protocol position
 	// and restarted ones re-derive their randomness from the task seed.
 	DropProb, GarbleProb float64
@@ -106,30 +93,27 @@ type SimConfig struct {
 	// dropped frames into reconnects; 0 selects the default (2s). It must
 	// exceed the worst-case per-task participant compute time.
 	FaultRecvTimeout time.Duration
-	// Stream switches the run to long-horizon streaming mode: tasks are
-	// drawn lazily from a source (memory stays O(window) however large
-	// Tasks is), placement is pinned round-robin for determinism, and —
-	// with Spec.WindowTasks > 0 — every participant carries hash-chained
-	// rolling window commitments verified per link. Requires
-	// PipelineWindow > 0; incompatible with fault injection, Routes,
-	// Blacklist, and the double-check scheme. Broker is supported.
-	Stream bool
-	// CheckpointEvery, in stream mode, splits the run into segments of
-	// that many tasks; each segment ends with a checkpoint barrier where
-	// every participant persists its durable state under CheckpointDir and
-	// the supervisor writes its own progress file. 0 disables periodic
-	// checkpoints (a single segment).
+	// CheckpointEvery splits the run into segments of that many tasks; each
+	// segment ends with a checkpoint barrier where every participant
+	// persists its durable state under CheckpointDir and the supervisor
+	// writes its own progress file. 0 runs a single segment. Requires
+	// CheckpointDir.
+	//
+	// Checkpointing — and rolling window commitments, which a run carries
+	// when Spec.WindowTasks > 0, verified per link — are incompatible with
+	// fault injection, Routes and the double-check scheme; checkpointing also
+	// with Blacklist, which is not part of the durable state. Broker is
+	// supported.
 	CheckpointEvery int
-	// CheckpointDir roots the checkpoint files of a stream run. A run
-	// started over a directory holding a matching supervisor checkpoint
-	// resumes from it instead of starting over.
+	// CheckpointDir roots the checkpoint files. A run started over a
+	// directory holding a matching supervisor checkpoint resumes from it
+	// instead of starting over.
 	CheckpointDir string
-	// KillAfter, in stream mode, injects a crash: after that many settled
-	// tasks the whole run — supervisor pool, sessions, participants — is
-	// torn down mid-segment and restarted from the last durable
-	// checkpoint. The final report must be byte-identical to an
-	// uninterrupted run's (the checkpoint/restore acceptance criterion).
-	// Requires CheckpointEvery > 0 and CheckpointDir.
+	// KillAfter injects a crash: after that many settled tasks the whole run
+	// — supervisor pool, sessions, participants — is torn down mid-segment
+	// and restarted from the last durable checkpoint. The final report must
+	// be byte-identical to an uninterrupted run's (the checkpoint/restore
+	// acceptance criterion). Requires CheckpointEvery > 0 and CheckpointDir.
 	KillAfter int
 	// KillTarget selects the KillAfter crash's victim.
 	// KillTargetSupervisor (or empty) is the classic drill: the whole
@@ -157,6 +141,9 @@ func (c SimConfig) faulty() bool { return c.DropProb > 0 || c.GarbleProb > 0 }
 
 func (c SimConfig) participants() int { return c.Honest + c.SemiHonest + c.Malicious }
 
+// window returns the effective session window.
+func (c SimConfig) window() int { return max(1, c.PipelineWindow) }
+
 func (c SimConfig) validate() error {
 	if err := c.Spec.validate(); err != nil {
 		return err
@@ -170,24 +157,18 @@ func (c SimConfig) validate() error {
 	if c.participants() < 1 {
 		return fmt.Errorf("%w: empty participant pool", ErrBadConfig)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("%w: negative worker count %d", ErrBadConfig, c.Workers)
-	}
 	if c.PipelineWindow < 0 {
 		return fmt.Errorf("%w: negative pipeline window %d", ErrBadConfig, c.PipelineWindow)
 	}
 	if c.DropProb < 0 || c.DropProb >= 1 || c.GarbleProb < 0 || c.GarbleProb >= 1 {
 		return fmt.Errorf("%w: fault probabilities must lie in [0, 1)", ErrBadConfig)
 	}
-	if c.faulty() && c.PipelineWindow < 1 {
-		return fmt.Errorf("%w: fault injection requires pipelined sessions (PipelineWindow > 0)", ErrBadConfig)
-	}
 	if c.Routes < 0 {
 		return fmt.Errorf("%w: negative route count %d", ErrBadConfig, c.Routes)
 	}
 	if c.Routes > 0 {
-		if !c.Broker || c.PipelineWindow < 1 {
-			return fmt.Errorf("%w: Routes requires Broker and PipelineWindow > 0", ErrBadConfig)
+		if !c.Broker {
+			return fmt.Errorf("%w: Routes requires Broker", ErrBadConfig)
 		}
 		if c.Routes < c.participants() {
 			return fmt.Errorf("%w: Routes = %d below the %d-participant pool (need one route each)",
@@ -219,35 +200,26 @@ func (c SimConfig) validate() error {
 	if c.KillTarget != "" && c.KillAfter == 0 {
 		return fmt.Errorf("%w: KillTarget requires KillAfter", ErrBadConfig)
 	}
-	if c.Stream {
-		if c.PipelineWindow < 1 {
-			return fmt.Errorf("%w: Stream requires pipelined sessions (PipelineWindow > 0)", ErrBadConfig)
-		}
+	if c.CheckpointEvery > 0 && c.CheckpointDir == "" {
+		return fmt.Errorf("%w: CheckpointEvery requires CheckpointDir", ErrBadConfig)
+	}
+	if c.KillAfter > 0 && (c.CheckpointEvery < 1 || c.CheckpointDir == "") {
+		return fmt.Errorf("%w: KillAfter requires CheckpointEvery and CheckpointDir", ErrBadConfig)
+	}
+	if c.CheckpointDir != "" || c.Spec.WindowTasks > 0 {
+		const what = "checkpoints and window commitments (Spec.WindowTasks)"
 		if c.Spec.Kind == SchemeDoubleCheck {
-			return fmt.Errorf("%w: Stream does not support the double-check scheme", ErrBadConfig)
+			return fmt.Errorf("%w: %s do not support the double-check scheme", ErrBadConfig, what)
 		}
 		if c.faulty() {
-			return fmt.Errorf("%w: Stream is incompatible with fault injection", ErrBadConfig)
+			return fmt.Errorf("%w: %s are incompatible with fault injection", ErrBadConfig, what)
 		}
 		if c.Routes > 0 {
-			return fmt.Errorf("%w: Stream is incompatible with extra Routes", ErrBadConfig)
+			return fmt.Errorf("%w: %s are incompatible with extra Routes", ErrBadConfig, what)
 		}
-		if c.Blacklist {
-			return fmt.Errorf("%w: Stream is incompatible with Blacklist", ErrBadConfig)
-		}
-		if c.CheckpointEvery > 0 && c.CheckpointDir == "" {
-			return fmt.Errorf("%w: CheckpointEvery requires CheckpointDir", ErrBadConfig)
-		}
-		if c.KillAfter > 0 && (c.CheckpointEvery < 1 || c.CheckpointDir == "") {
-			return fmt.Errorf("%w: KillAfter requires CheckpointEvery and CheckpointDir", ErrBadConfig)
-		}
-	} else {
-		if c.Spec.WindowTasks > 0 {
-			return fmt.Errorf("%w: window commitments (Spec.WindowTasks) require Stream", ErrBadConfig)
-		}
-		if c.CheckpointEvery != 0 || c.CheckpointDir != "" || c.KillAfter != 0 {
-			return fmt.Errorf("%w: checkpoint options require Stream", ErrBadConfig)
-		}
+	}
+	if c.CheckpointDir != "" && c.Blacklist {
+		return fmt.Errorf("%w: Blacklist is not checkpointed; it is incompatible with CheckpointDir", ErrBadConfig)
 	}
 	return nil
 }
@@ -294,8 +266,7 @@ type TaskVerdict struct {
 type SimReport struct {
 	// Scheme names the verification scheme used.
 	Scheme string
-	// PipelineWindow echoes the session window of a pipelined run; 0 means
-	// the per-task dialogue was used.
+	// PipelineWindow is the session window the run used (at least 1).
 	PipelineWindow int
 	// Participants summarizes each pool member.
 	Participants []ParticipantSummary
@@ -312,8 +283,13 @@ type SimReport struct {
 	// HonestAccused counts honest participants with >= 1 rejection —
 	// the false positives.
 	HonestAccused int
-	// SupervisorBytesSent/Recv total the supervisor-side traffic.
+	// SupervisorBytesSent/Recv total the supervisor-side traffic as the
+	// connections counted it, batch framing included.
 	SupervisorBytesSent, SupervisorBytesRecv int64
+	// TaskBytesSent/Recv total the task-tagged bytes of every settled task
+	// execution (Σ TaskOutcome.BytesSent/BytesRecv): what the scheme's
+	// messages cost on the wire, independent of how they were framed.
+	TaskBytesSent, TaskBytesRecv int64
 	// SupervisorEvals counts supervisor-side f evaluations spent verifying.
 	SupervisorEvals int64
 	// Brokered reports whether the run was relayed through a BrokerHub;
@@ -339,7 +315,7 @@ type SimReport struct {
 	// shutdown, keyed by participant identity.
 	BrokerRoutes map[string]RouteStats
 	// WindowsSettled and WindowViolations total the rolling-window
-	// commitment verification of a streaming run (Spec.WindowTasks > 0):
+	// commitment verification of a run with Spec.WindowTasks > 0:
 	// windows whose sampled audit paths all verified against the committed
 	// per-task digests, and windows that failed verification. Restarted
 	// runs carry the counts across the restore.
@@ -357,15 +333,14 @@ func (r *SimReport) DetectionRate() float64 {
 	return float64(r.CheatersDetected) / float64(r.CheatersTotal)
 }
 
-// simWorker pairs a participant with its connection endpoints. Under fault
-// injection a worker accumulates connections: the original dial plus one per
-// reconnect, each serving on its own goroutine. Summaries aggregate traffic
-// across all of them.
+// simWorker pairs a participant with its connection endpoints. A worker
+// accumulates connections — one dial per segment and extra route, plus one
+// per reconnect under fault injection — each serving on its own goroutine.
+// Summaries aggregate traffic across all of them.
 type simWorker struct {
 	participant *Participant
 	idx         int
 	cheater     bool
-	rejections  int
 	blacklisted bool
 	// hub, when set, routes every dial through the broker instead of a
 	// direct pipe; muxes then owns the supervisor-side physical link(s) the
@@ -377,10 +352,8 @@ type simWorker struct {
 	supConns  []transport.Conn // supervisor-side endpoints, in dial order
 	partConns []transport.Conn // participant-side endpoints, in dial order
 	serveErrs []chan error
-	// extraRoutes counts dials made to widen the route fan-out (SimConfig
-	// Routes) rather than to replace a quarantined connection, so the
-	// reconnect tally stays honest.
-	extraRoutes int
+	// reconnects counts dials that replaced a quarantined connection.
+	reconnects int
 }
 
 // muxManager owns the supervisor-side physical hub links of a brokered run.
@@ -574,14 +547,6 @@ func (w *simWorker) crash() {
 	}
 }
 
-// supConn returns the first (and in fault-free runs, only) supervisor-side
-// endpoint.
-func (w *simWorker) supConn() transport.Conn {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.supConns[0]
-}
-
 // dials reports how many connections were opened to this participant.
 func (w *simWorker) dials() int {
 	w.mu.Lock()
@@ -605,16 +570,29 @@ func (w *simWorker) trafficTotals(participantSide bool) (sent, recv int64) {
 	return sent, recv
 }
 
+// awaitBinds waits until the hub has bound every route dialed to the worker
+// so far. The hub parks only ONE registration per identity, and every dial
+// re-registers the worker — so before dialing an identity again its earlier
+// routes must have bound and consumed their registrations, or the new one
+// would replace (and close) a parked link and starve a pending route until
+// the bind timeout. A bind that never comes surfaces as a dead route, not a
+// hang.
+func (w *simWorker) awaitBinds() {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if st, ok := w.hub.WorkerStats(w.participant.ID()); ok && st.Binds >= int64(w.dials()) {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // RunSim executes the configured population run over in-memory pipes and
-// returns the aggregated report. The supervisor assigns tasks round-robin
-// over the (non-blacklisted) pool; double-check groups consecutive workers.
-// With Workers > 1 the non-replicated schemes verify participants
-// concurrently through a SupervisorPool; per-task seed derivation keeps the
-// report identical to the serial run. With PipelineWindow > 0 tasks flow
-// through pipelined multi-task sessions with work stealing instead (see
-// SimConfig.PipelineWindow for the reproducibility trade-off).
-//
-//gridlint:credit report assembly sums per-worker traffic totals once, at shutdown
+// returns the aggregated report. Tasks are placed round-robin over the
+// (non-blacklisted) pool — double-check on groups of consecutive workers —
+// and run as one SupervisorPool.RunTaskSource stream per checkpoint
+// segment. If the configured kill fires, the run restarts from the last
+// durable checkpoint.
 func RunSim(cfg SimConfig) (*SimReport, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -624,8 +602,35 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		Seed:              int64(cfg.Seed) ^ 0x5c4ed,
 		CrossCheckReports: cfg.CrossCheckReports,
 	}
-	if cfg.Stream {
-		return runStreamSim(cfg, supCfg)
+	killAfter := cfg.KillAfter
+	for {
+		report, killed, err := runSimAttempt(cfg, supCfg, killAfter)
+		if err != nil {
+			return nil, err
+		}
+		if !killed {
+			return report, nil
+		}
+		killAfter = 0 // the crash happened; the restart runs to completion
+	}
+}
+
+// runSimAttempt executes one attempt: restore, run segments, and either
+// finish (killed == false, report set) or die at the kill point
+// (killed == true) leaving only the checkpoint files behind. A run without
+// checkpoints is a single segment of a single attempt.
+//
+// Recovery discards, never reconciles: a restart reloads BOTH sides from
+// their files (in-memory state of the killed attempt is dropped on the
+// floor), and a mid-segment kill is only triggered while at least one
+// segment task is unsettled — the drain barrier cannot have started, so
+// participant files provably sit at the same sequence as the supervisor's.
+//
+//gridlint:credit report assembly sums per-worker traffic totals once, at shutdown
+func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (report *SimReport, killed bool, err error) {
+	st, err := loadSimState(cfg)
+	if err != nil {
+		return nil, false, err
 	}
 
 	var hub *BrokerHub
@@ -635,15 +640,6 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		muxes = newMuxManager(hub)
 	}
 	workers, err := buildPool(cfg, hub, muxes)
-	if err != nil {
-		if muxes != nil {
-			muxes.close()
-		}
-		if hub != nil {
-			_ = hub.Close()
-		}
-		return nil, err
-	}
 	// Closing the hub first tears down every route (and any orphaned
 	// registered link a faulty handshake left behind), so the participants'
 	// serve loops — which shutdownPool joins — always observe EOF; the mux
@@ -657,45 +653,306 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		}
 		return shutdownPool(workers)
 	}
-
-	report := &SimReport{Scheme: cfg.Spec.Kind.String()}
-	var scheduleErr error
-	var supervisorEvals func() int64
-	if cfg.PipelineWindow > 0 {
-		report.PipelineWindow = cfg.PipelineWindow
-		pool, err := NewSupervisorPool(supCfg, cfg.participants()*cfg.PipelineWindow)
-		if err != nil {
-			_ = cleanup()
-			return nil, err
-		}
-		scheduleErr = scheduleTasksPipelined(cfg, pool, workers, report)
-		supervisorEvals = pool.VerifyEvals
-	} else if cfg.Workers > 1 && cfg.Spec.Kind != SchemeDoubleCheck {
-		pool, err := NewSupervisorPool(supCfg, cfg.Workers)
-		if err != nil {
-			_ = cleanup()
-			return nil, err
-		}
-		scheduleErr = scheduleTasksPooled(cfg, pool, workers, report)
-		supervisorEvals = pool.VerifyEvals
-	} else {
-		supervisor, err := NewSupervisor(supCfg)
-		if err != nil {
-			_ = cleanup()
-			return nil, err
-		}
-		scheduleErr = scheduleTasks(cfg, supervisor, workers, report)
-		supervisorEvals = supervisor.VerifyEvals
-	}
-	if scheduleErr != nil {
+	fail := func(ferr error) (*SimReport, bool, error) {
 		_ = cleanup()
-		return nil, scheduleErr
+		return nil, false, ferr
 	}
+	if err != nil {
+		return fail(err)
+	}
+	if rerr := restorePool(workers, st.seq); rerr != nil {
+		return fail(rerr)
+	}
+
+	window := cfg.window()
+	pool, err := NewSupervisorPool(supCfg, cfg.participants()*window)
+	if err != nil {
+		return fail(err)
+	}
+	evalsBase := st.supEvals
+	supSentBase, supRecvBase := st.supSent, st.supRecv
+	partSentBase := append([]int64(nil), st.partSent...)
+	partRecvBase := append([]int64(nil), st.partRecv...)
+	// syncTotals folds the attempt's live connection counters onto the
+	// restored bases, making st's totals cover the whole logical run.
+	syncTotals := func() {
+		st.supEvals = evalsBase + pool.VerifyEvals()
+		var sSent, sRecv int64
+		for i, w := range workers {
+			ps, pr := w.trafficTotals(true)
+			st.partSent[i] = partSentBase[i] + ps
+			st.partRecv[i] = partRecvBase[i] + pr
+			ws, wr := w.trafficTotals(false)
+			sSent += ws
+			sRecv += wr
+		}
+		st.supSent = supSentBase + sSent
+		st.supRecv = supRecvBase + sRecv
+	}
+
+	// byConn maps every connection — segment dials, extra routes, fault-mode
+	// redials — to its worker; mu guards it against concurrent redials.
+	var mu sync.Mutex
+	byConn := make(map[transport.Conn]*simWorker)
+	dial := func(w *simWorker) transport.Conn {
+		conn := w.dial(cfg)
+		mu.Lock()
+		byConn[conn] = w
+		mu.Unlock()
+		return conn
+	}
+	workerOf := func(conn transport.Conn) *simWorker {
+		mu.Lock()
+		defer mu.Unlock()
+		return byConn[conn]
+	}
+
+	// The stream options that do not change from segment to segment.
+	perTask := 1
+	runOpts := []StreamOption{WithPinnedPlacement()}
+	if cfg.Spec.Kind == SchemeDoubleCheck {
+		perTask = cfg.replicaCount()
+		runOpts = append(runOpts, WithReplicas(perTask))
+	}
+	if cfg.Blacklist {
+		runOpts = append(runOpts, withRetireOnReject())
+	}
+	if cfg.Broker {
+		// Connections are broker routes, not participants: key replica
+		// distinctness by the worker each route is bound to, redials
+		// included.
+		runOpts = append(runOpts, WithWorkerIdentity(func(c transport.Conn) string {
+			if w := workerOf(c); w != nil {
+				return w.participant.ID()
+			}
+			return ""
+		}))
+	}
+	if cfg.faulty() {
+		reconnects := cfg.ReconnectLimit
+		if reconnects == 0 {
+			reconnects = 8
+		}
+		recvTimeout := cfg.FaultRecvTimeout
+		if recvTimeout == 0 {
+			recvTimeout = 2 * time.Second
+		}
+		runOpts = append(runOpts,
+			WithStreamRecvTimeout(recvTimeout),
+			WithMaxReconnects(reconnects),
+			WithRedial(func(old transport.Conn) (transport.Conn, error) {
+				w := workerOf(old)
+				if w == nil {
+					return nil, fmt.Errorf("%w: redial for unknown connection", ErrBadConfig)
+				}
+				conn := dial(w)
+				w.mu.Lock()
+				w.reconnects++
+				w.mu.Unlock()
+				return conn, nil
+			}))
+	}
+
+	total := cfg.Tasks
+	segSize := cfg.CheckpointEvery
+	if segSize <= 0 {
+		segSize = total
+	}
+	settled := st.nextTask
+
+	// A participant-crash drill keeps the supervisor alive across the kill,
+	// so the attempt must be able to roll its OWN window ledgers back to the
+	// last durable barrier: snapshot them (via the exported codec) whenever
+	// st.seq advances, and restore from the copies on recovery.
+	participantKill := cfg.KillTarget == KillTargetParticipant && killAfter > 0
+	var ledgerSnaps [][]byte
+	snapLedgers := func() {
+		if !participantKill || st.ledgers == nil {
+			return
+		}
+		ledgerSnaps = make([][]byte, len(st.ledgers))
+		for i, led := range st.ledgers {
+			ledgerSnaps[i] = led.Snapshot()
+		}
+	}
+	snapLedgers()
+	// recoverParticipants rebuilds the participant pool from its durable
+	// checkpoint files after a crash. The aborted segment left every
+	// participant's in-memory commitment chain ahead of the barrier, so the
+	// whole pool rolls back together — exactly like a deployment restarting
+	// its worker processes — while the surviving supervisor only rewinds its
+	// ledgers. Byte counters rebase onto the checkpointed totals (the dead
+	// pool's partial-segment traffic died with it); the eval base is NOT
+	// rebased, because the supervisor genuinely re-pays verification of the
+	// re-run tasks.
+	recoverParticipants := func() error {
+		_ = shutdownPool(workers) // serve errors from the crash are the point
+		var rerr error
+		if workers, rerr = buildPool(cfg, hub, muxes); rerr != nil {
+			workers = nil
+			return rerr
+		}
+		if rerr := restorePool(workers, st.seq); rerr != nil {
+			return rerr
+		}
+		for i := range st.ledgers {
+			led, rerr := RestoreWindowLedger(cfg.Spec, ledgerSnaps[i])
+			if rerr != nil {
+				return rerr
+			}
+			st.ledgers[i] = led
+		}
+		partSentBase = append(partSentBase[:0], st.partSent...)
+		partRecvBase = append(partRecvBase[:0], st.partRecv...)
+		supSentBase, supRecvBase = st.supSent, st.supRecv
+		return nil
+	}
+
+	for st.nextTask < total {
+		from := st.nextTask
+		to := min(from+segSize, total)
+		// Each segment runs over fresh connections: a restarted attempt could
+		// not reuse a dead process's sockets anyway. Routes beyond
+		// one-per-participant widen the fan-out round-robin — each another
+		// multiplexed route, plus a fresh participant-side serve link. Faulty
+		// runs skip the bind wait: their hellos may legitimately be lost, and
+		// the stream's redial machinery recovers.
+		conns := make([]transport.Conn, 0, max(len(workers), cfg.Routes))
+		for _, w := range workers {
+			conns = append(conns, dial(w))
+		}
+		for j := len(workers); j < cfg.Routes; j++ {
+			w := workers[j%len(workers)]
+			if !cfg.faulty() {
+				w.awaitBinds()
+			}
+			conns = append(conns, dial(w))
+		}
+
+		// The source walks absolute task indices (WithSourceBase) so placement
+		// pairs task i with worker i mod n regardless of where the segment
+		// boundaries fall — a checkpointed run pairs tasks and participants
+		// exactly like an unsegmented one.
+		end := uint64(to)
+		source := func(i uint64) (Task, bool) {
+			if i >= end {
+				return Task{}, false
+			}
+			return taskFor(cfg, int(i)), true
+		}
+		opts := append(runOpts[:len(runOpts):len(runOpts)], WithSourceBase(uint64(from)))
+		if st.ledgers != nil {
+			opts = append(opts, WithWindowSettle(st.ledgers))
+		}
+		seq := uint64(to)
+		if cfg.CheckpointDir != "" {
+			opts = append(opts, WithDrainCheckpoint(seq))
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		stream, serr := pool.RunTaskSource(ctx, conns, source, window, opts...)
+		if serr != nil {
+			cancel()
+			return fail(serr)
+		}
+		segCount := 0
+		for so := range stream.Outcomes() {
+			o := so.Outcome
+			st.settled[outcomeKey{o.Task.ID, o.Replica}] = settledTask{o.Verdict, o.Reports, o.BytesSent, o.BytesRecv}
+			if cfg.Blacklist && !o.Verdict.Accepted {
+				// The stream has retired the connection already
+				// (withRetireOnReject); this is the report's copy.
+				workerOf(so.Conn).blacklisted = true
+			}
+			segCount++
+			settled++
+			// Kill only while at least one segment task is still unsettled:
+			// the outcome channel is unbuffered, so an unsettled task means a
+			// live worker, meaning the drain barrier has not started and
+			// cannot leave participant files ahead of the coordinator's. A
+			// kill point landing on a segment boundary fires after the
+			// checkpoint below instead.
+			if killAfter > 0 && settled >= killAfter && settled < to && !killed {
+				killed = true
+				if participantKill {
+					// The victim dies first, abruptly; the cancel then reaps
+					// the segment the dead participant can no longer finish.
+					workers[0].crash()
+				}
+				cancel()
+			}
+		}
+		streamErr := stream.Err()
+		cancel()
+		if killed {
+			if !participantKill {
+				_ = cleanup() // serve errors from the abrupt teardown are the point
+				return nil, true, nil
+			}
+			if rerr := recoverParticipants(); rerr != nil {
+				return fail(rerr)
+			}
+			killed = false
+			killAfter = 0
+			settled = st.nextTask
+			continue
+		}
+		if streamErr != nil {
+			return fail(streamErr)
+		}
+		if want := (to - from) * perTask; segCount != want {
+			// A shortfall is legitimate only when blacklisting left too few
+			// participants to place another task; anything else means
+			// connections were lost beyond the reconnect budget, which must
+			// surface as a failure rather than a silently short report.
+			eligible := 0
+			for _, w := range workers {
+				if !w.blacklisted {
+					eligible++
+				}
+			}
+			if cfg.Blacklist && eligible < perTask {
+				break
+			}
+			return fail(fmt.Errorf("grid: segment [%d,%d) completed %d of %d task executions: participant connections lost beyond recovery",
+				from, to, segCount, want))
+		}
+		st.nextTask = to
+		st.seq = seq
+		if cfg.CheckpointDir != "" {
+			syncTotals()
+			if err := st.save(cfg); err != nil {
+				return fail(err)
+			}
+			snapLedgers()
+		}
+		if killAfter > 0 && settled >= killAfter {
+			if participantKill {
+				// A kill point on a segment boundary fires after the barrier:
+				// the pool dies freshly checkpointed and restarts from it.
+				workers[0].crash()
+				if rerr := recoverParticipants(); rerr != nil {
+					return fail(rerr)
+				}
+				killAfter = 0
+				continue
+			}
+			_ = cleanup()
+			return nil, true, nil
+		}
+	}
+
 	if err := cleanup(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	syncTotals()
+
+	report = &SimReport{Scheme: cfg.Spec.Kind.String(), PipelineWindow: window}
 	if hub != nil {
 		// Close blocked until every relay pump exited, so these are final.
+		// Only the final attempt's hub is reported: a restart rebuilds the
+		// broker, so relay counters cover the post-restore portion of the run
+		// (unlike the checkpointed task and traffic totals).
 		report.Brokered = true
 		report.BrokerRelayedMsgs = hub.RelayedMessages()
 		report.BrokerRelayedBytes = hub.RelayedBytes()
@@ -717,10 +974,29 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		}
 	}
 
-	for _, w := range workers {
+	// Record in (task, replica) order, so the report layout does not depend
+	// on completion interleaving.
+	keys := make([]outcomeKey, 0, len(st.settled))
+	for k := range st.settled {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].task != keys[j].task {
+			return keys[i].task < keys[j].task
+		}
+		return keys[i].replica < keys[j].replica
+	})
+	report.TasksAssigned = len(keys)
+	for _, k := range keys {
+		rec := st.settled[k]
+		report.TaskVerdicts = append(report.TaskVerdicts, TaskVerdict{TaskID: k.task, Verdict: rec.verdict})
+		report.Reports = append(report.Reports, rec.reports...)
+		report.TaskBytesSent += rec.sent
+		report.TaskBytesRecv += rec.recv
+	}
+	for i, w := range workers {
 		totals := w.participant.Totals()
-		partSent, partRecv := w.trafficTotals(true)
-		summary := ParticipantSummary{
+		report.Participants = append(report.Participants, ParticipantSummary{
 			ID:          w.participant.ID(),
 			Behavior:    totals.Behavior,
 			Cheater:     w.cheater,
@@ -728,12 +1004,11 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 			Accepted:    totals.Accepted,
 			Rejected:    totals.Rejected,
 			FEvals:      totals.FEvals,
-			BytesSent:   partSent,
-			BytesRecv:   partRecv,
+			BytesSent:   st.partSent[i],
+			BytesRecv:   st.partRecv[i],
 			Blacklisted: w.blacklisted,
-			Reconnects:  w.dials() - 1 - w.extraRoutes,
-		}
-		report.Participants = append(report.Participants, summary)
+			Reconnects:  w.reconnects,
+		})
 		if w.cheater {
 			report.CheatersTotal++
 			if totals.Rejected > 0 {
@@ -742,18 +1017,23 @@ func RunSim(cfg SimConfig) (*SimReport, error) {
 		} else if totals.Rejected > 0 {
 			report.HonestAccused++
 		}
-		supSent, supRecv := w.trafficTotals(false)
-		report.SupervisorBytesSent += supSent
-		report.SupervisorBytesRecv += supRecv
 	}
-	report.SupervisorEvals = supervisorEvals()
-	return report, nil
+	report.SupervisorBytesSent = st.supSent
+	report.SupervisorBytesRecv = st.supRecv
+	report.SupervisorEvals = st.supEvals
+	for _, led := range st.ledgers {
+		s := led.Stats()
+		report.WindowsSettled += s.Settled
+		report.WindowViolations += s.Violations
+		report.WindowsPending += s.Pending
+	}
+	return report, false, nil
 }
 
 // buildPool constructs the participant pool — semi-honest cheaters first,
-// then malicious, then honest workers — and dials each worker's first
-// connection (starting its serve goroutine). A non-nil hub routes every
-// connection through the broker as a multiplexed route on muxes.
+// then malicious, then honest workers. Connections are dialed per segment;
+// a non-nil hub routes every one through the broker as a multiplexed route
+// on muxes.
 func buildPool(cfg SimConfig, hub *BrokerHub, muxes *muxManager) ([]*simWorker, error) {
 	var workers []*simWorker
 	var popts []ParticipantOption
@@ -765,9 +1045,7 @@ func buildPool(cfg SimConfig, hub *BrokerHub, muxes *muxManager) ([]*simWorker, 
 		if err != nil {
 			return err
 		}
-		w := &simWorker{participant: p, idx: len(workers), cheater: cheater, hub: hub, muxes: muxes}
-		w.dial(cfg)
-		workers = append(workers, w)
+		workers = append(workers, &simWorker{participant: p, idx: len(workers), cheater: cheater, hub: hub, muxes: muxes})
 		return nil
 	}
 	for i := 0; i < cfg.SemiHonest; i++ {
@@ -792,21 +1070,6 @@ func buildPool(cfg SimConfig, hub *BrokerHub, muxes *muxManager) ([]*simWorker, 
 	return workers, nil
 }
 
-// nextEligible returns the next non-blacklisted worker in round-robin
-// order starting at *next (which it advances), or nil when the whole pool
-// is blacklisted. Both schedulers share it so their assignment order stays
-// in lockstep — the basis of the serial/pooled reproducibility guarantee.
-func nextEligible(workers []*simWorker, next *int) *simWorker {
-	for tries := 0; tries < len(workers); tries++ {
-		w := workers[*next%len(workers)]
-		*next++
-		if !w.blacklisted {
-			return w
-		}
-	}
-	return nil
-}
-
 // taskFor builds the taskNum-th domain window of the run.
 func taskFor(cfg SimConfig, taskNum int) Task {
 	return Task{
@@ -816,293 +1079,6 @@ func taskFor(cfg SimConfig, taskNum int) Task {
 		Workload: cfg.Workload,
 		Seed:     cfg.Seed,
 	}
-}
-
-// scheduleTasks drives the supervisor across the task list.
-func scheduleTasks(cfg SimConfig, supervisor *Supervisor, workers []*simWorker, report *SimReport) error {
-	next := 0
-	pick := func() *simWorker { return nextEligible(workers, &next) }
-
-	for taskNum := 0; taskNum < cfg.Tasks; taskNum++ {
-		task := taskFor(cfg, taskNum)
-		if cfg.Spec.Kind == SchemeDoubleCheck {
-			k := cfg.replicaCount()
-			group := make([]*simWorker, 0, k)
-			conns := make([]transport.Conn, 0, k)
-			for tries := 0; len(group) < k && tries < 2*len(workers); tries++ {
-				w := pick()
-				if w == nil {
-					return nil // everyone blacklisted
-				}
-				if containsWorker(group, w) {
-					continue
-				}
-				group = append(group, w)
-				conns = append(conns, w.supConn())
-			}
-			if len(group) < k {
-				return nil // pool too small for distinct replicas; stop cleanly
-			}
-			outcomes, err := supervisor.RunReplicated(conns, task)
-			if err != nil {
-				return err
-			}
-			report.TasksAssigned += len(outcomes)
-			for i, outcome := range outcomes {
-				recordOutcome(cfg, group[i], outcome, report)
-			}
-			continue
-		}
-
-		w := pick()
-		if w == nil {
-			return nil // everyone blacklisted
-		}
-		outcome, err := supervisor.RunTask(w.supConn(), task)
-		if err != nil {
-			return err
-		}
-		report.TasksAssigned++
-		recordOutcome(cfg, w, outcome, report)
-	}
-	return nil
-}
-
-// scheduleTasksPooled drives the task list through a SupervisorPool.
-//
-// Without Blacklist, eligibility never changes mid-run: the whole task list
-// is assigned round-robin up front and submitted as one batch, so workers
-// never idle at artificial barriers (the pool serializes per connection).
-//
-// With Blacklist, tasks go out in waves: each wave assigns at most one task
-// per eligible (distinct, non-blacklisted) participant, runs concurrently,
-// then applies verdicts — and with them blacklisting — before the next
-// wave. A wave ends exactly where the serial round-robin would wrap, which
-// is also the first point the serial scheduler could re-pick a blacklisted
-// worker, so task-to-worker pairing is identical to the serial run in both
-// modes; only wall-clock time changes.
-func scheduleTasksPooled(cfg SimConfig, pool *SupervisorPool, workers []*simWorker, report *SimReport) error {
-	ctx := context.Background()
-	next := 0
-	taskNum := 0
-	for taskNum < cfg.Tasks {
-		batch := make([]Assignment, 0, cfg.Tasks-taskNum)
-		batchWorkers := make([]*simWorker, 0, cfg.Tasks-taskNum)
-		for taskNum < cfg.Tasks {
-			w := nextEligible(workers, &next)
-			if w == nil {
-				break
-			}
-			if cfg.Blacklist && containsWorker(batchWorkers, w) {
-				// Wrapped around the pool: close the wave so verdicts can
-				// blacklist before this worker is assigned again.
-				next--
-				break
-			}
-			batch = append(batch, Assignment{Conn: w.supConn(), Task: taskFor(cfg, taskNum)})
-			batchWorkers = append(batchWorkers, w)
-			taskNum++
-		}
-		if len(batch) == 0 {
-			return nil // everyone blacklisted
-		}
-		outcomes, err := pool.RunTasks(ctx, batch)
-		if err != nil {
-			return err
-		}
-		report.TasksAssigned += len(outcomes)
-		for i, outcome := range outcomes {
-			recordOutcome(cfg, batchWorkers[i], outcome, report)
-		}
-	}
-	return nil
-}
-
-// scheduleTasksPipelined drives the whole task list through pipelined
-// sessions with work stealing (SupervisorPool.RunTasksStream): every
-// participant connection holds up to cfg.PipelineWindow tasks in flight and
-// claims work from a shared queue. Outcomes are consumed as they stream in
-// but recorded into the report in (task, replica) order, so the report
-// layout does not depend on completion interleaving. Blacklisting retires a
-// participant via TaskStream.Retire, which synchronously recalls its
-// unstarted claims. Under fault injection the stream redials replacement
-// connections to the same participant so quarantined exchanges resume
-// mid-protocol. The double-check scheme runs replicated: groups are
-// pre-placed round-robin (matching the serial scheduler's walk), uploads
-// pipeline inside each window, and comparisons meet at per-task rendezvous
-// barriers.
-func scheduleTasksPipelined(cfg SimConfig, pool *SupervisorPool, workers []*simWorker, report *SimReport) error {
-	// byConn maps every connection — original dials and fault-mode redials —
-	// to its worker; mu guards it against concurrent redial registration.
-	var mu sync.Mutex
-	byConn := make(map[transport.Conn]*simWorker, len(workers))
-	conns := make([]transport.Conn, len(workers))
-	for i, w := range workers {
-		conns[i] = w.supConn()
-		byConn[w.supConn()] = w
-	}
-	// Routes beyond one-per-participant widen the fan-out round-robin: each
-	// extra dial is another multiplexed route (plus a fresh participant-side
-	// serve link) claiming tasks from the same work-stealing queue. The hub
-	// parks only ONE registration per identity, and every dial re-registers
-	// the worker — so before dialing an identity again, wait for its earlier
-	// routes to bind and consume their registrations, or the new one would
-	// replace (and close) a parked link and starve a pending route until the
-	// bind timeout. Faulty runs skip the wait: their hellos may legitimately
-	// be lost, and the stream's redial machinery recovers.
-	binds := make(map[string]int64, len(workers))
-	for j := len(workers); j < cfg.Routes; j++ {
-		w := workers[j%len(workers)]
-		name := w.participant.ID()
-		if binds[name] == 0 {
-			binds[name] = 1 // buildPool's initial dial
-		}
-		if !cfg.faulty() {
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				st, ok := w.hub.WorkerStats(name)
-				if ok && st.Binds >= binds[name] {
-					break
-				}
-				if time.Now().After(deadline) {
-					break // surface as a dead route, not a hang
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-		c := w.dial(cfg)
-		binds[name]++
-		w.mu.Lock()
-		w.extraRoutes++
-		w.mu.Unlock()
-		conns = append(conns, c)
-		byConn[c] = w
-	}
-	tasks := make([]Task, cfg.Tasks)
-	for i := range tasks {
-		tasks[i] = taskFor(cfg, i)
-	}
-
-	var opts []StreamOption
-	perTask := 1
-	if cfg.Spec.Kind == SchemeDoubleCheck {
-		perTask = cfg.replicaCount()
-		opts = append(opts, WithReplicas(perTask))
-	}
-	if cfg.Broker {
-		// Connections are broker routes, not participants: key replica
-		// distinctness (and any future identity-aware scheduling) by the
-		// worker each route is bound to, redials included.
-		opts = append(opts, WithWorkerIdentity(func(c transport.Conn) string {
-			mu.Lock()
-			defer mu.Unlock()
-			if w := byConn[c]; w != nil {
-				return w.participant.ID()
-			}
-			return ""
-		}))
-	}
-	if cfg.faulty() {
-		reconnects := cfg.ReconnectLimit
-		if reconnects == 0 {
-			reconnects = 8
-		}
-		recvTimeout := cfg.FaultRecvTimeout
-		if recvTimeout == 0 {
-			recvTimeout = 2 * time.Second
-		}
-		opts = append(opts,
-			WithStreamRecvTimeout(recvTimeout),
-			WithMaxReconnects(reconnects),
-			WithRedial(func(old transport.Conn) (transport.Conn, error) {
-				mu.Lock()
-				w := byConn[old]
-				mu.Unlock()
-				if w == nil {
-					return nil, fmt.Errorf("%w: redial for unknown connection", ErrBadConfig)
-				}
-				conn := w.dial(cfg)
-				mu.Lock()
-				byConn[conn] = w
-				mu.Unlock()
-				return conn, nil
-			}))
-	}
-	stream, err := pool.RunTasksStream(context.Background(), conns, tasks, cfg.PipelineWindow, opts...)
-	if err != nil {
-		return err
-	}
-
-	type completion struct {
-		w       *simWorker
-		outcome *TaskOutcome
-	}
-	var completed []completion
-	for so := range stream.Outcomes() {
-		mu.Lock()
-		w := byConn[so.Conn]
-		mu.Unlock()
-		if cfg.Blacklist && !so.Outcome.Verdict.Accepted {
-			w.blacklisted = true
-			stream.Retire(so.Conn)
-		}
-		completed = append(completed, completion{w, so.Outcome})
-	}
-	if err := stream.Err(); err != nil {
-		return err
-	}
-
-	// A shortfall is legitimate only when blacklisting retired the whole
-	// pool (the serial scheduler stops cleanly there too); anything else
-	// means connections were lost beyond the reconnect budget, which must
-	// surface as a failure rather than a silently short report.
-	if len(completed) < cfg.Tasks*perTask {
-		blacklistedAll := true
-		for _, w := range workers {
-			if !w.blacklisted {
-				blacklistedAll = false
-				break
-			}
-		}
-		if !blacklistedAll {
-			return fmt.Errorf("grid: pipelined run completed %d of %d task executions: participant connections lost beyond recovery",
-				len(completed), cfg.Tasks*perTask)
-		}
-	}
-
-	// Record in (task, replica) order — the serial schedulers' layout.
-	sort.Slice(completed, func(i, j int) bool {
-		a, b := completed[i].outcome, completed[j].outcome
-		if a.Task.ID != b.Task.ID {
-			return a.Task.ID < b.Task.ID
-		}
-		return a.Replica < b.Replica
-	})
-	report.TasksAssigned = len(completed)
-	for _, c := range completed {
-		recordOutcome(cfg, c.w, c.outcome, report)
-	}
-	return nil
-}
-
-func recordOutcome(cfg SimConfig, w *simWorker, outcome *TaskOutcome, report *SimReport) {
-	report.TaskVerdicts = append(report.TaskVerdicts, TaskVerdict{TaskID: outcome.Task.ID, Verdict: outcome.Verdict})
-	report.Reports = append(report.Reports, outcome.Reports...)
-	if !outcome.Verdict.Accepted {
-		w.rejections++
-		if cfg.Blacklist {
-			w.blacklisted = true
-		}
-	}
-}
-
-func containsWorker(group []*simWorker, w *simWorker) bool {
-	for _, g := range group {
-		if g == w {
-			return true
-		}
-	}
-	return false
 }
 
 // shutdownPool closes every supervisor-side connection a worker ever held

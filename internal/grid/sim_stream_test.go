@@ -19,13 +19,13 @@ func baseStreamConfig(t *testing.T) SimConfig {
 		SemiHonest:     1,
 		HonestyRatio:   0.3,
 		PipelineWindow: 2,
-		Stream:         true,
 	}
 }
 
 // scrubStreamReport zeroes the fields that legitimately vary between a clean
-// run and a kill-and-restart run: byte counters depend on frame coalescing
-// timing, and broker counters cover only the final attempt's hub.
+// run and a kill-and-restart run: connection byte counters depend on frame
+// coalescing timing, and broker counters cover only the final attempt's hub.
+// The per-task tagged byte totals stay: framing cannot move them.
 func scrubStreamReport(r *SimReport) *SimReport {
 	c := *r
 	c.SupervisorBytesSent, c.SupervisorBytesRecv = 0, 0
@@ -230,13 +230,16 @@ func TestRunSimStreamRejectsCorruptParticipantCheckpoint(t *testing.T) {
 
 func TestRunSimStreamValidation(t *testing.T) {
 	cases := map[string]func(*SimConfig){
-		"needs pipeline":         func(c *SimConfig) { c.PipelineWindow = 0 },
-		"no double-check":        func(c *SimConfig) { c.Spec = SchemeSpec{Kind: SchemeDoubleCheck, WindowTasks: 0} },
-		"no faults":              func(c *SimConfig) { c.DropProb = 0.1 },
-		"no routes":              func(c *SimConfig) { c.Broker = true; c.Routes = 3 },
-		"no blacklist":           func(c *SimConfig) { c.Blacklist = true },
-		"checkpoint needs dir":   func(c *SimConfig) { c.CheckpointEvery = 4; c.CheckpointDir = "" },
-		"kill needs checkpoints": func(c *SimConfig) { c.KillAfter = 5; c.CheckpointDir = "" },
+		"needs pipeline":       func(c *SimConfig) { c.PipelineWindow = -1 },
+		"no double-check":      func(c *SimConfig) { c.Spec.Kind = SchemeDoubleCheck },
+		"no faults":            func(c *SimConfig) { c.DropProb = 0.1 },
+		"no routes":            func(c *SimConfig) { c.Broker = true; c.Routes = 3 },
+		"no blacklist":         func(c *SimConfig) { c.Blacklist = true; c.CheckpointDir = "x" },
+		"checkpoint needs dir": func(c *SimConfig) { c.CheckpointEvery = 4; c.CheckpointDir = "" },
+		"kill needs checkpoints": func(c *SimConfig) {
+			c.KillAfter = 5
+			c.CheckpointDir = "x"
+		},
 		"unknown kill target": func(c *SimConfig) {
 			c.KillAfter = 5
 			c.CheckpointEvery = 4
@@ -244,10 +247,8 @@ func TestRunSimStreamValidation(t *testing.T) {
 			c.KillTarget = "hub"
 		},
 		"kill target needs kill": func(c *SimConfig) { c.KillTarget = KillTargetParticipant },
-		"windows require stream": func(c *SimConfig) { c.Stream = false },
-		"checkpoints require stream": func(c *SimConfig) {
-			c.Stream = false
-			c.Spec.WindowTasks, c.Spec.WindowSamples = 0, 0
+		"checkpoints: no double-check": func(c *SimConfig) {
+			c.Spec = SchemeSpec{Kind: SchemeDoubleCheck, M: 1}
 			c.CheckpointDir = "x"
 		},
 	}
@@ -259,5 +260,33 @@ func TestRunSimStreamValidation(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadConfig", err)
 			}
 		})
+	}
+}
+
+// TestRunSimWindowsWithBlacklist runs what the Stream-vs-Blacklist refusal
+// used to forbid: window commitments on a blacklisting run. The cheater is
+// caught once and never placed again, and every settled task is still
+// covered by a window or pending in one.
+func TestRunSimWindowsWithBlacklist(t *testing.T) {
+	cfg := baseStreamConfig(t)
+	cfg.Blacklist = true
+	report, err := RunSim(cfg)
+	if err != nil {
+		t.Fatalf("RunSim: %v", err)
+	}
+	if report.TasksAssigned != cfg.Tasks {
+		t.Fatalf("assigned %d tasks, want %d", report.TasksAssigned, cfg.Tasks)
+	}
+	for _, p := range report.Participants {
+		if p.Cheater && (!p.Blacklisted || p.Rejected > cfg.PipelineWindow) {
+			t.Errorf("cheater %s: blacklisted=%v after %d rejections (window %d)", p.ID, p.Blacklisted, p.Rejected, cfg.PipelineWindow)
+		}
+	}
+	if report.WindowViolations != 0 {
+		t.Fatalf("%d window violations in a faithful-commitment run", report.WindowViolations)
+	}
+	covered := report.WindowsSettled*uint64(cfg.Spec.WindowTasks) + uint64(report.WindowsPending)
+	if covered != uint64(cfg.Tasks) {
+		t.Fatalf("windows cover %d tasks, want %d", covered, cfg.Tasks)
 	}
 }

@@ -1,13 +1,13 @@
 package grid
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 )
 
-// workersSimConfig is a mixed population large enough to keep 8 workers
-// busy: 6 honest, 3 semi-honest, 1 malicious over 20 CBS tasks.
-func workersSimConfig(workers int) SimConfig {
+// workersSimConfig is a mixed population: 6 honest, 3 semi-honest, 1
+// malicious over 20 CBS tasks, at the given session window.
+func workersSimConfig(window int) SimConfig {
 	return SimConfig{
 		Spec:              SchemeSpec{Kind: SchemeCBS, M: 20},
 		Workload:          "synthetic",
@@ -20,64 +20,54 @@ func workersSimConfig(workers int) SimConfig {
 		HonestyRatio:      0.3,
 		CorruptProb:       1,
 		CrossCheckReports: true,
-		Workers:           workers,
+		PipelineWindow:    window,
 	}
 }
 
-// TestSimPooledMatchesSerial is the end-to-end determinism check: the same
-// simulation run serially and with 8 workers must produce byte-identical
-// reports — participants, verdicts, traffic, reports, eval counts.
+// TestSimPooledMatchesSerial is the end-to-end determinism check: the
+// simulation must reproduce what the serial scheduler recorded for it
+// (golden_runs.json) — participants, verdicts, reports, eval counts — at
+// window 1 and, since the pairing does not depend on the window, at 8.
 func TestSimPooledMatchesSerial(t *testing.T) {
-	serial, err := RunSim(workersSimConfig(1))
-	if err != nil {
-		t.Fatalf("serial RunSim: %v", err)
-	}
-	pooled, err := RunSim(workersSimConfig(8))
-	if err != nil {
-		t.Fatalf("pooled RunSim: %v", err)
-	}
-	if !reflect.DeepEqual(serial, pooled) {
-		t.Fatalf("pooled report differs from serial:\nserial: %+v\npooled: %+v", serial, pooled)
-	}
-	if serial.CheatersDetected != serial.CheatersTotal {
-		t.Errorf("detection %d/%d; expected all cheaters caught at m=20",
-			serial.CheatersDetected, serial.CheatersTotal)
-	}
-	if serial.HonestAccused != 0 {
-		t.Errorf("%d honest participants accused", serial.HonestAccused)
+	for _, window := range []int{1, 8} {
+		report, err := RunSim(workersSimConfig(window))
+		if err != nil {
+			t.Fatalf("RunSim(window %d): %v", window, err)
+		}
+		assertGoldenSim(t, "TestSimPooledMatchesSerial", report)
+		if report.CheatersDetected != report.CheatersTotal {
+			t.Errorf("detection %d/%d; expected all cheaters caught at m=20",
+				report.CheatersDetected, report.CheatersTotal)
+		}
+		if report.HonestAccused != 0 {
+			t.Errorf("%d honest participants accused", report.HonestAccused)
+		}
 	}
 }
 
 // TestSimPooledBlacklistMatchesSerial pins the stronger guarantee: even
-// with blacklisting (where scheduling depends on verdicts), the pooled
-// wave scheduler assigns tasks to exactly the same participants as the
-// serial scheduler, because a wave closes precisely where the serial
-// round-robin would wrap.
+// with blacklisting (where scheduling depends on verdicts), a window-1 run —
+// ten participants verified at once — assigns tasks to exactly the
+// participants the serial scheduler did (golden_runs.json), because
+// placement waits on a participant whose task is undecided instead of
+// looking past it.
 func TestSimPooledBlacklistMatchesSerial(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := workersSimConfig(1)
 		cfg.Seed = seed
 		cfg.Blacklist = true
-		serial, err := RunSim(cfg)
+		report, err := RunSim(cfg)
 		if err != nil {
-			t.Fatalf("serial RunSim(seed=%d): %v", seed, err)
+			t.Fatalf("RunSim(seed=%d): %v", seed, err)
 		}
-		cfg.Workers = 8
-		pooled, err := RunSim(cfg)
-		if err != nil {
-			t.Fatalf("pooled RunSim(seed=%d): %v", seed, err)
-		}
-		if !reflect.DeepEqual(serial, pooled) {
-			t.Fatalf("seed %d: blacklisted pooled report differs from serial:\nserial: %+v\npooled: %+v",
-				seed, serial, pooled)
-		}
+		assertGoldenSim(t, fmt.Sprintf("TestSimPooledBlacklistMatchesSerial/seed=%d", seed), report)
 	}
 }
 
-// TestSimPooledBlacklist checks the wave scheduler still blacklists and
-// terminates cleanly when the whole pool ends up dropped.
+// TestSimPooledBlacklist checks the run blacklists and terminates cleanly
+// when the whole pool ends up dropped.
 func TestSimPooledBlacklist(t *testing.T) {
-	cfg := workersSimConfig(4)
+	cfg := workersSimConfig(1)
 	cfg.Honest = 0
 	cfg.Malicious = 0
 	cfg.SemiHonest = 4
@@ -94,14 +84,14 @@ func TestSimPooledBlacklist(t *testing.T) {
 			t.Errorf("participant %s not blacklisted", p.ID)
 		}
 	}
-	// Every wave assigns at most one task per eligible participant, so at
-	// most 2 waves × 4 participants can run before the pool is empty.
+	// A participant holds one undecided task at a time, so at most two
+	// rounds over the 4 participants can run before the pool is empty.
 	if report.TasksAssigned > 8 {
 		t.Errorf("assigned %d tasks to an all-cheater pool; blacklisting ineffective", report.TasksAssigned)
 	}
 }
 
-// TestSimPooledAllSchemes exercises the pooled scheduler under every
+// TestSimPooledAllSchemes exercises a window-8 run under every
 // non-replicated scheme.
 func TestSimPooledAllSchemes(t *testing.T) {
 	for _, kind := range []SchemeKind{SchemeCBS, SchemeNICBS, SchemeNaive, SchemeRinger} {
@@ -117,25 +107,5 @@ func TestSimPooledAllSchemes(t *testing.T) {
 				t.Fatalf("assigned %d tasks, want %d", report.TasksAssigned, cfg.Tasks)
 			}
 		})
-	}
-}
-
-// TestSimWorkersValidation rejects negative worker counts and routes
-// double-check (a replication barrier) through the serial scheduler even
-// when workers are requested.
-func TestSimWorkersValidation(t *testing.T) {
-	cfg := workersSimConfig(-1)
-	if _, err := RunSim(cfg); err == nil {
-		t.Fatal("RunSim accepted negative Workers")
-	}
-	dc := workersSimConfig(8)
-	dc.Spec.Kind = SchemeDoubleCheck
-	dc.Replicas = 2
-	report, err := RunSim(dc)
-	if err != nil {
-		t.Fatalf("double-check with Workers: %v", err)
-	}
-	if report.TasksAssigned == 0 {
-		t.Fatal("double-check assigned no tasks")
 	}
 }

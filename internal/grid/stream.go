@@ -9,11 +9,10 @@ package grid
 // the whole run. This scheduler makes both first-class:
 //
 //   - Claims are leases. A lease is claimed under the dispatcher lock,
-//     started under the same lock (where eligibility is re-checked), and
-//     can be revoked in between — retirement recalls unstarted leases and
-//     reroutes their tickets, so no exchange ever starts on a connection
-//     retired before the start. That closes the ROADMAP's "blacklist claim
-//     race" completely.
+//     started under the same lock (where retirement is re-checked), and
+//     can be revoked in between — retirement recalls every ticket that has
+//     not begun an exchange, placed or leased, and reroutes it, so no
+//     exchange ever starts on a connection retired before the start.
 //
 //   - Each connection lives in a connSlot that owns the current
 //     (connection, session) generation. A quarantined session returns its
@@ -39,11 +38,11 @@ import (
 const defaultMaxReconnects = 4
 
 // ticket is the dispatcher's unit of work: a task, plus — once an attempt
-// exists — its resumable supervisor state. pin binds a mid-protocol attempt
-// to the slot whose participant holds the matching prover state. grp and
-// repIdx are set on double-check replica tickets: the ticket is one member
-// of a replicated group, pre-placed on its slot and settling through the
-// group rendezvous.
+// exists — its resumable supervisor state. pin names the slot the ticket
+// waits on: placement put it there (pinned or replicated streams), or its
+// attempt is mid-protocol with that slot's participant. grp and repIdx are
+// set on double-check replica tickets: the ticket is one member of a
+// replicated group, settling through the group rendezvous.
 type ticket struct {
 	task   Task
 	at     *taskAttempt
@@ -58,10 +57,16 @@ type ticket struct {
 	parked bool
 }
 
+// bound reports whether the ticket has to stay on its slot: an attempt
+// exists and was parked there, so the slot's participant may hold protocol
+// state for it. A ticket that placement merely put on a slot is not bound —
+// nothing has been sent — and retiring the slot moves it elsewhere.
+func (t ticket) bound() bool { return t.pin != nil && t.at != nil }
+
 // replicaGroup is the dispatcher's view of one replicated task: the shared
 // rendezvous plus which slot currently hosts each replica, so placement and
 // re-placement keep the group on pairwise-distinct connections. slots is
-// guarded by dispatcher.mu after the workers start.
+// guarded by dispatcher.mu.
 type replicaGroup struct {
 	task  Task
 	rdv   *replicaRendezvous
@@ -155,9 +160,9 @@ func (sl *connSlot) currentConn() transport.Conn {
 }
 
 // dispatcher is the shared scheduling state: pending (unpinned) tickets,
-// per-slot pinned resume tickets, and the outstanding leases. Everything —
-// claims, starts, retirements, revocations — serializes on mu, which is what
-// makes retire-before-start a real happens-before edge.
+// per-slot pinned tickets, and the outstanding leases. Everything — claims,
+// starts, placements, retirements, revocations — serializes on mu, which is
+// what makes retire-before-start a real happens-before edge.
 type dispatcher struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -165,6 +170,8 @@ type dispatcher struct {
 	pending []ticket
 	pinned  map[*connSlot][]ticket
 	leases  map[*lease]struct{}
+	// retired slots take no fresh work; dead ones (a subset) have lost their
+	// link for good.
 	retired map[*connSlot]bool
 	dead    map[*connSlot]bool
 	// banked holds replica tickets whose upload already reached the group
@@ -172,25 +179,32 @@ type dispatcher struct {
 	// cannot resume anywhere (the participant's prover state died with it),
 	// and the outcome is synthesized from the group verdict once it settles.
 	banked []ticket
-	// source feeds tickets lazily (RunTaskSource): refillLocked materializes
-	// at most highWater tickets ahead of execution, consuming source at
-	// sourceNext until it reports exhaustion (sourceDone). pinnedRR places
-	// source task i on slot i mod len(allSlots) instead of the shared queue.
+	// source feeds tickets lazily: refillLocked materializes at most
+	// highWater tickets ahead of execution, consuming source at sourceNext
+	// until it reports exhaustion (sourceDone).
 	source     TaskSource
 	sourceNext uint64
 	sourceDone bool
 	highWater  int
-	pinnedRR   bool
+	// Placement. A work-stealing stream queues every drawn task on pending.
+	// A pinned or replicated one (replicas > 0) places each ticket on a slot
+	// with one persistent round-robin cursor over allSlots — see placeLocked.
+	// retireOnReject makes a rejecting outcome retire its slot and holds the
+	// cursor at a slot that already has window undecided tickets.
+	pinnedRR       bool
+	replicas       int
+	cursor         uint64
+	window         int
+	retireOnReject bool
 	// slots maps every connection a slot has owned (original and
 	// replacements) back to it, for Retire.
 	slots map[transport.Conn]*connSlot
-	// allSlots lists every slot in connection order, for replica
-	// re-placement; groups lists every replica rendezvous so a failing or
+	// allSlots lists every slot in connection order; groups holds the
+	// replica groups whose rendezvous has not settled, so a failing or
 	// cancelled run can release blocked barriers.
 	allSlots []*connSlot
-	groups   []*replicaGroup
+	groups   map[*replicaGroup]struct{}
 
-	eligible func(transport.Conn) bool
 	// identity, when set (WithWorkerIdentity), maps a connection to the
 	// participant behind it; replica distinctness is then per worker, not
 	// per connection slot. Consulted under mu — it must be fast and must
@@ -206,37 +220,42 @@ type dispatcher struct {
 	wake chan struct{}
 }
 
-func newDispatcher(pool *SupervisorPool, cfg *streamConfig, cancel context.CancelFunc) *dispatcher {
+func newDispatcher(pool *SupervisorPool, cfg *streamConfig, source TaskSource, window int, cancel context.CancelFunc) *dispatcher {
 	d := &dispatcher{
-		pinned:   make(map[*connSlot][]ticket),
-		leases:   make(map[*lease]struct{}),
-		retired:  make(map[*connSlot]bool),
-		dead:     make(map[*connSlot]bool),
-		slots:    make(map[transport.Conn]*connSlot),
-		eligible: cfg.eligible,
-		identity: cfg.identity,
-		pool:     pool,
-		cancel:   cancel,
-		wake:     make(chan struct{}, 1),
+		pinned:         make(map[*connSlot][]ticket),
+		leases:         make(map[*lease]struct{}),
+		retired:        make(map[*connSlot]bool),
+		dead:           make(map[*connSlot]bool),
+		slots:          make(map[transport.Conn]*connSlot),
+		groups:         make(map[*replicaGroup]struct{}),
+		source:         source,
+		sourceNext:     cfg.sourceBase,
+		highWater:      cfg.highWater,
+		pinnedRR:       cfg.pinned,
+		replicas:       cfg.replicas,
+		cursor:         cfg.sourceBase * uint64(max(1, cfg.replicas)),
+		window:         window,
+		retireOnReject: cfg.retireOnReject,
+		identity:       cfg.identity,
+		pool:           pool,
+		cancel:         cancel,
+		wake:           make(chan struct{}, 1),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
 
-// groupHosts reports whether sl already carries a member of g — directly,
+// hostsLocked reports whether sl already carries one of members — directly,
 // or (with a WithWorkerIdentity mapping) through any connection routed to
 // the same worker. Pairwise-distinct placement keyed this way keeps replica
 // groups on distinct participants even when several connections (broker
 // routes, say) reach one worker. skip names a member index to ignore: a
 // replica being re-placed vacates its own position, so its dead slot's
 // worker must not veto a replacement route to that same worker (pass -1 to
-// consider every member).
-func (d *dispatcher) groupHosts(g *replicaGroup, sl *connSlot, skip int) bool {
-	for i, member := range g.slots {
-		if i == skip || member == nil {
-			continue
-		}
-		if member == sl {
+// consider every member). nil members are positions not yet filled.
+func (d *dispatcher) hostsLocked(members []*connSlot, sl *connSlot, skip int) bool {
+	for i, member := range members {
+		if i != skip && member == sl {
 			return true
 		}
 	}
@@ -247,7 +266,7 @@ func (d *dispatcher) groupHosts(g *replicaGroup, sl *connSlot, skip int) bool {
 	if id == "" {
 		return false
 	}
-	for i, member := range g.slots {
+	for i, member := range members {
 		if i == skip || member == nil {
 			continue
 		}
@@ -333,7 +352,7 @@ func (d *dispatcher) stop() {
 // blocked waiting for siblings that will never arrive. Completed groups are
 // untouched (abort is a no-op once a rendezvous settled).
 func (d *dispatcher) abortGroupsLocked(err error) {
-	for _, g := range d.groups {
+	for g := range d.groups {
 		g.rdv.abort(err)
 	}
 }
@@ -360,23 +379,46 @@ func (d *dispatcher) retireConn(conn transport.Conn) {
 	}
 }
 
-// retireLocked stops fresh claims on the slot and recalls its revocable
-// (claimed, unstarted, unpinned) leases, rerouting their tickets to the
-// pending queue for other connections. Pinned leases — resumed work already
-// in flight before retirement — are left to finish.
+// retireLocked stops fresh work on the slot and recalls every ticket on it
+// that has not begun an exchange — claimed-but-unstarted leases and tickets
+// placement queued there — rerouting them to other connections. Bound
+// tickets (attempts parked there mid-protocol or at a replica barrier) and
+// started leases are left to finish.
 func (d *dispatcher) retireLocked(sl *connSlot) {
 	if d.retired[sl] {
 		return
 	}
 	d.retired[sl] = true
 	for l := range d.leases {
-		if l.slot == sl && l.state == leaseClaimed && l.pin == nil {
+		if l.slot == sl && l.state == leaseClaimed && !l.bound() && d.rerouteLocked(l.ticket, sl) {
 			l.state = leaseRevoked
 			delete(d.leases, l)
-			d.pending = append(d.pending, l.ticket)
 		}
 	}
+	// Rerouting never queues onto sl (it is retired now), so filtering its
+	// queue in place is safe.
+	kept := d.pinned[sl][:0]
+	for _, t := range d.pinned[sl] {
+		if t.bound() || !d.rerouteLocked(t, sl) {
+			kept = append(kept, t)
+		}
+	}
+	d.pinned[sl] = kept
 	d.cond.Broadcast()
+}
+
+// rerouteLocked moves an unbound ticket off the retired slot from: a replica
+// to a connection free of its siblings, anything else to the shared queue,
+// where the next live connection with a free worker takes it. It reports
+// false for a replica no other connection can host; that one stays and runs
+// where it is — replication, not scheduling, is what guards its group.
+func (d *dispatcher) rerouteLocked(t ticket, from *connSlot) bool {
+	if t.grp != nil {
+		return d.moveReplicaLocked(t, from)
+	}
+	t.pin = nil
+	d.pending = append(d.pending, t)
+	return true
 }
 
 // markDead declares the slot's link permanently gone: retire it and restart
@@ -417,16 +459,15 @@ func (d *dispatcher) restartTicketLocked(t ticket) {
 	d.pending = append(d.pending, ticket{task: t.task})
 }
 
-// replaceReplicaLocked moves a replica whose slot died onto a live,
-// non-retired connection that hosts none of its siblings, restarting it
-// from scratch there (the dead participant's protocol state is gone). A
-// replica whose upload already reached the rendezvous is not restarted: the
-// banked upload still votes in the group comparison, and re-running the
-// task elsewhere would burn a full execution only to submit a second,
-// ignored upload — the ticket is banked instead and its outcome synthesized
-// from the group verdict once it settles. When no replacement connection
-// exists the replica is declared lost and the group's comparison degrades
-// to a quorum over the remaining uploads.
+// replaceReplicaLocked deals with a replica whose slot died. One whose
+// upload already reached the rendezvous is not restarted: the banked upload
+// still votes in the group comparison, and re-running the task elsewhere
+// would burn a full execution only to submit a second, ignored upload — the
+// ticket is banked instead and its outcome synthesized from the group
+// verdict once it settles. Any other restarts from scratch on another
+// connection (the dead participant's protocol state is gone), and when no
+// connection can take it the replica is declared lost and the group's
+// comparison degrades to a quorum over the remaining uploads.
 func (d *dispatcher) replaceReplicaLocked(t ticket, dead *connSlot) {
 	if t.at != nil && t.at.pt.st.submitted {
 		t.pin = dead
@@ -435,28 +476,31 @@ func (d *dispatcher) replaceReplicaLocked(t ticket, dead *connSlot) {
 		return
 	}
 	d.abandonAttempt(t.at)
-	grp := t.grp
-	var repl *connSlot
+	if !d.moveReplicaLocked(t, dead) {
+		t.grp.rdv.fail(t.repIdx)
+	}
+}
+
+// moveReplicaLocked queues replica t, now on slot from, as a fresh ticket on
+// the first live, non-retired connection that hosts none of its siblings.
+// It reports false when there is none.
+func (d *dispatcher) moveReplicaLocked(t ticket, from *connSlot) bool {
 	for _, cand := range d.allSlots {
-		if cand == dead || d.dead[cand] || d.retired[cand] || d.groupHosts(grp, cand, t.repIdx) {
+		if cand == from || d.retired[cand] || d.hostsLocked(t.grp.slots, cand, t.repIdx) {
 			continue
 		}
-		repl = cand
-		break
+		t.grp.slots[t.repIdx] = cand
+		d.pinned[cand] = append(d.pinned[cand], ticket{task: t.task, grp: t.grp, repIdx: t.repIdx, pin: cand})
+		return true
 	}
-	if repl == nil {
-		grp.rdv.fail(t.repIdx)
-		return
-	}
-	grp.slots[t.repIdx] = repl
-	d.pinned[repl] = append(d.pinned[repl], ticket{task: t.task, grp: grp, repIdx: t.repIdx, pin: repl})
+	return false
 }
 
 // claim blocks until the slot has work: banked outcomes ready to settle,
-// its own pinned resume tickets, then the shared pending queue (refilled
-// from the task source when one is set). It returns false when the worker
-// should exit — run cancelled, slot retired with no pinned work left, or
-// all work globally drained.
+// its own pinned tickets, then the shared pending queue (both topped up from
+// the task source). It returns false when the worker should exit — run
+// cancelled, slot retired with no pinned work left, or all work globally
+// drained.
 func (d *dispatcher) claim(sl *connSlot) (*lease, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -467,20 +511,8 @@ func (d *dispatcher) claim(sl *connSlot) (*lease, bool) {
 		if l, ok := d.takeBankedLocked(sl); ok {
 			return l, true
 		}
-		if ts := d.pinned[sl]; len(ts) > 0 {
-			// FIFO over the claimable tickets; replicas parked at an
-			// unready rendezvous are passed over (they need no worker until
-			// the group settles — the waker re-broadcasts when it does).
-			for i, t := range ts {
-				if t.parked && !t.grp.rdv.ready() {
-					continue
-				}
-				d.pinned[sl] = append(append(make([]ticket, 0, len(ts)-1), ts[:i]...), ts[i+1:]...)
-				return d.leaseLocked(t, sl), true
-			}
-		}
-		if !d.retired[sl] && d.eligible != nil && !d.eligible(sl.currentConn()) {
-			d.retireLocked(sl)
+		if l, ok := d.takePinnedLocked(sl); ok {
+			return l, true
 		}
 		if d.retired[sl] {
 			// A retired slot claims nothing fresh, but its workers must
@@ -493,19 +525,34 @@ func (d *dispatcher) claim(sl *connSlot) (*lease, bool) {
 			d.cond.Wait()
 			continue
 		}
-		if refilled := d.refillLocked(); refilled && len(d.pinned[sl]) > 0 {
-			continue // the refill pinned work to this very slot
+		if d.refillLocked() {
+			continue // the refill may have placed work on this very slot
 		}
 		if len(d.pending) > 0 {
 			t := d.pending[0]
 			d.pending = d.pending[1:]
 			return d.leaseLocked(t, sl), true
 		}
-		if d.sourceDrainedLocked() && len(d.leases) == 0 && d.pinnedEmptyLocked() && len(d.banked) == 0 {
+		if d.sourceDone && len(d.leases) == 0 && d.pinnedEmptyLocked() && len(d.banked) == 0 {
 			return nil, false
 		}
 		d.cond.Wait()
 	}
+}
+
+// takePinnedLocked claims the slot's first claimable pinned ticket, FIFO;
+// replicas parked at an unready rendezvous are passed over (they need no
+// worker until the group settles — the waker re-broadcasts when it does).
+func (d *dispatcher) takePinnedLocked(sl *connSlot) (*lease, bool) {
+	ts := d.pinned[sl]
+	for i, t := range ts {
+		if t.parked && !t.grp.rdv.ready() {
+			continue
+		}
+		d.pinned[sl] = append(append(make([]ticket, 0, len(ts)-1), ts[:i]...), ts[i+1:]...)
+		return d.leaseLocked(t, sl), true
+	}
+	return nil, false
 }
 
 // takeBankedLocked claims the first banked replica ticket whose rendezvous
@@ -524,19 +571,13 @@ func (d *dispatcher) takeBankedLocked(sl *connSlot) (*lease, bool) {
 	return nil, false
 }
 
-// sourceDrainedLocked reports whether no further tickets can appear from
-// the task source (trivially true without one).
-func (d *dispatcher) sourceDrainedLocked() bool {
-	return d.source == nil || d.sourceDone
-}
-
 // refillLocked tops the scheduler up from the task source: tickets are
 // materialized until highWater of them are outstanding (queued, pinned, or
 // leased), so an unbounded stream holds a bounded working set. Reports
 // whether any ticket was added; waiters are woken so every slot sees the
 // new work.
 func (d *dispatcher) refillLocked() bool {
-	if d.sourceDrainedLocked() {
+	if d.sourceDone {
 		return false
 	}
 	outstanding := len(d.pending) + len(d.leases) + len(d.banked)
@@ -550,28 +591,105 @@ func (d *dispatcher) refillLocked() bool {
 			d.sourceDone = true
 			break
 		}
-		idx := d.sourceNext
-		d.sourceNext++
-		if d.pinnedRR {
-			// Deterministic placement: task i belongs to slot i mod conns. A
-			// dead slot's share falls back to the shared queue — determinism
-			// is only promised while every link lives.
-			sl := d.allSlots[int(idx)%len(d.allSlots)]
-			if d.dead[sl] {
-				d.pending = append(d.pending, ticket{task: task})
-			} else {
-				d.pinned[sl] = append(d.pinned[sl], ticket{task: task, pin: sl})
-			}
-		} else {
-			d.pending = append(d.pending, ticket{task: task})
+		n := d.placeLocked(task)
+		if n == 0 {
+			break
 		}
-		outstanding++
+		d.sourceNext++
+		outstanding += n
 		added = true
 	}
 	if added {
 		d.cond.Broadcast()
 	}
 	return added
+}
+
+// placeLocked turns one drawn task into tickets and reports how many: one
+// on the shared queue for a work-stealing stream, otherwise one per replica
+// (one for an unreplicated pinned stream), each placed on the next slot the
+// round-robin cursor reaches that is not retired and — within a group —
+// hosts no sibling. The cursor persists across tasks and, until a slot is
+// retired, advances one slot per ticket: task i of an unreplicated stream
+// lands on slot i mod len(conns), and replica groups are placed exactly as
+// an eager walk over the whole task list would place them, because a
+// placement depends only on the cursor and the group's own slots.
+//
+// It reports 0, placing nothing and leaving the cursor alone, in two cases.
+// Under retireOnReject a chosen slot that already holds window undecided
+// tickets makes placement wait: the slot's next verdict may retire it, and
+// looking past it would pair tasks with participants by timing. With window
+// 1 the pairing is then the strictly serial one — each task goes to the next
+// participant not rejected by any earlier task. And when fewer eligible
+// slots remain than the task needs, nothing can ever be placed again: the
+// stream ends short (sourceDone), which callers see by counting outcomes.
+func (d *dispatcher) placeLocked(task Task) int {
+	if !d.pinnedRR && d.replicas == 0 {
+		d.pending = append(d.pending, ticket{task: task})
+		return 1
+	}
+	cursor := d.cursor
+	if d.replicas == 0 {
+		sl := d.nextSlotLocked(&cursor, nil)
+		if !d.placeableLocked(sl) {
+			return 0
+		}
+		d.cursor = cursor
+		d.pinned[sl] = append(d.pinned[sl], ticket{task: task, pin: sl})
+		return 1
+	}
+	chosen := make([]*connSlot, d.replicas)
+	for j := range chosen {
+		chosen[j] = d.nextSlotLocked(&cursor, chosen)
+		if !d.placeableLocked(chosen[j]) {
+			return 0
+		}
+	}
+	d.cursor = cursor
+	rdv := newReplicaRendezvous(d.replicas)
+	rdv.onReady = d.notifyReady
+	grp := &replicaGroup{task: task, rdv: rdv, slots: chosen}
+	d.groups[grp] = struct{}{}
+	for j, sl := range chosen {
+		d.pinned[sl] = append(d.pinned[sl], ticket{task: task, grp: grp, repIdx: j, pin: sl})
+	}
+	return len(chosen)
+}
+
+// nextSlotLocked advances *cursor to the next slot that is not retired and
+// hosts none of members, looking at each slot at most once; nil when there
+// is none.
+func (d *dispatcher) nextSlotLocked(cursor *uint64, members []*connSlot) *connSlot {
+	n := uint64(len(d.allSlots))
+	for tries := uint64(0); tries < n; tries++ {
+		cand := d.allSlots[*cursor%n]
+		*cursor++
+		if !d.retired[cand] && (members == nil || !d.hostsLocked(members, cand, -1)) {
+			return cand
+		}
+	}
+	return nil
+}
+
+// placeableLocked applies placeLocked's two refusals to a chosen slot.
+func (d *dispatcher) placeableLocked(sl *connSlot) bool {
+	if sl == nil {
+		d.sourceDone = true
+		return false
+	}
+	return !d.retireOnReject || d.loadLocked(sl) < d.window
+}
+
+// loadLocked counts the slot's undecided tickets: queued on it or leased to
+// one of its workers.
+func (d *dispatcher) loadLocked(sl *connSlot) int {
+	n := len(d.pinned[sl])
+	for l := range d.leases {
+		if l.slot == sl {
+			n++
+		}
+	}
+	return n
 }
 
 func (d *dispatcher) pinnedEmptyLocked() bool {
@@ -589,43 +707,39 @@ func (d *dispatcher) leaseLocked(t ticket, sl *connSlot) *lease {
 	return l
 }
 
-// start atomically re-checks eligibility and transitions the lease to
-// started. A fresh lease whose connection was retired between claim and this
-// call is revoked here and its ticket rerouted — the recall that closes the
-// claim/start race. Pinned tickets bypass the gate: they are in-flight work
-// finishing on the participant that holds their state.
+// start transitions the lease to started, under the lock retirement takes.
+// An unbound lease whose connection was retired between claim and this call
+// is revoked here and its ticket rerouted — the recall that closes the
+// claim/start race. Bound tickets pass: they are in-flight work finishing on
+// the participant that holds their state.
 func (d *dispatcher) start(l *lease) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if l.state == leaseRevoked {
 		return false
 	}
-	if d.cancelled {
+	if d.cancelled || (!l.bound() && d.retired[l.slot] && d.rerouteLocked(l.ticket, l.slot)) {
 		l.state = leaseRevoked
 		delete(d.leases, l)
 		d.cond.Broadcast()
 		return false
 	}
-	if l.pin == nil {
-		if !d.retired[l.slot] && d.eligible != nil && !d.eligible(l.slot.currentConn()) {
-			d.retireLocked(l.slot)
-		}
-		if d.retired[l.slot] {
-			l.state = leaseRevoked
-			delete(d.leases, l)
-			d.pending = append(d.pending, l.ticket)
-			d.cond.Broadcast()
-			return false
-		}
-	}
 	l.state = leaseStarted
 	return true
 }
 
-// complete releases a finished lease.
-func (d *dispatcher) complete(l *lease) {
+// complete releases a finished lease. rejected reports a rejecting verdict;
+// under retireOnReject that retires the slot in the same critical section,
+// so no ticket can be placed on it between the verdict and the retirement.
+func (d *dispatcher) complete(l *lease, rejected bool) {
 	d.mu.Lock()
+	if rejected && d.retireOnReject {
+		d.retireLocked(l.slot)
+	}
 	delete(d.leases, l)
+	if l.grp != nil && l.grp.rdv.ready() {
+		delete(d.groups, l.grp)
+	}
 	d.cond.Broadcast()
 	d.mu.Unlock()
 }
@@ -769,133 +883,42 @@ func (p *SupervisorPool) settleBanked(l *lease) (*TaskOutcome, error) {
 	return pt.outcome, nil
 }
 
-// RunTasksStream verifies tasks over pipelined sessions with work stealing:
-// every connection opens a session holding up to `window` concurrent task
-// exchanges, and all sessions claim tasks from one shared queue — fast
-// participants take more work instead of idling behind static per-conn
-// groups. Outcomes stream out as they complete.
+// RunTaskSource verifies a task stream over pipelined sessions, and is the
+// one way this package runs a task on a connection: every connection opens a
+// session holding up to `window` concurrent task exchanges (window 1 is the
+// paper's one-exchange-at-a-time dialogue), and tasks are drawn lazily from
+// source under a bounded look-ahead (WithHighWater), so scheduler memory is
+// O(high water + in-flight) regardless of stream length. A finite task list
+// is a SliceTaskSource. Outcomes stream out as they complete.
 //
-// Claims are revocable leases: a connection retired (TaskStream.Retire or
-// the WithEligibility gate) between claiming a task and starting its
-// exchange has the claim recalled and the task rerouted, so no exchange ever
-// starts on a retired connection. With WithRedial, a transport fault
-// quarantines the connection and its in-flight tasks resume mid-protocol on
-// a replacement connection to the same participant — verdicts and the
-// per-task randomness stream are unaffected, so a faulty run's verdicts are
-// byte-identical to a clean run's with equal seeds. Tasks stranded on a dead
-// slot restart from scratch elsewhere; work is only dropped, cleanly, when
-// every connection is retired (callers detect the shortfall by counting
-// outcomes).
+// By default all sessions claim tasks from one shared queue — fast
+// participants take more work instead of idling — so which connection runs
+// which task is scheduling-dependent; the verdict of a given (task,
+// connection) pair is not. WithPinnedPlacement fixes the pairing instead.
 //
-// Which connection runs which task is scheduling-dependent; the verdict of a
-// given (task, connection) pair is not. The pool's worker bound applies
-// across sessions: at most `workers` exchanges execute at once. The first
-// protocol-level error cancels the run and surfaces on TaskStream.Err.
+// Claims are revocable leases: a connection retired (TaskStream.Retire)
+// between claiming a task and starting its exchange has the claim recalled
+// and the task rerouted, so no exchange ever starts on a retired connection.
+// With WithRedial, a transport fault quarantines the connection and its
+// in-flight tasks resume mid-protocol on a replacement connection to the
+// same participant — verdicts and the per-task randomness stream are
+// unaffected, so a faulty run's verdicts are byte-identical to a clean run's
+// with equal seeds. Tasks stranded on a dead slot restart from scratch
+// elsewhere; work is only dropped, cleanly, when every connection is retired
+// (callers detect the shortfall by counting outcomes). The pool's worker
+// bound applies across sessions: at most `workers` exchanges execute at
+// once. The first protocol-level error cancels the run and surfaces on
+// TaskStream.Err.
 //
 // With the double-check scheme the stream runs replicated: every task fans
-// out to WithReplicas(R) pairwise-distinct connections (placed round-robin
-// over conns), each replica's upload phase pipelines freely inside its
-// session window, and the settle phase meets a cross-connection rendezvous
-// that compares the group's uploads and issues one verdict per replica — R
-// outcomes per task, ordered by (Task.ID, Replica) like the serial
-// RunReplicated slice, with verdicts byte-identical to it for equal seeds.
-// A replica reaching an incomplete rendezvous parks — holding no worker
-// and no window slot — and is re-claimed when the group settles, so
+// out to WithReplicas(R) pairwise-distinct connections, placed round-robin
+// over conns as tasks are drawn. Each replica's upload phase pipelines
+// freely inside its session window, and the settle phase meets a
+// cross-connection rendezvous that compares the group's uploads and issues
+// one verdict per replica — R outcomes per task, ordered by (Task.ID,
+// Replica). A replica reaching an incomplete rendezvous parks — holding no
+// worker and no window slot — and is re-claimed when the group settles, so
 // barriers can never deadlock the scheduler however tasks interleave.
-//
-//gridlint:credit teardown folds each surviving session's framing overhead into the pool totals
-func (p *SupervisorPool) RunTasksStream(ctx context.Context, conns []transport.Conn, tasks []Task, window int, opts ...StreamOption) (*TaskStream, error) {
-	if len(conns) == 0 {
-		return nil, fmt.Errorf("%w: no connections", ErrBadConfig)
-	}
-	cfg := streamConfig{maxReconnects: defaultMaxReconnects}
-	for _, opt := range opts {
-		opt.applyStream(&cfg)
-	}
-	replicated := p.sup.cfg.Spec.Kind == SchemeDoubleCheck
-	replicas := cfg.replicas
-	switch {
-	case replicated && replicas == 0:
-		replicas = 2
-	case replicated && replicas < 2:
-		return nil, fmt.Errorf("%w: double-check needs >= 2 replicas, got %d", ErrBadConfig, replicas)
-	case !replicated && replicas != 0:
-		return nil, fmt.Errorf("%w: WithReplicas requires the double-check scheme", ErrBadConfig)
-	}
-	if replicated && len(conns) < replicas {
-		return nil, fmt.Errorf("%w: %d replicas need as many distinct connections, got %d",
-			ErrBadConfig, replicas, len(conns))
-	}
-	if replicated && cfg.identity != nil {
-		// With identity-keyed distinctness the guarantee that pre-placement
-		// always finds a sibling-free connection needs as many distinct
-		// workers as replicas, not just connections.
-		distinct := make(map[string]struct{}, len(conns))
-		for i, conn := range conns {
-			id := cfg.identity(conn)
-			if id == "" {
-				id = fmt.Sprintf("\x00conn-%d", i) // unknown: distinct by connection
-			}
-			distinct[id] = struct{}{}
-		}
-		if len(distinct) < replicas {
-			return nil, fmt.Errorf("%w: %d replicas need as many distinct workers, got %d",
-				ErrBadConfig, replicas, len(distinct))
-		}
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	d := newDispatcher(p, &cfg, cancel)
-	slots, err := p.openStreamSlots(d, conns, window, &cfg)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	if replicated {
-		// Pre-place every group round-robin with a single cursor, skipping
-		// connections already holding a sibling — the same walk the serial
-		// simulator's scheduler performs, so the task→replica→connection
-		// pairing (and with it every verdict) matches the dialogue run.
-		// Per-slot FIFO claiming then works all slots through the groups in
-		// the same global order, which keeps the barriers deadlock-free.
-		cursor := 0
-		for _, t := range tasks {
-			rdv := newReplicaRendezvous(replicas)
-			rdv.onReady = d.notifyReady
-			grp := &replicaGroup{task: t, rdv: rdv, slots: make([]*connSlot, replicas)}
-			d.groups = append(d.groups, grp)
-			for j := 0; j < replicas; j++ {
-				var sl *connSlot
-				for tries := 0; tries < len(slots); tries++ {
-					cand := slots[cursor%len(slots)]
-					cursor++
-					if !d.groupHosts(grp, cand, -1) {
-						sl = cand
-						break
-					}
-				}
-				// len(conns) >= replicas distinct workers guarantees a
-				// sibling-free connection within len(slots) candidates.
-				grp.slots[j] = sl
-				d.pinned[sl] = append(d.pinned[sl], ticket{task: t, grp: grp, repIdx: j, pin: sl})
-			}
-		}
-	} else {
-		for _, t := range tasks {
-			d.pending = append(d.pending, ticket{task: t})
-		}
-	}
-
-	return p.launchStream(ctx, cancel, d, &cfg, slots, window), nil
-}
-
-// RunTaskSource verifies an unbounded (or very long) task stream over
-// pipelined sessions: tasks are drawn lazily from source under a bounded
-// look-ahead (WithHighWater), so scheduler memory is O(high water +
-// in-flight) regardless of stream length. Everything RunTasksStream
-// documents — revocable claims, quarantine/resume, retirement — applies;
-// the double-check scheme is not supported (replica groups need the full
-// task list for pre-placement; use RunTasksStream).
 //
 // With WithWindowSettle the run carries rolling window commitments, and
 // with WithDrainCheckpoint it ends with a durable checkpoint barrier —
@@ -911,26 +934,59 @@ func (p *SupervisorPool) RunTaskSource(ctx context.Context, conns []transport.Co
 	for _, opt := range opts {
 		opt.applyStream(&cfg)
 	}
-	if p.sup.cfg.Spec.Kind == SchemeDoubleCheck || cfg.replicas != 0 {
-		return nil, fmt.Errorf("%w: RunTaskSource does not support replicated double-check; use RunTasksStream", ErrBadConfig)
+	if err := cfg.resolveReplicas(p.sup.cfg.Spec.Kind, conns); err != nil {
+		return nil, err
 	}
 	if cfg.highWater <= 0 {
 		cfg.highWater = 2 * window * len(conns)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
-	d := newDispatcher(p, &cfg, cancel)
+	d := newDispatcher(p, &cfg, source, window, cancel)
 	slots, err := p.openStreamSlots(d, conns, window, &cfg)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	d.source = source
-	d.sourceNext = cfg.sourceBase
-	d.highWater = cfg.highWater
-	d.pinnedRR = cfg.pinned
-
 	return p.launchStream(ctx, cancel, d, &cfg, slots, window), nil
+}
+
+// resolveReplicas settles the double-check group size (default 2) and checks
+// that the scheme, the group size and the connections fit together.
+func (c *streamConfig) resolveReplicas(kind SchemeKind, conns []transport.Conn) error {
+	replicated := kind == SchemeDoubleCheck
+	switch {
+	case !replicated && c.replicas != 0:
+		return fmt.Errorf("%w: WithReplicas requires the double-check scheme", ErrBadConfig)
+	case !replicated:
+		return nil
+	case c.replicas == 0:
+		c.replicas = 2
+	case c.replicas < 2:
+		return fmt.Errorf("%w: double-check needs >= 2 replicas, got %d", ErrBadConfig, c.replicas)
+	}
+	if len(conns) < c.replicas {
+		return fmt.Errorf("%w: %d replicas need as many distinct connections, got %d",
+			ErrBadConfig, c.replicas, len(conns))
+	}
+	if c.identity == nil {
+		return nil
+	}
+	// With identity-keyed distinctness a group needs as many distinct
+	// workers as replicas, not just connections.
+	distinct := make(map[string]struct{}, len(conns))
+	for i, conn := range conns {
+		id := c.identity(conn)
+		if id == "" {
+			id = fmt.Sprintf("\x00conn-%d", i) // unknown: distinct by connection
+		}
+		distinct[id] = struct{}{}
+	}
+	if len(distinct) < c.replicas {
+		return fmt.Errorf("%w: %d replicas need as many distinct workers, got %d",
+			ErrBadConfig, c.replicas, len(distinct))
+	}
+	return nil
 }
 
 // openStreamSlots opens one pipelined session per connection and wraps each
@@ -995,9 +1051,8 @@ func (p *SupervisorPool) launchStream(ctx context.Context, cancel context.Cancel
 		}
 	}()
 
-	// The pool's worker bound applies across all sessions, exactly as in
-	// RunTasks: sessions hold up to `window` claims each, but at most
-	// p.workers exchanges execute at once.
+	// The pool's worker bound applies across all sessions: they hold up to
+	// `window` claims each, but at most p.workers exchanges execute at once.
 	sem := make(chan struct{}, p.workers)
 
 	var workers sync.WaitGroup
@@ -1110,7 +1165,9 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 				case <-ctx.Done():
 				}
 			}
-			d.complete(l)
+			// Never a retirement: the slot that carried the upload is dead
+			// already, and l.slot merely lent a worker.
+			d.complete(l, false)
 			continue
 		}
 		if l.at == nil {
@@ -1122,7 +1179,7 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 				at, err = p.sup.NewAttempt(l.task)
 			}
 			if err != nil {
-				d.complete(l)
+				d.complete(l, false)
 				d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
 				return
 			}
@@ -1170,7 +1227,7 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 			// Terminal failure: the attempt never reaches an outcome, so
 			// close its eval and byte accounting here.
 			d.abandonAttempt(l.at)
-			d.complete(l)
+			d.complete(l, false)
 			d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
 			return
 		}
@@ -1180,6 +1237,6 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 		case stream.outcomes <- StreamedOutcome{Outcome: outcome, Conn: conn}:
 		case <-ctx.Done():
 		}
-		d.complete(l)
+		d.complete(l, !outcome.Verdict.Accepted)
 	}
 }

@@ -30,9 +30,9 @@ type SupervisorConfig struct {
 
 // Supervisor organizes the computation (Section 2.1): it assigns tasks,
 // collects screened results, and verifies participants with the configured
-// scheme. A Supervisor is safe for concurrent RunTask calls on distinct
-// connections; a single connection must not carry two tasks at once (the
-// protocol is ordered). SupervisorPool schedules exactly that way.
+// scheme. Tasks run over sessions (OpenSession), usually many at once
+// through SupervisorPool.RunTaskSource; a Supervisor is safe for concurrent
+// use.
 type Supervisor struct {
 	cfg SupervisorConfig
 
@@ -125,36 +125,18 @@ type TaskOutcome struct {
 	CheatIndex int64
 	// Replica is this execution's position in its double-check group; 0 for
 	// unreplicated schemes. Replicated runs emit one outcome per replica
-	// (same task ID), and (Task.ID, Replica) orders them like the serial
-	// RunReplicated outcome slice.
+	// (same task ID); (Task.ID, Replica) orders them.
 	Replica int
 }
 
 // protoConn is the one-task view of a connection: ordered Send/Recv of a
-// single task's protocol messages. transport.Conn implements it directly
-// (the classic one-dialogue-per-connection mode); pipelined sessions hand
-// each in-flight task a virtual protoConn multiplexed over one shared
-// transport.Conn. The per-phase supervisor and participant state machines
-// are written against this interface so both modes share one protocol
-// implementation.
+// single task's protocol messages. A session hands each in-flight task a
+// virtual protoConn multiplexed over the one shared transport.Conn; the
+// per-phase supervisor and participant state machines are written against
+// this interface.
 type protoConn interface {
 	Send(m transport.Message) error
 	Recv() (transport.Message, error)
-}
-
-// RunTask assigns the task over conn and runs the configured verification
-// scheme to completion (assignment through verdict). Protocol and transport
-// failures are returned as errors; a detected cheat is not an error — it is
-// recorded in the outcome's Verdict.
-func (s *Supervisor) RunTask(conn transport.Conn, task Task) (*TaskOutcome, error) {
-	if s.cfg.Spec.Kind == SchemeDoubleCheck {
-		return nil, fmt.Errorf("%w: double-check requires RunReplicated", ErrBadConfig)
-	}
-	outcomes, err := s.run(conn, task, nil)
-	if err != nil {
-		return nil, err
-	}
-	return outcomes, nil
 }
 
 // preparedTask is the output of the assignment phase: everything the
@@ -170,14 +152,13 @@ type preparedTask struct {
 	outcome *TaskOutcome
 	st      *exchangeState
 
-	// rdv and repIdx are set on replica attempts (pipelined double-check):
-	// the settle phase submits the upload to the rendezvous as replica
-	// repIdx and takes the group verdict instead of deciding locally.
-	// parkable attempts detach from an unready rendezvous (errReplicaParked)
-	// so the dispatcher can reuse their worker; non-parkable ones block.
-	rdv      *replicaRendezvous
-	repIdx   int
-	parkable bool
+	// rdv and repIdx are set on replica attempts (double-check): the settle
+	// phase submits the upload to the rendezvous as replica repIdx and takes
+	// the group verdict instead of deciding locally, detaching
+	// (errReplicaParked) while the rendezvous is unready so the dispatcher
+	// can reuse the worker.
+	rdv    *replicaRendezvous
+	repIdx int
 
 	// ledger, when the task rides a window-settling stream, receives the
 	// task's stream digest at decision time; digested makes that exactly
@@ -251,15 +232,13 @@ func (s *Supervisor) NewAttempt(task Task) (*taskAttempt, error) {
 // newReplicaAttempt prepares one replica of a double-check group: an
 // ordinary attempt whose settle phase reports to the group rendezvous as
 // replica idx, parking (not blocking) while the group is incomplete. Each
-// replica draws its own task-seeded randomness stream, exactly like the
-// serial RunReplicated's per-connection runs.
+// replica draws its own task-seeded randomness stream.
 func (s *Supervisor) newReplicaAttempt(task Task, rdv *replicaRendezvous, idx int) (*taskAttempt, error) {
 	at, err := s.NewAttempt(task)
 	if err != nil {
 		return nil, err
 	}
 	at.pt.rdv, at.pt.repIdx = rdv, idx
-	at.pt.parkable = true
 	at.pt.outcome.Replica = idx
 	return at, nil
 }
@@ -287,27 +266,6 @@ func (at *taskAttempt) settle(s *Supervisor) {
 func (s *Supervisor) settle(pt *preparedTask) {
 	pt.outcome.VerifyEvals = pt.tr.evals
 	s.evals.Add(pt.tr.evals)
-}
-
-// run executes one supervisor-side task exchange in dialogue mode, where
-// the task owns the connection and per-task traffic is the connection's
-// stats delta.
-func (s *Supervisor) run(conn transport.Conn, task Task, replicaResults *[][]byte) (*TaskOutcome, error) {
-	pt, err := s.prepareTask(task)
-	if err != nil {
-		return nil, err
-	}
-	startSent := conn.Stats().BytesSent()
-	startRecv := conn.Stats().BytesRecv()
-	defer func() {
-		pt.outcome.BytesSent = conn.Stats().BytesSent() - startSent
-		pt.outcome.BytesRecv = conn.Stats().BytesRecv() - startRecv
-		s.settle(pt)
-	}()
-	if err := s.runExchange(conn, pt, replicaResults); err != nil {
-		return nil, err
-	}
-	return pt.outcome, nil
 }
 
 func (s *Supervisor) sendVerdict(conn protoConn, outcome *TaskOutcome) error {
@@ -359,67 +317,4 @@ func (tr *taskRun) crossCheckReports(task Task, f workload.Function, indices []u
 		}
 	}
 	return ""
-}
-
-// RunReplicated assigns the same task to every connection and compares the
-// uploads index-wise (the double-check baseline). The i-th outcome carries
-// the verdict for the i-th replica. An ErrNoConsensus comparison rejects
-// every replica.
-//
-//gridlint:credit verdict-phase bytes are attributed per replica from connection deltas
-func (s *Supervisor) RunReplicated(conns []transport.Conn, task Task) ([]*TaskOutcome, error) {
-	if s.cfg.Spec.Kind != SchemeDoubleCheck {
-		return nil, fmt.Errorf("%w: RunReplicated requires the double-check scheme", ErrBadConfig)
-	}
-	if len(conns) < 2 {
-		return nil, fmt.Errorf("%w: double-check needs >= 2 replicas, got %d", ErrBadConfig, len(conns))
-	}
-
-	outcomes := make([]*TaskOutcome, len(conns))
-	uploads := make([][][]byte, len(conns))
-	for i, conn := range conns {
-		var results [][]byte
-		outcome, err := s.run(conn, task, &results)
-		if err != nil {
-			return nil, fmt.Errorf("grid: replica %d: %w", i, err)
-		}
-		outcome.Replica = i
-		outcomes[i] = outcome
-		uploads[i] = results
-	}
-
-	verdicts, err := compareReplicas(uploads)
-	if err != nil {
-		return nil, err
-	}
-	for i := range outcomes {
-		outcomes[i].Verdict = verdicts[i]
-	}
-
-	for i, conn := range conns {
-		beforeSent := conn.Stats().BytesSent()
-		beforeRecv := conn.Stats().BytesRecv()
-		if err := s.sendVerdict(conn, outcomes[i]); err != nil {
-			return nil, fmt.Errorf("grid: replica %d verdict: %w", i, err)
-		}
-		if _, err := expectMsg(conn, msgVerdictAck); err != nil {
-			return nil, fmt.Errorf("grid: replica %d verdict ack: %w", i, err)
-		}
-		outcomes[i].BytesSent += conn.Stats().BytesSent() - beforeSent
-		outcomes[i].BytesRecv += conn.Stats().BytesRecv() - beforeRecv
-	}
-	return outcomes, nil
-}
-
-// expectMsg receives the next message and checks its type.
-func expectMsg(conn protoConn, wantType uint8) (transport.Message, error) {
-	msg, err := conn.Recv()
-	if err != nil {
-		return transport.Message{}, err
-	}
-	if msg.Type != wantType {
-		return transport.Message{}, fmt.Errorf("%w: got type %d, want %d",
-			ErrUnexpectedMessage, msg.Type, wantType)
-	}
-	return msg, nil
 }

@@ -57,9 +57,9 @@ func drawnChallenges(t *testing.T, seed int64, conns, workers, window int, tasks
 	if err != nil {
 		t.Fatalf("NewSupervisorPool: %v", err)
 	}
-	stream, err := pool.RunTasksStream(context.Background(), tapped, tasks, window)
+	stream, err := pool.RunTaskSource(context.Background(), tapped, SliceTaskSource(tasks), window)
 	if err != nil {
-		t.Fatalf("RunTasksStream: %v", err)
+		t.Fatalf("RunTaskSource: %v", err)
 	}
 	for so := range stream.Outcomes() {
 		if !so.Outcome.Verdict.Accepted {

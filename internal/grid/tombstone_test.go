@@ -32,7 +32,7 @@ func TestVerdictTombstonesBounded(t *testing.T) {
 
 	const tasks = 40
 	for i := 0; i < tasks; i++ {
-		outcome, err := sup.RunTask(supConn, Task{
+		outcome, err := runDialogue(sup, supConn, Task{
 			ID: uint64(i), Start: uint64(i) * 16, N: 16, Workload: "synthetic", Seed: 2,
 		})
 		if err != nil {
@@ -57,7 +57,7 @@ func TestVerdictTombstonesBounded(t *testing.T) {
 
 	// A fresh assignment reusing task ID 0 supersedes the old task: its
 	// tombstone (evicted or not) must not suppress the new tally.
-	outcome, err := sup.RunTask(supConn, Task{ID: 0, Start: 0, N: 16, Workload: "synthetic", Seed: 2})
+	outcome, err := runDialogue(sup, supConn, Task{ID: 0, Start: 0, N: 16, Workload: "synthetic", Seed: 2})
 	if err != nil {
 		t.Fatalf("reused task: %v", err)
 	}

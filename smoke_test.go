@@ -13,7 +13,7 @@ func TestExamplesSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	for _, name := range []string{"quickstart", "passwordsearch", "drugscreen", "setisearch"} {
+	for _, name := range []string{"quickstart", "passwordsearch", "drugscreen", "setisearch", "signalwatch"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -37,7 +37,7 @@ func TestGridsimSmoke(t *testing.T) {
 	}
 	out, err := exec.Command("go", "run", "./cmd/gridsim",
 		"-tasks", "2", "-tasksize", "128", "-honest", "2", "-semihonest", "0",
-		"-m", "5", "-workers", "2").CombinedOutput()
+		"-m", "5", "-pipeline", "2").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go run ./cmd/gridsim: %v\n%s", err, out)
 	}

@@ -251,17 +251,16 @@ type (
 	// SupervisorConfig configures a supervisor.
 	SupervisorConfig = grid.SupervisorConfig
 	// SupervisorPool verifies many participants concurrently with bounded
-	// workers; outcomes are reproducible for equal seeds regardless of
-	// scheduling.
+	// workers (RunTaskSource); the verdict of a (task, participant) pair is
+	// reproducible for equal seeds regardless of scheduling.
 	SupervisorPool = grid.SupervisorPool
-	// Assignment pairs a task with a participant connection for pooled runs.
-	Assignment = grid.Assignment
-	// Session is a pipelined multi-task exchange: up to `window` tasks in
-	// flight on one connection, messages tagged by task ID and coalesced
-	// into batched frames. Open one with Supervisor.OpenSession.
+	// Session is the task exchange on one connection: up to `window` tasks
+	// in flight, messages tagged by task ID and coalesced into batched
+	// frames; window 1 runs one exchange at a time. Open one with
+	// Supervisor.OpenSession.
 	Session = grid.Session
 	// TaskStream is the handle of a streaming pooled run
-	// (SupervisorPool.RunTasksStream): outcomes arrive as tasks complete.
+	// (SupervisorPool.RunTaskSource): outcomes arrive as tasks complete.
 	TaskStream = grid.TaskStream
 	// StreamedOutcome pairs a streamed outcome with its connection.
 	StreamedOutcome = grid.StreamedOutcome
@@ -277,7 +276,7 @@ type (
 	// WindowStats summarizes a window ledger: settled windows, violations,
 	// and tasks still pending in the open window.
 	WindowStats = grid.WindowStats
-	// SessionOption configures pipelined sessions.
+	// SessionOption configures sessions.
 	SessionOption = grid.SessionOption
 	// Participant is a grid worker.
 	Participant = grid.Participant
@@ -370,9 +369,6 @@ var (
 	// WithProverParallelism makes a participant hash its commitment tree in
 	// parallel; roots and reports stay identical to the sequential build.
 	WithProverParallelism = grid.WithProverParallelism
-	// WithStreamEligibility gates which connections may claim tasks during
-	// a streaming pooled run.
-	WithStreamEligibility = grid.WithEligibility
 	// WithStreamRedial enables reconnect-and-resume: quarantined
 	// connections are replaced and their in-flight tasks resume
 	// mid-protocol.
@@ -383,9 +379,9 @@ var (
 	// WithStreamRecvTimeout arms the sessions' receive watchdog, turning
 	// silently dropped frames into reconnects.
 	WithStreamRecvTimeout = grid.WithStreamRecvTimeout
-	// WithStreamReplicas makes a double-check RunTasksStream fan every task
+	// WithStreamReplicas makes a double-check RunTaskSource fan every task
 	// out to n pairwise-distinct connections whose uploads meet at a
-	// comparison rendezvous — the pipelined form of RunReplicated.
+	// comparison rendezvous.
 	WithStreamReplicas = grid.WithReplicas
 	// WithStreamWorkerIdentity names the participant behind each stream
 	// connection, so replica groups are placed on distinct workers even
@@ -437,8 +433,7 @@ var ErrCheckpointCorrupt = grid.ErrCheckpointCorrupt
 var ErrConnQuarantined = grid.ErrConnQuarantined
 
 // ErrFrameCorrupt marks a frame that failed the transport's per-frame
-// CRC-32 — link damage, distinguishable from peer misbehavior in every
-// wire mode, dialogue included.
+// CRC-32 — link damage, distinguishable from peer misbehavior.
 var ErrFrameCorrupt = transport.ErrFrameCorrupt
 
 // MaxFrameBytes bounds a single transport frame; larger uploads travel as
