@@ -97,7 +97,7 @@ func BenchmarkEq2MonteCarlo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prover, err := NewProver(256, producer.Claim)
+		prover, err := NewProver(256, func(x uint64) []byte { return producer.AppendClaim(nil, x) })
 		if err != nil {
 			b.Fatal(err)
 		}

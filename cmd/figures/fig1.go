@@ -15,7 +15,9 @@ func runFig1(w io.Writer) error {
 	f := workload.NewPassword(2004, 16)
 	const n = 16
 
-	prover, err := core.NewProver(n, func(i uint64) []byte { return f.Eval(i) })
+	var buf []byte
+	eval := func(i uint64) []byte { buf = f.AppendEval(buf[:0], i); return buf }
+	prover, err := core.NewProver(n, eval)
 	if err != nil {
 		return err
 	}
@@ -41,8 +43,7 @@ func runFig1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	err = verifier.Verify(core.Challenge{Indices: []uint64{2}}, resp,
-		core.RecomputeCheck(func(i uint64) []byte { return f.Eval(i) }))
+	err = verifier.Verify(core.Challenge{Indices: []uint64{2}}, resp, core.RecomputeCheck(eval))
 	if err != nil {
 		return fmt.Errorf("verification failed: %w", err)
 	}

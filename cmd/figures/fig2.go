@@ -54,7 +54,9 @@ func measuredSurvivalWithQ(r float64, bits uint, m, rounds, n int) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		prover, err := core.NewProver(n, producer.Claim)
+		var buf []byte
+		prover, err := core.NewProver(n,
+			func(i uint64) []byte { buf = producer.AppendClaim(buf[:0], i); return buf })
 		if err != nil {
 			return 0, err
 		}
@@ -72,7 +74,7 @@ func measuredSurvivalWithQ(r float64, bits uint, m, rounds, n int) (float64, err
 			return 0, err
 		}
 		err = verifier.Verify(ch, resp,
-			core.RecomputeCheck(func(i uint64) []byte { return f.Eval(i) }))
+			core.RecomputeCheck(func(i uint64) []byte { buf = f.AppendEval(buf[:0], i); return buf }))
 		var cheatErr *core.CheatError
 		switch {
 		case err == nil:

@@ -30,8 +30,9 @@ func runFig3(w io.Writer) error {
 				continue
 			}
 			f := workload.NewSynthetic(uint64(n), 1, 64)
+			var buf []byte
 			prover, err := core.NewProver(n,
-				func(i uint64) []byte { return f.Eval(i) },
+				func(i uint64) []byte { buf = f.AppendEval(buf[:0], i); return buf },
 				core.WithSubtreeHeight(ell))
 			if err != nil {
 				return err

@@ -31,10 +31,14 @@ func run() error {
 	}
 	fmt.Printf("sample size m = %d (ε=1e-4, r=0.5, q=%g)\n\n", m, f.GuessProb())
 
-	check := uncheatgrid.RecomputeCheck(func(i uint64) []byte { return f.Eval(i) })
+	// Prover and check copy or compare each value as it is produced, so one
+	// buffer serves every evaluation.
+	var buf []byte
+	eval := func(i uint64) []byte { buf = f.AppendEval(buf[:0], i); return buf }
+	check := uncheatgrid.RecomputeCheck(eval)
 
 	// --- An honest participant passes (Theorem 1). ---
-	honest, err := uncheatgrid.NewProver(n, func(i uint64) []byte { return f.Eval(i) })
+	honest, err := uncheatgrid.NewProver(n, eval)
 	if err != nil {
 		return err
 	}
@@ -49,7 +53,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	lazyProver, err := uncheatgrid.NewProver(n, cheater.Claim)
+	lazyProver, err := uncheatgrid.NewProver(n,
+		func(i uint64) []byte { buf = cheater.AppendClaim(buf[:0], i); return buf })
 	if err != nil {
 		return err
 	}

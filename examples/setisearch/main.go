@@ -25,15 +25,17 @@ func run() error {
 		m = 14      // Eq. 3 at ε=1e-4, r=0.5, q≈0
 	)
 
-	check := uncheatgrid.RecomputeCheck(func(i uint64) []byte { return signal.Eval(i) })
+	// Prover and check copy or compare each value as it is produced, so one
+	// buffer serves every evaluation.
+	var buf []byte
+	eval := func(i uint64) []byte { buf = signal.AppendEval(buf[:0], i); return buf }
+	check := uncheatgrid.RecomputeCheck(eval)
 	fmt.Printf("spectral search over %d chunks of %d samples; m = %d audits\n\n",
 		n, signal.ChunkLen(), m)
 	fmt.Printf("%4s %14s %16s %14s %14s\n", "ℓ", "stored slots", "rebuilt f-evals", "measured rco", "analytic 2m/S")
 
 	for _, ell := range []int{0, 4, 8, 12} {
-		prover, err := uncheatgrid.NewProver(n,
-			func(i uint64) []byte { return signal.Eval(i) },
-			uncheatgrid.WithSubtreeHeight(ell))
+		prover, err := uncheatgrid.NewProver(n, eval, uncheatgrid.WithSubtreeHeight(ell))
 		if err != nil {
 			return err
 		}
@@ -68,7 +70,7 @@ func run() error {
 	screener := signal.Screener()
 	found := 0
 	for x := uint64(0); x < 4096 && found < 3; x++ {
-		if s, ok := screener.Screen(x, signal.Eval(x)); ok {
+		if s, ok := screener.Screen(x, eval(x)); ok {
 			fmt.Printf("\n%s", s)
 			found++
 		}

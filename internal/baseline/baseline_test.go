@@ -24,7 +24,7 @@ func checkAgainst(f workload.Function) CheckFunc {
 func claims(p cheat.Producer, n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
-		out[i] = p.Claim(uint64(i))
+		out[i] = p.AppendClaim(nil, uint64(i))
 	}
 	return out
 }
@@ -218,7 +218,7 @@ func TestRingerHonestParticipantFindsAll(t *testing.T) {
 		t.Fatalf("PlantRingers: %v", err)
 	}
 	honest := cheat.NewHonest(p)
-	found := set.FindRingers(honest.Claim, n)
+	found := set.FindRingers(func(x uint64) []byte { return honest.AppendClaim(nil, x) }, n)
 	if err := set.Verify(found); err != nil {
 		t.Fatalf("honest participant failed ringer check: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestRingerCatchesLazyParticipant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSemiHonest: %v", err)
 		}
-		if err := set.Verify(set.FindRingers(lazy.Claim, n)); err != nil {
+		if err := set.Verify(set.FindRingers(func(x uint64) []byte { return lazy.AppendClaim(nil, x) }, n)); err != nil {
 			if !errors.Is(err, ErrMissingRinger) {
 				t.Fatalf("unexpected failure: %v", err)
 			}

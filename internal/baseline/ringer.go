@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -35,7 +36,8 @@ type RingerSet struct {
 
 // PlantRingers precomputes m ringers over the domain [0, n) using eval (the
 // supervisor's own access to f). Duplicate plants are re-drawn so the m
-// secrets are distinct; m must not exceed n.
+// secrets are distinct; m must not exceed n. The images are copied into the
+// set, so eval may reuse one buffer between calls.
 func PlantRingers(eval func(x uint64) []byte, n uint64, m int, rng *rand.Rand) (*RingerSet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadDomain, n)
@@ -70,7 +72,7 @@ func PlantRingers(eval func(x uint64) []byte, n uint64, m int, rng *rand.Rand) (
 		imageIndex: make(map[string]int, m),
 	}
 	for j, x := range secrets {
-		img := eval(x)
+		img := bytes.Clone(eval(x))
 		set.Images[j] = img
 		set.imageIndex[string(img)] = j
 	}

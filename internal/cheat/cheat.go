@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"uncheatgrid/internal/workload"
 )
@@ -23,19 +24,23 @@ var (
 	ErrBadProb = errors.New("cheat: probability must be in [0, 1]")
 )
 
-// Producer yields the results a participant claims for its task. Claim is
-// what enters the Merkle tree (and thus what CBS audits); Report filters the
-// screener verdicts sent to the supervisor. HonestOn exposes the ground
-// truth D' membership so experiments can compare detection against reality.
+// Producer yields the results a participant claims for its task. AppendClaim
+// produces what enters the Merkle tree (and thus what CBS audits); Report
+// filters the screener verdicts sent to the supervisor. HonestOn exposes the
+// ground truth D' membership so experiments can compare detection against
+// reality.
 //
-// Implementations are safe for concurrent use.
+// Implementations are safe for concurrent use by callers passing distinct
+// dst buffers.
 type Producer interface {
 	// Name identifies the behaviour in reports.
 	Name() string
-	// Claim returns the value the participant commits as f(x).
-	Claim(x uint64) []byte
-	// HonestOn reports whether x ∈ D', i.e. whether Claim(x) was computed
-	// by actually evaluating f.
+	// AppendClaim appends the value the participant commits as f(x) to dst
+	// and returns the extended slice, under workload.Function.AppendEval's
+	// contract: exactly the claimed bytes, dst never retained.
+	AppendClaim(dst []byte, x uint64) []byte
+	// HonestOn reports whether x ∈ D', i.e. whether the claim for x was
+	// computed by actually evaluating f.
 	HonestOn(x uint64) bool
 	// Report post-processes the screener verdict for x before it is sent.
 	Report(x uint64, s string, interesting bool) (string, bool)
@@ -56,8 +61,8 @@ func NewHonest(f workload.Function) *Honest {
 // Name implements Producer.
 func (h *Honest) Name() string { return "honest" }
 
-// Claim implements Producer: always the true f(x).
-func (h *Honest) Claim(x uint64) []byte { return h.f.Eval(x) }
+// AppendClaim implements Producer: always the true f(x).
+func (h *Honest) AppendClaim(dst []byte, x uint64) []byte { return h.f.AppendEval(dst, x) }
 
 // HonestOn implements Producer.
 func (h *Honest) HonestOn(uint64) bool { return true }
@@ -83,7 +88,7 @@ type SemiHonest struct {
 var _ Producer = (*SemiHonest)(nil)
 
 // NewSemiHonest creates a cheater with honesty ratio r. The seed fixes both
-// the D' membership and the guess stream; Claim is fully deterministic, so
+// the D' membership and the guess stream; AppendClaim is fully deterministic, so
 // the fabricated leaves stay stable across commitment and proof phases (the
 // cheater "committed" to its guesses, as the paper's model requires).
 func NewSemiHonest(f workload.Function, r float64, seed uint64) (*SemiHonest, error) {
@@ -112,15 +117,53 @@ func (s *SemiHonest) HonestOn(x uint64) bool {
 	return mix(s.seed^mix(x)) < s.threshold
 }
 
-// Claim implements Producer: f(x) on D', the guess f̌(x) elsewhere. Guesses
-// are drawn from a per-input deterministic stream so repeated calls agree.
-func (s *SemiHonest) Claim(x uint64) []byte {
+// AppendClaim implements Producer: f(x) on D', the guess f̌(x) elsewhere.
+// Guesses are drawn from a per-input deterministic stream so repeated calls
+// agree.
+func (s *SemiHonest) AppendClaim(dst []byte, x uint64) []byte {
 	if s.HonestOn(x) {
-		return s.f.Eval(x)
+		return s.f.AppendEval(dst, x)
 	}
-	rng := rand.New(rand.NewSource(int64(mix(s.seed ^ mix(x^0x6355)))))
-	return s.f.GuessOutput(x, rng)
+	g := guessStreams.Get().(*guessStream)
+	// Seed also drops bytes a previous input's rng.Read left buffered.
+	g.rng.Seed(int64(mix(s.seed ^ mix(x^0x6355))))
+	dst = append(dst, s.f.GuessOutput(x, g.rng)...)
+	guessStreams.Put(g)
+	return dst
 }
+
+// guessStream is the generator under one input's guess: splitmix64 behind a
+// rand.Rand. A guess draws a word or two, so a stream must cost nothing to
+// start — math/rand's default source fills a 607-word table per seed, ~5 kB
+// and microseconds per fabricated leaf, which made cheating dearer than the
+// paper's "negligible cost" f̌. Streams are pooled because rand.New itself
+// allocates; a pooled stream is re-seeded per input, never shared.
+type guessStream struct {
+	state uint64
+	rng   *rand.Rand
+}
+
+var guessStreams = sync.Pool{New: func() any {
+	g := &guessStream{}
+	g.rng = rand.New(g)
+	return g
+}}
+
+var _ rand.Source64 = (*guessStream)(nil)
+
+// Uint64 implements rand.Source64: mix advances its argument by the
+// splitmix64 increment before scrambling, so the state trails by one step.
+func (g *guessStream) Uint64() uint64 {
+	out := mix(g.state)
+	g.state += 0x9e3779b97f4a7c15
+	return out
+}
+
+// Int63 implements rand.Source.
+func (g *guessStream) Int63() int64 { return int64(g.Uint64() >> 1) }
+
+// Seed implements rand.Source.
+func (g *guessStream) Seed(seed int64) { g.state = uint64(seed) }
 
 // Report implements Producer: the semi-honest cheater reports whatever its
 // claimed values screen to — it is lazy, not disruptive.
@@ -151,8 +194,8 @@ func NewMalicious(f workload.Function, corruptProb float64, seed uint64) (*Malic
 // Name implements Producer.
 func (m *Malicious) Name() string { return fmt.Sprintf("malicious(p=%g)", m.corruptProb) }
 
-// Claim implements Producer: the true f(x); the attack is downstream.
-func (m *Malicious) Claim(x uint64) []byte { return m.f.Eval(x) }
+// AppendClaim implements Producer: the true f(x); the attack is downstream.
+func (m *Malicious) AppendClaim(dst []byte, x uint64) []byte { return m.f.AppendEval(dst, x) }
 
 // HonestOn implements Producer: computation-wise the saboteur is honest.
 func (m *Malicious) HonestOn(uint64) bool { return true }

@@ -14,7 +14,7 @@ func TestHonestClaimsMatchF(t *testing.T) {
 	f := workload.NewSynthetic(1, 1, 64)
 	h := NewHonest(f)
 	for x := uint64(0); x < 16; x++ {
-		if !bytes.Equal(h.Claim(x), f.Eval(x)) {
+		if !bytes.Equal(h.AppendClaim(nil, x), f.Eval(x)) {
 			t.Fatalf("Claim(%d) != f(%d)", x, x)
 		}
 		if !h.HonestOn(x) {
@@ -81,7 +81,7 @@ func TestSemiHonestClaimsHonestOnDPrime(t *testing.T) {
 	}
 	var honestMatches, dishonestMatches, honestCount, dishonestCount int
 	for x := uint64(0); x < 2000; x++ {
-		claim := s.Claim(x)
+		claim := s.AppendClaim(nil, x)
 		matches := bytes.Equal(claim, f.Eval(x))
 		if s.HonestOn(x) {
 			honestCount++
@@ -115,7 +115,7 @@ func TestSemiHonestGuessMatchesQForOneBit(t *testing.T) {
 	matches := 0
 	const n = 4000
 	for x := uint64(0); x < n; x++ {
-		if bytes.Equal(s.Claim(x), f.Eval(x)) {
+		if bytes.Equal(s.AppendClaim(nil, x), f.Eval(x)) {
 			matches++
 		}
 	}
@@ -166,7 +166,7 @@ func TestMaliciousComputesHonestly(t *testing.T) {
 		t.Fatalf("NewMalicious: %v", err)
 	}
 	for x := uint64(0); x < 64; x++ {
-		if !bytes.Equal(m.Claim(x), f.Eval(x)) {
+		if !bytes.Equal(m.AppendClaim(nil, x), f.Eval(x)) {
 			t.Fatalf("malicious Claim(%d) differs from f — it should cheat downstream, not here", x)
 		}
 		if !m.HonestOn(x) {

@@ -84,20 +84,27 @@ func Reroll(cfg RerollConfig) (*RerollResult, error) {
 	}
 
 	result := &RerollResult{}
-	claims := make([][]byte, cfg.N)
-	// D' is the prefix [0, honest): the attacker computes those once.
+	// One slab holds the claimed leaves back to back, leaf i at
+	// slab[offs[i]:offs[i+1]]. D' is the prefix [0, honest): the attacker
+	// computes those once, and every re-roll overwrites the tail after them.
+	var slab []byte
+	offs := make([]int, cfg.N+1)
 	for i := 0; i < honest; i++ {
-		claims[i] = cfg.F.Eval(uint64(i))
+		slab = cfg.F.AppendEval(slab, uint64(i))
+		offs[i+1] = len(slab)
 		result.HonestEvaluations++
 	}
+	leaf := func(i int) []byte { return slab[offs[i]:offs[i+1]:offs[i+1]] }
 	rng := rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x7e7011))
 
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		// Re-roll the fabricated leaves (step 2-3 of the paper's strategy).
+		slab = slab[:offs[honest]]
 		for i := honest; i < cfg.N; i++ {
-			claims[i] = cfg.F.GuessOutput(uint64(i), rng)
+			slab = append(slab, cfg.F.GuessOutput(uint64(i), rng)...)
+			offs[i+1] = len(slab)
 		}
-		tree, err := merkle.Build(claims, cfg.TreeOptions...)
+		tree, err := merkle.BuildFunc(cfg.N, leaf, cfg.TreeOptions...)
 		if err != nil {
 			return nil, fmt.Errorf("cheat: build attempt %d: %w", attempt, err)
 		}
@@ -111,7 +118,10 @@ func Reroll(cfg RerollConfig) (*RerollResult, error) {
 
 		if allBelow(indices, uint64(honest)) {
 			result.Root = root
-			result.Claims = claims
+			result.Claims = make([][]byte, cfg.N)
+			for i := range result.Claims {
+				result.Claims[i] = leaf(i)
+			}
 			return result, nil
 		}
 	}

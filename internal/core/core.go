@@ -82,7 +82,8 @@ func (e *CheatError) Unwrap() error { return e.Err }
 type CheckFunc func(index uint64, output []byte) error
 
 // RecomputeCheck builds a CheckFunc that recomputes f and compares — the
-// generic, always-available strategy.
+// generic, always-available strategy. The recomputed value is compared and
+// dropped, so eval may reuse one buffer between calls.
 func RecomputeCheck(eval func(index uint64) []byte) CheckFunc {
 	return func(index uint64, output []byte) error {
 		want := eval(index)

@@ -401,7 +401,7 @@ func TestEquationTwoMonteCarlo(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewSemiHonest: %v", err)
 				}
-				prover, err := NewProver(n, producer.Claim)
+				prover, err := NewProver(n, func(x uint64) []byte { return producer.AppendClaim(nil, x) })
 				if err != nil {
 					t.Fatalf("NewProver: %v", err)
 				}
@@ -502,7 +502,7 @@ func TestNonInteractiveCatchesNaiveCheater(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSemiHonest: %v", err)
 	}
-	prover, err := NewProver(256, producer.Claim)
+	prover, err := NewProver(256, func(x uint64) []byte { return producer.AppendClaim(nil, x) })
 	if err != nil {
 		t.Fatalf("NewProver: %v", err)
 	}

@@ -25,8 +25,12 @@ type Prover struct {
 // NewProver builds the participant's Merkle tree over n claimed results
 // (Step 1 of Section 3.1). claim(i) must return the value the participant
 // stands behind for domain index i; for an honest participant that is
-// f(x_i). With WithSubtreeHeight(ℓ > 0), claim must be deterministic since
-// audited subtrees are recomputed on demand.
+// f(x_i). The tree copies each value as it is produced and keeps no
+// reference to it, so claim may reuse one buffer between calls
+// (workload.Function.AppendEval into buf[:0]) — unless the tree options ask
+// for a parallel build, which calls claim from several goroutines. With
+// WithSubtreeHeight(ℓ > 0), claim must be deterministic since audited
+// subtrees are recomputed on demand.
 func NewProver(n int, claim func(i uint64) []byte, opts ...Option) (*Prover, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadDomain, n)

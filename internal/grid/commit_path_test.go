@@ -196,3 +196,131 @@ func TestProverParallelismTallyIsSingleGoroutine(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainedClaimsOwnTheirBytes is the aliasing guard for the participant's
+// scheme runners, which claim into reused buffers: every path that keeps a
+// claimed value past the next claim — the upload's result vector, the values
+// materialized for a parallel tree build, the partial tree's rebuilt
+// subtrees — must send exactly what a participant holding each value in a
+// slice of its own would. The reference side never reuses anything.
+func TestRetainedClaimsOwnTheirBytes(t *testing.T) {
+	const n = 2048 // above merkle's parallel threshold, so p=4 really forks
+	spec := SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1}
+	chain, err := hashchain.New(spec.ChainIters)
+	if err != nil {
+		t.Fatalf("hashchain.New: %v", err)
+	}
+	ref, _ := newCommitExecution(t, n, spec, nil)
+	fresh := make([][]byte, n)
+	for i := range fresh {
+		fresh[i] = ref.producer.AppendClaim(nil, ref.task.Start+uint64(i))
+	}
+
+	t.Run("upload", func(t *testing.T) {
+		exec, _ := newCommitExecution(t, n, SchemeSpec{Kind: SchemeNaive, M: 8}, nil)
+		conn := &scriptConn{sent: make(map[uint8][]byte)}
+		if err := exec.runUpload(conn, nil); err != nil {
+			t.Fatalf("runUpload: %v", err)
+		}
+		if !bytes.Equal(conn.sent[msgResults], encodeResults(fresh)) {
+			t.Error("uploaded results differ from the fresh-slice participant's")
+		}
+		if !bytes.Equal(exec.digest, hashResults(fresh)) {
+			t.Error("upload digest differs from the fresh-slice participant's")
+		}
+	})
+
+	prover, err := core.NewProver(n, func(i uint64) []byte { return fresh[i] })
+	if err != nil {
+		t.Fatalf("NewProver: %v", err)
+	}
+	wantCommit, err := prover.Commitment().MarshalBinary()
+	if err != nil {
+		t.Fatalf("marshal commitment: %v", err)
+	}
+	resp, err := prover.RespondNonInteractive(chain, spec.M)
+	if err != nil {
+		t.Fatalf("RespondNonInteractive: %v", err)
+	}
+	wantProofs, err := resp.MarshalBinary()
+	if err != nil {
+		t.Fatalf("marshal response: %v", err)
+	}
+	for _, tc := range []struct {
+		name             string
+		parallelism, ell int
+	}{
+		{"scratch", 1, 0},
+		{"parallel build", 4, 0},
+		{"partial tree", 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := spec
+			spec.SubtreeHeight = tc.ell
+			exec, _ := newCommitExecution(t, n, spec, nil)
+			exec.parallelism = tc.parallelism
+			conn := &scriptConn{sent: make(map[uint8][]byte)}
+			if err := exec.runCBS(conn, true, chain, nil); err != nil {
+				t.Fatalf("runCBS: %v", err)
+			}
+			if !bytes.Equal(conn.sent[msgCommit], wantCommit) {
+				t.Error("commitment differs from the fresh-slice participant's")
+			}
+			if !bytes.Equal(conn.sent[msgProofs], wantProofs) {
+				t.Error("proofs differ from the fresh-slice participant's")
+			}
+		})
+	}
+}
+
+// TestCrossCheckReportsLookup pins the sampled-input lookup against an
+// untrusted report list: order is not assumed, unsampled reports are
+// ignored, a repeated input is judged by its last report, and a repeated
+// sample is checked (and charged) each time it is drawn.
+func TestCrossCheckReportsLookup(t *testing.T) {
+	task := Task{ID: 1, Start: 1000, N: 64, Workload: "synthetic", Seed: 11}
+	base, err := workload.New(task.Workload, task.Seed)
+	if err != nil {
+		t.Fatalf("workload.New: %v", err)
+	}
+	// Inputs 1003 and 1010 are the interesting ones.
+	f := screenedFunction{Function: base, screener: workload.ScreenerFunc(func(x uint64, _ []byte) (string, bool) {
+		return fmt.Sprintf("hit %d", x), x == 1003 || x == 1010
+	})}
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 4}, Seed: 3, CrossCheckReports: true})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	indices := []uint64{10, 3, 7, 3} // unsorted, 3 drawn twice
+	for _, tc := range []struct {
+		name    string
+		reports []Report
+		want    string
+	}{
+		{"faithful, out of order, with unsampled extras",
+			[]Report{{X: 1050, S: "noise"}, {X: 1010, S: "hit 1010"}, {X: 1000, S: "noise"}, {X: 1003, S: "hit 1003"}}, ""},
+		{"missing", []Report{{X: 1010, S: "hit 1010"}}, "screener report missing or wrong for sampled input 1003"},
+		{"wrong string", []Report{{X: 1010, S: "hit 1010"}, {X: 1003, S: "other"}}, "screener report missing or wrong for sampled input 1003"},
+		{"fabricated", []Report{{X: 1010, S: "hit 1010"}, {X: 1003, S: "hit 1003"}, {X: 1007, S: "made up"}}, "fabricated report for sampled input 1007"},
+		{"later report wins: right then wrong",
+			[]Report{{X: 1010, S: "hit 1010"}, {X: 1003, S: "hit 1003"}, {X: 1010, S: "other"}}, "screener report missing or wrong for sampled input 1010"},
+		{"later report wins: wrong then right",
+			[]Report{{X: 1010, S: "other"}, {X: 1003, S: "hit 1003"}, {X: 1010, S: "hit 1010"}}, ""},
+	} {
+		tr := sup.newTaskRun(task)
+		if got := tr.crossCheckReports(task, f, indices, tc.reports); got != tc.want {
+			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
+		}
+		if tc.want == "" && tr.evals != int64(len(indices)) {
+			t.Errorf("%s: charged %d evaluations for %d samples", tc.name, tr.evals, len(indices))
+		}
+	}
+}
+
+// screenedFunction swaps a workload's screener for a scripted one.
+type screenedFunction struct {
+	workload.Function
+	screener workload.Screener
+}
+
+func (f screenedFunction) Screener() workload.Screener { return f.screener }

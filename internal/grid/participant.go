@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"uncheatgrid/internal/cheat"
@@ -608,17 +609,38 @@ type taskExecution struct {
 	digest []byte
 }
 
-// claimAndScreen evaluates the participant's claimed value for domain index
-// i, feeding the screener and the behaviour's report filter.
-func (e *taskExecution) claimAndScreen(i uint64, reports *[]Report) []byte {
+// claimAndScreen appends the participant's claimed value for domain index i
+// to dst, feeding the screener and the behaviour's report filter with it.
+func (e *taskExecution) claimAndScreen(dst []byte, i uint64, reports *[]Report) []byte {
 	x := e.task.Start + i
-	value := e.producer.Claim(x)
-	s, interesting := e.screener.Screen(x, value)
+	start := len(dst)
+	dst = e.producer.AppendClaim(dst, x)
+	s, interesting := e.screener.Screen(x, dst[start:])
 	s, interesting = e.producer.Report(x, s, interesting)
 	if interesting {
 		*reports = append(*reports, Report{X: x, S: s})
 	}
-	return value
+	return dst
+}
+
+// claimAll claims and screens the task's whole domain in order and keeps
+// every value: values[i] is a capacity-bounded view into one slab, sized
+// from the first value (exact when outputs are uniform, as every workload's
+// are), so n retained values cost a slab and a view table, not n slices. A
+// view taken before the slab had to grow keeps pointing at the outgrown
+// array, whose bytes append leaves as they were.
+func (e *taskExecution) claimAll(reports *[]Report) [][]byte {
+	values := make([][]byte, e.task.N)
+	var slab []byte
+	for i := range values {
+		start := len(slab)
+		slab = e.claimAndScreen(slab, uint64(i), reports)
+		if i == 0 {
+			slab = slices.Grow(slab, (len(values)-1)*len(slab))
+		}
+		values[i] = slab[start:len(slab):len(slab)]
+	}
+	return values
 }
 
 // runCBS executes Steps 1-3 of (NI-)CBS: build the tree over claimed values
@@ -634,11 +656,17 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 	// guarantee it), and every call after it returns is a §3.3 subtree
 	// rebuild, which re-claims but must not re-screen or re-report.
 	committing := true
+	// The tree copies each claimed value before asking for the next (the
+	// contract of merkle.BuildFunc and NewPartial), so one scratch buffer
+	// serves every claim of the task.
+	var buf []byte
 	claim := func(i uint64) []byte {
 		if committing {
-			return e.claimAndScreen(i, &reports)
+			buf = e.claimAndScreen(buf[:0], i, &reports)
+		} else {
+			buf = e.producer.AppendClaim(buf[:0], e.task.Start+i)
 		}
-		return e.producer.Claim(e.task.Start + i)
+		return buf
 	}
 
 	var opts []core.Option
@@ -651,10 +679,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		// producer state are part of the protocol contract). Materialize the
 		// claimed values first, then hash the tree in parallel over the
 		// frozen slice — the root is bit-identical to the sequential build.
-		values := make([][]byte, e.task.N)
-		for i := uint64(0); i < e.task.N; i++ {
-			values[i] = claim(i)
-		}
+		values := e.claimAll(&reports)
 		claim = func(i uint64) []byte { return values[i] }
 		opts = append(opts, core.WithTreeOptions(merkle.WithParallelism(e.parallelism)))
 	}
@@ -725,10 +750,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 // (chunk boundaries are deterministic, so the stream splices exactly).
 func (e *taskExecution) runUpload(conn protoConn, res *resumeMsg) error {
 	var reports []Report
-	results := make([][]byte, e.task.N)
-	for i := uint64(0); i < e.task.N; i++ {
-		results[i] = e.claimAndScreen(i, &reports)
-	}
+	results := e.claimAll(&reports)
 	e.digest = hashResults(results)
 	if res == nil || !res.ResultsDone {
 		var from uint64
@@ -784,8 +806,9 @@ func (e *taskExecution) runRinger(conn protoConn, images [][]byte, res *resumeMs
 	}
 	var reports []Report
 	var hits []uint64
+	var value []byte
 	for i := uint64(0); i < e.task.N; i++ {
-		value := e.claimAndScreen(i, &reports)
+		value = e.claimAndScreen(value[:0], i, &reports)
 		if _, ok := imageSet[string(value)]; ok {
 			hits = append(hits, e.task.Start+i)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"uncheatgrid/internal/baseline"
@@ -64,12 +65,26 @@ func taskSeed(seed int64, taskID uint64) int64 {
 }
 
 // taskRun carries the mutable state of one task execution — its randomness
-// stream and verification-eval counter — so concurrent tasks never contend
-// on supervisor fields.
+// stream, verification-eval counter and evaluation scratch — so concurrent
+// tasks never contend on supervisor fields.
 type taskRun struct {
 	sup   *Supervisor
 	rng   *rand.Rand
 	evals int64
+	// buf receives every f(x) the supervisor recomputes for this task; see
+	// eval.
+	buf []byte
+}
+
+// eval recomputes f(x) for the task, charging its verification budget. The
+// result lives in the task's one scratch buffer and is only valid until the
+// next eval: callers compare or screen it, and copy what they keep.
+//
+//gridlint:credit the one place a task's verification evaluations are counted
+func (tr *taskRun) eval(f workload.Function, x uint64) []byte {
+	tr.evals++
+	tr.buf = f.AppendEval(tr.buf[:0], x)
+	return tr.buf
 }
 
 func (s *Supervisor) newTaskRun(task Task) *taskRun {
@@ -171,8 +186,6 @@ type preparedTask struct {
 // workload and the task's private randomness stream, and (ringer scheme)
 // plant the secrets. No traffic is generated; ringer evaluations are charged
 // to the task's verification budget.
-//
-//gridlint:credit ringer planting charges its evaluations to the task's verify budget
 func (s *Supervisor) prepareTask(task Task) (*preparedTask, error) {
 	if err := task.validate(); err != nil {
 		return nil, err
@@ -192,7 +205,7 @@ func (s *Supervisor) prepareTask(task Task) (*preparedTask, error) {
 	if s.cfg.Spec.Kind == SchemeRinger {
 		// Secrets are domain-relative; f is evaluated at absolute inputs.
 		pt.ringers, err = baseline.PlantRingers(
-			func(x uint64) []byte { tr.evals++; return f.Eval(task.Start + x) },
+			func(x uint64) []byte { return tr.eval(f, task.Start+x) },
 			task.N, s.cfg.Spec.M, tr.rng)
 		if err != nil {
 			return nil, err
@@ -275,8 +288,6 @@ func (s *Supervisor) sendVerdict(conn protoConn, outcome *TaskOutcome) error {
 // checkFuncFor builds the Step 4 output check: a cheap verifier when the
 // workload supports one, otherwise recomputation. Evaluations are charged
 // to the task's verification budget.
-//
-//gridlint:credit recomputation checks charge the task's verify budget per evaluation
 func (tr *taskRun) checkFuncFor(task Task, f workload.Function) core.CheckFunc {
 	if verifier, ok := workload.AsOutputVerifier(f); ok {
 		return func(index uint64, output []byte) error {
@@ -287,32 +298,40 @@ func (tr *taskRun) checkFuncFor(task Task, f workload.Function) core.CheckFunc {
 		}
 	}
 	return core.RecomputeCheck(func(index uint64) []byte {
-		tr.evals++
-		return f.Eval(task.Start + index)
+		return tr.eval(f, task.Start+index)
 	})
 }
 
 // crossCheckReports recomputes the screener on the sampled inputs and
 // confirms the participant's report list agrees — the sampled-index defense
-// against the malicious model of Section 2.2.
-//
-//gridlint:credit sampled-index recomputation charges the task's verify budget
+// against the malicious model of Section 2.2. The report list is untrusted:
+// it may be long, unordered and repeat an input (the later report wins), so
+// the lookup is built over the m sampled inputs, not the list.
 func (tr *taskRun) crossCheckReports(task Task, f workload.Function, indices []uint64, reports []Report) string {
 	screener := f.Screener()
-	reported := make(map[uint64]string, len(reports))
-	for _, rep := range reports {
-		reported[rep.X] = rep.S
+	sampled := make([]uint64, len(indices))
+	for k, idx := range indices {
+		sampled[k] = task.Start + idx
+	}
+	slices.Sort(sampled)
+	// reported[k] is the last report naming sampled[k], nil when none does.
+	// A repeated sample is looked up where BinarySearch lands: its first
+	// copy, for the scan below and for the check after it.
+	reported := make([]*Report, len(sampled))
+	for r := range reports {
+		if k, ok := slices.BinarySearch(sampled, reports[r].X); ok {
+			reported[k] = &reports[r]
+		}
 	}
 	for _, idx := range indices {
 		x := task.Start + idx
-		tr.evals++
-		value := f.Eval(x)
-		wantS, interesting := screener.Screen(x, value)
-		gotS, gotReported := reported[x]
-		if interesting && (!gotReported || gotS != wantS) {
+		wantS, interesting := screener.Screen(x, tr.eval(f, x))
+		k, _ := slices.BinarySearch(sampled, x)
+		got := reported[k]
+		if interesting && (got == nil || got.S != wantS) {
 			return fmt.Sprintf("screener report missing or wrong for sampled input %d", x)
 		}
-		if !interesting && gotReported {
+		if !interesting && got != nil {
 			return fmt.Sprintf("fabricated report for sampled input %d", x)
 		}
 	}

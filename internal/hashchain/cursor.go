@@ -50,10 +50,7 @@ func (cu *Cursor) Advance(root []byte) error {
 	if len(root) == 0 {
 		return ErrEmptySeed
 	}
-	input := make([]byte, 0, len(cu.state)+len(root))
-	input = append(input, cu.state...)
-	input = append(input, root...)
-	cu.state = cu.chain.Apply(input)
+	cu.state = cu.chain.step(cu.chain.newHash(), cu.state, cu.state, root)
 	cu.window++
 	return nil
 }

@@ -163,3 +163,25 @@ func TestCursorValidation(t *testing.T) {
 		t.Fatalf("oversized state: got %v", err)
 	}
 }
+
+// TestCursorAdvanceMatchesDefinition pins the in-place advance to its
+// definition, s_{k+1} = g(s_k || root), computed the long way.
+func TestCursorAdvanceMatchesDefinition(t *testing.T) {
+	chain, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cu, err := chain.NewCursor([]byte("stream seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, root := range windowRoots(6, -1) {
+		want := chain.Apply(append(cu.State(), root...))
+		if err := cu.Advance(root); err != nil {
+			t.Fatal(err)
+		}
+		if got := cu.State(); !bytes.Equal(got, want) {
+			t.Fatalf("window %d: state %x, want g(state || root) = %x", k, got, want)
+		}
+	}
+}

@@ -75,13 +75,22 @@ func (c *Chain) Iterations() int { return c.iterations }
 // Apply computes g(value): the base hash applied Iterations times.
 func (c *Chain) Apply(value []byte) []byte {
 	h := c.newHash()
-	cur := value
+	return c.step(h, make([]byte, 0, h.Size()), value, nil)
+}
+
+// step computes g(in || more) on the hash state h and returns the digest,
+// written over dst's storage. dst may alias in: every input byte is absorbed
+// before the digest is written, so a walk advances one state buffer in place
+// and allocates nothing per application.
+func (c *Chain) step(h hash.Hash, dst, in, more []byte) []byte {
 	for i := 0; i < c.iterations; i++ {
 		h.Reset()
-		h.Write(cur)
-		cur = h.Sum(nil)
+		h.Write(in)
+		h.Write(more)
+		dst = h.Sum(dst[:0])
+		in, more = dst, nil
 	}
-	return cur
+	return dst
 }
 
 // Walk returns the m successive chain states g^1(seed)..g^m(seed). The grid
@@ -94,10 +103,13 @@ func (c *Chain) Walk(seed []byte, m int) ([][]byte, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
+	h := c.newHash()
+	size := h.Size()
+	slab := make([]byte, m*size)
 	states := make([][]byte, m)
 	cur := seed
-	for k := 0; k < m; k++ {
-		cur = c.Apply(cur)
+	for k := range states {
+		cur = c.step(h, slab[k*size:k*size:(k+1)*size], cur, nil)
 		states[k] = cur
 	}
 	return states, nil
@@ -106,17 +118,25 @@ func (c *Chain) Walk(seed []byte, m int) ([][]byte, error) {
 // SampleIndices derives the m sample indices of Eq. (4) from the commitment.
 // Indices are zero-based (the paper's (... mod n) + 1 converted to [0, n)),
 // drawn from a domain of size n. Both supervisor and participant call this
-// with the same root and must obtain the same indices.
+// with the same root and must obtain the same indices. The walk keeps one
+// hash state and one chain state whatever m is.
 func (c *Chain) SampleIndices(root []byte, m int, n uint64) ([]uint64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadDomain, n)
 	}
-	states, err := c.Walk(root, m)
-	if err != nil {
-		return nil, err
+	if len(root) == 0 {
+		return nil, ErrEmptySeed
 	}
+	if m < 1 {
+		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
+	}
+	h := c.newHash()
+	state := make([]byte, 0, h.Size())
 	indices := make([]uint64, m)
-	for k, state := range states {
+	cur := root
+	for k := range indices {
+		state = c.step(h, state, cur, nil)
+		cur = state
 		indices[k] = indexFromDigest(state, n)
 	}
 	return indices, nil

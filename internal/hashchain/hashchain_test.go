@@ -273,3 +273,30 @@ func TestIndexFromDigestLargeN(t *testing.T) {
 		t.Fatalf("index %d out of range for n=%d", got, n)
 	}
 }
+
+// TestSampleIndicesMatchWalk pins the in-place walk to the materialized
+// one: index k is the reduction of Walk's state k, and neither walk touches
+// the root it starts from.
+func TestSampleIndicesMatchWalk(t *testing.T) {
+	for _, c := range []*Chain{mustChain(t, 1), mustChain(t, 3), mustChain(t, 2, WithHasher(md5.New))} {
+		root := []byte("merkle root commitment")
+		kept := append([]byte(nil), root...)
+		const m, n = 9, 1000
+		states, err := c.Walk(root, m)
+		if err != nil {
+			t.Fatalf("Walk: %v", err)
+		}
+		indices, err := c.SampleIndices(root, m, n)
+		if err != nil {
+			t.Fatalf("SampleIndices: %v", err)
+		}
+		for k, state := range states {
+			if want := indexFromDigest(state, n); indices[k] != want {
+				t.Fatalf("index %d = %d, want %d from g^%d(root)", k, indices[k], want, k+1)
+			}
+		}
+		if !bytes.Equal(root, kept) {
+			t.Fatal("a walk wrote into its root")
+		}
+	}
+}

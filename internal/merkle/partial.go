@@ -39,9 +39,12 @@ type PartialTree struct {
 	mu sync.Mutex // serializes the scratch state below
 	// scratch is a reusable buffer for subtree rebuilds (2*blockSize slots);
 	// with a fixed-size hash its internal-node digests live in scratchArena
-	// rows and nh is the reusable hash state, so a rebuild allocates nothing.
+	// rows, the leaf values are copied into leafSlabs (one slab per rebuild
+	// shard, a single one when sequential) and nh is the reusable hash
+	// state, so a rebuild allocates nothing.
 	scratch      [][]byte
 	scratchArena []byte
+	leafSlabs    [][]byte
 	nh           *nodeHasher
 }
 
@@ -49,14 +52,17 @@ type PartialTree struct {
 // by leafAt. leafAt must be deterministic: construction calls it exactly
 // once per index in [0, n) — callers may hang once-per-input side effects on
 // that pass — and Prove calls it again for every leaf of the subtree it
-// rebuilds. ℓ = 0 stores the full tree; ℓ = H stores only the root.
+// rebuilds. As with BuildFunc, each value is copied as it is produced and
+// not retained, so leafAt may reuse its buffer between calls. ℓ = 0 stores
+// the full tree; ℓ = H stores only the root.
 //
 // WithParallelism(p) shards each subtree rebuild — at construction and for
 // every Prove — across up to p goroutines; leafAt is then called
 // concurrently (still exactly once per leaf of the block) and must be safe
-// for concurrent use. Roots, proofs, and rebuild accounting are
-// bit-identical to a sequential tree: only the hashing schedule changes.
-// Rebuilds of blocks smaller than 1024 leaves stay sequential.
+// for concurrent use (a reused buffer must then be per goroutine). Roots,
+// proofs, and rebuild accounting are bit-identical to a sequential tree:
+// only the hashing schedule changes. Rebuilds of blocks smaller than 1024
+// leaves stay sequential.
 func NewPartial(n, ell int, leafAt func(i int) []byte, opts ...Option) (*PartialTree, error) {
 	if n <= 0 {
 		return nil, ErrEmptyTree
@@ -194,6 +200,41 @@ func (p *PartialTree) ensureScratch() {
 	if p.scratchArena == nil {
 		p.scratchArena = newNodeArena(p.hs, p.blockSize)
 	}
+	if p.leafSlabs == nil {
+		p.leafSlabs = make([][]byte, p.rebuildShards())
+	}
+}
+
+// rebuildShards is the number of leaf spans a rebuild cuts the block into,
+// one per goroutine; 1 for a sequential tree.
+func (p *PartialTree) rebuildShards() int {
+	if p.workers <= 1 {
+		return 1
+	}
+	return min(nextPow2(p.workers), p.blockSize/2)
+}
+
+// fillLeafSpan evaluates the block's leaves [lo, hi) (block-relative, block
+// starting at tree index base) into sub's leaf slots, copying every value
+// into the span's reusable slab: leafAt may hand back the same buffer each
+// time. A slot set before the slab had to grow keeps pointing at the
+// outgrown array, whose bytes append leaves as they were.
+func (p *PartialTree) fillLeafSpan(sub [][]byte, slab []byte, base, lo, hi int, counted bool) []byte {
+	slab = slab[:0]
+	for j := lo; j < hi; j++ {
+		idx := base + j
+		if idx >= p.n {
+			sub[p.blockSize+j] = p.hs.pad
+			continue
+		}
+		start := len(slab)
+		slab = append(slab, p.leafAt(idx)...)
+		sub[p.blockSize+j] = slab[start:len(slab):len(slab)]
+		if counted {
+			p.rebuiltLeaves.Add(1)
+		}
+	}
+	return slab
 }
 
 // fillSubtree populates the scratch buffer with the heap-layout subtree of
@@ -207,17 +248,7 @@ func (p *PartialTree) fillSubtree(b int, counted bool) [][]byte {
 		p.fillSubtreeParallel(sub, base, counted)
 		return sub
 	}
-	for j := 0; j < p.blockSize; j++ {
-		idx := base + j
-		if idx < p.n {
-			sub[p.blockSize+j] = p.leafAt(idx)
-			if counted {
-				p.rebuiltLeaves.Add(1)
-			}
-		} else {
-			sub[p.blockSize+j] = p.hs.pad
-		}
-	}
+	p.leafSlabs[0] = p.fillLeafSpan(sub, p.leafSlabs[0], base, 0, p.blockSize, counted)
 	for i := p.blockSize - 1; i >= 1; i-- {
 		sub[i] = p.nh.combineInto(arenaRow(p.scratchArena, p.hs.fixedLen, i), sub[2*i], sub[2*i+1])
 	}
@@ -231,10 +262,7 @@ func (p *PartialTree) fillSubtree(b int, counted bool) [][]byte {
 // bit-identical to the sequential schedule — structure, padding, and hash
 // inputs are unchanged.
 func (p *PartialTree) fillSubtreeParallel(sub [][]byte, base int, counted bool) {
-	shards := nextPow2(p.workers)
-	if shards > p.blockSize/2 {
-		shards = p.blockSize / 2
-	}
+	shards := p.rebuildShards()
 	span := p.blockSize / shards
 	var wg sync.WaitGroup
 	wg.Add(shards)
@@ -245,17 +273,7 @@ func (p *PartialTree) fillSubtreeParallel(sub [][]byte, base int, counted bool) 
 			// shard's own subtree nodes, disjoint from every other shard.
 			nh := p.hs.node()
 			lo := s * span
-			for j := lo; j < lo+span; j++ {
-				idx := base + j
-				if idx < p.n {
-					sub[p.blockSize+j] = p.leafAt(idx)
-					if counted {
-						p.rebuiltLeaves.Add(1)
-					}
-				} else {
-					sub[p.blockSize+j] = p.hs.pad
-				}
-			}
+			p.leafSlabs[s] = p.fillLeafSpan(sub, p.leafSlabs[s], base, lo, lo+span, counted)
 			root := (p.blockSize + lo) / span
 			for w := span / 2; w >= 1; w /= 2 {
 				for q := root * w; q < (root+1)*w; q++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -278,4 +279,78 @@ func TestPartialParallelConcurrentProves(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// pairReusingLeaves serves the values of leafFunc(n) the way a caller that
+// evaluates into scratch would: one buffer per aligned pair of leaves,
+// overwritten by whichever of the two is asked for last. A rebuild shard
+// spans whole pairs, so the pair's buffer is only ever touched from one
+// goroutine; a builder that keeps the slice it was handed instead of copying
+// it sees leaf 2k turn into leaf 2k+1.
+func pairReusingLeaves(n int) func(i int) []byte {
+	at := leafFunc(n)
+	bufs := make([][]byte, (n+1)/2)
+	return func(i int) []byte {
+		bufs[i/2] = append(bufs[i/2][:0], at(i)...)
+		return bufs[i/2]
+	}
+}
+
+// TestPartialCopiesReusedLeafBuffer is the aliasing guard for the partial
+// tree: built and audited through a buffer-reusing leafAt, sequentially and
+// with sharded rebuilds, it commits the same root and serves the same proofs
+// as one built over slices that are never touched again — NewPartial's
+// "leafAt may reuse its buffer" is BuildFunc's.
+func TestPartialCopiesReusedLeafBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n, ell int
+		opts   []Option
+	}{
+		{"sequential", 100, 3, nil},
+		{"full-height", 64, 6, nil},
+		{"sharded", 5000, 11, []Option{WithParallelism(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := NewPartial(tc.n, tc.ell, leafFunc(tc.n))
+			if err != nil {
+				t.Fatalf("NewPartial (fresh slices): %v", err)
+			}
+			got, err := NewPartial(tc.n, tc.ell, pairReusingLeaves(tc.n), tc.opts...)
+			if err != nil {
+				t.Fatalf("NewPartial (reused buffers): %v", err)
+			}
+			if (got.workers > 1) != (tc.opts != nil) {
+				t.Fatalf("rebuild workers = %d; the case does not run the path it names", got.workers)
+			}
+			if !bytes.Equal(got.Root(), want.Root()) {
+				t.Fatal("root differs when leafAt reuses its buffer")
+			}
+			sampled := []uint64{0, 1, uint64(tc.n) / 2, uint64(tc.n) - 2, uint64(tc.n) - 1}
+			for _, i := range sampled {
+				wantProof, err := want.Prove(int(i))
+				if err != nil {
+					t.Fatalf("Prove(%d) (fresh slices): %v", i, err)
+				}
+				gotProof, err := got.Prove(int(i))
+				if err != nil {
+					t.Fatalf("Prove(%d) (reused buffers): %v", i, err)
+				}
+				if !proofsEqual(gotProof, wantProof) {
+					t.Fatalf("proof of leaf %d differs when leafAt reuses its buffer", i)
+				}
+			}
+			wantMulti, err := want.ProveMulti(sampled)
+			if err != nil {
+				t.Fatalf("ProveMulti (fresh slices): %v", err)
+			}
+			gotMulti, err := got.ProveMulti(sampled)
+			if err != nil {
+				t.Fatalf("ProveMulti (reused buffers): %v", err)
+			}
+			if !reflect.DeepEqual(gotMulti, wantMulti) {
+				t.Fatal("multiproof differs when leafAt reuses its buffer")
+			}
+		})
+	}
 }

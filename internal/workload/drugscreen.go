@@ -41,8 +41,8 @@ func NewDrugScreen(seed uint64) *DrugScreen {
 // Name implements Function.
 func (d *DrugScreen) Name() string { return "drugscreen" }
 
-// Eval implements Function: the synthetic docking score of molecule x.
-func (d *DrugScreen) Eval(x uint64) []byte {
+// AppendEval implements Function: the synthetic docking score of molecule x.
+func (d *DrugScreen) AppendEval(dst []byte, x uint64) []byte {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], d.seed)
 	binary.BigEndian.PutUint64(buf[8:], x)
@@ -50,10 +50,11 @@ func (d *DrugScreen) Eval(x uint64) []byte {
 	for round := 1; round < scoreRounds; round++ {
 		state = sha256.Sum256(state[:])
 	}
-	out := make([]byte, 8)
-	copy(out, state[:8])
-	return out
+	return append(dst, state[:8]...)
 }
+
+// Eval implements Function.
+func (d *DrugScreen) Eval(x uint64) []byte { return d.AppendEval(nil, x) }
 
 // GuessOutput implements Function: a uniform random 64-bit score.
 func (d *DrugScreen) GuessOutput(_ uint64, rng *rand.Rand) []byte {

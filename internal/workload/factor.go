@@ -47,9 +47,9 @@ func (f *Factor) factors(x uint64) (uint64, uint64) {
 	return p, q
 }
 
-// Eval implements Function: factor N(x) by trial division and return the
-// factor pair min||max as two 4-byte big-endian words.
-func (f *Factor) Eval(x uint64) []byte {
+// AppendEval implements Function: factor N(x) by trial division and append
+// the factor pair min||max as two 4-byte big-endian words.
+func (f *Factor) AppendEval(dst []byte, x uint64) []byte {
 	n := f.Modulus(x)
 	var p uint64
 	for d := uint64(3); d*d <= n; d += 2 {
@@ -62,8 +62,11 @@ func (f *Factor) Eval(x uint64) []byte {
 		// Unreachable: n is a product of two odd 16-bit primes.
 		p = n
 	}
-	return encodeFactorPair(p, n/p)
+	return appendFactorPair(dst, p, n/p)
 }
+
+// Eval implements Function.
+func (f *Factor) Eval(x uint64) []byte { return f.AppendEval(nil, x) }
 
 // GuessOutput implements Function: two random odd 16-bit values.
 func (f *Factor) GuessOutput(_ uint64, rng *rand.Rand) []byte {
@@ -72,7 +75,7 @@ func (f *Factor) GuessOutput(_ uint64, rng *rand.Rand) []byte {
 	if a > b {
 		a, b = b, a
 	}
-	return encodeFactorPair(a, b)
+	return appendFactorPair(nil, a, b)
 }
 
 // GuessProb implements Function: hitting both hidden primes by chance is
@@ -101,11 +104,11 @@ func (f *Factor) Screener() Screener {
 	return ScreenerFunc(func(uint64, []byte) (string, bool) { return "", false })
 }
 
-func encodeFactorPair(p, q uint64) []byte {
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint32(out[:4], uint32(p))
-	binary.BigEndian.PutUint32(out[4:], uint32(q))
-	return out
+func appendFactorPair(dst []byte, p, q uint64) []byte {
+	var pair [8]byte
+	binary.BigEndian.PutUint32(pair[:4], uint32(p))
+	binary.BigEndian.PutUint32(pair[4:], uint32(q))
+	return append(dst, pair[:]...)
 }
 
 // nextPrimeAtLeast returns the smallest prime >= n (n is made odd first).

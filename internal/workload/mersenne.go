@@ -39,18 +39,18 @@ func (m *Mersenne) Exponent(x uint64) uint64 {
 	return base + 2*(x%m.exponentSpan)
 }
 
-// Eval implements Function: 1 if M_p is prime, else 0.
-func (m *Mersenne) Eval(x uint64) []byte {
+// AppendEval implements Function: 1 if M_p is prime, else 0. M_p can only
+// be prime when p is prime.
+func (m *Mersenne) AppendEval(dst []byte, x uint64) []byte {
 	p := m.Exponent(x)
-	if !isPrimeUint64(p) {
-		// M_p can only be prime when p is prime.
-		return []byte{0}
+	if isPrimeUint64(p) && lucasLehmer(p) {
+		return append(dst, 1)
 	}
-	if lucasLehmer(p) {
-		return []byte{1}
-	}
-	return []byte{0}
+	return append(dst, 0)
 }
+
+// Eval implements Function.
+func (m *Mersenne) Eval(x uint64) []byte { return m.AppendEval(nil, x) }
 
 // GuessOutput implements Function: an unbiased coin, the paper's q = 0.5
 // guesser. (A sharper cheater could exploit the skew toward 0; the paper's

@@ -50,14 +50,17 @@ func (p *Password) Target() []byte {
 	return append([]byte(nil), p.target...)
 }
 
-// Eval implements Function: f(x) = SHA-256(salt || x).
-func (p *Password) Eval(x uint64) []byte {
+// AppendEval implements Function: f(x) = SHA-256(salt || x).
+func (p *Password) AppendEval(dst []byte, x uint64) []byte {
 	var buf [16]byte
 	copy(buf[:8], p.salt[:])
 	binary.BigEndian.PutUint64(buf[8:], x)
 	sum := sha256.Sum256(buf[:])
-	return sum[:]
+	return append(dst, sum[:]...)
 }
+
+// Eval implements Function.
+func (p *Password) Eval(x uint64) []byte { return p.AppendEval(nil, x) }
 
 // GuessOutput implements Function: a random 32-byte digest.
 func (p *Password) GuessOutput(_ uint64, rng *rand.Rand) []byte {

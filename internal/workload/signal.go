@@ -47,9 +47,10 @@ func (s *Signal) Name() string { return "signal" }
 // ChunkLen reports the per-chunk sample count.
 func (s *Signal) ChunkLen() int { return s.chunkLen }
 
-// Eval implements Function: spectral peak analysis of chunk x. The output is
-// bin (2 bytes BE) || ratio×1000 (8 bytes BE).
-func (s *Signal) Eval(x uint64) []byte {
+// AppendEval implements Function: spectral peak analysis of chunk x. The
+// output is bin (2 bytes BE) || ratio×1000 (8 bytes BE); the samples and
+// spectrum are working sets of the evaluation and still allocated per call.
+func (s *Signal) AppendEval(dst []byte, x uint64) []byte {
 	samples := s.generate(x)
 	spectrum := powerSpectrum(samples)
 
@@ -68,11 +69,14 @@ func (s *Signal) Eval(x uint64) []byte {
 		ratio = peakPower / mean
 	}
 
-	out := make([]byte, 10)
+	var out [10]byte
 	binary.BigEndian.PutUint16(out[:2], uint16(peakBin))
 	binary.BigEndian.PutUint64(out[2:], uint64(math.Round(ratio*1000)))
-	return out
+	return append(dst, out[:]...)
 }
+
+// Eval implements Function.
+func (s *Signal) Eval(x uint64) []byte { return s.AppendEval(nil, x) }
 
 // GuessOutput implements Function: a random bin plus a ratio drawn near the
 // noise floor, the cheapest plausible fabrication.

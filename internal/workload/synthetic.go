@@ -48,9 +48,9 @@ func (s *Synthetic) CostIters() int { return s.costIters }
 // OutputBits reports the output width in bits.
 func (s *Synthetic) OutputBits() uint { return s.outputBits }
 
-// Eval implements Function: CostIters chained hashes truncated to
+// AppendEval implements Function: CostIters chained hashes truncated to
 // OutputBits.
-func (s *Synthetic) Eval(x uint64) []byte {
+func (s *Synthetic) AppendEval(dst []byte, x uint64) []byte {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], s.seed)
 	binary.BigEndian.PutUint64(buf[8:], x)
@@ -58,14 +58,17 @@ func (s *Synthetic) Eval(x uint64) []byte {
 	for i := 1; i < s.costIters; i++ {
 		state = sha256.Sum256(state[:])
 	}
-	return truncateBits(state[:], s.outputBits)
+	return appendTruncated(dst, state[:], s.outputBits)
 }
+
+// Eval implements Function.
+func (s *Synthetic) Eval(x uint64) []byte { return s.AppendEval(nil, x) }
 
 // GuessOutput implements Function: uniform random bits in the same format.
 func (s *Synthetic) GuessOutput(_ uint64, rng *rand.Rand) []byte {
 	raw := make([]byte, (s.outputBits+7)/8)
 	rng.Read(raw)
-	return truncateBits(raw, s.outputBits)
+	return appendTruncated(raw[:0], raw, s.outputBits)
 }
 
 // GuessProb implements Function: exactly 2^-OutputBits.
@@ -84,14 +87,13 @@ func (s *Synthetic) Screener() Screener {
 	})
 }
 
-// truncateBits keeps the first bits of raw (big-endian bit order), zeroing
-// the remainder of the final byte, in a ceil(bits/8)-byte slice.
-func truncateBits(raw []byte, bits uint) []byte {
-	byteLen := int((bits + 7) / 8)
-	out := make([]byte, byteLen)
-	copy(out, raw[:min(len(raw), byteLen)])
+// appendTruncated appends the first bits of raw (big-endian bit order) to dst
+// as ceil(bits/8) bytes, zeroing the remainder of the final byte. raw must
+// hold at least that many bytes; dst may be raw[:0].
+func appendTruncated(dst, raw []byte, bits uint) []byte {
+	dst = append(dst, raw[:(bits+7)/8]...)
 	if rem := bits % 8; rem != 0 {
-		out[byteLen-1] &= byte(0xff << (8 - rem))
+		dst[len(dst)-1] &= byte(0xff << (8 - rem))
 	}
-	return out
+	return dst
 }

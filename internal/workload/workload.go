@@ -32,16 +32,27 @@ var (
 // Function is the computation f assigned to participants, defined over a
 // uint64 input domain. Implementations must be deterministic and safe for
 // concurrent use.
+//
+// AppendEval is the primitive: it appends exactly the bytes of f(x) to dst
+// and returns the extended slice, like strconv.AppendInt. It never retains
+// dst or writes past the bytes it appends, so a caller that evaluates many
+// inputs can reuse one buffer (AppendEval(buf[:0], x)) and pay no allocation
+// per evaluation; concurrent calls are safe as long as each passes its own
+// dst. A caller that keeps f(x) past its next call on the same buffer must
+// copy it.
 type Function interface {
 	// Name identifies the workload (registry key, report label).
 	Name() string
-	// Eval computes f(x).
+	// AppendEval appends f(x) to dst and returns the extended slice.
+	AppendEval(dst []byte, x uint64) []byte
+	// Eval computes f(x) into a fresh slice: the allocating convenience,
+	// always AppendEval(nil, x).
 	Eval(x uint64) []byte
 	// GuessOutput fabricates a stand-in for f(x) at negligible cost — the
 	// cheater's f̌ of Section 2.2. It must draw from the same output format
-	// as Eval so that a guess is indistinguishable except by value.
+	// as AppendEval so that a guess is indistinguishable except by value.
 	GuessOutput(x uint64, rng *rand.Rand) []byte
-	// GuessProb reports q = Pr[GuessOutput(x) == Eval(x)], the guessing
+	// GuessProb reports q = Pr[GuessOutput(x) == f(x)], the guessing
 	// probability of Theorem 3.
 	GuessProb() float64
 	// Screener returns the workload's canonical screener S (Section 2.1),
@@ -94,13 +105,16 @@ func Count(f Function) *Counter {
 // Name implements Function.
 func (c *Counter) Name() string { return c.inner.Name() }
 
-// Eval implements Function, incrementing the counter.
+// AppendEval implements Function, incrementing the counter.
 //
 //gridlint:credit the Counter wrapper exists to count evaluations
-func (c *Counter) Eval(x uint64) []byte {
+func (c *Counter) AppendEval(dst []byte, x uint64) []byte {
 	c.evals++
-	return c.inner.Eval(x)
+	return c.inner.AppendEval(dst, x)
 }
+
+// Eval implements Function; it counts once, through AppendEval.
+func (c *Counter) Eval(x uint64) []byte { return c.AppendEval(nil, x) }
 
 // GuessOutput implements Function. Guesses are free: no count.
 func (c *Counter) GuessOutput(x uint64, rng *rand.Rand) []byte {
@@ -113,7 +127,7 @@ func (c *Counter) GuessProb() float64 { return c.inner.GuessProb() }
 // Screener implements Function; screening is not counted as evaluation.
 func (c *Counter) Screener() Screener { return c.inner.Screener() }
 
-// Evals reports the number of Eval calls since construction or Reset.
+// Evals reports the number of evaluations since construction or Reset.
 func (c *Counter) Evals() int64 { return c.evals }
 
 // Reset zeroes the counter.

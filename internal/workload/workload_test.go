@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -138,6 +140,101 @@ func TestCounterEvalMatchesInner(t *testing.T) {
 	c := Count(inner)
 	if !bytes.Equal(c.Eval(42), inner.Eval(42)) {
 		t.Fatal("Counter.Eval differs from inner Eval")
+	}
+}
+
+// goldenInputs and goldenOutputs pin f's bytes: the table was recorded from
+// Eval at the commit before AppendEval existed (PR 16), for every registered
+// workload at two seeds. Commitments, proofs and verdicts are functions of
+// these bytes, so a workload edit that moves one of them is a protocol
+// change, not a refactor.
+var goldenInputs = [6]uint64{0, 1, 2, 255, 1<<32 + 5, 1<<64 - 1}
+
+var goldenOutputs = []struct {
+	name string
+	seed uint64
+	hex  [6]string
+}{
+	{"drugscreen", 1, [6]string{"0f4d229b9c740e3e", "fecddb23dadfe1a7", "8ba3e7924ebfad3f", "b4144142aaf5eb70", "95623a5652b17561", "7fa7c3c309071a09"}},
+	{"drugscreen", 7, [6]string{"b0bab2847acb208f", "658400fb83251a96", "bbc4d70b4a9d1ca0", "f373777f579aec6c", "93a90053867aee79", "16e310bb656e76e1"}},
+	{"factor", 1, [6]string{"00008c890000b50f", "00009d970000f223", "0000b32d0000d289", "0000e6bd0000f7eb", "000081430000cfd1", "0000941300009ef5"}},
+	{"factor", 7, [6]string{"0000abf10000d12f", "00009cbb0000f5b7", "0000de3b0000f403", "0000b7910000bd17", "0000a9fd0000e17f", "0000bb4b0000d0bd"}},
+	{"mersenne", 1, [6]string{"01", "01", "00", "00", "00", "00"}},
+	{"mersenne", 7, [6]string{"01", "01", "00", "00", "00", "00"}},
+	{"password", 1, [6]string{"783825822a6f9e62da2190e828e4c9d2576e5977e3a0b3620b092dfb9e9996fa", "532deabf88729cb43995ab5a9cd49bf9b90a079904dc0645ecda9e47ce7345a9", "8c7654ecfd7b0b623b803e2f4e02ad1cc84278efdfcd7c4c9208edd81f17e115", "dcb9ffd3e95fcd1a515ce208f13d0fe803b0bbe14b805a799b262796eee27984", "1e30907470bd0675e1c386f4947222ea85050ba98cfe9f6f6ddedeb533f93800", "193ac9f4b115b42ea40c1a1687ea865cceccf741a5b995cd91f1d26153efabb9"}},
+	{"password", 7, [6]string{"e8dd943d366caae7beb706c6ae668eff0a257fc56edc27d7b2fa1c31bdf2eec1", "4ff190b4c2c573ec999d8db75f206447737dbb0dd91de74917aa7456d169c246", "8d91efc5106ff3a3dc7e5449c4bbe05a8f5affc9f0f711ac2b1f3451159251a8", "c3471ebc0faead18d3a2194815c721f88ede5e959d837102a56b01dd34c8432b", "450e7fb187b2e91d6e027164efb3102e4086bd5609cab14cebbe700043e92f10", "76d53b67c202783ee8278032d990f82d6543a847452c48fef4fb1830c941c2b6"}},
+	{"signal", 1, [6]string{"000c0000000000000d4b", "001e0000000000000e0f", "000c0000000000000dc8", "00140000000000001075", "001a000000000000102d", "00190000000000000da6"}},
+	{"signal", 7, [6]string{"00140000000000000c2a", "001b0000000000000ef9", "0010000000000000205e", "000900000000000009c7", "001b0000000000000a71", "00030000000000000ec1"}},
+	{"synthetic", 1, [6]string{"0f4d229b9c740e3e", "fecddb23dadfe1a7", "8ba3e7924ebfad3f", "b4144142aaf5eb70", "95623a5652b17561", "7fa7c3c309071a09"}},
+	{"synthetic", 7, [6]string{"b0bab2847acb208f", "658400fb83251a96", "bbc4d70b4a9d1ca0", "f373777f579aec6c", "93a90053867aee79", "16e310bb656e76e1"}},
+}
+
+// checkAppendForms asserts the three ways of asking f for f(x) all give
+// want: Eval, AppendEval onto nil, and AppendEval onto a prefix — which must
+// come back untouched, extended by exactly want, with nothing written past
+// the new length.
+func checkAppendForms(t *testing.T, f Function, x uint64, want []byte) {
+	t.Helper()
+	if got := f.Eval(x); !bytes.Equal(got, want) {
+		t.Errorf("Eval(%d) = %x, want %x", x, got, want)
+	}
+	if got := f.AppendEval(nil, x); !bytes.Equal(got, want) {
+		t.Errorf("AppendEval(nil, %d) = %x, want %x", x, got, want)
+	}
+	// A buffer with room to spare, filled with a sentinel: the append lands
+	// in place, so a write past its end would show in the tail.
+	const sentinel = 0xa5
+	prefix := []byte("prefix")
+	backing := bytes.Repeat([]byte{sentinel}, len(prefix)+len(want)+16)
+	copy(backing, prefix)
+	got := f.AppendEval(backing[:len(prefix)], x)
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Errorf("AppendEval(prefix, %d) rewrote the prefix: %q", x, got[:len(prefix)])
+	}
+	if !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("AppendEval(prefix, %d) appended %x, want %x", x, got[len(prefix):], want)
+	}
+	if &got[0] != &backing[0] {
+		t.Errorf("AppendEval(prefix, %d) left a buffer with room for the output", x)
+	}
+	for i, b := range backing[len(prefix)+len(want):] {
+		if b != sentinel {
+			t.Errorf("AppendEval(prefix, %d) wrote %d bytes past the end of its output", x, i+1)
+			break
+		}
+	}
+}
+
+func TestOutputBytesMatchRecordedEval(t *testing.T) {
+	for _, g := range goldenOutputs {
+		f, err := New(g.name, g.seed)
+		if err != nil {
+			t.Fatalf("New(%q, %d): %v", g.name, g.seed, err)
+		}
+		for i, x := range goldenInputs {
+			want, err := hex.DecodeString(g.hex[i])
+			if err != nil {
+				t.Fatalf("bad table entry %s/%d/%d: %v", g.name, g.seed, x, err)
+			}
+			t.Run(fmt.Sprintf("%s/seed%d/x%d", g.name, g.seed, x), func(t *testing.T) {
+				checkAppendForms(t, f, x, want)
+			})
+		}
+	}
+	if len(goldenOutputs) != 2*len(Names()) {
+		t.Fatalf("table covers %d (workload, seed) pairs, registry has %d workloads", len(goldenOutputs), len(Names()))
+	}
+}
+
+func TestCounterAppendFormsCountOncePerCall(t *testing.T) {
+	inner := NewSynthetic(3, 2, 64)
+	c := Count(inner)
+	for _, x := range goldenInputs {
+		checkAppendForms(t, c, x, inner.Eval(x))
+	}
+	// checkAppendForms evaluates three times per input.
+	if got, want := c.Evals(), int64(3*len(goldenInputs)); got != want {
+		t.Fatalf("Evals() = %d after %d calls", got, want)
 	}
 }
 
@@ -362,7 +459,7 @@ func TestFactorVerifyRejectsCompositeFactors(t *testing.T) {
 	// fake pair from the modulus itself.
 	f := NewFactor(2)
 	n := f.Modulus(0)
-	fake := encodeFactorPair(1, n)
+	fake := appendFactorPair(nil, 1, n)
 	if f.VerifyOutput(0, fake) {
 		t.Fatal("VerifyOutput accepted 1 × N")
 	}

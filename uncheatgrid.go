@@ -14,12 +14,13 @@
 // tree:
 //
 //	f := uncheatgrid.NewSyntheticWorkload(1, 4, 64)
-//	prover, _ := uncheatgrid.NewProver(1024, func(i uint64) []byte { return f.Eval(i) })
+//	var buf []byte // prover and check copy or compare each value: one buffer serves them all
+//	eval := func(i uint64) []byte { buf = f.AppendEval(buf[:0], i); return buf }
+//	prover, _ := uncheatgrid.NewProver(1024, eval)
 //	verifier, _ := uncheatgrid.NewVerifier(prover.Commitment())
 //	challenge, _ := verifier.Challenge(33) // m per Eq. 3 at ε=1e-4, r=0.5, q=0.5
 //	response, _ := prover.Respond(challenge.Indices)
-//	err := verifier.Verify(challenge, response,
-//	    uncheatgrid.RecomputeCheck(func(i uint64) []byte { return f.Eval(i) }))
+//	err := verifier.Verify(challenge, response, uncheatgrid.RecomputeCheck(eval))
 //	// err == nil ⇔ the participant is (with probability ≥ 1-1e-4) honest.
 //
 // Higher-level entry points: RunSim simulates whole populations of honest

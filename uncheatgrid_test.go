@@ -51,7 +51,7 @@ func TestPublicAPICheaterDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSemiHonest: %v", err)
 	}
-	prover, err := uncheatgrid.NewProver(128, producer.Claim)
+	prover, err := uncheatgrid.NewProver(128, func(x uint64) []byte { return producer.AppendClaim(nil, x) })
 	if err != nil {
 		t.Fatalf("NewProver: %v", err)
 	}
