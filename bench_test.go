@@ -551,27 +551,25 @@ func BenchmarkReplicatedDoubleCheck(b *testing.B) {
 }
 
 // BenchmarkBrokerPipeline measures the GRACE relay hop: the same pipelined
-// NI-CBS workload run direct versus through a BrokerHub, with relay-hop
-// batching on and off. The topology models the GRACE deployment — the
+// NI-CBS workload run direct versus through a BrokerHub. The topology models the GRACE deployment — the
 // supervisor↔broker leg is the WAN hop where every frame send pays a 500µs
 // link delay, the broker↔participant leg is the cheap grid-site LAN — so
 // direct and brokered runs cross one delayed hop per frame and are directly
 // comparable. Relay-hop batching shows up in the relayed-frames/op metric:
 // LAN-fast participant bursts queue at the hub behind the WAN sends and are
-// re-coalesced, so the batched hub forwards the same tagged traffic in
-// fewer delayed frames.
+// re-coalesced, so the hub forwards the same tagged traffic in fewer
+// delayed frames.
 func BenchmarkBrokerPipeline(b *testing.B) {
 	const tasks = 16
 	const window = 16
 	const taskSize = 1 << 10
 	const latency = 500 * time.Microsecond
 	modes := []struct {
-		name             string
-		broker, batching bool
+		name   string
+		broker bool
 	}{
-		{"direct", false, false},
-		{"broker-batched", true, true},
-		{"broker-unbatched", true, false},
+		{"direct", false},
+		{"broker-batched", true},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -584,8 +582,9 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 				serveErr := make(chan error, 1)
 				var supConn Conn
 				var hub *BrokerHub
+				var mux *SupervisorMux
 				if mode.broker {
-					hub = NewBrokerHub(WithRelayBatching(mode.batching))
+					hub = NewBrokerHub()
 					hubDown, partConn := Pipe(WithPipeBuffer(8))
 					if err := HelloWorker(partConn, "p"); err != nil {
 						b.Fatal(err)
@@ -595,11 +594,13 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 					}
 					go func() { serveErr <- p.Serve(partConn) }()
 					sc, hubUp := Pipe(WithPipeBuffer(8))
-					supConn = WithLatency(sc, latency)
-					if err := HelloSupervisor(supConn, "p"); err != nil {
+					if mux, err = OpenMux(WithLatency(sc, latency), "bench-sup"); err != nil {
 						b.Fatal(err)
 					}
 					if err := hub.Attach(WithLatency(hubUp, latency)); err != nil {
+						b.Fatal(err)
+					}
+					if supConn, err = mux.OpenRoute("p"); err != nil {
 						b.Fatal(err)
 					}
 				} else {
@@ -645,10 +646,13 @@ func BenchmarkBrokerPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				if hub != nil {
+					if err := mux.Close(); err != nil {
+						b.Fatal(err)
+					}
 					if err := hub.Close(); err != nil {
 						b.Fatal(err)
 					}
-					relayed += hub.RelayedMessages()
+					relayed += hub.Snapshot().RelayedMsgs
 				}
 			}
 			b.ReportMetric(float64(b.N*tasks)/b.Elapsed().Seconds(), "tasks/s")
@@ -732,167 +736,125 @@ func BenchmarkHashChain(b *testing.B) {
 }
 
 // BenchmarkBroker1kRoutes scales the hub to 1000 concurrent supervisor
-// routes and compares the legacy topology — one physical supervisor link
-// per route — against the multiplexed topology, where every route shares
-// ONE physical supervisor link as a tagged sub-stream with per-route
-// credit flow control. Each route binds a registered participant and runs
-// one NI-CBS task, so the measured traffic crosses the full relay path.
-// The goroutines/route metric is sampled after every route is bound and
-// includes the per-worker floor (one Serve goroutine plus the hub's two
-// worker-link loops) that both modes pay; the dedicated mode adds two more
-// hub loops per route for its per-route physical links, while the muxed
-// mode pays two loops for the single shared link regardless of route
-// count. Single-CPU caveat: with GOMAXPROCS=1 the modes' wall-clock times
-// converge (everything serializes anyway); the goroutine budget and
-// frames-relayed/s remain the meaningful comparison.
+// routes sharing ONE physical supervisor link as tagged sub-streams with
+// per-route credit flow control. Each route binds a registered participant
+// and runs one NI-CBS task, so the measured traffic crosses the full relay
+// path. The goroutines/route metric is sampled after every route is bound
+// and includes the per-worker floor (one Serve goroutine plus the hub's two
+// worker-link loops); the shared link adds two hub loops regardless of
+// route count.
 func BenchmarkBroker1kRoutes(b *testing.B) {
 	const routes = 1000
 	const taskSize = 256
-	modes := []struct {
-		name  string
-		muxed bool
-	}{
-		{"dedicated-links", false},
-		{"muxed-one-link", true},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			var relayed int64
-			var goroutinesPerRoute float64
-			var creditWindowBytes float64
-			for i := 0; i < b.N; i++ {
-				base := runtime.NumGoroutine()
-				hub := NewBrokerHub()
-				serveErrs := make([]chan error, routes)
-				partConns := make([]Conn, routes)
-				for j := 0; j < routes; j++ {
-					p, err := NewParticipant(fmt.Sprintf("w-%d", j), HonestFactory)
-					if err != nil {
-						b.Fatal(err)
-					}
-					hubDown, partConn := Pipe(WithPipeBuffer(8))
-					if err := HelloWorker(partConn, p.ID()); err != nil {
-						b.Fatal(err)
-					}
-					if err := hub.Attach(hubDown); err != nil {
-						b.Fatal(err)
-					}
-					serveErrs[j] = make(chan error, 1)
-					partConns[j] = partConn
-					go func(j int, p *Participant) { serveErrs[j] <- p.Serve(partConns[j]) }(j, p)
-				}
-				conns := make([]Conn, routes)
-				var mux *SupervisorMux
-				if mode.muxed {
-					sc, hubUp := Pipe(WithPipeBuffer(8))
-					m, err := OpenMux(sc, "bench-sup")
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := hub.Attach(hubUp); err != nil {
-						b.Fatal(err)
-					}
-					mux = m
-					for j := 0; j < routes; j++ {
-						c, err := m.OpenRoute(fmt.Sprintf("w-%d", j))
-						if err != nil {
-							b.Fatal(err)
-						}
-						conns[j] = c
-					}
-				} else {
-					for j := 0; j < routes; j++ {
-						sc, hubUp := Pipe(WithPipeBuffer(8))
-						if err := HelloSupervisor(sc, fmt.Sprintf("w-%d", j)); err != nil {
-							b.Fatal(err)
-						}
-						if err := hub.Attach(hubUp); err != nil {
-							b.Fatal(err)
-						}
-						conns[j] = sc
-					}
-				}
-				for j := 0; j < routes; j++ {
-					name := fmt.Sprintf("w-%d", j)
-					for {
-						st, ok := hub.WorkerStats(name)
-						if ok && st.Binds >= 1 {
-							break
-						}
-						time.Sleep(50 * time.Microsecond)
-					}
-				}
-				goroutinesPerRoute += float64(runtime.NumGoroutine()-base) / routes
-				sup, err := NewSupervisor(SupervisorConfig{
-					Spec: SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1},
-					Seed: int64(i),
-				})
+	b.Run("muxed-one-link", func(b *testing.B) {
+		var relayed int64
+		var goroutinesPerRoute float64
+		var creditWindowBytes float64
+		for i := 0; i < b.N; i++ {
+			base := runtime.NumGoroutine()
+			hub := NewBrokerHub()
+			serveErrs := make([]chan error, routes)
+			partConns := make([]Conn, routes)
+			for j := 0; j < routes; j++ {
+				p, err := NewParticipant(fmt.Sprintf("w-%d", j), HonestFactory)
 				if err != nil {
 					b.Fatal(err)
 				}
-				var wg sync.WaitGroup
-				errs := make(chan error, routes)
-				for j := 0; j < routes; j++ {
-					wg.Add(1)
-					go func(j int) {
-						defer wg.Done()
-						sess, err := sup.OpenSession(conns[j], 2)
-						if err != nil {
-							errs <- fmt.Errorf("route %d open: %w", j, err)
-							return
-						}
-						outcome, err := sess.RunTask(Task{
-							ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
-							Workload: "synthetic", Seed: 7,
-						})
-						if err != nil {
-							errs <- fmt.Errorf("route %d task: %w", j, err)
-							return
-						}
-						if !outcome.Verdict.Accepted {
-							errs <- fmt.Errorf("route %d: honest task rejected: %s", j, outcome.Verdict.Reason)
-							return
-						}
-						errs <- sess.Close()
-					}(j)
+				hubDown, partConn := Pipe(WithPipeBuffer(8))
+				if err := HelloWorker(partConn, p.ID()); err != nil {
+					b.Fatal(err)
 				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
+				if err := hub.Attach(hubDown); err != nil {
+					b.Fatal(err)
 				}
-				if mode.muxed {
-					// Adaptive credit sizing is the hub's memory bound at this
-					// fan-out: the live per-route windows sum far below the
-					// static routes x 256 KiB ceiling of fixed windows.
-					creditWindowBytes += float64(hub.CreditWindowBytes())
-				}
-				for _, c := range conns {
-					_ = c.Close()
-				}
-				if mux != nil {
-					if err := mux.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for j := 0; j < routes; j++ {
-					if err := <-serveErrs[j]; err != nil {
-						b.Fatalf("participant w-%d serve: %v", j, err)
-					}
-				}
-				relayed += hub.RelayedMessages()
-				if err := hub.Close(); err != nil {
+				serveErrs[j] = make(chan error, 1)
+				partConns[j] = partConn
+				go func(j int, p *Participant) { serveErrs[j] <- p.Serve(partConns[j]) }(j, p)
+			}
+			conns := make([]Conn, routes)
+			sc, hubUp := Pipe(WithPipeBuffer(8))
+			mux, err := OpenMux(sc, "bench-sup")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := hub.Attach(hubUp); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < routes; j++ {
+				if conns[j], err = mux.OpenRoute(fmt.Sprintf("w-%d", j)); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(goroutinesPerRoute/float64(b.N), "goroutines/route")
-			b.ReportMetric(float64(relayed)/b.Elapsed().Seconds(), "frames-relayed/s")
-			b.ReportMetric(float64(b.N*routes)/b.Elapsed().Seconds(), "tasks/s")
-			if mode.muxed {
-				b.ReportMetric(creditWindowBytes/float64(b.N*routes), "credit-window-B/route")
+			for bound := 0; bound < routes; time.Sleep(time.Millisecond) {
+				bound = 0
+				for _, st := range hub.Snapshot().Routes {
+					bound += int(st.Binds)
+				}
 			}
-		})
-	}
+			goroutinesPerRoute += float64(runtime.NumGoroutine()-base) / routes
+			sup, err := NewSupervisor(SupervisorConfig{
+				Spec: SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1},
+				Seed: int64(i),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, routes)
+			for j := 0; j < routes; j++ {
+				wg.Add(1)
+				go func(j int) {
+					defer wg.Done()
+					sess, err := sup.OpenSession(conns[j], 2)
+					if err != nil {
+						errs <- fmt.Errorf("route %d open: %w", j, err)
+						return
+					}
+					outcome, err := sess.RunTask(Task{
+						ID: uint64(j), Start: uint64(j) * taskSize, N: taskSize,
+						Workload: "synthetic", Seed: 7,
+					})
+					if err != nil {
+						errs <- fmt.Errorf("route %d task: %w", j, err)
+						return
+					}
+					if !outcome.Verdict.Accepted {
+						errs <- fmt.Errorf("route %d: honest task rejected: %s", j, outcome.Verdict.Reason)
+						return
+					}
+					errs <- sess.Close()
+				}(j)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Adaptive credit sizing is the hub's memory bound at this
+			// fan-out: the live per-route windows sum far below the
+			// static routes x 256 KiB ceiling of fixed windows.
+			creditWindowBytes += float64(hub.Snapshot().CreditWindowBytes)
+			for _, c := range conns {
+				_ = c.Close()
+			}
+			if err := mux.Close(); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < routes; j++ {
+				if err := <-serveErrs[j]; err != nil {
+					b.Fatalf("participant w-%d serve: %v", j, err)
+				}
+			}
+			if err := hub.Close(); err != nil {
+				b.Fatal(err)
+			}
+			relayed += hub.Snapshot().RelayedMsgs
+		}
+		b.ReportMetric(goroutinesPerRoute/float64(b.N), "goroutines/route")
+		b.ReportMetric(float64(relayed)/b.Elapsed().Seconds(), "frames-relayed/s")
+		b.ReportMetric(float64(b.N*routes)/b.Elapsed().Seconds(), "tasks/s")
+		b.ReportMetric(creditWindowBytes/float64(b.N*routes), "credit-window-B/route")
+	})
 }

@@ -128,7 +128,7 @@ func run(w io.Writer, args []string) error {
 
 func printReport(w io.Writer, report *grid.SimReport) {
 	mode := fmt.Sprintf(" pipeline=%d", report.PipelineWindow)
-	if report.Brokered {
+	if report.Broker != nil {
 		mode += " broker"
 	}
 	fmt.Fprintf(w, "scheme=%s%s tasks=%d detection=%d/%d honest-accused=%d\n",
@@ -141,34 +141,29 @@ func printReport(w io.Writer, report *grid.SimReport) {
 		fmt.Fprintf(w, "windows: settled=%d violations=%d pending-tasks=%d\n",
 			report.WindowsSettled, report.WindowViolations, report.WindowsPending)
 	}
-	if report.Brokered {
-		fmt.Fprintf(w, "broker: relayed=%d frames (%d B)\n",
-			report.BrokerRelayedMsgs, report.BrokerRelayedBytes)
-		if report.BrokerMuxLinks > 0 {
-			fmt.Fprintf(w, "broker mux: links=%d routes=%d control out=%d frames (%d B) in=%d frames (%d B) envelope-overhead in=%dB out=%dB\n",
-				report.BrokerMuxLinks, report.BrokerRoutesOpened,
-				report.BrokerControlMsgs, report.BrokerControlBytes,
-				report.BrokerControlInMsgs, report.BrokerControlInBytes,
-				report.BrokerMuxOverheadIngress, report.BrokerMuxOverheadEgress)
+	if hub := report.Broker; hub != nil {
+		fmt.Fprintf(w, "broker: relayed=%d frames (%d B)\n", hub.RelayedMsgs, hub.RelayedBytes)
+		fmt.Fprintf(w, "broker mux: links=%d routes=%d control out=%d frames (%d B) in=%d frames (%d B) envelope-overhead in=%dB out=%dB\n",
+			hub.MuxLinks, hub.RoutesOpened,
+			hub.ControlMsgs, hub.ControlBytes,
+			hub.ControlInMsgs, hub.ControlInBytes,
+			hub.MuxOverheadIn, hub.MuxOverheadOut)
+		names := make([]string, 0, len(hub.Routes))
+		for name := range hub.Routes {
+			names = append(names, name)
 		}
-		if len(report.BrokerRoutes) > 0 {
-			names := make([]string, 0, len(report.BrokerRoutes))
-			for name := range report.BrokerRoutes {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			rt := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(rt, "route\tbinds\tto-worker\tto-supervisor\tcorrupt")
-			for _, name := range names {
-				rs := report.BrokerRoutes[name]
-				fmt.Fprintf(rt, "%s\t%d\t%d msgs %dB\t%d msgs %dB\t%d\n",
-					name, rs.Binds,
-					rs.ToWorker.EgressMsgs, rs.ToWorker.EgressBytes,
-					rs.ToSupervisor.EgressMsgs, rs.ToSupervisor.EgressBytes,
-					rs.CorruptFrames)
-			}
-			_ = rt.Flush()
+		sort.Strings(names)
+		rt := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(rt, "route\tbinds\tto-worker\tto-supervisor\tcorrupt")
+		for _, name := range names {
+			rs := hub.Routes[name]
+			fmt.Fprintf(rt, "%s\t%d\t%d msgs %dB\t%d msgs %dB\t%d\n",
+				name, rs.Binds,
+				rs.ToWorker.EgressMsgs, rs.ToWorker.EgressBytes,
+				rs.ToSupervisor.EgressMsgs, rs.ToSupervisor.EgressBytes,
+				rs.CorruptFrames)
 		}
+		_ = rt.Flush()
 	}
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

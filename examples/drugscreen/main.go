@@ -40,9 +40,10 @@ func run() error {
 		int(k), cost.Cheating, cost.Honest)
 
 	// Supervisor ↔ broker hub ↔ participant, wired over in-memory pipes.
-	// The worker registers its identity with the hub; the supervisor's
-	// link names that identity and the hub binds the route. The hub relays
-	// without interpreting task payloads; NI-CBS needs no challenge leg.
+	// The worker registers its identity with the hub; the supervisor
+	// attaches its own link and opens a route to that identity by name, and
+	// the hub binds the pair. The hub relays without interpreting task
+	// payloads; NI-CBS needs no challenge leg.
 	hub := uncheatgrid.NewBrokerHub()
 	defer hub.Close()
 
@@ -60,11 +61,17 @@ func run() error {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- participant.Serve(partConn) }()
 
-	supConn, brokerUp := uncheatgrid.Pipe(uncheatgrid.WithPipeBuffer(8))
-	if err := uncheatgrid.HelloSupervisor(supConn, participant.ID()); err != nil {
+	supLink, brokerUp := uncheatgrid.Pipe(uncheatgrid.WithPipeBuffer(8))
+	mux, err := uncheatgrid.OpenMux(supLink, "screening-lab")
+	if err != nil {
 		return err
 	}
+	defer mux.Close()
 	if err := hub.Attach(brokerUp); err != nil {
+		return err
+	}
+	supConn, err := mux.OpenRoute(participant.ID())
+	if err != nil {
 		return err
 	}
 
@@ -112,10 +119,14 @@ func run() error {
 	if err := <-serveDone; err != nil {
 		return err
 	}
+	if err := mux.Close(); err != nil {
+		return err
+	}
 	if err := hub.Close(); err != nil {
 		return err
 	}
+	relayed := hub.Snapshot()
 	fmt.Printf("\nbroker relayed %d frames (%d B); zero supervisor→participant challenges.\n",
-		hub.RelayedMessages(), hub.RelayedBytes())
+		relayed.RelayedMsgs, relayed.RelayedBytes)
 	return nil
 }

@@ -4,50 +4,54 @@ package grid
 //
 // Section 4 of the paper motivates NI-CBS with the GRACE deployment: a Grid
 // Resource Broker sits between supervisor and participants, so the
-// supervisor cannot open interactive challenge rounds. The first cut of
-// this repo modeled that broker as a two-connection frame copier (one
-// relay goroutine pair per supervisor↔participant link, no identities, no
-// recovery). This file replaces it with a BrokerHub:
+// supervisor cannot open interactive challenge rounds. BrokerHub is that
+// broker, and it has one link model:
 //
-//   - Identity-routed multiplexing. Every link attached to the hub opens
-//     with a msgHello handshake (wire.go): participant links register under
-//     a worker identity, supervisor links name the worker they want, and
-//     the hub binds the pair into a route. One hub relays any number of
-//     supervisor↔worker routes concurrently.
+//   - Two kinds of physical link. A participant link opens with a worker
+//     hello (HelloWorker) and is parked under its identity until a route
+//     binds it. A supervisor link opens with a mux hello (OpenMux) and
+//     carries any number of routes inside msgRouted envelopes; each route
+//     is opened by naming a worker (SupervisorMux.OpenRoute) and the hub
+//     binds it to that worker's parked link. A supervisor that wants one
+//     route opens a one-route mux.
 //
 //   - Resume-through-relay. Routing is by identity, not by physical link:
-//     when a transport fault kills a route, a supervisor redial whose hello
-//     names the same worker is re-bound to that worker's freshly registered
-//     link, so the msgResume machinery of PR 3/4 (mid-protocol resume,
-//     verdict re-delivery) works end-to-end through the relay. Faulty
-//     brokered verdicts are byte-identical to clean direct runs (pinned by
-//     TestRunSimBrokeredFaultyMatchesClean).
+//     when a transport fault kills a route, a redial that names the same
+//     worker is bound to that worker's freshly registered link, so the
+//     msgResume machinery (mid-protocol resume, verdict re-delivery) works
+//     end to end through the relay. Faulty brokered verdicts are
+//     byte-identical to clean direct runs (TestRunSimBrokeredFaultyMatchesClean).
 //
-//   - Relay-hop batching. Frames bound for the same downstream link are
-//     re-coalesced at the hub: consecutive msgBatch frames queued behind a
-//     slow downstream send are decoded and merged into one larger batch
-//     frame, so a pipelined NI-CBS session pays the downstream link delay
-//     once per burst instead of once per frame — the Goodrich pipeline
-//     shape (arXiv:0906.1225) applied at the relay hop. Per-task tagged
-//     byte accounting is preserved exactly (a tagged message's wire size
-//     is independent of which frame carries it); only shared framing
-//     overhead differs between the two hops.
+//   - Credit is the only supervisor-side backpressure. Each route has a
+//     credit ledger per direction (credit.go); the link's single reader
+//     never blocks on one route's queue, and its single writer parks a
+//     route that is out of credit instead of stalling the link. Toward the
+//     participant the hub applies plain queue backpressure on the worker's
+//     own link.
 //
-//   - Fault transparency. A CRC-corrupt frame crossing the relay
-//     (transport.ErrFrameCorrupt) quarantines the affected route — both
-//     endpoint links are closed, so each peer observes a dead connection
-//     and the session layer's quarantine/resume machinery takes over — and
-//     never kills the hub: other routes keep relaying.
+//   - Relay-hop batching. Consecutive msgBatch frames queued behind a slow
+//     downstream send are decoded and merged into one larger batch frame,
+//     so a pipelined session pays the downstream link delay once per burst
+//     (the Goodrich pipeline shape, arXiv:0906.1225, applied at the relay).
+//     A tagged message's wire size does not depend on the frame carrying
+//     it, so per-task byte accounting is preserved exactly.
 //
-// The hub is still protocol-oblivious where it matters: it never
-// interprets task payloads and forwards frames it cannot re-batch
-// untouched. It understands exactly two things — the hello handshake and
-// the msgBatch envelope.
+//   - Fault transparency. A CRC-corrupt frame on a worker link quarantines
+//     that route; one on a supervisor link cannot be attributed to a route
+//     and quarantines the physical link with every route on it. Neither
+//     kills the hub, and the peers' session layers see a dead connection
+//     and redial.
+//
+// The hub is protocol-oblivious where it matters: it never interprets task
+// payloads and forwards frames it cannot re-batch untouched. It understands
+// the hello handshake, the mux envelope, credit grants and the msgBatch
+// envelope.
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,13 +62,12 @@ import (
 // ErrBrokerClosed is returned for operations on a closed hub.
 var ErrBrokerClosed = errors.New("grid: broker hub closed")
 
-// defaultBindTimeout bounds how long a supervisor-role attach waits for the
-// named worker to register before the link is refused.
+// defaultBindTimeout bounds how long a route waits for its named worker to
+// register before it is refused.
 const defaultBindTimeout = 10 * time.Second
 
 // brokerConfig collects NewBrokerHub options.
 type brokerConfig struct {
-	batching     bool
 	bindTimeout  time.Duration
 	creditWindow int64
 }
@@ -74,29 +77,18 @@ type BrokerOption interface {
 	applyBroker(*brokerConfig)
 }
 
-type relayBatchingOption bool
-
-func (o relayBatchingOption) applyBroker(c *brokerConfig) { c.batching = bool(o) }
-
-// WithRelayBatching toggles relay-hop batching (default on): when enabled,
-// msgBatch frames queued for the same downstream link are merged into one
-// larger batch frame before forwarding, so bursts pay the downstream send
-// cost once. Off, the hub forwards frame for frame like the original
-// oblivious relay.
-func WithRelayBatching(on bool) BrokerOption { return relayBatchingOption(on) }
-
 type bindTimeoutOption time.Duration
 
 func (o bindTimeoutOption) applyBroker(c *brokerConfig) { c.bindTimeout = time.Duration(o) }
 
-// WithBindTimeout bounds how long a supervisor link waits for its named
-// worker to register, and how long any attached link may take to send its
-// hello (default 10s for both). A timed-out bind or handshake closes the
-// link, which the peer's session layer treats like any other dead
-// connection.
+// WithBindTimeout bounds how long a route waits for its named worker to
+// register, and how long any attached link may take to send its hello
+// (default 10s for both). A timed-out handshake closes the link; a
+// timed-out bind closes the route (its supervisor reads io.EOF). The peer's
+// session layer treats both like any other dead connection.
 func WithBindTimeout(d time.Duration) BrokerOption { return bindTimeoutOption(d) }
 
-// LinkOption configures both endpoints of a multiplexed hub link: it is
+// LinkOption configures both endpoints of a supervisor↔hub link: it is
 // accepted by NewBrokerHub and OpenMux, so a parameter both sides must
 // agree on can be passed from one value.
 type LinkOption interface {
@@ -131,80 +123,64 @@ func (o routeCreditWindowOption) applyMux(c *muxConfig) {
 }
 
 // WithRouteCreditWindow sets the per-route credit window CEILING of a
-// multiplexed link, in dedicated-link-equivalent frame bytes (default
-// 256 KiB). Flow control is credit-based in both directions: each
-// receiver extends byte credit per route, the sender stops when its
-// balance runs dry, and the receiver grants more as the route's consumer
-// drains. The window itself is adaptive — it starts at the
-// minRouteCreditWindowBytes floor (32 KiB, or the ceiling if smaller),
-// grows with the route's observed drain rate up to this ceiling, and
-// decays toward the floor when the route idles — so a slow or idle route
-// bounds its own receiver memory near the floor instead of the whole
-// link's, and a 1k-route hub holds far less than routes × ceiling. Both
-// endpoints must use the same ceiling — pass the option to NewBrokerHub
-// and to every OpenMux on that hub — because each side computes the
-// other's initial credit from it. Values below 1 select the default.
+// supervisor↔hub link, in inner-frame bytes (default 256 KiB). Flow control
+// is credit-based in both directions: each receiver extends byte credit per
+// route, the sender stops when its balance runs dry, and the receiver
+// grants more as the route's consumer drains. The window itself is
+// adaptive — it starts at the minRouteCreditWindowBytes floor (32 KiB, or
+// the ceiling if smaller), grows with the route's observed drain rate up to
+// this ceiling, and decays toward the floor when the route idles — so a
+// slow or idle route bounds its own receiver memory near the floor instead
+// of the whole link's, and a 1k-route hub holds far less than routes ×
+// ceiling. Both endpoints must use the same ceiling — pass the option to
+// NewBrokerHub and to every OpenMux on that hub — because each side
+// computes the other's initial credit from it. Values below 1 select the
+// default.
 func WithRouteCreditWindow(n int64) LinkOption { return routeCreditWindowOption(n) }
 
 // RouteDirectionStats counts one direction of a worker's relayed traffic.
 // Ingress is measured as frames arrive at the hub on the direction's source
-// link; egress as frames leave it, after any relay-hop re-batching — with
-// batching on, egress carries the same tagged payload in fewer, larger
-// frames. Corrupt frames are attributed to the direction whose source link
-// they arrived on. On a multiplexed supervisor link the supervisor-side
-// measurements are denominated in inner frame sizes (what the frame would
-// have cost on a dedicated link): ToWorker ingress and ToSupervisor egress
-// count inner frames, while the worker-link side still counts physical
-// frames, so per-route numbers stay comparable across link kinds and the
-// shared-envelope framing difference is carried by the hub's signed mux
-// overhead ledgers instead.
+// link; egress as frames leave it, after any relay-hop re-batching — egress
+// carries the same tagged payload in fewer, larger frames. The
+// supervisor-link side (ToWorker ingress, ToSupervisor egress) counts inner
+// frames — what each frame costs outside its envelope, the size the route's
+// endpoint counters use — and the worker-link side counts physical frames;
+// the shared-envelope framing difference is carried by the hub's signed
+// overhead ledgers.
 type RouteDirectionStats struct {
-	IngressMsgs, IngressBytes   int64
-	EgressMsgs, EgressBytes     int64
-	CorruptFrames, CorruptBytes int64
+	IngressMsgs, IngressBytes int64
+	EgressMsgs, EgressBytes   int64
 }
 
 // RouteStats aggregates one worker identity's relay traffic across every
-// route the hub ever bound for it (redials included). For dedicated
-// (non-muxed) links the counters reconcile exactly with the hub-side
-// endpoint counters per link side:
+// route the hub ever bound for it (redials included). Together with the
+// link-level ledgers of HubSnapshot it accounts for every byte on the
+// hub's links: HubSnapshot.SupervisorLinkBytes is the identity for the
+// supervisor-facing links, and on the worker-facing links
 //
-//	supervisor-facing endpoint bytes received ==
-//	    SupervisorHelloBytes + ToWorker ingress + ToWorker corrupt bytes
-//	worker-facing endpoint bytes received ==
-//	    WorkerHelloBytes + ToSupervisor ingress + ToSupervisor corrupt bytes
-//	each side's endpoint bytes sent == the direction's egress bytes
-//
-// On a muxed supervisor link the per-worker counters cover the inner
-// frames and the open/close handshakes; the physical link's remaining
-// bytes are the hub's link-level ledgers, so for a hub whose supervisor
-// traffic all rides muxed links:
-//
-//	muxed endpoint bytes received at the hub ==
-//	    MuxHelloBytes + Σ SupervisorHelloBytes + Σ ToWorker ingress
-//	    + MuxOverheadIngressBytes + OrphanedBytes + MuxCorruptBytes
-//	    + ControlIngressBytes
-//	muxed endpoint bytes sent by the hub ==
-//	    Σ ToSupervisor egress + MuxOverheadEgressBytes + ControlBytes
+//	bytes received == Σ (WorkerHelloBytes + ToSupervisor ingress + CorruptBytes) + EvictedBytes
+//	bytes sent     == Σ ToWorker egress
 type RouteStats struct {
 	// Worker is the identity the counters are keyed by.
 	Worker string
-	// Binds counts supervisor links bound to this worker.
+	// Binds counts routes bound to this worker.
 	Binds int64
-	// WorkerHelloBytes and SupervisorHelloBytes count handshake frames the
-	// hub consumed on this worker's links (never relayed).
+	// WorkerHelloBytes counts the registration frames of this worker's
+	// links, SupervisorHelloBytes the open and close hellos of its routes;
+	// the hub consumes both (never relayed).
 	WorkerHelloBytes, SupervisorHelloBytes int64
-	// CorruptFrames and CorruptBytes total the frames that failed the
-	// transport CRC crossing the relay, both directions; each one
-	// quarantined its route. Per-side counts live in the directions.
+	// CorruptFrames and CorruptBytes count frames that failed the transport
+	// CRC arriving on this worker's bound links; each one quarantined its
+	// route. Supervisor-link corruption cannot be attributed to a worker
+	// and is counted in HubSnapshot.MuxCorrupt*.
 	CorruptFrames, CorruptBytes int64
 	// ToWorker covers supervisor→participant relaying, ToSupervisor the
 	// reverse direction.
 	ToWorker, ToSupervisor RouteDirectionStats
 	// ToWorkerGrantedBytes totals the credit the hub granted back to the
-	// supervisor for this worker's ToWorker direction on muxed links;
-	// ToWorkerWindowBytes is the adaptive window target the latest grant
-	// advertised. The grant ledger reconciles per live route as
+	// supervisor for this worker's ToWorker direction; ToWorkerWindowBytes
+	// is the adaptive window target the latest grant advertised. The grant
+	// ledger reconciles per live route as
 	// initial window + granted == ToWorker ingress + outstanding.
 	ToWorkerGrantedBytes, ToWorkerWindowBytes int64
 	// ToSupervisorGrantedBytes totals the credit supervisors granted the
@@ -212,125 +188,171 @@ type RouteStats struct {
 	// ToSupervisorWindowBytes is the peer's latest advertised window, and
 	// ToSupervisorStalls counts the times a route was parked out of the
 	// shared writer's ready ring for lack of supervisor credit — each park
-	// is a slow consumer isolated instead of a link stalled.
+	// is a slow consumer isolated instead of a link stalled. The two
+	// *WindowBytes fields are diagnostic only: a grant's advertised window
+	// drives no decision on either side, only its byte count does.
 	ToSupervisorGrantedBytes, ToSupervisorWindowBytes int64
 	ToSupervisorStalls                                int64
 }
 
+// HubSnapshot is the hub's accounting at one instant: the link-level
+// ledgers plus every worker identity's RouteStats. After Close the counters
+// are final.
+type HubSnapshot struct {
+	// RelayedMsgs and RelayedBytes total the data frames the hub forwarded
+	// (egress, both directions, all routes, after re-batching; physical
+	// frame bytes). Control frames are not part of them.
+	RelayedMsgs, RelayedBytes int64
+	// RejectedLinks counts attached links refused at the hello (silent,
+	// corrupt, malformed, a retired or mid-link role, identity capacity)
+	// and RejectedBytes the bytes received on them.
+	RejectedLinks, RejectedBytes int64
+	// EvictedLinks counts worker links that died while parked unbound, and
+	// EvictedBytes the bytes of the read that found them dead.
+	EvictedLinks, EvictedBytes int64
+	// MuxLinks counts supervisor links ever attached, RoutesOpened the
+	// routes ever opened on them, MuxHelloBytes their attach handshakes.
+	MuxLinks, RoutesOpened, MuxHelloBytes int64
+	// ControlMsgs/Bytes count hub-originated control frames (credit grants
+	// and close notices); ControlInMsgs/Bytes the supervisors' credit
+	// grants arriving at the hub. Physical frame bytes.
+	ControlMsgs, ControlBytes     int64
+	ControlInMsgs, ControlInBytes int64
+	// MuxOverheadIn/Out are signed envelope ledgers: physical frame bytes
+	// minus the inner frame bytes they carried (plus, inbound, frames the
+	// hub refused as protocol violations). Outbound goes negative when
+	// cross-worker coalescing saves more in headers than route tags cost.
+	MuxOverheadIn, MuxOverheadOut int64
+	// OrphanFrames/Bytes count routed entries addressed to routes the hub
+	// no longer (or never) knew, dropped; inner frame bytes.
+	OrphanFrames, OrphanBytes int64
+	// MuxCorruptFrames/Bytes count CRC-corrupt frames on supervisor links;
+	// each quarantined its whole physical link.
+	MuxCorruptFrames, MuxCorruptBytes int64
+	// CreditWindowBytes sums every live route's current adaptive ToWorker
+	// window — the hub's worst-case queued-byte exposure to supervisor
+	// traffic, near routes × minRouteCreditWindowBytes for mostly-idle
+	// fan-out.
+	CreditWindowBytes int64
+	// Routes holds every worker identity the hub has seen a handshake for.
+	Routes map[string]RouteStats
+}
+
+// SupervisorLinkBytes returns the physical bytes the ledgers account for
+// on the hub's attached supervisor links. They equal the sums of those
+// links' hub-side endpoint counters exactly; a link refused at its hello
+// is in RejectedBytes instead.
+func (s HubSnapshot) SupervisorLinkBytes() (recv, sent int64) {
+	recv = s.MuxHelloBytes + s.MuxOverheadIn + s.OrphanBytes + s.MuxCorruptBytes + s.ControlInBytes
+	sent = s.MuxOverheadOut + s.ControlBytes
+	for _, st := range s.Routes {
+		recv += st.SupervisorHelloBytes + st.ToWorker.IngressBytes
+		sent += st.ToSupervisor.EgressBytes
+	}
+	return recv, sent
+}
+
 // dirCounters is the mutable form of RouteDirectionStats.
 type dirCounters struct {
-	ingressMsgs, ingressBytes   atomic.Int64
-	egressMsgs, egressBytes     atomic.Int64
-	corruptFrames, corruptBytes atomic.Int64
+	ingressMsgs, ingressBytes atomic.Int64
+	egressMsgs, egressBytes   atomic.Int64
 }
 
 func (d *dirCounters) snapshot() RouteDirectionStats {
 	return RouteDirectionStats{
-		IngressMsgs:   d.ingressMsgs.Load(),
-		IngressBytes:  d.ingressBytes.Load(),
-		EgressMsgs:    d.egressMsgs.Load(),
-		EgressBytes:   d.egressBytes.Load(),
-		CorruptFrames: d.corruptFrames.Load(),
-		CorruptBytes:  d.corruptBytes.Load(),
+		IngressMsgs:  d.ingressMsgs.Load(),
+		IngressBytes: d.ingressBytes.Load(),
+		EgressMsgs:   d.egressMsgs.Load(),
+		EgressBytes:  d.egressBytes.Load(),
 	}
 }
 
-// workerCounters accumulates one worker identity's relay accounting across
-// every route bound for it.
-type workerCounters struct {
-	binds                atomic.Int64
-	workerHelloBytes     atomic.Int64
-	supervisorHelloBytes atomic.Int64
-	toWorker             dirCounters
-	toSupervisor         dirCounters
-	// Credit flow-control ledgers, muxed links only: cumulative grant
-	// bytes per direction, latest advertised window per direction (gauges),
-	// and ready-ring parks for lack of supervisor credit.
-	toWorkerGranted atomic.Int64
-	toWorkerWindow  atomic.Int64
-	toSupGranted    atomic.Int64
-	toSupWindow     atomic.Int64
-	toSupStalls     atomic.Int64
+// identity is the hub's record of one worker name: its cumulative relay
+// accounting (the mutable form of RouteStats) and its bind slot.
+type identity struct {
+	binds                       atomic.Int64
+	workerHelloBytes            atomic.Int64
+	supervisorHelloBytes        atomic.Int64
+	corruptFrames, corruptBytes atomic.Int64
+	toWorker                    dirCounters
+	toSupervisor                dirCounters
+	toWorkerGranted             atomic.Int64
+	toWorkerWindow              atomic.Int64
+	toSupGranted                atomic.Int64
+	toSupWindow                 atomic.Int64
+	toSupStalls                 atomic.Int64
+
+	// The bind slot, guarded by the hub mutex: at most one registered link
+	// parked unbound, and the routes waiting for one, oldest first.
+	parked  *workerLink
+	waiting []*hubRoute
+}
+
+func (id *identity) stats(worker string) RouteStats {
+	return RouteStats{
+		Worker:                   worker,
+		Binds:                    id.binds.Load(),
+		WorkerHelloBytes:         id.workerHelloBytes.Load(),
+		SupervisorHelloBytes:     id.supervisorHelloBytes.Load(),
+		CorruptFrames:            id.corruptFrames.Load(),
+		CorruptBytes:             id.corruptBytes.Load(),
+		ToWorker:                 id.toWorker.snapshot(),
+		ToSupervisor:             id.toSupervisor.snapshot(),
+		ToWorkerGrantedBytes:     id.toWorkerGranted.Load(),
+		ToWorkerWindowBytes:      id.toWorkerWindow.Load(),
+		ToSupervisorGrantedBytes: id.toSupGranted.Load(),
+		ToSupervisorWindowBytes:  id.toSupWindow.Load(),
+		ToSupervisorStalls:       id.toSupStalls.Load(),
+	}
 }
 
 // BrokerHub is the session-aware GRACE broker: an identity-routed relay
 // multiplexing any number of supervisor↔worker routes, with relay-hop
-// batching and per-route exact byte accounting. Attach links with Attach
-// after their first frame (sent by HelloWorker / HelloSupervisor /
-// OpenMux) names their role and worker. A muxed supervisor link carries
-// any number of routes over one physical connection; the hub runs one
-// reader and one writer goroutine per physical link, never per route.
+// batching and exact byte accounting. Hand it links with Attach after
+// their first frame (sent by HelloWorker or OpenMux) names their role. The
+// hub runs one reader and one writer goroutine per supervisor link however
+// many routes ride it, one reader per parked worker link, and a reader and
+// a writer per bound one.
 type BrokerHub struct {
 	cfg brokerConfig
 
-	relayedMsgs  atomic.Int64
-	relayedBytes atomic.Int64
-	// rejected counts links (and their received bytes) whose handshake the
-	// hub refused: corrupt or malformed hellos, unknown frame types.
-	rejectedLinks atomic.Int64
-	rejectedBytes atomic.Int64
-	// evicted counts registered-but-unbound worker links whose monitor
-	// observed a read error before any supervisor bound them, and the bytes
-	// that died with them.
-	evictedLinks atomic.Int64
-	evictedBytes atomic.Int64
+	// The link-level ledgers; HubSnapshot documents each.
+	relayedMsgs, relayedBytes         atomic.Int64
+	rejectedLinks, rejectedBytes      atomic.Int64
+	evictedLinks, evictedBytes        atomic.Int64
+	muxLinks, routesOpened            atomic.Int64
+	muxHelloBytes                     atomic.Int64
+	ctrlMsgs, ctrlBytes               atomic.Int64
+	ctrlMsgsIn, ctrlBytesIn           atomic.Int64
+	muxOverheadIn, muxOverheadOut     atomic.Int64
+	orphanFrames, orphanBytes         atomic.Int64
+	muxCorruptFrames, muxCorruptBytes atomic.Int64
 
-	// Mux-link ledgers. Data relayed on muxed links is attributed to
-	// per-worker counters in inner frame sizes; everything else about the
-	// shared physical link lands here so the endpoint byte counters still
-	// reconcile exactly (see RouteStats).
-	muxLinks      atomic.Int64 // muxed supervisor links ever attached
-	routesOpened  atomic.Int64 // routes ever opened on muxed links
-	muxHelloBytes atomic.Int64 // mux-attach handshake frames consumed
-	// ctrlMsgs/ctrlBytes count hub-originated control frames on muxed
-	// links: credit grants and close notices. Never part of RelayedBytes.
-	ctrlMsgs  atomic.Int64
-	ctrlBytes atomic.Int64
-	// ctrlMsgsIn/ctrlBytesIn are the ingress mirror: supervisor-originated
-	// credit grants arriving on muxed links (the hub→supervisor direction's
-	// flow control). Never part of any route's relayed traffic.
-	ctrlMsgsIn  atomic.Int64
-	ctrlBytesIn atomic.Int64
-	// muxOverheadIn/muxOverheadOut are signed envelope ledgers: physical
-	// frame bytes minus the inner frame bytes they carried. Egress overhead
-	// goes negative when cross-worker coalescing saves more in per-frame
-	// headers than the route tags cost.
-	muxOverheadIn  atomic.Int64
-	muxOverheadOut atomic.Int64
-	// orphanFrames/orphanBytes count routed entries addressed to routes the
-	// hub does not know (already closed, never opened, or refused), dropped
-	// on the floor; bytes are inner frame sizes.
-	orphanFrames atomic.Int64
-	orphanBytes  atomic.Int64
-	// muxCorrupt counts CRC-corrupt frames arriving on a muxed supervisor
-	// link. A corrupt frame on a shared link cannot be attributed to any
-	// single route, so it quarantines the whole physical link (every route
-	// on it) and is counted here instead of per worker.
-	muxCorruptFrames atomic.Int64
-	muxCorruptBytes  atomic.Int64
-
-	mu           sync.Mutex
-	closed       bool
-	available    map[string]transport.Conn
-	links        map[*supLink]struct{}
-	pendingBinds map[string][]*hubRoute
-	counters     map[string]*workerCounters
-	pumps        sync.WaitGroup
+	// mu guards the registry below and every identity's bind slot. A link
+	// mutex may be taken under it (bind, Snapshot), never the reverse.
+	mu     sync.Mutex
+	closed bool
+	ids    map[string]*identity
+	links  map[*supLink]struct{}
+	// bound wakes worker-link readers holding a frame for a link that was
+	// still parked when it arrived: signalled on every bind and discard.
+	bound *sync.Cond
+	pumps sync.WaitGroup
 }
 
-// NewBrokerHub creates an empty hub with relay-hop batching enabled.
+// NewBrokerHub creates an empty hub.
 func NewBrokerHub(opts ...BrokerOption) *BrokerHub {
-	cfg := brokerConfig{batching: true, bindTimeout: defaultBindTimeout, creditWindow: defaultCreditWindowBytes}
+	cfg := brokerConfig{bindTimeout: defaultBindTimeout, creditWindow: defaultCreditWindowBytes}
 	for _, opt := range opts {
 		opt.applyBroker(&cfg)
 	}
-	return &BrokerHub{
-		cfg:          cfg,
-		available:    make(map[string]transport.Conn),
-		links:        make(map[*supLink]struct{}),
-		pendingBinds: make(map[string][]*hubRoute),
-		counters:     make(map[string]*workerCounters),
+	h := &BrokerHub{
+		cfg:   cfg,
+		ids:   make(map[string]*identity),
+		links: make(map[*supLink]struct{}),
 	}
+	h.bound = sync.NewCond(&h.mu)
+	return h
 }
 
 // HelloWorker announces a participant identity on a link freshly dialed to
@@ -338,13 +360,6 @@ func NewBrokerHub(opts ...BrokerOption) *BrokerHub {
 // hub's endpoint to Attach.
 func HelloWorker(conn transport.Conn, worker string) error {
 	return sendHello(conn, helloMsg{Role: helloRoleWorker, Worker: worker})
-}
-
-// HelloSupervisor asks the hub to route the link to the named registered
-// worker: send it on the supervisor's endpoint before opening the exchange
-// or session, then hand the hub's endpoint to Attach.
-func HelloSupervisor(conn transport.Conn, worker string) error {
-	return sendHello(conn, helloMsg{Role: helloRoleSupervisor, Worker: worker})
 }
 
 func sendHello(conn transport.Conn, m helloMsg) error {
@@ -361,173 +376,92 @@ func sendHello(conn transport.Conn, m helloMsg) error {
 	return conn.Send(transport.Message{Type: msgHello, Payload: encodeHello(m)})
 }
 
-// RelayedMessages reports how many frames the hub has forwarded in total
-// (egress, both directions, all routes, after any re-batching).
-func (h *BrokerHub) RelayedMessages() int64 { return h.relayedMsgs.Load() }
-
-// RelayedBytes reports the forwarded traffic volume (egress frame bytes,
-// headers included). It equals the sum of the hub-side endpoints' sent-byte
-// counters exactly.
-func (h *BrokerHub) RelayedBytes() int64 { return h.relayedBytes.Load() }
-
-// RejectedHandshakes reports how many attached links the hub refused at the
-// hello (corrupt or malformed handshake).
-func (h *BrokerHub) RejectedHandshakes() int64 { return h.rejectedLinks.Load() }
-
-// RejectedHandshakeBytes reports the bytes received on refused links.
-func (h *BrokerHub) RejectedHandshakeBytes() int64 { return h.rejectedBytes.Load() }
-
-// EvictedWorkerLinks reports registered worker links evicted because their
-// monitor saw a read error before any supervisor bound them.
-func (h *BrokerHub) EvictedWorkerLinks() int64 { return h.evictedLinks.Load() }
-
-// EvictedWorkerBytes reports bytes received on evicted worker links.
-func (h *BrokerHub) EvictedWorkerBytes() int64 { return h.evictedBytes.Load() }
-
-// MuxLinks reports how many multiplexed supervisor links ever attached.
-func (h *BrokerHub) MuxLinks() int64 { return h.muxLinks.Load() }
-
-// RoutesOpened reports how many routes were ever opened on muxed links.
-func (h *BrokerHub) RoutesOpened() int64 { return h.routesOpened.Load() }
-
-// ControlMessages reports hub-originated control frames on muxed links
-// (credit grants and close notices).
-func (h *BrokerHub) ControlMessages() int64 { return h.ctrlMsgs.Load() }
-
-// ControlBytes reports the bytes of hub-originated control frames. Control
-// traffic is never part of RelayedBytes.
-func (h *BrokerHub) ControlBytes() int64 { return h.ctrlBytes.Load() }
-
-// ControlIngressMessages reports supervisor-originated control frames
-// (credit grants) received on muxed links.
-func (h *BrokerHub) ControlIngressMessages() int64 { return h.ctrlMsgsIn.Load() }
-
-// ControlIngressBytes reports the physical bytes of received control
-// frames; part of the muxed-link ingress identity, never of any route's
-// relayed traffic.
-func (h *BrokerHub) ControlIngressBytes() int64 { return h.ctrlBytesIn.Load() }
-
-// CreditWindowBytes sums every live muxed route's current adaptive
-// toWorker window — the hub's worst-case queued-byte exposure to
-// supervisor traffic. With adaptive sizing this sits near
-// routes × minRouteCreditWindowBytes for mostly-idle fan-out, far below
-// the static routes × WithRouteCreditWindow bound.
-func (h *BrokerHub) CreditWindowBytes() int64 {
-	h.mu.Lock()
-	links := make([]*supLink, 0, len(h.links))
-	for l := range h.links {
-		links = append(links, l)
+// Snapshot returns the hub's accounting as of now.
+func (h *BrokerHub) Snapshot() HubSnapshot {
+	s := HubSnapshot{
+		RelayedMsgs:      h.relayedMsgs.Load(),
+		RelayedBytes:     h.relayedBytes.Load(),
+		RejectedLinks:    h.rejectedLinks.Load(),
+		RejectedBytes:    h.rejectedBytes.Load(),
+		EvictedLinks:     h.evictedLinks.Load(),
+		EvictedBytes:     h.evictedBytes.Load(),
+		MuxLinks:         h.muxLinks.Load(),
+		RoutesOpened:     h.routesOpened.Load(),
+		MuxHelloBytes:    h.muxHelloBytes.Load(),
+		ControlMsgs:      h.ctrlMsgs.Load(),
+		ControlBytes:     h.ctrlBytes.Load(),
+		ControlInMsgs:    h.ctrlMsgsIn.Load(),
+		ControlInBytes:   h.ctrlBytesIn.Load(),
+		MuxOverheadIn:    h.muxOverheadIn.Load(),
+		MuxOverheadOut:   h.muxOverheadOut.Load(),
+		OrphanFrames:     h.orphanFrames.Load(),
+		OrphanBytes:      h.orphanBytes.Load(),
+		MuxCorruptFrames: h.muxCorruptFrames.Load(),
+		MuxCorruptBytes:  h.muxCorruptBytes.Load(),
 	}
-	h.mu.Unlock()
-	var sum int64
-	for _, l := range links {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s.Routes = make(map[string]RouteStats, len(h.ids))
+	for name, id := range h.ids {
+		s.Routes[name] = id.stats(name)
+	}
+	var windows int64
+	for l := range h.links {
 		l.mu.Lock()
-		if l.muxed {
-			for _, r := range l.routes {
-				if r.state != routeDead {
-					sum += r.toWorkerCredit.win
-				}
+		for _, r := range l.routes {
+			if r.state != routeDead {
+				windows += r.toWorkerCredit.win
 			}
 		}
 		l.mu.Unlock()
 	}
-	return sum
+	s.CreditWindowBytes = windows
+	return s
 }
 
-// MuxOverheadIngressBytes reports the signed difference between physical
-// bytes received on muxed links and the inner-frame plus handshake bytes
-// they carried.
-func (h *BrokerHub) MuxOverheadIngressBytes() int64 { return h.muxOverheadIn.Load() }
-
-// MuxOverheadEgressBytes reports the signed difference between physical
-// data bytes sent on muxed links and the inner-frame bytes they carried;
-// negative when cross-worker coalescing saves more than route tags cost.
-func (h *BrokerHub) MuxOverheadEgressBytes() int64 { return h.muxOverheadOut.Load() }
-
-// OrphanedFrames reports routed entries dropped because their route was
-// unknown or already finished.
-func (h *BrokerHub) OrphanedFrames() int64 { return h.orphanFrames.Load() }
-
-// OrphanedBytes reports the inner-frame bytes of orphaned routed entries.
-func (h *BrokerHub) OrphanedBytes() int64 { return h.orphanBytes.Load() }
-
-// MuxCorruptFrames reports CRC-corrupt frames on muxed supervisor links;
-// each one quarantined its whole physical link.
-func (h *BrokerHub) MuxCorruptFrames() int64 { return h.muxCorruptFrames.Load() }
-
-// MuxCorruptBytes reports the received bytes of mux-link corrupt frames.
-func (h *BrokerHub) MuxCorruptBytes() int64 { return h.muxCorruptBytes.Load() }
-
-// Workers lists every worker identity the hub has seen a handshake for.
-func (h *BrokerHub) Workers() []string {
+// binds reports how many routes have bound the named worker so far — the
+// one quantity bind-waiters poll, without a full Snapshot per poll.
+func (h *BrokerHub) binds(worker string) int64 {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	names := make([]string, 0, len(h.counters))
-	for name := range h.counters {
-		names = append(names, name)
-	}
-	return names
-}
-
-// WorkerStats snapshots one worker identity's cumulative relay accounting.
-func (h *BrokerHub) WorkerStats(worker string) (RouteStats, bool) {
-	h.mu.Lock()
-	wc := h.counters[worker]
+	id := h.ids[worker]
 	h.mu.Unlock()
-	if wc == nil {
-		return RouteStats{}, false
+	if id == nil {
+		return 0
 	}
-	st := RouteStats{
-		Worker:                   worker,
-		Binds:                    wc.binds.Load(),
-		WorkerHelloBytes:         wc.workerHelloBytes.Load(),
-		SupervisorHelloBytes:     wc.supervisorHelloBytes.Load(),
-		ToWorker:                 wc.toWorker.snapshot(),
-		ToSupervisor:             wc.toSupervisor.snapshot(),
-		ToWorkerGrantedBytes:     wc.toWorkerGranted.Load(),
-		ToWorkerWindowBytes:      wc.toWorkerWindow.Load(),
-		ToSupervisorGrantedBytes: wc.toSupGranted.Load(),
-		ToSupervisorWindowBytes:  wc.toSupWindow.Load(),
-		ToSupervisorStalls:       wc.toSupStalls.Load(),
-	}
-	st.CorruptFrames = st.ToWorker.CorruptFrames + st.ToSupervisor.CorruptFrames
-	st.CorruptBytes = st.ToWorker.CorruptBytes + st.ToSupervisor.CorruptBytes
-	return st, true
+	return id.binds.Load()
 }
 
 // maxBrokerIdentities caps how many distinct worker identities one hub
-// tracks (registry keys and per-worker counters). Identities are never
-// evicted — their counters are the accounting record — so a dialer cycling
-// fresh names must not grow the hub without bound: handshakes naming a new
-// identity past the cap are refused. A variable so tests can exercise the
-// bound.
+// tracks. Identities are never evicted — their counters are the accounting
+// record — so a dialer cycling fresh names must not grow the hub without
+// bound: handshakes naming a new identity past the cap are refused. A
+// variable so tests can exercise the bound.
 var maxBrokerIdentities = 1 << 16
 
-// countersFor returns the worker's cumulative counters, creating them on
-// first sight, or nil when the identity cap forbids tracking a new name.
-func (h *BrokerHub) countersFor(worker string) *workerCounters {
+// identityFor returns the worker's record, creating it on first sight, or
+// nil when the identity cap forbids tracking a new name.
+func (h *BrokerHub) identityFor(worker string) *identity {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	wc := h.counters[worker]
-	if wc == nil {
-		if len(h.counters) >= maxBrokerIdentities {
+	id := h.ids[worker]
+	if id == nil {
+		if len(h.ids) >= maxBrokerIdentities {
 			return nil
 		}
-		wc = &workerCounters{}
-		h.counters[worker] = wc
+		id = &identity{}
+		h.ids[worker] = id
 	}
-	return wc
+	return id
 }
 
 // Attach hands one freshly dialed link to the hub. The link's first frame
-// must be a msgHello (HelloWorker / HelloSupervisor): worker links are
-// registered under their identity and served once a supervisor binds them;
-// supervisor links are bound to their named worker's registration — waiting
-// up to the bind timeout for it — on a background goroutine, so Attach
-// blocks only to read the hello frame (itself bounded by the bind timeout),
-// never for a bind or a route's lifetime: an accept loop may call it
-// synchronously per connection. A link whose handshake or bind is refused
-// is closed, which is how the failure surfaces to the dialing peer.
+// must be a msgHello: a worker link (HelloWorker) is registered under its
+// identity and relays once a route binds it; a supervisor link (OpenMux)
+// gets its reader and writer and opens routes at will. Attach blocks only
+// to read the hello frame (bounded by the bind timeout), never for a bind
+// or a link's lifetime, so an accept loop may call it synchronously per
+// connection. A link whose handshake is refused is closed, which is how
+// the failure surfaces to the dialing peer.
 //
 //gridlint:credit accept boundary: hello and rejected-link bytes are only observable here
 func (h *BrokerHub) Attach(conn transport.Conn) error {
@@ -569,157 +503,198 @@ func (h *BrokerHub) Attach(conn transport.Conn) error {
 	}
 	switch hello.Role {
 	case helloRoleWorker:
-		wc := h.countersFor(hello.Worker)
-		if wc == nil {
+		id := h.identityFor(hello.Worker)
+		if id == nil {
 			return reject(fmt.Errorf("%w: hub is at its %d-identity capacity; refusing new worker %q",
 				ErrBadConfig, maxBrokerIdentities, hello.Worker))
 		}
-		wc.workerHelloBytes.Add(arrived)
-		return h.registerWorker(hello.Worker, conn)
-	case helloRoleSupervisor:
-		wc := h.countersFor(hello.Worker)
-		if wc == nil {
-			return reject(fmt.Errorf("%w: hub is at its %d-identity capacity; refusing new worker %q",
-				ErrBadConfig, maxBrokerIdentities, hello.Worker))
-		}
-		wc.supervisorHelloBytes.Add(arrived)
-		return h.attachSupervisorLink(conn, hello.Worker, wc, false)
+		id.workerHelloBytes.Add(arrived)
+		return h.registerWorker(id, conn)
 	case helloRoleMux:
 		// Mux labels name a supervisor, not a worker: they get link-level
-		// accounting, not a slot in the per-worker identity registry.
+		// accounting, not a slot in the identity registry.
 		h.muxHelloBytes.Add(arrived)
 		h.muxLinks.Add(1)
-		return h.attachSupervisorLink(conn, hello.Worker, nil, true)
+		return h.attachSupervisorLink(conn)
 	default:
-		// Open/close hellos are only meaningful on an attached muxed link.
+		// Open/close hellos are only meaningful on an attached link.
 		return reject(fmt.Errorf("%w: hello role %d cannot open a link",
 			ErrUnexpectedMessage, hello.Role))
 	}
 }
 
-// registerWorker makes the link the worker's available (unbound) endpoint,
-// replacing — and closing — any stale unbound registration under the same
-// identity (a redialing harness re-registers before the hub necessarily
-// noticed the old link die). Every registration gets a monitor goroutine so
-// a link that dies while parked is evicted eagerly instead of being handed
-// to the next supervisor as a healthy worker.
-func (h *BrokerHub) registerWorker(worker string, conn transport.Conn) error {
-	v := &vettedWorkerConn{Conn: conn, result: make(chan vetResult, 1)}
+// workerLink is one registered participant link. Its reader starts at
+// registration, so a link that dies while parked is noticed — and evicted —
+// instead of being handed to the next route as a healthy worker.
+type workerLink struct {
+	hub  *BrokerHub
+	id   *identity
+	conn transport.Conn
+	// Guarded by the hub mutex: the route the link was bound to, or gone
+	// when it was discarded unbound (replaced, evicted, hub closed).
+	route *hubRoute
+	gone  bool
+}
+
+// registerWorker parks the link as its identity's unbound endpoint,
+// replacing — and closing — a stale parked registration (a redialing
+// harness re-registers before the hub necessarily noticed the old link
+// die), and binds it at once if a route is already waiting.
+func (h *BrokerHub) registerWorker(id *identity, conn transport.Conn) error {
+	wl := &workerLink{hub: h, id: id, conn: conn}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		_ = conn.Close()
 		return ErrBrokerClosed
 	}
-	stale := h.available[worker]
-	h.available[worker] = v
-	h.pumps.Add(1)
-	h.mu.Unlock()
-	go h.monitorWorker(worker, v)
+	stale := id.parked
+	id.parked = wl
 	if stale != nil {
-		_ = stale.Close()
+		stale.gone = true
+		h.bound.Broadcast()
 	}
-	h.matchPending(worker)
+	h.pumps.Add(1)
+	h.matchLocked(id)
+	h.mu.Unlock()
+	go wl.readLoop()
+	if stale != nil {
+		_ = stale.conn.Close()
+	}
 	return nil
 }
 
-// vetResult is the outcome of a monitor's single Recv, handed to the
-// route's first read once the link is bound.
-type vetResult struct {
-	msg transport.Message
-	err error
-}
-
-// vettedWorkerConn wraps a registered worker link so the hub can watch it
-// while it waits unbound. The monitor goroutine owns the link's first Recv;
-// the route's first Recv consumes the monitor's result instead of racing it
-// with a second concurrent Recv, and later Recvs go straight through.
-type vettedWorkerConn struct {
-	transport.Conn
-	result chan vetResult
-
-	mu      sync.Mutex
-	drained bool  // the monitor's result has been claimed by a Recv
-	early   bool  // the last Recv returned the monitor's buffered result
-	pending int64 // connection-counter bytes the monitor's Recv consumed
-}
-
-func (v *vettedWorkerConn) Recv() (transport.Message, error) {
-	v.mu.Lock()
-	first := !v.drained
-	v.drained = true
-	v.mu.Unlock()
-	if first {
-		res := <-v.result
-		v.mu.Lock()
-		v.early = true
-		v.mu.Unlock()
-		return res.msg, res.err
+// matchLocked binds the identity's parked link to its oldest waiting
+// route, skipping routes that died while they waited.
+func (h *BrokerHub) matchLocked(id *identity) {
+	for id.parked != nil && len(id.waiting) > 0 {
+		r := id.waiting[0]
+		id.waiting = slices.Delete(id.waiting, 0, 1)
+		if r.bind(id.parked) {
+			id.parked = nil
+		}
 	}
-	//gridlint:ignore errclassify transport adapter: errors pass through verbatim; the relay pump classifies them
-	return v.Conn.Recv()
 }
 
-// takeEarly reports whether the last Recv returned the monitor's buffered
-// result, and the connection-counter bytes that result consumed. The pump
-// uses it to attribute bytes that arrived before its own counter snapshot.
-func (v *vettedWorkerConn) takeEarly() (int64, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.early {
-		return 0, false
+// scheduleBind queues the route on its identity and binds it at once if
+// the worker is parked; otherwise registerWorker completes the bind, or
+// the bind timeout refuses it. Binds are event-driven: no goroutine waits
+// on them.
+func (h *BrokerHub) scheduleBind(r *hubRoute) {
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		r.fail(false)
+		return
 	}
-	v.early = false
-	return v.pending, true
+	r.id.waiting = append(r.id.waiting, r)
+	h.matchLocked(r.id)
+	h.mu.Unlock()
+	l := r.link
+	l.mu.Lock()
+	if r.state == routePending {
+		r.bindTimer = time.AfterFunc(h.cfg.bindTimeout, func() { h.bindExpired(r) })
+	}
+	l.mu.Unlock()
 }
 
-// monitorWorker performs one Recv on a freshly registered link. A read
-// error while the link is still unbound evicts it — a supervisor arriving
-// later waits for a live registration instead of binding a corpse — and a
-// result on a link that was bound (or replaced) meanwhile is delivered to
-// the route through the vetted wrapper. Joined via h.pumps so Close waits
-// for monitors too.
+// unwaitLocked removes the route from its identity's waiting list and
+// reports whether it was still there — presence is the claim arbiter
+// between a bind, a bind timeout and a teardown.
+func (h *BrokerHub) unwaitLocked(r *hubRoute) bool {
+	i := slices.Index(r.id.waiting, r)
+	if i < 0 {
+		return false
+	}
+	r.id.waiting = slices.Delete(r.id.waiting, i, i+1)
+	return true
+}
+
+// bindExpired is the pending-bind watchdog: a route still waiting when the
+// bind timeout fires is refused. Only the bind expired — the supervisor
+// link is alive — so the supervisor is owed the close notice that tells
+// its session the route is dead.
+func (h *BrokerHub) bindExpired(r *hubRoute) {
+	h.mu.Lock()
+	expired := !h.closed && h.unwaitLocked(r)
+	h.mu.Unlock()
+	if expired {
+		r.fail(true)
+	}
+}
+
+// unpark forgets torn-down routes that were still waiting for a worker.
+func (h *BrokerHub) unpark(routes []*hubRoute) {
+	if len(routes) == 0 {
+		return
+	}
+	h.mu.Lock()
+	for _, r := range routes {
+		h.unwaitLocked(r)
+	}
+	h.mu.Unlock()
+}
+
+// readLoop is the worker link's only reader. Its first Recv doubles as the
+// parked link's monitor: the result and its measured byte delta are held
+// until the bind, so a frame sent ahead of it is relayed first and
+// accounted exactly. Once the link is bound every result is the route's.
+func (wl *workerLink) readLoop() {
+	defer wl.hub.pumps.Done()
+	msg, arrived, err := wl.recv()
+	r := wl.awaitBind(err != nil, arrived)
+	if r == nil {
+		return
+	}
+	defer r.loopDone()
+	for r.fromWorker(msg, arrived, err) {
+		msg, arrived, err = wl.recv()
+	}
+}
+
+// recv reads one frame and measures the bytes the read consumed.
+func (wl *workerLink) recv() (transport.Message, int64, error) {
+	before := wl.conn.Stats().BytesRecv()
+	msg, err := wl.conn.Recv()
+	return msg, wl.conn.Stats().BytesRecv() - before, err
+}
+
+// awaitBind blocks until the link is bound and returns its route, or nil
+// when the link ended unbound. A read error on a link that is still parked
+// evicts it: a route arriving later waits for a live registration instead
+// of binding a corpse.
 //
 //gridlint:credit eviction is the last observation point for a dead parked link's bytes
-func (h *BrokerHub) monitorWorker(worker string, v *vettedWorkerConn) {
-	defer h.pumps.Done()
-	before := v.Conn.Stats().BytesRecv()
-	msg, err := v.Conn.Recv()
-	delta := v.Conn.Stats().BytesRecv() - before
-	v.mu.Lock()
-	v.pending = delta
-	v.mu.Unlock()
-	if err != nil {
-		h.mu.Lock()
-		if !h.closed && h.available[worker] == v {
-			delete(h.available, worker)
-			h.mu.Unlock()
-			_ = v.Conn.Close()
-			h.evictedLinks.Add(1)
-			h.evictedBytes.Add(delta)
-			return
-		}
+func (wl *workerLink) awaitBind(dead bool, arrived int64) *hubRoute {
+	h := wl.hub
+	h.mu.Lock()
+	if dead && wl.id.parked == wl {
+		wl.id.parked = nil
 		h.mu.Unlock()
+		_ = wl.conn.Close()
+		h.evictedLinks.Add(1)
+		h.evictedBytes.Add(arrived)
+		return nil
 	}
-	v.result <- vetResult{msg: msg, err: err}
+	for wl.route == nil && !wl.gone {
+		h.bound.Wait()
+	}
+	r := wl.route
+	h.mu.Unlock()
+	return r
 }
 
-// defaultCreditWindowBytes is the per-route receive window on a muxed link
-// when WithRouteCreditWindow is not given: the supervisor may have this
-// many unacknowledged bytes (inner frame sizes) queued at the hub before
-// it must wait for a credit grant, so one slow worker bounds its own
-// route's hub memory instead of the whole link's.
+// defaultCreditWindowBytes is the per-route receive window ceiling when
+// WithRouteCreditWindow is not given: the supervisor may have at most this
+// many unacknowledged inner-frame bytes queued at the hub before it must
+// wait for a credit grant, so one slow worker bounds its own route's hub
+// memory instead of the whole link's.
 const defaultCreditWindowBytes int64 = 256 << 10
 
-// legacyRouteQueueBytes bounds the supervisor→worker queue of a dedicated
-// (non-muxed) supervisor link, where backpressure is applied by blocking
-// the link reader instead of by credits.
-var legacyRouteQueueBytes int64 = 1 << 20
-
-// toWorkerQueueBytes bounds the worker→supervisor queue of any route; a
-// full queue blocks the worker-link reader, which is the natural
-// backpressure toward the (clean, LAN-side) participant leg.
-var toWorkerQueueBytes int64 = 1 << 20
+// toSupQueueBytes bounds a route's worker→supervisor queue; a full queue
+// blocks the worker link's reader, which is the natural backpressure
+// toward the (clean, LAN-side) participant leg.
+const toSupQueueBytes int64 = 1 << 20
 
 // muxInnerPayloadCap bounds a single inner frame relayed through a mux
 // envelope so the envelope itself stays under transport.MaxFrameBytes.
@@ -783,19 +758,63 @@ func (q *frameQ) drop() {
 	q.discard = true
 }
 
-// supLink is one physical supervisor↔hub connection: a dedicated link
-// carrying exactly one route (the pre-mux wire protocol, preserved
-// bit-for-bit), or a muxed link carrying any number of routes inside
-// msgRouted envelopes. Each link runs exactly two goroutines — readLoop
-// and writeLoop — regardless of route count.
+// coalesce pops first's successors while they are batch frames that fit,
+// and returns them merged with first into one larger batch frame — or
+// first itself when nothing merged. It stops at the session layer's frame
+// caps, at limit bytes of tagged payload, at the first non-mergeable frame
+// (left queued to preserve order), or when the queue runs dry. Frames the
+// hub cannot decode are forwarded untouched — the hub is a relay, not a
+// validator; the endpoint rules on them.
+func (q *frameQ) coalesce(first transport.Message, limit int64) transport.Message {
+	if first.Type != msgBatch || q.empty() {
+		return first
+	}
+	msgs, err := decodeBatch(first.Payload)
+	if err != nil {
+		return first
+	}
+	var size int64
+	for _, tm := range msgs {
+		size += tm.wireSize()
+	}
+	merged := false
+	for size < batchTargetBytes && len(msgs) < maxBatchMsgs {
+		next, ok := q.peek()
+		if !ok || next.Type != msgBatch {
+			break
+		}
+		more, err := decodeBatch(next.Payload)
+		if err != nil {
+			break
+		}
+		var moreSize int64
+		for _, tm := range more {
+			moreSize += tm.wireSize()
+		}
+		if size+moreSize > limit || len(msgs)+len(more) > maxBatchMsgs {
+			break
+		}
+		q.pop()
+		msgs = append(msgs, more...)
+		size += moreSize
+		merged = true
+	}
+	if !merged {
+		return first
+	}
+	return transport.Message{Type: msgBatch, Payload: encodeBatch(msgs)}
+}
+
+// supLink is one physical supervisor↔hub connection carrying any number of
+// routes inside msgRouted envelopes. It runs exactly two goroutines —
+// readLoop and writeLoop — regardless of route count.
 type supLink struct {
-	hub   *BrokerHub
-	conn  transport.Conn
-	muxed bool
+	hub  *BrokerHub
+	conn transport.Conn
 
 	mu   sync.Mutex
 	cond *sync.Cond // wakes writeLoop: data queued, control queued, stop
-	// routes holds live routes by ID (a dedicated link uses ID 0).
+	// routes holds the link's routes by ID until their last loop exits.
 	routes map[uint64]*hubRoute
 	// ready is the round-robin drain order: routes with queued
 	// supervisor-bound frames, each present at most once (inReady).
@@ -804,24 +823,23 @@ type supLink struct {
 	// sent ahead of data.
 	ctrl []transport.Message
 	// failed: the link is quarantined — all queues dropped, no more sends.
-	// stopWriter: writeLoop exits once set (set by failure, clean shutdown,
-	// and dedicated-link completion).
+	// stopWriter: writeLoop exits once set and drained (set by failure and
+	// by clean shutdown).
 	failed     bool
 	stopWriter bool
 }
 
 // hubRoute is one supervisor↔worker route on a supLink. All mutable state
 // is guarded by the link's mutex; the per-route cond wakes the route's
-// worker-side writer and any capacity waiters.
+// worker-side loops.
 type hubRoute struct {
 	link   *supLink
-	id     uint64
+	id     *identity
+	route  uint64
 	worker string
-	wc     *workerCounters
 
 	wcond *sync.Cond // shares the link mutex
 	down  transport.Conn
-	vet   *vettedWorkerConn
 
 	toWorker frameQ // supervisor → worker
 	toSup    frameQ // worker → supervisor
@@ -829,34 +847,32 @@ type hubRoute struct {
 	state     int
 	bindTimer *time.Timer
 	inReady   bool
-	// noticeDue/noticeSent sequence the hub→supervisor close notice on a
-	// muxed link: due once the worker side ended while the supervisor side
-	// is still alive, sent after toSup drains.
+	// noticeDue/noticeSent sequence the hub→supervisor close notice: due
+	// once the worker side ended while the supervisor side is still alive,
+	// sent after toSup drains.
 	noticeDue  bool
 	noticeSent bool
 	// toWorkerCredit is the receiver-side ledger of the supervisor→worker
-	// direction on a muxed link: the hub extends credit to the supervisor
-	// and grants more as the worker-side writer drains toWorker, sizing
-	// the window adaptively from the observed drain rate.
+	// direction: the hub extends credit to the supervisor and grants more
+	// as the worker-side writer drains toWorker, sizing the window
+	// adaptively from the observed drain rate.
 	toWorkerCredit creditLedger
 	// supCredit is the hub's send budget on the worker→supervisor
 	// direction, granted by the SupervisorMux as the route's consumer
-	// drains its inbox; supWindow mirrors the peer's advertised window.
+	// drains its inbox.
 	supCredit int64
-	supWindow int64
 	// supStalled marks the route parked out of the ready ring for lack of
 	// supervisor credit; re-entered when the next grant arrives.
 	supStalled bool
 	// loops counts the route's live worker-side goroutines; the last one to
-	// exit removes the route from the link's maps.
+	// exit removes the route from the link's map.
 	loops int
 }
 
-// attachSupervisorLink starts the link loops for a freshly helloed
-// supervisor connection. A dedicated link opens its single route
-// immediately; a muxed link waits for open hellos.
-func (h *BrokerHub) attachSupervisorLink(conn transport.Conn, worker string, wc *workerCounters, muxed bool) error {
-	l := &supLink{hub: h, conn: conn, muxed: muxed, routes: make(map[uint64]*hubRoute)}
+// attachSupervisorLink starts the two loops of a freshly helloed
+// supervisor link; its routes arrive as open hellos.
+func (h *BrokerHub) attachSupervisorLink(conn transport.Conn) error {
+	l := &supLink{hub: h, conn: conn, routes: make(map[uint64]*hubRoute)}
 	l.cond = sync.NewCond(&l.mu)
 	h.mu.Lock()
 	if h.closed {
@@ -867,198 +883,45 @@ func (h *BrokerHub) attachSupervisorLink(conn transport.Conn, worker string, wc 
 	h.links[l] = struct{}{}
 	h.pumps.Add(2)
 	h.mu.Unlock()
-	if !muxed {
-		r := l.newRouteLocked(0, worker, wc)
-		l.mu.Lock()
-		l.routes[0] = r
-		l.mu.Unlock()
-		h.scheduleBind(r)
-	}
 	go l.readLoop()
 	go l.writeLoop()
 	return nil
 }
 
-// newRouteLocked builds a pending route (callers insert it into l.routes).
-// On a muxed link both credit directions start at the adaptive floor: the
-// hub extends initialCreditWindow to the supervisor (toWorkerCredit) and
-// assumes the mux extended the same to it (supCredit) — which holds
-// because both endpoints must be configured with the same ceiling.
-func (l *supLink) newRouteLocked(id uint64, worker string, wc *workerCounters) *hubRoute {
-	r := &hubRoute{link: l, id: id, worker: worker, wc: wc, state: routePending}
-	r.wcond = sync.NewCond(&l.mu)
-	if l.muxed {
-		r.toWorkerCredit = newCreditLedger(l.hub.cfg.creditWindow)
-		r.supCredit = initialCreditWindow(l.hub.cfg.creditWindow)
-		r.supWindow = r.supCredit
-	}
-	return r
-}
-
-// scheduleBind claims the route's worker if one is registered, or parks the
-// route in pendingBinds with a timeout; binds are event-driven (completed
-// by registerWorker), so no goroutine waits on them.
-func (h *BrokerHub) scheduleBind(r *hubRoute) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		r.fail(false)
-		return
-	}
-	if conn, ok := h.available[r.worker]; ok {
-		delete(h.available, r.worker)
-		h.mu.Unlock()
-		if !r.tryBind(conn) {
-			h.returnWorker(r.worker, conn)
-		}
-		return
-	}
-	h.pendingBinds[r.worker] = append(h.pendingBinds[r.worker], r)
-	h.mu.Unlock()
-	l := r.link
-	l.mu.Lock()
-	if r.state == routePending {
-		r.bindTimer = time.AfterFunc(h.cfg.bindTimeout, func() { h.bindExpired(r) })
-	}
-	l.mu.Unlock()
-}
-
-// matchPending hands a fresh registration to routes waiting on the
-// identity, oldest first, until one accepts it or none remain.
-func (h *BrokerHub) matchPending(worker string) {
-	for {
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			return
-		}
-		pend := h.pendingBinds[worker]
-		conn, ok := h.available[worker]
-		if len(pend) == 0 || !ok {
-			h.mu.Unlock()
-			return
-		}
-		r := pend[0]
-		if len(pend) == 1 {
-			delete(h.pendingBinds, worker)
-		} else {
-			h.pendingBinds[worker] = pend[1:]
-		}
-		delete(h.available, worker)
-		h.mu.Unlock()
-		if r.tryBind(conn) {
-			return
-		}
-		// The route died while parked; put the registration back (its
-		// monitor is still watching it) and try the next waiter.
-		if !h.returnWorker(worker, conn) {
-			return
-		}
-	}
-}
-
-// returnWorker re-registers a claimed-but-unused worker link. Reports false
-// when the link could not be returned (hub closed or a newer registration
-// took the slot), in which case the conn is closed.
-func (h *BrokerHub) returnWorker(worker string, conn transport.Conn) bool {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		_ = conn.Close()
-		return false
-	}
-	if _, exists := h.available[worker]; exists {
-		h.mu.Unlock()
-		_ = conn.Close()
-		return false
-	}
-	h.available[worker] = conn
-	h.mu.Unlock()
-	return true
-}
-
-// bindExpired is the pending-bind watchdog: if the route is still parked
-// when the bind timeout fires, it is failed exactly like a refused bind.
-// Presence in pendingBinds is the claim arbiter — if matchPending already
-// popped the route, the timer is a no-op. The supervisor side of the link
-// is alive and well — only the bind expired — so a muxed route owes its
-// supervisor the close notice that tells its session the route is dead
-// (on a dedicated link the refusal closes the physical link instead).
-func (h *BrokerHub) bindExpired(r *hubRoute) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	pend := h.pendingBinds[r.worker]
-	found := false
-	for i, cand := range pend {
-		if cand == r {
-			h.pendingBinds[r.worker] = append(pend[:i:i], pend[i+1:]...)
-			if len(h.pendingBinds[r.worker]) == 0 {
-				delete(h.pendingBinds, r.worker)
-			}
-			found = true
-			break
-		}
-	}
-	h.mu.Unlock()
-	if found {
-		r.fail(true)
-	}
-}
-
-// tryBind binds a claimed worker link to the route and starts the route's
-// worker-side loops. Reports false if the route is no longer pending.
+// bind attaches a parked worker link to the route and starts the route's
+// worker-side writer (the link's reader is already running). Called under
+// the hub mutex with the hub open; reports false if the route is no longer
+// pending.
 //
 //gridlint:credit a route starting is the bind event the binds counter measures
-func (r *hubRoute) tryBind(conn transport.Conn) bool {
+func (r *hubRoute) bind(wl *workerLink) bool {
 	l := r.link
-	h := l.hub
-	// The pump reservation must be ordered against Close: reserving under
-	// h.mu while the hub is open guarantees Close's Wait observes it.
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return false
-	}
-	h.pumps.Add(2)
-	h.mu.Unlock()
 	l.mu.Lock()
 	if r.state != routePending {
 		l.mu.Unlock()
-		h.pumps.Done()
-		h.pumps.Done()
 		return false
 	}
 	r.state = routeActive
-	r.down = conn
-	r.vet, _ = conn.(*vettedWorkerConn)
+	r.down = wl.conn
 	if r.bindTimer != nil {
 		r.bindTimer.Stop()
 		r.bindTimer = nil
 	}
 	r.loops = 2
-	r.wcond.Broadcast()
 	l.mu.Unlock()
-	if r.wc != nil {
-		r.wc.binds.Add(1)
-	}
-	go r.workerReadLoop()
+	r.id.binds.Add(1)
+	wl.route = r
+	l.hub.bound.Broadcast()
+	l.hub.pumps.Add(1)
 	go r.workerWriteLoop()
 	return true
 }
 
 // fail quarantines one route: both queues dropped, the worker link closed,
-// a close notice queued for a muxed supervisor (supAlive) — and, on a
-// dedicated link, the whole link failed, because there the route IS the
-// link. The hub and every other route keep running.
+// and — when the supervisor side is alive — a close notice queued so its
+// session sees the route end. The link and every other route keep running.
 func (r *hubRoute) fail(supAlive bool) {
 	l := r.link
-	if !l.muxed {
-		l.fail()
-		return
-	}
 	l.mu.Lock()
 	if r.state == routeDead {
 		l.mu.Unlock()
@@ -1069,16 +932,15 @@ func (r *hubRoute) fail(supAlive bool) {
 	if supAlive && !r.noticeSent && !l.failed && !l.stopWriter {
 		l.queueNoticeLocked(r)
 	}
-	if r.loops == 0 {
-		delete(l.routes, r.id)
-	}
 	l.mu.Unlock()
 	if down != nil {
 		_ = down.Close()
 	}
 }
 
-// teardownLocked marks the route dead and wakes everything parked on it.
+// teardownLocked marks the route dead, wakes everything parked on it, and
+// — unless a worker-side loop still has to observe the teardown — retires
+// its ID so late entries addressed to it are orphans.
 func (r *hubRoute) teardownLocked() {
 	r.state = routeDead
 	r.toWorker.drop()
@@ -1087,48 +949,49 @@ func (r *hubRoute) teardownLocked() {
 		r.bindTimer.Stop()
 		r.bindTimer = nil
 	}
+	if r.loops == 0 {
+		delete(r.link.routes, r.route)
+	}
 	r.wcond.Broadcast()
 	r.link.cond.Broadcast()
 }
 
-// queueNoticeLocked queues the hub→supervisor close notice for a route on
-// a muxed link and finalizes the route: everything the worker sent has been
-// relayed, so from here on the route's ID is retired and late entries
-// addressed to it are orphans.
+// queueNoticeLocked queues the hub→supervisor close notice for a route and
+// finalizes it: everything the worker sent has been relayed.
 func (l *supLink) queueNoticeLocked(r *hubRoute) {
 	r.noticeSent = true
 	r.noticeDue = false
-	l.ctrl = append(l.ctrl, transport.Message{
-		Type:    msgHello,
-		Payload: encodeHello(helloMsg{Role: helloRoleClose, Worker: r.worker, Route: r.id}),
-	})
+	l.queueCloseLocked(r.worker, r.route)
 	if r.state != routeDead {
 		r.teardownLocked()
 	}
-	if r.loops == 0 {
-		delete(l.routes, r.id)
-	}
+}
+
+// queueCloseLocked queues a close hello for the link's writer.
+func (l *supLink) queueCloseLocked(worker string, route uint64) {
+	l.ctrl = append(l.ctrl, transport.Message{
+		Type:    msgHello,
+		Payload: encodeHello(helloMsg{Role: helloRoleClose, Worker: worker, Route: route}),
+	})
 	l.cond.Broadcast()
 }
 
 // loopDone retires one worker-side goroutine; the last one out removes a
-// dead route from the link's map so late envelope entries become orphans.
+// dead route from the link's map.
 func (r *hubRoute) loopDone() {
 	l := r.link
 	l.mu.Lock()
 	r.loops--
 	if r.loops == 0 && r.state == routeDead {
-		delete(l.routes, r.id)
+		delete(l.routes, r.route)
 	}
 	l.mu.Unlock()
-	l.hub.pumps.Done()
 }
 
-// fail quarantines the whole physical link: every route is torn down and
-// every endpoint closed. Dedicated links land here for any route fault
-// (preserving the pre-mux semantics); muxed links land here for faults
-// that cannot be attributed to a single route — a corrupt frame on the
-// shared link, a protocol violation, or a dead physical connection.
+// fail quarantines the whole physical link — every route torn down, every
+// endpoint closed — for faults that cannot be attributed to a single route:
+// a corrupt frame on the shared link, a protocol violation, or a dead
+// physical connection.
 func (l *supLink) fail() {
 	l.mu.Lock()
 	if l.failed {
@@ -1139,15 +1002,12 @@ func (l *supLink) fail() {
 	l.stopWriter = true
 	var downs []transport.Conn
 	dead := make([]*hubRoute, 0, len(l.routes))
-	for id, r := range l.routes {
+	for _, r := range l.routes {
 		if r.down != nil {
 			downs = append(downs, r.down)
 		}
 		dead = append(dead, r)
 		r.teardownLocked()
-		if r.loops == 0 {
-			delete(l.routes, id)
-		}
 	}
 	l.ready = nil
 	l.ctrl = nil
@@ -1171,19 +1031,14 @@ func (l *supLink) cleanShutdown() {
 		return
 	}
 	l.stopWriter = true
-	dead := make([]*hubRoute, 0, len(l.routes))
-	for id, r := range l.routes {
+	var dead []*hubRoute
+	for _, r := range l.routes {
 		switch r.state {
 		case routePending:
 			dead = append(dead, r)
 			r.teardownLocked()
-			if r.loops == 0 {
-				delete(l.routes, id)
-			}
 		case routeActive:
-			r.toWorker.closed = true
-			r.toSup.drop()
-			r.wcond.Broadcast()
+			r.supervisorDoneLocked()
 		}
 	}
 	l.cond.Broadcast()
@@ -1192,140 +1047,66 @@ func (l *supLink) cleanShutdown() {
 	l.hub.unpark(dead)
 }
 
-// unpark removes failed routes from the pending-bind registry so a later
-// registration is not handed to a corpse first.
-func (h *BrokerHub) unpark(routes []*hubRoute) {
-	if len(routes) == 0 {
-		return
-	}
-	stale := make(map[*hubRoute]struct{}, len(routes))
-	for _, r := range routes {
-		stale[r] = struct{}{}
-	}
-	h.mu.Lock()
-	for worker, pend := range h.pendingBinds {
-		kept := pend[:0]
-		for _, r := range pend {
-			if _, dead := stale[r]; !dead {
-				kept = append(kept, r)
-			}
-		}
-		if len(kept) == 0 {
-			delete(h.pendingBinds, worker)
-		} else {
-			h.pendingBinds[worker] = kept
-		}
-	}
-	h.mu.Unlock()
+// supervisorDoneLocked ends an active route's supervisor side cleanly:
+// what the hub holds toward the worker still drains, the return direction
+// is discarded and no close notice is owed.
+func (r *hubRoute) supervisorDoneLocked() {
+	r.toWorker.closed = true
+	r.toSup.drop()
+	r.noticeDue = false
+	r.wcond.Broadcast()
 }
 
-// dropLink forgets a finished link.
-func (h *BrokerHub) dropLink(l *supLink) {
-	h.mu.Lock()
-	delete(h.links, l)
-	h.mu.Unlock()
-}
-
-// readLoop is the physical link's only reader: it ingests every frame the
-// supervisor endpoint sends — raw route traffic on a dedicated link, mux
-// envelopes and open/close hellos on a muxed one — and parks frames on
-// per-route queues. It never blocks on a muxed route's queue (credits
-// bound those), so one slow worker cannot head-of-line-block the link.
+// readLoop is the physical link's only reader: it ingests mux envelopes,
+// open/close hellos and credit grants, and parks data on per-route queues.
+// It never blocks on a route's queue (credits bound those), so one slow
+// worker cannot head-of-line-block the link.
 //
-//gridlint:credit relay ingress, handshake, orphan, and corrupt-frame bytes are credited as they leave the source link
+//gridlint:credit corrupt-frame bytes are credited as they leave the source link
 func (l *supLink) readLoop() {
 	h := l.hub
 	defer func() {
-		h.dropLink(l)
+		h.mu.Lock()
+		delete(h.links, l)
+		h.mu.Unlock()
 		h.pumps.Done()
 	}()
 	for {
 		before := l.conn.Stats().BytesRecv()
 		msg, err := l.conn.Recv()
 		arrived := l.conn.Stats().BytesRecv() - before
-		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF), errors.Is(err, transport.ErrClosed):
-				l.cleanShutdown()
-			case errors.Is(err, transport.ErrFrameCorrupt):
-				if l.muxed {
-					// Unattributable link damage: no route tag survived, so
-					// the whole physical link is quarantined.
-					h.muxCorruptFrames.Add(1)
-					h.muxCorruptBytes.Add(arrived)
-				} else if r := l.soleRoute(); r != nil && r.wc != nil {
-					r.wc.toWorker.corruptFrames.Add(1)
-					r.wc.toWorker.corruptBytes.Add(arrived)
-				}
-				l.fail()
-			default:
-				l.fail()
-			}
+		ok := false
+		switch {
+		case errors.Is(err, io.EOF), errors.Is(err, transport.ErrClosed):
+			l.cleanShutdown()
 			return
-		}
-		if !l.muxed {
-			r := l.soleRoute()
-			if r == nil {
-				return // link already torn down
-			}
-			if r.wc != nil {
-				r.wc.toWorker.ingressMsgs.Add(1)
-				r.wc.toWorker.ingressBytes.Add(msg.FrameSize())
-			}
-			if !l.putToWorkerBlocking(r, msg) {
-				return
-			}
-			continue
-		}
-		switch msg.Type {
-		case msgRouted:
-			if !l.ingestEnvelope(msg, arrived) {
-				return
-			}
-		case msgHello:
-			if !l.handleHello(msg, arrived) {
-				return
-			}
-		case msgCredit:
-			if !l.applyRouteGrant(msg, arrived) {
-				return
-			}
+		case errors.Is(err, transport.ErrFrameCorrupt):
+			// No route tag survived, so the damage is the link's.
+			h.muxCorruptFrames.Add(1)
+			h.muxCorruptBytes.Add(arrived)
+		case err != nil:
+			// Any other read error: the physical link is dead.
+		case msg.Type == msgRouted:
+			ok = l.ingestEnvelope(msg, arrived)
+		case msg.Type == msgHello:
+			ok = l.handleHello(msg, arrived)
+		case msg.Type == msgCredit:
+			ok = l.applyRouteGrant(msg, arrived)
 		default:
-			// Raw data frames are not valid on a muxed link.
+			// Raw data frames are not valid on a supervisor link.
+			h.muxOverheadIn.Add(arrived)
+		}
+		if !ok {
 			l.fail()
 			return
 		}
 	}
 }
 
-// soleRoute returns a dedicated link's single route, if still present.
-func (l *supLink) soleRoute() *hubRoute {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.routes[0]
-}
-
-// putToWorkerBlocking queues one supervisor frame on a dedicated link's
-// route, blocking (backpressure on the physical link) while the queue is
-// over its bound. Reports false when the link is done.
-func (l *supLink) putToWorkerBlocking(r *hubRoute, msg transport.Message) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for r.toWorker.bytes >= legacyRouteQueueBytes && !r.toWorker.closed && !r.toWorker.discard && !l.failed {
-		r.wcond.Wait()
-	}
-	if !r.toWorker.put(msg) {
-		return false
-	}
-	r.wcond.Broadcast()
-	return true
-}
-
-// applyRouteGrant ingests a supervisor→hub credit grant on a muxed link:
-// the mux returns credit as a route's consumer drains its inbox, and the
-// hub spends it in gatherEnvelopeLocked. A stalled route re-enters the
-// ready ring here. Reports false when the grant was malformed or
-// overflowing and the link failed.
+// applyRouteGrant ingests a supervisor→hub credit grant: the mux returns
+// credit as a route's consumer drains its inbox, and the hub spends it in
+// gatherEnvelopeLocked. A stalled route re-enters the ready ring here.
+// Reports false when the grant was malformed or overflowing.
 //
 //gridlint:credit control ingress and per-route grant ledgers are only observable at the link reader
 func (l *supLink) applyRouteGrant(msg transport.Message, arrived int64) bool {
@@ -1333,44 +1114,38 @@ func (l *supLink) applyRouteGrant(msg transport.Message, arrived int64) bool {
 	c, err := decodeCredit(msg.Payload)
 	if err != nil {
 		h.muxOverheadIn.Add(arrived)
-		l.fail()
 		return false
 	}
 	h.ctrlMsgsIn.Add(1)
 	h.ctrlBytesIn.Add(arrived)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	r := l.routes[c.Route]
 	if r == nil || r.state == routeDead {
 		// Grants race close notices; a grant for a finished route is stale,
 		// not hostile.
-		l.mu.Unlock()
 		return true
 	}
 	r.supCredit += int64(c.Bytes)
-	r.supWindow = int64(c.Window)
 	if r.supCredit > maxCreditGrant {
 		// More credit than any honest window can extend: the peer is
 		// inflating the hub's send budget, likely probing for overflow.
-		l.mu.Unlock()
-		l.fail()
 		return false
 	}
-	if r.wc != nil {
-		r.wc.toSupGranted.Add(int64(c.Bytes))
-		r.wc.toSupWindow.Store(int64(c.Window))
-	}
+	r.id.toSupGranted.Add(int64(c.Bytes))
+	r.id.toSupWindow.Store(int64(c.Window))
 	if r.supStalled {
 		r.supStalled = false
 		if !r.toSup.empty() {
 			l.enqueueReadyLocked(r)
 		}
 	}
-	l.mu.Unlock()
 	return true
 }
 
 // ingestEnvelope distributes a mux envelope's entries onto route queues.
-// Reports false when the envelope was malformed and the link failed.
+// Reports false when the envelope was malformed or overran a route's
+// credit.
 //
 //gridlint:credit envelope ingress is attributed inner-frame-exact as it arrives
 func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
@@ -1380,12 +1155,12 @@ func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 		// The frame passed the transport CRC, so this is a peer protocol
 		// violation, not line noise; the link is done either way.
 		h.muxOverheadIn.Add(arrived)
-		l.fail()
 		return false
 	}
 	transport.RecyclePayload(msg.Payload)
 	var inner int64
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, e := range entries {
 		size := e.innerFrameSize()
 		inner += size
@@ -1398,14 +1173,13 @@ func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 		if !r.toWorkerCredit.arrive(size) {
 			// The peer is ignoring the credit protocol; that is a link-level
 			// violation (the shared reader must never block on one route).
-			l.mu.Unlock()
-			l.fail()
+			// What the envelope carried up to here is already attributed;
+			// the rest of the frame is overhead.
+			h.muxOverheadIn.Add(arrived - inner + size)
 			return false
 		}
-		if r.wc != nil {
-			r.wc.toWorker.ingressMsgs.Add(1)
-			r.wc.toWorker.ingressBytes.Add(size)
-		}
+		r.id.toWorker.ingressMsgs.Add(1)
+		r.id.toWorker.ingressBytes.Add(size)
 		if r.toWorker.put(transport.Message{Type: e.Type, Payload: e.Payload}) {
 			r.wcond.Broadcast()
 		} else {
@@ -1413,13 +1187,12 @@ func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 			h.orphanBytes.Add(size)
 		}
 	}
-	l.mu.Unlock()
 	h.muxOverheadIn.Add(arrived - inner)
 	return true
 }
 
-// handleHello processes an open or close hello on a muxed link. Reports
-// false when the hello was invalid and the link failed.
+// handleHello processes an open or close hello. Reports false when the
+// hello was invalid.
 //
 //gridlint:credit route handshake bytes are only observable at the link reader
 func (l *supLink) handleHello(msg transport.Message, arrived int64) bool {
@@ -1427,34 +1200,37 @@ func (l *supLink) handleHello(msg transport.Message, arrived int64) bool {
 	hello, err := decodeHello(msg.Payload)
 	if err != nil {
 		h.muxOverheadIn.Add(arrived)
-		l.fail()
 		return false
 	}
 	switch hello.Role {
 	case helloRoleOpen:
-		wc := h.countersFor(hello.Worker)
-		if wc == nil {
+		id := h.identityFor(hello.Worker)
+		if id == nil {
 			// Identity capacity: refuse the route, keep the link.
 			h.muxOverheadIn.Add(arrived)
 			l.mu.Lock()
 			if !l.failed && !l.stopWriter {
-				l.ctrl = append(l.ctrl, transport.Message{
-					Type:    msgHello,
-					Payload: encodeHello(helloMsg{Role: helloRoleClose, Worker: hello.Worker, Route: hello.Route}),
-				})
-				l.cond.Broadcast()
+				l.queueCloseLocked(hello.Worker, hello.Route)
 			}
 			l.mu.Unlock()
 			return true
 		}
-		wc.supervisorHelloBytes.Add(arrived)
+		id.supervisorHelloBytes.Add(arrived)
 		l.mu.Lock()
 		if _, dup := l.routes[hello.Route]; dup || l.failed {
 			l.mu.Unlock()
-			l.fail()
 			return false
 		}
-		r := l.newRouteLocked(hello.Route, hello.Worker, wc)
+		// Both credit directions start at the adaptive floor: the hub
+		// extends initialCreditWindow to the supervisor (toWorkerCredit)
+		// and assumes the mux extended the same to it (supCredit) — which
+		// holds because both endpoints are configured with the same ceiling.
+		r := &hubRoute{
+			link: l, id: id, route: hello.Route, worker: hello.Worker, state: routePending,
+			toWorkerCredit: newCreditLedger(h.cfg.creditWindow),
+			supCredit:      initialCreditWindow(h.cfg.creditWindow),
+		}
+		r.wcond = sync.NewCond(&l.mu)
 		l.routes[hello.Route] = r
 		l.mu.Unlock()
 		h.routesOpened.Add(1)
@@ -1463,43 +1239,28 @@ func (l *supLink) handleHello(msg transport.Message, arrived int64) bool {
 	case helloRoleClose:
 		l.mu.Lock()
 		r := l.routes[hello.Route]
-		var wc *workerCounters
-		if r != nil {
-			wc = r.wc
-		}
-		if wc != nil {
-			wc.supervisorHelloBytes.Add(arrived)
-		} else {
+		if r == nil {
+			l.mu.Unlock()
 			h.muxOverheadIn.Add(arrived)
-		}
-		if r == nil || r.state == routeDead {
-			l.mu.Unlock()
 			return true
 		}
-		if r.state == routePending {
-			dead := r
+		r.id.supervisorHelloBytes.Add(arrived)
+		var dead []*hubRoute
+		switch r.state {
+		case routePending:
+			dead = append(dead, r)
 			r.teardownLocked()
-			if r.loops == 0 {
-				delete(l.routes, r.id)
-			}
-			l.mu.Unlock()
-			h.unpark([]*hubRoute{dead})
-			return true
+		case routeActive:
+			// The supervisor is done sending: drain toward the worker.
+			r.supervisorDoneLocked()
+			l.cond.Broadcast()
 		}
-		// Active route: the supervisor is done sending — drain what the hub
-		// holds toward the worker, discard the return direction.
-		r.toWorker.closed = true
-		r.toSup.drop()
-		r.noticeDue = false
-		r.wcond.Broadcast()
-		l.cond.Broadcast()
 		l.mu.Unlock()
+		h.unpark(dead)
 		return true
 	default:
-		// worker/supervisor/mux hellos are link-opening frames, invalid
-		// mid-link.
+		// Worker and mux hellos open links; they are invalid mid-link.
 		h.muxOverheadIn.Add(arrived)
-		l.fail()
 		return false
 	}
 }
@@ -1507,8 +1268,8 @@ func (l *supLink) handleHello(msg transport.Message, arrived int64) bool {
 // writeLoop is the physical link's only writer. Control frames (credits,
 // close notices) go first; then data is drained route by route in rotating
 // round-robin order, with consecutive batch frames of the same route
-// coalesced and — on a muxed link — units from several routes packed into
-// one envelope, so re-batching spans workers, not just tasks.
+// coalesced and units from several routes packed into one envelope, so
+// re-batching spans workers, not just tasks.
 //
 //gridlint:credit relay egress, control, and envelope-overhead bytes are credited after the onward send succeeds
 func (l *supLink) writeLoop() {
@@ -1524,80 +1285,38 @@ func (l *supLink) writeLoop() {
 			return
 		}
 		var out transport.Message
-		var isCtrl, finishLink bool
 		var egress []routeEgress
-		switch {
-		case len(l.ctrl) > 0:
+		isCtrl := len(l.ctrl) > 0
+		if isCtrl {
 			out = l.ctrl[0]
 			l.ctrl = l.ctrl[1:]
-			isCtrl = true
-		case !l.muxed:
-			r := l.ready[0]
-			unit, ok, last := l.popUnitLocked(r)
-			if !ok {
-				// A dedicated link is done once its single route's worker
-				// side ended cleanly and the queue is fully drained — which
-				// can be observed on an empty pop when the worker closed
-				// without ever sending.
-				if last {
-					l.stopWriter = true
-					l.mu.Unlock()
-					_ = l.conn.Close()
-					return
-				}
-				l.mu.Unlock()
-				continue
-			}
-			out = unit
-			egress = []routeEgress{{r: r, inner: out.FrameSize()}}
-			finishLink = last
-		default:
-			entries, acct := l.gatherEnvelopeLocked()
-			if len(entries) == 0 {
+		} else {
+			var entries []routedEntry
+			if entries, egress = l.gatherEnvelopeLocked(); len(entries) == 0 {
 				l.mu.Unlock()
 				continue
 			}
 			out = transport.Message{Type: msgRouted, Payload: encodeRouted(entries)}
-			egress = acct
 		}
 		l.mu.Unlock()
 		if err := l.conn.Send(out); err != nil {
 			l.fail()
 			return
 		}
-		switch {
-		case isCtrl:
+		if isCtrl {
 			h.ctrlMsgs.Add(1)
 			h.ctrlBytes.Add(out.FrameSize())
-		case !l.muxed:
-			for _, e := range egress {
-				if e.r.wc != nil {
-					e.r.wc.toSupervisor.egressMsgs.Add(1)
-					e.r.wc.toSupervisor.egressBytes.Add(e.inner)
-				}
-			}
-			h.relayedMsgs.Add(1)
-			h.relayedBytes.Add(out.FrameSize())
-		default:
-			var inner int64
-			for _, e := range egress {
-				inner += e.inner
-				if e.r.wc != nil {
-					e.r.wc.toSupervisor.egressMsgs.Add(1)
-					e.r.wc.toSupervisor.egressBytes.Add(e.inner)
-				}
-			}
-			h.relayedMsgs.Add(1)
-			h.relayedBytes.Add(out.FrameSize())
-			h.muxOverheadOut.Add(out.FrameSize() - inner)
+			continue
 		}
-		if finishLink {
-			l.mu.Lock()
-			l.stopWriter = true
-			l.mu.Unlock()
-			_ = l.conn.Close()
-			return
+		var inner int64
+		for _, e := range egress {
+			inner += e.inner
+			e.r.id.toSupervisor.egressMsgs.Add(1)
+			e.r.id.toSupervisor.egressBytes.Add(e.inner)
 		}
+		h.relayedMsgs.Add(1)
+		h.relayedBytes.Add(out.FrameSize())
+		h.muxOverheadOut.Add(out.FrameSize() - inner)
 	}
 }
 
@@ -1608,41 +1327,22 @@ type routeEgress struct {
 }
 
 // popUnitLocked pops the head route's next supervisor-bound unit, merging
-// consecutive queued msgBatch frames when relay batching is on. Reports
-// whether a unit was produced and — for dedicated links — whether it was
-// the route's final frame (worker side cleanly ended, queue drained).
-func (l *supLink) popUnitLocked(r *hubRoute) (transport.Message, bool, bool) {
+// the batch frames queued behind it, and reports whether there was one.
+func (l *supLink) popUnitLocked(r *hubRoute) (transport.Message, bool) {
 	l.dequeueReadyLocked(r)
 	first, ok := r.toSup.pop()
-	if !ok {
-		l.routeDrainedLocked(r)
-		return transport.Message{}, false, l.legacyFinishedLocked(r)
-	}
-	out := first
-	if l.hub.cfg.batching && first.Type == msgBatch && !r.toSup.empty() {
-		out = l.coalesceLocked(r, first)
+	if ok {
+		first = r.toSup.coalesce(first, min(maxBatchPayload, muxInnerPayloadCap))
+		r.wcond.Broadcast() // the worker link's reader may be waiting for room
 	}
 	if !r.toSup.empty() {
 		l.enqueueReadyLocked(r)
-	} else {
-		l.routeDrainedLocked(r)
-	}
-	r.wcond.Broadcast() // capacity waiters on toSup
-	return out, true, l.legacyFinishedLocked(r)
-}
-
-// routeDrainedLocked runs the drained-queue transitions: emit a due close
-// notice (muxed) once everything the worker sent has been relayed.
-func (l *supLink) routeDrainedLocked(r *hubRoute) {
-	if l.muxed && r.noticeDue && !r.noticeSent && r.toSup.closed && r.toSup.empty() {
+	} else if r.noticeDue && !r.noticeSent && r.toSup.closed {
+		// Everything the worker sent has been relayed: the close notice
+		// that was waiting for the drain goes out.
 		l.queueNoticeLocked(r)
 	}
-}
-
-// legacyFinishedLocked reports whether a dedicated link has relayed its
-// route's final supervisor-bound frame.
-func (l *supLink) legacyFinishedLocked(r *hubRoute) bool {
-	return !l.muxed && r.toSup.closed && r.toSup.empty() && !r.toSup.discard
+	return first, ok
 }
 
 // gatherEnvelopeLocked packs units from the ready routes, round-robin, into
@@ -1663,17 +1363,15 @@ func (l *supLink) gatherEnvelopeLocked() ([]routedEntry, []routeEgress) {
 		if r.supCredit <= 0 {
 			l.dequeueReadyLocked(r)
 			r.supStalled = true
-			if r.wc != nil {
-				r.wc.toSupStalls.Add(1)
-			}
+			r.id.toSupStalls.Add(1)
 			continue
 		}
-		unit, ok, _ := l.popUnitLocked(r)
+		unit, ok := l.popUnitLocked(r)
 		if !ok {
 			continue
 		}
 		r.supCredit -= unit.FrameSize()
-		entries = append(entries, routedEntry{Route: r.id, Type: unit.Type, Payload: unit.Payload})
+		entries = append(entries, routedEntry{Route: r.route, Type: unit.Type, Payload: unit.Payload})
 		acct = append(acct, routeEgress{r: r, inner: unit.FrameSize()})
 		total += unit.FrameSize()
 	}
@@ -1698,106 +1396,43 @@ func (l *supLink) dequeueReadyLocked(r *hubRoute) {
 	}
 }
 
-// coalesceLocked greedily merges batch frames queued behind first into one
-// larger batch frame, stopping at the session layer's frame caps, at the
-// first non-mergeable frame (left queued to preserve order), or when the
-// queue runs dry. Frames the hub cannot decode are forwarded untouched —
-// the hub is a relay, not a validator; the endpoint rules on them.
-func (l *supLink) coalesceLocked(r *hubRoute, first transport.Message) transport.Message {
-	msgs, err := decodeBatch(first.Payload)
-	if err != nil {
-		return first
-	}
-	var size int64
-	for _, tm := range msgs {
-		size += tm.wireSize()
-	}
-	limit := int64(maxBatchPayload)
-	if l.muxed && limit > muxInnerPayloadCap {
-		limit = muxInnerPayloadCap
-	}
-	merged := false
-	for size < batchTargetBytes && len(msgs) < maxBatchMsgs {
-		next, ok := r.toSup.peek()
-		if !ok || next.Type != msgBatch {
-			break
-		}
-		more, err := decodeBatch(next.Payload)
-		if err != nil {
-			break
-		}
-		var moreSize int64
-		for _, tm := range more {
-			moreSize += tm.wireSize()
-		}
-		if size+moreSize > limit || len(msgs)+len(more) > maxBatchMsgs {
-			break
-		}
-		r.toSup.pop()
-		msgs = append(msgs, more...)
-		size += moreSize
-		merged = true
-	}
-	if !merged {
-		return first
-	}
-	return transport.Message{Type: msgBatch, Payload: encodeBatch(msgs)}
-}
-
-// workerReadLoop is the worker link's reader for one bound route: frames
-// from the participant are queued for the supervisor-side writer. A full
-// queue blocks here — backpressure lands on the worker's own link, never
-// on the shared supervisor link.
+// fromWorker handles one result of the bound worker link's reader: a frame
+// is queued for the supervisor link's writer — a full queue blocks here, so
+// backpressure lands on the worker's own link, never on the shared one — a
+// clean end of the link closes the route's worker side, and any other
+// error quarantines the route. Reports whether the reader should go on.
 //
 //gridlint:credit worker-leg ingress and corrupt-frame bytes are credited as they leave the source link
-func (r *hubRoute) workerReadLoop() {
-	defer r.loopDone()
-	l := r.link
-	for {
-		before := r.down.Stats().BytesRecv()
-		msg, err := r.down.Recv()
-		arrived := r.down.Stats().BytesRecv() - before
-		if r.vet != nil {
-			// The monitor's Recv consumed this frame's bytes, possibly
-			// before this loop's counter snapshot; the monitor's own
-			// measurement is the exact delta either way.
-			if pending, early := r.vet.takeEarly(); early {
-				arrived = pending
-			}
+func (r *hubRoute) fromWorker(msg transport.Message, arrived int64, err error) bool {
+	switch {
+	case err == nil:
+	case errors.Is(err, io.EOF), errors.Is(err, transport.ErrClosed):
+		r.workerSideClosed()
+		return false
+	default:
+		if errors.Is(err, transport.ErrFrameCorrupt) {
+			r.id.corruptFrames.Add(1)
+			r.id.corruptBytes.Add(arrived)
 		}
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
-				r.workerSideClosed()
-				return
-			}
-			if errors.Is(err, transport.ErrFrameCorrupt) && r.wc != nil {
-				// Worker-leg damage is attributable to this route alone:
-				// quarantine the route, not the link.
-				r.wc.toSupervisor.corruptFrames.Add(1)
-				r.wc.toSupervisor.corruptBytes.Add(arrived)
-			}
-			r.fail(true)
-			return
-		}
-		if r.wc != nil {
-			r.wc.toSupervisor.ingressMsgs.Add(1)
-			r.wc.toSupervisor.ingressBytes.Add(msg.FrameSize())
-		}
-		l.mu.Lock()
-		for r.toSup.bytes >= toWorkerQueueBytes && !r.toSup.closed && !r.toSup.discard {
-			r.wcond.Wait()
-		}
-		if r.toSup.put(msg) {
-			l.enqueueReadyLocked(r)
-		}
-		l.mu.Unlock()
+		r.fail(true)
+		return false
 	}
+	r.id.toSupervisor.ingressMsgs.Add(1)
+	r.id.toSupervisor.ingressBytes.Add(arrived)
+	l := r.link
+	l.mu.Lock()
+	for r.toSup.bytes >= toSupQueueBytes && !r.toSup.closed && !r.toSup.discard {
+		r.wcond.Wait()
+	}
+	if r.toSup.put(msg) {
+		l.enqueueReadyLocked(r)
+	}
+	l.mu.Unlock()
+	return true
 }
 
 // workerSideClosed handles the participant ending its link cleanly: the
-// supervisor-bound queue drains, then — on a muxed link — the supervisor
-// gets a close notice; a dedicated link closes its supervisor conn after
-// the drain (writeLoop's finishLink), exactly the pre-mux semantics.
+// supervisor-bound queue drains, then the supervisor gets a close notice.
 func (r *hubRoute) workerSideClosed() {
 	l := r.link
 	l.mu.Lock()
@@ -1805,141 +1440,75 @@ func (r *hubRoute) workerSideClosed() {
 		l.mu.Unlock()
 		return
 	}
-	// If the supervisor side already finished (route close or link
-	// shutdown), there is nothing left to relay in either direction and no
-	// notice is owed — finalize the route on the spot.
-	supDone := r.toWorker.closed || l.stopWriter
 	r.toSup.closed = true
 	// The worker is gone, so frames still queued toward it are
 	// undeliverable.
 	r.toWorker.drop()
-	down := r.down
-	if supDone {
+	switch {
+	case r.toWorker.closed || l.stopWriter:
+		// The supervisor side already finished (route close or link
+		// shutdown): nothing is left to relay in either direction and no
+		// notice is owed.
 		r.teardownLocked()
-		if r.loops == 0 {
-			delete(l.routes, r.id)
-		}
-	} else {
+	case r.toSup.empty():
+		l.queueNoticeLocked(r)
+	default:
 		r.noticeDue = true
-		l.routeDrainedLocked(r)
-		if !l.muxed {
-			// Wake the link writer even with an empty queue so it can
-			// observe the drained-and-closed route and finish the link.
-			l.enqueueReadyLocked(r)
-		}
 	}
 	r.wcond.Broadcast()
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	if down != nil {
-		_ = down.Close()
-	}
+	_ = r.down.Close()
 }
 
 // workerWriteLoop is the worker link's writer for one bound route: it
 // drains the route's supervisor→worker queue, coalescing consecutive batch
-// frames, and grants credit back (muxed links) as bytes leave the queue.
+// frames, and grants credit back as bytes leave the queue.
 //
-//gridlint:credit relay egress toward the worker is credited after the onward send succeeds
+//gridlint:credit relay egress toward the worker and the grant ledger are credited where the queue drains
 func (r *hubRoute) workerWriteLoop() {
 	l := r.link
 	h := l.hub
+	defer h.pumps.Done()
 	defer r.loopDone()
 	for {
 		l.mu.Lock()
 		for r.toWorker.empty() && !r.toWorker.closed && !r.toWorker.discard {
 			r.wcond.Wait()
 		}
-		if r.toWorker.discard {
-			l.mu.Unlock()
-			return
-		}
-		first, ok := r.toWorker.pop()
+		before := r.toWorker.bytes
+		out, ok := r.toWorker.pop()
 		if !ok {
-			// closed && drained: the supervisor side ended cleanly and
-			// everything it sent was delivered — finish the worker leg.
+			// Dropped, or closed and drained: in the latter case the
+			// supervisor side ended cleanly and everything it sent was
+			// delivered — finish the worker leg.
 			l.mu.Unlock()
-			if r.down != nil {
-				_ = r.down.Close()
-			}
+			_ = r.down.Close()
 			return
 		}
-		popped := first.FrameSize()
-		out := first
-		if h.cfg.batching && first.Type == msgBatch && !r.toWorker.empty() {
-			before := r.toWorker.bytes
-			out = l.coalesceToWorkerLocked(r, first)
-			popped += before - r.toWorker.bytes
-		}
-		if l.muxed {
-			r.toWorkerCredit.drain(popped)
-			if !l.failed && !l.stopWriter && !r.toWorker.closed {
-				if grant := r.toWorkerCredit.grantDue(r.toWorker.bytes); grant > 0 {
-					win := r.toWorkerCredit.win
-					if r.wc != nil {
-						r.wc.toWorkerGranted.Add(grant)
-						r.wc.toWorkerWindow.Store(win)
-					}
-					l.ctrl = append(l.ctrl, transport.Message{
-						Type:    msgCredit,
-						Payload: encodeCredit(creditMsg{Route: r.id, Bytes: uint64(grant), Window: uint64(win)}),
-					})
-					l.cond.Broadcast()
-				}
+		out = r.toWorker.coalesce(out, maxBatchPayload)
+		r.toWorkerCredit.drain(before - r.toWorker.bytes)
+		if !l.failed && !l.stopWriter && !r.toWorker.closed {
+			if grant := r.toWorkerCredit.grantDue(r.toWorker.bytes); grant > 0 {
+				win := r.toWorkerCredit.win
+				r.id.toWorkerGranted.Add(grant)
+				r.id.toWorkerWindow.Store(win)
+				l.ctrl = append(l.ctrl, transport.Message{
+					Type:    msgCredit,
+					Payload: encodeCredit(creditMsg{Route: r.route, Bytes: uint64(grant), Window: uint64(win)}),
+				})
+				l.cond.Broadcast()
 			}
 		}
-		r.wcond.Broadcast() // capacity waiters (dedicated-link reader)
 		l.mu.Unlock()
 		if err := r.down.Send(out); err != nil {
 			r.fail(true)
 			return
 		}
-		if r.wc != nil {
-			r.wc.toWorker.egressMsgs.Add(1)
-			r.wc.toWorker.egressBytes.Add(out.FrameSize())
-		}
+		r.id.toWorker.egressMsgs.Add(1)
+		r.id.toWorker.egressBytes.Add(out.FrameSize())
 		h.relayedMsgs.Add(1)
 		h.relayedBytes.Add(out.FrameSize())
 	}
-}
-
-// coalesceToWorkerLocked merges consecutive queued batch frames bound for
-// the worker, the downstream mirror of coalesceLocked.
-func (l *supLink) coalesceToWorkerLocked(r *hubRoute, first transport.Message) transport.Message {
-	msgs, err := decodeBatch(first.Payload)
-	if err != nil {
-		return first
-	}
-	var size int64
-	for _, tm := range msgs {
-		size += tm.wireSize()
-	}
-	merged := false
-	for size < batchTargetBytes && len(msgs) < maxBatchMsgs {
-		next, ok := r.toWorker.peek()
-		if !ok || next.Type != msgBatch {
-			break
-		}
-		more, err := decodeBatch(next.Payload)
-		if err != nil {
-			break
-		}
-		var moreSize int64
-		for _, tm := range more {
-			moreSize += tm.wireSize()
-		}
-		if size+moreSize > maxBatchPayload || len(msgs)+len(more) > maxBatchMsgs {
-			break
-		}
-		r.toWorker.pop()
-		msgs = append(msgs, more...)
-		size += moreSize
-		merged = true
-	}
-	if !merged {
-		return first
-	}
-	return transport.Message{Type: msgBatch, Payload: encodeBatch(msgs)}
 }
 
 // Close tears down every link, route, and registered worker and blocks
@@ -1953,16 +1522,22 @@ func (h *BrokerHub) Close() error {
 		return nil
 	}
 	h.closed = true
-	avail := h.available
-	h.available = make(map[string]transport.Conn)
-	h.pendingBinds = make(map[string][]*hubRoute)
+	var parked []*workerLink
+	for _, id := range h.ids {
+		if id.parked != nil {
+			id.parked.gone = true
+			parked = append(parked, id.parked)
+		}
+		id.parked, id.waiting = nil, nil
+	}
+	h.bound.Broadcast()
 	links := make([]*supLink, 0, len(h.links))
 	for l := range h.links {
 		links = append(links, l)
 	}
 	h.mu.Unlock()
-	for _, conn := range avail {
-		_ = conn.Close()
+	for _, wl := range parked {
+		_ = wl.conn.Close()
 	}
 	for _, l := range links {
 		l.fail()

@@ -1,7 +1,10 @@
 package grid
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,13 +37,7 @@ func serveTestWorker(t *testing.T, hub *BrokerHub, name string, factory Producer
 	if err != nil {
 		t.Fatalf("NewParticipant(%s): %v", name, err)
 	}
-	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloWorker(partConn, name); err != nil {
-		t.Fatalf("HelloWorker(%s): %v", name, err)
-	}
-	if err := hub.Attach(hubDown); err != nil {
-		t.Fatalf("Attach worker %s: %v", name, err)
-	}
+	partConn := registerTestWorker(t, hub, name, 8)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- p.Serve(partConn) }()
 	return partConn, serveErr
@@ -51,7 +48,7 @@ func waitBinds(t testing.TB, hub *BrokerHub, worker string, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st, ok := hub.WorkerStats(worker); ok && st.Binds >= n {
+		if hub.binds(worker) >= n {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -130,14 +127,15 @@ func TestMuxOneLinkCarriesManyRoutes(t *testing.T) {
 		t.Fatalf("hub close: %v", err)
 	}
 
-	if got := hub.MuxLinks(); got != 1 {
+	snap := hub.Snapshot()
+	if got := snap.MuxLinks; got != 1 {
 		t.Errorf("hub counted %d mux links for one physical connection", got)
 	}
-	if got := hub.RoutesOpened(); got != n {
+	if got := snap.RoutesOpened; got != n {
 		t.Errorf("hub counted %d routes opened, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
-		st, ok := hub.WorkerStats(fmt.Sprintf("w-%d", i))
+		st, ok := snap.Routes[fmt.Sprintf("w-%d", i)]
 		if !ok || st.Binds != 1 || st.ToWorker.EgressMsgs == 0 || st.ToSupervisor.EgressMsgs == 0 {
 			t.Errorf("route stats for w-%d: %+v (ok=%v)", i, st, ok)
 		}
@@ -148,8 +146,7 @@ func TestMuxOneLinkCarriesManyRoutes(t *testing.T) {
 // multiplexed link must not cost the hub goroutines — one reader and one
 // writer per PHYSICAL link, never per route. 256 pending routes on one
 // link leave the hub's goroutine count where two goroutines plus the mux's
-// own reader put it; before the mux rewrite the same shape cost two pump
-// goroutines per route.
+// own two put it.
 func TestMuxHubGoroutineBudget(t *testing.T) {
 	base := runtime.NumGoroutine()
 	hub := NewBrokerHub(WithBindTimeout(time.Minute))
@@ -163,9 +160,9 @@ func TestMuxHubGoroutineBudget(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for hub.RoutesOpened() < routes {
+	for hub.Snapshot().RoutesOpened < routes {
 		if time.Now().After(deadline) {
-			t.Fatalf("hub registered %d of %d routes", hub.RoutesOpened(), routes)
+			t.Fatalf("hub registered %d of %d routes", hub.Snapshot().RoutesOpened, routes)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -183,12 +180,12 @@ func TestMuxHubGoroutineBudget(t *testing.T) {
 	}
 }
 
-// TestMuxAccountingReconcilesExactly pins the muxed-link ledger identities
-// from the RouteStats contract: per-route conn counters (dedicated-link-
-// equivalent sizes) equal the hub's per-worker ingress/egress exactly, and
-// the physical endpoint's byte counters decompose into hellos + inner
-// frames + envelope overhead + control traffic with nothing unaccounted.
-// The credit window is shrunk so grants actually flow.
+// TestMuxAccountingReconcilesExactly pins the ledger identities of the
+// RouteStats contract: per-route conn counters (inner frame sizes) equal
+// the hub's per-worker ingress/egress exactly, and the physical endpoint's
+// byte counters are what HubSnapshot.SupervisorLinkBytes accounts for —
+// hellos + inner frames + envelope overhead + control traffic, nothing
+// unaccounted. The credit window is shrunk so grants actually flow.
 func TestMuxAccountingReconcilesExactly(t *testing.T) {
 	window := WithRouteCreditWindow(128)
 	hub := NewBrokerHub(window)
@@ -257,21 +254,18 @@ func TestMuxAccountingReconcilesExactly(t *testing.T) {
 	if err := hub.Close(); err != nil {
 		t.Fatalf("hub close: %v", err)
 	}
-	if m.OrphanedFrames() != 0 {
-		t.Fatalf("clean run orphaned %d frames at the supervisor mux", m.OrphanedFrames())
+	ms, snap := m.Snapshot(), hub.Snapshot()
+	if ms.OrphanFrames != 0 {
+		t.Fatalf("clean run orphaned %d frames at the supervisor mux", ms.OrphanFrames)
 	}
 
-	var supHello, toWorkerIn, toSupEgress int64
 	var toWorkerGranted, toSupGranted int64
 	for i := 0; i < nw; i++ {
 		name := fmt.Sprintf("w-%d", i)
-		st, ok := hub.WorkerStats(name)
+		st, ok := snap.Routes[name]
 		if !ok {
 			t.Fatalf("no route stats for %s", name)
 		}
-		supHello += st.SupervisorHelloBytes
-		toWorkerIn += st.ToWorker.IngressBytes
-		toSupEgress += st.ToSupervisor.EgressBytes
 		toWorkerGranted += st.ToWorkerGrantedBytes
 		toSupGranted += st.ToSupervisorGrantedBytes
 		// Per-route exactness: the virtual endpoints and the hub agree to
@@ -290,38 +284,34 @@ func TestMuxAccountingReconcilesExactly(t *testing.T) {
 			}
 		}
 	}
-	if hub.ControlBytes() == 0 {
+	if snap.ControlBytes == 0 {
 		t.Error("no credit grants flowed under a 128-byte window; the flow-control path went unexercised")
 	}
-	if hub.ControlIngressBytes() == 0 {
+	if snap.ControlInBytes == 0 {
 		t.Error("no supervisor→hub credit grants flowed; the bidirectional flow-control path went unexercised")
 	}
 	// Grant ledgers obey conservation endpoint-to-endpoint: neither side
 	// ever receives credit (or control frames) the other did not send.
 	// Teardown can strand a final queued grant in flight, so the receive
 	// side is bounded by — not equal to — the grant side.
-	if got := m.CreditReceivedBytes(); got == 0 || got > toWorkerGranted {
+	if got := ms.CreditReceivedBytes; got == 0 || got > toWorkerGranted {
 		t.Errorf("hub granted %dB toWorker credit, mux received %dB", toWorkerGranted, got)
 	}
-	if sent := m.CreditGrantedBytes(); toSupGranted == 0 || toSupGranted > sent {
+	if sent := ms.CreditGrantedBytes; toSupGranted == 0 || toSupGranted > sent {
 		t.Errorf("mux granted %dB toSup credit, hub received %dB", sent, toSupGranted)
 	}
-	if got, sent := hub.ControlIngressMessages(), m.GrantFrames(); got == 0 || got > sent {
+	if got, sent := snap.ControlInMsgs, ms.GrantFrames; got == 0 || got > sent {
 		t.Errorf("hub saw %d control frames in, mux sent %d", got, sent)
 	}
-	if got, sent := hub.ControlIngressBytes(), m.GrantWireBytes(); got == 0 || got > sent {
+	if got, sent := snap.ControlInBytes, ms.GrantWireBytes; got == 0 || got > sent {
 		t.Errorf("hub counted %dB control ingress, mux sent %dB of grant frames", got, sent)
 	}
-	muxHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor"})}.FrameSize()
-	physRecv := hubUp.Stats().BytesRecv()
-	if want := muxHello + supHello + toWorkerIn + hub.MuxOverheadIngressBytes() + hub.OrphanedBytes() + hub.MuxCorruptBytes() + hub.ControlIngressBytes(); physRecv != want {
-		t.Errorf("physical ingress %dB does not decompose: hellos %d+%d, inner %d, overhead %d, orphans %d, corrupt %d, control-in %d",
-			physRecv, muxHello, supHello, toWorkerIn, hub.MuxOverheadIngressBytes(), hub.OrphanedBytes(), hub.MuxCorruptBytes(), hub.ControlIngressBytes())
+	acctRecv, acctSent := snap.SupervisorLinkBytes()
+	if physRecv := hubUp.Stats().BytesRecv(); physRecv != acctRecv {
+		t.Errorf("physical ingress %dB, ledgers account %dB: %+v", physRecv, acctRecv, snap)
 	}
-	physSent := hubUp.Stats().BytesSent()
-	if want := toSupEgress + hub.MuxOverheadEgressBytes() + hub.ControlBytes(); physSent != want {
-		t.Errorf("physical egress %dB does not decompose: inner %d, overhead %d, control %d",
-			physSent, toSupEgress, hub.MuxOverheadEgressBytes(), hub.ControlBytes())
+	if physSent := hubUp.Stats().BytesSent(); physSent != acctSent {
+		t.Errorf("physical egress %dB, ledgers account %dB: %+v", physSent, acctSent, snap)
 	}
 }
 
@@ -359,7 +349,7 @@ func TestMuxCorruptLinkQuarantinesLinkNotHub(t *testing.T) {
 	waitBinds(t, hub, "a", 1)
 
 	// Link 2: a healthy mux with a route to b.
-	m2, _ := openTestMux(t, hub, "sup-2")
+	m2, hubUp2 := openTestMux(t, hub, "sup-2")
 	routeB, err := m2.OpenRoute("b")
 	if err != nil {
 		t.Fatalf("OpenRoute(b): %v", err)
@@ -393,13 +383,6 @@ func TestMuxCorruptLinkQuarantinesLinkNotHub(t *testing.T) {
 		t.Errorf("honest task rejected after unrelated link quarantine: %s", outcome.Verdict.Reason)
 	}
 
-	if got := hub.MuxCorruptFrames(); got != 1 {
-		t.Errorf("hub counted %d mux-corrupt frames, want 1", got)
-	}
-	if st, _ := hub.WorkerStats("a"); st.CorruptFrames != 0 {
-		t.Errorf("unattributable link damage was charged to worker a: %+v", st)
-	}
-
 	_ = routeB.Close()
 	if err := <-bServe; err != nil {
 		t.Errorf("participant b serve: %v", err)
@@ -407,6 +390,146 @@ func TestMuxCorruptLinkQuarantinesLinkNotHub(t *testing.T) {
 	_ = m2.Close()
 	_ = sup1.Close()
 	_ = aConn.Close()
+	if err := hub.Close(); err != nil {
+		t.Fatalf("hub close: %v", err)
+	}
+
+	snap := hub.Snapshot()
+	if got := snap.MuxCorruptFrames; got != 1 {
+		t.Errorf("hub counted %d mux-corrupt frames, want 1", got)
+	}
+	if st := snap.Routes["a"]; st.CorruptFrames != 0 {
+		t.Errorf("unattributable link damage was charged to worker a: %+v", st)
+	}
+	// Both links' bytes are all in a ledger, the corrupt frame included.
+	physRecv, physSent := endpointBytes([]transport.Conn{hubUp1, hubUp2})
+	if acctRecv, acctSent := snap.SupervisorLinkBytes(); physRecv != acctRecv || physSent != acctSent {
+		t.Errorf("supervisor links %dB in / %dB out, ledgers account %dB / %dB: %+v", physRecv, physSent, acctRecv, acctSent, snap)
+	}
+}
+
+// TestMuxCorruptWorkerFrameQuarantinesRouteNotLink pins the other half of
+// the fault rule: a CRC-corrupt frame on a worker link names its worker, so
+// only that worker's route is quarantined — the supervisor gets its close
+// notice — and it is counted against the worker, while the shared
+// supervisor link and the sibling route on it keep relaying.
+func TestMuxCorruptWorkerFrameQuarantinesRouteNotLink(t *testing.T) {
+	hub := NewBrokerHub()
+	defer hub.Close()
+
+	// Worker a: a raw registered link this test holds, so a corrupt frame
+	// can be injected once the route is bound. Worker b: a participant.
+	aDown, aConn := transport.Pipe(transport.WithBuffer(8))
+	if err := HelloWorker(aConn, "a"); err != nil {
+		t.Fatalf("HelloWorker(a): %v", err)
+	}
+	if err := hub.Attach(aDown); err != nil {
+		t.Fatalf("Attach worker a: %v", err)
+	}
+	b, err := NewParticipant("b", HonestFactory)
+	if err != nil {
+		t.Fatalf("NewParticipant(b): %v", err)
+	}
+	bDown, bConn := transport.Pipe(transport.WithBuffer(8))
+	if err := HelloWorker(bConn, "b"); err != nil {
+		t.Fatalf("HelloWorker(b): %v", err)
+	}
+	if err := hub.Attach(bDown); err != nil {
+		t.Fatalf("Attach worker b: %v", err)
+	}
+	bServe := make(chan error, 1)
+	go func() { bServe <- b.Serve(bConn) }()
+
+	m, hubUp := openTestMux(t, hub, "sup")
+	routeA, err := m.OpenRoute("a")
+	if err != nil {
+		t.Fatalf("OpenRoute(a): %v", err)
+	}
+	routeB, err := m.OpenRoute("b")
+	if err != nil {
+		t.Fatalf("OpenRoute(b): %v", err)
+	}
+	waitBinds(t, hub, "a", 1)
+
+	// One clean frame crosses the route, then worker a sends a garbled one.
+	clean := transport.Message{Type: msgVerdictAck, Payload: []byte{7}}
+	if err := aConn.Send(clean); err != nil {
+		t.Fatalf("send clean frame: %v", err)
+	}
+	got, err := routeA.Recv()
+	if err != nil || got.Type != clean.Type || !bytes.Equal(got.Payload, clean.Payload) {
+		t.Fatalf("route a: got %+v, %v; want the clean frame", got, err)
+	}
+	garbled := transport.Message{Type: msgVerdictAck, Payload: []byte{8, 9}}
+	if err := transport.WithFaults(aConn, transport.FaultPlan{GarbleProb: 1, Seed: 99}).Send(garbled); err != nil {
+		t.Fatalf("send corrupt frame: %v", err)
+	}
+
+	// Route a ends with a close notice and the worker's own link is closed
+	// under it.
+	if _, err := routeA.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("route a after a corrupt worker frame: %v, want io.EOF", err)
+	}
+	if _, err := aConn.Recv(); err == nil {
+		t.Fatal("worker a's link survived its own corrupt frame")
+	}
+
+	// The link and the sibling route live on: a full interactive task
+	// completes after the quarantine.
+	if m.Failed() {
+		t.Fatal("one worker's corrupt frame failed the shared supervisor link")
+	}
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 8}, Seed: 3})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	outcome, err := runDialogue(sup, routeB, syntheticTask(128))
+	if err != nil {
+		t.Fatalf("RunTask over the sibling route: %v", err)
+	}
+	if !outcome.Verdict.Accepted {
+		t.Errorf("honest task rejected after the sibling's quarantine: %s", outcome.Verdict.Reason)
+	}
+	if m.Failed() {
+		t.Fatal("shared supervisor link failed after the quarantine")
+	}
+
+	_ = routeB.Close()
+	if err := <-bServe; err != nil {
+		t.Errorf("participant b serve: %v", err)
+	}
+	_ = m.Close()
+	_ = aConn.Close()
+	if err := hub.Close(); err != nil {
+		t.Fatalf("hub close: %v", err)
+	}
+
+	snap := hub.Snapshot()
+	ast, bst := snap.Routes["a"], snap.Routes["b"]
+	if ast.CorruptFrames != 1 || ast.CorruptBytes != garbled.FrameSize() {
+		t.Errorf("worker a: %d corrupt frames, %dB; want 1 frame of %dB", ast.CorruptFrames, ast.CorruptBytes, garbled.FrameSize())
+	}
+	if ast.ToSupervisor.IngressBytes != clean.FrameSize() || ast.ToSupervisor.EgressBytes != clean.FrameSize() {
+		t.Errorf("worker a relayed %dB in / %dB out toward the supervisor, want the clean frame's %dB both ways: %+v",
+			ast.ToSupervisor.IngressBytes, ast.ToSupervisor.EgressBytes, clean.FrameSize(), ast)
+	}
+	if bst.CorruptFrames != 0 || snap.MuxCorruptFrames != 0 {
+		t.Errorf("worker a's damage was charged elsewhere: b %+v, %d mux-corrupt frames", bst, snap.MuxCorruptFrames)
+	}
+	// Both legs reconcile exactly, the corrupt frame included.
+	downRecv, downSent := endpointBytes([]transport.Conn{aDown, bDown})
+	workerRecv, workerSent := snap.EvictedBytes, int64(0)
+	for _, st := range snap.Routes {
+		workerRecv += st.WorkerHelloBytes + st.ToSupervisor.IngressBytes + st.CorruptBytes
+		workerSent += st.ToWorker.EgressBytes
+	}
+	if downRecv != workerRecv || downSent != workerSent {
+		t.Errorf("worker links %dB in / %dB out, ledgers account %dB / %dB: %+v", downRecv, downSent, workerRecv, workerSent, snap)
+	}
+	physRecv, physSent := endpointBytes([]transport.Conn{hubUp})
+	if acctRecv, acctSent := snap.SupervisorLinkBytes(); physRecv != acctRecv || physSent != acctSent {
+		t.Errorf("supervisor link %dB in / %dB out, ledgers account %dB / %dB: %+v", physRecv, physSent, acctRecv, acctSent, snap)
+	}
 }
 
 // TestMuxCreditBackpressureIsolatesSlowRoute pins per-route flow control
@@ -525,28 +648,29 @@ func TestRunSimBrokeredMuxReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
-	if !report.Brokered || report.BrokerRelayedMsgs == 0 {
-		t.Fatalf("broker accounting empty: %+v", report)
+	hub := report.Broker
+	if hub == nil || hub.RelayedMsgs == 0 {
+		t.Fatalf("broker accounting empty: %+v", hub)
 	}
-	if report.BrokerMuxLinks != 1 {
-		t.Errorf("clean run used %d physical supervisor links, want 1", report.BrokerMuxLinks)
+	if hub.MuxLinks != 1 {
+		t.Errorf("clean run used %d physical supervisor links, want 1", hub.MuxLinks)
 	}
-	if report.BrokerRoutesOpened != int64(cfg.participants()) {
-		t.Errorf("opened %d routes, want one per participant (%d)", report.BrokerRoutesOpened, cfg.participants())
+	if hub.RoutesOpened != int64(cfg.participants()) {
+		t.Errorf("opened %d routes, want one per participant (%d)", hub.RoutesOpened, cfg.participants())
 	}
-	if len(report.BrokerRoutes) != cfg.participants() {
-		t.Fatalf("report carries %d route snapshots, want %d", len(report.BrokerRoutes), cfg.participants())
+	if len(hub.Routes) != cfg.participants() {
+		t.Fatalf("report carries %d route snapshots, want %d", len(hub.Routes), cfg.participants())
 	}
 	var toWorkerIn, toSupEgress int64
-	for name, st := range report.BrokerRoutes {
+	for name, st := range hub.Routes {
 		if st.Binds != 1 || st.ToWorker.IngressBytes == 0 || st.ToSupervisor.EgressBytes == 0 {
 			t.Errorf("route snapshot for %s looks empty: %+v", name, st)
 		}
 		toWorkerIn += st.ToWorker.IngressBytes
 		toSupEgress += st.ToSupervisor.EgressBytes
 	}
-	// Route conns credit dedicated-link-equivalent sizes, so the endpoint
-	// totals must equal the hub's inner-frame ledgers exactly.
+	// Route conns credit inner frame sizes, so the endpoint totals must
+	// equal the hub's inner-frame ledgers exactly.
 	if report.SupervisorBytesSent != toWorkerIn {
 		t.Errorf("supervisor sent %dB, hub ToWorker ingress %dB", report.SupervisorBytesSent, toWorkerIn)
 	}
@@ -583,11 +707,11 @@ func TestRunSimRoutesFanOut(t *testing.T) {
 			t.Errorf("honest task %d rejected: %s", tv.TaskID, tv.Verdict.Reason)
 		}
 	}
-	if report.BrokerMuxLinks != 1 {
-		t.Errorf("clean fan-out used %d physical supervisor links, want 1", report.BrokerMuxLinks)
+	if report.Broker.MuxLinks != 1 {
+		t.Errorf("clean fan-out used %d physical supervisor links, want 1", report.Broker.MuxLinks)
 	}
-	if report.BrokerRoutesOpened != int64(cfg.Routes) {
-		t.Errorf("opened %d routes, want %d", report.BrokerRoutesOpened, cfg.Routes)
+	if report.Broker.RoutesOpened != int64(cfg.Routes) {
+		t.Errorf("opened %d routes, want %d", report.Broker.RoutesOpened, cfg.Routes)
 	}
 	for _, p := range report.Participants {
 		if p.Reconnects != 0 {

@@ -2,20 +2,91 @@ package grid
 
 import (
 	"context"
+	"errors"
+	"io"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"uncheatgrid/internal/transport"
 )
 
+// dialOneRouteMux is the smallest supervisor-side dial through a hub: sup
+// and hubUp are the two ends of a fresh physical link (already wrapped with
+// whatever faults or latency the test wants); the link is attached as a mux
+// and its single route opened to worker. An error means the link never came
+// up — on a faulty link, a garbled handshake the hub refused.
+func dialOneRouteMux(hub *BrokerHub, sup, hubUp transport.Conn, worker string, opts ...MuxOption) (*SupervisorMux, transport.Conn, error) {
+	attached := make(chan error, 1)
+	go func() { attached <- hub.Attach(hubUp) }()
+	m, err := OpenMux(sup, "sup-"+worker, opts...)
+	if err != nil {
+		_ = sup.Close()
+		return nil, nil, err
+	}
+	if err := <-attached; err != nil {
+		_ = m.Close()
+		return nil, nil, err
+	}
+	route, err := m.OpenRoute(worker)
+	if err != nil {
+		_ = m.Close()
+		return nil, nil, err
+	}
+	return m, route, nil
+}
+
+// mustDialOneRouteMux is dialOneRouteMux over a fresh clean pipe.
+func mustDialOneRouteMux(t testing.TB, hub *BrokerHub, worker string, opts ...MuxOption) (*SupervisorMux, transport.Conn) {
+	t.Helper()
+	sup, hubUp := transport.Pipe(transport.WithBuffer(16))
+	m, route, err := dialOneRouteMux(hub, sup, hubUp, worker, opts...)
+	if err != nil {
+		t.Fatalf("dial one-route mux to %s: %v", worker, err)
+	}
+	return m, route
+}
+
+// registerTestWorker attaches a raw worker link the test holds the far end
+// of, with a send queue of the given depth on the hub→worker leg.
+func registerTestWorker(t testing.TB, hub *BrokerHub, name string, buffer int) transport.Conn {
+	t.Helper()
+	hubDown, partConn := transport.Pipe(transport.WithBuffer(buffer))
+	if err := HelloWorker(partConn, name); err != nil {
+		t.Fatalf("HelloWorker(%s): %v", name, err)
+	}
+	if err := hub.Attach(hubDown); err != nil {
+		t.Fatalf("Attach worker %s: %v", name, err)
+	}
+	return partConn
+}
+
+// garbleFirstEnvelope corrupts exactly one frame: the first msgRouted
+// envelope sent through it. The handshakes before it go through clean, so
+// the corrupt frame is certain to reach the hub on an attached link, ahead
+// of every reply the traffic inside it is waiting for.
+type garbleFirstEnvelope struct {
+	transport.Conn
+	garbler transport.Conn // the same link with every send corrupted
+	done    atomic.Bool
+}
+
+func (g *garbleFirstEnvelope) Send(m transport.Message) error {
+	if m.Type == msgRouted && g.done.CompareAndSwap(false, true) {
+		return g.garbler.Send(m)
+	}
+	return g.Conn.Send(m)
+}
+
 // brokerTestWorker wires one participant to a hub the way a deployment
 // harness would: every dial registers a fresh worker link under the
-// participant's identity and opens a supervisor link whose hello names it.
-// The optional garble plan applies to the supervisor→hub leg only, so
+// participant's identity and dials a one-route mux to it, each dial its own
+// physical link. A faulty worker's supervisor→hub leg is damaged, so
 // corrupt frames surface at the hub — crossing the relay — rather than at
-// an endpoint.
+// an endpoint: the first dial loses exactly its first envelope, and every
+// redial garbles each frame with probability garble under a per-dial seed.
 type brokerTestWorker struct {
 	t      *testing.T
 	name   string
@@ -27,8 +98,9 @@ type brokerTestWorker struct {
 	mu        sync.Mutex
 	dials     int
 	supConns  []transport.Conn
-	partConns []transport.Conn
-	hubEnds   []transport.Conn
+	muxes     []*SupervisorMux
+	hubDowns  []transport.Conn
+	hubUps    []transport.Conn
 	serveErrs []chan error
 }
 
@@ -42,7 +114,9 @@ func newBrokerTestWorker(t *testing.T, hub *BrokerHub, name string, factory Prod
 }
 
 // dial opens one identity-routed path through the hub and returns the
-// supervisor-side endpoint. Safe to call from the stream's redial callback.
+// supervisor-side route endpoint — a dead connection when a garbled
+// handshake kept the link from coming up, which the stream treats like any
+// lost link. Safe to call from the stream's redial callback.
 func (w *brokerTestWorker) dial() transport.Conn {
 	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
 	if err := HelloWorker(partConn, w.name); err != nil {
@@ -61,27 +135,36 @@ func (w *brokerTestWorker) dial() transport.Conn {
 	w.dials++
 	w.mu.Unlock()
 	if w.garble > 0 {
-		sup = transport.WithFaults(sup, transport.FaultPlan{
-			GarbleProb: w.garble,
-			Seed:       w.seed + int64(attempt),
-		})
+		plan := transport.FaultPlan{GarbleProb: w.garble, Seed: w.seed + int64(attempt)}
+		if attempt == 0 {
+			plan.GarbleProb = 1
+			sup = &garbleFirstEnvelope{Conn: supConn, garbler: transport.WithFaults(supConn, plan)}
+		} else {
+			sup = transport.WithFaults(supConn, plan)
+		}
 	}
-	go func() { _ = w.hub.Attach(hubUp) }()
-	if err := HelloSupervisor(sup, w.name); err != nil {
-		w.t.Errorf("HelloSupervisor(%s): %v", w.name, err)
+	m, route, err := dialOneRouteMux(w.hub, sup, hubUp, w.name)
+	if err != nil {
+		route = deadConn()
 	}
 	w.mu.Lock()
-	w.supConns = append(w.supConns, sup)
-	w.partConns = append(w.partConns, partConn)
-	w.hubEnds = append(w.hubEnds, hubDown, hubUp)
+	w.supConns = append(w.supConns, route)
+	if m != nil {
+		w.muxes = append(w.muxes, m)
+	}
+	w.hubDowns = append(w.hubDowns, hubDown)
+	w.hubUps = append(w.hubUps, hubUp)
 	w.serveErrs = append(w.serveErrs, serveErr)
 	w.mu.Unlock()
-	return sup
+	return route
 }
 
+// shutdown closes every route, joins the participant's serve loops, and
+// closes the physical links.
 func (w *brokerTestWorker) shutdown() {
 	w.mu.Lock()
 	conns := append([]transport.Conn(nil), w.supConns...)
+	muxes := append([]*SupervisorMux(nil), w.muxes...)
 	errs := append([]chan error(nil), w.serveErrs...)
 	w.mu.Unlock()
 	for _, c := range conns {
@@ -92,11 +175,23 @@ func (w *brokerTestWorker) shutdown() {
 			w.t.Errorf("participant %s serve: %v", w.name, err)
 		}
 	}
+	for _, m := range muxes {
+		_ = m.Close()
+	}
+}
+
+// endpointBytes sums the hub-side endpoint counters of the given links.
+func endpointBytes(conns []transport.Conn) (recv, sent int64) {
+	for _, c := range conns {
+		recv += c.Stats().BytesRecv()
+		sent += c.Stats().BytesSent()
+	}
+	return recv, sent
 }
 
 // TestBrokerHubRoutesByIdentity pins the multiplexing contract: one hub
-// carries several supervisor↔worker routes at once, and each supervisor
-// link reaches exactly the worker its hello named — proven by personas
+// carries several supervisor↔worker routes at once, and each one-route
+// supervisor link reaches exactly the worker its route named — proven by personas
 // (the honest worker's task is accepted, the always-cheating worker's
 // rejected, over interactive CBS so both relay directions are exercised).
 func TestBrokerHubRoutesByIdentity(t *testing.T) {
@@ -134,8 +229,9 @@ func TestBrokerHubRoutesByIdentity(t *testing.T) {
 	if outcomes[1].Verdict.Accepted {
 		t.Error("always-cheating worker accepted — supervisor link routed to the wrong worker?")
 	}
+	snap := hub.Snapshot()
 	for _, name := range []string{"honest", "cheat"} {
-		st, ok := hub.WorkerStats(name)
+		st, ok := snap.Routes[name]
 		if !ok || st.Binds != 1 || st.ToWorker.EgressMsgs == 0 || st.ToSupervisor.EgressMsgs == 0 {
 			t.Errorf("route stats for %s: %+v (ok=%v)", name, st, ok)
 		}
@@ -144,27 +240,30 @@ func TestBrokerHubRoutesByIdentity(t *testing.T) {
 	cheat.shutdown()
 }
 
-// TestBrokerUnknownWorkerBindTimesOut pins the bind contract: a supervisor
-// hello naming a worker that never registers is refused after the bind
-// timeout — Attach itself returns as soon as the hello is consumed (the
-// bind waits in the background), and the refusal surfaces to the dialing
-// peer as a closed link.
+// TestBrokerUnknownWorkerBindTimesOut pins the bind contract: a route
+// naming a worker that never registers is refused after the bind timeout.
+// Nothing in the dial waits for the bind — Attach returns as soon as the
+// mux hello is consumed, OpenRoute as soon as the open hello is sent — and
+// the refusal reaches the supervisor as the route's close notice: Recv
+// reports io.EOF while the physical link stays up.
 func TestBrokerUnknownWorkerBindTimesOut(t *testing.T) {
-	hub := NewBrokerHub(WithBindTimeout(50 * time.Millisecond))
+	const bindTimeout = 150 * time.Millisecond
+	hub := NewBrokerHub(WithBindTimeout(bindTimeout))
 	defer hub.Close()
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "nobody"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
 	start := time.Now()
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach must not report the background bind: %v", err)
+	m, route := mustDialOneRouteMux(t, hub, "nobody")
+	defer m.Close()
+	if waited := time.Since(start); waited > bindTimeout/2 {
+		t.Errorf("the dial blocked %v for the bind; it must return after the hellos", waited)
 	}
-	if waited := time.Since(start); waited > 40*time.Millisecond {
-		t.Errorf("Attach blocked %v for the bind; it must return after the hello", waited)
+	if _, err := route.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("refused route: Recv = %v, want io.EOF", err)
 	}
-	if _, err := supConn.Recv(); err == nil {
-		t.Fatal("refused supervisor link left open")
+	if waited := time.Since(start); waited < bindTimeout || waited > 2*time.Second {
+		t.Errorf("bind refused after %v, want about the %v timeout", waited, bindTimeout)
+	}
+	if m.Failed() {
+		t.Error("an expired bind took the physical link down with it")
 	}
 }
 
@@ -184,7 +283,7 @@ func TestBrokerSilentHandshakeTimesOut(t *testing.T) {
 	if waited := time.Since(start); waited > 2*time.Second {
 		t.Fatalf("handshake watchdog let Attach block %v", waited)
 	}
-	if hub.RejectedHandshakes() == 0 {
+	if hub.Snapshot().RejectedLinks == 0 {
 		t.Fatal("silent handshake not counted as rejected")
 	}
 }
@@ -218,10 +317,11 @@ func TestBrokerIdentityCapRefusesNewWorkers(t *testing.T) {
 	if err := attach("w1"); err != nil { // known identity re-registers fine
 		t.Fatalf("re-register known identity: %v", err)
 	}
-	if got := len(hub.Workers()); got > 2 {
+	snap := hub.Snapshot()
+	if got := len(snap.Routes); got > 2 {
 		t.Fatalf("hub tracks %d identities, cap 2", got)
 	}
-	if hub.RejectedHandshakes() == 0 {
+	if snap.RejectedLinks == 0 {
 		t.Fatal("over-cap handshake not counted as rejected")
 	}
 }
@@ -236,20 +336,9 @@ func TestBrokerRelayBatchingCoalesces(t *testing.T) {
 
 	// Worker link with a depth-1 queue so the hub's forwarder blocks on the
 	// second send while the consumer sleeps, forcing later frames to queue.
-	hubDown, partConn := transport.Pipe(transport.WithBuffer(1))
-	if err := HelloWorker(partConn, "w"); err != nil {
-		t.Fatalf("HelloWorker: %v", err)
-	}
-	if err := hub.Attach(hubDown); err != nil {
-		t.Fatalf("Attach worker: %v", err)
-	}
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(16))
-	if err := HelloSupervisor(supConn, "w"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
-	}
+	partConn := registerTestWorker(t, hub, "w", 1)
+	m, supConn := mustDialOneRouteMux(t, hub, "w")
+	defer m.Close()
 
 	const frames = 8
 	for i := 0; i < frames; i++ {
@@ -287,72 +376,76 @@ func TestBrokerRelayBatchingCoalesces(t *testing.T) {
 	}
 	_ = supConn.Close()
 	_ = hub.Close()
-	st, _ := hub.WorkerStats("w")
+	st := hub.Snapshot().Routes["w"]
 	if st.ToWorker.EgressMsgs >= st.ToWorker.IngressMsgs {
 		t.Errorf("egress %d frames not below ingress %d despite coalescing", st.ToWorker.EgressMsgs, st.ToWorker.IngressMsgs)
 	}
 }
 
 // TestBrokerDeliversQueuedFramesOnCleanClose pins the relay's delivery
-// guarantee: frames the hub accepted before a peer's clean close must
-// still reach the other endpoint (the direct transport drains queued
-// messages after a close, and the old synchronous relay never read ahead
-// of its sends), not be dropped with the route.
+// guarantee: frames the hub accepted before the supervisor side's clean
+// close — of the route, or of the whole physical link — must still reach
+// the worker (the direct transport drains queued messages after a close),
+// not be dropped with the route. The frames are not batch frames, so the
+// hub merges nothing and each is checked one for one.
 func TestBrokerDeliversQueuedFramesOnCleanClose(t *testing.T) {
-	hub := NewBrokerHub(WithRelayBatching(false))
-	defer hub.Close()
-	hubDown, partConn := transport.Pipe(transport.WithBuffer(1))
-	if err := HelloWorker(partConn, "w"); err != nil {
-		t.Fatalf("HelloWorker: %v", err)
+	closers := map[string]func(*SupervisorMux, transport.Conn){
+		"route.Close": func(_ *SupervisorMux, route transport.Conn) { _ = route.Close() },
+		"mux.Close":   func(m *SupervisorMux, _ transport.Conn) { _ = m.Close() },
 	}
-	if err := hub.Attach(hubDown); err != nil {
-		t.Fatalf("Attach worker: %v", err)
-	}
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(16))
-	if err := HelloSupervisor(supConn, "w"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
-	}
+	for name, closeSupervisorSide := range closers {
+		t.Run(name, func(t *testing.T) {
+			hub := NewBrokerHub()
+			defer hub.Close()
+			partConn := registerTestWorker(t, hub, "w", 1)
+			m, supConn := mustDialOneRouteMux(t, hub, "w")
+			defer m.Close()
 
-	const frames = 12
-	for i := 0; i < frames; i++ {
-		if err := supConn.Send(transport.Message{Type: msgVerdict, Payload: []byte{byte(i)}}); err != nil {
-			t.Fatalf("send frame %d: %v", i, err)
-		}
-	}
-	_ = supConn.Close() // clean close with most frames still queued at the hub
-	time.Sleep(50 * time.Millisecond)
+			const frames = 12
+			for i := 0; i < frames; i++ {
+				if err := supConn.Send(transport.Message{Type: msgVerdict, Payload: []byte{byte(i)}}); err != nil {
+					t.Fatalf("send frame %d: %v", i, err)
+				}
+			}
+			closeSupervisorSide(m, supConn) // clean close with most frames still queued at the hub
+			time.Sleep(50 * time.Millisecond)
 
-	for i := 0; i < frames; i++ {
-		msg, err := partConn.Recv()
-		if err != nil {
-			t.Fatalf("frame %d lost to the route teardown: %v", i, err)
-		}
-		if len(msg.Payload) != 1 || msg.Payload[0] != byte(i) {
-			t.Fatalf("frame %d out of order or damaged: %+v", i, msg)
-		}
-	}
-	if _, err := partConn.Recv(); err == nil {
-		t.Fatal("route not torn down after the drain")
+			for i := 0; i < frames; i++ {
+				msg, err := partConn.Recv()
+				if err != nil {
+					t.Fatalf("frame %d lost to the route teardown: %v", i, err)
+				}
+				if len(msg.Payload) != 1 || msg.Payload[0] != byte(i) {
+					t.Fatalf("frame %d out of order or damaged: %+v", i, msg)
+				}
+			}
+			if _, err := partConn.Recv(); err == nil {
+				t.Fatal("route not torn down after the drain")
+			}
+		})
 	}
 }
 
 // TestBrokerCorruptFrameQuarantinesRouteNotHub is the fault-transparency
 // regression test: a CRC-corrupt frame crossing the relay must quarantine
-// only the affected route — the supervisor redials through the hub, the
-// resume handshake is re-bound to the same worker, and every task still
-// completes with an accepted verdict — while an unrelated worker's route
-// keeps relaying untouched. It also pins the accounting contract under
-// faults: the hub's counters reconcile exactly with its endpoint byte
-// counters, and total egress equals RelayedBytes.
+// only the physical link it arrived on — the supervisor redials through the
+// hub, the resume handshake is re-bound to the same worker, and every task
+// still completes with an accepted verdict — while an unrelated worker's
+// link keeps relaying untouched. It also pins the accounting contract under
+// faults: the hub's ledgers reconcile exactly with its endpoint byte
+// counters on both legs.
+//
+// What the test proves does not depend on timing. Placement is pinned, so
+// the faulty worker's first dial certainly carries tasks; that dial loses
+// its first envelope, so a corrupt frame certainly crosses the relay before
+// any of those tasks can finish; and they can only finish on a redial the
+// hub bound to the same worker.
 func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 	hub := NewBrokerHub()
 	defer hub.Close()
 	faulty := newBrokerTestWorker(t, hub, "faulty", HonestFactory, 0.25, 1000)
 	clean := newBrokerTestWorker(t, hub, "clean", HonestFactory, 0, 0)
-	workers := map[string]*brokerTestWorker{"faulty": faulty, "clean": clean}
+	workers := []*brokerTestWorker{faulty, clean}
 
 	var mu sync.Mutex
 	byConn := make(map[transport.Conn]*brokerTestWorker)
@@ -375,6 +468,7 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 		tasks[i] = Task{ID: uint64(i), Start: uint64(i) * 64, N: 64, Workload: "synthetic", Seed: 9}
 	}
 	stream, err := pool.RunTaskSource(context.Background(), conns, SliceTaskSource(tasks), window,
+		WithPinnedPlacement(),
 		WithStreamRecvTimeout(2*time.Second),
 		WithMaxReconnects(200),
 		WithRedial(func(old transport.Conn) (transport.Conn, error) {
@@ -409,16 +503,20 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 	faulty.shutdown()
 	clean.shutdown()
 
-	fst, _ := hub.WorkerStats("faulty")
-	if fst.CorruptFrames == 0 {
-		t.Fatal("no corrupt frame ever crossed the relay; the test proves nothing")
+	snap := hub.Snapshot()
+	t.Logf("faulty worker: %d dials, %d corrupt frames on attached links, %d links refused at the hello",
+		faulty.dials, snap.MuxCorruptFrames, snap.RejectedLinks)
+	if snap.MuxCorruptFrames == 0 {
+		t.Fatal("the garbled first envelope never crossed the relay")
 	}
+	fst, cst := snap.Routes["faulty"], snap.Routes["clean"]
 	if fst.Binds < 2 {
 		t.Errorf("faulty worker bound %d times, want >= 2 (resume-through-relay)", fst.Binds)
 	}
-	cst, _ := hub.WorkerStats("clean")
-	if cst.CorruptFrames != 0 || cst.Binds != 1 {
-		t.Errorf("clean worker's route was disturbed: %+v", cst)
+	// The damage was on supervisor links, so it is the links', not a
+	// worker's — and the clean worker's link saw none of it.
+	if fst.CorruptFrames != 0 || cst.CorruptFrames != 0 || cst.Binds != 1 {
+		t.Errorf("supervisor-link damage leaked into per-worker stats: faulty %+v, clean %+v", fst, cst)
 	}
 	clean.mu.Lock()
 	cleanDials := clean.dials
@@ -427,30 +525,35 @@ func TestBrokerCorruptFrameQuarantinesRouteNotHub(t *testing.T) {
 		t.Errorf("clean worker redialed %d times; its route should have survived", cleanDials-1)
 	}
 
-	// Exact accounting: everything the hub-side endpoints ever received is
-	// either a consumed hello, relayed ingress, a counted corrupt frame, or
-	// a rejected handshake; everything they sent is relayed egress.
-	var endRecv, endSent int64
+	// Exact accounting, leg by leg: everything the hub-side endpoints ever
+	// received or sent is in a ledger.
+	var upRecv, upSent, downRecv, downSent int64
 	for _, w := range workers {
-		w.mu.Lock()
-		for _, c := range w.hubEnds {
-			endRecv += c.Stats().BytesRecv()
-			endSent += c.Stats().BytesSent()
-		}
-		w.mu.Unlock()
+		r, s := endpointBytes(w.hubUps)
+		upRecv, upSent = upRecv+r, upSent+s
+		r, s = endpointBytes(w.hubDowns)
+		downRecv, downSent = downRecv+r, downSent+s
 	}
-	var acct int64
-	for name := range workers {
-		st, _ := hub.WorkerStats(name)
-		acct += st.WorkerHelloBytes + st.SupervisorHelloBytes + st.CorruptBytes +
-			st.ToWorker.IngressBytes + st.ToSupervisor.IngressBytes
+	acctRecv, acctSent := snap.SupervisorLinkBytes()
+	if want := acctRecv + snap.RejectedBytes; upRecv != want {
+		t.Errorf("supervisor-leg ingress drifted: endpoints received %dB, ledgers account %dB (%dB on refused links)", upRecv, want, snap.RejectedBytes)
 	}
-	acct += hub.RejectedHandshakeBytes()
-	if endRecv != acct {
-		t.Errorf("hub ingress accounting drifted: endpoints received %dB, counters account %dB", endRecv, acct)
+	if upSent != acctSent {
+		t.Errorf("supervisor-leg egress drifted: endpoints sent %dB, ledgers account %dB", upSent, acctSent)
 	}
-	if endSent != hub.RelayedBytes() {
-		t.Errorf("hub egress accounting drifted: endpoints sent %dB, RelayedBytes %dB", endSent, hub.RelayedBytes())
+	workerRecv, workerSent := snap.EvictedBytes, int64(0)
+	for _, st := range snap.Routes {
+		workerRecv += st.WorkerHelloBytes + st.ToSupervisor.IngressBytes + st.CorruptBytes
+		workerSent += st.ToWorker.EgressBytes
+	}
+	if downRecv != workerRecv {
+		t.Errorf("worker-leg ingress drifted: endpoints received %dB, ledgers account %dB", downRecv, workerRecv)
+	}
+	if downSent != workerSent {
+		t.Errorf("worker-leg egress drifted: endpoints sent %dB, ledgers account %dB", downSent, workerSent)
+	}
+	if got, want := upSent+downSent, snap.RelayedBytes+snap.ControlBytes; got != want {
+		t.Errorf("hub egress drifted: endpoints sent %dB, relayed+control %dB", got, want)
 	}
 }
 
@@ -468,24 +571,16 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewParticipant: %v", err)
 	}
-	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloWorker(partConn, "p"); err != nil {
-		t.Fatalf("HelloWorker: %v", err)
-	}
-	if err := hub.Attach(hubDown); err != nil {
-		t.Fatalf("Attach worker: %v", err)
-	}
+	partConn := registerTestWorker(t, hub, "p", 8)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- p.Serve(partConn) }()
 
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "p"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
 	// A small send delay on the hub→supervisor leg queues return frames
 	// behind the forwarder so the re-batching path actually runs.
-	if err := hub.Attach(transport.WithLatency(hubUp, 200*time.Microsecond)); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
+	physSup, hubUp := transport.Pipe(transport.WithBuffer(8))
+	m, supConn, err := dialOneRouteMux(hub, physSup, transport.WithLatency(hubUp, 200*time.Microsecond), "p")
+	if err != nil {
+		t.Fatalf("dial one-route mux: %v", err)
 	}
 
 	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeNICBS, M: 8, ChainIters: 1}, Seed: 17})
@@ -520,6 +615,7 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	_ = m.Close()
 	if err := hub.Close(); err != nil {
 		t.Fatalf("hub close: %v", err)
 	}
@@ -535,17 +631,20 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 		taskSent += o.BytesSent
 		taskRecv += o.BytesRecv
 	}
+	// No hello rides the route conn — the mux and open handshakes are
+	// physical-link traffic — so tasks plus session overhead alone equal
+	// the route's endpoint counters.
 	ovSent, ovRecv := sess.OverheadBytes()
-	helloSize := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleSupervisor, Worker: "p"})}.FrameSize()
-	if got, want := supConn.Stats().BytesSent(), taskSent+ovSent+helloSize; got != want {
-		t.Errorf("supervisor sent %dB; tasks+overhead+hello = %dB", got, want)
+	if got, want := supConn.Stats().BytesSent(), taskSent+ovSent; got != want {
+		t.Errorf("supervisor sent %dB; tasks+overhead = %dB", got, want)
 	}
 	if got, want := supConn.Stats().BytesRecv(), taskRecv+ovRecv; got != want {
 		t.Errorf("supervisor received %dB; tasks+overhead = %dB", got, want)
 	}
 
-	st, _ := hub.WorkerStats("p")
-	if got, want := supConn.Stats().BytesSent(), st.SupervisorHelloBytes+st.ToWorker.IngressBytes; got != want {
+	snap := hub.Snapshot()
+	st := snap.Routes["p"]
+	if got, want := supConn.Stats().BytesSent(), st.ToWorker.IngressBytes; got != want {
 		t.Errorf("hub up-ingress %dB does not reconcile with supervisor sent %dB", want, got)
 	}
 	if got, want := partConn.Stats().BytesRecv(), st.ToWorker.EgressBytes; got != want {
@@ -556,6 +655,18 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	}
 	if got, want := supConn.Stats().BytesRecv(), st.ToSupervisor.EgressBytes; got != want {
 		t.Errorf("hub up-egress %dB does not reconcile with supervisor received %dB", want, got)
+	}
+	// The handshakes are where the hello bytes went: one mux hello on the
+	// link, one open and one close hello on the route.
+	muxHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleMux, Worker: "sup-p"})}.FrameSize()
+	openHello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleOpen, Worker: "p"})}.FrameSize()
+	if snap.MuxHelloBytes != muxHello || st.SupervisorHelloBytes != 2*openHello {
+		t.Errorf("handshake bytes: mux hello %dB (want %d), route hellos %dB (want %d)",
+			snap.MuxHelloBytes, muxHello, st.SupervisorHelloBytes, 2*openHello)
+	}
+	physRecv, physSent := endpointBytes([]transport.Conn{hubUp})
+	if acctRecv, acctSent := snap.SupervisorLinkBytes(); physRecv != acctRecv || physSent != acctSent {
+		t.Errorf("physical supervisor link %dB in / %dB out, ledgers account %dB / %dB", physRecv, physSent, acctRecv, acctSent)
 	}
 	if st.ToSupervisor.EgressMsgs > st.ToSupervisor.IngressMsgs {
 		t.Errorf("re-batching grew the frame count: %d egress for %d ingress", st.ToSupervisor.EgressMsgs, st.ToSupervisor.IngressMsgs)
@@ -659,8 +770,8 @@ func TestRunSimBrokeredFaultyMatchesClean(t *testing.T) {
 	if report.Participants[0].Reconnects < 1 {
 		t.Fatalf("no redial-through-broker was forced; the test proves nothing")
 	}
-	if !report.Brokered || report.BrokerRelayedMsgs == 0 || report.BrokerRelayedBytes == 0 {
-		t.Fatalf("broker accounting empty: %+v", report)
+	if report.Broker == nil || report.Broker.RelayedMsgs == 0 || report.Broker.RelayedBytes == 0 {
+		t.Fatalf("broker accounting empty: %+v", report.Broker)
 	}
 	if report.TasksAssigned != base.Tasks {
 		t.Errorf("brokered faulty run completed %d tasks, want %d", report.TasksAssigned, base.Tasks)
@@ -780,7 +891,7 @@ func TestRunSimBrokeredCleanMatchesDirect(t *testing.T) {
 					window, d.ID, d.Tasks, d.Accepted, d.Rejected, b.Tasks, b.Accepted, b.Rejected)
 			}
 		}
-		if !report.Brokered || report.BrokerRelayedMsgs == 0 {
+		if report.Broker == nil || report.Broker.RelayedMsgs == 0 {
 			t.Errorf("window %d: broker accounting empty", window)
 		}
 	}
@@ -788,9 +899,9 @@ func TestRunSimBrokeredCleanMatchesDirect(t *testing.T) {
 
 // TestBrokerEvictsDeadRegisteredWorker pins the eager-eviction behaviour: a
 // worker link that dies while registered and unbound is evicted by its
-// monitor as soon as the read error surfaces, so a supervisor arriving
-// later waits for a live registration (and times out) instead of binding a
-// corpse and failing mid-exchange.
+// reader as soon as the read error surfaces, so a route opened later waits
+// for a live registration (and times out) instead of binding a corpse and
+// failing mid-exchange.
 func TestBrokerEvictsDeadRegisteredWorker(t *testing.T) {
 	hub := NewBrokerHub(WithBindTimeout(300 * time.Millisecond))
 	defer func() {
@@ -799,39 +910,116 @@ func TestBrokerEvictsDeadRegisteredWorker(t *testing.T) {
 		}
 	}()
 
-	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloWorker(partConn, "w1"); err != nil {
-		t.Fatalf("HelloWorker: %v", err)
-	}
-	if err := hub.Attach(hubDown); err != nil {
-		t.Fatalf("Attach worker: %v", err)
-	}
-
 	// Kill the worker endpoint while its link sits parked in the registry.
+	partConn := registerTestWorker(t, hub, "w1", 8)
 	_ = partConn.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for hub.EvictedWorkerLinks() == 0 {
+	for hub.Snapshot().EvictedLinks == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dead registered link was never evicted")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := hub.EvictedWorkerLinks(); got != 1 {
-		t.Fatalf("EvictedWorkerLinks = %d, want 1", got)
+	if got := hub.Snapshot().EvictedLinks; got != 1 {
+		t.Fatalf("EvictedLinks = %d, want 1", got)
 	}
 
-	// A supervisor naming the evicted identity must not bind: the hub waits
-	// out the bind timeout and closes the supervisor link, which is how the
-	// failure reaches the dialing peer.
-	supConn, hubUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "w1"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
+	// A route naming the evicted identity must not bind: the hub waits out
+	// the bind timeout and closes the route.
+	m, route := mustDialOneRouteMux(t, hub, "w1")
+	defer m.Close()
+	if _, err := route.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("route to an evicted worker: Recv = %v, want io.EOF", err)
 	}
-	if err := hub.Attach(hubUp); err != nil {
-		t.Fatalf("Attach supervisor: %v", err)
+	if binds := hub.Snapshot().Routes["w1"].Binds; binds != 0 {
+		t.Fatalf("route bound to an evicted worker link (%d binds)", binds)
 	}
-	if _, err := supConn.Recv(); err == nil {
-		t.Fatal("supervisor bound to an evicted worker link")
+}
+
+// TestBrokerRetiredSupervisorRoleRefused pins the retirement of hello role
+// 2 (once a supervisor link carrying a single route): a link opening with
+// it is refused like any other bad handshake — closed, counted once in the
+// rejected ledger, and costing the hub no more than the frame it sent.
+func TestBrokerRetiredSupervisorRoleRefused(t *testing.T) {
+	hub := NewBrokerHub()
+	defer hub.Close()
+	registerTestWorker(t, hub, "w", 8)
+	peer, hubUp := transport.Pipe(transport.WithBuffer(8))
+	hello := transport.Message{Type: msgHello, Payload: encodeHello(helloMsg{Role: helloRoleRetired, Worker: "w"})}
+	if err := peer.Send(hello); err != nil {
+		t.Fatalf("send hello: %v", err)
+	}
+	if err := hub.Attach(hubUp); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("Attach of a role-2 link = %v, want ErrBadPayload", err)
+	}
+	if _, err := peer.Recv(); err == nil {
+		t.Fatal("refused link left open")
+	}
+	snap := hub.Snapshot()
+	if snap.RejectedLinks != 1 || snap.RejectedBytes != hello.FrameSize() {
+		t.Errorf("rejected ledger: %d links / %dB, want 1 / %dB", snap.RejectedLinks, snap.RejectedBytes, hello.FrameSize())
+	}
+	if snap.MuxLinks != 0 || snap.RoutesOpened != 0 || snap.Routes["w"].Binds != 0 || snap.Routes["w"].SupervisorHelloBytes != 0 {
+		t.Errorf("a refused link left a trace beyond the rejected ledger: %+v", snap)
+	}
+}
+
+// TestBrokerRelaysFrameSentBeforeBind pins what a parked link's reader does
+// with a frame that arrives before any route is bound: it is held — with
+// its measured bytes — and relayed first, byte-exact, once a route binds;
+// nothing is lost, reordered or double counted.
+func TestBrokerRelaysFrameSentBeforeBind(t *testing.T) {
+	hub := NewBrokerHub()
+	defer hub.Close()
+	hubDown, partConn := transport.Pipe(transport.WithBuffer(8))
+	if err := HelloWorker(partConn, "w"); err != nil {
+		t.Fatalf("HelloWorker: %v", err)
+	}
+	if err := hub.Attach(hubDown); err != nil {
+		t.Fatalf("Attach worker: %v", err)
+	}
+	early := transport.Message{Type: msgResults, Payload: []byte("sent before any bind")}
+	if err := partConn.Send(early); err != nil {
+		t.Fatalf("early send: %v", err)
+	}
+	// Wait until the parked link's reader has taken the frame off the wire.
+	for deadline := time.Now().Add(5 * time.Second); hubDown.Stats().BytesRecv() < partConn.Stats().BytesSent(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the parked link's reader never read the early frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := hub.Snapshot().Routes["w"]; st.ToSupervisor.IngressMsgs != 0 {
+		t.Fatalf("a frame on a parked link was counted before any route existed: %+v", st)
+	}
+
+	m, route := mustDialOneRouteMux(t, hub, "w")
+	defer m.Close()
+	late := transport.Message{Type: msgResults, Payload: []byte("sent after")}
+	if err := partConn.Send(late); err != nil {
+		t.Fatalf("late send: %v", err)
+	}
+	for i, want := range []transport.Message{early, late} {
+		got, err := route.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Type != want.Type || string(got.Payload) != string(want.Payload) {
+			t.Fatalf("frame %d = %q, want %q", i, got.Payload, want.Payload)
+		}
+	}
+	_ = route.Close()
+	_ = partConn.Close()
+	_ = hub.Close()
+	st := hub.Snapshot().Routes["w"]
+	if got, want := st.ToSupervisor.IngressBytes, early.FrameSize()+late.FrameSize(); got != want || st.ToSupervisor.IngressMsgs != 2 {
+		t.Errorf("worker-leg ingress %d frames / %dB, want 2 / %dB", st.ToSupervisor.IngressMsgs, got, want)
+	}
+	if got, want := partConn.Stats().BytesSent(), st.WorkerHelloBytes+st.ToSupervisor.IngressBytes; got != want {
+		t.Errorf("worker sent %dB, ledgers account %dB", got, want)
+	}
+	if got, want := route.Stats().BytesRecv(), st.ToSupervisor.EgressBytes; got != want {
+		t.Errorf("route received %dB, hub ToSupervisor egress %dB", got, want)
 	}
 }

@@ -110,10 +110,15 @@ func TestHubRejectsZeroCreditGrant(t *testing.T) {
 	if _, err := raw.Recv(); err == nil {
 		t.Fatal("hub kept the link alive after a zero-byte credit grant")
 	}
-	if got := hub.MuxOverheadIngressBytes(); got == 0 {
+	_ = raw.Close()
+	_ = hub.Close()
+	snap := hub.Snapshot()
+	if snap.MuxOverheadIn == 0 {
 		t.Error("malformed grant bytes were not charged to mux ingress overhead")
 	}
-	_ = raw.Close()
+	if recv, _ := snap.SupervisorLinkBytes(); recv != hubUp.Stats().BytesRecv() {
+		t.Errorf("violating link received %dB, ledgers account %dB", hubUp.Stats().BytesRecv(), recv)
+	}
 }
 
 // TestMuxRejectsZeroCreditGrant is the mirror direction: a peer posing as

@@ -355,23 +355,11 @@ func TestBrokeredNICBS(t *testing.T) {
 
 	hub := NewBrokerHub()
 	defer hub.Close()
-	brokerDown, partConn := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloWorker(partConn, "p"); err != nil {
-		t.Fatalf("HelloWorker: %v", err)
-	}
-	if err := hub.Attach(brokerDown); err != nil {
-		t.Fatalf("Attach(worker): %v", err)
-	}
+	partConn := registerTestWorker(t, hub, "p", 8)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- participant.Serve(partConn) }()
-
-	supConn, brokerUp := transport.Pipe(transport.WithBuffer(8))
-	if err := HelloSupervisor(supConn, "p"); err != nil {
-		t.Fatalf("HelloSupervisor: %v", err)
-	}
-	if err := hub.Attach(brokerUp); err != nil {
-		t.Fatalf("Attach(supervisor): %v", err)
-	}
+	mux, supConn := mustDialOneRouteMux(t, hub, "p")
+	defer mux.Close()
 
 	outcome, err := runDialogue(supervisor, supConn, syntheticTask(128))
 	if err != nil {
@@ -388,10 +376,11 @@ func TestBrokeredNICBS(t *testing.T) {
 	if err := hub.Close(); err != nil {
 		t.Fatalf("hub Close: %v", err)
 	}
-	if hub.RelayedMessages() == 0 || hub.RelayedBytes() == 0 {
+	snap := hub.Snapshot()
+	if snap.RelayedMsgs == 0 || snap.RelayedBytes == 0 {
 		t.Fatal("broker relayed nothing")
 	}
-	st, ok := hub.WorkerStats("p")
+	st, ok := snap.Routes["p"]
 	if !ok {
 		t.Fatal("no route stats for worker p")
 	}
@@ -401,14 +390,22 @@ func TestBrokeredNICBS(t *testing.T) {
 	if st.ToWorker.EgressMsgs == 0 || st.ToSupervisor.EgressMsgs == 0 {
 		t.Fatalf("one-way relay: %+v", st)
 	}
-	// The dialogue exchange crossed a clean relay frame for frame: both
-	// directions' ingress must equal their egress, and each side of the hub
-	// reconciles exactly with its endpoint counters (hello included).
-	if st.ToWorker.IngressBytes != st.ToWorker.EgressBytes ||
-		st.ToSupervisor.IngressBytes != st.ToSupervisor.EgressBytes {
-		t.Fatalf("clean dialogue relay not byte-preserving: %+v", st)
+	// Toward the worker the assignment and the verdict are a round trip
+	// apart, so they cross frame for frame. Toward the supervisor the
+	// participant's batch frames may queue behind one another and the hub
+	// merges them: each merge removes one frame and exactly that frame's
+	// fixed cost, never a tagged byte — a lost frame would cost more. Each
+	// side of the hub reconciles exactly with its endpoint counters (the
+	// route's hellos ride the physical link, not the route conn).
+	if st.ToWorker.IngressMsgs != st.ToWorker.EgressMsgs || st.ToWorker.IngressBytes != st.ToWorker.EgressBytes {
+		t.Fatalf("clean dialogue relay toward the worker not byte-preserving: %+v", st)
 	}
-	if got, want := supConn.Stats().BytesSent(), st.SupervisorHelloBytes+st.ToWorker.IngressBytes; got != want {
+	batchFrameCost := transport.Message{Type: msgBatch, Payload: encodeBatch(nil)}.FrameSize()
+	merged := st.ToSupervisor.IngressMsgs - st.ToSupervisor.EgressMsgs
+	if merged < 0 || st.ToSupervisor.IngressBytes-st.ToSupervisor.EgressBytes != merged*batchFrameCost {
+		t.Fatalf("relay toward the supervisor changed more than %dB per merged frame: %+v", batchFrameCost, st)
+	}
+	if got, want := supConn.Stats().BytesSent(), st.ToWorker.IngressBytes; got != want {
 		t.Fatalf("supervisor sent %dB, hub accounted %dB", got, want)
 	}
 	if got, want := partConn.Stats().BytesRecv(), st.ToWorker.EgressBytes; got != want {

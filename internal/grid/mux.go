@@ -2,12 +2,12 @@ package grid
 
 // Supervisor-side route multiplexing.
 //
-// The hub side of PR 8 (broker.go) runs one reader and one writer per
-// physical link no matter how many routes ride it; this file is the
+// The hub (broker.go) runs one reader and one writer per physical
+// supervisor link no matter how many routes ride it; this file is the
 // matching supervisor endpoint. A SupervisorMux owns one physical
 // supervisor↔hub connection attached with a mux hello and opens any number
 // of named routes over it. Each route is a transport.Conn — the session,
-// pool, and stream layers use it exactly like a dedicated link — whose
+// pool, and stream layers use it exactly like a direct connection — whose
 // frames travel inside msgRouted envelopes:
 //
 //	supervisor                         hub
@@ -17,7 +17,7 @@ package grid
 //
 // Flow control is credit-based, per route, and symmetric. Sending: a
 // route starts with a floor of send budget (the adaptive window's initial
-// value, denominated in dedicated-link frame sizes), spends it as it
+// value, denominated in inner frame sizes), spends it as it
 // sends, and is replenished by msgCredit grants the hub issues as the
 // worker-side writer drains the route's queue — a route that outruns its
 // slow worker blocks in Send while every other route keeps flowing.
@@ -32,9 +32,9 @@ package grid
 // in either direction.
 //
 // Route conns keep honest endpoint counters via Stats().CreditSend/Recv,
-// denominated in the frame sizes their traffic would have cost on a
-// dedicated link, so per-route accounting reconciles exactly with the hub's
-// RouteStats; envelope framing differences live in the hub's mux overhead
+// denominated in inner frame sizes — what their frames cost outside the
+// envelope — so per-route accounting reconciles exactly with the hub's
+// RouteStats; envelope framing differences live in the hub's overhead
 // ledgers.
 
 import (
@@ -66,7 +66,6 @@ type MuxOption interface {
 // transport.Conn. Safe for concurrent use by any number of route owners.
 type SupervisorMux struct {
 	conn         transport.Conn
-	label        string
 	creditWindow int64
 
 	// sendMu serializes writes to the shared physical link (the transport
@@ -86,19 +85,10 @@ type SupervisorMux struct {
 	grantStop     bool
 	grantCond     *sync.Cond
 
-	// orphanFrames/orphanBytes count inner frames that arrived for a route
-	// this endpoint no longer has (closed locally before the hub learned);
-	// bytes are dedicated-link-equivalent frame sizes.
-	orphanFrames atomic.Int64
-	orphanBytes  atomic.Int64
-	// Grant ledgers for the hub→supervisor direction: control frames sent
-	// and their physical bytes, the credit bytes they granted, and — from
-	// the sending side — the credit bytes the hub granted this endpoint.
-	// They reconcile against the hub's per-route grant counters exactly.
-	grantFrames    atomic.Int64
-	grantWireBytes atomic.Int64
-	creditGranted  atomic.Int64
-	creditReceived atomic.Int64
+	// The ledgers; MuxSnapshot documents each.
+	orphanFrames, orphanBytes     atomic.Int64
+	grantFrames, grantWireBytes   atomic.Int64
+	creditGranted, creditReceived atomic.Int64
 
 	readerDone chan struct{}
 	grantsDone chan struct{}
@@ -123,7 +113,6 @@ func OpenMux(conn transport.Conn, label string, opts ...MuxOption) (*SupervisorM
 	}
 	m := &SupervisorMux{
 		conn:         conn,
-		label:        label,
 		creditWindow: cfg.creditWindow,
 		routes:       make(map[uint64]*muxRouteConn),
 		readerDone:   make(chan struct{}),
@@ -135,38 +124,32 @@ func OpenMux(conn transport.Conn, label string, opts ...MuxOption) (*SupervisorM
 	return m, nil
 }
 
-// Label reports the supervisor label the mux attached with.
-func (m *SupervisorMux) Label() string { return m.label }
+// MuxSnapshot is a SupervisorMux's accounting at one instant.
+type MuxSnapshot struct {
+	// OrphanFrames/Bytes count inner frames delivered for routes this
+	// endpoint had already closed; inner frame bytes.
+	OrphanFrames, OrphanBytes int64
+	// GrantFrames counts the credit-grant control frames this endpoint
+	// wrote to the link and GrantWireBytes their physical bytes; the hub
+	// counts the same frames as ControlIn.
+	GrantFrames, GrantWireBytes int64
+	// CreditGrantedBytes is the credit this endpoint granted the hub for
+	// the worker→supervisor direction, CreditReceivedBytes the credit the
+	// hub granted it for the supervisor→worker direction, summed over
+	// routes. They reconcile with the hub's per-route grant counters.
+	CreditGrantedBytes, CreditReceivedBytes int64
+}
 
-// OrphanedFrames reports inner frames delivered for routes this endpoint
-// had already closed.
-func (m *SupervisorMux) OrphanedFrames() int64 { return m.orphanFrames.Load() }
-
-// OrphanedBytes reports the dedicated-link-equivalent bytes of orphaned
-// inner frames.
-func (m *SupervisorMux) OrphanedBytes() int64 { return m.orphanBytes.Load() }
-
-// GrantFrames reports how many credit-grant control frames this endpoint
-// wrote to the link, and GrantWireBytes their physical frame bytes; the
-// hub counts the same frames as ControlIngress.
-func (m *SupervisorMux) GrantFrames() int64 { return m.grantFrames.Load() }
-
-// GrantWireBytes reports the physical bytes of sent grant frames.
-func (m *SupervisorMux) GrantWireBytes() int64 { return m.grantWireBytes.Load() }
-
-// CreditGrantedBytes reports the credit this endpoint granted the hub for
-// the worker→supervisor direction, summed over routes.
-func (m *SupervisorMux) CreditGrantedBytes() int64 { return m.creditGranted.Load() }
-
-// CreditReceivedBytes reports the credit the hub granted this endpoint for
-// the supervisor→worker direction, summed over routes.
-func (m *SupervisorMux) CreditReceivedBytes() int64 { return m.creditReceived.Load() }
-
-// OpenRoutes reports how many routes are currently open on the mux.
-func (m *SupervisorMux) OpenRoutes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.routes)
+// Snapshot returns the mux's accounting as of now.
+func (m *SupervisorMux) Snapshot() MuxSnapshot {
+	return MuxSnapshot{
+		OrphanFrames:        m.orphanFrames.Load(),
+		OrphanBytes:         m.orphanBytes.Load(),
+		GrantFrames:         m.grantFrames.Load(),
+		GrantWireBytes:      m.grantWireBytes.Load(),
+		CreditGrantedBytes:  m.creditGranted.Load(),
+		CreditReceivedBytes: m.creditReceived.Load(),
+	}
 }
 
 // Failed reports whether the physical link has died (or the mux was
@@ -179,7 +162,7 @@ func (m *SupervisorMux) Failed() bool {
 }
 
 // OpenRoute opens a new route to the named registered worker and returns
-// its connection. The route behaves like a dedicated supervisor link dialed
+// its connection. The route behaves like a connection dialed to the worker
 // through the hub: it binds to the worker's registration (waiting up to the
 // hub's bind timeout), relays frames both ways, and surfaces route or link
 // death as a closed connection that the session layer's quarantine/resume
@@ -302,7 +285,7 @@ func (m *SupervisorMux) readLoop() {
 				return
 			}
 			if r := m.route(c.Route); r != nil {
-				if !r.grant(int64(c.Bytes), int64(c.Window)) {
+				if !r.grant(int64(c.Bytes)) {
 					m.fail(fmt.Errorf("%w: route %d send credit overflow", transport.ErrClosed, c.Route))
 					return
 				}
@@ -412,7 +395,7 @@ func (m *SupervisorMux) grantLoop() {
 // muxRouteConn is one route's supervisor endpoint: a transport.Conn whose
 // frames ride the shared physical link. Send blocks while the route is out
 // of credit; Recv drains the inbox the mux reader fills. Its Stats are
-// credited in dedicated-link-equivalent frame sizes.
+// credited in inner frame sizes.
 type muxRouteConn struct {
 	mux    *SupervisorMux
 	id     uint64
@@ -423,26 +406,20 @@ type muxRouteConn struct {
 	cond   *sync.Cond
 	inbox  []transport.Message
 	credit int64
-	// hubWindow mirrors the hub's advertised adaptive window for this
-	// route's send direction (stats only).
-	hubWindow int64
 	// led is the receive side: the credit this endpoint has extended to
 	// the hub for the route's inbox, and the adaptive window sizing it.
-	// queued tracks inbox occupancy in dedicated-link frame sizes.
+	// queued tracks inbox occupancy in inner frame sizes.
 	led    creditLedger
 	queued int64
 	closed bool // Close called locally
 	// remote is set by the hub's close notice: the worker side of the route
 	// is finished. Recv drains the inbox then reports io.EOF, mirroring a
-	// dedicated link's drain-after-peer-close contract.
+	// direct connection's drain-after-peer-close contract.
 	remote  bool
 	linkErr error
 }
 
 var _ transport.Conn = (*muxRouteConn)(nil)
-
-// Worker reports the worker identity the route was opened to.
-func (r *muxRouteConn) Worker() string { return r.worker }
 
 // Stats implements transport.Conn.
 func (r *muxRouteConn) Stats() *transport.Stats { return &r.stats }
@@ -570,14 +547,13 @@ func (r *muxRouteConn) deliver(m transport.Message) (ok, violation bool) {
 	return true, false
 }
 
-// grant adds a hub credit grant to the send budget and records the hub's
-// advertised window. False means the balance overflowed past any honest
-// window — a link violation the caller must act on.
-func (r *muxRouteConn) grant(n, window int64) bool {
+// grant adds a hub credit grant to the send budget. False means the balance
+// overflowed past any honest window — a link violation the caller must act
+// on.
+func (r *muxRouteConn) grant(n int64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.credit += n
-	r.hubWindow = window
 	r.cond.Broadcast()
 	return r.credit <= maxCreditGrant
 }

@@ -61,14 +61,14 @@ type SimConfig struct {
 	PipelineWindow int
 	// Broker routes every supervisor↔participant link through one
 	// GRACE-style BrokerHub (Section 4): each participant registers a
-	// hub link under its identity, each supervisor connection carries a
-	// hello naming its worker, and the hub binds the pair and relays —
-	// re-coalescing batch frames at the relay hop. Faults (DropProb /
-	// GarbleProb) then apply to the supervisor↔hub leg, the WAN hop of the
-	// GRACE deployment: a quarantined route is recovered by redialing
-	// through the hub, whose identity routing re-binds the resumed
-	// exchange to the same participant, so verdicts remain byte-identical
-	// to a clean direct run.
+	// hub link under its identity, each supervisor connection is a route
+	// opened to its worker by name on a supervisor↔hub link, and the hub
+	// binds the pair and relays — re-coalescing batch frames at the relay
+	// hop. Faults (DropProb / GarbleProb) then apply to the supervisor↔hub
+	// leg, the WAN hop of the GRACE deployment: a quarantined route is
+	// recovered by redialing through the hub, whose identity routing
+	// re-binds the resumed exchange to the same participant, so verdicts
+	// remain byte-identical to a clean direct run.
 	Broker bool
 	// Routes, when > 0, sets how many concurrent supervisor routes a
 	// brokered pipelined run opens — at least one per participant, with any
@@ -292,28 +292,11 @@ type SimReport struct {
 	TaskBytesSent, TaskBytesRecv int64
 	// SupervisorEvals counts supervisor-side f evaluations spent verifying.
 	SupervisorEvals int64
-	// Brokered reports whether the run was relayed through a BrokerHub;
-	// BrokerRelayedMsgs and BrokerRelayedBytes then total the frames the
-	// hub forwarded (egress, after relay-hop re-batching).
-	Brokered                              bool
-	BrokerRelayedMsgs, BrokerRelayedBytes int64
-	// BrokerMuxLinks counts physical multiplexed supervisor links the hub
-	// accepted over the run; BrokerRoutesOpened counts the routes carried on
-	// them. A clean brokered run shows every route sharing one link; a
-	// faulty run adds one link per quarantine-and-redial.
-	BrokerMuxLinks, BrokerRoutesOpened int64
-	// BrokerControlMsgs/Bytes total the hub's outgoing mux control traffic
-	// (credit grants and route-close notices); BrokerControlInMsgs/Bytes
-	// the incoming mirror (supervisor credit grants — the hub→supervisor
-	// flow-control loop); BrokerMuxOverheadIngress/Egress are the signed
-	// envelope-framing ledgers. None of these bytes appear in
-	// BrokerRelayedBytes or any RouteStats direction.
-	BrokerControlMsgs, BrokerControlBytes             int64
-	BrokerControlInMsgs, BrokerControlInBytes         int64
-	BrokerMuxOverheadIngress, BrokerMuxOverheadEgress int64
-	// BrokerRoutes snapshots the hub's per-worker relay accounting at
-	// shutdown, keyed by participant identity.
-	BrokerRoutes map[string]RouteStats
+	// Broker is the hub's final accounting when the run was relayed through
+	// a BrokerHub (nil otherwise). A clean brokered run shows every route
+	// sharing one supervisor link; a faulty run adds one link per
+	// quarantine-and-redial.
+	Broker *HubSnapshot
 	// WindowsSettled and WindowViolations total the rolling-window
 	// commitment verification of a run with Spec.WindowTasks > 0:
 	// windows whose sampled audit paths all verified against the committed
@@ -357,11 +340,10 @@ type simWorker struct {
 }
 
 // muxManager owns the supervisor-side physical hub links of a brokered run.
-// Every supervisor route is multiplexed: a clean run shares ONE physical
-// link — the tentpole topology, all routes riding one reader/writer pair at
-// each end — while a faulty run opens one muxed link per dial so each dial
-// keeps its own deterministic fault plan and its own quarantine-and-redial
-// lifecycle, exactly like the dedicated links it replaces.
+// A clean run shares ONE physical link — all routes riding one
+// reader/writer pair at each end — while a faulty run opens one link per
+// dial, so each dial keeps its own deterministic fault plan and its own
+// quarantine-and-redial lifecycle.
 type muxManager struct {
 	hub *BrokerHub
 
@@ -391,9 +373,9 @@ func (mm *muxManager) sharedMux() *SupervisorMux {
 }
 
 // openRoute opens one supervisor route to the named worker. Clean runs open
-// it on the shared link; faulty runs dial a fresh muxed link wrapped with
-// the (worker, attempt)-seeded fault plan on both ends, preserving the
-// per-dial fault determinism and reconnect budgets of the pre-mux topology.
+// it on the shared link; faulty runs dial a fresh link wrapped with the
+// (worker, attempt)-seeded fault plan on both ends, which keeps faults and
+// reconnect budgets deterministic per dial.
 // Dial-time failures yield a dead connection — the session layer's
 // quarantine machinery treats it like any lost link and redials.
 func (mm *muxManager) openRoute(cfg SimConfig, w *simWorker, attempt int, worker string) transport.Conn {
@@ -580,7 +562,7 @@ func (w *simWorker) trafficTotals(participantSide bool) (sent, recv int64) {
 func (w *simWorker) awaitBinds() {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if st, ok := w.hub.WorkerStats(w.participant.ID()); ok && st.Binds >= int64(w.dials()) {
+		if w.hub.binds(w.participant.ID()) >= int64(w.dials()) {
 			return
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -953,25 +935,8 @@ func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (repor
 		// Only the final attempt's hub is reported: a restart rebuilds the
 		// broker, so relay counters cover the post-restore portion of the run
 		// (unlike the checkpointed task and traffic totals).
-		report.Brokered = true
-		report.BrokerRelayedMsgs = hub.RelayedMessages()
-		report.BrokerRelayedBytes = hub.RelayedBytes()
-		report.BrokerMuxLinks = hub.MuxLinks()
-		report.BrokerRoutesOpened = hub.RoutesOpened()
-		report.BrokerControlMsgs = hub.ControlMessages()
-		report.BrokerControlBytes = hub.ControlBytes()
-		report.BrokerControlInMsgs = hub.ControlIngressMessages()
-		report.BrokerControlInBytes = hub.ControlIngressBytes()
-		report.BrokerMuxOverheadIngress = hub.MuxOverheadIngressBytes()
-		report.BrokerMuxOverheadEgress = hub.MuxOverheadEgressBytes()
-		names := hub.Workers()
-		sort.Strings(names)
-		report.BrokerRoutes = make(map[string]RouteStats, len(names))
-		for _, name := range names {
-			if rs, ok := hub.WorkerStats(name); ok {
-				report.BrokerRoutes[name] = rs
-			}
-		}
+		snap := hub.Snapshot()
+		report.Broker = &snap
 	}
 
 	// Record in (task, replica) order, so the report layout does not depend

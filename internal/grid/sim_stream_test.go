@@ -29,12 +29,7 @@ func baseStreamConfig(t *testing.T) SimConfig {
 func scrubStreamReport(r *SimReport) *SimReport {
 	c := *r
 	c.SupervisorBytesSent, c.SupervisorBytesRecv = 0, 0
-	c.BrokerRelayedMsgs, c.BrokerRelayedBytes = 0, 0
-	c.BrokerMuxLinks, c.BrokerRoutesOpened = 0, 0
-	c.BrokerControlMsgs, c.BrokerControlBytes = 0, 0
-	c.BrokerControlInMsgs, c.BrokerControlInBytes = 0, 0
-	c.BrokerMuxOverheadIngress, c.BrokerMuxOverheadEgress = 0, 0
-	c.BrokerRoutes = nil
+	c.Broker = nil
 	c.Participants = append([]ParticipantSummary(nil), r.Participants...)
 	for i := range c.Participants {
 		c.Participants[i].BytesSent, c.Participants[i].BytesRecv = 0, 0

@@ -57,16 +57,15 @@ const (
 	// Participant → supervisor.
 	msgVerdictAck
 	// msgHello is the broker-hub identity handshake: the first frame on any
-	// link attached to a BrokerHub names the link's role and worker. A
-	// worker-role hello registers the participant link under that identity;
-	// a supervisor-role hello asks the hub to bind the link to the named
-	// registered worker, which is what makes routing sticky across redials
-	// (a replacement supervisor connection reaches the same participant, so
-	// the msgResume machinery works through the relay). The mux/open/close
-	// roles ride the same frame kind: a mux-role hello attaches a
-	// multiplexed supervisor link, and open/close hellos manage that link's
-	// routes dynamically. Consumed by the hub, never relayed. Either
-	// endpoint → hub (close notices also hub → supervisor).
+	// link attached to a BrokerHub names the link's role. A worker-role
+	// hello registers the participant link under its identity; a mux-role
+	// hello attaches a supervisor link, and open/close hellos manage that
+	// link's routes: an open hello asks the hub to bind a route to the
+	// named registered worker, which is what makes routing sticky across
+	// redials (a replacement route reaches the same participant, so the
+	// msgResume machinery works through the relay). Consumed by the hub,
+	// never relayed. Either endpoint → hub (close notices also hub →
+	// supervisor).
 	msgHello
 	// msgRouted is the mux envelope of a multiplexed supervisor↔hub link:
 	// one physical frame carrying one or more route-tagged inner frames, so
@@ -139,11 +138,11 @@ var wireDecoderFor = map[uint8]string{
 const (
 	// helloRoleWorker registers the sending link as the named participant.
 	helloRoleWorker uint8 = 1
-	// helloRoleSupervisor asks the hub to route the sending link to the
-	// named registered participant.
-	helloRoleSupervisor uint8 = 2
-	// helloRoleMux attaches the sending link as a multiplexed supervisor
-	// link carrying many routes; Worker names the supervisor for stats.
+	// helloRoleRetired (2) once opened a supervisor link carrying a single
+	// route. The value is never reused; decodeHello rejects it.
+	helloRoleRetired uint8 = 2
+	// helloRoleMux attaches the sending link as a supervisor link carrying
+	// any number of routes; Worker names the supervisor for diagnostics.
 	helloRoleMux uint8 = 3
 	// helloRoleOpen opens route Route → registered participant Worker on an
 	// already-attached muxed link.
@@ -158,8 +157,7 @@ const (
 const maxWorkerNameLen = 256
 
 // helloMsg is the decoded msgHello payload. Route is meaningful only for
-// the mux-family roles (mux/open/close); the worker and supervisor role
-// encodings are byte-identical to the pre-mux wire format.
+// the mux-family roles (mux/open/close); the worker role encodes none.
 type helloMsg struct {
 	Role   uint8
 	Worker string
@@ -183,7 +181,7 @@ func decodeHello(payload []byte) (helloMsg, error) {
 	if err != nil {
 		return m, fmt.Errorf("%w: hello role: %v", ErrBadPayload, err)
 	}
-	if role < helloRoleWorker || role > helloRoleClose {
+	if role < helloRoleWorker || role > helloRoleClose || role == helloRoleRetired {
 		return m, fmt.Errorf("%w: hello role %d", ErrBadPayload, role)
 	}
 	m.Role = role
@@ -209,8 +207,8 @@ func decodeHello(payload []byte) (helloMsg, error) {
 }
 
 // routedEntry is one route-tagged inner frame inside a msgRouted envelope:
-// the frame that would have traveled alone on a dedicated per-route link,
-// prefixed with the route it belongs to. Envelopes carry no checksum of
+// the frame the route's endpoints exchange, prefixed with the route it
+// belongs to. Envelopes carry no checksum of
 // their own — the transport CRC covers the physical frame, and batch inner
 // frames keep their session-layer CRC.
 type routedEntry struct {
@@ -219,11 +217,11 @@ type routedEntry struct {
 	Payload []byte
 }
 
-// innerFrameSize reports what the inner frame would have cost as a physical
-// frame on a dedicated link (transport header + payload). Per-route
-// ingress/egress accounting and credit grants on muxed links are all
-// denominated in this size so RouteStats stay comparable with legacy
-// per-route links and both mux endpoints debit/credit identical amounts.
+// innerFrameSize reports what the inner frame costs as a physical frame of
+// its own (transport header + payload). Per-route ingress/egress accounting
+// and credit grants are all denominated in this size, so route endpoint
+// counters read like a direct connection's and both link endpoints
+// debit/credit identical amounts.
 func (e routedEntry) innerFrameSize() int64 {
 	return frameOverheadBytes + int64(len(e.Payload))
 }

@@ -178,7 +178,7 @@ func FuzzDecodeResults(f *testing.F) {
 // whatever a misbehaving endpoint dials in with.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(encodeHello(helloMsg{Role: helloRoleWorker, Worker: "participant-7"}))
-	f.Add(encodeHello(helloMsg{Role: helloRoleSupervisor, Worker: "p"}))
+	f.Add(encodeHello(helloMsg{Role: helloRoleRetired, Worker: "p"})) // a reject seed
 	f.Add(encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor-0", Route: 0}))
 	f.Add(encodeHello(helloMsg{Role: helloRoleOpen, Worker: "participant-7", Route: 41}))
 	f.Add(encodeHello(helloMsg{Role: helloRoleClose, Worker: "participant-7", Route: 1 << 40}))
@@ -192,8 +192,8 @@ func FuzzDecodeHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if m.Worker == "" || len(m.Worker) > maxWorkerNameLen {
-			t.Fatalf("decode accepted an invalid worker identity: %+v", m)
+		if m.Worker == "" || len(m.Worker) > maxWorkerNameLen || m.Role == helloRoleRetired {
+			t.Fatalf("decode accepted an invalid hello: %+v", m)
 		}
 		again, err := decodeHello(encodeHello(m))
 		if err != nil {

@@ -74,7 +74,7 @@ func wireCorpusSeeds() map[string][][]byte {
 		},
 		"FuzzDecodeHello": {
 			encodeHello(helloMsg{Role: helloRoleWorker, Worker: "participant-7"}),
-			encodeHello(helloMsg{Role: helloRoleSupervisor, Worker: "p"}),
+			encodeHello(helloMsg{Role: helloRoleRetired, Worker: "p"}),
 			encodeHello(helloMsg{Role: helloRoleMux, Worker: "supervisor-0", Route: 0}),
 			encodeHello(helloMsg{Role: helloRoleOpen, Worker: "participant-7", Route: 41}),
 			encodeHello(helloMsg{Role: helloRoleClose, Worker: "participant-7", Route: 1 << 40}),

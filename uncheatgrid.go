@@ -287,14 +287,14 @@ type (
 	ProducerFactory = grid.ProducerFactory
 	// BrokerHub is the GRACE-style broker: an identity-routed relay that
 	// multiplexes supervisor↔worker routes, re-batches session frames at
-	// the relay hop, and re-binds redialed supervisor connections to the
-	// same registered worker so resume works through the relay.
+	// the relay hop, and re-binds redialed supervisor routes to the same
+	// registered worker so resume works through the relay.
 	BrokerHub = grid.BrokerHub
 	// BrokerOption configures NewBrokerHub.
 	BrokerOption = grid.BrokerOption
 	// MuxOption configures OpenMux.
 	MuxOption = grid.MuxOption
-	// LinkOption configures both endpoints of a multiplexed hub link (it is
+	// LinkOption configures both endpoints of a supervisor↔hub link (it is
 	// accepted by NewBrokerHub and OpenMux).
 	LinkOption = grid.LinkOption
 	// BrokerRouteStats is one worker's cumulative relay accounting.
@@ -342,20 +342,16 @@ var (
 	NewBrokerHub = grid.NewBrokerHub
 	// HelloWorker registers a participant identity on a hub link.
 	HelloWorker = grid.HelloWorker
-	// HelloSupervisor asks a hub to route a link to a registered worker.
-	HelloSupervisor = grid.HelloSupervisor
-	// OpenMux turns one hub link into a multiplexed carrier for many
-	// routes (see SupervisorMux.OpenRoute).
+	// OpenMux attaches a supervisor's hub link; routes to registered
+	// workers are opened on it by name (see SupervisorMux.OpenRoute).
 	OpenMux = grid.OpenMux
 	// ErrMuxClosed reports use of a closed supervisor mux.
 	ErrMuxClosed = grid.ErrMuxClosed
-	// WithRelayBatching toggles relay-hop batching on a hub (default on).
-	WithRelayBatching = grid.WithRelayBatching
-	// WithBrokerBindTimeout bounds how long a supervisor link waits for its
-	// worker to register.
+	// WithBrokerBindTimeout bounds how long a route waits for its worker to
+	// register.
 	WithBrokerBindTimeout = grid.WithBindTimeout
 	// WithRouteCreditWindow sets the per-route credit window of a
-	// multiplexed hub link; pass the same value to NewBrokerHub and OpenMux.
+	// supervisor↔hub link; pass the same value to NewBrokerHub and OpenMux.
 	WithRouteCreditWindow = grid.WithRouteCreditWindow
 	// RunSim executes a population simulation.
 	RunSim = grid.RunSim
