@@ -111,14 +111,18 @@ type config struct {
 	rng           *mrand.Rand
 }
 
-// Option customizes a Prover or Verifier.
+// Option customizes a Prover or Verifier. Options map a config to a config
+// by value, so the one a constructor builds never escapes to the heap.
 type Option interface {
-	apply(*config)
+	apply(config) config
 }
 
 type subtreeHeightOption int
 
-func (o subtreeHeightOption) apply(c *config) { c.subtreeHeight = int(o) }
+func (o subtreeHeightOption) apply(c config) config {
+	c.subtreeHeight = int(o)
+	return c
+}
 
 // WithSubtreeHeight selects the Section 3.3 storage-bounded prover: only the
 // top H-ℓ levels of the tree are stored, and each audited sample rebuilds a
@@ -128,8 +132,9 @@ func WithSubtreeHeight(ell int) Option { return subtreeHeightOption(ell) }
 
 type treeOptionsOption []merkle.Option
 
-func (o treeOptionsOption) apply(c *config) {
+func (o treeOptionsOption) apply(c config) config {
 	c.treeOptions = append(c.treeOptions, []merkle.Option(o)...)
+	return c
 }
 
 // WithTreeOptions forwards options (e.g. the hash function) to the Merkle
@@ -138,7 +143,10 @@ func WithTreeOptions(opts ...merkle.Option) Option { return treeOptionsOption(op
 
 type rngOption struct{ rng *mrand.Rand }
 
-func (o rngOption) apply(c *config) { c.rng = o.rng }
+func (o rngOption) apply(c config) config {
+	c.rng = o.rng
+	return c
+}
 
 // WithRand fixes the verifier's challenge randomness; experiments use it for
 // reproducibility. The default draws a fresh seed from crypto/rand.
@@ -147,7 +155,7 @@ func WithRand(rng *mrand.Rand) Option { return rngOption{rng: rng} }
 func buildConfig(opts []Option) config {
 	var c config
 	for _, opt := range opts {
-		opt.apply(&c)
+		c = opt.apply(c)
 	}
 	return c
 }

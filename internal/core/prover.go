@@ -9,7 +9,6 @@ import (
 
 // proofSource abstracts the full and partial Merkle trees behind the prover.
 type proofSource interface {
-	Root() []byte
 	ProveMulti(indices []uint64) (merkle.MultiProof, error)
 }
 
@@ -17,8 +16,10 @@ type proofSource interface {
 // and answers sample challenges. Construct one per assigned task; safe for
 // concurrent Respond calls.
 type Prover struct {
-	n       int
-	source  proofSource
+	n      int
+	source proofSource
+	// root is Φ(R), taken from the tree once.
+	root    []byte
 	partial *merkle.PartialTree // nil in full-tree mode
 }
 
@@ -47,15 +48,14 @@ func NewProver(n int, claim func(i uint64) []byte, opts ...Option) (*Prover, err
 		if err != nil {
 			return nil, fmt.Errorf("core: build partial tree: %w", err)
 		}
-		p.source = partial
-		p.partial = partial
+		p.source, p.partial, p.root = partial, partial, partial.Root()
 		return p, nil
 	}
 	tree, err := merkle.BuildFunc(n, func(i int) []byte { return claim(uint64(i)) }, cfg.treeOptions...)
 	if err != nil {
 		return nil, fmt.Errorf("core: build tree: %w", err)
 	}
-	p.source = tree
+	p.source, p.root = tree, tree.Root()
 	return p, nil
 }
 
@@ -63,9 +63,9 @@ func NewProver(n int, claim func(i uint64) []byte, opts ...Option) (*Prover, err
 func (p *Prover) N() int { return p.n }
 
 // Commitment returns the message of Step 1: the root Φ(R) and the domain
-// size.
+// size. Every call returns the same Root slice; it must not be modified.
 func (p *Prover) Commitment() Commitment {
-	return Commitment{Root: p.source.Root(), N: uint64(p.n)}
+	return Commitment{Root: p.root, N: uint64(p.n)}
 }
 
 // Respond produces the participant's proof of honesty (Step 3) for the
@@ -101,7 +101,7 @@ func (p *Prover) RespondNonInteractive(chain *hashchain.Chain, m int) (*Response
 	if m < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
-	indices, err := chain.SampleIndices(p.source.Root(), m, uint64(p.n))
+	indices, err := chain.SampleIndices(p.root, m, uint64(p.n))
 	if err != nil {
 		return nil, fmt.Errorf("core: derive samples: %w", err)
 	}

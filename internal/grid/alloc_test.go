@@ -3,9 +3,15 @@
 package grid
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"uncheatgrid/internal/hashchain"
+	"uncheatgrid/internal/transport"
 	"uncheatgrid/internal/workload"
 )
 
@@ -55,8 +61,11 @@ func TestVerifyEvalsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
 	}
-	tr := sup.newTaskRun(task)
-	check := tr.checkFuncFor(task, f)
+	at, err := sup.NewAttempt(task)
+	if err != nil {
+		t.Fatalf("NewAttempt: %v", err)
+	}
+	check := at.pt.checkOutput
 	claimed := make([][]byte, m)
 	for k := range claimed {
 		claimed[k] = f.Eval(task.Start + uint64(k)*500)
@@ -72,4 +81,161 @@ func TestVerifyEvalsZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, verify); allocs != 0 {
 		t.Fatalf("checking %d samples allocates %.1f objects after the first, want 0", m, allocs)
 	}
+}
+
+// allocatedBytes reports the bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestGridDecodersCheckCountsBeforeAllocating feeds every counted decoder a
+// payload that declares as many elements as its limit allows and then ends.
+// Each count is bounded by the bytes that remain before anything is sized
+// from it, so the refusal costs the error and nothing else; sized from the
+// bare count, the 4-byte results, indices and reports payloads below made
+// the receiver allocate 1,536 MB, 512 MB and 384 MB before it refused them.
+func TestGridDecodersCheckCountsBeforeAllocating(t *testing.T) {
+	count := func(n uint64, prefix ...byte) []byte { return binary.AppendUvarint(prefix, n) }
+	assign := encodeAssignment(assignment{Task: Task{ID: 1, N: 8, Workload: "synthetic"}, Spec: SchemeSpec{Kind: SchemeRinger, M: 1}})
+	batch := count(maxBatchMsgs, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(batch, crc32.ChecksumIEEE(batch[batchChecksumLen:]))
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"results", count(maxTaskSize), func(p []byte) error { _, err := decodeResults(p); return err }},
+		{"indices", count(maxTaskSize), func(p []byte) error { _, err := decodeIndices(p); return err }},
+		{"reports", count(1 << 24), func(p []byte) error { _, err := decodeReports(p); return err }},
+		{"assignment ringer images", count(maxRingerImages, assign[:len(assign)-1]...),
+			func(p []byte) error { _, err := decodeAssignment(p); return err }},
+		{"batch", batch, func(p []byte) error { _, err := decodeBatch(nil, p); return err }},
+		{"routed", count(maxRoutedEntries), func(p []byte) error { _, err := decodeRouted(nil, p); return err }},
+		{"window commit tasks", count(maxWindowCommitTasks, 0, 1, 0xaa),
+			func(p []byte) error { _, err := decodeWindowCommit(p); return err }},
+		{"window commit proofs", count(maxWindowCommitProofs, 0, 1, 0xaa, 1, 7),
+			func(p []byte) error { _, err := decodeWindowCommit(p); return err }},
+	} {
+		var err error
+		spent := allocatedBytes(func() { err = tc.decode(tc.payload) })
+		if !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: a count with nothing behind it decoded with %v, want ErrBadPayload", tc.name, err)
+		}
+		if spent > 1024 {
+			t.Errorf("%s: refusing a %d-byte payload allocated %d bytes, want < 1 kB", tc.name, len(tc.payload), spent)
+		}
+	}
+}
+
+// TestSessionCodecAllocs pins what the session layer's codecs cost per
+// message: a batch frame decodes into the reader's scratch with one
+// allocation — the carve its sub-payloads are copied into — however many
+// messages it carries; the per-task decoders read their payload in place
+// (a registered workload's name is interned, an empty reason or report list
+// is no object); and every fixed-shape encoder is one exact-size allocation.
+func TestSessionCodecAllocs(t *testing.T) {
+	a := assignment{
+		Task: Task{ID: 300, Start: 1 << 20, N: 64, Workload: "synthetic", Seed: 9},
+		Spec: SchemeSpec{Kind: SchemeCBS, M: 8},
+	}
+	for _, k := range []int{1, 8} {
+		msgs := make([]taggedMsg, k)
+		for i := range msgs {
+			msgs[i] = taggedMsg{TaskID: uint64(i), Type: msgCommit, Payload: bytes.Repeat([]byte{byte(i)}, 40)}
+		}
+		frame := bytes.Clone(encodeBatch(msgs))
+		scratch := make([]taggedMsg, 0, k)
+		if allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if scratch, err = decodeBatch(scratch[:0], frame); err != nil || len(scratch) != k {
+				t.Fatalf("decodeBatch: %d messages, %v", len(scratch), err)
+			}
+		}); allocs > 1 {
+			t.Errorf("decodeBatch of %d messages allocates %.0f objects, want the one carve", k, allocs)
+		}
+	}
+	assignPayload, verdictPayload, reportsPayload := encodeAssignment(a), encodeVerdict(Verdict{Accepted: true}), encodeReports(nil)
+	resume := resumeMsg{Assignment: a, HaveCommit: true, Challenge: []byte{8, 1, 2, 3, 4, 5, 6, 7, 8}}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"decodeAssignment", 0, func() { _, _ = decodeAssignment(assignPayload) }},
+		{"decodeVerdict", 0, func() { _, _ = decodeVerdict(verdictPayload) }},
+		{"decodeReports of none", 0, func() { _, _ = decodeReports(reportsPayload) }},
+		{"encodeAssignment", 1, func() { _ = encodeAssignment(a) }},
+		{"encodeResume", 1, func() { _ = encodeResume(resume) }},
+		{"encodeVerdict", 1, func() { _ = encodeVerdict(Verdict{Accepted: true}) }},
+		{"encodeReports of none", 1, func() { _ = encodeReports(nil) }},
+		{"encodeChunk", 1, func() { _ = encodeChunk(resultChunk{Seq: 3, Data: assignPayload}) }},
+		{"encodeCheckpoint", 1, func() { _ = encodeCheckpoint(checkpointMsg{Seq: 1 << 30}) }},
+		{"encodeCredit", 1, func() { _ = encodeCredit(creditMsg{Route: 7, Bytes: 1 << 15}) }},
+		{"encodeHello", 1, func() { _ = encodeHello(helloMsg{Role: helloRoleOpen, Worker: "p3", Route: 3}) }},
+		// The frame encoders draw from the payload pool; recycled the way
+		// a pipe's receiver does, the frame costs nothing.
+		{"encodeBatch", 0, func() {
+			transport.RecyclePayload(encodeBatch([]taggedMsg{{TaskID: 1, Type: msgAssign, Payload: assignPayload}}))
+		}},
+		{"encodeRouted", 0, func() {
+			transport.RecyclePayload(encodeRouted([]routedEntry{{Route: 1, Type: msgBatch, Payload: assignPayload}}))
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.run); allocs > tc.max {
+			t.Errorf("%s allocates %.0f objects, want <= %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// taskFixedCostAllocBound is what one honest CBS task of n = 64, m = 8 may
+// allocate end to end — supervisor session, participant, both codecs, the
+// tree and its proof — over a pipe: the measured 48 plus 5. It is the
+// benchmark's allocs_per_task on tcp_small as a unit test, less what only
+// the stream dispatcher and a TCP link add (100 there before the session
+// layer stopped reading through bytes.Reader and set each side up in one
+// object, 56 after).
+const taskFixedCostAllocBound = 53
+
+// TestTaskFixedCostAllocs runs that task over one Session, both ends in
+// this process.
+func TestTaskFixedCostAllocs(t *testing.T) {
+	p, err := NewParticipant("w", HonestFactory)
+	if err != nil {
+		t.Fatalf("NewParticipant: %v", err)
+	}
+	supSide, partSide := transport.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(partSide) }()
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 8}, Seed: 3})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	sess, err := sup.OpenSession(supSide, 1)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	var id uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		id++
+		outcome, err := sess.RunTask(Task{ID: id, Start: id * 64, N: 64, Workload: "synthetic", Seed: 11})
+		if err != nil || !outcome.Verdict.Accepted {
+			t.Fatalf("task %d: %+v, %v", id, outcome, err)
+		}
+	})
+	if err := sess.Close(); err != nil {
+		t.Errorf("session close: %v", err)
+	}
+	supSide.Close()
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	if allocs > taskFixedCostAllocBound {
+		t.Errorf("one CBS task of 64 inputs and 8 samples allocates %.0f objects end to end, want <= %d",
+			allocs, taskFixedCostAllocBound)
+	}
+	t.Logf("%.0f objects per task", allocs)
 }

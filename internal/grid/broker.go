@@ -178,21 +178,16 @@ type RouteStats struct {
 	// reverse direction.
 	ToWorker, ToSupervisor RouteDirectionStats
 	// ToWorkerGrantedBytes totals the credit the hub granted back to the
-	// supervisor for this worker's ToWorker direction; ToWorkerWindowBytes
-	// is the adaptive window target the latest grant advertised. The grant
-	// ledger reconciles per live route as
+	// supervisor for this worker's ToWorker direction. The grant ledger
+	// reconciles per live route as
 	// initial window + granted == ToWorker ingress + outstanding.
-	ToWorkerGrantedBytes, ToWorkerWindowBytes int64
+	ToWorkerGrantedBytes int64
 	// ToSupervisorGrantedBytes totals the credit supervisors granted the
-	// hub for this worker's ToSupervisor direction;
-	// ToSupervisorWindowBytes is the peer's latest advertised window, and
-	// ToSupervisorStalls counts the times a route was parked out of the
-	// shared writer's ready ring for lack of supervisor credit — each park
-	// is a slow consumer isolated instead of a link stalled. The two
-	// *WindowBytes fields are diagnostic only: a grant's advertised window
-	// drives no decision on either side, only its byte count does.
-	ToSupervisorGrantedBytes, ToSupervisorWindowBytes int64
-	ToSupervisorStalls                                int64
+	// hub for this worker's ToSupervisor direction, and ToSupervisorStalls
+	// counts the times a route was parked out of the shared writer's ready
+	// ring for lack of supervisor credit — each park is a slow consumer
+	// isolated instead of a link stalled.
+	ToSupervisorGrantedBytes, ToSupervisorStalls int64
 }
 
 // HubSnapshot is the hub's accounting at one instant: the link-level
@@ -277,9 +272,7 @@ type identity struct {
 	toWorker                    dirCounters
 	toSupervisor                dirCounters
 	toWorkerGranted             atomic.Int64
-	toWorkerWindow              atomic.Int64
 	toSupGranted                atomic.Int64
-	toSupWindow                 atomic.Int64
 	toSupStalls                 atomic.Int64
 
 	// The bind slot, guarded by the hub mutex: at most one registered link
@@ -299,9 +292,7 @@ func (id *identity) stats(worker string) RouteStats {
 		ToWorker:                 id.toWorker.snapshot(),
 		ToSupervisor:             id.toSupervisor.snapshot(),
 		ToWorkerGrantedBytes:     id.toWorkerGranted.Load(),
-		ToWorkerWindowBytes:      id.toWorkerWindow.Load(),
 		ToSupervisorGrantedBytes: id.toSupGranted.Load(),
-		ToSupervisorWindowBytes:  id.toSupWindow.Load(),
 		ToSupervisorStalls:       id.toSupStalls.Load(),
 	}
 }
@@ -716,6 +707,8 @@ type frameQ struct {
 	bytes   int64
 	closed  bool
 	discard bool
+	// merge is coalesce's decode scratch.
+	merge []taggedMsg
 }
 
 //gridlint:credit queue-occupancy ledger: put is the single enqueue site
@@ -766,13 +759,17 @@ func (q *frameQ) drop() {
 // hub cannot decode are forwarded untouched — the hub is a relay, not a
 // validator; the endpoint rules on them.
 func (q *frameQ) coalesce(first transport.Message, limit int64) transport.Message {
-	if first.Type != msgBatch || q.empty() {
+	if next, ok := q.peek(); !ok || first.Type != msgBatch || next.Type != msgBatch {
 		return first
 	}
-	msgs, err := decodeBatch(first.Payload)
+	msgs, err := decodeBatch(q.merge[:0], first.Payload)
 	if err != nil {
 		return first
 	}
+	defer func() {
+		clear(msgs)
+		q.merge = msgs[:0]
+	}()
 	var size int64
 	for _, tm := range msgs {
 		size += tm.wireSize()
@@ -783,19 +780,19 @@ func (q *frameQ) coalesce(first transport.Message, limit int64) transport.Messag
 		if !ok || next.Type != msgBatch {
 			break
 		}
-		more, err := decodeBatch(next.Payload)
+		grown, err := decodeBatch(msgs, next.Payload)
 		if err != nil {
 			break
 		}
 		var moreSize int64
-		for _, tm := range more {
+		for _, tm := range grown[len(msgs):] {
 			moreSize += tm.wireSize()
 		}
-		if size+moreSize > limit || len(msgs)+len(more) > maxBatchMsgs {
+		if size+moreSize > limit || len(grown) > maxBatchMsgs {
 			break
 		}
 		q.pop()
-		msgs = append(msgs, more...)
+		msgs = grown
 		size += moreSize
 		merged = true
 	}
@@ -811,6 +808,8 @@ func (q *frameQ) coalesce(first transport.Message, limit int64) transport.Messag
 type supLink struct {
 	hub  *BrokerHub
 	conn transport.Conn
+	// envelope is the reader's decode scratch (readLoop only).
+	envelope []routedEntry
 
 	mu   sync.Mutex
 	cond *sync.Cond // wakes writeLoop: data queued, control queued, stop
@@ -1133,7 +1132,6 @@ func (l *supLink) applyRouteGrant(msg transport.Message, arrived int64) bool {
 		return false
 	}
 	r.id.toSupGranted.Add(int64(c.Bytes))
-	r.id.toSupWindow.Store(int64(c.Window))
 	if r.supStalled {
 		r.supStalled = false
 		if !r.toSup.empty() {
@@ -1150,7 +1148,7 @@ func (l *supLink) applyRouteGrant(msg transport.Message, arrived int64) bool {
 //gridlint:credit envelope ingress is attributed inner-frame-exact as it arrives
 func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 	h := l.hub
-	entries, err := decodeRouted(msg.Payload)
+	entries, err := decodeRouted(l.envelope[:0], msg.Payload)
 	if err != nil {
 		// The frame passed the transport CRC, so this is a peer protocol
 		// violation, not line noise; the link is done either way.
@@ -1158,6 +1156,10 @@ func (l *supLink) ingestEnvelope(msg transport.Message, arrived int64) bool {
 		return false
 	}
 	transport.RecyclePayload(msg.Payload)
+	defer func() {
+		clear(entries)
+		l.envelope = entries[:0]
+	}()
 	var inner int64
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1489,12 +1491,10 @@ func (r *hubRoute) workerWriteLoop() {
 		r.toWorkerCredit.drain(before - r.toWorker.bytes)
 		if !l.failed && !l.stopWriter && !r.toWorker.closed {
 			if grant := r.toWorkerCredit.grantDue(r.toWorker.bytes); grant > 0 {
-				win := r.toWorkerCredit.win
 				r.id.toWorkerGranted.Add(grant)
-				r.id.toWorkerWindow.Store(win)
 				l.ctrl = append(l.ctrl, transport.Message{
 					Type:    msgCredit,
-					Payload: encodeCredit(creditMsg{Route: r.route, Bytes: uint64(grant), Window: uint64(win)}),
+					Payload: encodeCredit(creditMsg{Route: r.route, Bytes: uint64(grant)}),
 				})
 				l.cond.Broadcast()
 			}

@@ -359,7 +359,7 @@ func TestBrokerRelayBatchingCoalesces(t *testing.T) {
 		if msg.Type != msgBatch {
 			t.Fatalf("frame type %d, want batch", msg.Type)
 		}
-		msgs, err := decodeBatch(msg.Payload)
+		msgs, err := decodeBatch(nil, msg.Payload)
 		if err != nil {
 			t.Fatalf("merged frame undecodable: %v", err)
 		}

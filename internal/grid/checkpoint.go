@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -409,4 +410,47 @@ func restoreWindowLedger(spec SchemeSpec, data []byte) (*WindowLedger, error) {
 		return nil, fmt.Errorf("%w: ledger: %d trailing bytes", ErrCheckpointCorrupt, r.Len())
 	}
 	return led, nil
+}
+
+// The checkpoint codecs run once per segment, not once per task, and still
+// write through a bytes.Buffer and read through a bytes.Reader; the wire
+// codecs (wire.go) do neither.
+
+func putUvarint(buf *bytes.Buffer, v uint64) {
+	var tmp [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tmp[:], v)
+	buf.Write(tmp[:n])
+}
+
+func putBytes(buf *bytes.Buffer, b []byte) {
+	putUvarint(buf, uint64(len(b)))
+	buf.Write(b)
+}
+
+func putString(buf *bytes.Buffer, s string) {
+	putUvarint(buf, uint64(len(s)))
+	buf.WriteString(s)
+}
+
+func getBytes(r *bytes.Reader) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Len()) {
+		return nil, fmt.Errorf("declared %d bytes, %d remain", n, r.Len())
+	}
+	out := make([]byte, n)
+	if _, err := io.ReadFull(r, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func getString(r *bytes.Reader) (string, error) {
+	b, err := getBytes(r)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
 }

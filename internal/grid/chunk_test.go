@@ -44,7 +44,7 @@ type chunkTap struct {
 func (c *chunkTap) Recv() (transport.Message, error) {
 	m, err := c.Conn.Recv()
 	if err == nil && m.Type == msgBatch {
-		msgs, derr := decodeBatch(m.Payload)
+		msgs, derr := decodeBatch(nil, m.Payload)
 		if derr != nil {
 			return m, derr
 		}
@@ -228,7 +228,7 @@ func TestChunkedUploadResumesMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recv resume: %v", err)
 	}
-	msgs, err := decodeBatch(frame.Payload)
+	msgs, err := decodeBatch(nil, frame.Payload)
 	if err != nil {
 		t.Fatalf("decode resume batch: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestParticipantResumesChunkStreamAtOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv: %v", err)
 		}
-		msgs, err := decodeBatch(frame.Payload)
+		msgs, err := decodeBatch(nil, frame.Payload)
 		if err != nil {
 			t.Fatalf("decode batch: %v", err)
 		}

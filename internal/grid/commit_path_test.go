@@ -307,7 +307,8 @@ func TestCrossCheckReportsLookup(t *testing.T) {
 		{"later report wins: wrong then right",
 			[]Report{{X: 1010, S: "other"}, {X: 1003, S: "hit 1003"}, {X: 1010, S: "hit 1010"}}, ""},
 	} {
-		tr := sup.newTaskRun(task)
+		var tr taskRun
+		tr.init(sup, task)
 		if got := tr.crossCheckReports(task, f, indices, tc.reports); got != tc.want {
 			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
 		}

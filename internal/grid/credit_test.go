@@ -102,7 +102,7 @@ func TestHubRejectsZeroCreditGrant(t *testing.T) {
 	}
 	if err := raw.Send(transport.Message{
 		Type:    msgCredit,
-		Payload: encodeCredit(creditMsg{Route: 0, Bytes: 0, Window: 1}),
+		Payload: encodeCredit(creditMsg{Route: 0, Bytes: 0}),
 	}); err != nil {
 		t.Fatalf("send zero grant: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestMuxRejectsZeroCreditGrant(t *testing.T) {
 	}
 	if err := hubSide.Send(transport.Message{
 		Type:    msgCredit,
-		Payload: encodeCredit(creditMsg{Route: 0, Bytes: 0, Window: 1}),
+		Payload: encodeCredit(creditMsg{Route: 0, Bytes: 0}),
 	}); err != nil {
 		t.Fatalf("send zero grant: %v", err)
 	}

@@ -89,7 +89,7 @@ type exchangeState struct {
 	// challengePayload holds the marshaled interactive challenge once
 	// drawn; resumes replay these exact bytes instead of redrawing.
 	challengePayload []byte
-	proofs           *core.Response
+	proofs           core.Response
 	haveProofs       bool
 
 	// Naive / double-check uploads.
@@ -142,7 +142,7 @@ func (st *exchangeState) resumeState(a assignment) resumeMsg {
 // A replica exchange that reaches its rendezvous before the group is
 // complete returns errReplicaParked.
 func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask) error {
-	st := pt.st
+	st := &pt.st
 	if err := pt.announce(conn); err != nil {
 		return err
 	}
@@ -179,7 +179,7 @@ func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask) error {
 // time, a msgResume replaying the supervisor's position on every later
 // connection.
 func (pt *preparedTask) announce(conn protoConn) error {
-	st := pt.st
+	st := &pt.st
 	if st.suppressAnnounce {
 		st.suppressAnnounce = false
 		return nil
@@ -213,7 +213,7 @@ func (pt *preparedTask) announce(conn protoConn) error {
 // keeping the randomness stream — and with it the verdict — identical to a
 // clean run.
 func (pt *preparedTask) issueChallenge(conn protoConn) error {
-	st := pt.st
+	st := &pt.st
 	if st.challengePayload == nil {
 		ch, err := st.verifier.Challenge(pt.tr.sup.cfg.Spec.M)
 		if err != nil {
@@ -236,7 +236,7 @@ func (pt *preparedTask) issueChallenge(conn protoConn) error {
 // ingest advances the state machine with one participant message. Only the
 // message kind the current phase expects is legal.
 func (pt *preparedTask) ingest(msg transport.Message) error {
-	st := pt.st
+	st := &pt.st
 	var err error
 	switch {
 	case st.phase == phaseAwaitCommit && msg.Type == msgCommit:
@@ -267,7 +267,7 @@ func (pt *preparedTask) ingest(msg transport.Message) error {
 }
 
 func (pt *preparedTask) ingestCommit(payload []byte) error {
-	st := pt.st
+	st := &pt.st
 	if err := st.commitment.UnmarshalBinary(payload); err != nil {
 		return fmt.Errorf("%w: commitment: %v", ErrBadPayload, err)
 	}
@@ -277,7 +277,7 @@ func (pt *preparedTask) ingestCommit(payload []byte) error {
 }
 
 func (pt *preparedTask) ingestResults(payload []byte) error {
-	st := pt.st
+	st := &pt.st
 	if st.chunks > 0 {
 		return fmt.Errorf("%w: whole-frame upload after %d chunks", ErrUnexpectedMessage, st.chunks)
 	}
@@ -292,7 +292,7 @@ func (pt *preparedTask) ingestResults(payload []byte) error {
 }
 
 func (pt *preparedTask) ingestChunk(payload []byte) error {
-	st := pt.st
+	st := &pt.st
 	c, err := decodeChunk(payload)
 	if err != nil {
 		return err
@@ -320,7 +320,7 @@ func (pt *preparedTask) ingestChunk(payload []byte) error {
 }
 
 func (pt *preparedTask) ingestHits(payload []byte) error {
-	st := pt.st
+	st := &pt.st
 	hits, err := decodeIndices(payload)
 	if err != nil {
 		return err
@@ -332,7 +332,7 @@ func (pt *preparedTask) ingestHits(payload []byte) error {
 }
 
 func (pt *preparedTask) ingestReports(payload []byte) error {
-	st := pt.st
+	st := &pt.st
 	reports, err := decodeReports(payload)
 	if err != nil {
 		return err
@@ -346,7 +346,7 @@ func (pt *preparedTask) ingestReports(payload []byte) error {
 // validates the commitment and resolves its challenge; the upload and ringer
 // schemes have everything and move to the decision.
 func (pt *preparedTask) afterReports() error {
-	st := pt.st
+	st := &pt.st
 	spec := pt.tr.sup.cfg.Spec
 	task := pt.assign.Task
 	switch spec.Kind {
@@ -382,15 +382,16 @@ func (pt *preparedTask) afterReports() error {
 }
 
 func (pt *preparedTask) ingestProofs(payload []byte) error {
-	st := pt.st
+	st := &pt.st
 	st.haveProofs = true
-	var resp core.Response
-	if err := resp.UnmarshalBinary(payload); err != nil {
+	// The proof's values and digests alias the payload — the session's
+	// private copy of it (transport/pool.go), kept alive by the proof —
+	// where core.Response.UnmarshalBinary would copy it once more.
+	if err := st.proofs.Proof.UnmarshalAliased(payload); err != nil {
 		pt.outcome.Verdict = Verdict{Reason: fmt.Sprintf("undecodable proofs: %v", err)}
 		st.phase = phaseVerdict
 		return nil
 	}
-	st.proofs = &resp
 	st.phase = phaseDecide
 	return nil
 }
@@ -403,26 +404,23 @@ func (pt *preparedTask) ingestProofs(payload []byte) error {
 // is unready.
 func (pt *preparedTask) decide() error {
 	pt.recordStreamDigest()
-	st := pt.st
-	tr := pt.tr
+	st := &pt.st
+	tr := &pt.tr
 	task := pt.assign.Task
 	switch tr.sup.cfg.Spec.Kind {
 	case SchemeCBS, SchemeNICBS:
-		verifyErr := st.verifier.Verify(st.challenge, st.proofs, tr.checkFuncFor(task, pt.f))
-		var cheatErr *core.CheatError
-		switch {
-		case verifyErr == nil:
-			pt.outcome.Verdict = Verdict{Accepted: true}
-		case errors.As(verifyErr, &cheatErr):
-			pt.outcome.Verdict = Verdict{Reason: verifyErr.Error()}
-			pt.outcome.CheatIndex = int64(cheatErr.Index)
-			st.phase = phaseVerdict
-			return nil
-		default:
-			pt.outcome.Verdict = Verdict{Reason: fmt.Sprintf("protocol violation: %v", verifyErr)}
+		if verifyErr := st.verifier.Verify(st.challenge, &st.proofs, pt.checkOutput); verifyErr != nil {
+			var cheatErr *core.CheatError
+			if errors.As(verifyErr, &cheatErr) {
+				pt.outcome.Verdict = Verdict{Reason: verifyErr.Error()}
+				pt.outcome.CheatIndex = int64(cheatErr.Index)
+			} else {
+				pt.outcome.Verdict = Verdict{Reason: fmt.Sprintf("protocol violation: %v", verifyErr)}
+			}
 			st.phase = phaseVerdict
 			return nil
 		}
+		pt.outcome.Verdict = Verdict{Accepted: true}
 		if tr.sup.cfg.CrossCheckReports {
 			if reason := tr.crossCheckReports(task, pt.f, st.challenge.Indices, pt.outcome.Reports); reason != "" {
 				pt.outcome.Verdict = Verdict{Reason: reason}
@@ -436,10 +434,7 @@ func (pt *preparedTask) decide() error {
 		if err != nil {
 			return err
 		}
-		check := tr.checkFuncFor(task, pt.f)
-		verifyErr := sampler.Verify(int(task.N), st.results, func(index uint64, output []byte) error {
-			return check(index, output)
-		})
+		verifyErr := sampler.Verify(int(task.N), st.results, pt.checkOutput)
 		var sampleErr *baseline.SampleError
 		switch {
 		case verifyErr == nil:

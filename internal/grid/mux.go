@@ -244,6 +244,7 @@ func (m *SupervisorMux) dropRoute(id uint64) {
 //gridlint:credit orphaned-delivery accounting on the shared link is only observable at its single reader
 func (m *SupervisorMux) readLoop() {
 	defer close(m.readerDone)
+	var entries []routedEntry // decode scratch, reused across envelopes
 	for {
 		msg, err := m.conn.Recv()
 		if err != nil {
@@ -252,7 +253,7 @@ func (m *SupervisorMux) readLoop() {
 		}
 		switch msg.Type {
 		case msgRouted:
-			entries, err := decodeRouted(msg.Payload)
+			entries, err = decodeRouted(entries[:0], msg.Payload)
 			if err != nil {
 				m.fail(fmt.Errorf("%w: malformed mux envelope: %v", transport.ErrClosed, err))
 				return
@@ -278,6 +279,7 @@ func (m *SupervisorMux) readLoop() {
 					m.orphanBytes.Add(e.innerFrameSize())
 				}
 			}
+			clear(entries) // the route inboxes own the payloads now
 		case msgCredit:
 			c, err := decodeCredit(msg.Payload)
 			if err != nil {
@@ -478,7 +480,7 @@ func (r *muxRouteConn) Recv() (transport.Message, error) {
 			var grant creditMsg
 			if !r.closed && !r.remote && r.linkErr == nil {
 				if g := r.led.grantDue(r.queued); g > 0 {
-					grant = creditMsg{Route: r.id, Bytes: uint64(g), Window: uint64(r.led.win)}
+					grant = creditMsg{Route: r.id, Bytes: uint64(g)}
 				}
 			}
 			r.mu.Unlock()

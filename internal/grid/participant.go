@@ -191,9 +191,12 @@ type participantSession struct {
 	conn   transport.Conn
 	writer *batchWriter
 	wg     sync.WaitGroup
+	// batch is the serve loop's decode scratch.
+	batch []taggedMsg
 
+	// mu guards the in-flight tasks and, inside each, its inbox.
 	mu      sync.Mutex
-	inboxes map[uint64]chan transport.Message
+	tasks   map[uint64]*participantTask
 	done    bool
 	taskErr error
 }
@@ -206,9 +209,9 @@ type participantSession struct {
 // dispatch, task, or send error.
 func (p *Participant) Serve(conn transport.Conn) error {
 	ps := &participantSession{
-		p:       p,
-		conn:    conn,
-		inboxes: make(map[uint64]chan transport.Message),
+		p:     p,
+		conn:  conn,
+		tasks: make(map[uint64]*participantTask),
 	}
 	// A writer failure aborts the session: closing the connection fails
 	// the serve loop, which tears the inboxes down so blocked tasks (and
@@ -245,8 +248,8 @@ func (p *Participant) Serve(conn transport.Conn) error {
 	// peer sends every verdict before closing) complete normally.
 	ps.mu.Lock()
 	ps.done = true
-	for _, inbox := range ps.inboxes {
-		close(inbox)
+	for _, t := range ps.tasks {
+		t.arrived.Broadcast()
 	}
 	ps.mu.Unlock()
 	ps.wg.Wait()
@@ -279,13 +282,17 @@ func (ps *participantSession) handleFrame(frame transport.Message) error {
 		return fmt.Errorf("%w: participant %s got frame type %d, want batch",
 			ErrUnexpectedMessage, ps.p.id, frame.Type)
 	}
-	msgs, err := decodeBatch(frame.Payload)
-	// decodeBatch copies every sub-payload out of the frame buffer, so the
-	// buffer is dead on both outcomes and goes back to the receive pool.
+	msgs, err := decodeBatch(ps.batch[:0], frame.Payload)
+	// The frame buffer is dead on both outcomes (transport/pool.go has the
+	// ownership rule).
 	transport.RecyclePayload(frame.Payload)
 	if err != nil {
 		return fmt.Errorf("grid: participant %s: %w", ps.p.id, err)
 	}
+	defer func() {
+		clear(msgs) // the tasks own the payloads now
+		ps.batch = msgs[:0]
+	}()
 	for _, tm := range msgs {
 		if err := ps.dispatch(tm); err != nil {
 			return err
@@ -324,18 +331,19 @@ func (ps *participantSession) dispatch(tm taggedMsg) error {
 		return ps.startTask(m.Assignment, &m)
 	}
 	ps.mu.Lock()
-	inbox, ok := ps.inboxes[tm.TaskID]
-	ps.mu.Unlock()
+	defer ps.mu.Unlock()
+	t, ok := ps.tasks[tm.TaskID]
 	if !ok {
 		return fmt.Errorf("%w: message type %d for unknown task %d",
 			ErrUnexpectedMessage, tm.Type, tm.TaskID)
 	}
-	select {
-	case inbox <- transport.Message{Type: tm.Type, Payload: tm.Payload}:
-		return nil
-	default:
+	if t.queued == len(t.inbox) {
 		return fmt.Errorf("%w: task %d inbox overflow", ErrUnexpectedMessage, tm.TaskID)
 	}
+	t.inbox[(t.head+t.queued)%len(t.inbox)] = transport.Message{Type: tm.Type, Payload: tm.Payload}
+	t.queued++
+	t.arrived.Signal()
+	return nil
 }
 
 // sendCtrl enqueues one session-scoped control message through the batch
@@ -365,70 +373,94 @@ func (ps *participantSession) handleCtrl(tm taggedMsg) error {
 	}
 }
 
-// startTask registers the task's inbox and executes the assignment on its
-// own goroutine over a virtual per-task connection. res carries the
+// participantTask is one in-flight task on the participant side, in one
+// allocation: its end of the session (tagged sends, the inbox the serve loop
+// fills), the assignment it runs, and the execution state executeTask sets
+// up — the evaluation counter the producer is built around and the scheme
+// runner's scratch.
+type participantTask struct {
+	ps  *participantSession
+	a   assignment
+	res *resumeMsg
+
+	// inbox is a ring of undelivered messages, queued of them from head on;
+	// arrived wakes Recv. All three are guarded by ps.mu.
+	inbox        [sessionInboxCap]transport.Message
+	head, queued int
+	arrived      sync.Cond
+
+	counter workload.Counter
+	exec    taskExecution
+}
+
+// startTask registers the task and executes the assignment on its own
+// goroutine over the task's end of the session. res carries the
 // supervisor's resume handshake when the task is re-announced on a
 // replacement connection; the execution then re-derives its deterministic
 // state and replays only what the supervisor is missing.
 func (ps *participantSession) startTask(a assignment, res *resumeMsg) error {
+	t := &participantTask{ps: ps, a: a, res: res}
+	t.arrived.L = &ps.mu
 	ps.mu.Lock()
-	if _, dup := ps.inboxes[a.Task.ID]; dup {
+	if _, dup := ps.tasks[a.Task.ID]; dup {
 		ps.mu.Unlock()
 		return fmt.Errorf("%w: duplicate in-flight task %d", ErrUnexpectedMessage, a.Task.ID)
 	}
-	inbox := make(chan transport.Message, sessionInboxCap)
-	ps.inboxes[a.Task.ID] = inbox
+	ps.tasks[a.Task.ID] = t
 	ps.mu.Unlock()
-
-	conn := &participantTaskConn{ps: ps, id: a.Task.ID, inbox: inbox}
 	ps.wg.Add(1)
-	go func() {
-		defer ps.wg.Done()
-		err := ps.p.executeTask(conn, a, res)
-		if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
-			// The connection died under the task. The supervisor holds
-			// resumable state and will re-announce on a replacement
-			// connection, so this is a clean per-task abort, not a session
-			// error.
-			err = nil
-		}
-		ps.mu.Lock()
-		if !ps.done {
-			delete(ps.inboxes, a.Task.ID)
-		}
-		if err != nil && ps.taskErr == nil {
-			ps.taskErr = fmt.Errorf("grid: participant %s task %d: %w", ps.p.id, a.Task.ID, err)
-		}
-		ps.mu.Unlock()
-		if err != nil {
-			// A failed task cannot answer its supervisor-side exchange, which
-			// would otherwise wait forever. Abort the whole session: closing
-			// the connection unblocks both the peer and our own serve loop.
-			_ = ps.conn.Close()
-		}
-	}()
+	go t.run()
 	return nil
 }
 
-// participantTaskConn is the virtual protoConn of one task on the
-// participant side.
-type participantTaskConn struct {
-	ps    *participantSession
-	id    uint64
-	inbox chan transport.Message
+// run executes the task and retires it from the session.
+func (t *participantTask) run() {
+	ps, id := t.ps, t.a.Task.ID
+	defer ps.wg.Done()
+	err := ps.p.executeTask(t, t.a, t.res)
+	if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
+		// The connection died under the task. The supervisor holds
+		// resumable state and will re-announce on a replacement
+		// connection, so this is a clean per-task abort, not a session
+		// error.
+		err = nil
+	}
+	ps.mu.Lock()
+	if !ps.done {
+		delete(ps.tasks, id)
+	}
+	if err != nil && ps.taskErr == nil {
+		ps.taskErr = fmt.Errorf("grid: participant %s task %d: %w", ps.p.id, id, err)
+	}
+	ps.mu.Unlock()
+	if err != nil {
+		// A failed task cannot answer its supervisor-side exchange, which
+		// would otherwise wait forever. Abort the whole session: closing
+		// the connection unblocks both the peer and our own serve loop.
+		_ = ps.conn.Close()
+	}
 }
 
 // Send implements protoConn.
-func (c *participantTaskConn) Send(m transport.Message) error {
-	return c.ps.writer.enqueue(taggedMsg{TaskID: c.id, Type: m.Type, Payload: m.Payload}, nil)
+func (t *participantTask) Send(m transport.Message) error {
+	return t.ps.writer.enqueue(taggedMsg{TaskID: t.a.Task.ID, Type: m.Type, Payload: m.Payload}, nil)
 }
 
-// Recv implements protoConn.
-func (c *participantTaskConn) Recv() (transport.Message, error) {
-	m, ok := <-c.inbox
-	if !ok {
-		return transport.Message{}, io.EOF
+// Recv implements protoConn: the next routed message, io.EOF once the
+// session stopped routing and what it had queued is drained.
+func (t *participantTask) Recv() (transport.Message, error) {
+	t.ps.mu.Lock()
+	defer t.ps.mu.Unlock()
+	for t.queued == 0 {
+		if t.ps.done {
+			return transport.Message{}, io.EOF
+		}
+		t.arrived.Wait()
 	}
+	m := t.inbox[t.head]
+	t.inbox[t.head] = transport.Message{} // do not pin the payload
+	t.head = (t.head + 1) % len(t.inbox)
+	t.queued--
 	return m, nil
 }
 
@@ -458,20 +490,25 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	if err != nil {
 		return err
 	}
-	counted := workload.Count(base)
-	producer, err := p.factory(counted)
+	// A session task brings the storage for its execution state; a bare
+	// protoConn (a scheme runner driven directly) gets its own.
+	t, _ := conn.(*participantTask)
+	if t == nil {
+		t = new(participantTask)
+	}
+	t.counter = *workload.Count(base)
+	producer, err := p.factory(&t.counter)
 	if err != nil {
 		return err
 	}
-	screener := base.Screener()
-
-	exec := &taskExecution{
+	t.exec = taskExecution{
 		task:        a.Task,
 		spec:        a.Spec,
 		producer:    producer,
-		screener:    screener,
+		screener:    base.Screener(),
 		parallelism: p.cfg.proverParallelism,
 	}
+	exec := &t.exec
 	switch a.Spec.Kind {
 	case SchemeCBS:
 		err = exec.runCBS(conn, false, nil, res)
@@ -496,21 +533,19 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	if err != nil {
 		return err
 	}
-	first := p.recordVerdict(a.Task.ID, producer.Name(), verdict, counted.Evals())
+	first := p.recordVerdict(a.Task.ID, producer.Name(), verdict, t.counter.Evals())
 	// A windowed task joins the rolling commitment exactly when its verdict
 	// first counts, and the window commit (if this task fills one) must be
 	// enqueued before the verdict ack: the batch writer is FIFO, so the
 	// supervisor always processes the commit before it settles the task.
-	if first && a.Spec.WindowTasks > 0 && exec.digest != nil {
-		if tc, ok := conn.(*participantTaskConn); ok {
-			pw, err := p.windowsFor(a.Spec)
-			if err != nil {
-				return err
-			}
-			digest := streamDigest(a.Task.ID, a.Spec.Kind, exec.digest)
-			if err := pw.settle(a.Task.ID, digest, tc.ps.sendCtrl); err != nil {
-				return err
-			}
+	if first && a.Spec.WindowTasks > 0 && exec.digest != nil && t.ps != nil {
+		pw, err := p.windowsFor(a.Spec)
+		if err != nil {
+			return err
+		}
+		digest := streamDigest(a.Task.ID, a.Spec.Kind, exec.digest)
+		if err := pw.settle(a.Task.ID, digest, t.ps.sendCtrl); err != nil {
+			return err
 		}
 	}
 	// Acknowledge so the supervisor knows the ruling landed; a verdict
@@ -607,6 +642,29 @@ type taskExecution struct {
 	// commitment (commitment root, hashed upload, or hashed hit list), set
 	// by the scheme runner once that payload is fixed.
 	digest []byte
+
+	// runCBS's tree-building state, here so its leaf function captures
+	// nothing but the execution: the screened reports, whether the commit
+	// pass is still running, and the one scratch every claim lands in.
+	reports    []Report
+	committing bool
+	buf        []byte
+}
+
+// claim is runCBS's leaf function. Screening happens once per input, on the
+// tree-building pass: NewProver calls claim exactly once per index
+// (merkle.BuildFunc and NewPartial guarantee it), and every call after it
+// returns is a §3.3 subtree rebuild, which re-claims but must not re-screen
+// or re-report. The tree copies each claimed value before asking for the
+// next (the contract of merkle.BuildFunc and NewPartial), so one scratch
+// buffer serves every claim of the task.
+func (e *taskExecution) claim(i uint64) []byte {
+	if e.committing {
+		e.buf = e.claimAndScreen(e.buf[:0], i, &e.reports)
+	} else {
+		e.buf = e.producer.AppendClaim(e.buf[:0], e.task.Start+i)
+	}
+	return e.buf
 }
 
 // claimAndScreen appends the participant's claimed value for domain index i
@@ -650,25 +708,8 @@ func (e *taskExecution) claimAll(reports *[]Report) [][]byte {
 // messages the supervisor lacks are sent; a challenge the supervisor already
 // issued arrives replayed inside res instead of over the wire.
 func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashchain.Chain, res *resumeMsg) error {
-	var reports []Report
-	// Screening happens once per input, on the tree-building pass: NewProver
-	// calls claim exactly once per index (merkle.BuildFunc and NewPartial
-	// guarantee it), and every call after it returns is a §3.3 subtree
-	// rebuild, which re-claims but must not re-screen or re-report.
-	committing := true
-	// The tree copies each claimed value before asking for the next (the
-	// contract of merkle.BuildFunc and NewPartial), so one scratch buffer
-	// serves every claim of the task.
-	var buf []byte
-	claim := func(i uint64) []byte {
-		if committing {
-			buf = e.claimAndScreen(buf[:0], i, &reports)
-		} else {
-			buf = e.producer.AppendClaim(buf[:0], e.task.Start+i)
-		}
-		return buf
-	}
-
+	e.reports, e.committing = nil, true
+	claim := e.claim
 	var opts []core.Option
 	if e.spec.SubtreeHeight > 0 {
 		opts = append(opts, core.WithSubtreeHeight(e.spec.SubtreeHeight))
@@ -679,7 +720,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		// producer state are part of the protocol contract). Materialize the
 		// claimed values first, then hash the tree in parallel over the
 		// frozen slice — the root is bit-identical to the sequential build.
-		values := e.claimAll(&reports)
+		values := e.claimAll(&e.reports)
 		claim = func(i uint64) []byte { return values[i] }
 		opts = append(opts, core.WithTreeOptions(merkle.WithParallelism(e.parallelism)))
 	}
@@ -687,9 +728,10 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 	if err != nil {
 		return err
 	}
-	committing = false
-	e.digest = prover.Commitment().Root
-	commitPayload, err := prover.Commitment().MarshalBinary()
+	e.committing = false
+	commitment := prover.Commitment()
+	e.digest = commitment.Root
+	commitPayload, err := commitment.MarshalBinary()
 	if err != nil {
 		return err
 	}
@@ -699,7 +741,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		}
 	}
 	if res == nil || !res.HaveReports {
-		if err := conn.Send(transport.Message{Type: msgReports, Payload: encodeReports(reports)}); err != nil {
+		if err := conn.Send(transport.Message{Type: msgReports, Payload: encodeReports(e.reports)}); err != nil {
 			return err
 		}
 	}

@@ -379,7 +379,7 @@ type gatedAssignConn struct {
 
 func (c *gatedAssignConn) Send(msg transport.Message) error {
 	if msg.Type == msgBatch {
-		if msgs, err := decodeBatch(msg.Payload); err == nil {
+		if msgs, err := decodeBatch(nil, msg.Payload); err == nil {
 			for _, tm := range msgs {
 				if tm.Type == msgAssign {
 					<-c.release
@@ -403,7 +403,7 @@ type uploadSignalConn struct {
 func (c *uploadSignalConn) Recv() (transport.Message, error) {
 	msg, err := c.Conn.Recv()
 	if err == nil && msg.Type == msgBatch {
-		if msgs, derr := decodeBatch(msg.Payload); derr == nil {
+		if msgs, derr := decodeBatch(nil, msg.Payload); derr == nil {
 			for _, tm := range msgs {
 				if tm.Type == msgResults || tm.Type == msgResultChunk {
 					c.once.Do(func() { close(c.uploaded) })

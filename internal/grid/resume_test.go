@@ -554,7 +554,7 @@ type verdictDropConn struct {
 
 func (c *verdictDropConn) Send(m transport.Message) error {
 	if m.Type == msgBatch && !c.dropped.Load() {
-		if msgs, err := decodeBatch(m.Payload); err == nil {
+		if msgs, err := decodeBatch(nil, m.Payload); err == nil {
 			for _, tm := range msgs {
 				if tm.Type == msgVerdict && c.dropped.CompareAndSwap(false, true) {
 					return nil // the verdict vanishes on the wire

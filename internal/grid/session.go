@@ -31,21 +31,32 @@ const batchTargetBytes = 1 << 20
 // uploads are chunked well below it (uploadChunkBytes).
 const maxBatchPayload = transport.MaxFrameBytes - 16
 
-// outMsg is one queued tagged message plus its sender's flush callback:
-// settle reports whether the message actually entered the wire, which is
-// when — and only when — its bytes are credited to the owning task.
-// Crediting at enqueue time would count frames a quarantined writer later
-// discards, overstating a faulty run's per-task sent bytes against the
-// connection counters.
+// outMsg is one queued tagged message plus the task the flush settles it
+// for: owner learns whether the message actually entered the wire, which is
+// when — and only when — its bytes are credited to the task. Crediting at
+// enqueue time would count frames a quarantined writer later discards,
+// overstating a faulty run's per-task sent bytes against the connection
+// counters. A nil owner (ctrl traffic, and everything a participant sends)
+// has nothing to settle; its flushed bytes are writer overhead.
 type outMsg struct {
-	tm     taggedMsg
-	settle func(sent bool)
+	tm    taggedMsg
+	owner *sessionTaskConn
 }
 
-func (m outMsg) done(sent bool) {
-	if m.settle != nil {
-		m.settle(sent)
+// done settles the message: sent or discarded, its owner stops waiting.
+//
+//gridlint:credit called from flush only, the point where sent bytes are real wire bytes
+func (m outMsg) done(sent bool) int64 {
+	if m.owner == nil {
+		return 0
 	}
+	var size int64
+	if sent {
+		size = m.tm.wireSize()
+		m.owner.sent.Add(size)
+	}
+	m.owner.inflight.Done()
+	return size
 }
 
 // batchWriter serializes task-tagged messages from many goroutines onto one
@@ -54,9 +65,9 @@ func (m outMsg) done(sent bool) {
 // enqueuers can never wedge; the error fires the onFail hook once (enqueue
 // is asynchronous, so a task that already queued its message may otherwise
 // be blocked waiting for a reply to a frame that was discarded), is
-// reported on the next enqueue, and by close. Every queued message has its
-// settle callback invoked exactly once — flushed or discarded — so senders
-// can await exact accounting.
+// reported on the next enqueue, and by close. Every queued message is
+// settled exactly once — flushed or discarded — so senders can await exact
+// accounting.
 //
 // close must not race enqueue: both endpoints guarantee their task
 // goroutines have finished (window slots / WaitGroup) before closing.
@@ -92,11 +103,13 @@ func newBatchWriter(conn transport.Conn, onFail func(error)) *batchWriter {
 
 func (w *batchWriter) loop() {
 	defer close(w.done)
-	var carry *outMsg // next frame's first message when a batch hits the hard cap
+	// carry is the next frame's first message when a batch hit the hard cap.
+	var carry outMsg
+	carried := false
 	for {
-		var first outMsg
-		if carry != nil {
-			first, carry = *carry, nil
+		first := carry
+		if carried {
+			carry, carried = outMsg{}, false
 		} else {
 			var ok bool
 			if first, ok = <-w.in; !ok {
@@ -116,7 +129,7 @@ func (w *batchWriter) loop() {
 				if size+m.tm.wireSize() > maxBatchPayload {
 					// Adding m would overflow a legal frame; it opens the
 					// next one instead.
-					carry = &m
+					carry, carried = m, true
 					break coalesce
 				}
 				batch = append(batch, m)
@@ -131,8 +144,9 @@ func (w *batchWriter) loop() {
 }
 
 // flush writes one coalesced batch frame and settles its messages: each
-// enqueue callback learns whether its bytes reached the wire, and the frame
-// overhead beyond the tagged payloads accrues to the writer.
+// owning task learns whether its bytes reached the wire, and what the frame
+// carried beyond them — framing, and messages no task owns — accrues to the
+// writer.
 //
 //gridlint:credit flush time is the only point where sent bytes are real wire bytes
 func (w *batchWriter) flush(batch []outMsg) {
@@ -159,8 +173,7 @@ func (w *batchWriter) flush(batch []outMsg) {
 	}
 	var tagged int64
 	for _, m := range batch {
-		tagged += m.tm.wireSize()
-		m.done(true)
+		tagged += m.done(true)
 	}
 	w.mu.Lock()
 	w.overhead += frame.FrameSize() - tagged
@@ -186,34 +199,24 @@ func (w *batchWriter) failed() error {
 }
 
 // overheadBytes reports sent frame bytes not attributable to any one task:
-// batch headers and count prefixes.
+// batch headers, count prefixes and ctrl-tagged messages, so the connection
+// total is exactly Σ task bytes + overhead.
 func (w *batchWriter) overheadBytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.overhead
 }
 
-// creditOverhead folds flushed bytes that belong to no task — ctrl-tagged
-// messages — into the writer's overhead ledger, keeping the connection
-// total exactly Σ task bytes + overhead.
-//
-//gridlint:credit ctrl messages have no owning task; their flushed bytes are session overhead
-func (w *batchWriter) creditOverhead(n int64) {
-	w.mu.Lock()
-	w.overhead += n
-	w.mu.Unlock()
-}
-
 // enqueue queues one tagged message for (possibly coalesced) sending. It
 // returns quickly; transmission errors surface on later calls and at close.
-// settle, if non-nil, is called exactly once when the message is flushed
-// (true) or discarded (false) — unless enqueue itself returns an error, in
-// which case the message was never queued and settle is never called.
-func (w *batchWriter) enqueue(tm taggedMsg, settle func(sent bool)) error {
+// A non-nil owner is settled exactly once, when the message is flushed or
+// discarded — unless enqueue itself returns an error, in which case the
+// message was never queued.
+func (w *batchWriter) enqueue(tm taggedMsg, owner *sessionTaskConn) error {
 	if err := w.failed(); err != nil {
 		return err
 	}
-	w.in <- outMsg{tm: tm, settle: settle}
+	w.in <- outMsg{tm: tm, owner: owner}
 	return nil
 }
 
@@ -283,6 +286,8 @@ type Session struct {
 	pulling      bool
 	err          error
 	recvOverhead int64
+	// batch is the elected puller's decode scratch.
+	batch []taggedMsg
 }
 
 // OpenSession starts a session on conn with the given in-flight window.
@@ -345,6 +350,9 @@ type sessionTaskConn struct {
 	// the task's next message appends in place instead of reallocating.
 	inbox []transport.Message
 	head  int
+	// inboxBuf backs inbox until more than a task's usual messages (commit,
+	// reports, proofs, ack) are queued at once.
+	inboxBuf [4]transport.Message
 	// sent counts this task's tagged bytes that actually entered the wire —
 	// credited by the batch writer at flush time, not at enqueue, so frames
 	// discarded by a quarantined writer never inflate it. recv is guarded by
@@ -357,23 +365,13 @@ type sessionTaskConn struct {
 // Send implements protoConn. The message's bytes are credited when the
 // writer flushes it; awaitSends synchronizes with that before the task's
 // totals are read.
-//
-//gridlint:credit the settle callback runs at writer flush time, the sanctioned crediting point
 func (c *sessionTaskConn) Send(m transport.Message) error {
-	tm := taggedMsg{TaskID: c.id, Type: m.Type, Payload: m.Payload}
-	size := tm.wireSize()
 	c.inflight.Add(1)
-	err := c.sess.writer.enqueue(tm, func(sent bool) {
-		if sent {
-			c.sent.Add(size)
-		}
-		c.inflight.Done()
-	})
+	err := c.sess.writer.enqueue(taggedMsg{TaskID: c.id, Type: m.Type, Payload: m.Payload}, c)
 	if err != nil {
-		c.inflight.Done() // never queued; the callback will not fire
-		return err
+		c.inflight.Done() // never queued; the writer will not settle it
 	}
-	return nil
+	return err
 }
 
 // awaitSends blocks until every message this task enqueued has been
@@ -504,16 +502,19 @@ func (s *Session) routeLocked(frame transport.Message, arrived int64) error {
 		s.recvOverhead += arrived
 		return fmt.Errorf("%w: session got frame type %d, want batch", ErrUnexpectedMessage, frame.Type)
 	}
-	msgs, err := decodeBatch(frame.Payload)
-	// decodeBatch copies every sub-payload out of the frame buffer, so the
-	// buffer is dead on both outcomes and goes back to the receive pool.
-	// The arrived bytes were credited from the connection counter before
-	// this point; recycling never touches accounting.
+	msgs, err := decodeBatch(s.batch[:0], frame.Payload)
+	// The frame buffer is dead on both outcomes (transport/pool.go has the
+	// ownership rule). The arrived bytes were credited from the connection
+	// counter before this point; recycling never touches accounting.
 	transport.RecyclePayload(frame.Payload)
 	if err != nil {
 		s.recvOverhead += arrived
 		return err
 	}
+	defer func() {
+		clear(msgs) // the inboxes own the payloads now
+		s.batch = msgs[:0]
+	}()
 	var tagged int64
 	for _, tm := range msgs {
 		if tm.TaskID == ctrlTaskID {
@@ -559,13 +560,7 @@ func (s *Session) setCtrl(fn func(taggedMsg) error) {
 // sendCtrl queues one ctrl-tagged message. Its bytes land in the writer's
 // overhead ledger at flush time — ctrl traffic belongs to no task.
 func (s *Session) sendCtrl(typ uint8, payload []byte) error {
-	tm := taggedMsg{TaskID: ctrlTaskID, Type: typ, Payload: payload}
-	size := tm.wireSize()
-	return s.writer.enqueue(tm, func(sent bool) {
-		if sent {
-			s.writer.creditOverhead(size)
-		}
-	})
+	return s.writer.enqueue(taggedMsg{TaskID: ctrlTaskID, Type: typ, Payload: payload}, nil)
 }
 
 // register adds a task to the demultiplexer. Task IDs are the wire-level
@@ -583,6 +578,7 @@ func (s *Session) register(taskID uint64) (*sessionTaskConn, error) {
 	}
 	s.used[taskID] = struct{}{}
 	c := &sessionTaskConn{sess: s, id: taskID}
+	c.inbox = c.inboxBuf[:0]
 	s.tasks[taskID] = c
 	return c, nil
 }
@@ -667,7 +663,7 @@ func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 	at.pt.st.suppressAnnounce = at.attachedTo == sess
 	at.attachedTo = sess
 
-	err = sess.sup.runExchange(c, at.pt)
+	err = sess.sup.runExchange(c, &at.pt)
 	// Settle the attempt's byte totals only after the writer has flushed or
 	// discarded everything this task enqueued — sent bytes mean wire bytes.
 	c.awaitSends()

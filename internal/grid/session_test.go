@@ -573,7 +573,7 @@ func (p *taggedPeer) expect(typ uint8) []byte {
 		if frame.Type != msgBatch {
 			p.t.Fatalf("got frame type %d, want batch", frame.Type)
 		}
-		if p.queue, err = decodeBatch(frame.Payload); err != nil {
+		if p.queue, err = decodeBatch(nil, frame.Payload); err != nil {
 			p.t.Fatalf("decode batch: %v", err)
 		}
 	}

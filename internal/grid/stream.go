@@ -876,7 +876,7 @@ func (p *SupervisorPool) settleBanked(l *lease) (*TaskOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt := at.pt
+	pt := &at.pt
 	pt.outcome.Verdict = v
 	pt.outcome.BytesSent = at.bytesSent
 	pt.outcome.BytesRecv = at.bytesRecv
@@ -1029,7 +1029,12 @@ func (p *SupervisorPool) launchStream(ctx context.Context, cancel context.Cancel
 		d:        d,
 	}
 
-	// Wake parked workers when the caller cancels.
+	// Wake parked workers when the caller cancels. A context cancelled
+	// before the run started stops the dispatcher here, before any worker
+	// can claim a task.
+	if ctx.Err() != nil {
+		d.stop()
+	}
 	go func() {
 		<-ctx.Done()
 		d.stop()

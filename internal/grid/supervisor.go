@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -66,10 +67,12 @@ func taskSeed(seed int64, taskID uint64) int64 {
 
 // taskRun carries the mutable state of one task execution — its randomness
 // stream, verification-eval counter and evaluation scratch — so concurrent
-// tasks never contend on supervisor fields.
+// tasks never contend on supervisor fields. rng reads from src, so a taskRun
+// is set up in place (init) and never copied.
 type taskRun struct {
 	sup   *Supervisor
 	rng   *rand.Rand
+	src   taskSource
 	evals int64
 	// buf receives every f(x) the supervisor recomputes for this task; see
 	// eval.
@@ -87,11 +90,11 @@ func (tr *taskRun) eval(f workload.Function, x uint64) []byte {
 	return tr.buf
 }
 
-func (s *Supervisor) newTaskRun(task Task) *taskRun {
-	return &taskRun{
-		sup: s,
-		rng: rand.New(&taskSource{state: uint64(taskSeed(s.cfg.Seed, task.ID))}),
-	}
+// init starts the task's randomness stream at its seed.
+func (tr *taskRun) init(s *Supervisor, task Task) {
+	tr.sup = s
+	tr.src.state = uint64(taskSeed(s.cfg.Seed, task.ID))
+	tr.rng = rand.New(&tr.src)
 }
 
 // taskSource is the generator under a task's randomness stream: splitmix64
@@ -159,13 +162,18 @@ type protoConn interface {
 // connection (real or session-virtual) the exchange will run on. Its st
 // field is the task's resumable wire-phase state machine (see exchange.go):
 // the exchange can detach from a dead connection and re-attach elsewhere.
+// The task's run state and state machine are fields, not objects of their
+// own; only the outcome, which the caller keeps after the task is gone, is
+// allocated apart.
 type preparedTask struct {
-	assign  assignment
-	f       workload.Function
-	tr      *taskRun
+	assign assignment
+	f      workload.Function
+	// cheap is f's output verifier when it has one (checkOutput).
+	cheap   workload.OutputVerifier
+	tr      taskRun
 	ringers *baseline.RingerSet
 	outcome *TaskOutcome
-	st      *exchangeState
+	st      exchangeState
 
 	// rdv and repIdx are set on replica attempts (double-check): the settle
 	// phase submits the upload to the rendezvous as replica repIdx and takes
@@ -182,37 +190,35 @@ type preparedTask struct {
 	digested bool
 }
 
-// prepareTask runs the assignment phase: validate the task, instantiate the
-// workload and the task's private randomness stream, and (ringer scheme)
-// plant the secrets. No traffic is generated; ringer evaluations are charged
-// to the task's verification budget.
-func (s *Supervisor) prepareTask(task Task) (*preparedTask, error) {
+// prepareTask runs the assignment phase into pt: validate the task,
+// instantiate the workload and the task's private randomness stream, and
+// (ringer scheme) plant the secrets. No traffic is generated; ringer
+// evaluations are charged to the task's verification budget.
+func (s *Supervisor) prepareTask(pt *preparedTask, task Task) error {
 	if err := task.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	f, err := workload.New(task.Workload, task.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	tr := s.newTaskRun(task)
-	pt := &preparedTask{
-		assign:  assignment{Task: task, Spec: s.cfg.Spec},
-		f:       f,
-		tr:      tr,
-		outcome: &TaskOutcome{Task: task, CheatIndex: -1},
-		st:      &exchangeState{phase: initialPhase(s.cfg.Spec.Kind)},
-	}
+	pt.assign = assignment{Task: task, Spec: s.cfg.Spec}
+	pt.f = f
+	pt.cheap, _ = workload.AsOutputVerifier(f)
+	pt.tr.init(s, task)
+	pt.outcome = &TaskOutcome{Task: task, CheatIndex: -1}
+	pt.st.phase = initialPhase(s.cfg.Spec.Kind)
 	if s.cfg.Spec.Kind == SchemeRinger {
 		// Secrets are domain-relative; f is evaluated at absolute inputs.
 		pt.ringers, err = baseline.PlantRingers(
-			func(x uint64) []byte { return tr.eval(f, task.Start+x) },
-			task.N, s.cfg.Spec.M, tr.rng)
+			func(x uint64) []byte { return pt.tr.eval(f, task.Start+x) },
+			task.N, s.cfg.Spec.M, pt.tr.rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pt.assign.RingerImages = pt.ringers.Images
 	}
-	return pt, nil
+	return nil
 }
 
 // taskAttempt is the supervisor's detachable handle on one in-flight task:
@@ -223,7 +229,7 @@ func (s *Supervisor) prepareTask(task Task) (*preparedTask, error) {
 // runs report what actually crossed the wire.
 type taskAttempt struct {
 	task                 Task
-	pt                   *preparedTask
+	pt                   preparedTask
 	bytesSent, bytesRecv int64
 	settled              bool
 	// attachedTo remembers the session the attempt last ran on. Re-running
@@ -235,11 +241,11 @@ type taskAttempt struct {
 // NewAttempt validates and prepares a task for execution without touching
 // any connection.
 func (s *Supervisor) NewAttempt(task Task) (*taskAttempt, error) {
-	pt, err := s.prepareTask(task)
-	if err != nil {
+	at := &taskAttempt{task: task}
+	if err := s.prepareTask(&at.pt, task); err != nil {
 		return nil, err
 	}
-	return &taskAttempt{task: task, pt: pt}, nil
+	return at, nil
 }
 
 // newReplicaAttempt prepares one replica of a double-check group: an
@@ -269,7 +275,7 @@ func (at *taskAttempt) settle(s *Supervisor) {
 		return
 	}
 	at.settled = true
-	s.settle(at.pt)
+	s.settle(&at.pt)
 }
 
 // settle closes the task's verification-eval accounting into its outcome
@@ -285,21 +291,26 @@ func (s *Supervisor) sendVerdict(conn protoConn, outcome *TaskOutcome) error {
 	return conn.Send(transport.Message{Type: msgVerdict, Payload: encodeVerdict(outcome.Verdict)})
 }
 
-// checkFuncFor builds the Step 4 output check: a cheap verifier when the
-// workload supports one, otherwise recomputation. Evaluations are charged
-// to the task's verification budget.
-func (tr *taskRun) checkFuncFor(task Task, f workload.Function) core.CheckFunc {
-	if verifier, ok := workload.AsOutputVerifier(f); ok {
-		return func(index uint64, output []byte) error {
-			if !verifier.VerifyOutput(task.Start+index, output) {
-				return core.ErrWrongOutput
-			}
-			return nil
+// checkOutput is the Step 4 output check (a core.CheckFunc): f's cheap
+// verifier when the workload has one, otherwise recomputation, compared as
+// core.RecomputeCheck compares. Evaluations are charged to the task's
+// verification budget.
+func (pt *preparedTask) checkOutput(index uint64, output []byte) error {
+	x := pt.assign.Task.Start + index
+	if pt.cheap != nil {
+		if !pt.cheap.VerifyOutput(x, output) {
+			return core.ErrWrongOutput
 		}
+		return nil
 	}
-	return core.RecomputeCheck(func(index uint64) []byte {
-		return tr.eval(f, task.Start+index)
-	})
+	want := pt.tr.eval(pt.f, x)
+	if len(want) != len(output) {
+		return fmt.Errorf("%w: length %d, want %d", core.ErrWrongOutput, len(output), len(want))
+	}
+	if !bytes.Equal(want, output) {
+		return core.ErrWrongOutput
+	}
+	return nil
 }
 
 // crossCheckReports recomputes the screener on the sampled inputs and

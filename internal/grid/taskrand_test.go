@@ -22,7 +22,7 @@ type challengeTap struct {
 
 func (c *challengeTap) Send(m transport.Message) error {
 	if m.Type == msgBatch {
-		msgs, err := decodeBatch(m.Payload)
+		msgs, err := decodeBatch(nil, m.Payload)
 		if err != nil {
 			return err
 		}

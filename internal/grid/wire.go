@@ -1,11 +1,13 @@
 package grid
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math/bits"
+
+	"uncheatgrid/internal/transport"
+	"uncheatgrid/internal/workload"
 )
 
 // Message kinds on the supervisor↔participant wire. One byte each, carried
@@ -79,9 +81,7 @@ const (
 	// instead of ballooning receiver memory or head-of-line-blocking the
 	// shared link. Flows in both directions of a muxed link — hub →
 	// supervisor as the worker-side writer drains a route's toWorker queue,
-	// and supervisor → hub as the route consumer drains its inbox. Each
-	// grant also advertises the granter's current adaptive window so the
-	// peer can surface it in stats.
+	// and supervisor → hub as the route consumer drains its inbox.
 	msgCredit
 	// msgWindowCommit carries a participant's rolling commitment for one
 	// settled window of a long-horizon stream: the Merkle root over the
@@ -156,6 +156,105 @@ const (
 // maxWorkerNameLen bounds the identity string of a hub handshake.
 const maxWorkerNameLen = 256
 
+// walker reads one payload front to back without copying it: every read
+// consumes bytes from the front of buf, and the first failure sticks — later
+// reads return zero values — so a decoder is straight-line code that checks
+// once, in done. Byte fields come back as capacity-bounded views of the
+// payload; transport/pool.go states who owns what they alias.
+type walker struct {
+	buf []byte
+	err error
+}
+
+func (w *walker) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: "+format, append([]any{ErrBadPayload}, args...)...)
+	}
+}
+
+func (w *walker) uvarint(what string) uint64 {
+	if w.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(w.buf)
+	if n <= 0 {
+		w.fail("%s: truncated or overlong varint", what)
+		return 0
+	}
+	w.buf = w.buf[n:]
+	return v
+}
+
+func (w *walker) byte(what string) byte {
+	if w.err != nil {
+		return 0
+	}
+	if len(w.buf) == 0 {
+		w.fail("%s: payload ends", what)
+		return 0
+	}
+	b := w.buf[0]
+	w.buf = w.buf[1:]
+	return b
+}
+
+func (w *walker) bytes(what string) []byte {
+	n := w.uvarint(what)
+	if w.err != nil {
+		return nil
+	}
+	if n > uint64(len(w.buf)) {
+		w.fail("%s: declared %d bytes, %d remain", what, n, len(w.buf))
+		return nil
+	}
+	b := w.buf[:n:n]
+	w.buf = w.buf[n:]
+	return b
+}
+
+func (w *walker) string(what string) string { return string(w.bytes(what)) }
+
+// count reads an element count and refuses one above limit or one the bytes
+// that remain cannot hold at minBytes apiece, so a bare count never buys an
+// allocation.
+func (w *walker) count(what string, limit uint64, minBytes int) int {
+	n := w.uvarint(what)
+	if w.err == nil && (n > limit || n > uint64(len(w.buf)/minBytes)) {
+		w.fail("%d %s in %d bytes (max %d)", n, what, len(w.buf), limit)
+		return 0
+	}
+	return int(n)
+}
+
+// done reports the walk's first failure, or the bytes left over.
+func (w *walker) done() error {
+	if w.err == nil && len(w.buf) != 0 {
+		w.fail("%d trailing bytes", len(w.buf))
+	}
+	return w.err
+}
+
+// uvarintLen reports how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// prefixedLen is the encoded size of an n-byte length-prefixed field.
+func prefixedLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+func appendBytes(dst, b []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+func appendFlag(dst []byte, set bool) []byte {
+	if set {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
 // helloMsg is the decoded msgHello payload. Route is meaningful only for
 // the mux-family roles (mux/open/close); the worker role encodes none.
 type helloMsg struct {
@@ -165,45 +264,31 @@ type helloMsg struct {
 }
 
 func encodeHello(m helloMsg) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(m.Role)
-	putString(&buf, m.Worker)
+	size := 1 + prefixedLen(len(m.Worker))
 	if m.Role >= helloRoleMux {
-		putUvarint(&buf, m.Route)
+		size += uvarintLen(m.Route)
 	}
-	return buf.Bytes()
+	out := appendString(append(make([]byte, 0, size), m.Role), m.Worker)
+	if m.Role >= helloRoleMux {
+		out = binary.AppendUvarint(out, m.Route)
+	}
+	return out
 }
 
 func decodeHello(payload []byte) (helloMsg, error) {
-	var m helloMsg
-	r := bytes.NewReader(payload)
-	role, err := r.ReadByte()
-	if err != nil {
-		return m, fmt.Errorf("%w: hello role: %v", ErrBadPayload, err)
+	w := walker{buf: payload}
+	m := helloMsg{Role: w.byte("hello role")}
+	if w.err == nil && (m.Role < helloRoleWorker || m.Role > helloRoleClose || m.Role == helloRoleRetired) {
+		w.fail("hello role %d", m.Role)
 	}
-	if role < helloRoleWorker || role > helloRoleClose || role == helloRoleRetired {
-		return m, fmt.Errorf("%w: hello role %d", ErrBadPayload, role)
+	m.Worker = w.string("hello worker")
+	if w.err == nil && (m.Worker == "" || len(m.Worker) > maxWorkerNameLen) {
+		w.fail("hello worker identity of %d bytes (want 1..%d)", len(m.Worker), maxWorkerNameLen)
 	}
-	m.Role = role
-	if m.Worker, err = getString(r); err != nil {
-		return m, fmt.Errorf("%w: hello worker: %v", ErrBadPayload, err)
+	if m.Role >= helloRoleMux {
+		m.Route = w.uvarint("hello route")
 	}
-	if m.Worker == "" {
-		return m, fmt.Errorf("%w: empty hello worker identity", ErrBadPayload)
-	}
-	if len(m.Worker) > maxWorkerNameLen {
-		return m, fmt.Errorf("%w: hello worker identity of %d bytes (max %d)",
-			ErrBadPayload, len(m.Worker), maxWorkerNameLen)
-	}
-	if role >= helloRoleMux {
-		if m.Route, err = binary.ReadUvarint(r); err != nil {
-			return m, fmt.Errorf("%w: hello route: %v", ErrBadPayload, err)
-		}
-	}
-	if r.Len() != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return m, nil
+	return m, w.done()
 }
 
 // routedEntry is one route-tagged inner frame inside a msgRouted envelope:
@@ -234,59 +319,73 @@ const frameOverheadBytes = 9
 // maxBatchMsgs for the same attacker-controlled-count reason.
 const maxRoutedEntries = maxBatchMsgs
 
-// encodeRouted writes the envelope in one exact-size allocation; like
-// encodeBatch it sits on the relay hot path of every muxed link.
+// A routed entry and a batch sub-message share one wire shape — uvarint id,
+// type byte, length-prefixed payload — of at least minEntryBytes.
+const minEntryBytes = 3
+
+func entrySize(id uint64, payload []byte) int {
+	return uvarintLen(id) + 1 + prefixedLen(len(payload))
+}
+
+func appendEntry(dst []byte, id uint64, typ uint8, payload []byte) []byte {
+	return appendBytes(append(binary.AppendUvarint(dst, id), typ), payload)
+}
+
+func (w *walker) entry(what string) (id uint64, typ uint8, payload []byte) {
+	return w.uvarint(what), w.byte(what), w.bytes(what)
+}
+
+// carve hands out capacity-bounded pieces of one allocation: the private
+// copies decodeBatch and decodeRouted make of a frame's sub-payloads, so a
+// frame costs one allocation however many messages it carries.
+type carve []byte
+
+func (c *carve) copyOf(view []byte) []byte {
+	n := copy(*c, view)
+	own := (*c)[:n:n]
+	*c = (*c)[n:]
+	return own
+}
+
+// encodeRouted writes the envelope into a pooled frame buffer of exactly its
+// size; like encodeBatch it sits on the relay hot path of every muxed link.
 func encodeRouted(entries []routedEntry) []byte {
 	size := uvarintLen(uint64(len(entries)))
 	for _, e := range entries {
-		size += uvarintLen(e.Route) + 1 + uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+		size += entrySize(e.Route, e.Payload)
 	}
-	out := make([]byte, size)
-	off := binary.PutUvarint(out, uint64(len(entries)))
+	out := binary.AppendUvarint(transport.GetPayload(size)[:0], uint64(len(entries)))
 	for _, e := range entries {
-		off += binary.PutUvarint(out[off:], e.Route)
-		out[off] = e.Type
-		off++
-		off += binary.PutUvarint(out[off:], uint64(len(e.Payload)))
-		off += copy(out[off:], e.Payload)
+		out = appendEntry(out, e.Route, e.Type, e.Payload)
 	}
 	return out
 }
 
-// decodeRouted parses a msgRouted envelope. Inner payloads are copied out
-// of the envelope (getBytes allocates), so the caller may recycle the
-// envelope buffer through the transport payload pool as soon as decode
-// returns.
-func decodeRouted(payload []byte) ([]routedEntry, error) {
-	r := bytes.NewReader(payload)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: routed count: %v", ErrBadPayload, err)
+// decodeRouted appends a msgRouted envelope's entries to dst, the scratch of
+// the link's one reader. The inner payloads are private copies (one carve
+// per envelope), so the caller may recycle the envelope buffer as soon as
+// decode returns.
+func decodeRouted(dst []routedEntry, payload []byte) ([]routedEntry, error) {
+	w := walker{buf: payload}
+	count := w.count("routed entries", maxRoutedEntries, minEntryBytes)
+	if w.err == nil && count == 0 {
+		w.fail("empty routed envelope")
 	}
-	if count > maxRoutedEntries {
-		return nil, fmt.Errorf("%w: %d routed entries", ErrBadPayload, count)
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("%w: empty routed envelope", ErrBadPayload)
-	}
-	entries := make([]routedEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
+	base, total := len(dst), 0
+	for i := 0; i < count && w.err == nil; i++ {
 		var e routedEntry
-		if e.Route, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("%w: routed entry %d route: %v", ErrBadPayload, i, err)
-		}
-		if e.Type, err = r.ReadByte(); err != nil {
-			return nil, fmt.Errorf("%w: routed entry %d type: %v", ErrBadPayload, i, err)
-		}
-		if e.Payload, err = getBytes(r); err != nil {
-			return nil, fmt.Errorf("%w: routed entry %d payload: %v", ErrBadPayload, i, err)
-		}
-		entries = append(entries, e)
+		e.Route, e.Type, e.Payload = w.entry("routed entry")
+		dst = append(dst, e)
+		total += len(e.Payload)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
+	if err := w.done(); err != nil {
+		return dst[:base], err
 	}
-	return entries, nil
+	own := make(carve, total)
+	for i := base; i < len(dst); i++ {
+		dst[i].Payload = own.copyOf(dst[i].Payload)
+	}
+	return dst, nil
 }
 
 // maxCreditGrant bounds a single credit grant so a hostile peer cannot
@@ -294,47 +393,24 @@ func decodeRouted(payload []byte) ([]routedEntry, error) {
 const maxCreditGrant = 1 << 40
 
 // creditMsg is the decoded msgCredit payload: Bytes of receive window
-// granted back to route Route's sender, plus the granter's current
-// adaptive Window target. Window is advisory — the receiver of the grant
-// surfaces it in stats but never spends it — yet it is still validated,
-// because it crosses the trust boundary like every other field.
+// granted back to route Route's sender.
 type creditMsg struct {
-	Route  uint64
-	Bytes  uint64
-	Window uint64
+	Route uint64
+	Bytes uint64
 }
 
 func encodeCredit(m creditMsg) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, m.Route)
-	putUvarint(&buf, m.Bytes)
-	putUvarint(&buf, m.Window)
-	return buf.Bytes()
+	out := make([]byte, 0, uvarintLen(m.Route)+uvarintLen(m.Bytes))
+	return binary.AppendUvarint(binary.AppendUvarint(out, m.Route), m.Bytes)
 }
 
 func decodeCredit(payload []byte) (creditMsg, error) {
-	var m creditMsg
-	r := bytes.NewReader(payload)
-	var err error
-	if m.Route, err = binary.ReadUvarint(r); err != nil {
-		return m, fmt.Errorf("%w: credit route: %v", ErrBadPayload, err)
+	w := walker{buf: payload}
+	m := creditMsg{Route: w.uvarint("credit route"), Bytes: w.uvarint("credit bytes")}
+	if w.err == nil && (m.Bytes == 0 || m.Bytes > maxCreditGrant) {
+		w.fail("credit grant of %d bytes", m.Bytes)
 	}
-	if m.Bytes, err = binary.ReadUvarint(r); err != nil {
-		return m, fmt.Errorf("%w: credit bytes: %v", ErrBadPayload, err)
-	}
-	if m.Bytes == 0 || m.Bytes > maxCreditGrant {
-		return m, fmt.Errorf("%w: credit grant of %d bytes", ErrBadPayload, m.Bytes)
-	}
-	if m.Window, err = binary.ReadUvarint(r); err != nil {
-		return m, fmt.Errorf("%w: credit window: %v", ErrBadPayload, err)
-	}
-	if m.Window == 0 || m.Window > maxCreditGrant {
-		return m, fmt.Errorf("%w: credit window of %d bytes", ErrBadPayload, m.Window)
-	}
-	if r.Len() != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return m, nil
+	return m, w.done()
 }
 
 // Bounds on a window commit's attacker-controlled counts: a window never
@@ -358,66 +434,48 @@ type windowCommitMsg struct {
 }
 
 func encodeWindowCommit(m windowCommitMsg) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, m.Window)
-	putBytes(&buf, m.Root)
-	putUvarint(&buf, uint64(len(m.TaskIDs)))
+	size := uvarintLen(m.Window) + prefixedLen(len(m.Root)) +
+		uvarintLen(uint64(len(m.TaskIDs))) + uvarintLen(uint64(len(m.Proofs)))
 	for _, id := range m.TaskIDs {
-		putUvarint(&buf, id)
+		size += uvarintLen(id)
 	}
-	putUvarint(&buf, uint64(len(m.Proofs)))
 	for _, p := range m.Proofs {
-		putBytes(&buf, p)
+		size += prefixedLen(len(p))
 	}
-	return buf.Bytes()
+	out := appendBytes(binary.AppendUvarint(make([]byte, 0, size), m.Window), m.Root)
+	out = binary.AppendUvarint(out, uint64(len(m.TaskIDs)))
+	for _, id := range m.TaskIDs {
+		out = binary.AppendUvarint(out, id)
+	}
+	out = binary.AppendUvarint(out, uint64(len(m.Proofs)))
+	for _, p := range m.Proofs {
+		out = appendBytes(out, p)
+	}
+	return out
 }
 
+// decodeWindowCommit's Root and Proofs alias payload.
 func decodeWindowCommit(payload []byte) (windowCommitMsg, error) {
-	var m windowCommitMsg
-	r := bytes.NewReader(payload)
-	var err error
-	if m.Window, err = binary.ReadUvarint(r); err != nil {
-		return m, fmt.Errorf("%w: window number: %v", ErrBadPayload, err)
+	w := walker{buf: payload}
+	m := windowCommitMsg{Window: w.uvarint("window number"), Root: w.bytes("window root")}
+	if w.err == nil && (len(m.Root) == 0 || len(m.Root) > maxWindowRootLen) {
+		w.fail("window root of %d bytes", len(m.Root))
 	}
-	if m.Root, err = getBytes(r); err != nil {
-		return m, fmt.Errorf("%w: window root: %v", ErrBadPayload, err)
+	tasks := w.count("window tasks", maxWindowCommitTasks, 1)
+	if w.err == nil && tasks == 0 {
+		w.fail("window commit over no tasks")
 	}
-	if len(m.Root) == 0 || len(m.Root) > maxWindowRootLen {
-		return m, fmt.Errorf("%w: window root of %d bytes", ErrBadPayload, len(m.Root))
+	m.TaskIDs = make([]uint64, 0, tasks)
+	for i := 0; i < tasks && w.err == nil; i++ {
+		m.TaskIDs = append(m.TaskIDs, w.uvarint("window task"))
 	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: window task count: %v", ErrBadPayload, err)
-	}
-	if count == 0 || count > maxWindowCommitTasks {
-		return m, fmt.Errorf("%w: %d window tasks", ErrBadPayload, count)
-	}
-	m.TaskIDs = make([]uint64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		id, err := binary.ReadUvarint(r)
-		if err != nil {
-			return m, fmt.Errorf("%w: window task %d: %v", ErrBadPayload, i, err)
+	if proofs := w.count("window proofs", maxWindowCommitProofs, 1); proofs > 0 {
+		m.Proofs = make([][]byte, 0, proofs)
+		for i := 0; i < proofs && w.err == nil; i++ {
+			m.Proofs = append(m.Proofs, w.bytes("window proof"))
 		}
-		m.TaskIDs = append(m.TaskIDs, id)
 	}
-	proofs, err := binary.ReadUvarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: window proof count: %v", ErrBadPayload, err)
-	}
-	if proofs > maxWindowCommitProofs {
-		return m, fmt.Errorf("%w: %d window proofs", ErrBadPayload, proofs)
-	}
-	for i := uint64(0); i < proofs; i++ {
-		p, err := getBytes(r)
-		if err != nil {
-			return m, fmt.Errorf("%w: window proof %d: %v", ErrBadPayload, i, err)
-		}
-		m.Proofs = append(m.Proofs, p)
-	}
-	if r.Len() != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return m, nil
+	return m, w.done()
 }
 
 // checkpointMsg is the decoded msgCheckpoint payload: the sequence number
@@ -428,22 +486,13 @@ type checkpointMsg struct {
 }
 
 func encodeCheckpoint(m checkpointMsg) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, m.Seq)
-	return buf.Bytes()
+	return binary.AppendUvarint(make([]byte, 0, uvarintLen(m.Seq)), m.Seq)
 }
 
 func decodeCheckpoint(payload []byte) (checkpointMsg, error) {
-	var m checkpointMsg
-	r := bytes.NewReader(payload)
-	var err error
-	if m.Seq, err = binary.ReadUvarint(r); err != nil {
-		return m, fmt.Errorf("%w: checkpoint seq: %v", ErrBadPayload, err)
-	}
-	if r.Len() != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return m, nil
+	w := walker{buf: payload}
+	m := checkpointMsg{Seq: w.uvarint("checkpoint seq")}
+	return m, w.done()
 }
 
 // taggedMsg is one task-scoped protocol message inside a pipelined session:
@@ -457,10 +506,7 @@ type taggedMsg struct {
 
 // wireSize reports the encoded size of the tagged message inside a batch
 // frame — the unit of per-task byte accounting in pipelined sessions.
-func (t taggedMsg) wireSize() int64 {
-	return int64(uvarintLen(t.TaskID)) + 1 +
-		int64(uvarintLen(uint64(len(t.Payload)))) + int64(len(t.Payload))
-}
+func (t taggedMsg) wireSize() int64 { return int64(entrySize(t.TaskID, t.Payload)) }
 
 // maxBatchMsgs bounds the sub-message count of one batch frame.
 const maxBatchMsgs = 1 << 16
@@ -472,71 +518,52 @@ const maxBatchMsgs = 1 << 16
 // a peer protocol violation.
 const batchChecksumLen = 4
 
-// encodeBatch writes the frame in one exact-size allocation: wireSize is an
-// exact encoder-length oracle, so no bytes.Buffer growth, no checksum
-// placeholder, and no copy-out are needed. Batch encoding sits on the flush
-// hot path of every pipelined session.
+// encodeBatch writes the frame into a pooled frame buffer of exactly its
+// size (wireSize is an exact encoder-length oracle): on a pipe the buffer
+// the receiver recycles after decoding is the one the next flush draws.
+// Batch encoding sits on the flush hot path of every pipelined session.
 func encodeBatch(msgs []taggedMsg) []byte {
 	size := batchChecksumLen + uvarintLen(uint64(len(msgs)))
 	for _, m := range msgs {
 		size += int(m.wireSize())
 	}
-	out := make([]byte, size)
-	off := batchChecksumLen
-	off += binary.PutUvarint(out[off:], uint64(len(msgs)))
+	out := binary.AppendUvarint(transport.GetPayload(size)[:batchChecksumLen], uint64(len(msgs)))
 	for _, m := range msgs {
-		off += binary.PutUvarint(out[off:], m.TaskID)
-		out[off] = m.Type
-		off++
-		off += binary.PutUvarint(out[off:], uint64(len(m.Payload)))
-		off += copy(out[off:], m.Payload)
+		out = appendEntry(out, m.TaskID, m.Type, m.Payload)
 	}
 	binary.LittleEndian.PutUint32(out[:batchChecksumLen], crc32.ChecksumIEEE(out[batchChecksumLen:]))
 	return out
 }
 
-func decodeBatch(payload []byte) ([]taggedMsg, error) {
+// decodeBatch appends a batch frame's messages to dst, the scratch of the
+// connection's one reader. The sub-payloads are private copies (one carve
+// per frame), so the caller may recycle the frame buffer as soon as decode
+// returns.
+func decodeBatch(dst []taggedMsg, payload []byte) ([]taggedMsg, error) {
 	if len(payload) < batchChecksumLen {
-		return nil, fmt.Errorf("%w: batch frame of %d bytes", ErrFrameCorrupt, len(payload))
+		return dst, fmt.Errorf("%w: batch frame of %d bytes", ErrFrameCorrupt, len(payload))
 	}
 	want := binary.LittleEndian.Uint32(payload[:batchChecksumLen])
 	if got := crc32.ChecksumIEEE(payload[batchChecksumLen:]); got != want {
-		return nil, fmt.Errorf("%w: batch checksum %08x, want %08x", ErrFrameCorrupt, got, want)
+		return dst, fmt.Errorf("%w: batch checksum %08x, want %08x", ErrFrameCorrupt, got, want)
 	}
-	r := bytes.NewReader(payload[batchChecksumLen:])
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: batch count: %v", ErrBadPayload, err)
+	w := walker{buf: payload[batchChecksumLen:]}
+	count := w.count("batched messages", maxBatchMsgs, minEntryBytes)
+	base, total := len(dst), 0
+	for i := 0; i < count && w.err == nil; i++ {
+		var m taggedMsg
+		m.TaskID, m.Type, m.Payload = w.entry("batch message")
+		dst = append(dst, m)
+		total += len(m.Payload)
 	}
-	if count > maxBatchMsgs {
-		return nil, fmt.Errorf("%w: %d batched messages", ErrBadPayload, count)
+	if err := w.done(); err != nil {
+		return dst[:base], err
 	}
-	if count == 0 {
-		if r.Len() != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-		}
-		return nil, nil
+	own := make(carve, total)
+	for i := base; i < len(dst); i++ {
+		dst[i].Payload = own.copyOf(dst[i].Payload)
 	}
-	msgs := make([]taggedMsg, 0, count)
-	for i := uint64(0); i < count; i++ {
-		id, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch message %d task id: %v", ErrBadPayload, i, err)
-		}
-		typ, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch message %d type: %v", ErrBadPayload, i, err)
-		}
-		inner, err := getBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch message %d payload: %v", ErrBadPayload, i, err)
-		}
-		msgs = append(msgs, taggedMsg{TaskID: id, Type: typ, Payload: inner})
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return msgs, nil
+	return dst, nil
 }
 
 // assignment is the decoded msgAssign payload.
@@ -546,168 +573,134 @@ type assignment struct {
 	RingerImages [][]byte
 }
 
-func encodeAssignment(a assignment) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, a.Task.ID)
-	putUvarint(&buf, a.Task.Start)
-	putUvarint(&buf, a.Task.N)
-	putString(&buf, a.Task.Workload)
-	putUvarint(&buf, a.Task.Seed)
-	buf.WriteByte(byte(a.Spec.Kind))
-	putUvarint(&buf, uint64(a.Spec.M))
-	putUvarint(&buf, uint64(a.Spec.ChainIters))
-	putUvarint(&buf, uint64(a.Spec.SubtreeHeight))
-	putUvarint(&buf, uint64(a.Spec.WindowTasks))
-	putUvarint(&buf, uint64(a.Spec.WindowSamples))
-	putUvarint(&buf, uint64(len(a.RingerImages)))
+// maxRingerImages bounds an assignment's planted-image count.
+const maxRingerImages = 1 << 20
+
+func (a assignment) encodedSize() int {
+	size := uvarintLen(a.Task.ID) + uvarintLen(a.Task.Start) + uvarintLen(a.Task.N) +
+		prefixedLen(len(a.Task.Workload)) + uvarintLen(a.Task.Seed) + 1 +
+		uvarintLen(uint64(a.Spec.M)) + uvarintLen(uint64(a.Spec.ChainIters)) +
+		uvarintLen(uint64(a.Spec.SubtreeHeight)) + uvarintLen(uint64(a.Spec.WindowTasks)) +
+		uvarintLen(uint64(a.Spec.WindowSamples)) + uvarintLen(uint64(len(a.RingerImages)))
 	for _, img := range a.RingerImages {
-		putBytes(&buf, img)
+		size += prefixedLen(len(img))
 	}
-	return buf.Bytes()
+	return size
 }
 
+func appendAssignment(dst []byte, a assignment) []byte {
+	dst = binary.AppendUvarint(dst, a.Task.ID)
+	dst = binary.AppendUvarint(dst, a.Task.Start)
+	dst = binary.AppendUvarint(dst, a.Task.N)
+	dst = appendString(dst, a.Task.Workload)
+	dst = binary.AppendUvarint(dst, a.Task.Seed)
+	dst = append(dst, byte(a.Spec.Kind))
+	dst = binary.AppendUvarint(dst, uint64(a.Spec.M))
+	dst = binary.AppendUvarint(dst, uint64(a.Spec.ChainIters))
+	dst = binary.AppendUvarint(dst, uint64(a.Spec.SubtreeHeight))
+	dst = binary.AppendUvarint(dst, uint64(a.Spec.WindowTasks))
+	dst = binary.AppendUvarint(dst, uint64(a.Spec.WindowSamples))
+	dst = binary.AppendUvarint(dst, uint64(len(a.RingerImages)))
+	for _, img := range a.RingerImages {
+		dst = appendBytes(dst, img)
+	}
+	return dst
+}
+
+func encodeAssignment(a assignment) []byte {
+	return appendAssignment(make([]byte, 0, a.encodedSize()), a)
+}
+
+// workloadNames interns the registry's names, so an assignment naming a
+// registered workload decodes without allocating the name.
+var workloadNames = func() map[string]string {
+	names := make(map[string]string)
+	for _, name := range workload.Names() {
+		names[name] = name
+	}
+	return names
+}()
+
+// decodeAssignment's RingerImages alias payload.
 func decodeAssignment(payload []byte) (assignment, error) {
 	var a assignment
-	r := bytes.NewReader(payload)
-	var err error
-	if a.Task.ID, err = binary.ReadUvarint(r); err != nil {
-		return a, fmt.Errorf("%w: task id: %v", ErrBadPayload, err)
+	w := walker{buf: payload}
+	a.Task.ID = w.uvarint("task id")
+	a.Task.Start = w.uvarint("task start")
+	a.Task.N = w.uvarint("task n")
+	name := w.bytes("workload")
+	if known, ok := workloadNames[string(name)]; ok {
+		a.Task.Workload = known
+	} else {
+		a.Task.Workload = string(name)
 	}
-	if a.Task.Start, err = binary.ReadUvarint(r); err != nil {
-		return a, fmt.Errorf("%w: task start: %v", ErrBadPayload, err)
-	}
-	if a.Task.N, err = binary.ReadUvarint(r); err != nil {
-		return a, fmt.Errorf("%w: task n: %v", ErrBadPayload, err)
-	}
-	if a.Task.Workload, err = getString(r); err != nil {
-		return a, fmt.Errorf("%w: workload: %v", ErrBadPayload, err)
-	}
-	if a.Task.Seed, err = binary.ReadUvarint(r); err != nil {
-		return a, fmt.Errorf("%w: seed: %v", ErrBadPayload, err)
-	}
-	kind, err := r.ReadByte()
-	if err != nil {
-		return a, fmt.Errorf("%w: scheme kind: %v", ErrBadPayload, err)
-	}
-	a.Spec.Kind = SchemeKind(kind)
-	m, err := binary.ReadUvarint(r)
-	if err != nil {
-		return a, fmt.Errorf("%w: m: %v", ErrBadPayload, err)
-	}
-	a.Spec.M = int(m)
-	iters, err := binary.ReadUvarint(r)
-	if err != nil {
-		return a, fmt.Errorf("%w: chain iters: %v", ErrBadPayload, err)
-	}
-	a.Spec.ChainIters = int(iters)
-	ell, err := binary.ReadUvarint(r)
-	if err != nil {
-		return a, fmt.Errorf("%w: subtree height: %v", ErrBadPayload, err)
-	}
-	a.Spec.SubtreeHeight = int(ell)
-	wt, err := binary.ReadUvarint(r)
-	if err != nil {
-		return a, fmt.Errorf("%w: window tasks: %v", ErrBadPayload, err)
-	}
-	if wt > maxWindowCommitTasks {
-		return a, fmt.Errorf("%w: window of %d tasks", ErrBadPayload, wt)
+	a.Task.Seed = w.uvarint("seed")
+	a.Spec.Kind = SchemeKind(w.byte("scheme kind"))
+	a.Spec.M = int(w.uvarint("m"))
+	a.Spec.ChainIters = int(w.uvarint("chain iters"))
+	a.Spec.SubtreeHeight = int(w.uvarint("subtree height"))
+	wt := w.uvarint("window tasks")
+	if w.err == nil && wt > maxWindowCommitTasks {
+		w.fail("window of %d tasks", wt)
 	}
 	a.Spec.WindowTasks = int(wt)
-	ws, err := binary.ReadUvarint(r)
-	if err != nil {
-		return a, fmt.Errorf("%w: window samples: %v", ErrBadPayload, err)
-	}
-	if ws > maxWindowCommitProofs {
-		return a, fmt.Errorf("%w: %d window samples", ErrBadPayload, ws)
+	ws := w.uvarint("window samples")
+	if w.err == nil && ws > maxWindowCommitProofs {
+		w.fail("%d window samples", ws)
 	}
 	a.Spec.WindowSamples = int(ws)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return a, fmt.Errorf("%w: ringer count: %v", ErrBadPayload, err)
-	}
-	if count > 1<<20 {
-		return a, fmt.Errorf("%w: %d ringer images", ErrBadPayload, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		img, err := getBytes(r)
-		if err != nil {
-			return a, fmt.Errorf("%w: ringer image %d: %v", ErrBadPayload, i, err)
+	if images := w.count("ringer images", maxRingerImages, 1); images > 0 {
+		a.RingerImages = make([][]byte, 0, images)
+		for i := 0; i < images && w.err == nil; i++ {
+			a.RingerImages = append(a.RingerImages, w.bytes("ringer image"))
 		}
-		a.RingerImages = append(a.RingerImages, img)
 	}
-	if r.Len() != 0 {
-		return a, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return a, nil
+	return a, w.done()
 }
 
 func encodeReports(reports []Report) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(reports)))
+	size := uvarintLen(uint64(len(reports)))
 	for _, rep := range reports {
-		putUvarint(&buf, rep.X)
-		putString(&buf, rep.S)
+		size += uvarintLen(rep.X) + prefixedLen(len(rep.S))
 	}
-	return buf.Bytes()
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(reports)))
+	for _, rep := range reports {
+		out = appendString(binary.AppendUvarint(out, rep.X), rep.S)
+	}
+	return out
 }
 
 func decodeReports(payload []byte) ([]Report, error) {
-	r := bytes.NewReader(payload)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: report count: %v", ErrBadPayload, err)
-	}
-	if count > 1<<24 {
-		return nil, fmt.Errorf("%w: %d reports", ErrBadPayload, count)
-	}
+	w := walker{buf: payload}
+	count := w.count("reports", 1<<24, 2)
 	reports := make([]Report, 0, count)
-	for i := uint64(0); i < count; i++ {
-		x, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: report %d input: %v", ErrBadPayload, i, err)
-		}
-		s, err := getString(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: report %d string: %v", ErrBadPayload, i, err)
-		}
-		reports = append(reports, Report{X: x, S: s})
+	for i := 0; i < count && w.err == nil; i++ {
+		reports = append(reports, Report{X: w.uvarint("report input"), S: w.string("report string")})
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return reports, nil
+	return reports, w.done()
 }
 
 func encodeResults(results [][]byte) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(results)))
+	size := uvarintLen(uint64(len(results)))
 	for _, v := range results {
-		putBytes(&buf, v)
+		size += prefixedLen(len(v))
 	}
-	return buf.Bytes()
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(results)))
+	for _, v := range results {
+		out = appendBytes(out, v)
+	}
+	return out
 }
 
+// decodeResults returns views of payload, one table for n results.
 func decodeResults(payload []byte) ([][]byte, error) {
-	r := bytes.NewReader(payload)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: result count: %v", ErrBadPayload, err)
-	}
-	if count > maxTaskSize {
-		return nil, fmt.Errorf("%w: %d results", ErrBadPayload, count)
-	}
+	w := walker{buf: payload}
+	count := w.count("results", maxTaskSize, 1)
 	results := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, err := getBytes(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: result %d: %v", ErrBadPayload, i, err)
-		}
-		results = append(results, v)
+	for i := 0; i < count && w.err == nil; i++ {
+		results = append(results, w.bytes("result"))
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return results, nil
+	return results, w.done()
 }
 
 // uploadChunkBytes is both the threshold above which a full-result upload
@@ -732,39 +725,21 @@ type resultChunk struct {
 }
 
 func encodeChunk(c resultChunk) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, c.Seq)
-	if c.Final {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	putBytes(&buf, c.Data)
-	return buf.Bytes()
+	out := make([]byte, 0, uvarintLen(c.Seq)+1+prefixedLen(len(c.Data)))
+	return appendBytes(appendFlag(binary.AppendUvarint(out, c.Seq), c.Final), c.Data)
 }
 
+// decodeChunk's Data aliases payload.
 func decodeChunk(payload []byte) (resultChunk, error) {
-	var c resultChunk
-	r := bytes.NewReader(payload)
-	var err error
-	if c.Seq, err = binary.ReadUvarint(r); err != nil {
-		return c, fmt.Errorf("%w: chunk seq: %v", ErrBadPayload, err)
-	}
-	flag, err := r.ReadByte()
-	if err != nil {
-		return c, fmt.Errorf("%w: chunk final flag: %v", ErrBadPayload, err)
-	}
+	w := walker{buf: payload}
+	c := resultChunk{Seq: w.uvarint("chunk seq")}
+	flag := w.byte("chunk final flag")
 	if flag > 1 {
-		return c, fmt.Errorf("%w: chunk final flag %d", ErrBadPayload, flag)
+		w.fail("chunk final flag %d", flag)
 	}
 	c.Final = flag == 1
-	if c.Data, err = getBytes(r); err != nil {
-		return c, fmt.Errorf("%w: chunk data: %v", ErrBadPayload, err)
-	}
-	if r.Len() != 0 {
-		return c, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return c, nil
+	c.Data = w.bytes("chunk data")
+	return c, w.done()
 }
 
 // resumeMsg is the decoded msgResume payload: the original assignment plus
@@ -784,7 +759,7 @@ type resumeMsg struct {
 	Challenge []byte
 }
 
-// Flag bits of the resumeMsg wire encoding.
+// Flag bits of the resumeMsg wire encoding, in the order flags lists them.
 const (
 	resumeHaveCommit = 1 << iota
 	resumeHaveReports
@@ -794,175 +769,88 @@ const (
 	resumeHasChallenge
 )
 
-func encodeResume(m resumeMsg) []byte {
-	var buf bytes.Buffer
-	putBytes(&buf, encodeAssignment(m.Assignment))
+func (m resumeMsg) flags() byte {
 	var flags byte
-	if m.HaveCommit {
-		flags |= resumeHaveCommit
+	for bit, set := range [...]bool{m.HaveCommit, m.HaveReports, m.HaveProofs, m.HaveHits, m.ResultsDone, m.Challenge != nil} {
+		if set {
+			flags |= 1 << bit
+		}
 	}
-	if m.HaveReports {
-		flags |= resumeHaveReports
-	}
-	if m.HaveProofs {
-		flags |= resumeHaveProofs
-	}
-	if m.HaveHits {
-		flags |= resumeHaveHits
-	}
-	if m.ResultsDone {
-		flags |= resumeResultsDone
-	}
-	if m.Challenge != nil {
-		flags |= resumeHasChallenge
-	}
-	buf.WriteByte(flags)
-	putUvarint(&buf, m.Chunks)
-	if m.Challenge != nil {
-		putBytes(&buf, m.Challenge)
-	}
-	return buf.Bytes()
+	return flags
 }
 
+func encodeResume(m resumeMsg) []byte {
+	inner := m.Assignment.encodedSize()
+	size := prefixedLen(inner) + 1 + uvarintLen(m.Chunks)
+	if m.Challenge != nil {
+		size += prefixedLen(len(m.Challenge))
+	}
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(inner))
+	out = append(appendAssignment(out, m.Assignment), m.flags())
+	out = binary.AppendUvarint(out, m.Chunks)
+	if m.Challenge != nil {
+		out = appendBytes(out, m.Challenge)
+	}
+	return out
+}
+
+// decodeResume's Challenge and ringer images alias payload.
 func decodeResume(payload []byte) (resumeMsg, error) {
 	var m resumeMsg
-	r := bytes.NewReader(payload)
-	assignRaw, err := getBytes(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: resume assignment: %v", ErrBadPayload, err)
+	w := walker{buf: payload}
+	inner := w.bytes("resume assignment")
+	if w.err != nil {
+		return m, w.err
 	}
-	if m.Assignment, err = decodeAssignment(assignRaw); err != nil {
+	var err error
+	if m.Assignment, err = decodeAssignment(inner); err != nil {
 		return m, err
 	}
-	flags, err := r.ReadByte()
-	if err != nil {
-		return m, fmt.Errorf("%w: resume flags: %v", ErrBadPayload, err)
-	}
+	flags := w.byte("resume flags")
 	if flags >= resumeHasChallenge<<1 {
-		return m, fmt.Errorf("%w: resume flags %#x", ErrBadPayload, flags)
+		w.fail("resume flags %#x", flags)
 	}
 	m.HaveCommit = flags&resumeHaveCommit != 0
 	m.HaveReports = flags&resumeHaveReports != 0
 	m.HaveProofs = flags&resumeHaveProofs != 0
 	m.HaveHits = flags&resumeHaveHits != 0
 	m.ResultsDone = flags&resumeResultsDone != 0
-	if m.Chunks, err = binary.ReadUvarint(r); err != nil {
-		return m, fmt.Errorf("%w: resume chunk count: %v", ErrBadPayload, err)
-	}
+	m.Chunks = w.uvarint("resume chunk count")
 	if flags&resumeHasChallenge != 0 {
-		if m.Challenge, err = getBytes(r); err != nil {
-			return m, fmt.Errorf("%w: resume challenge: %v", ErrBadPayload, err)
-		}
+		m.Challenge = w.bytes("resume challenge")
 	}
-	if r.Len() != 0 {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return m, nil
+	return m, w.done()
 }
 
 func encodeIndices(indices []uint64) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(indices)))
+	size := uvarintLen(uint64(len(indices)))
 	for _, idx := range indices {
-		putUvarint(&buf, idx)
+		size += uvarintLen(idx)
 	}
-	return buf.Bytes()
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(indices)))
+	for _, idx := range indices {
+		out = binary.AppendUvarint(out, idx)
+	}
+	return out
 }
 
 func decodeIndices(payload []byte) ([]uint64, error) {
-	r := bytes.NewReader(payload)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: index count: %v", ErrBadPayload, err)
-	}
-	if count > maxTaskSize {
-		return nil, fmt.Errorf("%w: %d indices", ErrBadPayload, count)
-	}
+	w := walker{buf: payload}
+	count := w.count("indices", maxTaskSize, 1)
 	indices := make([]uint64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		idx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: index %d: %v", ErrBadPayload, i, err)
-		}
-		indices = append(indices, idx)
+	for i := 0; i < count && w.err == nil; i++ {
+		indices = append(indices, w.uvarint("index"))
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return indices, nil
+	return indices, w.done()
 }
 
 func encodeVerdict(v Verdict) []byte {
-	var buf bytes.Buffer
-	if v.Accepted {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	putString(&buf, v.Reason)
-	return buf.Bytes()
+	out := make([]byte, 0, 1+prefixedLen(len(v.Reason)))
+	return appendString(appendFlag(out, v.Accepted), v.Reason)
 }
 
 func decodeVerdict(payload []byte) (Verdict, error) {
-	r := bytes.NewReader(payload)
-	flag, err := r.ReadByte()
-	if err != nil {
-		return Verdict{}, fmt.Errorf("%w: verdict flag: %v", ErrBadPayload, err)
-	}
-	reason, err := getString(r)
-	if err != nil {
-		return Verdict{}, fmt.Errorf("%w: verdict reason: %v", ErrBadPayload, err)
-	}
-	if r.Len() != 0 {
-		return Verdict{}, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
-	}
-	return Verdict{Accepted: flag == 1, Reason: reason}, nil
-}
-
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func putBytes(buf *bytes.Buffer, b []byte) {
-	putUvarint(buf, uint64(len(b)))
-	buf.Write(b)
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func getBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("declared %d bytes, %d remain", n, r.Len())
-	}
-	out := make([]byte, n)
-	// io.ReadFull, unlike a single Read call, loops over short reads and is
-	// a no-op for zero-length fields, so this stays correct for any
-	// io.Reader-backed source, not just bytes.Reader.
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// uvarintLen reports how many bytes v occupies in uvarint encoding.
-func uvarintLen(v uint64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], v)
-}
-
-func getString(r *bytes.Reader) (string, error) {
-	b, err := getBytes(r)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	w := walker{buf: payload}
+	v := Verdict{Accepted: w.byte("verdict flag") == 1, Reason: w.string("verdict reason")}
+	return v, w.done()
 }

@@ -1,14 +1,55 @@
 package grid
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
 
 // The wire decoders face attacker-controlled bytes: a malicious participant
-// can send anything inside a frame. These native fuzz targets assert the
-// decoders never panic and that whatever decodes successfully survives an
-// encode∘decode round trip unchanged.
+// can send anything inside a frame. Every native fuzz target below is a
+// differential: the slice-walking decoder in wire.go against the
+// bytes.Reader decoder it replaced (wire_reference_test.go) — same
+// accept/reject, same decoded value, same sentinel — and, for whatever
+// decodes, an encode∘decode round trip that must change nothing.
+
+// fuzzDecoder registers the differential for one decoder. valid, when
+// non-nil, asserts what no accepted value may violate.
+func fuzzDecoder[T any](f *testing.F, decode, ref func([]byte) (T, error), encode func(T) []byte, valid func(*testing.T, T)) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, err := decode(payload)
+		want, refErr := ref(payload)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder returned %v, reference %v", err, refErr)
+		}
+		if err != nil {
+			for _, sentinel := range []error{ErrBadPayload, ErrFrameCorrupt} {
+				if errors.Is(err, sentinel) != errors.Is(refErr, sentinel) {
+					t.Fatalf("decoder failed with %v, reference with %v: different sentinels", err, refErr)
+				}
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoder and reference disagree: %+v != %+v", got, want)
+		}
+		if valid != nil {
+			valid(t, got)
+		}
+		again, err := decode(encode(got))
+		if err != nil {
+			t.Fatalf("re-decode of the re-encoded value failed: %v", err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("round trip changed the value: %+v != %+v", got, again)
+		}
+	})
+}
+
+// decodeBatchFresh and decodeRoutedFresh decode into no scratch, the shape
+// the differential compares.
+func decodeBatchFresh(payload []byte) ([]taggedMsg, error)    { return decodeBatch(nil, payload) }
+func decodeRoutedFresh(payload []byte) ([]routedEntry, error) { return decodeRouted(nil, payload) }
 
 func fuzzAssignmentSeeds(f *testing.F) {
 	f.Add(encodeAssignment(assignment{
@@ -30,38 +71,14 @@ func fuzzAssignmentSeeds(f *testing.F) {
 
 func FuzzDecodeAssignment(f *testing.F) {
 	fuzzAssignmentSeeds(f)
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		a, err := decodeAssignment(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeAssignment(encodeAssignment(a))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded assignment failed: %v", err)
-		}
-		if !reflect.DeepEqual(a, again) {
-			t.Fatalf("round trip changed assignment: %+v != %+v", a, again)
-		}
-	})
+	fuzzDecoder(f, decodeAssignment, refDecodeAssignment, encodeAssignment, nil)
 }
 
 func FuzzDecodeReports(f *testing.F) {
 	f.Add(encodeReports(nil))
 	f.Add(encodeReports([]Report{{X: 7, S: "hit"}, {X: 0, S: ""}}))
 	f.Add([]byte{0x01})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		reports, err := decodeReports(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeReports(encodeReports(reports))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded reports failed: %v", err)
-		}
-		if !reflect.DeepEqual(reports, again) {
-			t.Fatalf("round trip changed reports: %+v != %+v", reports, again)
-		}
-	})
+	fuzzDecoder(f, decodeReports, refDecodeReports, encodeReports, nil)
 }
 
 func FuzzDecodeChunk(f *testing.F) {
@@ -69,19 +86,7 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(encodeChunk(resultChunk{Seq: 17, Final: true, Data: nil}))
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x03, 0x02, 0xff})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		c, err := decodeChunk(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeChunk(encodeChunk(c))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded chunk failed: %v", err)
-		}
-		if c.Seq != again.Seq || c.Final != again.Final || !reflect.DeepEqual(c.Data, again.Data) {
-			t.Fatalf("round trip changed chunk: %+v != %+v", c, again)
-		}
-	})
+	fuzzDecoder(f, decodeChunk, refDecodeChunk, encodeChunk, nil)
 }
 
 func FuzzDecodeResume(f *testing.F) {
@@ -112,19 +117,7 @@ func FuzzDecodeResume(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0xff})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeResume(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeResume(encodeResume(m))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded resume failed: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("round trip changed resume: %+v != %+v", m, again)
-		}
-	})
+	fuzzDecoder(f, decodeResume, refDecodeResume, encodeResume, nil)
 }
 
 // FuzzDecodeVerdict covers the ruling decoder the participant applies to
@@ -136,19 +129,7 @@ func FuzzDecodeVerdict(f *testing.F) {
 	f.Add(encodeVerdict(Verdict{Reason: "disagrees with replica majority"}))
 	f.Add([]byte{0x02})
 	f.Add([]byte{0x01, 0x05, 'a'})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		v, err := decodeVerdict(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeVerdict(encodeVerdict(v))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded verdict failed: %v", err)
-		}
-		if v != again {
-			t.Fatalf("round trip changed verdict: %+v != %+v", v, again)
-		}
-	})
+	fuzzDecoder(f, decodeVerdict, refDecodeVerdict, encodeVerdict, nil)
 }
 
 // FuzzDecodeResults covers the full-upload decoder the replica comparison
@@ -158,19 +139,7 @@ func FuzzDecodeResults(f *testing.F) {
 	f.Add(encodeResults([][]byte{{1, 2}, {}, {3}}))
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		results, err := decodeResults(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeResults(encodeResults(results))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded results failed: %v", err)
-		}
-		if len(results) != len(again) || (len(results) > 0 && !reflect.DeepEqual(results, again)) {
-			t.Fatalf("round trip changed results: %+v != %+v", results, again)
-		}
-	})
+	fuzzDecoder(f, decodeResults, refDecodeResults, encodeResults, nil)
 }
 
 // FuzzDecodeHello covers the broker hub's identity handshake — the one
@@ -187,20 +156,9 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add([]byte{0x03, 0x01, 'x'})
 	f.Add([]byte{0x02, 0xff, 0xff, 0x7f})
 	f.Add([]byte{0x05, 0x01, 'w'})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeHello(payload)
-		if err != nil {
-			return
-		}
+	fuzzDecoder(f, decodeHello, refDecodeHello, encodeHello, func(t *testing.T, m helloMsg) {
 		if m.Worker == "" || len(m.Worker) > maxWorkerNameLen || m.Role == helloRoleRetired {
 			t.Fatalf("decode accepted an invalid hello: %+v", m)
-		}
-		again, err := decodeHello(encodeHello(m))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded hello failed: %v", err)
-		}
-		if m != again {
-			t.Fatalf("round trip changed hello: %+v != %+v", m, again)
 		}
 	})
 }
@@ -220,19 +178,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}),
 	}}))
 	f.Add([]byte{0x02, 0x00})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		msgs, err := decodeBatch(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeBatch(encodeBatch(msgs))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded batch failed: %v", err)
-		}
-		if len(msgs) != len(again) || (len(msgs) > 0 && !reflect.DeepEqual(msgs, again)) {
-			t.Fatalf("round trip changed batch: %+v != %+v", msgs, again)
-		}
-	})
+	fuzzDecoder(f, decodeBatchFresh, refDecodeBatch, encodeBatch, nil)
 }
 
 // FuzzDecodeRouted covers the multiplexed-link envelope both the hub and
@@ -248,53 +194,28 @@ func FuzzDecodeRouted(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x01, 0x00, 0x07, 0xff, 0xff, 0xff, 0x0f})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		entries, err := decodeRouted(payload)
-		if err != nil {
-			return
-		}
+	fuzzDecoder(f, decodeRoutedFresh, refDecodeRouted, encodeRouted, func(t *testing.T, entries []routedEntry) {
 		if len(entries) == 0 {
 			t.Fatal("decode accepted an empty envelope")
-		}
-		again, err := decodeRouted(encodeRouted(entries))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded envelope failed: %v", err)
-		}
-		if !reflect.DeepEqual(entries, again) {
-			t.Fatalf("round trip changed envelope: %+v != %+v", entries, again)
 		}
 	})
 }
 
 // FuzzDecodeCredit covers the flow-control grant both muxed-link endpoints
 // decode: hub→supervisor for toWorker credit and supervisor→hub for toSup
-// credit, each carrying the granter's advertised adaptive window.
+// credit.
 func FuzzDecodeCredit(f *testing.F) {
-	f.Add(encodeCredit(creditMsg{Route: 0, Bytes: 1, Window: 1}))
-	f.Add(encodeCredit(creditMsg{Route: 999, Bytes: 256 << 10, Window: 256 << 10}))
-	f.Add(encodeCredit(creditMsg{Route: 3, Bytes: 32 << 10, Window: maxCreditGrant}))
+	f.Add(encodeCredit(creditMsg{Route: 0, Bytes: 1}))
+	f.Add(encodeCredit(creditMsg{Route: 999, Bytes: 256 << 10}))
+	f.Add(encodeCredit(creditMsg{Route: 3, Bytes: maxCreditGrant}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x00, 0x01})
 	f.Add([]byte{0x00, 0x01, 0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeCredit(payload)
-		if err != nil {
-			return
-		}
+	fuzzDecoder(f, decodeCredit, refDecodeCredit, encodeCredit, func(t *testing.T, m creditMsg) {
 		if m.Bytes == 0 || m.Bytes > maxCreditGrant {
 			t.Fatalf("decode accepted an out-of-range grant: %+v", m)
-		}
-		if m.Window == 0 || m.Window > maxCreditGrant {
-			t.Fatalf("decode accepted an out-of-range window: %+v", m)
-		}
-		again, err := decodeCredit(encodeCredit(m))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded credit failed: %v", err)
-		}
-		if m != again {
-			t.Fatalf("round trip changed credit: %+v != %+v", m, again)
 		}
 	})
 }
@@ -317,23 +238,12 @@ func FuzzDecodeWindowCommit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeWindowCommit(payload)
-		if err != nil {
-			return
-		}
+	fuzzDecoder(f, decodeWindowCommit, refDecodeWindowCommit, encodeWindowCommit, func(t *testing.T, m windowCommitMsg) {
 		if len(m.Root) == 0 || len(m.Root) > maxWindowRootLen {
 			t.Fatalf("decode accepted an out-of-range root: %d bytes", len(m.Root))
 		}
 		if len(m.TaskIDs) == 0 || len(m.TaskIDs) > maxWindowCommitTasks {
 			t.Fatalf("decode accepted an out-of-range task count: %d", len(m.TaskIDs))
-		}
-		again, err := decodeWindowCommit(encodeWindowCommit(m))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded window commit failed: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("round trip changed window commit: %+v != %+v", m, again)
 		}
 	})
 }
@@ -346,19 +256,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encodeCheckpoint(checkpointMsg{Seq: 1 << 40}))
 	f.Add([]byte{})
 	f.Add([]byte{0x07, 0x07})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := decodeCheckpoint(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeCheckpoint(encodeCheckpoint(m))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded checkpoint failed: %v", err)
-		}
-		if m != again {
-			t.Fatalf("round trip changed checkpoint: %+v != %+v", m, again)
-		}
-	})
+	fuzzDecoder(f, decodeCheckpoint, refDecodeCheckpoint, encodeCheckpoint, nil)
 }
 
 func FuzzDecodeIndices(f *testing.F) {
@@ -367,17 +265,5 @@ func FuzzDecodeIndices(f *testing.F) {
 	f.Add(encodeIndices([]uint64{42}))
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		indices, err := decodeIndices(payload)
-		if err != nil {
-			return
-		}
-		again, err := decodeIndices(encodeIndices(indices))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded indices failed: %v", err)
-		}
-		if len(indices) != len(again) || (len(indices) > 0 && !reflect.DeepEqual(indices, again)) {
-			t.Fatalf("round trip changed indices: %+v != %+v", indices, again)
-		}
-	})
+	fuzzDecoder(f, decodeIndices, refDecodeIndices, encodeIndices, nil)
 }

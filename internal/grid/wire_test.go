@@ -1,11 +1,19 @@
 package grid
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
+
+	"uncheatgrid/internal/core"
+	"uncheatgrid/internal/merkle"
+	"uncheatgrid/internal/transport"
 )
 
 // TestWireDecoderManifestTotal pins the manifest's totality at runtime too:
@@ -91,9 +99,9 @@ func wireCorpusSeeds() map[string][][]byte {
 			{0x01, 0x00, 0x07, 0xff, 0xff, 0xff, 0x0f},
 		},
 		"FuzzDecodeCredit": {
-			encodeCredit(creditMsg{Route: 0, Bytes: 1, Window: 1}),
-			encodeCredit(creditMsg{Route: 999, Bytes: 256 << 10, Window: 256 << 10}),
-			encodeCredit(creditMsg{Route: 3, Bytes: 32 << 10, Window: maxCreditGrant}),
+			encodeCredit(creditMsg{Route: 0, Bytes: 1}),
+			encodeCredit(creditMsg{Route: 999, Bytes: 256 << 10}),
+			encodeCredit(creditMsg{Route: 3, Bytes: maxCreditGrant}),
 			{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00},
 			{0x00, 0x01, 0x00},
 		},
@@ -177,5 +185,140 @@ func TestSeedCorpusCommitted(t *testing.T) {
 				t.Errorf("%s: %s is stale; regenerate with GRIDCORPUS_WRITE=1 go test -run TestWriteSeedCorpus", target, name)
 			}
 		}
+	}
+}
+
+// TestGridCodecGoldenBytes holds "every encoding stays byte-identical" to
+// bytes: one fixed value per encoder, the expected encodings recorded from
+// the build before wire.go's encoders became append forms (its bytes.Buffer
+// encoders wrote them). The one deliberate difference is msgCredit, whose
+// third field — the advertised window nobody read — left the wire: the
+// parent wrote e707808010 followed by 808002. Every encoder but the two
+// that draw a pooled frame buffer must also size its output exactly.
+func TestGridCodecGoldenBytes(t *testing.T) {
+	a := assignment{
+		Task:         Task{ID: 300, Start: 1 << 33, N: 4096, Workload: "synthetic", Seed: 77},
+		Spec:         SchemeSpec{Kind: SchemeRinger, M: 33, ChainIters: 2, SubtreeHeight: 3, WindowTasks: 8, WindowSamples: 2},
+		RingerImages: [][]byte{{0xde, 0xad, 0xbe, 0xef}, {}, {0x01}},
+	}
+	for _, g := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"hello worker", encodeHello(helloMsg{Role: helloRoleWorker, Worker: "participant-7"}), "010d7061727469636970616e742d37"},
+		{"hello open", encodeHello(helloMsg{Role: helloRoleOpen, Worker: "participant-7", Route: 41}), "040d7061727469636970616e742d3729"},
+		{"routed", encodeRouted([]routedEntry{
+			{Route: 3, Type: msgBatch, Payload: []byte{0xaa, 0xbb, 0xcc}},
+			{Route: 1 << 33, Type: msgVerdict, Payload: nil},
+		}), "02030903aabbcc80808080200800"},
+		{"window commit", encodeWindowCommit(windowCommitMsg{
+			Window:  41,
+			Root:    []byte{0xaa, 0xbb, 0xcc, 0xdd},
+			TaskIDs: []uint64{328, 329, 1 << 40},
+			Proofs:  [][]byte{{0x01, 0x02}, nil},
+		}), "2904aabbccdd03c802c9028080808080200202010200"},
+		{"checkpoint", encodeCheckpoint(checkpointMsg{Seq: 1 << 40}), "808080808020"},
+		{"batch", encodeBatch([]taggedMsg{
+			{TaskID: 1, Type: msgCommit, Payload: []byte{1, 2, 3}},
+			{TaskID: ctrlTaskID, Type: msgCheckpointAck, Payload: nil},
+			{TaskID: 130, Type: msgReports, Payload: []byte{0}},
+		}), "5a63c21103010203010203ffffffffffffffffff0112008201050100"},
+		{"empty batch", encodeBatch(nil), "8def02d200"},
+		{"assignment", encodeAssignment(a), "ac02808080802080200973796e7468657469634d0521020308020304deadbeef000101"},
+		{"reports", encodeReports([]Report{{X: 7, S: "hit"}, {X: 1 << 50, S: ""}}), "020703686974808080808080800200"},
+		{"results", encodeResults([][]byte{{1, 2}, {}, {3}}), "03020102000103"},
+		{"chunk", encodeChunk(resultChunk{Seq: 17, Final: true, Data: []byte{9, 8, 7}}), "110103090807"},
+		{"resume", encodeResume(resumeMsg{
+			Assignment: a, HaveCommit: true, HaveHits: true, ResultsDone: true, Chunks: 5, Challenge: []byte{1, 2, 3, 4},
+		}), "23ac02808080802080200973796e7468657469634d0521020308020304deadbeef00010139050401020304"},
+		{"resume without challenge", encodeResume(resumeMsg{Assignment: assignment{Task: Task{ID: 1, N: 8, Workload: "password"}, Spec: SchemeSpec{Kind: SchemeCBS, M: 4}}, HaveReports: true, HaveProofs: true}), "140100080870617373776f726400010400000000000600"},
+		{"indices", encodeIndices([]uint64{0, 1, 1<<63 - 1}), "030001ffffffffffffffff7f"},
+		{"verdict accepted", encodeVerdict(Verdict{Accepted: true}), "0100"},
+		{"verdict rejected", encodeVerdict(Verdict{Reason: "disagrees with replica majority"}), "001f6469736167726565732077697468207265706c696361206d616a6f72697479"},
+		{"credit", encodeCredit(creditMsg{Route: 999, Bytes: 256 << 10}), "e707808010"},
+	} {
+		if hex.EncodeToString(g.got) != g.want {
+			t.Errorf("%s encodes as %x, the parent wrote %s", g.name, g.got, g.want)
+		}
+		pooled := g.name == "routed" || strings.HasSuffix(g.name, "batch")
+		if !pooled && cap(g.got) != len(g.got) {
+			t.Errorf("%s: %d-byte encoding in a %d-byte buffer, want an exact size", g.name, len(g.got), cap(g.got))
+		}
+	}
+}
+
+// TestDecodedPayloadsSurviveFrameReuse is the guard for the carving scheme
+// (transport/pool.go): what decodeBatch and decodeRouted hand out — and a
+// MultiProof aliased from it, as ingestProofs does — must not point into the
+// frame, because the frame buffer is recycled the moment decode returns and
+// the next encode on the connection writes over it.
+func TestDecodedPayloadsSurviveFrameReuse(t *testing.T) {
+	prover, err := core.NewProver(64, func(i uint64) []byte { return []byte{byte(i), byte(i >> 8), 7, 7} })
+	if err != nil {
+		t.Fatalf("NewProver: %v", err)
+	}
+	resp, err := prover.Respond([]uint64{3, 17, 17, 40})
+	if err != nil {
+		t.Fatalf("Respond: %v", err)
+	}
+	respBytes, err := resp.MarshalBinary()
+	if err != nil {
+		t.Fatalf("marshal response: %v", err)
+	}
+	sent := [][]byte{respBytes, {1, 2, 3}, nil}
+
+	frame := encodeBatch([]taggedMsg{
+		{TaskID: 1, Type: msgProofs, Payload: sent[0]},
+		{TaskID: 2, Type: msgCommit, Payload: sent[1]},
+		{TaskID: 3, Type: msgVerdictAck, Payload: sent[2]},
+	})
+	scratch, err := decodeBatch(nil, frame)
+	if err != nil {
+		t.Fatalf("decodeBatch: %v", err)
+	}
+	first := slices.Clone(scratch) // the inboxes' copies of the message headers
+	var proof merkle.MultiProof
+	if err := proof.UnmarshalAliased(first[0].Payload); err != nil {
+		t.Fatalf("UnmarshalAliased: %v", err)
+	}
+
+	envelope := encodeRouted([]routedEntry{{Route: 5, Type: msgBatch, Payload: frame}, {Route: 6, Type: msgVerdict, Payload: []byte{1, 0}}})
+	entries, err := decodeRouted(nil, envelope)
+	if err != nil {
+		t.Fatalf("decodeRouted: %v", err)
+	}
+	inner := bytes.Clone(frame)
+
+	// The receiver is done with both buffers: scribble over them, recycle
+	// them, and let the next frames of the same sizes draw them again.
+	for _, buf := range [][]byte{frame, envelope} {
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		transport.RecyclePayload(buf)
+	}
+	next := encodeBatch([]taggedMsg{
+		{TaskID: 4, Type: msgProofs, Payload: bytes.Repeat([]byte{0xee}, len(sent[0]))},
+		{TaskID: 5, Type: msgCommit, Payload: []byte{9, 9, 9}},
+		{TaskID: 6, Type: msgVerdictAck},
+	})
+	if scratch, err = decodeBatch(scratch[:0], next); err != nil || len(scratch) != 3 {
+		t.Fatalf("second decodeBatch: %d messages, %v", len(scratch), err)
+	}
+
+	for i, m := range first {
+		if !bytes.Equal(m.Payload, sent[i]) {
+			t.Errorf("message %d of the first batch changed under frame reuse: %x, sent %x", i, m.Payload, sent[i])
+		}
+	}
+	if again, err := proof.MarshalBinary(); err != nil || !bytes.Equal(again, respBytes) {
+		t.Errorf("the aliased multiproof changed under frame reuse (%v)", err)
+	}
+	if err := merkle.NewProofVerifier().VerifyMulti(prover.Commitment().Root, &proof); err != nil {
+		t.Errorf("the aliased multiproof no longer verifies: %v", err)
+	}
+	if !bytes.Equal(entries[0].Payload, inner) || !bytes.Equal(entries[1].Payload, []byte{1, 0}) {
+		t.Error("routed entries changed under envelope reuse")
 	}
 }

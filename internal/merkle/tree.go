@@ -80,21 +80,29 @@ type options struct {
 }
 
 // Option customizes tree construction and proof verification. The same
-// options must be used on both sides of the protocol.
+// options must be used on both sides of the protocol. Options map an
+// options value to an options value, so the one a constructor builds never
+// escapes to the heap.
 type Option interface {
-	apply(*options)
+	apply(options) options
 }
 
 type hasherOption struct{ h Hasher }
 
-func (o hasherOption) apply(opts *options) { opts.hasher = o.h }
+func (o hasherOption) apply(opts options) options {
+	opts.hasher = o.h
+	return opts
+}
 
 // WithHasher selects the one-way hash function for internal nodes.
 func WithHasher(h Hasher) Option { return hasherOption{h: h} }
 
 type parallelismOption struct{ p int }
 
-func (o parallelismOption) apply(opts *options) { opts.parallelism = o.p }
+func (o parallelismOption) apply(opts options) options {
+	opts.parallelism = o.p
+	return opts
+}
 
 // WithParallelism shards leaf evaluation and subtree hashing during Build
 // and BuildFunc across a worker pool of up to p goroutines. The resulting
@@ -120,9 +128,10 @@ func WithParallelism(p int) Option { return parallelismOption{p: p} }
 
 type windowTrackingOption struct{ w, keep int }
 
-func (o windowTrackingOption) apply(opts *options) {
+func (o windowTrackingOption) apply(opts options) options {
 	opts.window = o.w
 	opts.windowKeep = o.keep
+	return opts
 }
 
 // WithWindowTracking makes a StreamBuilder additionally maintain standalone
@@ -135,7 +144,7 @@ func WithWindowTracking(w, keep int) Option { return windowTrackingOption{w: w, 
 func buildOptions(opts []Option) options {
 	var o options // a nil hasher selects the default, SHA-256
 	for _, opt := range opts {
-		opt.apply(&o)
+		o = opt.apply(o)
 	}
 	return o
 }

@@ -2,25 +2,39 @@ package transport
 
 import "sync"
 
-// payloadPool recycles receive-side payload buffers. Every framed receive
-// used to allocate its payload; under pipelined sessions that is one
-// frame-sized allocation per batch, and batches arrive continuously. The
-// pool closes the loop: the grid layer hands the buffer back once a frame
-// has been fully decoded (decoders copy every sub-payload out, so the outer
-// buffer is dead the moment decoding returns).
+// payloadPool recycles frame payload buffers. A frame's buffer is drawn with
+// GetPayload — by the TCP receive path for an arriving frame, by the grid
+// layer's batch and envelope encoders for a departing one — and handed back
+// with RecyclePayload by whoever decoded the frame. On a pipe the buffer a
+// sender encoded into is the one its receiver recycles, so the loop closes
+// across the link; over TCP each endpoint's receive buffers circulate and a
+// sender's frame is garbage once written, one allocation per frame.
+//
+// Ownership rule, stated once for every layer above: a frame buffer belongs
+// to its receiver, and recycling it asserts that nothing reachable still
+// points into it. The grid layer's frame decoders (decodeBatch,
+// decodeRouted) make that true by copying a frame's sub-payloads into one
+// private allocation per frame before the frame is recycled; every decoder
+// of a message inside (assignments, uploads, window commits, the multiproof
+// of a CBS response) then aliases that private copy freely, and the copy is
+// never recycled. A frame that is forwarded onward (the broker relays the
+// buffer it received) or whose payload a decoder retains must NOT be
+// recycled. Recycling is a pure optimization: buffers that never come back
+// are collected as usual, and byte accounting is untouched because counters
+// are credited before any recycle point.
 var payloadPool sync.Pool
 
 // boxPool recycles the *[]byte boxes payloadPool stores its buffers in
 // (sync.Pool wants pointer-shaped values), so handing a buffer back costs no
-// allocation: getPayload returns the emptied box here and RecyclePayload
+// allocation: GetPayload returns the emptied box here and RecyclePayload
 // takes one out.
 var boxPool sync.Pool
 
-// getPayload returns a length-n buffer for an incoming frame payload,
-// reusing a recycled buffer when its capacity suffices. A pooled buffer that
-// is too small for this frame is dropped for the GC instead of re-pooled, so
-// a stream of growing frames cannot churn the pool.
-func getPayload(n int) []byte {
+// GetPayload returns a length-n buffer for a frame payload, reusing a
+// recycled buffer when its capacity suffices; the contents are unspecified.
+// A pooled buffer that is too small for this frame is dropped for the GC
+// instead of re-pooled, so a stream of growing frames cannot churn the pool.
+func GetPayload(n int) []byte {
 	if v := payloadPool.Get(); v != nil {
 		box := v.(*[]byte)
 		buf := *box
@@ -33,17 +47,8 @@ func getPayload(n int) []byte {
 	return make([]byte, n)
 }
 
-// RecyclePayload returns a received frame's payload buffer to the pool.
-//
-// Ownership rule: the caller asserts that no reference into the buffer
-// escapes — neither retained by the caller nor reachable through anything
-// decoded from it. In this codebase that holds exactly at the batch-decode
-// hand-off (decodeBatch copies all sub-payloads), and must NOT be applied to
-// frames that are forwarded onward (the broker relays the original buffer)
-// or whose payload is retained by a decoder. Recycling is a pure
-// optimization: buffers that never come back are collected as usual, and
-// byte accounting is untouched because counters are credited before any
-// recycle point.
+// RecyclePayload returns a received frame's payload buffer to the pool; see
+// payloadPool for when that is allowed.
 func RecyclePayload(p []byte) {
 	if cap(p) == 0 {
 		return

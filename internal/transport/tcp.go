@@ -138,7 +138,7 @@ func (c *tcpConn) Recv() (Message, error) {
 	if err := checkFrameSize(length); err != nil {
 		return Message{}, err
 	}
-	payload := getPayload(length)
+	payload := GetPayload(length)
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		RecyclePayload(payload)
 		return Message{}, normalizeNetErr(drainEOF(err))
