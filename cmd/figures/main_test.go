@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"uncheatgrid/internal/analysis"
 )
 
 // TestCommRowMatchesModels pins the comm figure's n=2^12, m=50 row against
@@ -84,5 +88,44 @@ func TestSchemesRowsShape(t *testing.T) {
 				t.Errorf("%s moved %d supervisor bytes, %s %d: want fewer", light, bytesOf[light], heavy, bytesOf[heavy])
 			}
 		}
+	}
+}
+
+// TestEq2RowsInsideBinomialBand pins the detection guarantee as the figure
+// prints it: each of eq2's seven rows is 400 live CBS exchanges against a
+// semi-honest cheater, so its measured survival rate is a binomial sample of
+// Eq. 2's (r + (1-r)q)^m and must sit within four standard deviations,
+// √(p(1−p)/400), of it. The seeds are fixed, so this cannot flake; it fails
+// when sampling, the cheater or the verifier stops matching the theorem.
+func TestEq2RowsInsideBinomialBand(t *testing.T) {
+	const rounds = 400
+	var out bytes.Buffer
+	if err := runEq2(&out); err != nil {
+		t.Fatalf("runEq2: %v", err)
+	}
+	rows := 0
+	sc := bufio.NewScanner(bytes.NewReader(out.Bytes()))
+	for sc.Scan() {
+		var r, q, printed, measured float64
+		var m int
+		if n, _ := fmt.Sscanf(sc.Text(), "%f %f %d %f %f", &r, &q, &m, &printed, &measured); n != 5 {
+			continue // title and header lines
+		}
+		rows++
+		p, err := analysis.CheatSuccessProb(r, q, m)
+		if err != nil {
+			t.Fatalf("CheatSuccessProb(%v, %v, %d): %v", r, q, m, err)
+		}
+		if math.Abs(printed-p) > 1e-5 {
+			t.Errorf("r=%.2f q=%.2f m=%d: analytic column prints %.5f, Eq. 2 gives %.5f", r, q, m, printed, p)
+		}
+		sigma := math.Sqrt(p * (1 - p) / rounds)
+		if math.Abs(measured-p) > 4*sigma {
+			t.Errorf("r=%.2f q=%.2f m=%d: measured survival %.5f is %.1f standard deviations from Eq. 2's %.5f",
+				r, q, m, measured, math.Abs(measured-p)/sigma, p)
+		}
+	}
+	if rows != 7 {
+		t.Errorf("parsed %d rows of eq2, want 7:\n%s", rows, out.String())
 	}
 }

@@ -210,6 +210,39 @@ func TestTaskFixedCostAllocs(t *testing.T) {
 	supSide, partSide := transport.Pipe()
 	served := make(chan error, 1)
 	go func() { served <- p.Serve(partSide) }()
+	allocs := taskFixedCostAllocs(t, supSide)
+	supSide.Close()
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	if allocs > taskFixedCostAllocBound {
+		t.Errorf("one CBS task of 64 inputs and 8 samples allocates %.0f objects end to end, want <= %d",
+			allocs, taskFixedCostAllocBound)
+	}
+	t.Logf("%.0f objects per task", allocs)
+}
+
+// TestTaskFixedCostAllocsTCP runs the same task over a loopback socket.
+// Frame buffers circulate in both directions there — a receiver recycles
+// what it decoded, a sender what the kernel has copied — so a real link may
+// cost the socket's own bookkeeping over the pipe bound and no longer an
+// allocation per frame sent (57 objects per task before the sender's half of
+// the loop closed, the pipe's 48 after).
+func TestTaskFixedCostAllocsTCP(t *testing.T) {
+	supSide, shutdown := tcpSessionFixture(t)
+	allocs := taskFixedCostAllocs(t, supSide)
+	shutdown()
+	if allocs > taskFixedCostAllocBound+2 {
+		t.Errorf("one CBS task of 64 inputs and 8 samples allocates %.0f objects end to end over TCP, want <= %d",
+			allocs, taskFixedCostAllocBound+2)
+	}
+	t.Logf("%.0f objects per task", allocs)
+}
+
+// taskFixedCostAllocs reports what one such task allocates on a window-1
+// session over supSide, whose other end a participant is serving.
+func taskFixedCostAllocs(t *testing.T, supSide transport.Conn) float64 {
+	t.Helper()
 	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 8}, Seed: 3})
 	if err != nil {
 		t.Fatalf("NewSupervisor: %v", err)
@@ -229,13 +262,5 @@ func TestTaskFixedCostAllocs(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Errorf("session close: %v", err)
 	}
-	supSide.Close()
-	if err := <-served; err != nil {
-		t.Errorf("Serve: %v", err)
-	}
-	if allocs > taskFixedCostAllocBound {
-		t.Errorf("one CBS task of 64 inputs and 8 samples allocates %.0f objects end to end, want <= %d",
-			allocs, taskFixedCostAllocBound)
-	}
-	t.Logf("%.0f objects per task", allocs)
+	return allocs
 }

@@ -703,7 +703,13 @@ const (
 // (clean-close semantics); discard drops queued frames and refuses puts
 // (fault semantics).
 type frameQ struct {
+	// frames holds the queued frames from index head on. Popping advances
+	// head instead of reslicing, and a drained queue rewinds to the front of
+	// its backing array, so a queue that empties between bursts — the usual
+	// state of a relay that keeps up — refills in place instead of
+	// reallocating.
 	frames  []transport.Message
+	head    int
 	bytes   int64
 	closed  bool
 	discard bool
@@ -716,6 +722,13 @@ func (q *frameQ) put(m transport.Message) bool {
 	if q.closed || q.discard {
 		return false
 	}
+	if n := len(q.frames); n == cap(q.frames) && q.head > 0 && q.head >= n/2 {
+		// Full, and at least half of it popped: a queue that never quite
+		// drains slides down here instead of growing without bound.
+		live := copy(q.frames, q.frames[q.head:])
+		clear(q.frames[live:])
+		q.frames, q.head = q.frames[:live], 0
+	}
 	q.frames = append(q.frames, m)
 	q.bytes += m.FrameSize()
 	return true
@@ -723,30 +736,30 @@ func (q *frameQ) put(m transport.Message) bool {
 
 //gridlint:credit queue-occupancy ledger: pop is the single dequeue site
 func (q *frameQ) pop() (transport.Message, bool) {
-	if len(q.frames) == 0 || q.discard {
+	if q.empty() {
 		return transport.Message{}, false
 	}
-	m := q.frames[0]
-	q.frames[0] = transport.Message{}
-	q.frames = q.frames[1:]
+	m := q.frames[q.head]
+	q.frames[q.head] = transport.Message{} // do not pin the payload
+	q.head++
 	q.bytes -= m.FrameSize()
-	if len(q.frames) == 0 {
-		q.frames = nil
+	if q.head == len(q.frames) {
+		q.frames, q.head = q.frames[:0], 0
 	}
 	return m, true
 }
 
 func (q *frameQ) peek() (transport.Message, bool) {
-	if len(q.frames) == 0 || q.discard {
+	if q.empty() {
 		return transport.Message{}, false
 	}
-	return q.frames[0], true
+	return q.frames[q.head], true
 }
 
-func (q *frameQ) empty() bool { return len(q.frames) == 0 || q.discard }
+func (q *frameQ) empty() bool { return q.head == len(q.frames) || q.discard }
 
 func (q *frameQ) drop() {
-	q.frames = nil
+	q.frames, q.head = nil, 0
 	q.bytes = 0
 	q.discard = true
 }
@@ -821,6 +834,11 @@ type supLink struct {
 	// ctrl queues hub-originated control frames (credits, close notices),
 	// sent ahead of data.
 	ctrl []transport.Message
+	// entries and acct are writeLoop's envelope scratch: filled by
+	// gatherEnvelopeLocked, cleared once the envelope is encoded and its
+	// egress accounted, so they pin no payload and no route in between.
+	entries []routedEntry
+	acct    []routeEgress
 	// failed: the link is quarantined — all queues dropped, no more sends.
 	// stopWriter: writeLoop exits once set and drained (set by failure and
 	// by clean shutdown).
@@ -1299,6 +1317,7 @@ func (l *supLink) writeLoop() {
 				continue
 			}
 			out = transport.Message{Type: msgRouted, Payload: encodeRouted(entries)}
+			clear(entries)
 		}
 		l.mu.Unlock()
 		if err := l.conn.Send(out); err != nil {
@@ -1319,6 +1338,7 @@ func (l *supLink) writeLoop() {
 		h.relayedMsgs.Add(1)
 		h.relayedBytes.Add(out.FrameSize())
 		h.muxOverheadOut.Add(out.FrameSize() - inner)
+		clear(egress)
 	}
 }
 
@@ -1357,8 +1377,7 @@ func (l *supLink) popUnitLocked(r *hubRoute) (transport.Message, bool) {
 //
 //gridlint:credit stall parks and per-route send budgets live in the gather loop
 func (l *supLink) gatherEnvelopeLocked() ([]routedEntry, []routeEgress) {
-	var entries []routedEntry
-	var acct []routeEgress
+	entries, acct := l.entries[:0], l.acct[:0]
 	var total int64
 	for len(l.ready) > 0 && total < batchTargetBytes && len(entries) < maxRoutedEntries {
 		r := l.ready[0]
@@ -1377,6 +1396,7 @@ func (l *supLink) gatherEnvelopeLocked() ([]routedEntry, []routeEgress) {
 		acct = append(acct, routeEgress{r: r, inner: unit.FrameSize()})
 		total += unit.FrameSize()
 	}
+	l.entries, l.acct = entries, acct
 	return entries, acct
 }
 

@@ -1023,3 +1023,72 @@ func TestBrokerRelaysFrameSentBeforeBind(t *testing.T) {
 		t.Errorf("route received %dB, hub ToSupervisor egress %dB", got, want)
 	}
 }
+
+// TestFrameQReusesBackingArray pins the hub queues' storage discipline, the
+// one TestSessionInboxReusesBackingArray pins for a session inbox: popping
+// advances a head index, a drained queue rewinds to the front of its backing
+// array, a popped slot no longer pins its payload — and a queue that never
+// quite drains slides down instead of growing with every frame that passes.
+func TestFrameQReusesBackingArray(t *testing.T) {
+	var q frameQ
+	put := func(payloads ...string) {
+		t.Helper()
+		for _, p := range payloads {
+			if !q.put(transport.Message{Type: msgCommit, Payload: []byte(p)}) {
+				t.Fatalf("put %q refused", p)
+			}
+		}
+	}
+	pop := func(want string) {
+		t.Helper()
+		if m, ok := q.peek(); !ok || string(m.Payload) != want {
+			t.Fatalf("peek = %q, %v; want %q", m.Payload, ok, want)
+		}
+		if m, ok := q.pop(); !ok || string(m.Payload) != want {
+			t.Fatalf("pop = %q, %v; want %q", m.Payload, ok, want)
+		}
+	}
+
+	put("a", "b", "c")
+	pop("a")
+	if q.frames[0].Payload != nil {
+		t.Fatal("popped slot still pins its payload")
+	}
+	pop("b")
+	put("d") // refill behind a half-drained queue: order must hold
+	pop("c")
+	pop("d")
+	if len(q.frames) != 0 || q.head != 0 || q.bytes != 0 || !q.empty() {
+		t.Fatalf("drained queue not rewound: len %d, head %d, %d bytes", len(q.frames), q.head, q.bytes)
+	}
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop on an empty queue reported a frame")
+	}
+	base := &q.frames[:1][0]
+	for i := 0; i < 100; i++ {
+		put("x")
+		if &q.frames[0] != base {
+			t.Fatalf("refill %d reallocated the queue", i)
+		}
+		pop("x")
+	}
+
+	// One frame always left behind: the queue never rewinds, so it must
+	// slide down rather than let its array grow with the traffic.
+	put("y")
+	for i := 0; i < 10_000; i++ {
+		put("y")
+		pop("y")
+	}
+	if cap(q.frames) > 16 {
+		t.Fatalf("a queue holding 1–2 frames grew to %d slots", cap(q.frames))
+	}
+	if want := (transport.Message{Payload: []byte("y")}).FrameSize(); q.bytes != want {
+		t.Fatalf("occupancy ledger = %d bytes with one frame queued, want %d", q.bytes, want)
+	}
+
+	q.drop()
+	if !q.empty() || q.head != 0 || q.put(transport.Message{}) {
+		t.Fatal("dropped queue still holds or accepts frames")
+	}
+}

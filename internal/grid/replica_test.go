@@ -19,13 +19,13 @@ type replicaDigest struct {
 	Verdict Verdict
 }
 
-// TestRunTasksStreamReplicatedMatchesRunReplicated is the pipelined
+// TestRunTaskSourceReplicatedMatchesRunReplicated is the pipelined
 // double-check acceptance test at the pool level: a replicated window-3
 // stream must yield, per (task, replica), the verdicts the serial barrier —
 // upload after upload on one connection after another, then one comparison
 // — produced for the same tasks, seeds and personas (golden_runs.json).
 // Using exactly R connections pins the group placement to the identity walk.
-func TestRunTasksStreamReplicatedMatchesRunReplicated(t *testing.T) {
+func TestRunTaskSourceReplicatedMatchesRunReplicated(t *testing.T) {
 	const replicas = 3
 	const tasks = 4
 	conns, shutdown := poolFixture(t, replicas, func(i int) ProducerFactory {
@@ -65,6 +65,7 @@ func TestRunTasksStreamReplicatedMatchesRunReplicated(t *testing.T) {
 		}
 		return piped[i].Replica < piped[j].Replica
 	})
+	// The key is the name this test had when the reference was recorded.
 	assertGoldenOutcomes(t, "TestRunTasksStreamReplicatedMatchesRunReplicated", piped)
 	// The session layer's exact accounting holds through replica barriers:
 	// pool counters mean wire bytes.
@@ -221,11 +222,11 @@ func TestReplicatedStreamGroupsStayBounded(t *testing.T) {
 	}
 }
 
-// TestRunTasksStreamReplicatedThroughput sanity-checks the pipelining
+// TestRunTaskSourceReplicatedManyConns sanity-checks the pipelining
 // claim cheaply: with more connections than replicas, distinct groups
 // proceed concurrently and all outcomes arrive. (The latency-quantified
 // comparison lives in BenchmarkReplicatedDoubleCheck.)
-func TestRunTasksStreamReplicatedManyConns(t *testing.T) {
+func TestRunTaskSourceReplicatedManyConns(t *testing.T) {
 	const participants, replicas, tasks = 5, 2, 12
 	conns, shutdown := poolFixture(t, participants, func(int) ProducerFactory { return HonestFactory })
 	defer shutdown()
@@ -257,9 +258,9 @@ func TestRunTasksStreamReplicatedManyConns(t *testing.T) {
 	}
 }
 
-// TestRunTasksStreamReplicatedValidation covers the replica plumbing's
+// TestRunTaskSourceReplicatedValidation covers the replica plumbing's
 // configuration errors.
-func TestRunTasksStreamReplicatedValidation(t *testing.T) {
+func TestRunTaskSourceReplicatedValidation(t *testing.T) {
 	conns, shutdown := poolFixture(t, 2, func(int) ProducerFactory { return HonestFactory })
 	defer shutdown()
 

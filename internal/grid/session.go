@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +61,25 @@ func (m outMsg) done(sent bool) int64 {
 }
 
 // batchWriter serializes task-tagged messages from many goroutines onto one
-// connection, coalescing whatever is queued into msgBatch frames. After a
-// send error the writer keeps draining (and discarding) its queue so
+// connection, coalescing whatever is queued into msgBatch frames.
+//
+// The flush rule: the writer takes one message, gathers everything else
+// already queued, and sends. On a link whose Send is a system call
+// (transport.Stats.SendCopies) a writer that finds nothing else queued first
+// yields the processor once and gathers again: the goroutines the same
+// incoming frame woke — the other tasks of the window, each about to queue a
+// reply — are runnable and get the processor before the writer has it back,
+// so their messages ride the same write instead of paying one each. The
+// yield can cost at most one scheduler turn: it arms no timer and waits on
+// no event, an idle process hands the processor straight back, and a batch
+// that already holds two messages never yields — so a cheap reply is never
+// parked behind work that has not been scheduled yet. On a pipe or a mux
+// route Send is a channel operation with nothing to amortise (a yield there
+// only delays the frame), and the link says so. On a copying link the writer
+// also takes the frame buffer back once Send returns (transport/pool.go has
+// the ownership rule).
+//
+// After a send error the writer keeps draining (and discarding) its queue so
 // enqueuers can never wedge; the error fires the onFail hook once (enqueue
 // is asynchronous, so a task that already queued its message may otherwise
 // be blocked waiting for a reply to a frame that was discarded), is
@@ -118,6 +136,11 @@ func (w *batchWriter) loop() {
 		}
 		batch := append(w.batchScratch[:0], first)
 		size := first.tm.wireSize()
+		if len(w.in) == 0 && w.conn.Stats().SendCopies() {
+			// A lone message on a link that pays a system call per frame:
+			// let whoever is runnable queue its reply first.
+			runtime.Gosched()
+		}
 	coalesce:
 		for len(batch) < maxBatchMsgs && size < batchTargetBytes {
 			select {
@@ -178,6 +201,11 @@ func (w *batchWriter) flush(batch []outMsg) {
 	w.mu.Lock()
 	w.overhead += frame.FrameSize() - tagged
 	w.mu.Unlock()
+	if w.conn.Stats().SendCopies() {
+		// The kernel has its copy, so the buffer encodeBatch drew is the
+		// writer's again; on any other link it now belongs to the receiver.
+		transport.RecyclePayload(frame.Payload)
+	}
 }
 
 func (w *batchWriter) fail(err error) {

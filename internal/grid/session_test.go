@@ -89,24 +89,11 @@ func TestSessionMatchesDialogue(t *testing.T) {
 	assertGoldenOutcomes(t, "TestSessionMatchesDialogue", got)
 }
 
-// TestSessionByteAccountingExact pins the session accounting invariant: the
-// connection's exact frame-level counters decompose into per-task tagged
-// bytes plus session framing overhead, with nothing lost or double-counted.
-func TestSessionByteAccountingExact(t *testing.T) {
-	conn, shutdown := sessionFixture(t, HonestFactory)
-	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 8}, Seed: 3})
-	if err != nil {
-		t.Fatalf("NewSupervisor: %v", err)
-	}
-	sess, err := sup.OpenSession(conn, 4)
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	outcomes := runSessionTasks(t, sess, poolTasks(6, 128))
-	if err := sess.Close(); err != nil {
-		t.Fatalf("session close: %v", err)
-	}
-
+// assertSessionLedger checks the accounting identity of a closed session that
+// was its connection's only user: the endpoint's frame-level counters are
+// the tasks' tagged bytes plus the session's framing overhead, per direction.
+func assertSessionLedger(t *testing.T, conn transport.Conn, sess *Session, outcomes []*TaskOutcome) {
+	t.Helper()
 	var taskSent, taskRecv int64
 	for _, o := range outcomes {
 		if o.BytesSent <= 0 || o.BytesRecv <= 0 {
@@ -125,12 +112,36 @@ func TestSessionByteAccountingExact(t *testing.T) {
 	if got, want := conn.Stats().BytesRecv(), taskRecv+ovRecv; got != want {
 		t.Errorf("BytesRecv = %d, task sum + overhead = %d", got, want)
 	}
+}
+
+// TestSessionByteAccountingExact pins the session accounting invariant: the
+// connection's exact frame-level counters decompose into per-task tagged
+// bytes plus session framing overhead, with nothing lost or double-counted.
+func TestSessionByteAccountingExact(t *testing.T) {
+	conn, shutdown := sessionFixture(t, HonestFactory)
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 8}, Seed: 3})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	sess, err := sup.OpenSession(conn, 4)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	outcomes := runSessionTasks(t, sess, poolTasks(6, 128))
+	if err := sess.Close(); err != nil {
+		t.Fatalf("session close: %v", err)
+	}
+
+	assertSessionLedger(t, conn, sess, outcomes)
 	shutdown()
 }
 
 // TestSessionBatchingSavesFrames verifies the coalescing actually batches:
 // a window-n run of n tasks must use fewer frames than one exchange at a
-// time, whose every message travels alone.
+// time, whose every message travels alone. This is the pipe case, where the
+// writer never waits for a second message and only an injected per-frame
+// delay lets the queue build; TestSessionCoalescesOverTCP is the case with
+// nothing injected.
 func TestSessionBatchingSavesFrames(t *testing.T) {
 	const tasks = 8
 
@@ -413,11 +424,11 @@ func TestSessionWriterFailurePoisonsSession(t *testing.T) {
 	_ = partConn.Close()
 }
 
-// TestRunTasksStreamWorkStealing runs many tasks over fewer connections
+// TestRunTaskSourceWorkStealing runs many tasks over fewer connections
 // than tasks: all outcomes must stream out, verdicts must be correct per
 // executing participant, and the pool byte counters must match the
 // outcome sums.
-func TestRunTasksStreamWorkStealing(t *testing.T) {
+func TestRunTaskSourceWorkStealing(t *testing.T) {
 	const participants, tasks = 4, 16
 	cheaterAt := func(i int) bool { return i == 3 }
 	conns, shutdown := poolFixture(t, participants, func(i int) ProducerFactory {
@@ -512,10 +523,10 @@ func TestStreamRetireEveryConnEndsShort(t *testing.T) {
 	}
 }
 
-// TestRunTasksStreamSurvivesDeadConn closes one connection before the run:
+// TestRunTaskSourceSurvivesDeadConn closes one connection before the run:
 // a transport failure is no longer a run-killing error — the dead
 // connection's tasks restart on the healthy one and every outcome arrives.
-func TestRunTasksStreamSurvivesDeadConn(t *testing.T) {
+func TestRunTaskSourceSurvivesDeadConn(t *testing.T) {
 	conns, shutdown := poolFixture(t, 2, func(int) ProducerFactory { return HonestFactory })
 	pool, err := NewSupervisorPool(SupervisorConfig{
 		Spec: SchemeSpec{Kind: SchemeCBS, M: 4},

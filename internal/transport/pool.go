@@ -5,15 +5,19 @@ import "sync"
 // payloadPool recycles frame payload buffers. A frame's buffer is drawn with
 // GetPayload — by the TCP receive path for an arriving frame, by the grid
 // layer's batch and envelope encoders for a departing one — and handed back
-// with RecyclePayload by whoever decoded the frame. On a pipe the buffer a
-// sender encoded into is the one its receiver recycles, so the loop closes
-// across the link; over TCP each endpoint's receive buffers circulate and a
-// sender's frame is garbage once written, one allocation per frame.
+// with RecyclePayload by whoever owns it once the frame is dead. On a pipe
+// the buffer a sender encoded into is the one its receiver recycles, so the
+// loop closes across the link; over TCP each endpoint closes two loops of its
+// own, one for the frames it receives and one for the frames it sends.
 //
 // Ownership rule, stated once for every layer above: a frame buffer belongs
 // to its receiver, and recycling it asserts that nothing reachable still
-// points into it. The grid layer's frame decoders (decodeBatch,
-// decodeRouted) make that true by copying a frame's sub-payloads into one
+// points into it. On a link whose Send copies (Stats.SendCopies) the
+// receiver is the kernel, which keeps nothing: the buffer returns to the
+// sender when Send does, and the sender — the only party that can — may
+// recycle it then. On every other link a sender must not touch a buffer
+// after Send. The grid layer's frame decoders (decodeBatch, decodeRouted)
+// make recycling a received frame safe by copying its sub-payloads into one
 // private allocation per frame before the frame is recycled; every decoder
 // of a message inside (assignments, uploads, window commits, the multiproof
 // of a CBS response) then aliases that private copy freely, and the copy is
@@ -47,8 +51,8 @@ func GetPayload(n int) []byte {
 	return make([]byte, n)
 }
 
-// RecyclePayload returns a received frame's payload buffer to the pool; see
-// payloadPool for when that is allowed.
+// RecyclePayload returns a dead frame's payload buffer to the pool; see
+// payloadPool for who may do that, and when.
 func RecyclePayload(p []byte) {
 	if cap(p) == 0 {
 		return

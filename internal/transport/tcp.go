@@ -86,7 +86,9 @@ var _ Conn = (*tcpConn)(nil)
 const coalesceMaxPayload = 64 << 10
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{conn: c, br: bufio.NewReader(c)}
+	tc := &tcpConn{conn: c, br: bufio.NewReader(c)}
+	tc.stats.sendCopies = true
+	return tc
 }
 
 // Send implements Conn. A frame enters the socket as one write: two would

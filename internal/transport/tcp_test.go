@@ -262,3 +262,39 @@ func TestTCPFrameBytesOnTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestSendCopiesIsAPropertyOfTheLink pins the one thing a sender may learn
+// about a link: a TCP endpoint's Send is a system call that is done with
+// the caller's buffer on return, a pipe's is not, and the answer reaches
+// the sender through every wrapper because it rides on the Stats they all
+// pass through.
+func TestSendCopiesIsAPropertyOfTheLink(t *testing.T) {
+	client, server, _ := countedLoopback(t)
+	for name, conn := range map[string]Conn{
+		"tcp client":        client,
+		"tcp server":        server,
+		"faults over tcp":   WithFaults(client, FaultPlan{DropProb: 0.5}),
+		"latency over tcp":  WithLatency(client, 1),
+		"faults on latency": WithFaults(WithLatency(server, 1), FaultPlan{}),
+	} {
+		if !conn.Stats().SendCopies() {
+			t.Errorf("%s: SendCopies() = false, want true", name)
+		}
+	}
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	for name, conn := range map[string]Conn{
+		"pipe":             a,
+		"pipe peer":        b,
+		"faults over pipe": WithFaults(a, FaultPlan{}),
+	} {
+		if conn.Stats().SendCopies() {
+			t.Errorf("%s: SendCopies() = true, want false", name)
+		}
+	}
+	var virtual Stats // what a mux route owns
+	if virtual.SendCopies() {
+		t.Error("a zero Stats reports a copying Send")
+	}
+}

@@ -87,7 +87,20 @@ type Stats struct {
 	bytesRecv atomic.Int64
 	msgsSent  atomic.Int64
 	msgsRecv  atomic.Int64
+
+	// sendCopies is a property of the link, not a counter: set once by the
+	// constructor of a connection whose Send is a system call, never after.
+	sendCopies bool
 }
+
+// SendCopies reports whether Send on this endpoint copies the frame into
+// the kernel with a system call and is done with the caller's buffer when
+// it returns — true for TCP, false for pipes and every virtual connection.
+// It rides on Stats because Stats is the one thing every wrapper (fault
+// injection, latency, tracing) already passes through from the link it
+// wraps. A sender may use it to put more messages behind one system call
+// and to reuse the frame buffer (pool.go has the ownership rule).
+func (s *Stats) SendCopies() bool { return s.sendCopies }
 
 // BytesSent reports total bytes sent, frame headers included.
 func (s *Stats) BytesSent() int64 { return s.bytesSent.Load() }
