@@ -7,20 +7,23 @@ import (
 	"uncheatgrid/internal/merkle"
 )
 
-// proofSource abstracts the full and partial Merkle trees behind the prover.
-type proofSource interface {
-	ProveMulti(indices []uint64) (merkle.MultiProof, error)
-}
-
 // Prover is the participant side of CBS. It owns the committed Merkle tree
-// and answers sample challenges. Construct one per assigned task; safe for
-// concurrent Respond calls.
+// and answers sample challenges: one per assigned task, or one per task in
+// flight that Reset moves from each task to the next. Safe for concurrent
+// Respond calls, not for a Reset beside them.
 type Prover struct {
-	n      int
-	source proofSource
-	// root is Φ(R), taken from the tree once.
-	root    []byte
-	partial *merkle.PartialTree // nil in full-tree mode
+	n int
+	// tree is the full tree, kept across Resets so each rebuilds into the
+	// last one's storage; partial replaces it as the proof source in the
+	// storage-bounded mode and is nil otherwise.
+	tree    *merkle.Tree
+	partial *merkle.PartialTree
+	// root is Φ(R), taken from the tree once per task into one buffer.
+	root []byte
+	// claim is the current task's claim function, held while a tree may call
+	// it; leafAt, made once, is the trees' view of it.
+	claim  func(i uint64) []byte
+	leafAt func(i int) []byte
 }
 
 // NewProver builds the participant's Merkle tree over n claimed results
@@ -33,30 +36,51 @@ type Prover struct {
 // WithSubtreeHeight(ℓ > 0), claim must be deterministic since audited
 // subtrees are recomputed on demand.
 func NewProver(n int, claim func(i uint64) []byte, opts ...Option) (*Prover, error) {
+	p := new(Prover)
+	if err := p.Reset(n, claim, opts...); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reset commits p to a new task exactly as NewProver(n, claim, opts...)
+// commits a fresh prover — it is the one build routine — but into what p
+// already holds: the full tree is rebuilt in place (merkle.Tree.Rebuild) and
+// the root lands in the same buffer, so a prover that has served a task this
+// size commits to the next without allocating. The storage-bounded tree is
+// built anew each time. The previous task's commitment root and every
+// response drawn from its tree are overwritten; the caller must be done with
+// them. After an error p must be Reset again before it is used.
+func (p *Prover) Reset(n int, claim func(i uint64) []byte, opts ...Option) error {
 	if n < 1 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadDomain, n)
+		return fmt.Errorf("%w: got %d", ErrBadDomain, n)
 	}
 	if claim == nil {
-		return nil, fmt.Errorf("%w: nil claim function", ErrProtocol)
+		return fmt.Errorf("%w: nil claim function", ErrProtocol)
 	}
 	cfg := buildConfig(opts)
-
-	p := &Prover{n: n}
+	if p.leafAt == nil {
+		p.leafAt = func(i int) []byte { return p.claim(uint64(i)) }
+	}
+	p.n, p.claim, p.partial = n, claim, nil
 	if cfg.subtreeHeight > 0 {
-		partial, err := merkle.NewPartial(n, cfg.subtreeHeight,
-			func(i int) []byte { return claim(uint64(i)) }, cfg.treeOptions...)
+		partial, err := merkle.NewPartial(n, cfg.subtreeHeight, p.leafAt, cfg.treeOptions...)
 		if err != nil {
-			return nil, fmt.Errorf("core: build partial tree: %w", err)
+			return fmt.Errorf("core: build partial tree: %w", err)
 		}
-		p.source, p.partial, p.root = partial, partial, partial.Root()
-		return p, nil
+		p.partial, p.root = partial, append(p.root[:0], partial.Root()...)
+		return nil
 	}
-	tree, err := merkle.BuildFunc(n, func(i int) []byte { return claim(uint64(i)) }, cfg.treeOptions...)
+	if p.tree == nil {
+		p.tree = new(merkle.Tree)
+	}
+	err := p.tree.Rebuild(n, p.leafAt, cfg.treeOptions...)
+	p.claim = nil // proofs read the tree's slab; do not pin what claim captured
 	if err != nil {
-		return nil, fmt.Errorf("core: build tree: %w", err)
+		return fmt.Errorf("core: build tree: %w", err)
 	}
-	p.source, p.root = tree, tree.Root()
-	return p, nil
+	p.root = p.tree.AppendRoot(p.root[:0])
+	return nil
 }
 
 // N reports the domain size n.
@@ -74,20 +98,38 @@ func (p *Prover) Commitment() Commitment {
 // leaf-to-root paths that the supervisor cannot compute from the samples
 // themselves.
 func (p *Prover) Respond(indices []uint64) (*Response, error) {
+	resp := new(Response)
+	if err := p.RespondInto(resp, new(merkle.ProofScratch), indices); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// RespondInto is Respond into a response and a proof scratch the caller
+// owns: the full tree builds the multiproof in scratch (the storage-bounded
+// one allocates its own), so a scratch that has served a challenge this size
+// answers the next without allocating. resp aliases scratch and the tree
+// until either is reused.
+func (p *Prover) RespondInto(resp *Response, scratch *merkle.ProofScratch, indices []uint64) error {
 	if len(indices) == 0 {
-		return nil, fmt.Errorf("%w: empty challenge", ErrProtocol)
+		return fmt.Errorf("%w: empty challenge", ErrProtocol)
 	}
 	for _, idx := range indices {
 		if idx >= uint64(p.n) {
-			return nil, fmt.Errorf("%w: challenged index %d outside domain [0,%d)",
+			return fmt.Errorf("%w: challenged index %d outside domain [0,%d)",
 				ErrProtocol, idx, p.n)
 		}
 	}
-	proof, err := p.source.ProveMulti(indices)
-	if err != nil {
-		return nil, fmt.Errorf("core: prove samples: %w", err)
+	var err error
+	if p.partial != nil {
+		resp.Proof, err = p.partial.ProveMulti(indices)
+	} else {
+		resp.Proof, err = p.tree.ProveMultiInto(scratch, indices)
 	}
-	return &Response{Proof: proof}, nil
+	if err != nil {
+		return fmt.Errorf("core: prove samples: %w", err)
+	}
+	return nil
 }
 
 // RespondNonInteractive runs Steps 2-3 of the NI-CBS scheme (Section 4.1):

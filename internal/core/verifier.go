@@ -11,7 +11,8 @@ import (
 )
 
 // Verifier is the supervisor side of CBS for one participant's task. It
-// holds the received commitment and audits responses against it.
+// holds the received commitment and audits responses against it; Reset moves
+// it to the next task.
 type Verifier struct {
 	commitment  Commitment
 	treeOptions []merkle.Option
@@ -31,28 +32,45 @@ type challengeRand interface {
 // NewVerifier accepts the participant's commitment (Step 1) and prepares to
 // audit it.
 func NewVerifier(c Commitment, opts ...Option) (*Verifier, error) {
+	v := new(Verifier)
+	if err := v.Reset(c, opts...); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// Reset accepts a new task's commitment exactly as NewVerifier(c, opts...)
+// does for a fresh verifier — it is the one set-up routine — keeping what v
+// already holds: the root is copied into the same buffer and the proof
+// verifier's hash state and scratch stay, so a verifier that has audited one
+// task is set up for the next without allocating. The slice Commitment
+// returned for the previous task is overwritten. Reset must not run beside a
+// Verify; after an error v must be Reset again before it is used.
+func (v *Verifier) Reset(c Commitment, opts ...Option) error {
 	if c.N < 1 {
-		return nil, fmt.Errorf("%w: committed domain size %d", ErrBadDomain, c.N)
+		return fmt.Errorf("%w: committed domain size %d", ErrBadDomain, c.N)
 	}
 	if len(c.Root) == 0 {
-		return nil, fmt.Errorf("%w: empty commitment root", ErrProtocol)
+		return fmt.Errorf("%w: empty commitment root", ErrProtocol)
 	}
 	cfg := buildConfig(opts)
-	v := &Verifier{
-		commitment:  Commitment{Root: append([]byte(nil), c.Root...), N: c.N},
-		treeOptions: cfg.treeOptions,
+	v.commitment = Commitment{Root: append(v.commitment.Root[:0], c.Root...), N: c.N}
+	v.treeOptions = cfg.treeOptions
+	proofs := v.proofs.Load()
+	if proofs == nil {
+		proofs = new(merkle.ProofVerifier)
+		v.proofs.Store(proofs)
 	}
-	v.proofs.Store(merkle.NewProofVerifier(cfg.treeOptions...))
-	if cfg.rng != nil {
-		v.rng = cfg.rng
-	} else {
+	proofs.Reset(cfg.treeOptions...)
+	v.rng = cfg.rng
+	if cfg.rng == nil {
 		rng, err := cryptoSeededRand()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v.rng = rng
 	}
-	return v, nil
+	return nil
 }
 
 // Commitment returns the commitment under audit.
@@ -62,14 +80,21 @@ func (v *Verifier) Commitment() Commitment { return v.commitment }
 // [0, n) — Step 2 of Section 3.1. Sampling with replacement matches the
 // independence assumption of Theorem 3 exactly.
 func (v *Verifier) Challenge(m int) (Challenge, error) {
+	indices, err := v.AppendChallenge(nil, m)
+	return Challenge{Indices: indices}, err
+}
+
+// AppendChallenge is Challenge drawn into the caller's storage: the m
+// indices are appended to dst.
+func (v *Verifier) AppendChallenge(dst []uint64, m int) ([]uint64, error) {
 	if m < 1 {
-		return Challenge{}, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
+		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
-	indices := make([]uint64, m)
-	for k := range indices {
-		indices[k] = uniformIndex(v.rng, v.commitment.N)
+	dst = slices.Grow(dst, m)
+	for k := 0; k < m; k++ {
+		dst = append(dst, uniformIndex(v.rng, v.commitment.N))
 	}
-	return Challenge{Indices: indices}, nil
+	return dst, nil
 }
 
 // Verify runs Step 4. The response must prove exactly the challenged

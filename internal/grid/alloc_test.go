@@ -7,20 +7,26 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"uncheatgrid/internal/core"
 	"uncheatgrid/internal/hashchain"
 	"uncheatgrid/internal/transport"
 	"uncheatgrid/internal/workload"
 )
 
 // commitPathAllocBound is what one honest NI-CBS commit-and-respond may
-// allocate, whatever the task size: the tree (arena, leaf slab, offsets),
-// the claim scratch, the chain walk (hash state, chain state, indices), the
-// multiproof's slabs and the three payloads. No term in n — f's outputs are
-// appended into the scratch and copied into the slab — and none in m.
-const commitPathAllocBound = 48
+// allocate, whatever the task size, once the execution's commitment kit has
+// served a task: the chain walk (hash state, chain state, indices), the
+// three payloads and the report list's growth — 7 objects measured at
+// n = 1024 and 11 at n = 8192, where the reports outgrow more size classes —
+// plus 3. The tree, the claim scratch and the multiproof's slabs are the
+// kit's and cost nothing (21 and 25 when each task bought them). No term in
+// n — f's outputs are appended into the scratch and copied into the slab —
+// and none in m.
+const commitPathAllocBound = 14
 
 // TestCommitPathAllocs pins the participant's commit path to that constant
 // at two task sizes, so a per-leaf allocation cannot hide inside a slack
@@ -192,13 +198,16 @@ func TestSessionCodecAllocs(t *testing.T) {
 }
 
 // taskFixedCostAllocBound is what one honest CBS task of n = 64, m = 8 may
-// allocate end to end — supervisor session, participant, both codecs, the
-// tree and its proof — over a pipe: the measured 48 plus 5. It is the
-// benchmark's allocs_per_task on tcp_small as a unit test, less what only
-// the stream dispatcher and a TCP link add (100 there before the session
-// layer stopped reading through bytes.Reader and set each side up in one
-// object, 56 after).
-const taskFixedCostAllocBound = 53
+// allocate end to end — supervisor session, participant, both codecs — over
+// a pipe: the measured 23 plus 4. It is the benchmark's allocs_per_task on
+// tcp_small as a unit test, less what only the stream dispatcher and a TCP
+// link add (100 there before the session layer stopped reading through
+// bytes.Reader and set each side up in one object, 56 after, 48 in this test
+// while every task bought its tree, proof scratch and verifier; both sides
+// now borrow them from the connection — commitKit, auditKit). What is left is
+// per task by nature: the payloads a writer owns until flush, the three task
+// objects, the batch decoder's private copies, and the workload's set-up.
+const taskFixedCostAllocBound = 27
 
 // TestTaskFixedCostAllocs runs that task over one Session, both ends in
 // this process.
@@ -227,7 +236,7 @@ func TestTaskFixedCostAllocs(t *testing.T) {
 // what it decoded, a sender what the kernel has copied — so a real link may
 // cost the socket's own bookkeeping over the pipe bound and no longer an
 // allocation per frame sent (57 objects per task before the sender's half of
-// the loop closed, the pipe's 48 after).
+// the loop closed, the pipe's count after).
 func TestTaskFixedCostAllocsTCP(t *testing.T) {
 	supSide, shutdown := tcpSessionFixture(t)
 	allocs := taskFixedCostAllocs(t, supSide)
@@ -263,4 +272,63 @@ func taskFixedCostAllocs(t *testing.T, supSide transport.Conn) float64 {
 		t.Errorf("session close: %v", err)
 	}
 	return allocs
+}
+
+// TestKitSteadyStateAllocs pins what the kits are for, at the two task sizes
+// the benchmark commits: once a kit has served a task, the participant's
+// rebuild of the tree, its multiproof and the marshaled response cost the
+// one payload, at n = 64 and at n = 16384 alike; and the supervisor's audit —
+// verifier reset, response decoded in place, root reconstructed, every
+// sample's output checked — costs nothing beyond the payload it was handed.
+func TestKitSteadyStateAllocs(t *testing.T) {
+	const m = 8
+	f, err := workload.New("synthetic", 11)
+	if err != nil {
+		t.Fatalf("workload.New: %v", err)
+	}
+	for _, n := range []int{64, 1 << 14} {
+		var commit commitKit
+		var audit auditKit
+		claim := func(i uint64) []byte {
+			commit.buf = f.AppendEval(commit.buf[:0], i)
+			return commit.buf
+		}
+		check := func(i uint64, output []byte) error {
+			audit.evalBuf = f.AppendEval(audit.evalBuf[:0], i)
+			if !bytes.Equal(audit.evalBuf, output) {
+				return errors.New("wrong output")
+			}
+			return nil
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		var payload []byte
+		task := func() {
+			if err := commit.prover.Reset(n, claim); err != nil {
+				t.Fatalf("Prover.Reset: %v", err)
+			}
+			if err := audit.verifier.Reset(commit.prover.Commitment(), core.WithRand(rng)); err != nil {
+				t.Fatalf("Verifier.Reset: %v", err)
+			}
+			if audit.challenge, err = audit.verifier.AppendChallenge(audit.challenge[:0], m); err != nil {
+				t.Fatalf("AppendChallenge: %v", err)
+			}
+			if err := commit.prover.RespondInto(&commit.resp, &commit.scratch, audit.challenge); err != nil {
+				t.Fatalf("RespondInto: %v", err)
+			}
+			if payload, err = commit.resp.MarshalBinary(); err != nil {
+				t.Fatalf("MarshalBinary: %v", err)
+			}
+			var resp core.Response
+			if err := resp.Proof.UnmarshalAliasedInto(&audit.scratch, payload); err != nil {
+				t.Fatalf("UnmarshalAliasedInto: %v", err)
+			}
+			if err := audit.verifier.Verify(core.Challenge{Indices: audit.challenge}, &resp, check); err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+		}
+		task() // the warm-up task sizes both kits
+		if allocs := testing.AllocsPerRun(5, task); allocs != 1 {
+			t.Errorf("n=%d: a task on warm kits allocates %.0f objects on both sides, want 1 (the response payload)", n, allocs)
+		}
+	}
 }

@@ -215,10 +215,12 @@ func (pt *preparedTask) announce(conn protoConn) error {
 func (pt *preparedTask) issueChallenge(conn protoConn) error {
 	st := &pt.st
 	if st.challengePayload == nil {
-		ch, err := st.verifier.Challenge(pt.tr.sup.cfg.Spec.M)
+		indices, err := st.verifier.AppendChallenge(pt.kit.challenge[:0], pt.tr.sup.cfg.Spec.M)
 		if err != nil {
 			return err
 		}
+		pt.kit.challenge = indices
+		ch := core.Challenge{Indices: indices}
 		payload, err := ch.MarshalBinary()
 		if err != nil {
 			return err
@@ -356,11 +358,10 @@ func (pt *preparedTask) afterReports() error {
 			st.phase = phaseVerdict
 			return nil
 		}
-		verifier, err := core.NewVerifier(st.commitment, core.WithRand(pt.tr.rng))
-		if err != nil {
+		if err := pt.kit.verifier.Reset(st.commitment, core.WithRand(pt.tr.rng)); err != nil {
 			return err
 		}
-		st.verifier = verifier
+		st.verifier = &pt.kit.verifier
 		if spec.Kind == SchemeNICBS {
 			chain, err := hashchain.New(spec.ChainIters)
 			if err != nil {
@@ -386,8 +387,9 @@ func (pt *preparedTask) ingestProofs(payload []byte) error {
 	st.haveProofs = true
 	// The proof's values and digests alias the payload — the session's
 	// private copy of it (transport/pool.go), kept alive by the proof —
-	// where core.Response.UnmarshalBinary would copy it once more.
-	if err := st.proofs.Proof.UnmarshalAliased(payload); err != nil {
+	// where core.Response.UnmarshalBinary would copy it once more; its index
+	// list and headers are the audit kit's.
+	if err := st.proofs.Proof.UnmarshalAliasedInto(&pt.kit.scratch, payload); err != nil {
 		pt.outcome.Verdict = Verdict{Reason: fmt.Sprintf("undecodable proofs: %v", err)}
 		st.phase = phaseVerdict
 		return nil

@@ -194,12 +194,52 @@ type participantSession struct {
 	// batch is the serve loop's decode scratch.
 	batch []taggedMsg
 
-	// mu guards the in-flight tasks and, inside each, its inbox.
+	// mu guards the in-flight tasks and, inside each, its inbox, and the
+	// free list of commitment kits.
 	mu      sync.Mutex
 	tasks   map[uint64]*participantTask
+	kits    []*commitKit
 	done    bool
 	taskErr error
 }
+
+// commitKit is everything a CBS commitment needs whose shape does not change
+// from one task to the next: the prover (tree arena, leaf slab, offsets, hash
+// state, root buffer), the multiproof scratch, the response and the buffer
+// every claim lands in. A connection lends one to each task in flight and
+// rebuilds it in place for the next, so a participant's O(n) tree storage
+// (Section 3.3 is about shrinking it) is bought once per task in flight
+// rather than once per task.
+//
+// Ownership, the way transport/pool.go states it for frames. Borrow:
+// startTask pops a kit off participantSession.kits (or the task makes its own
+// in runCBS when the list is empty) under the ps.mu it takes to register the
+// task. Aliases: taskExecution.digest is the kit's root buffer until the
+// window settle that follows the verdict has read it; nothing else outlives
+// runCBS, because every message it sends — commitment, reports, proofs — is
+// marshaled into a payload of its own, which the writer owns until flush.
+// Return: participantTask.run, the one return point, under the ps.mu it takes
+// to retire the task, after cutting digest. A task resumed on a replacement
+// connection is a new participantTask there and rebuilds its tree
+// bit-identically in that session's kit, so no kit ever crosses a connection:
+// the list never holds more kits than the connection had tasks in flight at
+// once, and it dies with the connection.
+type commitKit struct {
+	prover  core.Prover
+	scratch merkle.ProofScratch
+	resp    core.Response
+	buf     []byte
+	// exec is the task borrowing the kit; claim, made once, is the leaf
+	// function the prover sees and forwards to it.
+	exec  *taskExecution
+	claim func(i uint64) []byte
+}
+
+// scribbleKit, when set (tests only), is handed every kit on its way back to
+// a free list — a participant's commitKit or a supervisor's auditKit, the
+// other argument nil — to overwrite, so a stale alias into a returned kit
+// reads garbage instead of the previous task's bytes.
+var scribbleKit func(commit *commitKit, audit *auditKit)
 
 // Serve owns conn until the peer closes it (io.EOF), serving the
 // supervisor's session: every frame is a msgBatch of task-tagged messages,
@@ -407,6 +447,9 @@ func (ps *participantSession) startTask(a assignment, res *resumeMsg) error {
 		return fmt.Errorf("%w: duplicate in-flight task %d", ErrUnexpectedMessage, a.Task.ID)
 	}
 	ps.tasks[a.Task.ID] = t
+	if last := len(ps.kits) - 1; last >= 0 {
+		t.exec.kit, ps.kits = ps.kits[last], ps.kits[:last]
+	}
 	ps.mu.Unlock()
 	ps.wg.Add(1)
 	go t.run()
@@ -428,6 +471,15 @@ func (t *participantTask) run() {
 	ps.mu.Lock()
 	if !ps.done {
 		delete(ps.tasks, id)
+	}
+	if kit := t.exec.kit; kit != nil {
+		// The kit's one way back (commitKit has the rule): the digest is the
+		// last alias into it.
+		t.exec.kit, t.exec.digest, kit.exec = nil, nil, nil
+		if scribbleKit != nil {
+			scribbleKit(kit, nil)
+		}
+		ps.kits = append(ps.kits, kit)
 	}
 	if err != nil && ps.taskErr == nil {
 		ps.taskErr = fmt.Errorf("grid: participant %s task %d: %w", ps.p.id, id, err)
@@ -507,6 +559,7 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 		producer:    producer,
 		screener:    base.Screener(),
 		parallelism: p.cfg.proverParallelism,
+		kit:         t.exec.kit,
 	}
 	exec := &t.exec
 	switch a.Spec.Kind {
@@ -645,10 +698,12 @@ type taskExecution struct {
 
 	// runCBS's tree-building state, here so its leaf function captures
 	// nothing but the execution: the screened reports, whether the commit
-	// pass is still running, and the one scratch every claim lands in.
+	// pass is still running, and the commitment kit — the session's, lent
+	// by startTask, or the execution's own — whose buffer every claim lands
+	// in.
 	reports    []Report
 	committing bool
-	buf        []byte
+	kit        *commitKit
 }
 
 // claim is runCBS's leaf function. Screening happens once per input, on the
@@ -659,12 +714,13 @@ type taskExecution struct {
 // next (the contract of merkle.BuildFunc and NewPartial), so one scratch
 // buffer serves every claim of the task.
 func (e *taskExecution) claim(i uint64) []byte {
+	kit := e.kit
 	if e.committing {
-		e.buf = e.claimAndScreen(e.buf[:0], i, &e.reports)
+		kit.buf = e.claimAndScreen(kit.buf[:0], i, &e.reports)
 	} else {
-		e.buf = e.producer.AppendClaim(e.buf[:0], e.task.Start+i)
+		kit.buf = e.producer.AppendClaim(kit.buf[:0], e.task.Start+i)
 	}
-	return e.buf
+	return kit.buf
 }
 
 // claimAndScreen appends the participant's claimed value for domain index i
@@ -703,13 +759,24 @@ func (e *taskExecution) claimAll(reports *[]Report) [][]byte {
 
 // runCBS executes Steps 1-3 of (NI-)CBS: build the tree over claimed values
 // while screening, send commitment and reports, then answer the challenge
-// (interactive) or self-derive it (non-interactive). On resume the tree is
-// rebuilt — bit-identical, since claims are deterministic — and only the
-// messages the supervisor lacks are sent; a challenge the supervisor already
-// issued arrives replayed inside res instead of over the wire.
+// (interactive) or self-derive it (non-interactive). The tree, the proof and
+// the claim buffer are the commitment kit's, rebuilt in place (commitKit has
+// the ownership rule). On resume the tree is rebuilt — bit-identical, since
+// claims are deterministic — and only the messages the supervisor lacks are
+// sent; a challenge the supervisor already issued arrives replayed inside res
+// instead of over the wire.
 func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashchain.Chain, res *resumeMsg) error {
+	kit := e.kit
+	if kit == nil {
+		// No session lent one (its list was empty, or the runner is driven
+		// directly): the execution makes the kit it, or the session, keeps.
+		kit = new(commitKit)
+		kit.claim = func(i uint64) []byte { return kit.exec.claim(i) }
+		e.kit = kit
+	}
+	kit.exec = e
 	e.reports, e.committing = nil, true
-	claim := e.claim
+	claim := kit.claim
 	var opts []core.Option
 	if e.spec.SubtreeHeight > 0 {
 		opts = append(opts, core.WithSubtreeHeight(e.spec.SubtreeHeight))
@@ -724,8 +791,8 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		claim = func(i uint64) []byte { return values[i] }
 		opts = append(opts, core.WithTreeOptions(merkle.WithParallelism(e.parallelism)))
 	}
-	prover, err := core.NewProver(int(e.task.N), claim, opts...)
-	if err != nil {
+	prover := &kit.prover
+	if err := prover.Reset(int(e.task.N), claim, opts...); err != nil {
 		return err
 	}
 	e.committing = false
@@ -749,36 +816,36 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		return nil // the supervisor holds everything; it only owes the verdict
 	}
 
-	var resp *core.Response
-	if nonInteractive {
-		resp, err = prover.RespondNonInteractive(chain, e.spec.M)
+	var ch core.Challenge
+	switch {
+	case nonInteractive:
+		// Steps 2-3 of Section 4.1: the samples come from the commitment
+		// itself (Eq. 4); the supervisor re-derives them from the root.
+		if ch.Indices, err = chain.SampleIndices(commitment.Root, e.spec.M, commitment.N); err != nil {
+			return err
+		}
+	case res != nil && res.Challenge != nil:
+		if err := ch.UnmarshalBinary(res.Challenge); err != nil {
+			return fmt.Errorf("%w: resumed challenge: %v", ErrBadPayload, err)
+		}
+	default:
+		msg, err := conn.Recv()
 		if err != nil {
 			return err
 		}
-	} else {
-		var ch core.Challenge
-		if res != nil && res.Challenge != nil {
-			if err := ch.UnmarshalBinary(res.Challenge); err != nil {
-				return fmt.Errorf("%w: resumed challenge: %v", ErrBadPayload, err)
-			}
-		} else {
-			msg, err := conn.Recv()
-			if err != nil {
-				return err
-			}
-			if msg.Type != msgChallenge {
-				return fmt.Errorf("%w: got type %d, want challenge", ErrUnexpectedMessage, msg.Type)
-			}
-			if err := ch.UnmarshalBinary(msg.Payload); err != nil {
-				return fmt.Errorf("%w: challenge: %v", ErrBadPayload, err)
-			}
+		if msg.Type != msgChallenge {
+			return fmt.Errorf("%w: got type %d, want challenge", ErrUnexpectedMessage, msg.Type)
 		}
-		resp, err = prover.Respond(ch.Indices)
-		if err != nil {
-			return err
+		if err := ch.UnmarshalBinary(msg.Payload); err != nil {
+			return fmt.Errorf("%w: challenge: %v", ErrBadPayload, err)
 		}
 	}
-	respPayload, err := resp.MarshalBinary()
+	if err := prover.RespondInto(&kit.resp, &kit.scratch, ch.Indices); err != nil {
+		return err
+	}
+	// The marshaled copy is the last read of the tree and the scratch: from
+	// here the kit holds nothing the task needs but the root under e.digest.
+	respPayload, err := kit.resp.MarshalBinary()
 	if err != nil {
 		return err
 	}

@@ -304,12 +304,18 @@ type Session struct {
 	writer      *batchWriter
 
 	// mu guards the demultiplexer: per-task inboxes, the elected-puller
-	// flag, the ctrl handler, the terminal error, and receive-side overhead
-	// accounting.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	tasks        map[uint64]*sessionTaskConn
+	// flag, the ctrl handler, the terminal error, receive-side overhead
+	// accounting, the task-ID memory and the free list of audit kits.
+	mu    sync.Mutex
+	cond  *sync.Cond
+	tasks map[uint64]*sessionTaskConn
+	// used holds the IDs register refuses: every task in flight plus the
+	// most recent maxVerdictTombstones finished ones, which finished keeps in
+	// finishing order as a ring (finNext is its oldest entry once full).
 	used         map[uint64]struct{}
+	finished     []uint64
+	finNext      int
+	kits         []*auditKit
 	ctrl         func(taggedMsg) error
 	pulling      bool
 	err          error
@@ -591,11 +597,19 @@ func (s *Session) sendCtrl(typ uint8, payload []byte) error {
 	return s.writer.enqueue(taggedMsg{TaskID: ctrlTaskID, Type: typ, Payload: payload}, nil)
 }
 
-// register adds a task to the demultiplexer. Task IDs are the wire-level
-// routing key and must be unique for the whole life of the session, not
-// just among in-flight tasks: the participant tears its side of a finished
-// task down asynchronously, so immediate reuse would race it.
-func (s *Session) register(taskID uint64) (*sessionTaskConn, error) {
+// register adds at's task to the demultiplexer and lends the attempt an
+// audit kit if it does not travel with one. Task IDs are the wire-level
+// routing key and must not return while the participant may still hold the
+// task that last used them: it tears its side of a finished task down
+// asynchronously, so immediate reuse would race it. That race spans one
+// participant teardown — the span the participant's verdict tombstones cover
+// for the same reason — so the session remembers the IDs in flight plus the
+// most recent maxVerdictTombstones finished ones (one constant for both
+// ends) and forgets older ones: an unbounded stream over one long-lived
+// session keeps a bounded memory, and an ID thousands of tasks old is free
+// again.
+func (s *Session) register(at *taskAttempt) (*sessionTaskConn, error) {
+	taskID := at.task.ID
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.err; err != nil {
@@ -608,24 +622,54 @@ func (s *Session) register(taskID uint64) (*sessionTaskConn, error) {
 	c := &sessionTaskConn{sess: s, id: taskID}
 	c.inbox = c.inboxBuf[:0]
 	s.tasks[taskID] = c
+	if at.pt.kit == nil {
+		if last := len(s.kits) - 1; last >= 0 {
+			at.pt.kit, s.kits = s.kits[last], s.kits[:last]
+		} else {
+			at.pt.kit = new(auditKit)
+		}
+		at.pt.tr.buf = at.pt.kit.evalBuf
+	}
 	return c, nil
 }
 
-func (s *Session) unregister(taskID uint64) {
+// detach folds the connection's flushed byte totals for c's task into the
+// attempt and takes the task out of the demultiplexer; err is how the
+// exchange ended. errReplicaParked says the task is not finished — the
+// participant still holds it in flight awaiting the verdict — so its ID is
+// freed at once: the same ID returning to this session is the same task
+// re-attaching, not a reuse race. Otherwise the ID joins the finished ring,
+// evicting the oldest. An attempt that will run again — parked, or
+// ErrConnQuarantined: the connection died under it — keeps its audit kit;
+// any other ending returns the kit to this session's list (auditKit has the
+// rule).
+//
+//gridlint:credit folds the flushed per-connection totals into the attempt after awaitSends
+func (s *Session) detach(c *sessionTaskConn, at *taskAttempt, err error) {
+	parked := errors.Is(err, errReplicaParked)
+	resumable := parked || errors.Is(err, ErrConnQuarantined)
 	s.mu.Lock()
-	delete(s.tasks, taskID)
-	s.mu.Unlock()
-}
-
-// release removes a parked task from the demultiplexer AND frees its ID
-// for re-registration: the task is not finished — the participant still
-// holds it in flight awaiting the verdict — so the same ID returning to
-// this session is the same task re-attaching, not a reuse race.
-func (s *Session) release(taskID uint64) {
-	s.mu.Lock()
-	delete(s.tasks, taskID)
-	delete(s.used, taskID)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	at.bytesSent += c.sent.Load()
+	at.bytesRecv += c.recv
+	delete(s.tasks, c.id)
+	switch {
+	case parked:
+		delete(s.used, c.id)
+	case len(s.finished) < maxVerdictTombstones:
+		s.finished = append(s.finished, c.id)
+	default:
+		delete(s.used, s.finished[s.finNext])
+		s.finished[s.finNext] = c.id
+		s.finNext = (s.finNext + 1) % len(s.finished)
+	}
+	if kit := at.pt.kit; kit != nil && !resumable {
+		at.pt.returnKit()
+		if scribbleKit != nil {
+			scribbleKit(nil, kit)
+		}
+		s.kits = append(s.kits, kit)
+	}
 }
 
 // RunTask runs one task through the session, from assignment to verdict.
@@ -664,8 +708,6 @@ func (sess *Session) RunTask(task Task) (*TaskOutcome, error) {
 // session on a replacement connection (to the same participant once any
 // reply was received — see taskAttempt.started). Any other error is a
 // protocol-level failure and terminal.
-//
-//gridlint:credit folds the flushed per-connection totals into the attempt after awaitSends
 func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 	select {
 	case sess.slots <- struct{}{}:
@@ -680,7 +722,7 @@ func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 	}
 	defer func() { <-sess.slots }()
 
-	c, err := sess.register(at.task.ID)
+	c, err := sess.register(at)
 	if err != nil {
 		return nil, quarantineWrap(err)
 	}
@@ -695,20 +737,14 @@ func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 	// Settle the attempt's byte totals only after the writer has flushed or
 	// discarded everything this task enqueued — sent bytes mean wire bytes.
 	c.awaitSends()
-	sess.mu.Lock()
-	at.bytesSent += c.sent.Load()
-	at.bytesRecv += c.recv
-	sess.mu.Unlock()
-	if errors.Is(err, errReplicaParked) {
-		// Not finished and not failed: the task stays live on the
-		// participant; free the ID so the re-claimed attempt can register
-		// here again.
-		sess.release(at.task.ID)
-		return nil, err
-	}
-	sess.unregister(at.task.ID)
 	if err != nil {
-		return nil, quarantineWrap(err)
+		// errReplicaParked passes through as it is: not finished and not
+		// failed, the task stays live on the participant.
+		err = quarantineWrap(err)
+	}
+	sess.detach(c, at, err)
+	if err != nil {
+		return nil, err
 	}
 	at.pt.outcome.BytesSent = at.bytesSent
 	at.pt.outcome.BytesRecv = at.bytesRecv

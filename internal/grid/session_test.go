@@ -791,7 +791,7 @@ func TestSessionInboxReusesBackingArray(t *testing.T) {
 		t.Fatalf("OpenSession: %v", err)
 	}
 	defer sess.Close()
-	tc, err := sess.register(7)
+	tc, err := sess.register(&taskAttempt{task: Task{ID: 7}})
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}

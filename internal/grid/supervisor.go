@@ -11,6 +11,7 @@ import (
 
 	"uncheatgrid/internal/baseline"
 	"uncheatgrid/internal/core"
+	"uncheatgrid/internal/merkle"
 	"uncheatgrid/internal/transport"
 	"uncheatgrid/internal/workload"
 )
@@ -174,6 +175,9 @@ type preparedTask struct {
 	ringers *baseline.RingerSet
 	outcome *TaskOutcome
 	st      exchangeState
+	// kit is the audit kit the attempt borrowed from the first session it
+	// ran on, nil before that and after it went back (auditKit has the rule).
+	kit *auditKit
 
 	// rdv and repIdx are set on replica attempts (double-check): the settle
 	// phase submits the upload to the rendezvous as replica repIdx and takes
@@ -188,6 +192,44 @@ type preparedTask struct {
 	// once even when decide re-enters after a replica park.
 	ledger   *WindowLedger
 	digested bool
+}
+
+// auditKit is everything a CBS audit needs whose shape does not change from
+// one task to the next: the verifier (root buffer, proof verifier, hash
+// state, climb scratch), the scratch the response's multiproof is decoded
+// into, the storage the interactive challenge is drawn into and the buffer
+// the supervisor's recomputations of f land in. A session lends one to each
+// attempt it runs and resets it in place for the next.
+//
+// Ownership, the way transport/pool.go states it for frames. Borrow:
+// Session.register, under the sess.mu it takes to register the task, pops a
+// kit off Session.kits (or makes one) for an attempt that has none. Aliases:
+// exchangeState.verifier, .challenge.Indices (interactive CBS) and .proofs
+// point into the kit, and taskRun.buf is its eval buffer — all of them state
+// a resumed exchange must find intact. So the kit travels with the attempt:
+// an exchange that ends in errReplicaParked or ErrConnQuarantined keeps it,
+// across sessions and connections, and a parked or quarantined attempt that
+// is later abandoned takes its kit to the collector with it. Return:
+// Session.detach, the one return point, once the exchange reached its
+// outcome or failed for good, to the list of the session it ran on last —
+// after preparedTask.returnKit cut every alias above. Nothing a caller keeps
+// (the TaskOutcome, its reports and verdict) points into a kit. A list
+// therefore never holds more kits than the connection had attempts attached
+// or parked at once, and it dies with the session.
+type auditKit struct {
+	verifier  core.Verifier
+	scratch   merkle.ProofScratch
+	challenge []uint64
+	evalBuf   []byte
+}
+
+// returnKit cuts every reference the attempt holds into its audit kit, which
+// takes back the eval buffer at whatever size the task grew it to. The caller
+// puts the kit on a session's list.
+func (pt *preparedTask) returnKit() {
+	pt.kit.evalBuf = pt.tr.buf[:0]
+	pt.kit, pt.tr.buf = nil, nil
+	pt.st.verifier, pt.st.challenge, pt.st.proofs = nil, core.Challenge{}, core.Response{}
 }
 
 // prepareTask runs the assignment phase into pt: validate the task,

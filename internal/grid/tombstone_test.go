@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"testing"
 
 	"uncheatgrid/internal/transport"
@@ -101,5 +102,77 @@ func TestVerdictTombstoneChurnBoundsOrderQueue(t *testing.T) {
 	}
 	if orderLen >= 2*maxVerdictTombstones {
 		t.Errorf("order queue grew to %d entries under churn, bound %d", orderLen, 2*maxVerdictTombstones)
+	}
+}
+
+// TestSessionTaskIDMemoryBounded is the supervisor-side twin: a session
+// refuses an ID that is in flight or among the last maxVerdictTombstones
+// finished, and remembers nothing older — so three times the cap of tasks on
+// one session leave at most cap + window IDs behind, the ID that just
+// finished is still refused, one the ring has forgotten runs again, and a
+// parked task's ID (released, not finished) re-registers at once.
+func TestSessionTaskIDMemoryBounded(t *testing.T) {
+	old := maxVerdictTombstones
+	maxVerdictTombstones = 8
+	defer func() { maxVerdictTombstones = old }()
+
+	conn, shutdown := sessionFixture(t, HonestFactory)
+	defer shutdown()
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 2}, Seed: 3})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	const window = 2
+	sess, err := sup.OpenSession(conn, window)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	tasks := poolTasks(3*maxVerdictTombstones, 16)
+	for _, task := range tasks { // one at a time: finishing order is ID order
+		if outcome, err := sess.RunTask(task); err != nil || !outcome.Verdict.Accepted {
+			t.Fatalf("task %d: %+v, %v", task.ID, outcome, err)
+		}
+	}
+	sess.mu.Lock()
+	used, ring := len(sess.used), len(sess.finished)
+	sess.mu.Unlock()
+	if used > maxVerdictTombstones+window || ring > maxVerdictTombstones {
+		t.Errorf("after %d tasks the session remembers %d IDs (%d in its ring), want <= %d + %d",
+			len(tasks), used, ring, maxVerdictTombstones, window)
+	}
+	last := tasks[len(tasks)-1]
+	for _, task := range tasks[len(tasks)-maxVerdictTombstones:] {
+		if _, err := sess.RunTask(task); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("recently finished ID %d reused: err = %v, want ErrBadConfig", task.ID, err)
+		}
+	}
+	if outcome, err := sess.RunTask(tasks[0]); err != nil || !outcome.Verdict.Accepted {
+		t.Errorf("an ID %d tasks old: %+v, %v; want it free again", len(tasks), outcome, err)
+	}
+	if _, err := sess.RunTask(last); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("ID %d still inside the ring: err = %v, want ErrBadConfig", last.ID, err)
+	}
+
+	// Parked is not finished: detach frees the ID without spending a ring
+	// entry, and the same ID registers again while the ring still refuses
+	// its finished neighbours.
+	at := &taskAttempt{task: Task{ID: 1 << 40}}
+	c, err := sess.register(at)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if _, err := sess.register(&taskAttempt{task: at.task}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("in-flight ID registered twice: err = %v, want ErrBadConfig", err)
+	}
+	sess.detach(c, at, errReplicaParked)
+	if c, err = sess.register(at); err != nil {
+		t.Fatalf("re-register of a parked and released ID: %v", err)
+	}
+	sess.detach(c, at, nil)
+	if _, err := sess.register(at); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("finished ID registered again: err = %v, want ErrBadConfig", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }

@@ -64,32 +64,58 @@ func multiWalk(leafBase uint64, indices []uint64, visit func(sibling uint64)) {
 	}
 }
 
-// newMultiProof starts the multiproof of the challenged leaves of an n-leaf
-// tree padded to capacity: Indices holds them sorted with repeats dropped,
-// and Values and Siblings are sized — one header slab between them — for the
-// tree to fill in.
-func newMultiProof(n, capacity int, challenged []uint64) (MultiProof, error) {
+// ProofScratch is the storage a multiproof is built or decoded into — its
+// index list, the header slab Values and Siblings share, and, for a built
+// proof, the slab the sampled values are copied into — owned by the caller
+// so one scratch serves proof after proof. The zero value is ready; each use
+// keeps what it finds large enough and replaces the rest. A proof filled
+// from a scratch aliases it and dies with the scratch's next use.
+type ProofScratch struct {
+	indices []uint64
+	headers [][]byte
+	values  []byte
+}
+
+// proof returns an n-leaf multiproof over the first k entries of s.indices
+// whose Values and Siblings are s's header slab regrown to k+siblings nil
+// entries.
+func (s *ProofScratch) proof(n, k, siblings int) MultiProof {
+	s.headers = slices.Grow(s.headers[:0], k+siblings)[:k+siblings]
+	clear(s.headers)
+	return MultiProof{N: n, Indices: s.indices[:k], Values: s.headers[:k:k], Siblings: s.headers[k:]}
+}
+
+// newMultiProof starts, in s, the multiproof of the challenged leaves of an
+// n-leaf tree padded to capacity: Indices holds them sorted with repeats
+// dropped, and Values and Siblings are sized — one header slab between them —
+// for the tree to fill in.
+func newMultiProof(s *ProofScratch, n, capacity int, challenged []uint64) (MultiProof, error) {
 	for _, idx := range challenged {
 		if idx >= uint64(n) {
 			return MultiProof{}, fmt.Errorf("%w: %d not in [0, %d)", ErrIndexOutOfRange, idx, n)
 		}
 	}
-	indices := slices.Clone(challenged)
-	slices.Sort(indices)
-	indices = slices.Compact(indices)
+	s.indices = append(s.indices[:0], challenged...)
+	slices.Sort(s.indices)
+	s.indices = slices.Compact(s.indices)
 	siblings := 0
-	multiWalk(uint64(capacity), indices, func(uint64) { siblings++ })
-	k := len(indices)
-	headers := make([][]byte, k+siblings)
-	return MultiProof{N: n, Indices: indices, Values: headers[:k:k], Siblings: headers[k:]}, nil
+	multiWalk(uint64(capacity), s.indices, func(uint64) { siblings++ })
+	return s.proof(n, len(s.indices), siblings), nil
 }
 
 // ProveMulti produces the multiproof for the challenged leaves, which may
 // repeat and come in any order (Step 3, Section 3.1). The sibling digests
-// alias the tree's immutable nodes; the leaf values are copied into one
-// slab.
+// alias the tree's nodes, which the next Rebuild overwrites; the leaf values
+// are copied into one slab.
 func (t *Tree) ProveMulti(challenged []uint64) (MultiProof, error) {
-	mp, err := newMultiProof(t.n, t.cap, challenged)
+	return t.ProveMultiInto(new(ProofScratch), challenged)
+}
+
+// ProveMultiInto is ProveMulti built in s: the proof's index list, headers
+// and value slab are s's, so a scratch that has served a proof this size
+// makes the next one allocate nothing.
+func (t *Tree) ProveMultiInto(s *ProofScratch, challenged []uint64) (MultiProof, error) {
+	mp, err := newMultiProof(s, t.n, t.cap, challenged)
 	if err != nil {
 		return MultiProof{}, err
 	}
@@ -97,7 +123,11 @@ func (t *Tree) ProveMulti(challenged []uint64) (MultiProof, error) {
 	for _, idx := range mp.Indices {
 		valueBytes += len(t.node(t.cap + int(idx)))
 	}
-	values := make([]byte, 0, valueBytes)
+	// Never a nil slab: an empty leaf's value is empty, not nil.
+	if s.values == nil || cap(s.values) < valueBytes {
+		s.values = make([]byte, 0, valueBytes)
+	}
+	values := s.values[:0]
 	for i, idx := range mp.Indices {
 		start := len(values)
 		values = append(values, t.node(t.cap+int(idx))...)
@@ -117,7 +147,7 @@ func (t *Tree) ProveMulti(challenged []uint64) (MultiProof, error) {
 // m·2^ℓ recomputations Section 3.3 charges — and reads everything above from
 // the stored top levels.
 func (p *PartialTree) ProveMulti(challenged []uint64) (MultiProof, error) {
-	mp, err := newMultiProof(p.n, p.cap, challenged)
+	mp, err := newMultiProof(new(ProofScratch), p.n, p.cap, challenged)
 	if err != nil {
 		return MultiProof{}, err
 	}
@@ -371,6 +401,14 @@ func (p *MultiProof) UnmarshalBinary(data []byte) error {
 // only after the counts that size them were checked against the bytes that
 // remain. On error p is left as it was.
 func (p *MultiProof) UnmarshalAliased(data []byte) error {
+	return p.UnmarshalAliasedInto(new(ProofScratch), data)
+}
+
+// UnmarshalAliasedInto is UnmarshalAliased with the index list and the header
+// slab taken from s, which the proof then aliases as it aliases data: a
+// scratch that has held a proof this size decodes the next one without
+// allocating. s is overwritten whether or not the decode succeeds.
+func (p *MultiProof) UnmarshalAliasedInto(s *ProofScratch, data []byte) error {
 	n, rest, err := takeUvarint(data)
 	if err != nil {
 		return fmt.Errorf("%w: leaf count: %v", ErrMalformedProof, err)
@@ -382,17 +420,18 @@ func (p *MultiProof) UnmarshalAliased(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: sample count: %v", ErrMalformedProof, err)
 	}
-	s, rest, err := takeUvarint(rest)
+	sibs, rest, err := takeUvarint(rest)
 	if err != nil {
 		return fmt.Errorf("%w: sibling count: %v", ErrMalformedProof, err)
 	}
 	// A sample occupies at least two bytes (its index and its value's
 	// length), a sibling at least one.
 	room := uint64(len(rest))
-	if k == 0 || k > room/2 || s > room-2*k {
-		return fmt.Errorf("%w: %d samples and %d siblings declared, %d bytes remain", ErrMalformedProof, k, s, room)
+	if k == 0 || k > room/2 || sibs > room-2*k {
+		return fmt.Errorf("%w: %d samples and %d siblings declared, %d bytes remain", ErrMalformedProof, k, sibs, room)
 	}
-	indices := make([]uint64, k)
+	s.indices = slices.Grow(s.indices[:0], int(k))[:k]
+	indices := s.indices
 	for i := range indices {
 		var gap uint64
 		if gap, rest, err = takeUvarint(rest); err != nil {
@@ -409,9 +448,9 @@ func (p *MultiProof) UnmarshalAliased(data []byte) error {
 		}
 		indices[i] = floor + gap
 	}
-	headers := make([][]byte, k+s)
-	for i := range headers {
-		if headers[i], rest, err = takeBytes(rest); err != nil {
+	decoded := s.proof(int(n), int(k), int(sibs))
+	for i := range s.headers {
+		if s.headers[i], rest, err = takeBytes(rest); err != nil {
 			what, at := "value", i
 			if uint64(i) >= k {
 				what, at = "sibling", i-int(k)
@@ -422,7 +461,6 @@ func (p *MultiProof) UnmarshalAliased(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrMalformedProof, len(rest))
 	}
-	decoded := MultiProof{N: int(n), Indices: indices, Values: headers[:k:k], Siblings: headers[k:]}
 	if err := decoded.validate(); err != nil {
 		return err
 	}

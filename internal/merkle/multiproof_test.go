@@ -65,6 +65,30 @@ func mustEncodeMulti(tb testing.TB, mp *MultiProof) []byte {
 	return data
 }
 
+// dirtyScratch returns a proof scratch that has held a 48-sample proof of a
+// 400-leaf tree of 0xA5 bytes and then its decode.
+func dirtyScratch(t *testing.T) *ProofScratch {
+	t.Helper()
+	tree, err := BuildFunc(400, func(i int) []byte { return bytes.Repeat([]byte{0xA5}, 1+i%50) })
+	if err != nil {
+		t.Fatalf("BuildFunc: %v", err)
+	}
+	challenged := make([]uint64, 48)
+	for i := range challenged {
+		challenged[i] = uint64(i * 8)
+	}
+	s := new(ProofScratch)
+	mp, err := tree.ProveMultiInto(s, challenged)
+	if err != nil {
+		t.Fatalf("ProveMultiInto: %v", err)
+	}
+	var back MultiProof
+	if err := back.UnmarshalAliasedInto(s, mustEncodeMulti(t, &mp)); err != nil {
+		t.Fatalf("UnmarshalAliasedInto: %v", err)
+	}
+	return s
+}
+
 // checkMultiProofMatchesPaths is the body of FuzzMultiProofMatchesPaths.
 func checkMultiProofMatchesPaths(t *testing.T, nSeed uint16, mSeed uint8, deep, useMD5 bool, data []byte) {
 	n := int(nSeed)%300 + 1
@@ -135,6 +159,22 @@ func checkMultiProofMatchesPaths(t *testing.T, nSeed uint16, mSeed uint8, deep, 
 		t.Fatalf("n=%d: decoded multiproof rejected: %v", n, err)
 	}
 
+	// The same proof out of a scratch another tree's larger proof and a
+	// decode have used: same fields, same bytes, no value nil.
+	scratch := dirtyScratch(t)
+	inScratch, err := tree.ProveMultiInto(scratch, challenged)
+	if err != nil || !sameMultiProof(&inScratch, &mp) || !bytes.Equal(mustEncodeMulti(t, &inScratch), encoded) {
+		t.Fatalf("n=%d: multiproof for %v built in a used scratch differs (%v)", n, challenged, err)
+	}
+	scratch = dirtyScratch(t)
+	var aliased MultiProof
+	if err := aliased.UnmarshalAliasedInto(scratch, encoded); err != nil || !sameMultiProof(&aliased, &mp) {
+		t.Fatalf("n=%d: decode into a used scratch: %v", n, err)
+	}
+	if err := v.VerifyMulti(root, &aliased); err != nil {
+		t.Fatalf("n=%d: multiproof decoded into a used scratch rejected: %v", n, err)
+	}
+
 	// Every tampering is refused with one of the two sentinels, and the
 	// verifier is none the worse for it.
 	refuse := func(what string, forged MultiProof, want error) {
@@ -192,13 +232,34 @@ func checkMultiProofMatchesPaths(t *testing.T, nSeed uint16, mSeed uint8, deep, 
 // give, come out of Tree and PartialTree byte-identical, and survive no
 // tampering.
 func FuzzMultiProofMatchesPaths(f *testing.F) {
-	f.Add(uint16(0), uint8(0), false, false, []byte{0x03, 'a', 'b', 'c'}) // one leaf: the root is the value
-	f.Add(uint16(1), uint8(3), true, false, []byte{})                     // two empty leaves, both sampled
-	f.Add(uint16(36), uint8(7), true, true, []byte("\x05hello\x00\x02hi\x27fuzz"))
-	f.Add(uint16(63), uint8(7), false, false, bytes.Repeat([]byte{0x08}, 600)) // the benchmark's n=64, m=8
-	f.Add(uint16(255), uint8(15), true, false, bytes.Repeat([]byte{0x08, 0xAA}, 1200))
-	f.Add(uint16(299), uint8(39), false, true, bytes.Repeat([]byte{0x00, 0x01, 0xAA, 0x28}, 300))
+	for _, s := range multiProofSeeds {
+		f.Add(s.nSeed, s.mSeed, s.deep, s.useMD5, s.data)
+	}
 	f.Fuzz(checkMultiProofMatchesPaths)
+}
+
+var multiProofSeeds = []struct {
+	nSeed        uint16
+	mSeed        uint8
+	deep, useMD5 bool
+	data         []byte
+}{
+	{0, 0, false, false, []byte{0x03, 'a', 'b', 'c'}}, // one leaf: the root is the value
+	{1, 3, true, false, []byte{}},                     // two empty leaves, both sampled
+	{36, 7, true, true, []byte("\x05hello\x00\x02hi\x27fuzz")},
+	{63, 7, false, false, bytes.Repeat([]byte{0x08}, 600)}, // the benchmark's n=64, m=8
+	{255, 15, true, false, bytes.Repeat([]byte{0x08, 0xAA}, 1200)},
+	{299, 39, false, true, bytes.Repeat([]byte{0x00, 0x01, 0xAA, 0x28}, 300)},
+	{199, 20, false, true, nil}, // every leaf empty: values of no bytes that are not nil
+}
+
+// TestDirtyScratchMultiProofMatchesPaths runs the differential's seeds by a
+// name the kit checks select: each proof is also built in, and decoded into,
+// a scratch that has held a larger one.
+func TestDirtyScratchMultiProofMatchesPaths(t *testing.T) {
+	for _, s := range multiProofSeeds {
+		checkMultiProofMatchesPaths(t, s.nSeed, s.mSeed, s.deep, s.useMD5, s.data)
+	}
 }
 
 // TestMultiProofSingleSampleIsAuditPath: for one sample nothing is shared, so

@@ -38,8 +38,9 @@ type Proof struct {
 
 // ProofVerifier reconstructs roots from audit paths and multiproofs with the
 // hash state set up once — the hasher, its reusable node state, the scratch
-// digests of the climb — instead of once per proof: a supervisor builds one
-// per task. A ProofVerifier is not safe for concurrent use.
+// digests of the climb — instead of once per proof: a supervisor keeps one
+// per task in flight and Resets it between tasks. A ProofVerifier is not
+// safe for concurrent use.
 type ProofVerifier struct {
 	nh *nodeHasher
 	// scratch holds the digests a climb rewrites level by level: one row for
@@ -52,7 +53,16 @@ type ProofVerifier struct {
 // NewProofVerifier prepares verification under the given tree options, which
 // must match the ones the tree was built with.
 func NewProofVerifier(opts ...Option) *ProofVerifier {
-	return &ProofVerifier{nh: newHashers(buildOptions(opts)).node()}
+	v := new(ProofVerifier)
+	v.Reset(opts...)
+	return v
+}
+
+// Reset prepares v for verification under opts as NewProofVerifier prepares
+// a fresh one, keeping the scratch and — from one default hash to the next —
+// the hash state.
+func (v *ProofVerifier) Reset(opts ...Option) {
+	v.nh = nodeFor(v.nh, buildOptions(opts))
 }
 
 // rows returns scratch space for k digests.

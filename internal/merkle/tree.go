@@ -159,13 +159,20 @@ type hashers struct {
 	// length disagrees with Size(): Build and BuildFunc refuse it, the stream
 	// and partial builders and verification take an allocating fallback.
 	fixedLen int
+	// shared marks defaultHashers' bundle, the one bundle two constructions
+	// can be known to have in common: hash constructors do not compare.
+	shared bool
 }
 
 // defaultHashers is the SHA-256 bundle every tree, builder and verification
 // without WithHasher shares, so the pad digest is hashed once per process
 // instead of once per tree or proof. The pad is read-only like every node
 // value a Tree hands out.
-var defaultHashers = sync.OnceValue(func() hashers { return deriveHashers(sha256.New) })
+var defaultHashers = sync.OnceValue(func() hashers {
+	hs := deriveHashers(sha256.New)
+	hs.shared = true
+	return hs
+})
 
 func newHashers(o options) hashers {
 	if o.hasher == nil {
@@ -232,6 +239,17 @@ func (hs hashers) node() *nodeHasher {
 	return nh
 }
 
+// nodeFor returns a node hasher for the hash o selects: prev itself when it
+// already hashes with it — knowable for the default hash only — and a fresh
+// one otherwise. It is how a rebuilt Tree and a reset ProofVerifier keep
+// their hash state.
+func nodeFor(prev *nodeHasher, o options) *nodeHasher {
+	if prev != nil && prev.hs.shared && o.hasher == nil {
+		return prev
+	}
+	return newHashers(o).node()
+}
+
 // combineInto computes combine(left, right) into dst, which must have
 // capacity fixedLen. dst may alias left or right: both are absorbed into the
 // hash state before dst is written. With a variable-size hasher dst is
@@ -254,22 +272,26 @@ func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
 
 // Tree is a fully materialized Merkle tree over n leaf values. It is the
 // participant-side data structure of the CBS scheme (Step 1, Section 3.1).
-// A Tree is immutable after construction and safe for concurrent reads.
+// A Tree is immutable between builds and safe for concurrent reads.
 //
 // The tree holds no per-node pointers: internal digests live in one arena,
 // leaf values are copied into one slab delimited by an offset table, and
 // every padding leaf is the shared pad digest. node is the single accessor
 // over the three, so a finished tree is a handful of allocations the
-// collector never walks, however many leaves it has.
+// collector never walks, however many leaves it has — and Rebuild fills the
+// same handful again for the next tree.
 type Tree struct {
 	n   int // number of real leaves
 	cap int // leaves after padding; power of two, cap >= n
 	hs  hashers
+	// nh is the sequential build's hash state, kept for the next Rebuild.
+	nh *nodeHasher
 	// arena backs the internal nodes in heap layout: node i (1 <= i < cap,
 	// node 1 the root) is arena[i*fixedLen:(i+1)*fixedLen].
 	arena []byte
 	// slab holds the leaf values back to back in index order; leaf i is
-	// slab[offs[i]:offs[i+1]]. offs has n+1 entries.
+	// slab[offs[i]:offs[i+1]]. offs has n+1 entries. The slab is non-nil even
+	// when every leaf is empty: a leaf value never reads as nil.
 	slab []byte
 	offs []uint32
 }
@@ -295,41 +317,65 @@ func Build(values [][]byte, opts ...Option) (*Tree, error) {
 // worker pool — and never afterwards: proofs read the slab. Callers may hang
 // once-per-input side effects on at.
 func BuildFunc(n int, at func(i int) []byte, opts ...Option) (*Tree, error) {
-	if n <= 0 {
-		return nil, ErrEmptyTree
-	}
-	o := buildOptions(opts)
-	hs := newHashers(o)
-	if hs.fixedLen == 0 {
-		return nil, ErrHasherSize
-	}
-	t := newTree(n, hs)
-	if workers := buildWorkers(o.parallelism, t.cap); workers > 1 {
-		if err := t.fillParallel(at, workers); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	slab, err := t.fillLeaves(0, n, at, nil)
-	if err != nil {
+	t := new(Tree)
+	if err := t.Rebuild(n, at, opts...); err != nil {
 		return nil, err
 	}
-	t.slab = slab
-	t.hashSubtree(hs.node(), 1, t.cap)
 	return t, nil
 }
 
-// newTree allocates an n-leaf tree for a builder to fill: the node arena and
-// the offset table, no leaves yet.
-func newTree(n int, hs hashers) *Tree {
-	capacity := nextPow2(n)
-	return &Tree{
-		n:     n,
-		cap:   capacity,
-		hs:    hs,
-		arena: newNodeArena(hs, capacity),
-		offs:  make([]uint32, n+1),
+// Rebuild makes t the tree BuildFunc(n, at, opts...) returns — the one build
+// routine, BuildFunc being Rebuild of an empty Tree — inside the storage t
+// already owns: the arena, the offset table and the leaf slab are kept
+// wherever they are large enough, and so is the hash state when both trees
+// hash with the default. Nothing kept is cleared first: every arena row and
+// every offset is written before it is read. A parallel build still joins
+// its shards into a slab of its own.
+//
+// Everything the previous tree handed out — leaves, proofs' sibling digests —
+// aliases that storage and is overwritten; the caller must be done with it,
+// and with every concurrent read. After an error t holds no tree and must be
+// rebuilt before it is used.
+func (t *Tree) Rebuild(n int, at func(i int) []byte, opts ...Option) error {
+	o := buildOptions(opts)
+	if err := t.layout(n, o); err != nil {
+		return err
 	}
+	if workers := buildWorkers(o.parallelism, t.cap); workers > 1 {
+		return t.fillParallel(at, workers)
+	}
+	slab, err := t.fillLeaves(t.slab, 0, n, at, nil)
+	if err != nil {
+		return err
+	}
+	t.slab = slab
+	t.hashSubtree(t.nh, 1, t.cap)
+	return nil
+}
+
+// layout sizes t for an n-leaf tree under o for a builder to fill: the hash
+// state, the node arena and the offset table, no leaves yet.
+func (t *Tree) layout(n int, o options) error {
+	if n <= 0 {
+		return ErrEmptyTree
+	}
+	nh := nodeFor(t.nh, o)
+	if nh.hs.fixedLen == 0 {
+		return ErrHasherSize
+	}
+	t.nh, t.hs = nh, nh.hs
+	t.n, t.cap = n, nextPow2(n)
+	if need := t.cap * t.hs.fixedLen; cap(t.arena) < need {
+		t.arena = newNodeArena(t.hs, t.cap)
+	} else {
+		t.arena = t.arena[:need]
+	}
+	if cap(t.offs) < n+1 {
+		t.offs = make([]uint32, n+1)
+	}
+	t.offs = t.offs[:n+1]
+	t.offs[0] = 0
+	return nil
 }
 
 // node returns the Φ value of heap node i (1 <= i < 2*cap): an arena row
@@ -374,13 +420,14 @@ func checkSlab(size, add int) error {
 // instead of after every other shard finishes.
 const abortStride = 256
 
-// fillLeaves evaluates leaves [lo, hi) into a fresh slab, calling at once per
-// index in order, and records each leaf's end offset within that slab in
-// offs[i+1]; offs[lo] is not touched, so concurrent fills of disjoint spans
-// do not share an entry. With a non-nil stop (the parallel builder's shared
-// failure flag) it returns early with a nil slab once stop is set.
-func (t *Tree) fillLeaves(lo, hi int, at func(i int) []byte, stop *atomic.Bool) ([]byte, error) {
-	var slab []byte
+// fillLeaves evaluates leaves [lo, hi) into a slab — the one passed in when
+// it is large enough for the size the first value predicts, a fresh one
+// otherwise, and never a nil one — calling at once per index in order, and
+// records each leaf's end offset within that slab in offs[i+1]; offs[lo] is
+// not touched, so concurrent fills of disjoint spans do not share an entry.
+// With a non-nil stop (the parallel builder's shared failure flag) it
+// returns early with a nil slab once stop is set.
+func (t *Tree) fillLeaves(slab []byte, lo, hi int, at func(i int) []byte, stop *atomic.Bool) ([]byte, error) {
 	for i := lo; i < hi; i++ {
 		if stop != nil && i%abortStride == 0 && stop.Load() {
 			return nil, nil
@@ -390,7 +437,10 @@ func (t *Tree) fillLeaves(lo, hi int, at func(i int) []byte, stop *atomic.Bool) 
 			return nil, fmt.Errorf("%w: index %d", ErrNilLeaf, i)
 		}
 		if i == lo {
-			slab = make([]byte, 0, slabGuess(hi-lo, len(v)))
+			if guess := slabGuess(hi-lo, len(v)); slab == nil || cap(slab) < guess {
+				slab = make([]byte, 0, guess)
+			}
+			slab = slab[:0]
 		}
 		if err := checkSlab(len(slab), len(v)); err != nil {
 			return nil, err
@@ -501,7 +551,7 @@ func (t *Tree) fillParallel(at func(i int) []byte, workers int) error {
 	var failed atomic.Bool
 	forShards(func(s int) {
 		lo, hi := realLeaves(s)
-		slabs[s], errs[s] = t.fillLeaves(lo, hi, at, &failed)
+		slabs[s], errs[s] = t.fillLeaves(nil, lo, hi, at, &failed)
 		if errs[s] != nil {
 			failed.Store(true)
 		}
@@ -533,7 +583,7 @@ func (t *Tree) fillParallel(at func(i int) []byte, workers int) error {
 		t.hashSubtree(t.hs.node(), shards+s, span)
 	})
 	// Shard roots occupy [shards, 2*shards); finish the top of the heap.
-	t.hashSubtree(t.hs.node(), 1, shards)
+	t.hashSubtree(t.nh, 1, shards)
 	return nil
 }
 
@@ -549,7 +599,13 @@ func (t *Tree) Height() int { return log2(t.cap) }
 // single-leaf tree the root is the leaf value itself, exactly as Eq. (1)
 // degenerates for n = 1.
 func (t *Tree) Root() []byte {
-	return cloneBytes(t.node(1))
+	return t.AppendRoot(make([]byte, 0, len(t.node(1))))
+}
+
+// AppendRoot appends Φ(R) to dst: Root into storage the caller keeps across
+// rebuilds.
+func (t *Tree) AppendRoot(dst []byte) []byte {
+	return append(dst, t.node(1)...)
 }
 
 // Leaf returns the value stored at leaf index i. The slice aliases the

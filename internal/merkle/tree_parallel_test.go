@@ -15,7 +15,16 @@ import (
 // and oddly-shaped domains exercise the sharding logic too.
 func buildParallelDirect(t testing.TB, n, workers int, at func(i int) []byte, opts ...Option) *Tree {
 	t.Helper()
-	tree := newTree(n, newHashers(buildOptions(opts)))
+	return rebuildParallelDirect(t, new(Tree), n, workers, at, opts...)
+}
+
+// rebuildParallelDirect is buildParallelDirect into a tree that may have
+// been built before.
+func rebuildParallelDirect(t testing.TB, tree *Tree, n, workers int, at func(i int) []byte, opts ...Option) *Tree {
+	t.Helper()
+	if err := tree.layout(n, buildOptions(opts)); err != nil {
+		t.Fatalf("layout(n=%d): %v", n, err)
+	}
 	if workers > tree.cap/2 {
 		workers = tree.cap / 2
 	}

@@ -54,52 +54,79 @@ func carveLeaves(n int, data []byte) [][]byte {
 	return values
 }
 
+// dirtyTree returns a tree of n leaves of 0xA5 bytes, ragged: storage for a
+// Rebuild to find used.
+func dirtyTree(t *testing.T, n int, opts ...Option) *Tree {
+	t.Helper()
+	tree, err := BuildFunc(n, func(i int) []byte { return bytes.Repeat([]byte{0xA5}, 1+i%50) }, opts...)
+	if err != nil {
+		t.Fatalf("dirty BuildFunc(n=%d): %v", n, err)
+	}
+	return tree
+}
+
 // checkTreeMatchesReference builds the flat Tree — through the sharded
 // builder with 4 workers when parallel, whatever the size — and demands the
 // reference's root, for every leaf its value and sibling list from Prove,
-// and the reference's multiproof over every third leaf from ProveMulti.
+// and the reference's multiproof over every third leaf from ProveMulti:
+// of a tree built from nothing, and of one rebuilt over what a larger, a
+// smaller and a different-hasher build left behind.
 func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool, data []byte) {
 	n := int(nSeed)%1100 + 1
 	values := carveLeaves(n, data)
-	var opts []Option
+	var opts, otherOpts []Option
 	if useMD5 {
 		opts = append(opts, WithHasher(md5.New))
+	} else {
+		otherOpts = append(otherOpts, WithHasher(md5.New))
 	}
 	heap := referenceHeap(newHashers(buildOptions(opts)), values)
 	root := heap[1] // for n = 1, the leaf itself
-
-	at := func(i int) []byte { return values[i] }
-	var tree *Tree
-	if parallel && n > 1 {
-		tree = buildParallelDirect(t, n, 4, at, opts...)
-	} else {
-		var err error
-		if tree, err = BuildFunc(n, at, opts...); err != nil {
-			t.Fatalf("BuildFunc(n=%d): %v", n, err)
-		}
-	}
-	if got := tree.Root(); !bytes.Equal(got, root) {
-		t.Fatalf("n=%d parallel=%v md5=%v: root %x, reference %x", n, parallel, useMD5, got, root)
-	}
 	var challenged []uint64
 	for i := 0; i < n; i += 3 {
 		challenged = append(challenged, uint64(i))
 	}
-	mp, err := tree.ProveMulti(challenged)
-	if err != nil {
-		t.Fatalf("ProveMulti: %v", err)
-	}
-	if want := referenceMultiProof(heap, n, challenged); !sameMultiProof(&mp, &want) {
-		t.Fatalf("n=%d parallel=%v md5=%v: ProveMulti differs from the reference", n, parallel, useMD5)
-	}
-	for i := 0; i < n; i++ {
-		want := referenceProof(heap, n, i)
-		got, err := tree.Prove(i)
-		if err != nil {
-			t.Fatalf("Prove(%d): %v", i, err)
+	wantMulti := referenceMultiProof(heap, n, challenged)
+
+	at := func(i int) []byte { return values[i] }
+	for _, into := range []struct {
+		what string
+		tree *Tree
+	}{
+		{"a new tree", new(Tree)},
+		{"a larger tree", dirtyTree(t, 2*n+3, opts...)},
+		{"a smaller tree", dirtyTree(t, (n+2)/3, opts...)},
+		{"another hasher's tree", dirtyTree(t, n+1, otherOpts...)},
+	} {
+		tree := into.tree
+		if parallel && n > 1 {
+			rebuildParallelDirect(t, tree, n, 4, at, opts...)
+		} else if err := tree.Rebuild(n, at, opts...); err != nil {
+			t.Fatalf("Rebuild(n=%d) into %s: %v", n, into.what, err)
 		}
-		if !sameProof(got, want) || got.Value == nil {
-			t.Fatalf("n=%d parallel=%v md5=%v: Prove(%d) differs from the reference", n, parallel, useMD5, i)
+		desc := fmt.Sprintf("n=%d parallel=%v md5=%v into %s", n, parallel, useMD5, into.what)
+		if got := tree.Root(); !bytes.Equal(got, root) {
+			t.Fatalf("%s: root %x, reference %x", desc, got, root)
+		}
+		if tree.N() != n || tree.Height() != log2(len(heap)/2) {
+			t.Fatalf("%s: N, Height = %d, %d", desc, tree.N(), tree.Height())
+		}
+		mp, err := tree.ProveMulti(challenged)
+		if err != nil {
+			t.Fatalf("%s: ProveMulti: %v", desc, err)
+		}
+		if !sameMultiProof(&mp, &wantMulti) {
+			t.Fatalf("%s: ProveMulti differs from the reference", desc)
+		}
+		for i := 0; i < n; i++ {
+			want := referenceProof(heap, n, i)
+			got, err := tree.Prove(i)
+			if err != nil {
+				t.Fatalf("%s: Prove(%d): %v", desc, i, err)
+			}
+			if !sameProof(got, want) || got.Value == nil {
+				t.Fatalf("%s: Prove(%d) differs from the reference", desc, i)
+			}
 		}
 	}
 }
@@ -107,15 +134,35 @@ func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool
 // FuzzTreeMatchesReference is the differential for the pointer-free layout:
 // arena rows, slab spans and the shared pad behind node(i) against the
 // [][]byte heap they replaced, over ragged and empty leaves, padded domains,
-// both builders and two digest sizes.
+// both builders, two digest sizes, and new and dirty storage.
 func FuzzTreeMatchesReference(f *testing.F) {
-	f.Add(uint16(0), false, false, []byte{0x03, 'a', 'b', 'c'})           // one leaf: the root is the value
-	f.Add(uint16(1), true, false, []byte{})                               // two empty leaves
-	f.Add(uint16(36), false, true, []byte("\x05hello\x00\x02hi\x27fuzz")) // n=37, md5, ragged then dry
-	f.Add(uint16(36), true, false, bytes.Repeat([]byte{0x07}, 400))
-	f.Add(uint16(1023), true, true, bytes.Repeat([]byte{0x00, 0x01, 0xAA, 0x28}, 300))
-	f.Add(uint16(1024), false, false, bytes.Repeat([]byte{0x20}, 2048)) // n=1025: almost half padding
+	for _, s := range treeReferenceSeeds {
+		f.Add(s.nSeed, s.parallel, s.useMD5, s.data)
+	}
 	f.Fuzz(checkTreeMatchesReference)
+}
+
+var treeReferenceSeeds = []struct {
+	nSeed            uint16
+	parallel, useMD5 bool
+	data             []byte
+}{
+	{0, false, false, []byte{0x03, 'a', 'b', 'c'}},           // one leaf: the root is the value
+	{1, true, false, []byte{}},                               // two empty leaves
+	{36, false, true, []byte("\x05hello\x00\x02hi\x27fuzz")}, // n=37, md5, ragged then dry
+	{36, true, false, bytes.Repeat([]byte{0x07}, 400)},
+	{1023, true, true, bytes.Repeat([]byte{0x00, 0x01, 0xAA, 0x28}, 300)},
+	{1024, false, false, bytes.Repeat([]byte{0x20}, 2048)}, // n=1025: almost half padding
+	{299, false, false, nil},                               // every leaf empty: the slab holds no byte
+}
+
+// TestRebuildDirtyTreeMatchesReference runs the differential's seeds by a
+// name the kit checks select: each is built from nothing and rebuilt over
+// three dirty trees.
+func TestRebuildDirtyTreeMatchesReference(t *testing.T) {
+	for _, s := range treeReferenceSeeds {
+		checkTreeMatchesReference(t, s.nSeed, s.parallel, s.useMD5, s.data)
+	}
 }
 
 // TestConstructionCallsLeafProducerOnce pins the contract grid's screening

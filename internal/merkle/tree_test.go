@@ -473,3 +473,63 @@ func TestEncodedSizeIsLogarithmic(t *testing.T) {
 		t.Fatalf("size growth = %dB, want exactly %dB", diff, wantExtra)
 	}
 }
+
+// TestRebuildKeepsStorage pins what Rebuild is for: a tree rebuilt at or
+// below the size it has held keeps its arena, offset table, leaf slab and
+// hash state — and is the tree BuildFunc builds from nothing — while one
+// rebuilt larger, or under another hasher, replaces only what no longer fits.
+func TestRebuildKeepsStorage(t *testing.T) {
+	tree := mustBuild(t, leafValues(1000))
+	arena, offs, slab, nh := &tree.arena[0], &tree.offs[0], &tree.slab[0], tree.nh
+	for _, n := range []int{1000, 600, 1, 1000} {
+		values := raggedValues(n)[:n]
+		for i := range values {
+			values[i] = values[i][:min(len(values[i]), 8)] // never more bytes than the first build's
+		}
+		if err := tree.Rebuild(n, func(i int) []byte { return values[i] }); err != nil {
+			t.Fatalf("Rebuild(%d): %v", n, err)
+		}
+		if want := mustBuild(t, values); !bytes.Equal(tree.Root(), want.Root()) || tree.N() != n {
+			t.Fatalf("Rebuild(%d): root %x over %d leaves, BuildFunc gives %x", n, tree.Root(), tree.N(), want.Root())
+		}
+		if &tree.arena[:1][0] != arena || &tree.offs[0] != offs || &tree.slab[:1][0] != slab || tree.nh != nh {
+			t.Fatalf("Rebuild(%d) replaced storage that was large enough", n)
+		}
+	}
+	if err := tree.Rebuild(3000, leafFunc(3000)); err != nil {
+		t.Fatalf("Rebuild(3000): %v", err)
+	}
+	if want := mustBuild(t, leafValues(3000)); !bytes.Equal(tree.Root(), want.Root()) {
+		t.Fatal("Rebuild past the held capacity differs from BuildFunc")
+	}
+	if err := tree.Rebuild(37, leafFunc(37), WithHasher(md5.New)); err != nil {
+		t.Fatalf("Rebuild under md5: %v", err)
+	}
+	if want := mustBuild(t, leafValues(37), WithHasher(md5.New)); !bytes.Equal(tree.Root(), want.Root()) || tree.nh == nh {
+		t.Fatal("Rebuild under another hasher kept the old hash state or differs from BuildFunc")
+	}
+}
+
+// TestRebuildAfterError: a failed Rebuild leaves storage a later one can
+// still use.
+func TestRebuildAfterError(t *testing.T) {
+	tree := mustBuild(t, leafValues(64))
+	err := tree.Rebuild(64, func(i int) []byte {
+		if i == 40 {
+			return nil
+		}
+		return []byte{byte(i)}
+	})
+	if !errors.Is(err, ErrNilLeaf) {
+		t.Fatalf("Rebuild over a nil leaf: err = %v, want ErrNilLeaf", err)
+	}
+	if err := tree.Rebuild(0, leafFunc(1)); !errors.Is(err, ErrEmptyTree) {
+		t.Fatalf("Rebuild(0): err = %v, want ErrEmptyTree", err)
+	}
+	if err := tree.Rebuild(50, leafFunc(50)); err != nil {
+		t.Fatalf("Rebuild after the failures: %v", err)
+	}
+	if want := mustBuild(t, leafValues(50)); !bytes.Equal(tree.Root(), want.Root()) {
+		t.Fatal("tree rebuilt after a failed Rebuild differs from BuildFunc")
+	}
+}
