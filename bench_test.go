@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"uncheatgrid/internal/merkle"
 )
 
 // benchWorkload is the standard 64-bit-output synthetic function.
@@ -235,7 +237,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildMerkleTree(values); err != nil {
+				if _, err := merkle.Build(values); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -260,7 +262,7 @@ func BenchmarkMerkleBuildParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/sequential", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildMerkleTreeFunc(n, at); err != nil {
+				if _, err := merkle.BuildFunc(n, at); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -269,8 +271,8 @@ func BenchmarkMerkleBuildParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/parallel-p%d", n, p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := BuildMerkleTreeFunc(n, at,
-						WithMerkleParallelism(p)); err != nil {
+					if _, err := merkle.BuildFunc(n, at,
+						merkle.WithParallelism(p)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -280,10 +282,8 @@ func BenchmarkMerkleBuildParallel(b *testing.B) {
 }
 
 // BenchmarkMerkleStreamBuild measures the one-pass commitment stream — the
-// participant path that never holds the leaf set in memory — serial versus
-// sharded across worker goroutines. Roots are bit-identical in every mode.
-// The serial fast path is allocation-free per Add; build-wide allocations
-// stay O(depth + shards).
+// participant path that never holds the leaf set in memory. Add is
+// allocation-free; build-wide allocations stay O(depth).
 func BenchmarkMerkleStreamBuild(b *testing.B) {
 	f := benchWorkload(6)
 	for _, n := range []int{1 << 16, 1 << 18} {
@@ -291,10 +291,10 @@ func BenchmarkMerkleStreamBuild(b *testing.B) {
 		for i := range values {
 			values[i] = f.Eval(uint64(i))
 		}
-		run := func(b *testing.B, opts ...MerkleOption) {
+		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sb, err := NewMerkleStreamBuilder(n, opts...)
+				sb, err := merkle.NewStreamBuilder(n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -307,13 +307,7 @@ func BenchmarkMerkleStreamBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) { run(b) })
-		for _, p := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n=%d/sharded-p%d", n, p), func(b *testing.B) {
-				run(b, WithMerkleParallelism(p))
-			})
-		}
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ func run(w io.Writer, args []string) error {
 		reconnect  = fs.Int("reconnect", 0, "max replacement connections per participant under faults (0 = default 8)")
 		faultWait  = fs.Duration("faultwait", 0, "receive watchdog that converts dropped frames into reconnects (0 = default 2s)")
 		windowT    = fs.Int("windowtasks", 0, "tasks per rolling commitment window (0 = no window commitments)")
-		windowM    = fs.Int("windowsamples", 0, "membership proofs sampled per window commit (needs -windowtasks)")
+		windowM    = fs.Int("windowsamples", 0, "leaves sampled per window commit, proven by one multiproof (needs -windowtasks)")
 		checkEvery = fs.Int("checkevery", 0, "tasks per durable checkpoint segment (needs -checkpoint)")
 		checkDir   = fs.String("checkpoint", "", "directory for durable supervisor/participant checkpoints")
 		killAfter  = fs.Int("killafter", 0, "inject a crash after this many settled tasks and restart from the last checkpoint (needs -checkevery)")

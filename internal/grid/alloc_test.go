@@ -123,8 +123,6 @@ func TestGridDecodersCheckCountsBeforeAllocating(t *testing.T) {
 		{"routed", count(maxRoutedEntries), func(p []byte) error { _, err := decodeRouted(nil, p); return err }},
 		{"window commit tasks", count(maxWindowCommitTasks, 0, 1, 0xaa),
 			func(p []byte) error { _, err := decodeWindowCommit(p); return err }},
-		{"window commit proofs", count(maxWindowCommitProofs, 0, 1, 0xaa, 1, 7),
-			func(p []byte) error { _, err := decodeWindowCommit(p); return err }},
 	} {
 		var err error
 		spent := allocatedBytes(func() { err = tc.decode(tc.payload) })

@@ -131,8 +131,8 @@ func (s SchemeSpec) validate() error {
 			return fmt.Errorf("%w: %d window samples for a %d-task window",
 				ErrBadConfig, s.WindowSamples, s.WindowTasks)
 		}
-		if s.WindowSamples > maxWindowCommitProofs {
-			return fmt.Errorf("%w: %d window samples (max %d)", ErrBadConfig, s.WindowSamples, maxWindowCommitProofs)
+		if s.WindowSamples > maxWindowSamples {
+			return fmt.Errorf("%w: %d window samples (max %d)", ErrBadConfig, s.WindowSamples, maxWindowSamples)
 		}
 	} else if s.WindowSamples != 0 {
 		return fmt.Errorf("%w: window samples without a window", ErrBadConfig)

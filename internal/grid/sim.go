@@ -299,7 +299,7 @@ type SimReport struct {
 	Broker *HubSnapshot
 	// WindowsSettled and WindowViolations total the rolling-window
 	// commitment verification of a run with Spec.WindowTasks > 0:
-	// windows whose sampled audit paths all verified against the committed
+	// windows whose sampled leaves all verified against the committed
 	// per-task digests, and windows that failed verification. Restarted
 	// runs carry the counts across the restore.
 	WindowsSettled, WindowViolations uint64

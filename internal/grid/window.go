@@ -14,18 +14,19 @@ package grid
 // upload, or hit list). Every WindowTasks settled tasks the participant
 // builds a Merkle tree over the window's digests, absorbs its root into a
 // hash-chain cursor shared with the supervisor (the per-window Eq. 4 of the
-// paper, see hashchain.Cursor), and answers the cursor-derived challenge by
-// sending audit paths for the sampled leaves. The supervisor holds only the
-// digests of tasks not yet covered by a window (O(W + in-flight) memory),
-// verifies each commit against them, and advances its own cursor in
-// lockstep — so the k-th window's challenge depends on every window root up
-// to and including k, and a participant cannot predict it without fixing
-// its entire history first.
+// paper, see hashchain.Cursor), and answers the cursor-derived challenge with
+// one Merkle multiproof for the sampled leaves — the evidence form a CBS
+// response uses. The supervisor holds only the digests of tasks not yet
+// covered by a window (O(W + in-flight) memory), verifies each commit
+// against them, and advances its own cursor in lockstep — so the k-th
+// window's challenge depends on every window root up to and including k, and
+// a participant cannot predict it without fixing its entire history first.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"uncheatgrid/internal/hashchain"
@@ -176,9 +177,9 @@ func newParticipantWindows(spec SchemeSpec) (*participantWindows, error) {
 // settle appends one counted task and, when the window fills, commits it:
 // build the tree over the window's digests, absorb the root into the cursor,
 // derive the challenge from the advanced state (so it depends on this very
-// root — the pre-commitment argument), and emit the commit with audit paths
-// for the sampled leaves via send. The lock is held across build and send so
-// commit order on the wire matches cursor order.
+// root — the pre-commitment argument), and emit the commit with the
+// multiproof of the sampled leaves via send. The lock is held across build
+// and send so commit order on the wire matches cursor order.
 func (pw *participantWindows) settle(taskID uint64, digest []byte, send func(typ uint8, payload []byte) error) error {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
@@ -203,21 +204,19 @@ func (pw *participantWindows) settle(taskID uint64, digest []byte, send func(typ
 	if err != nil {
 		return fmt.Errorf("grid: window challenge: %w", err)
 	}
-	proofs := make([][]byte, len(idxs))
-	for j, idx := range idxs {
-		proof, err := tree.Prove(int(idx))
-		if err != nil {
-			return fmt.Errorf("grid: window proof: %w", err)
-		}
-		if proofs[j], err = proof.MarshalBinary(); err != nil {
-			return fmt.Errorf("grid: window proof: %w", err)
-		}
+	mp, err := tree.ProveMulti(idxs)
+	if err != nil {
+		return fmt.Errorf("grid: window proof: %w", err)
+	}
+	proof, err := mp.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("grid: window proof: %w", err)
 	}
 	msg := windowCommitMsg{
 		Window:  pw.commits,
 		Root:    root,
 		TaskIDs: pw.ids,
-		Proofs:  proofs,
+		Proof:   proof,
 	}
 	payload := encodeWindowCommit(msg)
 	pw.commits++
@@ -228,8 +227,8 @@ func (pw *participantWindows) settle(taskID uint64, digest []byte, send func(typ
 
 // WindowLedger is the supervisor's per-link verifier of a participant's
 // rolling commitments. It banks the stream digest of every decided task and,
-// on each window commit, checks the sampled audit paths against its own
-// digests before advancing the shared cursor. Verification failures are
+// on each window commit, checks the sampled leaves' multiproof against its
+// own digests before advancing the shared cursor. Verification failures are
 // violations — counted, never terminal — because a cheating window is
 // evidence to report, not a protocol breakdown; only an undecodable payload
 // kills the session. Memory stays O(W + in-flight): digests leave the pend
@@ -299,7 +298,11 @@ func (led *WindowLedger) onCommit(payload []byte) error {
 }
 
 // verifyLocked checks one commit against the banked digests and the
-// cursor-derived challenge, returning a violation reason or "".
+// cursor-derived challenge, returning a violation reason or "". The proof
+// must be over the window's W leaves, answer exactly the challenged leaves
+// (sorted, each once, as a multiproof lists them), reconstruct the committed
+// root, and carry for each leaf the digest the supervisor banked for its
+// task.
 func (led *WindowLedger) verifyLocked(m windowCommitMsg, wantWindow uint64) string {
 	if m.Window != wantWindow {
 		return fmt.Sprintf("window %d committed out of order (want %d)", m.Window, wantWindow)
@@ -311,28 +314,31 @@ func (led *WindowLedger) verifyLocked(m windowCommitMsg, wantWindow uint64) stri
 	if err != nil {
 		return fmt.Sprintf("window %d challenge: %v", m.Window, err)
 	}
-	if len(m.Proofs) != len(idxs) {
-		return fmt.Sprintf("window %d answers %d of %d challenged leaves", m.Window, len(m.Proofs), len(idxs))
+	slices.Sort(idxs)
+	idxs = slices.Compact(idxs)
+	// m aliases onCommit's payload, which stays intact until onCommit
+	// returns: the proof may alias it too.
+	var proof merkle.MultiProof
+	if err := proof.UnmarshalAliased(m.Proof); err != nil {
+		return fmt.Sprintf("window %d proof undecodable: %v", m.Window, err)
 	}
-	for j, idx := range idxs {
-		var proof merkle.Proof
-		if err := proof.UnmarshalBinary(m.Proofs[j]); err != nil {
-			return fmt.Sprintf("window %d proof %d undecodable: %v", m.Window, j, err)
-		}
-		if proof.Index != int(idx) || proof.N != led.w {
-			return fmt.Sprintf("window %d proof %d proves leaf %d/%d, want %d/%d",
-				m.Window, j, proof.Index, proof.N, idx, led.w)
-		}
-		if err := merkle.Verify(m.Root, &proof); err != nil {
-			return fmt.Sprintf("window %d proof %d: %v", m.Window, j, err)
-		}
-		want, ok := led.pend[m.TaskIDs[proof.Index]]
+	if proof.N != led.w {
+		return fmt.Sprintf("window %d proof is over %d leaves, want %d", m.Window, proof.N, led.w)
+	}
+	if !slices.Equal(proof.Indices, idxs) {
+		return fmt.Sprintf("window %d proof answers leaves %v, challenged %v", m.Window, proof.Indices, idxs)
+	}
+	if err := merkle.NewProofVerifier().VerifyMulti(m.Root, &proof); err != nil {
+		return fmt.Sprintf("window %d proof: %v", m.Window, err)
+	}
+	for i, idx := range proof.Indices {
+		id := m.TaskIDs[idx]
+		want, ok := led.pend[id]
 		if !ok {
-			return fmt.Sprintf("window %d commits task %d the supervisor never decided", m.Window, m.TaskIDs[proof.Index])
+			return fmt.Sprintf("window %d commits task %d the supervisor never decided", m.Window, id)
 		}
-		if string(proof.Value) != string(want) {
-			return fmt.Sprintf("window %d leaf %d disagrees with the decided digest of task %d",
-				m.Window, idx, m.TaskIDs[proof.Index])
+		if string(proof.Values[i]) != string(want) {
+			return fmt.Sprintf("window %d leaf %d disagrees with the decided digest of task %d", m.Window, idx, id)
 		}
 	}
 	return ""
@@ -340,7 +346,7 @@ func (led *WindowLedger) verifyLocked(m windowCommitMsg, wantWindow uint64) stri
 
 // WindowStats summarizes a link's rolling-commitment verification.
 type WindowStats struct {
-	// Settled counts windows whose sampled audit paths all verified.
+	// Settled counts windows whose sampled leaves all verified.
 	Settled uint64
 	// Violations counts windows that failed verification; LastViolation
 	// explains the most recent one.

@@ -2,8 +2,11 @@ package grid
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"uncheatgrid/internal/merkle"
 )
 
 func windowSpec(w, m int) SchemeSpec {
@@ -124,6 +127,108 @@ func TestWindowCommitRejectsUndecodablePayload(t *testing.T) {
 	}
 	if stats := led.Stats(); stats.Violations != 0 {
 		t.Fatalf("garbage counted as a violation: %+v", stats)
+	}
+}
+
+// TestWindowCommitChecksMultiProof tampers with the one multiproof a window
+// commit carries. Each forgery is a counted violation whose reason names the
+// fault, never a session error; the honest proof settles although the
+// cursor's challenge repeats a leaf, which the proof lists once. The forged
+// proofs that drop or add a leaf are honest multiproofs of the committed
+// tree: only the ledger's check that they answer exactly the challenge
+// catches them.
+func TestWindowCommitChecksMultiProof(t *testing.T) {
+	spec := windowSpec(6, 4) // 6 and 7 leaves pad to one shape
+	digest := func(id uint64) []byte { return streamDigest(id, spec.Kind, []byte{byte(id)}) }
+	reencode := func(t *testing.T, mp merkle.MultiProof) []byte {
+		t.Helper()
+		data, err := mp.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		return data
+	}
+	prove := func(t *testing.T, tree *merkle.Tree, idxs []uint64) []byte {
+		t.Helper()
+		mp, err := tree.ProveMulti(idxs)
+		if err != nil {
+			t.Fatalf("ProveMulti: %v", err)
+		}
+		return reencode(t, mp)
+	}
+	for _, tc := range []struct {
+		name   string
+		forge  func(t *testing.T, tree *merkle.Tree, honest merkle.MultiProof) []byte
+		reason string // "" for a window that settles
+	}{
+		{"honest, challenge repeats a leaf", func(t *testing.T, _ *merkle.Tree, honest merkle.MultiProof) []byte {
+			return reencode(t, honest)
+		}, ""},
+		{"drops a challenged leaf", func(t *testing.T, tree *merkle.Tree, honest merkle.MultiProof) []byte {
+			return prove(t, tree, honest.Indices[1:])
+		}, "answers leaves"},
+		{"adds an unchallenged leaf", func(t *testing.T, tree *merkle.Tree, honest merkle.MultiProof) []byte {
+			for idx := uint64(0); ; idx++ {
+				if _, challenged := honest.Value(idx); !challenged {
+					return prove(t, tree, append(slices.Clone(honest.Indices), idx))
+				}
+			}
+		}, "answers leaves"},
+		{"claims another leaf count", func(t *testing.T, _ *merkle.Tree, honest merkle.MultiProof) []byte {
+			honest.N = spec.WindowTasks + 1
+			return reencode(t, honest)
+		}, "over 7 leaves, want 6"},
+		{"forges a sibling", func(t *testing.T, _ *merkle.Tree, honest merkle.MultiProof) []byte {
+			honest.Siblings = slices.Clone(honest.Siblings)
+			honest.Siblings[0] = bytes.Clone(honest.Siblings[0])
+			honest.Siblings[0][0] ^= 1
+			return reencode(t, honest)
+		}, "does not match"},
+		{"cannot be decoded", func(*testing.T, *merkle.Tree, merkle.MultiProof) []byte {
+			return []byte{0xff}
+		}, "undecodable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pw, led := windowPair(t, spec)
+			var commit []byte
+			digests := make([][]byte, spec.WindowTasks)
+			for id := range digests {
+				digests[id] = digest(uint64(id))
+				led.record(uint64(id), digests[id])
+				if err := pw.settle(uint64(id), digests[id], func(_ uint8, payload []byte) error {
+					commit = payload
+					return nil
+				}); err != nil {
+					t.Fatalf("settle(%d): %v", id, err)
+				}
+			}
+			m, err := decodeWindowCommit(commit)
+			if err != nil {
+				t.Fatalf("decodeWindowCommit: %v", err)
+			}
+			var honest merkle.MultiProof
+			if err := honest.UnmarshalBinary(m.Proof); err != nil {
+				t.Fatalf("honest proof: %v", err)
+			}
+			if k := len(honest.Indices); k < 2 || k >= spec.WindowSamples {
+				t.Fatalf("challenge %v: the fixture needs 2 or 3 distinct leaves of 6, a repeat among 4 samples", honest.Indices)
+			}
+			tree, err := merkle.Build(digests)
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			m.Proof = tc.forge(t, tree, honest)
+			if err := led.onCommit(encodeWindowCommit(m)); err != nil {
+				t.Fatalf("onCommit: %v; a bad proof is a violation, not a session error", err)
+			}
+			stats := led.Stats()
+			switch {
+			case tc.reason == "" && (stats.Settled != 1 || stats.Violations != 0):
+				t.Fatalf("Stats = %+v, want the window settled", stats)
+			case tc.reason != "" && (stats.Settled != 0 || stats.Violations != 1 || !strings.Contains(stats.LastViolation, tc.reason)):
+				t.Fatalf("Stats = %+v, want one violation naming %q", stats, tc.reason)
+			}
+		})
 	}
 }
 

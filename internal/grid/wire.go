@@ -85,8 +85,8 @@ const (
 	msgCredit
 	// msgWindowCommit carries a participant's rolling commitment for one
 	// settled window of a long-horizon stream: the Merkle root over the
-	// window's per-task digests, the task IDs in commitment order, and the
-	// membership proofs for the hash-chain-derived sample indices. Travels
+	// window's per-task digests, the task IDs in commitment order, and one
+	// Merkle multiproof of the hash-chain-derived sample indices. Travels
 	// as a ctrl-tagged batch sub-message (TaskID == ctrlTaskID).
 	// Participant → supervisor.
 	msgWindowCommit
@@ -413,48 +413,41 @@ func decodeCredit(payload []byte) (creditMsg, error) {
 	return m, w.done()
 }
 
-// Bounds on a window commit's attacker-controlled counts: a window never
-// spans more tasks than one batch frame carries messages, a root is one
-// digest, and the proof count is the per-window sample count m.
+// Bounds on a window's attacker-controlled sizes: a window never spans more
+// tasks than one batch frame carries messages, a root is one digest, and a
+// window challenges at most maxWindowSamples of its leaves.
 const (
-	maxWindowCommitTasks  = 1 << 16
-	maxWindowCommitProofs = 1 << 12
-	maxWindowRootLen      = 64
+	maxWindowCommitTasks = 1 << 16
+	maxWindowSamples     = 1 << 12
+	maxWindowRootLen     = 64
 )
 
 // windowCommitMsg is the decoded msgWindowCommit payload: window number,
 // the Merkle root over the window's per-task stream digests, the task IDs
 // whose digests form the leaves (in leaf order), and the marshaled
-// merkle.Proof blobs for the chain-derived sample indices.
+// merkle.MultiProof of the chain-derived sample indices.
 type windowCommitMsg struct {
 	Window  uint64
 	Root    []byte
 	TaskIDs []uint64
-	Proofs  [][]byte
+	Proof   []byte
 }
 
 func encodeWindowCommit(m windowCommitMsg) []byte {
 	size := uvarintLen(m.Window) + prefixedLen(len(m.Root)) +
-		uvarintLen(uint64(len(m.TaskIDs))) + uvarintLen(uint64(len(m.Proofs)))
+		uvarintLen(uint64(len(m.TaskIDs))) + prefixedLen(len(m.Proof))
 	for _, id := range m.TaskIDs {
 		size += uvarintLen(id)
-	}
-	for _, p := range m.Proofs {
-		size += prefixedLen(len(p))
 	}
 	out := appendBytes(binary.AppendUvarint(make([]byte, 0, size), m.Window), m.Root)
 	out = binary.AppendUvarint(out, uint64(len(m.TaskIDs)))
 	for _, id := range m.TaskIDs {
 		out = binary.AppendUvarint(out, id)
 	}
-	out = binary.AppendUvarint(out, uint64(len(m.Proofs)))
-	for _, p := range m.Proofs {
-		out = appendBytes(out, p)
-	}
-	return out
+	return appendBytes(out, m.Proof)
 }
 
-// decodeWindowCommit's Root and Proofs alias payload.
+// decodeWindowCommit's Root and Proof alias payload.
 func decodeWindowCommit(payload []byte) (windowCommitMsg, error) {
 	w := walker{buf: payload}
 	m := windowCommitMsg{Window: w.uvarint("window number"), Root: w.bytes("window root")}
@@ -469,12 +462,7 @@ func decodeWindowCommit(payload []byte) (windowCommitMsg, error) {
 	for i := 0; i < tasks && w.err == nil; i++ {
 		m.TaskIDs = append(m.TaskIDs, w.uvarint("window task"))
 	}
-	if proofs := w.count("window proofs", maxWindowCommitProofs, 1); proofs > 0 {
-		m.Proofs = make([][]byte, 0, proofs)
-		for i := 0; i < proofs && w.err == nil; i++ {
-			m.Proofs = append(m.Proofs, w.bytes("window proof"))
-		}
-	}
+	m.Proof = w.bytes("window proof")
 	return m, w.done()
 }
 
@@ -645,7 +633,7 @@ func decodeAssignment(payload []byte) (assignment, error) {
 	}
 	a.Spec.WindowTasks = int(wt)
 	ws := w.uvarint("window samples")
-	if w.err == nil && ws > maxWindowCommitProofs {
+	if w.err == nil && ws > maxWindowSamples {
 		w.fail("%d window samples", ws)
 	}
 	a.Spec.WindowSamples = int(ws)

@@ -228,7 +228,7 @@ func FuzzDecodeWindowCommit(f *testing.F) {
 		Window:  0,
 		Root:    []byte{0xaa, 0xbb, 0xcc, 0xdd},
 		TaskIDs: []uint64{0, 1, 2, 3},
-		Proofs:  [][]byte{{0x01, 0x02}, nil},
+		Proof:   []byte{0x01, 0x02},
 	}))
 	f.Add(encodeWindowCommit(windowCommitMsg{
 		Window:  41,

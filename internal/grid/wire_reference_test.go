@@ -11,12 +11,13 @@ import (
 // The bytes.Reader decoders wire.go used before its slice walkers replaced
 // them, kept verbatim as the reference the FuzzDecode* differentials hold
 // the walkers to: same accept/reject, same decoded value, same sentinel.
-// Two differences are deliberate. refDecodeCredit reads the two fields the
+// Three differences are deliberate. refDecodeCredit reads the two fields the
 // grant still has (its third, the advertised window, left the wire with its
-// last reader). And the three decoders that sized a result slice from a bare
-// count of up to 2^26 — the 384-1,536 MB allocation the walkers refuse — cap
-// that capacity hint at the bytes that remain, which changes no result and
-// lets the fuzzer feed them such counts.
+// last reader). refDecodeWindowCommit reads the window's proof as the one
+// multiproof blob the commit now carries. And the three decoders that sized
+// a result slice from a bare count of up to 2^26 — the 384-1,536 MB
+// allocation the walkers refuse — cap that capacity hint at the bytes that
+// remain, which changes no result and lets the fuzzer feed them such counts.
 
 func refDecodeHello(payload []byte) (helloMsg, error) {
 	var m helloMsg
@@ -129,19 +130,8 @@ func refDecodeWindowCommit(payload []byte) (windowCommitMsg, error) {
 		}
 		m.TaskIDs = append(m.TaskIDs, id)
 	}
-	proofs, err := binary.ReadUvarint(r)
-	if err != nil {
-		return m, fmt.Errorf("%w: window proof count: %v", ErrBadPayload, err)
-	}
-	if proofs > maxWindowCommitProofs {
-		return m, fmt.Errorf("%w: %d window proofs", ErrBadPayload, proofs)
-	}
-	for i := uint64(0); i < proofs; i++ {
-		p, err := refGetBytes(r)
-		if err != nil {
-			return m, fmt.Errorf("%w: window proof %d: %v", ErrBadPayload, i, err)
-		}
-		m.Proofs = append(m.Proofs, p)
+	if m.Proof, err = refGetBytes(r); err != nil {
+		return m, fmt.Errorf("%w: window proof: %v", ErrBadPayload, err)
 	}
 	if r.Len() != 0 {
 		return m, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, r.Len())
@@ -257,7 +247,7 @@ func refDecodeAssignment(payload []byte) (assignment, error) {
 	if err != nil {
 		return a, fmt.Errorf("%w: window samples: %v", ErrBadPayload, err)
 	}
-	if ws > maxWindowCommitProofs {
+	if ws > maxWindowSamples {
 		return a, fmt.Errorf("%w: %d window samples", ErrBadPayload, ws)
 	}
 	a.Spec.WindowSamples = int(ws)

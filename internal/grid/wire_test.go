@@ -123,7 +123,7 @@ func wireCorpusSeeds() map[string][][]byte {
 				Window:  0,
 				Root:    []byte{0xaa, 0xbb, 0xcc, 0xdd},
 				TaskIDs: []uint64{0, 1, 2, 3},
-				Proofs:  [][]byte{{0x01, 0x02}, nil},
+				Proof:   []byte{0x01, 0x02},
 			}),
 			encodeWindowCommit(windowCommitMsg{
 				Window:  41,
@@ -216,8 +216,9 @@ func TestGridCodecGoldenBytes(t *testing.T) {
 			Window:  41,
 			Root:    []byte{0xaa, 0xbb, 0xcc, 0xdd},
 			TaskIDs: []uint64{328, 329, 1 << 40},
-			Proofs:  [][]byte{{0x01, 0x02}, nil},
-		}), "2904aabbccdd03c802c9028080808080200202010200"},
+			Proof:   []byte{0x01, 0x02},
+		}), "2904aabbccdd03c802c902808080808020020102"},
+		{"participant windows", participantWindowsState(t), participantWindowsGolden},
 		{"checkpoint", encodeCheckpoint(checkpointMsg{Seq: 1 << 40}), "808080808020"},
 		{"batch", encodeBatch([]taggedMsg{
 			{TaskID: 1, Type: msgCommit, Payload: []byte{1, 2, 3}},
@@ -241,11 +242,49 @@ func TestGridCodecGoldenBytes(t *testing.T) {
 		if hex.EncodeToString(g.got) != g.want {
 			t.Errorf("%s encodes as %x, the parent wrote %s", g.name, g.got, g.want)
 		}
-		pooled := g.name == "routed" || strings.HasSuffix(g.name, "batch")
-		if !pooled && cap(g.got) != len(g.got) {
+		// Two encoders draw a pooled frame buffer; checkpoint state is
+		// written into the checkpoint file's buffer.
+		unsized := g.name == "routed" || strings.HasSuffix(g.name, "batch") || g.name == "participant windows"
+		if !unsized && cap(g.got) != len(g.got) {
 			t.Errorf("%s: %d-byte encoding in a %d-byte buffer, want an exact size", g.name, len(g.got), cap(g.got))
 		}
 	}
+
+	// Window state checkpointed by the parent restores and writes itself
+	// back byte for byte.
+	parent, err := hex.DecodeString(participantWindowsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := decodeParticipantWindows(bytes.NewReader(parent))
+	if err != nil {
+		t.Fatalf("decodeParticipantWindows(parent checkpoint): %v", err)
+	}
+	var again bytes.Buffer
+	if err := pw.encodeState(&again); err != nil || !bytes.Equal(again.Bytes(), parent) {
+		t.Fatalf("restored parent window state re-encodes as %x (%v)", again.Bytes(), err)
+	}
+}
+
+// participantWindowsGolden is participantWindowsState as the parent of the
+// one-multiproof window commit wrote it: the stream snapshot inside ends in
+// the window flag 0.
+const participantWindowsGolden = "040201206c1590201214685d2f2f462ebda9d9280a15d23c9acac41dc7ae432cff90d2b70102042042354c67d99d2848f65408a76266ab029efdda0533e23c18c8147c4999b34bc1052009f09ca7274808f1e934b3da4b92b59240f2d33ad92cc653f5c6e9af142595304d80808080802006020220424b93a9d16fc2a99412a16bbdf638ef853119edf140ced59a5882bf18d8185b0120b1c572de5a00a23b45a715e44070adc5c864970be5b42c380f61324d16f761dd00"
+
+// participantWindowsState checkpoints a participant's window state after
+// one settled window of four and two pending tasks.
+func participantWindowsState(t *testing.T) []byte {
+	t.Helper()
+	spec := windowSpec(4, 2)
+	pw, led := windowPair(t, spec)
+	for id := uint64(0); id < 6; id++ {
+		settleTask(t, pw, led, id, streamDigest(id, spec.Kind, []byte{byte(id)}))
+	}
+	var buf bytes.Buffer
+	if err := pw.encodeState(&buf); err != nil {
+		t.Fatalf("encodeState: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // TestDecodedPayloadsSurviveFrameReuse is the guard for the carving scheme

@@ -174,7 +174,7 @@ func (p *PartialTree) ProveMulti(challenged []uint64) (MultiProof, error) {
 	}
 	for _, idx := range challenged {
 		block := int(idx) / p.blockSize
-		sub := p.rebuildSubtree(block)
+		sub := p.fillSubtree(block, true)
 		for i, idx := range mp.Indices {
 			if int(idx)/p.blockSize == block && mp.Values[i] == nil {
 				mp.Values[i] = cloneBytes(sub[p.blockSize+int(idx)%p.blockSize])
@@ -261,6 +261,9 @@ func (p *MultiProof) Value(index uint64) ([]byte, bool) {
 // is malformed. The result aliases the verifier's scratch (or p.Values[0],
 // for a one-leaf tree) and is valid until the next call.
 func (v *ProofVerifier) rootMulti(p *MultiProof) ([]byte, error) {
+	if v.nh.hs.fixedLen == 0 {
+		return nil, ErrHasherSize
+	}
 	if err := p.checkShape(); err != nil {
 		return nil, err
 	}
@@ -313,8 +316,9 @@ func (v *ProofVerifier) rootMulti(p *MultiProof) ([]byte, error) {
 // nil when every claimed value is consistent with the commitment,
 // ErrRootMismatch when some value or sibling is not the committed one (a
 // caught cheat — the proof convicts as a whole, it cannot say which sample),
-// and ErrMalformedProof for structurally invalid proofs, a short, surplus
-// or misordered sibling or index list included.
+// ErrMalformedProof for structurally invalid proofs, a short, surplus or
+// misordered sibling or index list included, and ErrHasherSize when v was
+// set up with a hasher whose Sum length disagrees with its Size().
 func (v *ProofVerifier) VerifyMulti(root []byte, p *MultiProof) error {
 	got, err := v.rootMulti(p)
 	if err != nil {

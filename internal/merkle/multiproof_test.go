@@ -147,8 +147,8 @@ func checkMultiProofMatchesPaths(t *testing.T, nSeed uint16, mSeed uint8, deep, 
 		if err != nil {
 			t.Fatalf("Prove(%d): %v", idx, err)
 		}
-		if fromPath, err := RootFromProof(path, opts...); err != nil || !bytes.Equal(fromPath, root) {
-			t.Fatalf("n=%d: path %d root %x (%v), tree root %x", n, idx, fromPath, err, root)
+		if err := Verify(root, path, opts...); err != nil {
+			t.Fatalf("n=%d: path %d does not reach tree root %x: %v", n, idx, root, err)
 		}
 	}
 	var decoded MultiProof
@@ -366,15 +366,14 @@ func TestVerifyMultiRejectsMalformedProofs(t *testing.T) {
 	}
 }
 
-// TestProofVerifierMixesPathsAndMultiProofs: one verifier serves audit paths
-// and multiproofs of any size in any order, under every hasher — the
-// variable-size one the arena-backed Tree refuses included — and a
-// convicting proof in between disturbs nothing.
+// TestProofVerifierMixesPathsAndMultiProofs: one verifier serves audit
+// paths — one-sample multiproofs — and multiproofs of any size in any order,
+// under both digest sizes, and a convicting proof in between disturbs
+// nothing.
 func TestProofVerifierMixesPathsAndMultiProofs(t *testing.T) {
 	for name, opts := range map[string][]Option{
-		"sha256":        nil,
-		"md5":           {WithHasher(md5.New)},
-		"variable-size": {WithHasher(newVariableHash)},
+		"sha256": nil,
+		"md5":    {WithHasher(md5.New)},
 	} {
 		values := raggedValues(37)
 		tree, err := NewPartial(len(values), 0, func(i int) []byte { return values[i] }, opts...)
@@ -397,14 +396,71 @@ func TestProofVerifierMixesPathsAndMultiProofs(t *testing.T) {
 			if err := v.VerifyMulti(root, &forged); !errors.Is(err, ErrRootMismatch) {
 				t.Fatalf("%s: forged multiproof of %v: err = %v, want ErrRootMismatch", name, challenged, err)
 			}
-			path, err := tree.Prove(int(challenged[0]))
+			path, err := tree.ProveMulti(challenged[:1])
 			if err != nil {
-				t.Fatalf("%s: Prove: %v", name, err)
+				t.Fatalf("%s: ProveMulti: %v", name, err)
 			}
-			if err := v.Verify(root, path); err != nil {
+			if err := v.VerifyMulti(root, &path); err != nil {
 				t.Fatalf("%s: path %d rejected between multiproofs: %v", name, challenged[0], err)
 			}
 		}
+	}
+}
+
+// TestProofVerifierReuseCarriesNoState runs leaf after leaf through one
+// verifier, a convicting and a malformed proof after each honest one; a
+// verifier set up under a hasher it refuses refuses everything, and Reset
+// to the default hash makes it as good as a fresh one.
+func TestProofVerifierReuseCarriesNoState(t *testing.T) {
+	values := raggedValues(37)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want error
+	}{
+		{"sha256", nil, nil},
+		{"md5", []Option{WithHasher(md5.New)}, nil},
+		{"variable-size", []Option{WithHasher(newVariableHash)}, ErrHasherSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := mustBuild(t, values)
+			if tc.want == nil {
+				tree = mustBuild(t, values, tc.opts...)
+			}
+			root := tree.Root()
+			v := NewProofVerifier(tc.opts...)
+			for i := uint64(0); i < 37; i++ {
+				mp, err := tree.ProveMulti([]uint64{i})
+				if err != nil {
+					t.Fatalf("ProveMulti: %v", err)
+				}
+				if err := v.VerifyMulti(root, &mp); !errors.Is(err, tc.want) {
+					t.Fatalf("leaf %d: err = %v, want %v", i, err, tc.want)
+				}
+				if tc.want != nil {
+					continue
+				}
+				forged := mp
+				forged.Values = [][]byte{append([]byte{0x5a}, mp.Values[0]...)}
+				if err := v.VerifyMulti(root, &forged); !errors.Is(err, ErrRootMismatch) {
+					t.Fatalf("leaf %d forged: err = %v, want ErrRootMismatch", i, err)
+				}
+				malformed := mp
+				malformed.Siblings = nil
+				if err := v.VerifyMulti(root, &malformed); !errors.Is(err, ErrMalformedProof) {
+					t.Fatalf("leaf %d malformed: err = %v, want ErrMalformedProof", i, err)
+				}
+			}
+			v.Reset()
+			fresh := mustBuild(t, values)
+			mp, err := fresh.ProveMulti([]uint64{0, 36})
+			if err != nil {
+				t.Fatalf("ProveMulti: %v", err)
+			}
+			if err := v.VerifyMulti(fresh.Root(), &mp); err != nil {
+				t.Fatalf("after Reset: %v", err)
+			}
+		})
 	}
 }
 
@@ -443,10 +499,6 @@ func TestMultiProofCodec(t *testing.T) {
 		if again := mustEncodeMulti(t, &mp); !bytes.Equal(again, data) {
 			t.Fatalf("encode∘decode changed the bytes:\n got %x\nwant %x", again, data)
 		}
-		appended, err := mp.AppendBinary([]byte("prefix"))
-		if err != nil || !bytes.Equal(appended, append([]byte("prefix"), data...)) {
-			t.Fatalf("AppendBinary differs from MarshalBinary (%v)", err)
-		}
 		// The headers share one slab; no field may grow into the next.
 		if cap(mp.Values) != len(mp.Values) {
 			t.Fatal("decoded values can grow into the sibling headers")
@@ -456,9 +508,44 @@ func TestMultiProofCodec(t *testing.T) {
 				t.Fatal("decoded field is nil or can grow into its neighbour")
 			}
 		}
+	}
+}
 
-		// Every truncation and any trailing byte is malformed, and a failed
-		// decode leaves its receiver alone.
+// TestAppendBinaryMatchesMarshalBinary: proofs appended one after another
+// into one buffer are their MarshalBinary encodings back to back, behind
+// whatever the buffer held; an invalid proof appends nothing.
+func TestAppendBinaryMatchesMarshalBinary(t *testing.T) {
+	prefix := []byte("prefix")
+	buf := bytes.Clone(prefix)
+	want := bytes.Clone(prefix)
+	for _, data := range encodedMultiProofs(t) {
+		var mp MultiProof
+		if err := mp.UnmarshalBinary(data); err != nil {
+			t.Fatalf("UnmarshalBinary: %v", err)
+		}
+		var err error
+		if buf, err = mp.AppendBinary(buf); err != nil {
+			t.Fatalf("AppendBinary: %v", err)
+		}
+		want = append(want, data...)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("AppendBinary output differs from concatenated MarshalBinary output")
+	}
+	invalid := &MultiProof{N: 4, Indices: []uint64{9}, Values: [][]byte{{1}}}
+	if out, err := invalid.AppendBinary(buf); !errors.Is(err, ErrMalformedProof) || out != nil {
+		t.Fatalf("AppendBinary of an invalid proof: %d bytes, err = %v, want ErrMalformedProof", len(out), err)
+	}
+}
+
+// TestProofUnmarshalEveryTruncation: every truncation of a proof and any
+// trailing byte is malformed, and a failed decode leaves its receiver alone.
+func TestProofUnmarshalEveryTruncation(t *testing.T) {
+	for _, data := range append(encodedMultiProofs(t), encodedPaths(t)...) {
+		var mp MultiProof
+		if err := mp.UnmarshalBinary(data); err != nil {
+			t.Fatalf("UnmarshalBinary: %v", err)
+		}
 		for cut := 0; cut < len(data); cut++ {
 			kept := mp
 			if err := kept.UnmarshalBinary(data[:cut]); !errors.Is(err, ErrMalformedProof) {
@@ -471,10 +558,17 @@ func TestMultiProofCodec(t *testing.T) {
 		if err := new(MultiProof).UnmarshalBinary(append(bytes.Clone(data), 0)); !errors.Is(err, ErrMalformedProof) {
 			t.Fatalf("trailing byte: err = %v, want ErrMalformedProof", err)
 		}
+	}
+}
 
-		// UnmarshalBinary keeps no reference to its input; UnmarshalAliased
-		// promises the opposite.
-		var aliased MultiProof
+// TestProofUnmarshalKeepsNoReferenceToInput: UnmarshalBinary keeps no
+// reference to its input; UnmarshalAliased promises the opposite.
+func TestProofUnmarshalKeepsNoReferenceToInput(t *testing.T) {
+	for _, data := range encodedMultiProofs(t) {
+		var mp, aliased MultiProof
+		if err := mp.UnmarshalBinary(data); err != nil {
+			t.Fatalf("UnmarshalBinary: %v", err)
+		}
 		input, original := bytes.Clone(data), bytes.Clone(data)
 		if err := aliased.UnmarshalAliased(input); err != nil {
 			t.Fatalf("UnmarshalAliased: %v", err)
@@ -490,6 +584,143 @@ func TestMultiProofCodec(t *testing.T) {
 			t.Fatal("UnmarshalAliased copied the fields it promises to alias")
 		}
 	}
+}
+
+// encodedPaths returns encoded audit paths — one-sample multiproofs — across
+// tree shapes: one leaf (no siblings), padded domains, variable-length and
+// empty values.
+func encodedPaths(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, values := range [][][]byte{leafValues(1), leafValues(2), raggedValues(5), leafValues(64), raggedValues(37)} {
+		tree := mustBuild(tb, values)
+		for _, i := range []int{0, len(values) / 2, len(values) - 1} {
+			mp, err := tree.ProveMulti([]uint64{uint64(i)})
+			if err != nil {
+				tb.Fatalf("ProveMulti(%d): %v", i, err)
+			}
+			out = append(out, mustEncodeMulti(tb, &mp))
+		}
+	}
+	return out
+}
+
+// checkProofUnmarshal is the body of FuzzProofUnmarshal.
+func checkProofUnmarshal(t *testing.T, data []byte) {
+	var mp MultiProof
+	if err := mp.UnmarshalBinary(data); err != nil {
+		if !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("rejection without ErrMalformedProof: %v", err)
+		}
+		if mp.N != 0 || mp.Indices != nil || mp.Values != nil || mp.Siblings != nil {
+			t.Fatalf("failed decode modified its receiver: %+v", mp)
+		}
+		return
+	}
+	again, err := mp.MarshalBinary()
+	if err != nil || len(again) != mp.EncodedSize() {
+		t.Fatalf("re-encode of a decoded proof: %d bytes, EncodedSize %d, %v", len(again), mp.EncodedSize(), err)
+	}
+	var back MultiProof
+	if err := back.UnmarshalBinary(again); err != nil || !sameMultiProof(&back, &mp) {
+		t.Fatalf("encode∘decode changed the proof (%v)", err)
+	}
+	// Verification of a proof that decoded reaches a verdict.
+	root := make([]byte, 32)
+	if err := NewProofVerifier().VerifyMulti(root, &mp); err != nil && !errors.Is(err, ErrRootMismatch) {
+		t.Fatalf("VerifyMulti of a decoded proof: %v", err)
+	}
+	if len(mp.Indices) == 1 {
+		path := Proof{Index: int(mp.Indices[0]), N: mp.N, Value: mp.Values[0], Siblings: mp.Siblings}
+		if path.EncodedSize() != len(again) {
+			t.Fatalf("Proof.EncodedSize = %d, its multiproof encodes in %d", path.EncodedSize(), len(again))
+		}
+		if err := Verify(root, &path); err != nil && !errors.Is(err, ErrRootMismatch) {
+			t.Fatalf("Verify of a decoded path: %v", err)
+		}
+	}
+}
+
+// FuzzProofUnmarshal holds the proof decoder to its contract on any bytes:
+// it refuses with ErrMalformedProof and leaves its receiver alone, or yields
+// a proof that re-encodes in EncodedSize bytes to one that decodes the same
+// and whose verification — as a multiproof and, for one sample, through
+// Verify — reaches a verdict. The committed corpus holds the input that once
+// hung validation on a leaf count past 2^62.
+func FuzzProofUnmarshal(f *testing.F) {
+	for _, data := range encodedPaths(f) {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(append(bytes.Clone(data), 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 0x01, 0x00, 0x00, 0x00})                               // n=1, one empty value, no siblings
+	f.Add([]byte{0x01, 0x01, 0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // absurd value length
+	f.Add([]byte{0x02, 0x01, 0x41, 0x00, 0x00})                               // 65 siblings declared
+	f.Add([]byte{0x81, 0x00, 0x01, 0x00, 0x00, 0x00})                         // non-canonical varint
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // varint overflow
+	f.Fuzz(checkProofUnmarshal)
+}
+
+// TestProofLeafCountPastIntCapacityRejected: a claimed leaf count whose
+// padded capacity overflows int used to spin nextPow2 forever inside
+// validation — a hang any peer could trigger with ten bytes (found by
+// FuzzProofUnmarshal; its input is committed under testdata/fuzz).
+func TestProofLeafCountPastIntCapacityRejected(t *testing.T) {
+	huge := &Proof{Index: 0, N: maxProofLeaves + 1, Value: []byte{1}}
+	if err := Verify([]byte{1}, huge); !errors.Is(err, ErrMalformedProof) {
+		t.Fatalf("Verify: err = %v, want ErrMalformedProof", err)
+	}
+	wire := binary.AppendUvarint(nil, maxProofLeaves+1) // n
+	wire = append(wire, 0x01, 0x00, 0x00, 0x01, 0xaa)   // one sample, no siblings, index 0, value
+	if err := new(MultiProof).UnmarshalBinary(wire); !errors.Is(err, ErrMalformedProof) {
+		t.Fatalf("UnmarshalBinary: err = %v, want ErrMalformedProof", err)
+	}
+	// The largest legal count is a shape verification accepts (its proof
+	// needs 62 siblings) and reaches a verdict on.
+	edge := &Proof{Index: 0, N: maxProofLeaves, Value: []byte{1}, Siblings: make([][]byte, 62)}
+	for i := range edge.Siblings {
+		edge.Siblings[i] = []byte{byte(i)}
+	}
+	if err := Verify([]byte{1}, edge); !errors.Is(err, ErrRootMismatch) {
+		t.Fatalf("leaf count 2^62: err = %v, want ErrRootMismatch", err)
+	}
+}
+
+func TestUvarintLenMatchesEncoding(t *testing.T) {
+	var tmp [binary.MaxVarintLen64]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(v), binary.PutUvarint(tmp[:], v); got != want {
+				t.Fatalf("uvarintLen(%d) = %d, PutUvarint writes %d", v, got, want)
+			}
+		}
+	}
+	if got := uvarintLen(^uint64(0)); got != binary.MaxVarintLen64 {
+		t.Fatalf("uvarintLen(max) = %d", got)
+	}
+}
+
+// sameProof compares two audit paths field by field, by content.
+func sameProof(a, b *Proof) bool {
+	if a.Index != b.Index || a.N != b.N || !bytes.Equal(a.Value, b.Value) || len(a.Siblings) != len(b.Siblings) {
+		return false
+	}
+	for i := range a.Siblings {
+		if !bytes.Equal(a.Siblings[i], b.Siblings[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// raggedValues builds n leaves of differing lengths, empty ones included.
+func raggedValues(n int) [][]byte {
+	values := leafValues(n)
+	for i := range values {
+		values[i] = values[i][:(i*7)%33]
+	}
+	return values
 }
 
 // TestMultiProofUnmarshalChecksCountsBeforeAllocating: a declared sample or

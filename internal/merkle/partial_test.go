@@ -15,6 +15,16 @@ func leafFunc(n int) func(i int) []byte {
 	return func(i int) []byte { return values[i] }
 }
 
+// prove reads leaf i's audit path off a partial tree: its one-sample
+// multiproof, viewed as a Proof.
+func prove(p *PartialTree, i int) (*Proof, error) {
+	mp, err := p.ProveMulti([]uint64{uint64(i)})
+	if err != nil {
+		return nil, err
+	}
+	return &Proof{Index: i, N: mp.N, Value: mp.Values[0], Siblings: mp.Siblings}, nil
+}
+
 func TestPartialMatchesFullTree(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8, 16, 33, 64, 100} {
 		full := mustBuild(t, leafValues(n))
@@ -33,7 +43,7 @@ func TestPartialMatchesFullTree(t *testing.T) {
 					if err != nil {
 						t.Fatalf("full Prove(%d): %v", i, err)
 					}
-					gotProof, err := partial.Prove(i)
+					gotProof, err := prove(partial, i)
 					if err != nil {
 						t.Fatalf("partial Prove(%d): %v", i, err)
 					}
@@ -79,7 +89,7 @@ func TestPartialStorageMatchesPaperFormula(t *testing.T) {
 		}
 
 		partial.ResetCounters()
-		if _, err := partial.Prove(n / 3); err != nil {
+		if _, err := prove(partial, n/3); err != nil {
 			t.Fatalf("Prove: %v", err)
 		}
 		wantEvals := int64(1 << ell)
@@ -109,7 +119,7 @@ func TestPartialRCOIndependentOfDomainSize(t *testing.T) {
 		}
 		partial.ResetCounters()
 		for s := 0; s < m; s++ {
-			if _, err := partial.Prove((s * n) / m); err != nil {
+			if _, err := prove(partial, (s*n)/m); err != nil {
 				t.Fatalf("Prove: %v", err)
 			}
 		}
@@ -138,7 +148,7 @@ func TestPartialRejectsInvalidInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPartial: %v", err)
 	}
-	if _, err := partial.Prove(8); !errors.Is(err, ErrIndexOutOfRange) {
+	if _, err := prove(partial, 8); !errors.Is(err, ErrIndexOutOfRange) {
 		t.Errorf("Prove(8): err = %v, want ErrIndexOutOfRange", err)
 	}
 }
@@ -155,7 +165,7 @@ func TestPartialConcurrentProofs(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func(offset int) {
 			for i := offset; i < n; i += 4 {
-				proof, err := partial.Prove(i)
+				proof, err := prove(partial, i)
 				if err != nil {
 					done <- fmt.Errorf("Prove(%d): %w", i, err)
 					return
@@ -193,7 +203,7 @@ func TestPartialQuickEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := partial.Prove(i)
+		got, err := prove(partial, i)
 		if err != nil {
 			return false
 		}
@@ -204,11 +214,10 @@ func TestPartialQuickEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartialParallelMatchesSequential pins the satellite guarantee of
-// parallel subtree rebuilds: roots, proofs, and rebuild accounting of a
-// WithParallelism partial tree are bit-identical to the sequential one. The
-// block size (2^ℓ = 2048) clears the sequential-fallback threshold so the
-// sharded path genuinely runs, whatever the host's CPU count.
+// TestPartialParallelMatchesSequential pins that NewPartial accepts
+// WithParallelism and ignores it: roots, proofs and rebuild accounting of a
+// tree handed the option are bit-identical to one built without it, at a
+// block size (2^ℓ = 2048) Build would shard.
 func TestPartialParallelMatchesSequential(t *testing.T) {
 	const n = 5000
 	const ell = 11
@@ -221,18 +230,15 @@ func TestPartialParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPartial (parallel): %v", err)
 	}
-	if parallel.workers <= 1 {
-		t.Fatal("parallel tree resolved to a sequential rebuild; the test proves nothing")
-	}
 	if !bytes.Equal(sequential.Root(), parallel.Root()) {
 		t.Fatal("parallel root differs from sequential root")
 	}
 	for _, i := range []int{0, 1, 1023, 2048, 4095, n - 1} {
-		want, err := sequential.Prove(i)
+		want, err := prove(sequential, i)
 		if err != nil {
 			t.Fatalf("sequential Prove(%d): %v", i, err)
 		}
-		got, err := parallel.Prove(i)
+		got, err := prove(parallel, i)
 		if err != nil {
 			t.Fatalf("parallel Prove(%d): %v", i, err)
 		}
@@ -245,9 +251,9 @@ func TestPartialParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPartialParallelConcurrentProves exercises parallel rebuilds from
-// concurrent Prove callers (the scratch buffer is shared; p.mu serializes
-// rebuilds while each rebuild fans out internally).
+// TestPartialParallelConcurrentProves drives concurrent proof callers on a
+// tree handed WithParallelism with 1024-leaf blocks: they share one rebuild
+// scratch, which p.mu serializes.
 func TestPartialParallelConcurrentProves(t *testing.T) {
 	const n = 4096
 	partial, err := NewPartial(n, 10, leafFunc(n), WithParallelism(4))
@@ -261,7 +267,7 @@ func TestPartialParallelConcurrentProves(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < n; i += 4 * 37 {
-				got, err := partial.Prove(i)
+				got, err := prove(partial, i)
 				if err != nil {
 					t.Errorf("Prove(%d): %v", i, err)
 					return
@@ -283,10 +289,9 @@ func TestPartialParallelConcurrentProves(t *testing.T) {
 
 // pairReusingLeaves serves the values of leafFunc(n) the way a caller that
 // evaluates into scratch would: one buffer per aligned pair of leaves,
-// overwritten by whichever of the two is asked for last. A rebuild shard
-// spans whole pairs, so the pair's buffer is only ever touched from one
-// goroutine; a builder that keeps the slice it was handed instead of copying
-// it sees leaf 2k turn into leaf 2k+1.
+// overwritten by whichever of the two is asked for last: a builder that
+// keeps the slice it was handed instead of copying it sees leaf 2k turn into
+// leaf 2k+1.
 func pairReusingLeaves(n int) func(i int) []byte {
 	at := leafFunc(n)
 	bufs := make([][]byte, (n+1)/2)
@@ -297,42 +302,39 @@ func pairReusingLeaves(n int) func(i int) []byte {
 }
 
 // TestPartialCopiesReusedLeafBuffer is the aliasing guard for the partial
-// tree: built and audited through a buffer-reusing leafAt, sequentially and
-// with sharded rebuilds, it commits the same root and serves the same proofs
-// as one built over slices that are never touched again — NewPartial's
-// "leafAt may reuse its buffer" is BuildFunc's.
+// tree: built and audited through a buffer-reusing leafAt, over small blocks,
+// the whole tree as one block, and blocks whose leaves outgrow the rebuild's
+// first slab, it commits the same root and serves the same proofs as one
+// built over slices that are never touched again — NewPartial's "leafAt may
+// reuse its buffer" is BuildFunc's.
 func TestPartialCopiesReusedLeafBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		n, ell int
-		opts   []Option
 	}{
-		{"sequential", 100, 3, nil},
-		{"full-height", 64, 6, nil},
-		{"sharded", 5000, 11, []Option{WithParallelism(4)}},
+		{"sequential", 100, 3},
+		{"full-height", 64, 6},
+		{"large-block", 5000, 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := NewPartial(tc.n, tc.ell, leafFunc(tc.n))
 			if err != nil {
 				t.Fatalf("NewPartial (fresh slices): %v", err)
 			}
-			got, err := NewPartial(tc.n, tc.ell, pairReusingLeaves(tc.n), tc.opts...)
+			got, err := NewPartial(tc.n, tc.ell, pairReusingLeaves(tc.n))
 			if err != nil {
 				t.Fatalf("NewPartial (reused buffers): %v", err)
-			}
-			if (got.workers > 1) != (tc.opts != nil) {
-				t.Fatalf("rebuild workers = %d; the case does not run the path it names", got.workers)
 			}
 			if !bytes.Equal(got.Root(), want.Root()) {
 				t.Fatal("root differs when leafAt reuses its buffer")
 			}
 			sampled := []uint64{0, 1, uint64(tc.n) / 2, uint64(tc.n) - 2, uint64(tc.n) - 1}
 			for _, i := range sampled {
-				wantProof, err := want.Prove(int(i))
+				wantProof, err := prove(want, int(i))
 				if err != nil {
 					t.Fatalf("Prove(%d) (fresh slices): %v", i, err)
 				}
-				gotProof, err := got.Prove(int(i))
+				gotProof, err := prove(got, int(i))
 				if err != nil {
 					t.Fatalf("Prove(%d) (reused buffers): %v", i, err)
 				}

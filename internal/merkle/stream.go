@@ -14,22 +14,17 @@ var (
 	ErrIncomplete = errors.New("merkle: not all declared leaves were added")
 )
 
-// streamShardBuffer is the per-shard channel depth of a sharded builder:
-// deep enough to keep workers busy while the producer runs ahead, shallow
-// enough to bound buffered leaf references.
-const streamShardBuffer = 256
-
 // StreamBuilder computes the Merkle root of an n-leaf tree in a single
 // left-to-right pass using O(log n) memory. Participants with domains far
 // larger than RAM (the paper discusses |D| = 2^40) use it to produce the
 // commitment without materializing the tree; proofs are then served by a
 // PartialTree that rebuilds subtrees on demand (Section 3.3).
 //
-// With the default fixed-size hash the builder is allocation-free in steady
-// state: every internal digest is written into one of two ping-pong rows per
-// level of a small arena allocated up front. Leaf values are retained by
-// reference until absorbed into a digest (at the latest, the next Add), so
-// callers must not mutate a value after passing it to Add.
+// The builder is allocation-free in steady state: every internal digest is
+// written into one of two ping-pong rows per level of a small arena
+// allocated up front. Leaf values are retained by reference until absorbed
+// into a digest (at the latest, the next Add), so callers must not mutate a
+// value after passing it to Add.
 type StreamBuilder struct {
 	n     int
 	added int
@@ -38,117 +33,58 @@ type StreamBuilder struct {
 	hs    hashers
 	root  []byte
 
-	// Serial fast path (fixed-size digests). pending[L] holds the root of a
-	// completed height-L subtree awaiting its right sibling; slot occupancy
-	// mirrors the binary representation of added (bit L set <=> pending[L]
-	// occupied), exactly the classic binary-counter formulation of the
-	// O(log n) stack. Digests for levels >= 1 live in two alternating arena
-	// rows per level, so a merge cascade never writes a row that still holds
-	// a live pending digest.
+	// pending[L] holds the root of a completed height-L subtree awaiting its
+	// right sibling; slot occupancy mirrors the binary representation of
+	// added (bit L set <=> pending[L] occupied), exactly the classic
+	// binary-counter formulation of the O(log n) stack. Digests for levels
+	// >= 1 live in two alternating arena rows per level, so a merge cascade
+	// never writes a row that still holds a live pending digest.
 	pending [][]byte
 	flip    []uint8
 	arena   []byte
 	nh      *nodeHasher
-
-	// Allocating fallback for variable-size hashers: pending subtree roots
-	// in strictly descending height order; levels[i] is the height of the
-	// subtree rooted at stack[i].
-	stack  [][]byte
-	levels []int
-
-	// Sharded mode (WithParallelism): the padded leaf range is split into
-	// aligned power-of-two spans, each consumed by a worker running its own
-	// serial builder; Root merges the shard frontiers. closed records that
-	// the shard inputs have been closed, so a retried finalization can never
-	// close a channel twice. shards[i] owns absolute span firstSpan+i: a
-	// builder restored mid-stream spawns workers only for the spans at or
-	// after its restore point and carries the already-merged spans as the
-	// prefix frontier.
-	shards    []*streamShard
-	span      int
-	firstSpan int
-	prefix    []FrontierEntry
-	padTable  [][]byte
-	closed    bool
-
-	// win tracks per-window roots when WithWindowTracking is enabled, so
-	// WindowRoot can serve sliding-window commitments without the leaves.
-	win *windowTracker
 }
 
 // NewStreamBuilder prepares a builder for exactly n leaves.
-//
-// WithParallelism(p) shards the stream: the padded leaf range is split into
-// nextPow2(p) aligned power-of-two subtree spans, each fed over a buffered
-// channel to a worker goroutine running the serial O(log n) builder on its
-// span, and Root merges the shard roots. The root is bit-identical to the
-// serial builder's. Unlike Build there is no NumCPU clamp or minimum size —
-// sharding is an explicit per-builder opt-in — but a sharded builder owns
-// worker goroutines: callers must finish the stream and call Root to release
-// them. Leaf values are absorbed asynchronously in sharded mode, so a caller
-// must never mutate a value after Add, even on the next iteration.
 func NewStreamBuilder(n int, opts ...Option) (*StreamBuilder, error) {
 	if n <= 0 {
 		return nil, ErrEmptyTree
 	}
-	o := buildOptions(opts)
+	return newStream(n, 0, nil, buildOptions(opts))
+}
+
+// newStream builds the engine at position added over the given frontier:
+// empty for a fresh builder, a snapshot's for a restored one. Frontier
+// digests are cloned onto the heap: later merges read them and never write
+// them, so they need no arena row.
+func newStream(n, added int, frontier []FrontierEntry, o options) (*StreamBuilder, error) {
 	hs := newHashers(o)
-	capacity := nextPow2(n)
-	var b *StreamBuilder
-	if shards := streamShards(o.parallelism, capacity); shards > 1 {
-		b = &StreamBuilder{n: n, cap: capacity, depth: log2(capacity), hs: hs}
-		b.startShards(shards, 0, nil, 0)
-	} else {
-		b = newSerialStream(n, hs)
+	if hs.fixedLen == 0 {
+		return nil, ErrHasherSize
 	}
-	if o.window > 0 {
-		win, err := newWindowTracker(o.window, o.windowKeep, hs)
-		if err != nil {
-			return nil, err
-		}
-		b.win = win
+	capacity := nextPow2(n)
+	depth := log2(capacity)
+	b := &StreamBuilder{
+		n:       n,
+		added:   added,
+		cap:     capacity,
+		depth:   depth,
+		hs:      hs,
+		pending: make([][]byte, depth+1),
+		flip:    make([]uint8, depth+1),
+		arena:   make([]byte, 2*depth*hs.fixedLen),
+		nh:      hs.node(),
+	}
+	for _, e := range frontier {
+		b.pending[e.Level] = cloneBytes(e.Digest)
 	}
 	return b, nil
 }
 
-// newSerialStream builds the serial engine (fast pending-slot path for
-// fixed-size digests, allocating stack fallback otherwise).
-func newSerialStream(n int, hs hashers) *StreamBuilder {
-	capacity := nextPow2(n)
-	depth := log2(capacity)
-	b := &StreamBuilder{n: n, cap: capacity, depth: depth, hs: hs}
-	if hs.fixedLen > 0 {
-		b.pending = make([][]byte, depth+1)
-		b.flip = make([]uint8, depth+1)
-		if depth > 0 {
-			b.arena = make([]byte, 2*depth*hs.fixedLen)
-		}
-		b.nh = hs.node()
-	} else {
-		b.stack = make([][]byte, 0, depth+1)
-		b.levels = make([]int, 0, depth+1)
-	}
-	return b
-}
-
-// streamShards resolves the shard count for a sharded stream build: the
-// requested parallelism rounded up to a power of two (spans must be aligned
-// subtrees), clamped so every shard owns at least two leaves.
-func streamShards(requested, capacity int) int {
-	if requested <= 1 {
-		return 1
-	}
-	s := nextPow2(requested)
-	if s > capacity/2 {
-		s = capacity / 2
-	}
-	if s < 2 {
-		return 1
-	}
-	return s
-}
-
-// Add appends the next leaf value (leaves must arrive in index order).
+// Add appends the next leaf value (leaves must arrive in index order). The
+// trailing 1-bits of added say exactly which levels already hold a pending
+// left sibling, so the new leaf merges upward once per trailing 1-bit and
+// parks at the first 0-bit.
 func (b *StreamBuilder) Add(value []byte) error {
 	if value == nil {
 		return fmt.Errorf("%w: index %d", ErrNilLeaf, b.added)
@@ -156,19 +92,14 @@ func (b *StreamBuilder) Add(value []byte) error {
 	if b.added >= b.n {
 		return ErrTooManyLeaves
 	}
-	if b.win != nil {
-		b.win.add(value)
+	cur := value
+	level := 0
+	for b.added>>uint(level)&1 == 1 {
+		cur = b.nh.combineInto(b.levelRow(level+1), b.pending[level], cur)
+		b.pending[level] = nil
+		level++
 	}
-	switch {
-	case b.shards != nil:
-		// Leaves arrive in index order, so shards fill strictly left to
-		// right; validation above means shard Adds cannot fail.
-		b.shards[b.added/b.span-b.firstSpan].ch <- value
-	case b.pending != nil:
-		b.pushFast(value)
-	default:
-		b.push(value, 0)
-	}
+	b.pending[level] = cur
 	b.added++
 	return nil
 }
@@ -184,45 +115,9 @@ func (b *StreamBuilder) Root() ([]byte, error) {
 		return nil, fmt.Errorf("%w: have %d of %d", ErrIncomplete, b.added, b.n)
 	}
 	if b.root == nil {
-		root, err := b.finalize()
-		if err != nil {
-			return nil, err
-		}
-		b.root = root
+		b.root = b.finalize()
 	}
 	return cloneBytes(b.root), nil
-}
-
-func (b *StreamBuilder) finalize() ([]byte, error) {
-	switch {
-	case b.shards != nil:
-		return b.finalizeShards()
-	case b.pending != nil:
-		return b.finalizeFast(), nil
-	default:
-		for i := b.n; i < b.cap; i++ {
-			b.push(b.hs.pad, 0)
-		}
-		if len(b.stack) != 1 {
-			// Unreachable for a complete tree; guards internal invariants.
-			return nil, fmt.Errorf("merkle: internal error: %d pending subtrees after padding", len(b.stack))
-		}
-		return b.stack[0], nil
-	}
-}
-
-// pushFast is the allocation-free twin of push. The trailing 1-bits of added
-// say exactly which levels already hold a pending left sibling, so the new
-// leaf merges upward once per trailing 1-bit and parks at the first 0-bit.
-func (b *StreamBuilder) pushFast(value []byte) {
-	cur := value
-	level := 0
-	for b.added>>uint(level)&1 == 1 {
-		cur = b.nh.combineInto(b.levelRow(level+1), b.pending[level], cur)
-		b.pending[level] = nil
-		level++
-	}
-	b.pending[level] = cur
 }
 
 // levelRow hands out the next of level's two alternating arena rows. A
@@ -238,12 +133,12 @@ func (b *StreamBuilder) levelRow(level int) []byte {
 	return b.arena[base : base : base+b.hs.fixedLen]
 }
 
-// finalizeFast folds the pending slots with all-pad subtree roots: the root
-// of a height-L subtree whose leaves are all pads is padAt(L) from
+// finalize folds the pending slots with all-pad subtree roots: the root of a
+// height-L subtree whose leaves are all pads is padAt(L) from
 // hashers.padTable, so finishing costs O(depth) hashes instead of cap-n pad
 // pushes. The result is byte-identical to pushing each pad leaf (induction
 // on L: pushing 2^L pads yields exactly padAt(L)).
-func (b *StreamBuilder) finalizeFast() []byte {
+func (b *StreamBuilder) finalize() []byte {
 	if b.cap == 1 {
 		return b.pending[0]
 	}
@@ -267,189 +162,4 @@ func (b *StreamBuilder) finalizeFast() []byte {
 		cur = b.pending[b.depth]
 	}
 	return cur
-}
-
-// streamShard is one worker of a sharded builder: a serial engine over the
-// shard's real leaves, fed over ch, whose root is lifted to span height.
-// flush lets Snapshot quiesce the worker: the worker drains every leaf that
-// was sent before the request (the producer and the snapshotter are the same
-// goroutine, so those sends have all completed) and replies with its engine's
-// frontier.
-type streamShard struct {
-	ch    chan []byte
-	flush chan chan shardState
-	done  chan struct{}
-	eng   *StreamBuilder
-	root  []byte
-	err   error
-}
-
-// shardState is a quiesced shard engine's position, handed back over flush.
-type shardState struct {
-	added    int
-	frontier []FrontierEntry
-	err      error
-}
-
-// startShards switches the builder into sharded mode with the given
-// power-of-two shard count. Shards that contain no real leaf get no worker;
-// their span roots are all-pad digests taken from the pad table. A restore
-// passes firstSpan > 0 plus the partially-filled first span's frontier;
-// spans before firstSpan are carried by the builder's prefix frontier and
-// get no worker.
-func (b *StreamBuilder) startShards(shards, firstSpan int, partial []FrontierEntry, partialAdded int) {
-	b.span = b.cap / shards
-	spanDepth := log2(b.span)
-	b.padTable = b.hs.padTable(spanDepth)
-	b.firstSpan = firstSpan
-	live := (b.n + b.span - 1) / b.span
-	if live < firstSpan {
-		live = firstSpan
-	}
-	b.shards = make([]*streamShard, live-firstSpan)
-	for i := range b.shards {
-		s := firstSpan + i
-		count := b.n - s*b.span
-		if count > b.span {
-			count = b.span
-		}
-		eng := newSerialStream(count, b.hs)
-		if i == 0 && partialAdded > 0 {
-			eng.restoreFrontier(partialAdded, partial)
-		}
-		sh := &streamShard{
-			ch:    make(chan []byte, streamShardBuffer),
-			flush: make(chan chan shardState),
-			done:  make(chan struct{}),
-			eng:   eng,
-		}
-		b.shards[i] = sh
-		go sh.run(b.padTable, spanDepth)
-	}
-}
-
-// run consumes the shard's leaves and computes its span root. A shard whose
-// real leaves fill only a prefix of its span is topped up with all-pad right
-// siblings: combine(root, padAt(h)) for each level between the serial
-// engine's own height and the span height — byte-identical to streaming the
-// pad leaves individually.
-func (sh *streamShard) run(pads [][]byte, spanDepth int) {
-	defer close(sh.done)
-	for {
-		select {
-		case v, ok := <-sh.ch:
-			if !ok {
-				sh.finish(pads, spanDepth)
-				return
-			}
-			if sh.err == nil {
-				sh.err = sh.eng.Add(v)
-			}
-		case req := <-sh.flush:
-			// Drain the buffered backlog first: every leaf destined for this
-			// shard was sent before the flush request, so a non-blocking
-			// sweep observes all of them.
-			for drained := false; !drained; {
-				select {
-				case v, ok := <-sh.ch:
-					if !ok {
-						// Finalize raced the snapshot; disallowed by the
-						// builder (Snapshot errors after Root), so just stop.
-						sh.finish(pads, spanDepth)
-						req <- shardState{err: ErrFinalized}
-						return
-					}
-					if sh.err == nil {
-						sh.err = sh.eng.Add(v)
-					}
-				default:
-					drained = true
-				}
-			}
-			req <- shardState{
-				added:    sh.eng.added,
-				frontier: sh.eng.frontier(),
-				err:      sh.err,
-			}
-		}
-	}
-}
-
-func (sh *streamShard) finish(pads [][]byte, spanDepth int) {
-	if sh.err != nil {
-		return
-	}
-	root, err := sh.eng.Root()
-	if err != nil {
-		sh.err = err
-		return
-	}
-	for h := sh.eng.depth; h < spanDepth; h++ {
-		root = sh.eng.hs.combine(root, pads[h])
-	}
-	sh.root = root
-}
-
-// finalizeShards closes the shard inputs and merges the prefix frontier (a
-// restored builder's already-merged spans), the live span roots, and the
-// all-pad span roots into the commitment. The merge is the binary-counter
-// push at span height — for a fresh builder this performs exactly the
-// pairwise bottom-up combines of the full tree, so roots stay byte-identical
-// to the serial builder's.
-func (b *StreamBuilder) finalizeShards() ([]byte, error) {
-	if !b.closed {
-		b.closed = true
-		for _, sh := range b.shards {
-			close(sh.ch)
-		}
-	}
-	spanDepth := log2(b.span)
-	var stack [][]byte
-	var levels []int
-	push := func(v []byte, level int) {
-		stack = append(stack, v)
-		levels = append(levels, level)
-		for len(stack) >= 2 && levels[len(levels)-1] == levels[len(levels)-2] {
-			top := len(stack) - 1
-			merged := b.hs.combine(stack[top-1], stack[top])
-			lvl := levels[top] + 1
-			stack = append(stack[:top-1], merged)
-			levels = append(levels[:top-1], lvl)
-		}
-	}
-	for _, e := range b.prefix {
-		push(e.Digest, e.Level)
-	}
-	totalSpans := b.cap / b.span
-	for s := b.firstSpan; s < totalSpans; s++ {
-		root := b.padTable[spanDepth]
-		if i := s - b.firstSpan; i < len(b.shards) {
-			sh := b.shards[i]
-			<-sh.done
-			if sh.err != nil {
-				// Unreachable: Add validates before routing to a shard.
-				return nil, fmt.Errorf("merkle: internal error: shard %d: %w", s, sh.err)
-			}
-			root = sh.root
-		}
-		push(root, spanDepth)
-	}
-	if len(stack) != 1 {
-		return nil, fmt.Errorf("merkle: internal error: %d pending subtrees after shard merge", len(stack))
-	}
-	return stack[0], nil
-}
-
-// push places a subtree root of the given height on the stack and merges
-// equal-height neighbours until heights strictly descend again.
-func (b *StreamBuilder) push(value []byte, level int) {
-	b.stack = append(b.stack, value)
-	b.levels = append(b.levels, level)
-	for len(b.stack) >= 2 && b.levels[len(b.levels)-1] == b.levels[len(b.levels)-2] {
-		top := len(b.stack) - 1
-		merged := b.hs.combine(b.stack[top-1], b.stack[top])
-		lvl := b.levels[top] + 1
-		b.stack = append(b.stack[:top-1], merged)
-		b.levels = append(b.levels[:top-1], lvl)
-	}
 }

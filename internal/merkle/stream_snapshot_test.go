@@ -34,9 +34,10 @@ func serialRoot(t *testing.T, leaves [][]byte) []byte {
 	return root
 }
 
-// TestStreamSnapshotRestoreRoots snapshots builders of every engine mode at
-// every split point and restores them into every engine mode; all roots must
-// be byte-identical to an uninterrupted serial build.
+// TestStreamSnapshotRestoreRoots snapshots builders at every split point and
+// restores them, under option lists with and without WithParallelism (which a
+// stream accepts and ignores); all roots must be byte-identical to an
+// uninterrupted build.
 func TestStreamSnapshotRestoreRoots(t *testing.T) {
 	modes := []struct {
 		name string
@@ -163,7 +164,7 @@ func TestStreamSnapshotValidation(t *testing.T) {
 }
 
 func TestStreamSnapshotUnmarshalCorruption(t *testing.T) {
-	b, err := NewStreamBuilder(16, WithWindowTracking(4, 0))
+	b, err := NewStreamBuilder(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,160 +191,15 @@ func TestStreamSnapshotUnmarshalCorruption(t *testing.T) {
 	if err := s.UnmarshalBinary(append(append([]byte(nil), enc...), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-}
-
-// TestWindowRoot checks every aligned window range against a standalone
-// tree built directly over the same leaves, including the padded tail.
-func TestWindowRoot(t *testing.T) {
-	const n, w = 23, 4
-	leaves := snapLeaves(n)
-	b, err := NewStreamBuilder(n, WithWindowTracking(w, 0))
-	if err != nil {
-		t.Fatal(err)
+	// The snapshot ends in a window flag that is always 0; a snapshot
+	// carrying window-tracking state is refused, not misread.
+	if enc[len(enc)-1] != 0 {
+		t.Fatalf("snapshot ends in %#x, want the window flag 0", enc[len(enc)-1])
 	}
-	for _, l := range leaves {
-		if err := b.Add(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for lo := 0; lo < n; lo += w {
-		his := []int{}
-		for hi := lo + w; hi < n; hi += w {
-			his = append(his, hi)
-		}
-		his = append(his, n) // partial tail window
-		for _, hi := range his {
-			got, err := b.WindowRoot(lo, hi)
-			if err != nil {
-				t.Fatalf("WindowRoot(%d, %d): %v", lo, hi, err)
-			}
-			tree, err := Build(leaves[lo:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := tree.Root(); !bytes.Equal(got, want) {
-				t.Fatalf("WindowRoot(%d, %d) differs from standalone tree", lo, hi)
-			}
-		}
-	}
-	// The full range must agree with the builder's own commitment.
-	full, err := b.WindowRoot(0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := serialRoot(t, leaves); !bytes.Equal(full, want) {
-		t.Fatal("WindowRoot(0, n) differs from Root()")
-	}
-}
-
-func TestWindowRootEvictionAndErrors(t *testing.T) {
-	const n, w, keep = 32, 4, 2
-	b, err := NewStreamBuilder(n, WithWindowTracking(w, keep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := b.Add([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.WindowRoot(0, 4); !errors.Is(err, ErrWindowUnavailable) {
-		t.Fatalf("evicted window: got %v", err)
-	}
-	if _, err := b.WindowRoot(12, 20); err != nil {
-		t.Fatalf("retained windows: %v", err)
-	}
-	if _, err := b.WindowRoot(13, 17); !errors.Is(err, ErrWindowUnavailable) {
-		t.Fatalf("unaligned lo: got %v", err)
-	}
-	if _, err := b.WindowRoot(12, 24); !errors.Is(err, ErrWindowUnavailable) {
-		t.Fatalf("hi beyond stream: got %v", err)
-	}
-	plain, err := NewStreamBuilder(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.WindowRoot(0, 4); !errors.Is(err, ErrNoWindowTracking) {
-		t.Fatalf("untracked builder: got %v", err)
-	}
-	if _, err := NewStreamBuilder(8, WithWindowTracking(3, 0)); !errors.Is(err, ErrBadWindow) {
-		t.Fatalf("non-power-of-two window: got %v", err)
-	}
-}
-
-// TestWindowTrackingSurvivesSnapshot restores a window-tracked stream at an
-// arbitrary split and checks window roots keep matching standalone trees.
-func TestWindowTrackingSurvivesSnapshot(t *testing.T) {
-	const n, w = 29, 8
-	leaves := snapLeaves(n)
-	for _, split := range []int{0, 3, 8, 11, 16, 21, 29} {
-		b, err := NewStreamBuilder(n, WithWindowTracking(w, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range leaves[:split] {
-			if err := b.Add(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, err := b.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := snap.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded StreamSnapshot
-		if err := decoded.UnmarshalBinary(enc); err != nil {
-			t.Fatal(err)
-		}
-		r, err := RestoreStreamBuilder(&decoded)
-		if err != nil {
-			t.Fatalf("split=%d: %v", split, err)
-		}
-		for _, l := range leaves[split:] {
-			if err := r.Add(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for lo := 0; lo < n; lo += w {
-			hi := lo + w
-			if hi > n {
-				hi = n
-			}
-			got, err := r.WindowRoot(lo, hi)
-			if err != nil {
-				t.Fatalf("split=%d WindowRoot(%d, %d): %v", split, lo, hi, err)
-			}
-			tree, err := Build(leaves[lo:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, tree.Root()) {
-				t.Fatalf("split=%d: restored WindowRoot(%d, %d) differs", split, lo, hi)
-			}
-		}
-	}
-}
-
-func BenchmarkStreamSnapshot(b *testing.B) {
-	const n = 1 << 16
-	sb, err := NewStreamBuilder(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	leaf := make([]byte, 32)
-	for i := 0; i < n/2; i++ {
-		if err := sb.Add(leaf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sb.Snapshot(); err != nil {
-			b.Fatal(err)
+	for _, flag := range []byte{1, 2} {
+		bad := append(bytes.Clone(enc[:len(enc)-1]), flag, 0x04, 0x00, 0x00, 0x00, 0x00)
+		if err := s.UnmarshalBinary(bad); !errors.Is(err, ErrBadStreamSnapshot) {
+			t.Fatalf("window flag %d: err = %v, want ErrBadStreamSnapshot", flag, err)
 		}
 	}
 }

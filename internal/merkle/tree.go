@@ -19,15 +19,15 @@
 // The package provides a fully materialized Tree, a constant-memory
 // StreamBuilder, and the storage-bounded PartialTree of Section 3.3.
 //
-// There are two kinds of evidence. A Proof is one leaf's audit path — the
-// leaf value and the H sibling values up to the root (Step 3, Section 3.1) —
-// for users that audit single leaves. A MultiProof is the evidence for a
-// whole challenge of m samples from one tree and is what a CBS response
-// carries: the m paths merge on their way up, so it holds each distinct
-// sample's value and only the siblings that are not themselves on a sampled
-// path, every one once — 51.9 siblings instead of 128 for 16 samples of 256
-// leaves. Both trees produce both, byte-identically, and a ProofVerifier
-// reconstructs the root from either.
+// One form of evidence travels on the wire: the MultiProof, the answer to a
+// whole challenge of m samples from one tree (Step 3, Section 3.1). The m
+// audit paths merge on their way up, so it holds each distinct sample's
+// value and only the siblings that are not themselves on a sampled path,
+// every one once — 51.9 siblings instead of 128 for 16 samples of 256
+// leaves. Both trees produce it byte-identically and a ProofVerifier
+// reconstructs the root from it. A Proof is one leaf's audit path — the
+// leaf value and the H sibling values up to the root — kept as an in-memory
+// view of the one-sample multiproof for callers that audit a single leaf.
 package merkle
 
 import (
@@ -52,9 +52,9 @@ var (
 	// ErrNilLeaf is returned when a leaf value is nil. Empty (zero-length)
 	// values are legal; nil indicates a caller bug.
 	ErrNilLeaf = errors.New("merkle: leaf value must not be nil")
-	// ErrHasherSize is returned by Build and BuildFunc for a hasher whose Sum
-	// length disagrees with its Size(): the node arena is laid out in
-	// Size()-byte rows.
+	// ErrHasherSize is returned by every constructor and by verification for
+	// a hasher whose Sum length disagrees with its Size(): digests are laid
+	// out in Size()-byte rows.
 	ErrHasherSize = errors.New("merkle: hasher Sum length disagrees with Size()")
 	// ErrLeafSlabTooLarge is returned by Build and BuildFunc when the leaf
 	// values together exceed what the tree's 32-bit leaf offsets can address.
@@ -75,8 +75,6 @@ type Hasher func() hash.Hash
 type options struct {
 	hasher      Hasher
 	parallelism int
-	window      int
-	windowKeep  int
 }
 
 // Option customizes tree construction and proof verification. The same
@@ -121,25 +119,10 @@ func (o parallelismOption) apply(opts options) options {
 // order), so it must be safe for concurrent use. Trees built by Build are
 // unaffected: slice indexing is always safe.
 //
-// Parallelism only affects construction; proofs and verification are
-// unchanged. NewStreamBuilder and NewPartial interpret the same option with
-// their own clamping rules — see their docs.
+// Only Build and BuildFunc honour the option. NewStreamBuilder,
+// RestoreStreamBuilder, NewPartial and verification accept and ignore it,
+// so one option list serves them all.
 func WithParallelism(p int) Option { return parallelismOption{p: p} }
-
-type windowTrackingOption struct{ w, keep int }
-
-func (o windowTrackingOption) apply(opts options) options {
-	opts.window = o.w
-	opts.windowKeep = o.keep
-	return opts
-}
-
-// WithWindowTracking makes a StreamBuilder additionally maintain standalone
-// Merkle roots over consecutive w-leaf windows of the stream, retaining the
-// most recent keep of them (keep <= 0 retains all), so WindowRoot can serve
-// sliding-window commitments without holding any leaves. w must be a power
-// of two. Build, BuildFunc, and NewPartial ignore the option.
-func WithWindowTracking(w, keep int) Option { return windowTrackingOption{w: w, keep: keep} }
 
 func buildOptions(opts []Option) options {
 	var o options // a nil hasher selects the default, SHA-256
@@ -156,8 +139,7 @@ type hashers struct {
 	pad     []byte
 	// fixedLen is the digest length when the hash produces fixed-size
 	// output (every standard hash does). 0 marks a custom hasher whose Sum
-	// length disagrees with Size(): Build and BuildFunc refuse it, the stream
-	// and partial builders and verification take an allocating fallback.
+	// length disagrees with Size(), which everything refuses (ErrHasherSize).
 	fixedLen int
 	// shared marks defaultHashers' bundle, the one bundle two constructions
 	// can be known to have in common: hash constructors do not compare.
@@ -227,16 +209,12 @@ func (hs hashers) padTable(maxLevel int) [][]byte {
 // for concurrent use — each goroutine takes its own from hashers.node().
 type nodeHasher struct {
 	hs  hashers
-	h   hash.Hash // nil selects the allocating fallback (variable-size digests)
+	h   hash.Hash
 	buf [1 + binary.MaxVarintLen64]byte
 }
 
 func (hs hashers) node() *nodeHasher {
-	nh := &nodeHasher{hs: hs}
-	if hs.fixedLen > 0 {
-		nh.h = hs.newHash()
-	}
-	return nh
+	return &nodeHasher{hs: hs, h: hs.newHash()}
 }
 
 // nodeFor returns a node hasher for the hash o selects: prev itself when it
@@ -252,12 +230,8 @@ func nodeFor(prev *nodeHasher, o options) *nodeHasher {
 
 // combineInto computes combine(left, right) into dst, which must have
 // capacity fixedLen. dst may alias left or right: both are absorbed into the
-// hash state before dst is written. With a variable-size hasher dst is
-// ignored and a fresh digest is allocated, preserving combine's semantics.
+// hash state before dst is written.
 func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
-	if nh.h == nil {
-		return nh.hs.combine(left, right)
-	}
 	h := nh.h
 	h.Reset()
 	nh.buf[0] = nodePrefix
@@ -465,10 +439,10 @@ func (t *Tree) hashSubtree(nh *nodeHasher, root, span int) {
 }
 
 // newNodeArena allocates the contiguous slab backing all internal-node
-// digests of a capacity-leaf tree; nil when digests are variable-size (or the
-// degenerate one-leaf tree, which has no internal nodes).
+// digests of a capacity-leaf tree; nil for the degenerate one-leaf tree,
+// which has no internal nodes.
 func newNodeArena(hs hashers, capacity int) []byte {
-	if hs.fixedLen == 0 || capacity < 2 {
+	if capacity < 2 {
 		return nil
 	}
 	return make([]byte, capacity*hs.fixedLen)
@@ -478,9 +452,6 @@ func newNodeArena(hs hashers, capacity int) []byte {
 // one digest of capacity, ready for combineInto. Rows are capacity-bounded so
 // adjacent nodes can never bleed into each other.
 func arenaRow(arena []byte, size, i int) []byte {
-	if arena == nil {
-		return nil
-	}
 	return arena[i*size : i*size : (i+1)*size]
 }
 

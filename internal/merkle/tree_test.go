@@ -284,6 +284,111 @@ func TestWithHasherChangesRoot(t *testing.T) {
 	}
 }
 
+// variableHash reports a Size() that disagrees with its Sum length. The
+// underlying function is still deterministic sha256.
+type variableHash struct{ hash.Hash }
+
+func newVariableHash() hash.Hash { return variableHash{Hash: sha256.New()} }
+
+func (v variableHash) Size() int { return 16 }
+
+// TestVariableHasherFallbackStillCorrect keeps its name from the allocating
+// fallback it once covered; that fallback is gone. Digests live in
+// Size()-byte rows, so every constructor and verification refuses a hasher
+// whose Sum length disagrees with Size() (ErrHasherSize), and one with a
+// fixed 16-byte digest (md5) works everywhere, every builder committing to
+// one root.
+func TestVariableHasherFallbackStillCorrect(t *testing.T) {
+	values := leafValues(37)
+	at := func(i int) []byte { return values[i] }
+	md5Opts := []Option{WithHasher(md5.New)}
+	tree := mustBuild(t, values, md5Opts...)
+	root := tree.Root()
+	mp, err := tree.ProveMulti([]uint64{3, 20, 36})
+	if err != nil {
+		t.Fatalf("ProveMulti: %v", err)
+	}
+	path, err := tree.Prove(5)
+	if err != nil {
+		t.Fatalf("Prove: %v", err)
+	}
+	half, err := NewStreamBuilder(len(values), md5Opts...)
+	if err != nil {
+		t.Fatalf("NewStreamBuilder: %v", err)
+	}
+	for _, v := range values[:19] {
+		if err := half.Add(v); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	snap, err := half.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	// streamRoot adds the leaves b still lacks and checks its root.
+	streamRoot := func(b *StreamBuilder) error {
+		for _, v := range values[b.Added():] {
+			if err := b.Add(v); err != nil {
+				return err
+			}
+		}
+		got, err := b.Root()
+		if err == nil && !bytes.Equal(got, root) {
+			err = fmt.Errorf("stream root %x, tree root %x", got, root)
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		h    Hasher
+		want error
+	}{
+		{"variable-size", newVariableHash, ErrHasherSize},
+		{"md5", md5.New, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{WithHasher(tc.h)}
+			for what, run := range map[string]func() error{
+				"Build": func() error { _, err := Build(values, opts...); return err },
+				"BuildFunc": func() error {
+					got, err := BuildFunc(len(values), at, opts...)
+					if err == nil && !bytes.Equal(got.Root(), root) {
+						err = fmt.Errorf("root %x, want %x", got.Root(), root)
+					}
+					return err
+				},
+				"NewStreamBuilder": func() error {
+					b, err := NewStreamBuilder(len(values), opts...)
+					if err != nil {
+						return err
+					}
+					return streamRoot(b)
+				},
+				"RestoreStreamBuilder": func() error {
+					b, err := RestoreStreamBuilder(snap, opts...)
+					if err != nil {
+						return err
+					}
+					return streamRoot(b)
+				},
+				"NewPartial": func() error {
+					p, err := NewPartial(len(values), 2, at, opts...)
+					if err == nil && !bytes.Equal(p.Root(), root) {
+						err = fmt.Errorf("root %x, want %x", p.Root(), root)
+					}
+					return err
+				},
+				"VerifyMulti": func() error { return NewProofVerifier(opts...).VerifyMulti(root, &mp) },
+				"Verify":      func() error { return Verify(root, path, opts...) },
+			} {
+				if err := run(); !errors.Is(err, tc.want) {
+					t.Errorf("%s: err = %v, want %v", what, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestBuildFuncMatchesBuild(t *testing.T) {
 	values := leafValues(21)
 	a := mustBuild(t, values)
@@ -356,8 +461,9 @@ func TestFigure1PathStructure(t *testing.T) {
 }
 
 func TestProofRoundTripQuick(t *testing.T) {
-	// Property: for random (n, i), a generated proof marshals, unmarshals,
-	// and verifies; and a one-bit corruption of the payload fails.
+	// Property: for random (n, i), leaf i's proof crosses the wire as its
+	// one-sample multiproof of EncodedSize bytes, decodes back to the same
+	// audit path, and verifies; and a one-bit corruption of it fails.
 	f := func(nSeed uint16, iSeed uint16, corrupt bool, corruptAt uint16) bool {
 		n := int(nSeed%300) + 1
 		i := int(iSeed) % n
@@ -369,15 +475,20 @@ func TestProofRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		data, err := proof.MarshalBinary()
+		mp, err := tree.ProveMulti([]uint64{uint64(i)})
 		if err != nil {
 			return false
 		}
-		if len(data) != proof.EncodedSize() {
+		data, err := mp.MarshalBinary()
+		if err != nil || len(data) != proof.EncodedSize() {
 			return false
 		}
-		var decoded Proof
-		if err := decoded.UnmarshalBinary(data); err != nil {
+		var wire MultiProof
+		if err := wire.UnmarshalBinary(data); err != nil {
+			return false
+		}
+		decoded := Proof{Index: int(wire.Indices[0]), N: wire.N, Value: wire.Values[0], Siblings: wire.Siblings}
+		if !sameProof(&decoded, proof) {
 			return false
 		}
 		if !corrupt {
@@ -399,12 +510,14 @@ func TestProofRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestProofUnmarshalRejectsGarbage feeds the one wire form of a proof, the
+// multiproof, what no honest prover sends.
 func TestProofUnmarshalRejectsGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tree := mustBuild(t, leafValues(16))
-	good, err := tree.Prove(7)
+	good, err := tree.ProveMulti([]uint64{7})
 	if err != nil {
-		t.Fatalf("Prove: %v", err)
+		t.Fatalf("ProveMulti: %v", err)
 	}
 	data, err := good.MarshalBinary()
 	if err != nil {
@@ -413,14 +526,14 @@ func TestProofUnmarshalRejectsGarbage(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 0; cut < len(data); cut += 7 {
-			var p Proof
+			var p MultiProof
 			if err := p.UnmarshalBinary(data[:cut]); err == nil {
 				t.Fatalf("UnmarshalBinary accepted truncation at %d", cut)
 			}
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		var p Proof
+		var p MultiProof
 		if err := p.UnmarshalBinary(append(append([]byte(nil), data...), 0x00)); err == nil {
 			t.Fatal("UnmarshalBinary accepted trailing bytes")
 		}
@@ -429,20 +542,20 @@ func TestProofUnmarshalRejectsGarbage(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			junk := make([]byte, rng.Intn(200))
 			rng.Read(junk)
-			var p Proof
+			var p MultiProof
 			if err := p.UnmarshalBinary(junk); err == nil {
 				// Random bytes may rarely decode to a structurally valid
 				// proof; it must then still be well-formed.
-				if vErr := validateProof(&p); vErr != nil {
+				if vErr := p.validate(); vErr != nil {
 					t.Fatalf("decoded invalid proof from garbage: %v", vErr)
 				}
 			}
 		}
 	})
 	t.Run("huge declared length", func(t *testing.T) {
-		// index=0, n=1, value length claims 2^40 bytes.
-		payload := []byte{0x00, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-		var p Proof
+		// n=1, one sample, no siblings, index 0, value length claims 2^40 bytes.
+		payload := []byte{0x01, 0x01, 0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+		var p MultiProof
 		if err := p.UnmarshalBinary(payload); err == nil {
 			t.Fatal("UnmarshalBinary accepted absurd length prefix")
 		}

@@ -35,7 +35,6 @@ import (
 	"uncheatgrid/internal/core"
 	"uncheatgrid/internal/grid"
 	"uncheatgrid/internal/hashchain"
-	"uncheatgrid/internal/merkle"
 	"uncheatgrid/internal/transport"
 	"uncheatgrid/internal/workload"
 )
@@ -88,49 +87,6 @@ var (
 	// ErrCommitmentMismatch marks a proof inconsistent with the committed
 	// root — the Theorem 2 conviction.
 	ErrCommitmentMismatch = core.ErrCommitmentMismatch
-)
-
-// ---- Merkle tree substrate (Section 3, Eq. 1) ----
-
-type (
-	// MerkleTree is the materialized commitment tree.
-	MerkleTree = merkle.Tree
-	// MerkleProof is one leaf's audit path.
-	MerkleProof = merkle.Proof
-	// MerkleMultiProof is the evidence for a whole set of samples from one
-	// tree — what a Response carries: each distinct sample's value and only
-	// the siblings the samples' paths do not supply themselves.
-	MerkleMultiProof = merkle.MultiProof
-	// PartialMerkleTree is the Section 3.3 storage-bounded tree.
-	PartialMerkleTree = merkle.PartialTree
-	// MerkleStreamBuilder computes roots in O(log n) memory.
-	MerkleStreamBuilder = merkle.StreamBuilder
-	// MerkleOption customizes tree construction (hash choice, parallelism).
-	MerkleOption = merkle.Option
-)
-
-// Merkle constructors re-exported for direct use.
-var (
-	// BuildMerkleTree materializes a tree over leaf values.
-	BuildMerkleTree = merkle.Build
-	// BuildMerkleTreeFunc materializes a tree over generated leaf values.
-	BuildMerkleTreeFunc = merkle.BuildFunc
-	// VerifyMerkleProof checks an audit path against a root.
-	VerifyMerkleProof = merkle.Verify
-	// NewPartialMerkleTree builds the storage-bounded tree.
-	NewPartialMerkleTree = merkle.NewPartial
-	// NewMerkleStreamBuilder builds roots over huge domains.
-	NewMerkleStreamBuilder = merkle.NewStreamBuilder
-	// WithMerkleHasher selects the tree's one-way hash function.
-	WithMerkleHasher = merkle.WithHasher
-	// WithMerkleParallelism shards tree construction across a worker pool;
-	// roots are bit-identical to the sequential build. The leaf function
-	// is then called from multiple goroutines, so it must be safe for
-	// concurrent use. It applies to BuildMerkleTree/BuildMerkleTreeFunc
-	// and, as a sharded streaming mode, to NewMerkleStreamBuilder; the
-	// storage-bounded (WithSubtreeHeight) prover builds sequentially and
-	// ignores it.
-	WithMerkleParallelism = merkle.WithParallelism
 )
 
 // ---- Non-interactive sample derivation (Section 4, Eq. 4-5) ----
@@ -397,8 +353,8 @@ var (
 	RestoreWindowLedger = grid.RestoreWindowLedger
 	// WithStreamWindowSettle arms rolling window commitments on a streaming
 	// run: participants commit each settled window of task digests to a
-	// hash chain, and the per-link ledgers verify every commit with sampled
-	// membership proofs.
+	// hash chain, and the per-link ledgers verify every commit with one
+	// Merkle multiproof of sampled leaves.
 	WithStreamWindowSettle = grid.WithWindowSettle
 	// WithStreamHighWater bounds how many tickets a source-driven run
 	// materializes ahead of execution (default 2×window×connections).
