@@ -465,10 +465,10 @@ func BenchmarkResumedSession(b *testing.B) {
 }
 
 // BenchmarkReplicatedDoubleCheck measures the double-check scheme on R
-// connections as a replicated window-4 stream: uploads overlap freely inside
-// each connection's window; only the comparison meets at the
-// cross-connection rendezvous. The latency variant charges every frame a
-// fixed send delay.
+// connections as a replicated window-4 stream: every replica is an ordinary
+// upload inside its connection's window, and a group's comparison runs when
+// its last replica settles, holding up no exchange. The latency variant
+// charges every frame a fixed send delay.
 func BenchmarkReplicatedDoubleCheck(b *testing.B) {
 	const tasks = 6
 	const replicas = 3

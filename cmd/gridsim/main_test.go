@@ -73,6 +73,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(&buf, []string{"-workers", "2"}); err == nil {
 		t.Error("the deleted -workers flag accepted")
 	}
+	doubleCheck := []string{"-scheme", "double-check", "-replicas", "3", "-honest", "3", "-semihonest", "0", "-m", "1"}
+	if err := run(&buf, append(doubleCheck, "-broker", "-routes", "6", "-pipeline", "2")); err == nil {
+		t.Error("-scheme double-check with -routes accepted")
+	}
+	if err := run(&buf, append(doubleCheck, "-blacklist")); err == nil {
+		t.Error("-scheme double-check with -blacklist accepted")
+	}
 }
 
 func TestRunFaultySimulation(t *testing.T) {

@@ -673,67 +673,6 @@ func TestBrokeredPipelinedSessionAccounting(t *testing.T) {
 	}
 }
 
-// TestReplaceReplicaAllowsDeadMembersOwnWorker pins identity-keyed
-// re-placement: a replica vacating its dead slot must be allowed onto a
-// different route to that same worker — the dead member's own identity is
-// not a sibling — instead of being declared lost while a pairwise-distinct
-// placement exists.
-func TestReplaceReplicaAllowsDeadMembersOwnWorker(t *testing.T) {
-	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}}, 4)
-	if err != nil {
-		t.Fatalf("NewSupervisorPool: %v", err)
-	}
-	_, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Four routes to three workers: two of them reach worker A.
-	ids := make(map[transport.Conn]string)
-	slots := make([]*connSlot, 4)
-	for i, worker := range []string{"A", "B", "C", "A"} {
-		conn, _ := transport.Pipe()
-		ids[conn] = worker
-		slots[i] = newConnSlot(conn, nil)
-	}
-	cfg := streamConfig{identity: func(c transport.Conn) string { return ids[c] }}
-	d := newDispatcher(pool, &cfg, SliceTaskSource(nil), 1, cancel)
-	d.allSlots = slots
-
-	grp := &replicaGroup{
-		task: poolTasks(1, 64)[0],
-		rdv:  newReplicaRendezvous(3),
-		// Pre-placed on the first route to each worker: A, B, C.
-		slots: []*connSlot{slots[0], slots[1], slots[2]},
-	}
-	d.groups[grp] = struct{}{}
-
-	d.mu.Lock()
-	d.dead[slots[0]], d.retired[slots[0]] = true, true
-	d.replaceReplicaLocked(ticket{task: grp.task, grp: grp, repIdx: 0}, slots[0])
-	pinned := len(d.pinned[slots[3]])
-	d.mu.Unlock()
-
-	if grp.rdv.ready() {
-		t.Fatal("replica declared lost although the second route to worker A was free")
-	}
-	if grp.slots[0] != slots[3] {
-		t.Fatalf("replica re-placed on slot %v, want the surviving route to worker A", grp.slots[0])
-	}
-	if pinned != 1 {
-		t.Fatalf("replacement ticket not pinned to the new slot (%d pinned)", pinned)
-	}
-	// A worker that IS still a live sibling must stay vetoed: kill B's
-	// slot too. The only live candidates route to A (now hosting replica
-	// 0) and C (hosting replica 2), so replica 1 must be declared lost —
-	// its slot entry untouched — rather than placed on a sibling's worker.
-	d.mu.Lock()
-	d.dead[slots[1]], d.retired[slots[1]] = true, true
-	d.replaceReplicaLocked(ticket{task: grp.task, grp: grp, repIdx: 1}, slots[1])
-	moved := grp.slots[1]
-	d.mu.Unlock()
-	if moved != slots[1] {
-		t.Fatalf("replica 1 re-placed onto a sibling's worker: %v", moved)
-	}
-}
-
 // TestRunSimBrokeredFaultyMatchesClean is the resume-through-relay
 // acceptance test: a pipelined run routed through the broker hub over a
 // faulty supervisor↔hub leg (drops and garbles forcing redials) must

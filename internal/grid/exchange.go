@@ -49,8 +49,7 @@ const (
 	// phaseAwaitProofs waits for the CBS audit-path response.
 	phaseAwaitProofs
 	// phaseDecide has every input; verification runs without touching the
-	// wire — in replica mode it is the cross-connection rendezvous that
-	// compares the group's uploads.
+	// wire.
 	phaseDecide
 	// phaseVerdict owes the participant the verdict.
 	phaseVerdict
@@ -71,11 +70,6 @@ type exchangeState struct {
 	// announced is set once an assignment reached a connection; later
 	// (re-)attachments announce with msgResume instead.
 	announced bool
-	// suppressAnnounce skips the next announce entirely: the attempt is
-	// re-attaching to the same live session it parked on (replica barrier),
-	// where the participant still holds the task in flight and a resume
-	// handshake would collide with it.
-	suppressAnnounce bool
 	// received is set on the first ingested participant message: from then
 	// on the attempt is bound to the peer that produced it and must resume
 	// on a connection to the same participant.
@@ -97,9 +91,6 @@ type exchangeState struct {
 	chunks      uint64
 	results     [][]byte
 	resultsDone bool
-	// submitted records that the upload reached the replica rendezvous, so
-	// a resume after the barrier re-waits instead of re-voting.
-	submitted bool
 
 	// Ringer.
 	hits     []uint64
@@ -139,8 +130,6 @@ func (st *exchangeState) resumeState(a assignment) resumeMsg {
 // the challenge and verdict when due. It returns nil once the task reaches
 // its terminal phase. On error the state survives in pt; calling runExchange
 // again with a fresh connection resumes mid-protocol instead of restarting.
-// A replica exchange that reaches its rendezvous before the group is
-// complete returns errReplicaParked.
 func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask) error {
 	st := &pt.st
 	if err := pt.announce(conn); err != nil {
@@ -180,10 +169,6 @@ func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask) error {
 // connection.
 func (pt *preparedTask) announce(conn protoConn) error {
 	st := &pt.st
-	if st.suppressAnnounce {
-		st.suppressAnnounce = false
-		return nil
-	}
 	if !st.announced {
 		if err := conn.Send(transport.Message{Type: msgAssign, Payload: encodeAssignment(pt.assign)}); err != nil {
 			return err
@@ -401,9 +386,7 @@ func (pt *preparedTask) ingestProofs(payload []byte) error {
 // decide runs the scheme's verification over the collected inputs. It
 // sends nothing, runs its verification exactly once per task (the phase
 // moves on), and charges its evaluations to the task's budget — all of
-// which keeps resumed verdicts identical to clean ones. In replica mode
-// the decision is the group rendezvous, and the attempt detaches while it
-// is unready.
+// which keeps resumed verdicts identical to clean ones.
 func (pt *preparedTask) decide() error {
 	pt.recordStreamDigest()
 	st := &pt.st
@@ -451,28 +434,10 @@ func (pt *preparedTask) decide() error {
 		return nil
 
 	case SchemeDoubleCheck:
-		if pt.rdv == nil {
-			return fmt.Errorf("%w: double-check runs replicated (SupervisorPool.RunTaskSource)", ErrBadConfig)
-		}
-		// The replica barrier: bank the upload, then take the group verdict
-		// once every sibling delivered (or was lost) and the comparison ran.
-		// The submission is recorded so a post-fault resume re-waits instead
-		// of voting twice.
-		if !st.submitted {
-			pt.rdv.submit(pt.repIdx, st.results)
-			st.submitted = true
-		}
-		// A replica must not block holding a window slot and a worker: if
-		// the group is still incomplete, detach and let the scheduler
-		// re-claim the attempt once the rendezvous settles.
-		if !pt.rdv.ready() {
-			return errReplicaParked
-		}
-		v, err := pt.rdv.await(pt.repIdx)
-		if err != nil {
-			return err
-		}
-		pt.outcome.Verdict = v
+		// The participant is sent a receipt for its upload; the ruling on it
+		// is the group's comparison, which the stream runs once every
+		// replica settled (dispatcher.vote).
+		pt.outcome.Verdict = Verdict{Accepted: true}
 		st.phase = phaseVerdict
 		return nil
 

@@ -325,49 +325,6 @@ func TestKitTravelsWithQuarantinedAttempt(t *testing.T) {
 	}
 }
 
-// TestKitStaysWithParkedReplica: a double-check replica parked at its
-// rendezvous keeps its kit off the list of the live session it will be
-// re-claimed on, and returns it there when it settles.
-func TestKitStaysWithParkedReplica(t *testing.T) {
-	scribbleReturnedKits(t)
-	r := newRedialableParticipant(t, HonestFactory)
-	defer r.shutdown()
-	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 4})
-	if err != nil {
-		t.Fatalf("NewSupervisor: %v", err)
-	}
-	rdv := newReplicaRendezvous(2)
-	at, err := sup.newReplicaAttempt(poolTasks(1, 64)[0], rdv, 0)
-	if err != nil {
-		t.Fatalf("newReplicaAttempt: %v", err)
-	}
-	sess, err := sup.OpenSession(r.dial(), 1)
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	if _, err := sess.RunAttempt(at); !errors.Is(err, errReplicaParked) {
-		t.Fatalf("RunAttempt error = %v, want errReplicaParked", err)
-	}
-	kit := at.pt.kit
-	if kit == nil || len(sess.kits) != 0 {
-		t.Fatalf("parked replica: kit %p, %d kits on the session's list; want the kit kept and none listed", kit, len(sess.kits))
-	}
-	rdv.mu.Lock()
-	upload := rdv.uploads[0]
-	rdv.mu.Unlock()
-	rdv.submit(1, slices.Clone(upload))
-	outcome, err := sess.RunAttempt(at)
-	if err != nil || !outcome.Verdict.Accepted {
-		t.Fatalf("re-claimed replica: %+v, %v", outcome, err)
-	}
-	if at.pt.kit != nil || len(sess.kits) != 1 || sess.kits[0] != kit {
-		t.Errorf("settled replica: kit %p still held, %d kits listed; want its one kit back on the list", at.pt.kit, len(sess.kits))
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 // TestKitReturnsOnTerminalErrorOnly sets a protocol violation beside a dead
 // link: the first ends the attempt, so its kit goes back to the session's
 // list with every alias cut; the second leaves the attempt resumable, so the

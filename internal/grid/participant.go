@@ -99,16 +99,21 @@ type Participant struct {
 	// counted guards the per-task verdict counters against double counting:
 	// a verdict whose acknowledgement was lost to a fault is re-delivered on
 	// the resumed connection, and the re-run must not count it twice. Each
-	// entry maps a counted task ID to the insertion sequence of its
-	// tombstone; countedOrder keeps those tombstones in insertion order so
-	// the memory can be capped (maxVerdictTombstones) by evicting the
-	// oldest — a long-lived worker serving unboundedly many distinct tasks
-	// stays bounded. A fresh (non-resume) assignment reusing an ID clears
-	// its tombstone (the order entry goes stale and is skipped or
-	// compacted away).
-	counted      map[uint64]uint64
+	// entry maps a counted task ID to its tombstone; countedOrder keeps the
+	// tombstones in insertion order so the memory can be capped
+	// (maxVerdictTombstones) by evicting the oldest — a long-lived worker
+	// serving unboundedly many distinct tasks stays bounded. A fresh
+	// (non-resume) assignment reusing an ID clears its tombstone (the order
+	// entry goes stale and is skipped or compacted away), unless it arrives
+	// on an older serve session than the one that counted the task: then it
+	// is an assignment the supervisor sent once on a link it has since
+	// abandoned, delivered late, and clearing would let the next verdict
+	// re-delivery on the live link count the task again. sessions numbers
+	// the serve sessions in the order they started.
+	counted      map[uint64]countedTombstone
 	countedOrder []countedTombstone
 	countedSeq   uint64
+	sessions     uint64
 	// windows holds the rolling-commitment state once the first windowed
 	// assignment arrives; all windowed tasks of one participant must share
 	// a spec, since the commitment chain is a single history.
@@ -116,11 +121,10 @@ type Participant struct {
 }
 
 // countedTombstone is one entry of the participant's verdict-tombstone
-// queue: a task ID plus the insertion sequence that distinguishes it from a
-// stale entry for the same ID.
+// queue: a task ID, the insertion sequence that distinguishes it from a
+// stale entry for the same ID, and the serve session that counted it.
 type countedTombstone struct {
-	id  uint64
-	seq uint64
+	id, seq, session uint64
 }
 
 // maxVerdictTombstones caps how many counted-verdict tombstones a
@@ -141,7 +145,7 @@ func NewParticipant(id string, factory ProducerFactory, opts ...ParticipantOptio
 	if factory == nil {
 		return nil, fmt.Errorf("%w: nil producer factory", ErrBadConfig)
 	}
-	p := &Participant{id: id, factory: factory, counted: make(map[uint64]uint64)}
+	p := &Participant{id: id, factory: factory, counted: make(map[uint64]countedTombstone)}
 	for _, opt := range opts {
 		opt.applyParticipant(&p.cfg)
 	}
@@ -187,7 +191,9 @@ const sessionInboxCap = 8
 // concurrently, one taskExecution each. Outgoing messages funnel through a
 // coalescing batch writer.
 type participantSession struct {
-	p      *Participant
+	p *Participant
+	// seq is the session's place in the participant's session order.
+	seq    uint64
 	conn   transport.Conn
 	writer *batchWriter
 	wg     sync.WaitGroup
@@ -218,12 +224,15 @@ type participantSession struct {
 // window settle that follows the verdict has read it; nothing else outlives
 // runCBS, because every message it sends — commitment, reports, proofs — is
 // marshaled into a payload of its own, which the writer owns until flush.
-// Return: participantTask.run, the one return point, under the ps.mu it takes
-// to retire the task, after cutting digest. A task resumed on a replacement
-// connection is a new participantTask there and rebuilds its tree
-// bit-identically in that session's kit, so no kit ever crosses a connection:
-// the list never holds more kits than the connection had tasks in flight at
-// once, and it dies with the connection.
+// Return: participantSession.returnKit, under ps.mu, after cutting digest —
+// called by executeTask once the window settle has read the digest and
+// before the verdict ack is enqueued (the ack frees the supervisor's window
+// slot, and the task it assigns next must find the kit listed), and by
+// participantTask.run for a task that ended before that point. A task
+// resumed on a replacement connection is a new participantTask there and
+// rebuilds its tree bit-identically in that session's kit, so no kit ever
+// crosses a connection: the list never holds more kits than the connection
+// had tasks in flight at once, and it dies with the connection.
 type commitKit struct {
 	prover  core.Prover
 	scratch merkle.ProofScratch
@@ -248,11 +257,15 @@ var scribbleKit func(commit *commitKit, audit *auditKit)
 // ends the serve with the connection closed. It returns the first receive,
 // dispatch, task, or send error.
 func (p *Participant) Serve(conn transport.Conn) error {
+	p.mu.Lock()
+	p.sessions++
 	ps := &participantSession{
 		p:     p,
+		seq:   p.sessions,
 		conn:  conn,
 		tasks: make(map[uint64]*participantTask),
 	}
+	p.mu.Unlock()
 	// A writer failure aborts the session: closing the connection fails
 	// the serve loop, which tears the inboxes down so blocked tasks (and
 	// the peer) cannot wait forever on frames that were discarded.
@@ -468,18 +481,10 @@ func (t *participantTask) run() {
 		// error.
 		err = nil
 	}
+	ps.returnKit(t) // a task that ended in an error still holds its kit
 	ps.mu.Lock()
 	if !ps.done {
 		delete(ps.tasks, id)
-	}
-	if kit := t.exec.kit; kit != nil {
-		// The kit's one way back (commitKit has the rule): the digest is the
-		// last alias into it.
-		t.exec.kit, t.exec.digest, kit.exec = nil, nil, nil
-		if scribbleKit != nil {
-			scribbleKit(kit, nil)
-		}
-		ps.kits = append(ps.kits, kit)
 	}
 	if err != nil && ps.taskErr == nil {
 		ps.taskErr = fmt.Errorf("grid: participant %s task %d: %w", ps.p.id, id, err)
@@ -491,6 +496,23 @@ func (t *participantTask) run() {
 		// the connection unblocks both the peer and our own serve loop.
 		_ = ps.conn.Close()
 	}
+}
+
+// returnKit puts the task's commitment kit, if it still holds one, back on
+// the session's list (commitKit has the rule): the digest is the last alias
+// into it.
+func (ps *participantSession) returnKit(t *participantTask) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	kit := t.exec.kit
+	if kit == nil {
+		return
+	}
+	t.exec.kit, t.exec.digest, kit.exec = nil, nil, nil
+	if scribbleKit != nil {
+		scribbleKit(kit, nil)
+	}
+	ps.kits = append(ps.kits, kit)
 }
 
 // Send implements protoConn.
@@ -526,14 +548,19 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	if err := a.Task.validate(); err != nil {
 		return err
 	}
+	// A session task brings the storage for its execution state; a bare
+	// protoConn (a scheme runner driven directly) gets its own, and counts
+	// as session 0.
+	t, _ := conn.(*participantTask)
+	if t == nil {
+		t = new(participantTask)
+	}
+	var session uint64
+	if t.ps != nil {
+		session = t.ps.seq
+	}
 	if res == nil {
-		// A fresh assignment supersedes any earlier task that used this ID
-		// (a later run numbering its tasks from zero, say): drop the stale
-		// counted tombstone so the new task's verdict is tallied. Only a
-		// resume can re-deliver an already-counted verdict.
-		p.mu.Lock()
-		delete(p.counted, a.Task.ID)
-		p.mu.Unlock()
+		p.supersede(a.Task.ID, session)
 	}
 	if err := a.Spec.validate(); err != nil {
 		return err
@@ -541,12 +568,6 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	base, err := workload.New(a.Task.Workload, a.Task.Seed)
 	if err != nil {
 		return err
-	}
-	// A session task brings the storage for its execution state; a bare
-	// protoConn (a scheme runner driven directly) gets its own.
-	t, _ := conn.(*participantTask)
-	if t == nil {
-		t = new(participantTask)
 	}
 	t.counter = *workload.Count(base)
 	producer, err := p.factory(&t.counter)
@@ -586,7 +607,7 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	if err != nil {
 		return err
 	}
-	first := p.recordVerdict(a.Task.ID, producer.Name(), verdict, t.counter.Evals())
+	first := p.recordVerdict(a.Task.ID, session, producer.Name(), verdict, t.counter.Evals())
 	// A windowed task joins the rolling commitment exactly when its verdict
 	// first counts, and the window commit (if this task fills one) must be
 	// enqueued before the verdict ack: the batch writer is FIFO, so the
@@ -601,11 +622,31 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 			return err
 		}
 	}
+	if t.ps != nil {
+		// The settle above was the kit's last use, and the ack below frees the
+		// supervisor's window slot for a next task, which must find the kit
+		// back on the list.
+		t.ps.returnKit(t)
+	}
 	// Acknowledge so the supervisor knows the ruling landed; a verdict
 	// frame lost to a fault is re-delivered on the resumed connection until
 	// acked (recordVerdict keeps the counters exactly-once under
 	// re-delivery).
 	return conn.Send(transport.Message{Type: msgVerdictAck})
+}
+
+// supersede drops the counted tombstone of task id for a fresh assignment
+// that arrived on session: the assignment supersedes any earlier task that
+// used the ID (a later run numbering its tasks from zero, say), and the new
+// task's verdict must be tallied. A tombstone a newer session set stays —
+// the assignment is a stale one (see Participant.counted). Only a resume can
+// re-deliver an already-counted verdict.
+func (p *Participant) supersede(id, session uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if tomb, ok := p.counted[id]; ok && tomb.session <= session {
+		delete(p.counted, id)
+	}
 }
 
 // windowsFor returns the participant's rolling-commitment state, creating
@@ -639,7 +680,7 @@ func (p *Participant) windowsFor(spec SchemeSpec) (*participantWindows, error) {
 // should run.
 //
 //gridlint:credit the participant's only tally point; exactly-once under verdict re-delivery
-func (p *Participant) recordVerdict(taskID uint64, behavior string, verdict Verdict, evals int64) bool {
+func (p *Participant) recordVerdict(taskID, session uint64, behavior string, verdict Verdict, evals int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.behavior = behavior
@@ -648,8 +689,9 @@ func (p *Participant) recordVerdict(taskID uint64, behavior string, verdict Verd
 		return false
 	}
 	p.countedSeq++
-	p.counted[taskID] = p.countedSeq
-	p.countedOrder = append(p.countedOrder, countedTombstone{id: taskID, seq: p.countedSeq})
+	tomb := countedTombstone{id: taskID, seq: p.countedSeq, session: session}
+	p.counted[taskID] = tomb
+	p.countedOrder = append(p.countedOrder, tomb)
 	p.pruneTombstonesLocked()
 	p.tasks++
 	if verdict.Accepted {
@@ -669,14 +711,14 @@ func (p *Participant) pruneTombstonesLocked() {
 	for len(p.counted) > maxVerdictTombstones && len(p.countedOrder) > 0 {
 		e := p.countedOrder[0]
 		p.countedOrder = p.countedOrder[1:]
-		if p.counted[e.id] == e.seq {
+		if p.counted[e.id].seq == e.seq {
 			delete(p.counted, e.id)
 		}
 	}
 	if len(p.countedOrder) >= 2*maxVerdictTombstones {
 		live := p.countedOrder[:0]
 		for _, e := range p.countedOrder {
-			if p.counted[e.id] == e.seq {
+			if p.counted[e.id].seq == e.seq {
 				live = append(live, e)
 			}
 		}

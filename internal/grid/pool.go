@@ -82,12 +82,14 @@ func (s *TaskStream) Err() error {
 // Retire permanently retires a connection (and every replacement dialed for
 // it) from taking fresh tasks. Everything on the connection that has not
 // begun an exchange — claims its workers hold but have not started, and
-// tickets placement queued on it (pinned or replicated streams) — is
-// recalled and rerouted to other connections; exchanges already started,
-// including resumed ones, still finish. Because retirement, placement and
-// exchange starts serialize on the dispatcher's lock, a Retire call
-// happens-before every later start: no task begins on a connection after
-// Retire returned.
+// tickets placement queued on it (pinned streams) — is recalled and
+// rerouted to other connections; exchanges already started, including
+// resumed ones, still finish. Because retirement, placement and exchange
+// starts serialize on the dispatcher's lock, a Retire call happens-before
+// every later start: no task begins on a connection after Retire returned.
+// Double-check replicas are the exception: placement chose their
+// connections as a group, so a replica already placed on the connection
+// still runs there, and Retire only keeps new groups off it.
 func (s *TaskStream) Retire(conn transport.Conn) {
 	s.d.retireConn(conn)
 }
@@ -117,7 +119,6 @@ type streamConfig struct {
 	maxReconnects int
 	recvTimeout   time.Duration
 	replicas      int
-	identity      func(transport.Conn) string
 	ledgers       []*WindowLedger
 	highWater     int
 	pinned        bool
@@ -160,7 +161,8 @@ func (o maxReconnectsOption) applyStream(c *streamConfig) { c.maxReconnects = in
 // (default 4). Tasks stranded on a dead slot are restarted from scratch on
 // the surviving connections — with a fresh per-task randomness stream, so
 // the retried verdict is identical to a clean first run on the new
-// participant.
+// participant. A double-check replica stranded there fails the run with
+// ErrReplicaLost instead.
 func WithMaxReconnects(n int) StreamOption { return maxReconnectsOption(n) }
 
 type streamRecvTimeoutOption time.Duration
@@ -174,35 +176,17 @@ func (o streamRecvTimeoutOption) applyStream(c *streamConfig) {
 // quarantines, and with WithRedial, resumes.
 func WithStreamRecvTimeout(d time.Duration) StreamOption { return streamRecvTimeoutOption(d) }
 
-type workerIdentityOption struct {
-	fn func(transport.Conn) string
-}
-
-func (o workerIdentityOption) applyStream(c *streamConfig) { c.identity = o.fn }
-
-// WithWorkerIdentity names the participant behind each connection. A
-// replicated stream then places replica groups on pairwise-distinct
-// *workers* rather than distinct connections — the distinction matters when
-// connections are routes through a relay (a BrokerHub) and two of them
-// could reach the same participant, which would void the double-check
-// comparison. The function is consulted under the dispatcher lock, so it
-// must be fast, must not call back into the pool, and must resolve
-// replacement (redialed) connections to the same identity as the originals.
-// An empty string means "unknown" and falls back to per-connection
-// distinctness for that connection.
-func WithWorkerIdentity(fn func(transport.Conn) string) StreamOption {
-	return workerIdentityOption{fn}
-}
-
 type replicasOption int
 
 func (o replicasOption) applyStream(c *streamConfig) { c.replicas = int(o) }
 
 // WithReplicas sets the double-check group size of a replicated stream:
-// every task fans out to n pairwise-distinct connections whose uploads meet
-// at a comparison rendezvous (default 2 for the double-check scheme). Only
+// every task fans out to n pairwise-distinct connections whose uploads are
+// compared once all n settled (default 2 for the double-check scheme). Only
 // valid with the double-check scheme, which in turn requires at least n
-// connections. The stream emits n outcomes per task, one per replica.
+// connections — and distinct connections must reach distinct participants,
+// or the comparison means nothing. The stream emits n outcomes per task,
+// one per replica.
 func WithReplicas(n int) StreamOption { return replicasOption(n) }
 
 type windowSettleOption struct {

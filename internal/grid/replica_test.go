@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -78,18 +78,9 @@ func TestRunTaskSourceReplicatedMatchesRunReplicated(t *testing.T) {
 // eagerReplicaPlacement is the placement loop the slice-only stream entry
 // ran up front over its whole task list, kept as the reference for the lazy
 // placement that replaced it: one persistent round-robin cursor over the
-// connections, skipping any that already hosts a sibling (by connection, or
-// by worker identity when ids are given). It returns, per task, the
-// connection index of each replica.
-func eagerReplicaPlacement(conns, replicas, tasks int, ids []string) [][]int {
-	hosts := func(group []int, cand int) bool {
-		for _, member := range group {
-			if member == cand || (ids != nil && ids[cand] != "" && ids[member] == ids[cand]) {
-				return true
-			}
-		}
-		return false
-	}
+// connections, skipping any that already hosts a member of the group. It
+// returns, per task, the connection index of each replica.
+func eagerReplicaPlacement(conns, replicas, tasks int) [][]int {
 	placement := make([][]int, tasks)
 	cursor := 0
 	for t := range placement {
@@ -97,7 +88,7 @@ func eagerReplicaPlacement(conns, replicas, tasks int, ids []string) [][]int {
 			for tries := 0; tries < conns; tries++ {
 				cand := cursor % conns
 				cursor++
-				if !hosts(placement[t], cand) {
+				if !slices.Contains(placement[t], cand) {
 					placement[t] = append(placement[t], cand)
 					break
 				}
@@ -109,15 +100,12 @@ func eagerReplicaPlacement(conns, replicas, tasks int, ids []string) [][]int {
 
 // TestLazyReplicaPlacementMatchesEager diffs the dispatcher's lazy
 // placement — groups placed as the source is drawn, under a small look-ahead
-// — against the eager reference loop over (connections, replicas,
-// identities) tables.
+// — against the eager reference loop over (connections, replicas) tables.
 func TestLazyReplicaPlacementMatchesEager(t *testing.T) {
 	const tasks = 40
 	cases := []struct {
-		name     string
-		replicas int
-		ids      []string // one per connection; nil = distinct by connection
-		conns    int
+		name            string
+		replicas, conns int
 	}{
 		{name: "2of2", replicas: 2, conns: 2},
 		{name: "2of3", replicas: 2, conns: 3},
@@ -126,10 +114,6 @@ func TestLazyReplicaPlacementMatchesEager(t *testing.T) {
 		{name: "3of4", replicas: 3, conns: 4},
 		{name: "3of7", replicas: 3, conns: 7},
 		{name: "4of6", replicas: 4, conns: 6},
-		{name: "2of4-two-routes-each", replicas: 2, conns: 4, ids: []string{"A", "B", "A", "B"}},
-		{name: "2of5-shared-worker", replicas: 2, conns: 5, ids: []string{"A", "A", "B", "C", "A"}},
-		{name: "3of6-adjacent-routes", replicas: 3, conns: 6, ids: []string{"A", "A", "B", "B", "C", "C"}},
-		{name: "3of5-one-unknown", replicas: 3, conns: 5, ids: []string{"A", "", "B", "A", "C"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,15 +124,10 @@ func TestLazyReplicaPlacementMatchesEager(t *testing.T) {
 			cfg := streamConfig{replicas: tc.replicas, highWater: 2 * tc.replicas}
 			index := make(map[*connSlot]int, tc.conns)
 			slots := make([]*connSlot, tc.conns)
-			connIdx := make(map[transport.Conn]int, tc.conns)
 			for i := range slots {
 				conn, _ := transport.Pipe()
 				slots[i] = newConnSlot(conn, nil)
 				index[slots[i]] = i
-				connIdx[conn] = i
-			}
-			if tc.ids != nil {
-				cfg.identity = func(c transport.Conn) string { return tc.ids[connIdx[c]] }
 			}
 			_, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -159,26 +138,26 @@ func TestLazyReplicaPlacementMatchesEager(t *testing.T) {
 			// replica landed, drop the tickets, repeat — the look-ahead never
 			// holds more than two groups.
 			got := make([][]int, tasks)
+			for i := range got {
+				got[i] = make([]int, tc.replicas)
+			}
 			d.mu.Lock()
 			for d.refillLocked() {
-				if len(d.groups) > 2 {
-					t.Fatalf("%d groups materialized under a two-group high water", len(d.groups))
-				}
-				for g := range d.groups {
-					placed := make([]int, len(g.slots))
-					for j, sl := range g.slots {
-						placed[j] = index[sl]
+				placed := 0
+				for sl, ts := range d.pinned {
+					for _, tk := range ts {
+						got[tk.task.ID][tk.replica] = index[sl]
+						placed++
 					}
-					got[g.task.ID] = placed
-					delete(d.groups, g)
-				}
-				for sl := range d.pinned {
 					delete(d.pinned, sl)
+				}
+				if placed > 2*tc.replicas {
+					t.Fatalf("%d replicas materialized under a two-group high water", placed)
 				}
 			}
 			d.mu.Unlock()
 
-			want := eagerReplicaPlacement(tc.conns, tc.replicas, tasks, tc.ids)
+			want := eagerReplicaPlacement(tc.conns, tc.replicas, tasks)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("lazy placement diverges from the eager reference:\neager: %v\nlazy:  %v", want, got)
 			}
@@ -187,8 +166,9 @@ func TestLazyReplicaPlacementMatchesEager(t *testing.T) {
 }
 
 // TestReplicatedStreamGroupsStayBounded runs a 10k-task replicated stream
-// from a lazy source and samples the dispatcher as outcomes arrive: settled
-// groups must leave it, so the live set never exceeds the look-ahead.
+// from a lazy source and samples the dispatcher as outcomes arrive: voted
+// groups must leave it, so the groups still waiting for a replica never
+// exceed the look-ahead.
 func TestReplicatedStreamGroupsStayBounded(t *testing.T) {
 	const tasks, replicas, highWater = 10000, 2, 12
 	conns, shutdown := poolFixture(t, 3, func(int) ProducerFactory { return HonestFactory })
@@ -206,7 +186,7 @@ func TestReplicatedStreamGroupsStayBounded(t *testing.T) {
 	for range stream.Outcomes() {
 		outcomes++
 		stream.d.mu.Lock()
-		peak = max(peak, len(stream.d.groups))
+		peak = max(peak, len(stream.d.votes))
 		stream.d.mu.Unlock()
 	}
 	if err := stream.Err(); err != nil {
@@ -216,9 +196,9 @@ func TestReplicatedStreamGroupsStayBounded(t *testing.T) {
 		t.Errorf("streamed %d replica outcomes, want %d", outcomes, tasks*replicas)
 	}
 	// Tickets outstanding never exceed the high water by more than one
-	// group, and every live group holds at least one outstanding ticket.
-	if peak == 0 || peak > highWater+replicas {
-		t.Errorf("peak live groups = %d, want within (0, %d]", peak, highWater+replicas)
+	// group, and every waiting group holds at least one outstanding ticket.
+	if peak > highWater+replicas {
+		t.Errorf("peak waiting groups = %d, want at most %d", peak, highWater+replicas)
 	}
 }
 
@@ -325,11 +305,13 @@ func TestStreamReplicaResumesAfterCut(t *testing.T) {
 	}
 }
 
-// TestStreamReplicaReplacedWhenSlotDies kills one of three connections with
-// no redial available: its replicas must be re-placed on a connection that
-// holds no sibling, and every group must still produce a full verdict set.
-func TestStreamReplicaReplacedWhenSlotDies(t *testing.T) {
-	const participants, replicas, tasks = 3, 2, 4
+// TestStreamReplicaLostWhenSlotDies kills one of three connections with no
+// redial available: a replica placed there cannot move — the group's other
+// members hold the connections placement chose for them — so the run fails
+// with ErrReplicaLost. A failed run may have streamed part of a group
+// before it stopped, so only the error is asserted, not an outcome count.
+func TestStreamReplicaLostWhenSlotDies(t *testing.T) {
+	const replicas, tasks = 2, 4
 	doomed := newRedialableParticipant(t, HonestFactory)
 	defer doomed.shutdown()
 	h1 := newRedialableParticipant(t, HonestFactory)
@@ -346,186 +328,16 @@ func TestStreamReplicaReplacedWhenSlotDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunTaskSource: %v", err)
 	}
-	seen := make(map[uint64]map[int]bool)
 	for so := range stream.Outcomes() {
-		id, rep := so.Outcome.Task.ID, so.Outcome.Replica
-		if seen[id] == nil {
-			seen[id] = make(map[int]bool)
+		if so.Conn == conns[0] {
+			t.Errorf("task %d replica %d settled on the connection that died", so.Outcome.Task.ID, so.Outcome.Replica)
 		}
-		if seen[id][rep] {
-			t.Errorf("task %d replica %d delivered twice", id, rep)
-		}
-		seen[id][rep] = true
 		if !so.Outcome.Verdict.Accepted {
-			t.Errorf("honest replica rejected: task %d replica %d: %s", id, rep, so.Outcome.Verdict.Reason)
+			t.Errorf("honest replica rejected: task %d replica %d: %s", so.Outcome.Task.ID, so.Outcome.Replica, so.Outcome.Verdict.Reason)
 		}
 	}
-	if err := stream.Err(); err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	for _, task := range poolTasks(tasks, 64) {
-		if len(seen[task.ID]) != replicas {
-			t.Errorf("task %d delivered %d replica outcomes, want %d", task.ID, len(seen[task.ID]), replicas)
-		}
-	}
-}
-
-// gatedAssignConn holds back the first frame carrying a task assignment
-// until release is closed, so the test controls which replica reaches the
-// rendezvous first. Session handshaking and verdict traffic pass freely.
-type gatedAssignConn struct {
-	transport.Conn
-	release <-chan struct{}
-}
-
-func (c *gatedAssignConn) Send(msg transport.Message) error {
-	if msg.Type == msgBatch {
-		if msgs, err := decodeBatch(nil, msg.Payload); err == nil {
-			for _, tm := range msgs {
-				if tm.Type == msgAssign {
-					<-c.release
-					break
-				}
-			}
-		}
-	}
-	return c.Conn.Send(msg)
-}
-
-// uploadSignalConn closes uploaded the first time a result upload passes
-// through Recv — the moment the replica's submission is in the supervisor's
-// hands and killing the link can no longer lose it.
-type uploadSignalConn struct {
-	transport.Conn
-	uploaded chan struct{}
-	once     sync.Once
-}
-
-func (c *uploadSignalConn) Recv() (transport.Message, error) {
-	msg, err := c.Conn.Recv()
-	if err == nil && msg.Type == msgBatch {
-		if msgs, derr := decodeBatch(nil, msg.Payload); derr == nil {
-			for _, tm := range msgs {
-				if tm.Type == msgResults || tm.Type == msgResultChunk {
-					c.once.Do(func() { close(c.uploaded) })
-				}
-			}
-		}
-	}
-	return msg, err
-}
-
-// TestStreamReplicaBankedWhenSlotDiesAfterUpload kills a replica's link
-// after its upload reached the supervisor but before the group settled. The
-// banked upload must still vote and yield a synthesized outcome attributed
-// to the dead link — not be re-run (with only two connections a re-run is
-// impossible: the sole survivor hosts the sibling), and not be dropped.
-func TestStreamReplicaBankedWhenSlotDiesAfterUpload(t *testing.T) {
-	const replicas = 2
-	doomed := newRedialableParticipant(t, HonestFactory)
-	defer doomed.shutdown()
-	partner := newRedialableParticipant(t, HonestFactory)
-	defer partner.shutdown()
-
-	uploaded := make(chan struct{})
-	release := make(chan struct{})
-	doomedConn := &uploadSignalConn{Conn: doomed.dial(), uploaded: uploaded}
-	partnerConn := &gatedAssignConn{Conn: partner.dial(), release: release}
-
-	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 11}, 4)
-	if err != nil {
-		t.Fatalf("NewSupervisorPool: %v", err)
-	}
-	stream, err := pool.RunTaskSource(context.Background(),
-		[]transport.Conn{doomedConn, partnerConn}, SliceTaskSource(poolTasks(1, 64)), 2, WithReplicas(replicas))
-	if err != nil {
-		t.Fatalf("RunTaskSource: %v", err)
-	}
-	// Replica 0 uploads while replica 1 is still gated, then its link dies;
-	// only then may replica 1 proceed and complete the rendezvous.
-	go func() {
-		<-uploaded
-		_ = doomedConn.Conn.Close()
-		close(release)
-	}()
-
-	outcomes := make(map[int]StreamedOutcome)
-	for so := range stream.Outcomes() {
-		if _, dup := outcomes[so.Outcome.Replica]; dup {
-			t.Errorf("replica %d delivered twice", so.Outcome.Replica)
-		}
-		outcomes[so.Outcome.Replica] = so
-	}
-	if err := stream.Err(); err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	if len(outcomes) != replicas {
-		t.Fatalf("streamed %d outcomes, want %d: the banked upload's outcome was dropped", len(outcomes), replicas)
-	}
-	for rep, so := range outcomes {
-		if !so.Outcome.Verdict.Accepted {
-			t.Errorf("honest replica %d rejected: %s", rep, so.Outcome.Verdict.Reason)
-		}
-	}
-	if got := outcomes[0].Conn; got != transport.Conn(doomedConn) {
-		t.Errorf("banked outcome attributed to the wrong connection (re-run instead of banked?)")
-	}
-	if doomed.dials() != 1 {
-		t.Errorf("doomed participant dialed %d times, want 1 (no redial configured)", doomed.dials())
-	}
-}
-
-// TestReplicaRendezvousQuorum pins the degraded-comparison rules directly:
-// a lost replica shrinks the vote to the survivors; fewer than two
-// survivors cannot vote at all.
-func TestReplicaRendezvousQuorum(t *testing.T) {
-	good := [][]byte{[]byte("a"), []byte("b")}
-	bad := [][]byte{[]byte("a"), []byte("x")}
-
-	rv := newReplicaRendezvous(3)
-	rv.submit(0, good)
-	rv.submit(2, bad)
-	rv.fail(1)
-	if _, err := rv.await(1); !errors.Is(err, ErrReplicaLost) {
-		t.Errorf("lost replica verdict: err = %v, want ErrReplicaLost", err)
-	}
-	// With two survivors no strict majority exists on the disputed index:
-	// both sides are rejected.
-	v0, err := rv.await(0)
-	if err != nil {
-		t.Fatalf("await(0): %v", err)
-	}
-	v2, err := rv.await(2)
-	if err != nil {
-		t.Fatalf("await(2): %v", err)
-	}
-	if v0.Accepted || v2.Accepted {
-		t.Errorf("disputed pair produced an acceptance: %+v / %+v", v0, v2)
-	}
-
-	under := newReplicaRendezvous(2)
-	under.submit(0, good)
-	under.fail(1)
-	if _, err := under.await(0); !errors.Is(err, ErrReplicaLost) {
-		t.Errorf("below-quorum group: err = %v, want ErrReplicaLost", err)
-	}
-
-	// Majority with a quorum of 3 of 4: the dissenter is convicted, the
-	// agreeing survivors accepted, idempotent re-submission ignored.
-	q := newReplicaRendezvous(4)
-	q.submit(0, good)
-	q.submit(1, good)
-	q.fail(3)
-	q.submit(2, bad)
-	q.submit(2, good) // late duplicate must not flip the vote
-	for idx, wantAccept := range map[int]bool{0: true, 1: true, 2: false} {
-		v, err := q.await(idx)
-		if err != nil {
-			t.Fatalf("await(%d): %v", idx, err)
-		}
-		if v.Accepted != wantAccept {
-			t.Errorf("replica %d accepted=%v, want %v (%s)", idx, v.Accepted, wantAccept, v.Reason)
-		}
+	if err := stream.Err(); !errors.Is(err, ErrReplicaLost) {
+		t.Fatalf("stream error = %v, want ErrReplicaLost", err)
 	}
 }
 
@@ -548,8 +360,18 @@ func replicatedSimConfig(seed uint64) SimConfig {
 // TestRunSimReplicatedPipelinedMatchesSerial compares clean double-check
 // populations at window 1 and window 3 against the serial scheduler's run
 // (golden_runs.json): identical group placement plus the shared comparator
-// must give identical reports.
+// must give identical reports. The report's verdict columns are the
+// supervisor's rulings; the participants themselves were sent receipts, so
+// their own counters show no rejection.
 func TestRunSimReplicatedPipelinedMatchesSerial(t *testing.T) {
+	var own []Totals
+	simFinished = func(workers []*simWorker) {
+		own = own[:0]
+		for _, w := range workers {
+			own = append(own, w.participant.Totals())
+		}
+	}
+	t.Cleanup(func() { simFinished = nil })
 	for _, window := range []int{0, 3} {
 		cfg := replicatedSimConfig(23)
 		cfg.PipelineWindow = window
@@ -558,6 +380,15 @@ func TestRunSimReplicatedPipelinedMatchesSerial(t *testing.T) {
 			t.Fatalf("RunSim(window %d): %v", window, err)
 		}
 		assertGoldenSim(t, "TestRunSimReplicatedPipelinedMatchesSerial", report)
+		if report.CheatersDetected == 0 {
+			t.Fatalf("window %d: no rejection in the report; the receipt check below proves nothing", window)
+		}
+		for i, totals := range own {
+			if totals.Rejected != 0 || totals.Accepted != report.Participants[i].Tasks {
+				t.Errorf("window %d: %s counted %d accepted, %d rejected of %d tasks; want every replica receipted",
+					window, report.Participants[i].ID, totals.Accepted, totals.Rejected, report.Participants[i].Tasks)
+			}
+		}
 	}
 }
 
@@ -614,74 +445,6 @@ func TestRunSimReplicatedFaultyMatchesClean(t *testing.T) {
 			t.Errorf("participant %s counters lag: clean tasks/acc/rej %d/%d/%d, faulty %d/%d/%d",
 				c.ID, c.Tasks, c.Accepted, c.Rejected, f.Tasks, f.Accepted, f.Rejected)
 		}
-	}
-}
-
-// TestReplicaParksAtIncompleteRendezvous pins the barrier-liveness design:
-// a replica whose group is incomplete must NOT block holding its window
-// slot and worker — RunAttempt detaches with errReplicaParked — and a
-// re-claimed attempt finishes the exchange, on the same live session
-// (without re-announcing) or on a replacement one (with a resume).
-func TestReplicaParksAtIncompleteRendezvous(t *testing.T) {
-	r := newRedialableParticipant(t, HonestFactory)
-	defer r.shutdown()
-
-	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeDoubleCheck, M: 1}, Seed: 4})
-	if err != nil {
-		t.Fatalf("NewSupervisor: %v", err)
-	}
-	for _, sameSession := range []bool{true, false} {
-		name := "same-session"
-		task := poolTasks(1, 64)[0]
-		if !sameSession {
-			name = "replacement-session"
-			task.ID = 1 // a fresh task for the second scenario
-		}
-		t.Run(name, func(t *testing.T) {
-			rdv := newReplicaRendezvous(2)
-			at, err := sup.newReplicaAttempt(task, rdv, 0)
-			if err != nil {
-				t.Fatalf("newReplicaAttempt: %v", err)
-			}
-			sess, err := sup.OpenSession(r.dial(), 1)
-			if err != nil {
-				t.Fatalf("OpenSession: %v", err)
-			}
-			// The sibling never arrived: the attempt must detach promptly
-			// instead of blocking the window slot.
-			if _, err := sess.RunAttempt(at); !errors.Is(err, errReplicaParked) {
-				t.Fatalf("RunAttempt error = %v, want errReplicaParked", err)
-			}
-			upload := func() [][]byte {
-				rdv.mu.Lock()
-				defer rdv.mu.Unlock()
-				return rdv.uploads[0]
-			}()
-			if upload == nil {
-				t.Fatal("parked replica never submitted its upload")
-			}
-
-			resume := sess
-			if !sameSession {
-				// The first session dies while the replica is parked; the
-				// re-claimed attempt must announce a resume on the new one.
-				sess.abandon()
-				if resume, err = sup.OpenSession(r.dial(), 1); err != nil {
-					t.Fatalf("OpenSession 2: %v", err)
-				}
-			}
-			rdv.submit(1, append([][]byte(nil), upload...))
-			outcome, err := resume.RunAttempt(at)
-			if err != nil {
-				t.Fatalf("re-claimed RunAttempt: %v", err)
-			}
-			if !outcome.Verdict.Accepted {
-				t.Errorf("honest replica rejected after parking: %s", outcome.Verdict.Reason)
-			}
-			if err := resume.Close(); err != nil {
-				t.Fatalf("session close: %v", err)
-			}
-		})
 	}
 }
 

@@ -326,8 +326,14 @@ func TestRetireRecallsPlacedTickets(t *testing.T) {
 				t.Fatalf("RunTaskSource: %v", err)
 			}
 			retired, total, after := false, 0, 0
+			hosts := make(map[uint64]map[transport.Conn]bool)
 			for so := range stream.Outcomes() {
 				total++
+				id := so.Outcome.Task.ID
+				if hosts[id] == nil {
+					hosts[id] = make(map[transport.Conn]bool)
+				}
+				hosts[id][so.Conn] = true
 				if so.Conn != conns[0] {
 					continue
 				}
@@ -347,6 +353,13 @@ func TestRetireRecallsPlacedTickets(t *testing.T) {
 			if after > highWater {
 				t.Errorf("%d executions settled on the retired connection after Retire; at most the %d outstanding ones may",
 					after, highWater)
+			}
+			// A replica placed on the retired connection ran there, so every
+			// group still spans perTask distinct connections.
+			for id, on := range hosts {
+				if len(on) != perTask {
+					t.Errorf("task %d ran on %d distinct connections, want %d", id, len(on), perTask)
+				}
 			}
 		})
 	}

@@ -325,10 +325,10 @@ type Session struct {
 }
 
 // OpenSession starts a session on conn with the given in-flight window.
-// Double-check sessions carry replica exchanges whose settle phase reports
-// to a cross-connection rendezvous; they are driven by
-// SupervisorPool.RunTaskSource, and RunTask refuses them (a lone session has
-// no sibling replicas to compare against).
+// Double-check sessions carry replica exchanges whose uploads are compared
+// across connections; they are driven by SupervisorPool.RunTaskSource, and
+// RunTask refuses them (a lone session has no other replicas to compare
+// against).
 func (s *Supervisor) OpenSession(conn transport.Conn, window int, opts ...SessionOption) (*Session, error) {
 	if conn == nil {
 		return nil, fmt.Errorf("%w: nil connection", ErrBadConfig)
@@ -635,35 +635,26 @@ func (s *Session) register(at *taskAttempt) (*sessionTaskConn, error) {
 
 // detach folds the connection's flushed byte totals for c's task into the
 // attempt and takes the task out of the demultiplexer; err is how the
-// exchange ended. errReplicaParked says the task is not finished — the
-// participant still holds it in flight awaiting the verdict — so its ID is
-// freed at once: the same ID returning to this session is the same task
-// re-attaching, not a reuse race. Otherwise the ID joins the finished ring,
-// evicting the oldest. An attempt that will run again — parked, or
-// ErrConnQuarantined: the connection died under it — keeps its audit kit;
-// any other ending returns the kit to this session's list (auditKit has the
-// rule).
+// exchange ended. The ID joins the finished ring, evicting the oldest. An
+// attempt that will run again — ErrConnQuarantined: the connection died
+// under it — keeps its audit kit; any other ending returns the kit to this
+// session's list (auditKit has the rule).
 //
 //gridlint:credit folds the flushed per-connection totals into the attempt after awaitSends
 func (s *Session) detach(c *sessionTaskConn, at *taskAttempt, err error) {
-	parked := errors.Is(err, errReplicaParked)
-	resumable := parked || errors.Is(err, ErrConnQuarantined)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	at.bytesSent += c.sent.Load()
 	at.bytesRecv += c.recv
 	delete(s.tasks, c.id)
-	switch {
-	case parked:
-		delete(s.used, c.id)
-	case len(s.finished) < maxVerdictTombstones:
+	if len(s.finished) < maxVerdictTombstones {
 		s.finished = append(s.finished, c.id)
-	default:
+	} else {
 		delete(s.used, s.finished[s.finNext])
 		s.finished[s.finNext] = c.id
 		s.finNext = (s.finNext + 1) % len(s.finished)
 	}
-	if kit := at.pt.kit; kit != nil && !resumable {
+	if kit := at.pt.kit; kit != nil && !errors.Is(err, ErrConnQuarantined) {
 		at.pt.returnKit()
 		if scribbleKit != nil {
 			scribbleKit(nil, kit)
@@ -686,7 +677,7 @@ func (s *Session) detach(c *sessionTaskConn, at *taskAttempt, err error) {
 // job, which drives RunAttempt itself.
 func (sess *Session) RunTask(task Task) (*TaskOutcome, error) {
 	if sess.sup.cfg.Spec.Kind == SchemeDoubleCheck {
-		return nil, fmt.Errorf("%w: double-check needs a replica barrier; use SupervisorPool.RunTaskSource", ErrBadConfig)
+		return nil, fmt.Errorf("%w: double-check compares replicas across connections; use SupervisorPool.RunTaskSource", ErrBadConfig)
 	}
 	at, err := sess.sup.NewAttempt(task)
 	if err != nil {
@@ -727,19 +718,11 @@ func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 		return nil, quarantineWrap(err)
 	}
 
-	// A re-attach to the same live session (a replica re-claimed after
-	// parking at its barrier) must not re-announce: the participant still
-	// holds the task in flight on this very connection.
-	at.pt.st.suppressAnnounce = at.attachedTo == sess
-	at.attachedTo = sess
-
 	err = sess.sup.runExchange(c, &at.pt)
 	// Settle the attempt's byte totals only after the writer has flushed or
 	// discarded everything this task enqueued — sent bytes mean wire bytes.
 	c.awaitSends()
 	if err != nil {
-		// errReplicaParked passes through as it is: not finished and not
-		// failed, the task stays live on the participant.
 		err = quarantineWrap(err)
 	}
 	sess.detach(c, at, err)
@@ -759,7 +742,7 @@ func (sess *Session) RunAttempt(at *taskAttempt) (*TaskOutcome, error) {
 // error.
 func quarantineWrap(err error) error {
 	if errors.Is(err, ErrConnQuarantined) {
-		return err // already classified (e.g. a released replica barrier)
+		return err // already classified
 	}
 	if errors.Is(err, transport.ErrClosed) || errors.Is(err, transport.ErrTimeout) ||
 		errors.Is(err, io.EOF) || errors.Is(err, ErrFrameCorrupt) ||
@@ -783,9 +766,7 @@ func (sess *Session) OverheadBytes() (sent, recv int64) {
 
 // abandon closes a session whose connection died: late RunAttempt arrivals
 // observe a quarantine (resumable) instead of a configuration error, and the
-// writer's failure to flush is expected rather than reported. No exchange
-// can be blocked at a replica barrier here — attempts detach from an
-// unready rendezvous — so waiting out the window slots cannot deadlock.
+// writer's failure to flush is expected rather than reported.
 func (sess *Session) abandon() {
 	sess.quarantined.Store(true)
 	_ = sess.Close()

@@ -34,10 +34,14 @@ type SimConfig struct {
 	CorruptProb float64
 	// Replicas is the double-check group size (default 2). With 2
 	// replicas a disagreement cannot be attributed, so both sides are
-	// rejected; 3 or more lets the majority convict the dissenter.
+	// rejected; 3 or more lets the majority convict the dissenter. A
+	// double-check participant is sent only an upload receipt, so its
+	// summary's Accepted/Rejected columns count the supervisor's rulings.
 	Replicas int
 	// Blacklist removes a participant from scheduling after its first
-	// rejected task — the supervisor's natural response to detection.
+	// rejected task — the supervisor's natural response to detection. Not
+	// with the double-check scheme, whose rulings arrive only once a whole
+	// group settled.
 	Blacklist bool
 	// CrossCheckReports enables the sampled-index screener cross-check.
 	CrossCheckReports bool
@@ -55,9 +59,10 @@ type SimConfig struct {
 	// everything not yet started on it is recalled.
 	//
 	// The double-check scheme places each task's replica group on the next
-	// Replicas distinct participants of the same rotation; each replica's
-	// upload overlaps other tasks inside its connection's window, and only
-	// the comparison waits at a cross-connection rendezvous.
+	// Replicas participants of the same rotation; each replica is an upload
+	// inside its connection's window like any other task, and the group's
+	// comparison runs when its last replica settles, whichever window that
+	// was.
 	PipelineWindow int
 	// Broker routes every supervisor↔participant link through one
 	// GRACE-style BrokerHub (Section 4): each participant registers a
@@ -76,7 +81,8 @@ type SimConfig struct {
 	// participants, all multiplexed over the supervisor's physical hub
 	// link(s); the placement rotation then runs over routes. 0 keeps the
 	// default of exactly one route per participant. Requires Broker; values
-	// below the participant count are rejected.
+	// below the participant count are rejected, and so is the double-check
+	// scheme, whose replicas need distinct routes to reach distinct workers.
 	Routes int
 	// DropProb and GarbleProb inject transport faults on every connection
 	// (send side, both directions, seeded deterministically from Seed):
@@ -187,6 +193,9 @@ func (c SimConfig) validate() error {
 		}
 		if c.participants() < c.replicaCount() {
 			return fmt.Errorf("%w: double-check needs >= %d participants", ErrBadConfig, c.replicaCount())
+		}
+		if c.Routes > 0 || c.Blacklist {
+			return fmt.Errorf("%w: double-check runs neither extra Routes nor Blacklist", ErrBadConfig)
 		}
 	}
 	if c.CheckpointEvery < 0 || c.KillAfter < 0 {
@@ -325,6 +334,9 @@ type simWorker struct {
 	idx         int
 	cheater     bool
 	blacklisted bool
+	// accepted and rejected count the supervisor's rulings on the worker's
+	// double-check replicas (see rule).
+	accepted, rejected int
 	// hub, when set, routes every dial through the broker instead of a
 	// direct pipe; muxes then owns the supervisor-side physical link(s) the
 	// routes are multiplexed over.
@@ -529,6 +541,19 @@ func (w *simWorker) crash() {
 	}
 }
 
+// rule counts one supervisor ruling on a replica the worker ran: a
+// double-check participant is sent only a receipt, so the report's verdict
+// columns come from here.
+//
+//gridlint:credit the simulator's per-worker tally of double-check rulings
+func (w *simWorker) rule(v Verdict) {
+	if v.Accepted {
+		w.accepted++
+	} else {
+		w.rejected++
+	}
+}
+
 // dials reports how many connections were opened to this participant.
 func (w *simWorker) dials() int {
 	w.mu.Lock()
@@ -699,17 +724,6 @@ func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (repor
 	if cfg.Blacklist {
 		runOpts = append(runOpts, withRetireOnReject())
 	}
-	if cfg.Broker {
-		// Connections are broker routes, not participants: key replica
-		// distinctness by the worker each route is bound to, redials
-		// included.
-		runOpts = append(runOpts, WithWorkerIdentity(func(c transport.Conn) string {
-			if w := workerOf(c); w != nil {
-				return w.participant.ID()
-			}
-			return ""
-		}))
-	}
 	if cfg.faulty() {
 		reconnects := cfg.ReconnectLimit
 		if reconnects == 0 {
@@ -841,6 +855,9 @@ func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (repor
 		for so := range stream.Outcomes() {
 			o := so.Outcome
 			st.settled[outcomeKey{o.Task.ID, o.Replica}] = settledTask{o.Verdict, o.Reports, o.BytesSent, o.BytesRecv}
+			if perTask > 1 {
+				workerOf(so.Conn).rule(o.Verdict)
+			}
 			if cfg.Blacklist && !o.Verdict.Accepted {
 				// The stream has retired the connection already
 				// (withRetireOnReject); this is the report's copy.
@@ -928,6 +945,9 @@ func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (repor
 		return nil, false, err
 	}
 	syncTotals()
+	if simFinished != nil {
+		simFinished(workers)
+	}
 
 	report = &SimReport{Scheme: cfg.Spec.Kind.String(), PipelineWindow: window}
 	if hub != nil {
@@ -961,6 +981,9 @@ func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (repor
 	}
 	for i, w := range workers {
 		totals := w.participant.Totals()
+		if perTask > 1 {
+			totals.Accepted, totals.Rejected = w.accepted, w.rejected
+		}
 		report.Participants = append(report.Participants, ParticipantSummary{
 			ID:          w.participant.ID(),
 			Behavior:    totals.Behavior,
@@ -994,6 +1017,10 @@ func runSimAttempt(cfg SimConfig, supCfg SupervisorConfig, killAfter int) (repor
 	}
 	return report, false, nil
 }
+
+// simFinished, when set (tests only), is handed the pool of a finished run
+// before its report is assembled.
+var simFinished func(workers []*simWorker)
 
 // buildPool constructs the participant pool — semi-honest cheaters first,
 // then malicious, then honest workers. Connections are dialed per segment;

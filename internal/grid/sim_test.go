@@ -170,6 +170,10 @@ func TestSimValidation(t *testing.T) {
 		{name: "no task size", mutate: func(c *SimConfig) { c.TaskSize = 0 }},
 		{name: "empty pool", mutate: func(c *SimConfig) { c.Honest, c.SemiHonest, c.Malicious = 0, 0, 0 }},
 		{name: "bad spec", mutate: func(c *SimConfig) { c.Spec.M = 0 }},
+		{name: "double-check with routes", mutate: func(c *SimConfig) {
+			c.Spec.Kind, c.Broker, c.Routes = SchemeDoubleCheck, true, 8
+		}},
+		{name: "double-check with blacklist", mutate: func(c *SimConfig) { c.Spec.Kind, c.Blacklist = SchemeDoubleCheck, true }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -21,12 +21,13 @@ package grid
 //     replacement session. A slot that exhausts its reconnect budget is
 //     dead: its pinned tickets restart from scratch (fresh attempt, fresh
 //     per-task randomness — identical to a clean first run) on surviving
-//     connections.
+//     connections; a double-check replica cannot move and fails the run.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,38 +41,21 @@ const defaultMaxReconnects = 4
 // ticket is the dispatcher's unit of work: a task, plus — once an attempt
 // exists — its resumable supervisor state. pin names the slot the ticket
 // waits on: placement put it there (pinned or replicated streams), or its
-// attempt is mid-protocol with that slot's participant. grp and repIdx are
-// set on double-check replica tickets: the ticket is one member of a
-// replicated group, settling through the group rendezvous.
+// attempt is mid-protocol with that slot's participant. replica is the
+// ticket's position in its double-check group (0 unreplicated).
 type ticket struct {
-	task   Task
-	at     *taskAttempt
-	pin    *connSlot
-	grp    *replicaGroup
-	repIdx int
-	// parked marks a replica ticket waiting for its rendezvous to settle:
-	// it occupies no worker and no window slot, and claim passes over it
-	// until the group's comparison has run. This is what keeps replica
-	// barriers deadlock-free — a blocked barrier never holds the scheduler
-	// resources its missing sibling needs.
-	parked bool
+	task    Task
+	at      *taskAttempt
+	pin     *connSlot
+	replica int
 }
 
 // bound reports whether the ticket has to stay on its slot: an attempt
 // exists and was parked there, so the slot's participant may hold protocol
 // state for it. A ticket that placement merely put on a slot is not bound —
-// nothing has been sent — and retiring the slot moves it elsewhere.
+// nothing has been sent — and retiring the slot moves it elsewhere (unless
+// it is a replica; see rerouteLocked).
 func (t ticket) bound() bool { return t.pin != nil && t.at != nil }
-
-// replicaGroup is the dispatcher's view of one replicated task: the shared
-// rendezvous plus which slot currently hosts each replica, so placement and
-// re-placement keep the group on pairwise-distinct connections. slots is
-// guarded by dispatcher.mu.
-type replicaGroup struct {
-	task  Task
-	rdv   *replicaRendezvous
-	slots []*connSlot
-}
 
 // Lease lifecycle (all transitions under dispatcher.mu).
 const (
@@ -85,10 +69,6 @@ type lease struct {
 	ticket
 	slot  *connSlot
 	state int32
-	// banked marks a lease over a banked replica ticket (see
-	// dispatcher.banked): the worker synthesizes the outcome from the
-	// settled rendezvous instead of running an exchange.
-	banked bool
 }
 
 // connSlot owns the live (connection, session) pair of one participant link
@@ -150,15 +130,6 @@ func (sl *connSlot) current() (*Session, int, transport.Conn) {
 	return sl.sess, sl.gen, sl.conn
 }
 
-// currentConn returns the live connection. Safe to call with dispatcher.mu
-// held — the lock order is dispatcher.mu before connSlot.mu, never the
-// reverse.
-func (sl *connSlot) currentConn() transport.Conn {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.conn
-}
-
 // dispatcher is the shared scheduling state: pending (unpinned) tickets,
 // per-slot pinned tickets, and the outstanding leases. Everything — claims,
 // starts, placements, retirements, revocations — serializes on mu, which is
@@ -174,11 +145,6 @@ type dispatcher struct {
 	// link for good.
 	retired map[*connSlot]bool
 	dead    map[*connSlot]bool
-	// banked holds replica tickets whose upload already reached the group
-	// rendezvous when their slot died: the upload still votes, the exchange
-	// cannot resume anywhere (the participant's prover state died with it),
-	// and the outcome is synthesized from the group verdict once it settles.
-	banked []ticket
 	// source feeds tickets lazily: refillLocked materializes at most
 	// highWater tickets ahead of execution, consuming source at sourceNext
 	// until it reports exhaustion (sourceDone).
@@ -188,36 +154,29 @@ type dispatcher struct {
 	highWater  int
 	// Placement. A work-stealing stream queues every drawn task on pending.
 	// A pinned or replicated one (replicas > 0) places each ticket on a slot
-	// with one persistent round-robin cursor over allSlots — see placeLocked.
-	// retireOnReject makes a rejecting outcome retire its slot and holds the
-	// cursor at a slot that already has window undecided tickets.
+	// with one persistent round-robin cursor over allSlots — see placeLocked
+	// (chosen is its scratch). retireOnReject makes a rejecting outcome
+	// retire its slot and holds the cursor at a slot that already has window
+	// undecided tickets.
 	pinnedRR       bool
 	replicas       int
 	cursor         uint64
+	chosen         []*connSlot
 	window         int
 	retireOnReject bool
+	// votes holds the settled replicas of every double-check group still
+	// waiting for a sibling, by task ID (see vote).
+	votes map[uint64]*replicaVote
 	// slots maps every connection a slot has owned (original and
-	// replacements) back to it, for Retire.
-	slots map[transport.Conn]*connSlot
-	// allSlots lists every slot in connection order; groups holds the
-	// replica groups whose rendezvous has not settled, so a failing or
-	// cancelled run can release blocked barriers.
+	// replacements) back to it, for Retire; allSlots lists every slot in
+	// connection order.
+	slots    map[transport.Conn]*connSlot
 	allSlots []*connSlot
-	groups   map[*replicaGroup]struct{}
 
-	// identity, when set (WithWorkerIdentity), maps a connection to the
-	// participant behind it; replica distinctness is then per worker, not
-	// per connection slot. Consulted under mu — it must be fast and must
-	// not call back into the dispatcher.
-	identity  func(transport.Conn) string
 	pool      *SupervisorPool
 	cancelled bool
 	err       error
 	cancel    context.CancelFunc
-	// wake carries rendezvous-settled nudges from notifyReady to the waker
-	// goroutine, which re-broadcasts under mu so claim waiters re-scan for
-	// parked tickets that became claimable.
-	wake chan struct{}
 }
 
 func newDispatcher(pool *SupervisorPool, cfg *streamConfig, source TaskSource, window int, cancel context.CancelFunc) *dispatcher {
@@ -227,7 +186,7 @@ func newDispatcher(pool *SupervisorPool, cfg *streamConfig, source TaskSource, w
 		retired:        make(map[*connSlot]bool),
 		dead:           make(map[*connSlot]bool),
 		slots:          make(map[transport.Conn]*connSlot),
-		groups:         make(map[*replicaGroup]struct{}),
+		votes:          make(map[uint64]*replicaVote),
 		source:         source,
 		sourceNext:     cfg.sourceBase,
 		highWater:      cfg.highWater,
@@ -236,57 +195,11 @@ func newDispatcher(pool *SupervisorPool, cfg *streamConfig, source TaskSource, w
 		cursor:         cfg.sourceBase * uint64(max(1, cfg.replicas)),
 		window:         window,
 		retireOnReject: cfg.retireOnReject,
-		identity:       cfg.identity,
 		pool:           pool,
 		cancel:         cancel,
-		wake:           make(chan struct{}, 1),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
-}
-
-// hostsLocked reports whether sl already carries one of members — directly,
-// or (with a WithWorkerIdentity mapping) through any connection routed to
-// the same worker. Pairwise-distinct placement keyed this way keeps replica
-// groups on distinct participants even when several connections (broker
-// routes, say) reach one worker. skip names a member index to ignore: a
-// replica being re-placed vacates its own position, so its dead slot's
-// worker must not veto a replacement route to that same worker (pass -1 to
-// consider every member). nil members are positions not yet filled.
-func (d *dispatcher) hostsLocked(members []*connSlot, sl *connSlot, skip int) bool {
-	for i, member := range members {
-		if i != skip && member == sl {
-			return true
-		}
-	}
-	if d.identity == nil {
-		return false
-	}
-	id := d.identity(sl.currentConn())
-	if id == "" {
-		return false
-	}
-	for i, member := range members {
-		if i == skip || member == nil {
-			continue
-		}
-		if d.identity(member.currentConn()) == id {
-			return true
-		}
-	}
-	return false
-}
-
-// notifyReady is the rendezvous onReady hook: a non-blocking nudge that a
-// parked replica may have become claimable. It takes no locks, so a
-// rendezvous may settle from any lock context (including under d.mu, as
-// quorum failure during markDead does); the waker goroutine converts the
-// nudge into a cond.Broadcast under the dispatcher lock.
-func (d *dispatcher) notifyReady() {
-	select {
-	case d.wake <- struct{}{}:
-	default:
-	}
 }
 
 // abandonAttempt closes the accounting of an attempt that will never reach
@@ -321,21 +234,21 @@ func (d *dispatcher) settleOutstanding() {
 			d.abandonAttempt(t.at)
 		}
 	}
-	for _, t := range d.banked {
-		d.abandonAttempt(t.at)
-	}
 }
 
 // fail records the run's first error and cancels everything.
 func (d *dispatcher) fail(err error) {
 	d.mu.Lock()
+	d.failLocked(err)
+	d.mu.Unlock()
+}
+
+func (d *dispatcher) failLocked(err error) {
 	if d.err == nil {
 		d.err = err
 	}
 	d.cancelled = true
-	d.abortGroupsLocked(err)
 	d.cond.Broadcast()
-	d.mu.Unlock()
 	d.cancel()
 }
 
@@ -343,18 +256,8 @@ func (d *dispatcher) fail(err error) {
 func (d *dispatcher) stop() {
 	d.mu.Lock()
 	d.cancelled = true
-	d.abortGroupsLocked(context.Canceled)
 	d.cond.Broadcast()
 	d.mu.Unlock()
-}
-
-// abortGroupsLocked releases every replica barrier so no exchange stays
-// blocked waiting for siblings that will never arrive. Completed groups are
-// untouched (abort is a no-op once a rendezvous settled).
-func (d *dispatcher) abortGroupsLocked(err error) {
-	for g := range d.groups {
-		g.rdv.abort(err)
-	}
 }
 
 // firstErr returns the recorded failure, if any.
@@ -382,15 +285,15 @@ func (d *dispatcher) retireConn(conn transport.Conn) {
 // retireLocked stops fresh work on the slot and recalls every ticket on it
 // that has not begun an exchange — claimed-but-unstarted leases and tickets
 // placement queued there — rerouting them to other connections. Bound
-// tickets (attempts parked there mid-protocol or at a replica barrier) and
-// started leases are left to finish.
+// tickets (attempts parked there mid-protocol), replicas and started leases
+// are left to finish.
 func (d *dispatcher) retireLocked(sl *connSlot) {
 	if d.retired[sl] {
 		return
 	}
 	d.retired[sl] = true
 	for l := range d.leases {
-		if l.slot == sl && l.state == leaseClaimed && !l.bound() && d.rerouteLocked(l.ticket, sl) {
+		if l.slot == sl && l.state == leaseClaimed && !l.bound() && d.rerouteLocked(l.ticket) {
 			l.state = leaseRevoked
 			delete(d.leases, l)
 		}
@@ -399,7 +302,7 @@ func (d *dispatcher) retireLocked(sl *connSlot) {
 	// queue in place is safe.
 	kept := d.pinned[sl][:0]
 	for _, t := range d.pinned[sl] {
-		if t.bound() || !d.rerouteLocked(t, sl) {
+		if t.bound() || !d.rerouteLocked(t) {
 			kept = append(kept, t)
 		}
 	}
@@ -407,14 +310,13 @@ func (d *dispatcher) retireLocked(sl *connSlot) {
 	d.cond.Broadcast()
 }
 
-// rerouteLocked moves an unbound ticket off the retired slot from: a replica
-// to a connection free of its siblings, anything else to the shared queue,
-// where the next live connection with a free worker takes it. It reports
-// false for a replica no other connection can host; that one stays and runs
-// where it is — replication, not scheduling, is what guards its group.
-func (d *dispatcher) rerouteLocked(t ticket, from *connSlot) bool {
-	if t.grp != nil {
-		return d.moveReplicaLocked(t, from)
+// rerouteLocked moves an unbound ticket off a retired slot to the shared
+// queue, where the next live connection with a free worker takes it. It
+// reports false for a replica, which runs where placement put it: only
+// placement knows which connections its siblings hold.
+func (d *dispatcher) rerouteLocked(t ticket) bool {
+	if d.replicas > 0 {
+		return false
 	}
 	t.pin = nil
 	d.pending = append(d.pending, t)
@@ -423,8 +325,8 @@ func (d *dispatcher) rerouteLocked(t ticket, from *connSlot) bool {
 
 // markDead declares the slot's link permanently gone: retire it and restart
 // everything still bound to it — queued pinned tickets and claimed pinned
-// leases — from scratch on the pending queue (replica tickets are instead
-// re-placed on a connection free of their siblings, or declared lost).
+// leases — from scratch on the pending queue (a replica there fails the
+// run instead; see restartTicketLocked).
 func (d *dispatcher) markDead(sl *connSlot) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -448,59 +350,23 @@ func (d *dispatcher) markDead(sl *connSlot) {
 // byte accounting) and requeues the bare task. The fresh attempt created on
 // the next claim re-derives its randomness from the task seed, so the
 // retried verdict is identical to a clean first run on whichever participant
-// picks it up. Replica tickets keep their group identity and route through
-// re-placement instead of the shared queue.
+// picks it up. A replica cannot move — its group's other members hold the
+// connections placement chose for them — so its loss fails the run, unless
+// the run is already stopping.
 func (d *dispatcher) restartTicketLocked(t ticket) {
-	if t.grp != nil {
-		d.replaceReplicaLocked(t, t.grp.slots[t.repIdx])
-		return
-	}
 	d.abandonAttempt(t.at)
-	d.pending = append(d.pending, ticket{task: t.task})
-}
-
-// replaceReplicaLocked deals with a replica whose slot died. One whose
-// upload already reached the rendezvous is not restarted: the banked upload
-// still votes in the group comparison, and re-running the task elsewhere
-// would burn a full execution only to submit a second, ignored upload — the
-// ticket is banked instead and its outcome synthesized from the group
-// verdict once it settles. Any other restarts from scratch on another
-// connection (the dead participant's protocol state is gone), and when no
-// connection can take it the replica is declared lost and the group's
-// comparison degrades to a quorum over the remaining uploads.
-func (d *dispatcher) replaceReplicaLocked(t ticket, dead *connSlot) {
-	if t.at != nil && t.at.pt.st.submitted {
-		t.pin = dead
-		t.parked = false
-		d.banked = append(d.banked, t)
-		return
-	}
-	d.abandonAttempt(t.at)
-	if !d.moveReplicaLocked(t, dead) {
-		t.grp.rdv.fail(t.repIdx)
+	switch {
+	case d.replicas == 0:
+		d.pending = append(d.pending, ticket{task: t.task})
+	case !d.cancelled:
+		d.failLocked(fmt.Errorf("%w: task %d replica %d", ErrReplicaLost, t.task.ID, t.replica))
 	}
 }
 
-// moveReplicaLocked queues replica t, now on slot from, as a fresh ticket on
-// the first live, non-retired connection that hosts none of its siblings.
-// It reports false when there is none.
-func (d *dispatcher) moveReplicaLocked(t ticket, from *connSlot) bool {
-	for _, cand := range d.allSlots {
-		if cand == from || d.retired[cand] || d.hostsLocked(t.grp.slots, cand, t.repIdx) {
-			continue
-		}
-		t.grp.slots[t.repIdx] = cand
-		d.pinned[cand] = append(d.pinned[cand], ticket{task: t.task, grp: t.grp, repIdx: t.repIdx, pin: cand})
-		return true
-	}
-	return false
-}
-
-// claim blocks until the slot has work: banked outcomes ready to settle,
-// its own pinned tickets, then the shared pending queue (both topped up from
-// the task source). It returns false when the worker should exit — run
-// cancelled, slot retired with no pinned work left, or all work globally
-// drained.
+// claim blocks until the slot has work: its own pinned tickets, then the
+// shared pending queue (both topped up from the task source). It returns
+// false when the worker should exit — run cancelled, slot retired with no
+// pinned work left, or all work globally drained.
 func (d *dispatcher) claim(sl *connSlot) (*lease, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -508,22 +374,14 @@ func (d *dispatcher) claim(sl *connSlot) (*lease, bool) {
 		if d.cancelled {
 			return nil, false
 		}
-		if l, ok := d.takeBankedLocked(sl); ok {
-			return l, true
-		}
-		if l, ok := d.takePinnedLocked(sl); ok {
-			return l, true
+		if ts := d.pinned[sl]; len(ts) > 0 {
+			t := ts[0]
+			ts[0] = ticket{} // do not pin the attempt
+			d.pinned[sl] = ts[1:]
+			return d.leaseLocked(t, sl), true
 		}
 		if d.retired[sl] {
-			// A retired slot claims nothing fresh, but its workers must
-			// outlive any tickets still pinned to it — a replica parked at
-			// an unready barrier becomes claimable only when the group
-			// settles, and exiting now would strand it.
-			if len(d.pinned[sl]) == 0 {
-				return nil, false
-			}
-			d.cond.Wait()
-			continue
+			return nil, false
 		}
 		if d.refillLocked() {
 			continue // the refill may have placed work on this very slot
@@ -533,42 +391,11 @@ func (d *dispatcher) claim(sl *connSlot) (*lease, bool) {
 			d.pending = d.pending[1:]
 			return d.leaseLocked(t, sl), true
 		}
-		if d.sourceDone && len(d.leases) == 0 && d.pinnedEmptyLocked() && len(d.banked) == 0 {
+		if d.sourceDone && len(d.leases) == 0 && d.pinnedEmptyLocked() {
 			return nil, false
 		}
 		d.cond.Wait()
 	}
-}
-
-// takePinnedLocked claims the slot's first claimable pinned ticket, FIFO;
-// replicas parked at an unready rendezvous are passed over (they need no
-// worker until the group settles — the waker re-broadcasts when it does).
-func (d *dispatcher) takePinnedLocked(sl *connSlot) (*lease, bool) {
-	ts := d.pinned[sl]
-	for i, t := range ts {
-		if t.parked && !t.grp.rdv.ready() {
-			continue
-		}
-		d.pinned[sl] = append(append(make([]ticket, 0, len(ts)-1), ts[:i]...), ts[i+1:]...)
-		return d.leaseLocked(t, sl), true
-	}
-	return nil, false
-}
-
-// takeBankedLocked claims the first banked replica ticket whose rendezvous
-// has settled. Any slot's worker may settle a banked outcome — no exchange
-// runs, the verdict is read from the rendezvous.
-func (d *dispatcher) takeBankedLocked(sl *connSlot) (*lease, bool) {
-	for i, t := range d.banked {
-		if !t.grp.rdv.ready() {
-			continue
-		}
-		d.banked = append(d.banked[:i], d.banked[i+1:]...)
-		l := d.leaseLocked(t, sl)
-		l.banked = true
-		return l, true
-	}
-	return nil, false
 }
 
 // refillLocked tops the scheduler up from the task source: tickets are
@@ -580,7 +407,7 @@ func (d *dispatcher) refillLocked() bool {
 	if d.sourceDone {
 		return false
 	}
-	outstanding := len(d.pending) + len(d.leases) + len(d.banked)
+	outstanding := len(d.pending) + len(d.leases)
 	for _, ts := range d.pinned {
 		outstanding += len(ts)
 	}
@@ -609,11 +436,10 @@ func (d *dispatcher) refillLocked() bool {
 // on the shared queue for a work-stealing stream, otherwise one per replica
 // (one for an unreplicated pinned stream), each placed on the next slot the
 // round-robin cursor reaches that is not retired and — within a group —
-// hosts no sibling. The cursor persists across tasks and, until a slot is
+// not already chosen. The cursor persists across tasks and, until a slot is
 // retired, advances one slot per ticket: task i of an unreplicated stream
-// lands on slot i mod len(conns), and replica groups are placed exactly as
-// an eager walk over the whole task list would place them, because a
-// placement depends only on the cursor and the group's own slots.
+// lands on slot i mod len(conns), and replica r of task t on slot
+// (t·R + r) mod len(conns), pairwise distinct because R ≤ len(conns).
 //
 // It reports 0, placing nothing and leaving the cursor alone, in two cases.
 // Under retireOnReject a chosen slot that already holds window undecided
@@ -629,42 +455,30 @@ func (d *dispatcher) placeLocked(task Task) int {
 		return 1
 	}
 	cursor := d.cursor
-	if d.replicas == 0 {
-		sl := d.nextSlotLocked(&cursor, nil)
+	chosen := d.chosen[:0]
+	for range max(1, d.replicas) {
+		sl := d.nextSlotLocked(&cursor, chosen)
 		if !d.placeableLocked(sl) {
 			return 0
 		}
-		d.cursor = cursor
-		d.pinned[sl] = append(d.pinned[sl], ticket{task: task, pin: sl})
-		return 1
+		chosen = append(chosen, sl)
 	}
-	chosen := make([]*connSlot, d.replicas)
-	for j := range chosen {
-		chosen[j] = d.nextSlotLocked(&cursor, chosen)
-		if !d.placeableLocked(chosen[j]) {
-			return 0
-		}
-	}
-	d.cursor = cursor
-	rdv := newReplicaRendezvous(d.replicas)
-	rdv.onReady = d.notifyReady
-	grp := &replicaGroup{task: task, rdv: rdv, slots: chosen}
-	d.groups[grp] = struct{}{}
-	for j, sl := range chosen {
-		d.pinned[sl] = append(d.pinned[sl], ticket{task: task, grp: grp, repIdx: j, pin: sl})
+	d.cursor, d.chosen = cursor, chosen
+	for r, sl := range chosen {
+		d.pinned[sl] = append(d.pinned[sl], ticket{task: task, pin: sl, replica: r})
 	}
 	return len(chosen)
 }
 
 // nextSlotLocked advances *cursor to the next slot that is not retired and
-// hosts none of members, looking at each slot at most once; nil when there
-// is none.
-func (d *dispatcher) nextSlotLocked(cursor *uint64, members []*connSlot) *connSlot {
+// not one of chosen, looking at each slot at most once; nil when there is
+// none.
+func (d *dispatcher) nextSlotLocked(cursor *uint64, chosen []*connSlot) *connSlot {
 	n := uint64(len(d.allSlots))
 	for tries := uint64(0); tries < n; tries++ {
 		cand := d.allSlots[*cursor%n]
 		*cursor++
-		if !d.retired[cand] && (members == nil || !d.hostsLocked(members, cand, -1)) {
+		if !d.retired[cand] && !slices.Contains(chosen, cand) {
 			return cand
 		}
 	}
@@ -718,7 +532,7 @@ func (d *dispatcher) start(l *lease) bool {
 	if l.state == leaseRevoked {
 		return false
 	}
-	if d.cancelled || (!l.bound() && d.retired[l.slot] && d.rerouteLocked(l.ticket, l.slot)) {
+	if d.cancelled || (!l.bound() && d.retired[l.slot] && d.rerouteLocked(l.ticket)) {
 		l.state = leaseRevoked
 		delete(d.leases, l)
 		d.cond.Broadcast()
@@ -737,48 +551,25 @@ func (d *dispatcher) complete(l *lease, rejected bool) {
 		d.retireLocked(l.slot)
 	}
 	delete(d.leases, l)
-	if l.grp != nil && l.grp.rdv.ready() {
-		delete(d.groups, l.grp)
-	}
 	d.cond.Broadcast()
 	d.mu.Unlock()
 }
 
-// parkAtBarrier shelves a replica whose exchange reached an incomplete
-// rendezvous: the ticket keeps its attempt (upload submitted, protocol
-// state live on the participant) and waits, claimable again once the
-// group settles and the waker broadcasts.
-func (d *dispatcher) parkAtBarrier(l *lease) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.leases, l)
-	t := l.ticket
-	t.pin = l.slot
-	t.parked = true
-	d.pinned[l.slot] = append(d.pinned[l.slot], t)
-	d.cond.Broadcast()
-}
-
 // parkForResume returns a quarantined lease's ticket to the scheduler: bound
-// mid-protocol attempts pin to their slot (to resume on the replacement
-// connection), unbound ones rejoin the shared queue for any connection, and
-// tickets whose slot is already dead restart from scratch. Replica tickets
-// always stay with their slot — sibling distinctness is per slot — unless
-// the slot is dead, in which case they are re-placed.
+// mid-protocol attempts and replicas pin to their slot (to resume on the
+// replacement connection), other unbound tickets rejoin the shared queue
+// for any connection, and tickets whose slot is already dead restart from
+// scratch.
 func (d *dispatcher) parkForResume(l *lease) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.leases, l)
 	t := l.ticket
+	stays := d.replicas > 0 || (t.at != nil && t.at.started())
 	switch {
-	case t.grp != nil && d.dead[l.slot]:
-		d.replaceReplicaLocked(t, l.slot)
-	case t.grp != nil:
-		t.pin = l.slot
-		d.pinned[l.slot] = append(d.pinned[l.slot], t)
-	case t.at != nil && t.at.started() && d.dead[l.slot]:
+	case stays && d.dead[l.slot]:
 		d.restartTicketLocked(t)
-	case t.at != nil && t.at.started():
+	case stays:
 		t.pin = l.slot
 		d.pinned[l.slot] = append(d.pinned[l.slot], t)
 	default:
@@ -861,28 +652,6 @@ func (sl *connSlot) recover(gen int, d *dispatcher, p *SupervisorPool, cfg *stre
 	return true
 }
 
-// settleBanked closes out a banked replica: read the settled group verdict,
-// fold the attempt's accounting into the pool, and report the outcome the
-// dead link's exchange would have produced. A rendezvous error (quorum
-// lost) leaves no verdict to report; the attempt still settles.
-//
-//gridlint:credit a banked replica's bytes reach the pool here, its exchange being unfinishable
-func (p *SupervisorPool) settleBanked(l *lease) (*TaskOutcome, error) {
-	at := l.at
-	v, err := l.grp.rdv.await(l.repIdx)
-	at.settle(p.sup)
-	p.bytesSent.Add(at.bytesSent)
-	p.bytesRecv.Add(at.bytesRecv)
-	if err != nil {
-		return nil, err
-	}
-	pt := &at.pt
-	pt.outcome.Verdict = v
-	pt.outcome.BytesSent = at.bytesSent
-	pt.outcome.BytesRecv = at.bytesRecv
-	return pt.outcome, nil
-}
-
 // RunTaskSource verifies a task stream over pipelined sessions, and is the
 // one way this package runs a task on a connection: every connection opens a
 // session holding up to `window` concurrent task exchanges (window 1 is the
@@ -912,13 +681,13 @@ func (p *SupervisorPool) settleBanked(l *lease) (*TaskOutcome, error) {
 //
 // With the double-check scheme the stream runs replicated: every task fans
 // out to WithReplicas(R) pairwise-distinct connections, placed round-robin
-// over conns as tasks are drawn. Each replica's upload phase pipelines
-// freely inside its session window, and the settle phase meets a
-// cross-connection rendezvous that compares the group's uploads and issues
-// one verdict per replica — R outcomes per task, ordered by (Task.ID,
-// Replica). A replica reaching an incomplete rendezvous parks — holding no
-// worker and no window slot — and is re-claimed when the group settles, so
-// barriers can never deadlock the scheduler however tasks interleave.
+// over conns as tasks are drawn. Each replica is an ordinary upload exchange
+// whose participant is sent a receipt; once a group's last replica settles,
+// its uploads are compared once and the stream emits R outcomes, each
+// carrying the majority's verdict on its replica, keyed by (Task.ID,
+// Replica). A replica never leaves the connection it was placed on: Retire
+// does not recall it, and one whose connection dies for good fails the run
+// with ErrReplicaLost.
 //
 // With WithWindowSettle the run carries rolling window commitments, and
 // with WithDrainCheckpoint it ends with a durable checkpoint barrier —
@@ -969,23 +738,6 @@ func (c *streamConfig) resolveReplicas(kind SchemeKind, conns []transport.Conn) 
 		return fmt.Errorf("%w: %d replicas need as many distinct connections, got %d",
 			ErrBadConfig, c.replicas, len(conns))
 	}
-	if c.identity == nil {
-		return nil
-	}
-	// With identity-keyed distinctness a group needs as many distinct
-	// workers as replicas, not just connections.
-	distinct := make(map[string]struct{}, len(conns))
-	for i, conn := range conns {
-		id := c.identity(conn)
-		if id == "" {
-			id = fmt.Sprintf("\x00conn-%d", i) // unknown: distinct by connection
-		}
-		distinct[id] = struct{}{}
-	}
-	if len(distinct) < c.replicas {
-		return fmt.Errorf("%w: %d replicas need as many distinct workers, got %d",
-			ErrBadConfig, c.replicas, len(distinct))
-	}
 	return nil
 }
 
@@ -1017,9 +769,9 @@ func (p *SupervisorPool) openStreamSlots(d *dispatcher, conns []transport.Conn, 
 }
 
 // launchStream starts the shared machinery of a streaming run: the
-// cancellation watcher, the rendezvous waker, the per-slot exchange
-// workers, and the finisher that drains, optionally checkpoints, closes the
-// sessions, and publishes the terminal error.
+// cancellation watcher, the per-slot exchange workers, and the finisher
+// that drains, optionally checkpoints, closes the sessions, and publishes
+// the terminal error.
 //
 //gridlint:credit teardown folds each surviving session's framing overhead into the pool totals
 func (p *SupervisorPool) launchStream(ctx context.Context, cancel context.CancelFunc, d *dispatcher, cfg *streamConfig, slots []*connSlot, window int) *TaskStream {
@@ -1038,22 +790,6 @@ func (p *SupervisorPool) launchStream(ctx context.Context, cancel context.Cancel
 	go func() {
 		<-ctx.Done()
 		d.stop()
-	}()
-	// The waker: rendezvous settle from arbitrary goroutines (and lock
-	// contexts); this loop turns their lock-free nudges into dispatcher
-	// broadcasts so claim waiters re-scan parked tickets. It ends with the
-	// run — d.stop's own broadcast covers the shutdown races.
-	go func() {
-		for {
-			select {
-			case <-d.wake:
-				d.mu.Lock()
-				d.cond.Broadcast()
-				d.mu.Unlock()
-			case <-ctx.Done():
-				return
-			}
-		}
 	}()
 
 	// The pool's worker bound applies across all sessions: they hold up to
@@ -1145,9 +881,10 @@ func checkpointSlots(slots []*connSlot, seq uint64) error {
 
 // streamWorker is one of a slot's `window` exchange drivers: claim, start
 // (or yield to a revocation), run the attempt, and either stream the
-// outcome, park the attempt for resume, or fail the run.
+// outcome — a replica's once its group's vote ran —, park the attempt for
+// resume, or fail the run.
 //
-//gridlint:credit pool totals fold in each streamed outcome's settled bytes
+//gridlint:credit pool totals fold in each settled outcome's bytes
 func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *connSlot, cfg *streamConfig, window int, sem chan struct{}, stream *TaskStream) {
 	for {
 		l, ok := d.claim(sl)
@@ -1157,43 +894,21 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 		if !d.start(l) {
 			continue
 		}
-		if l.banked {
-			// The dead replica's upload already votes at the rendezvous
-			// (which is ready, or this lease would not exist); synthesize its
-			// outcome without an exchange. The outcome's connection is the
-			// dead link that carried the upload, so per-worker attribution
-			// stays truthful.
-			outcome, err := p.settleBanked(l)
-			if err == nil {
-				select {
-				case stream.outcomes <- StreamedOutcome{Outcome: outcome, Conn: l.pin.currentConn()}:
-				case <-ctx.Done():
-				}
-			}
-			// Never a retirement: the slot that carried the upload is dead
-			// already, and l.slot merely lent a worker.
-			d.complete(l, false)
-			continue
-		}
 		if l.at == nil {
-			var at *taskAttempt
-			var err error
-			if l.grp != nil {
-				at, err = p.sup.newReplicaAttempt(l.task, l.grp.rdv, l.repIdx)
-			} else {
-				at, err = p.sup.NewAttempt(l.task)
-			}
+			at, err := p.sup.NewAttempt(l.task)
 			if err != nil {
 				d.complete(l, false)
 				d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
 				return
 			}
+			at.pt.outcome.Replica = l.replica
 			l.at = at
 		}
 		// Bind the attempt to this slot's window ledger (nil without window
 		// settling) so decide() banks the task's stream digest on the link
-		// whose commits will cover it. Re-bound on every claim: a replica
-		// re-placed after a slot death must report to its new link's ledger.
+		// whose commits will cover it. Re-bound on every claim: an attempt
+		// that received nothing before a quarantine may finish on another
+		// link.
 		l.at.pt.ledger = sl.ledger
 		sess, gen, conn := sl.current()
 
@@ -1204,30 +919,14 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 			d.parkForResume(l)
 			return
 		}
-		// Replica exchanges share the worker bound safely because they
-		// never hold it across their group barrier: an unready rendezvous
-		// parks the attempt (errReplicaParked) instead of blocking.
 		outcome, err := sess.RunAttempt(l.at)
 		<-sem
 
 		if err != nil {
-			if errors.Is(err, errReplicaParked) {
-				// The replica reached its rendezvous before the group was
-				// complete; shelve it (no worker, no window slot) until the
-				// comparison runs, and claim other work meanwhile.
-				d.parkAtBarrier(l)
-				continue
-			}
 			if errors.Is(err, ErrConnQuarantined) {
 				d.parkForResume(l)
 				sl.recover(gen, d, p, cfg, window)
 				continue
-			}
-			if l.grp != nil && ctx.Err() != nil {
-				// The barrier was released by cancellation, not by a fault of
-				// this replica; park so accounting settles at teardown.
-				d.parkForResume(l)
-				return
 			}
 			// Terminal failure: the attempt never reaches an outcome, so
 			// close its eval and byte accounting here.
@@ -1238,10 +937,23 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 		}
 		p.bytesSent.Add(outcome.BytesSent)
 		p.bytesRecv.Add(outcome.BytesRecv)
-		select {
-		case stream.outcomes <- StreamedOutcome{Outcome: outcome, Conn: conn}:
-		case <-ctx.Done():
+		// Read the verdict before any vote: the group's last replica to
+		// settle rewrites every member's.
+		rejected := !outcome.Verdict.Accepted
+		settled := []StreamedOutcome{{Outcome: outcome, Conn: conn}}
+		if d.replicas > 0 {
+			if settled, err = d.vote(settled[0], l.at.pt.st.results); err != nil {
+				d.complete(l, false)
+				d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
+				return
+			}
 		}
-		d.complete(l, !outcome.Verdict.Accepted)
+		for _, so := range settled {
+			select {
+			case stream.outcomes <- so:
+			case <-ctx.Done():
+			}
+		}
+		d.complete(l, rejected)
 	}
 }

@@ -130,7 +130,9 @@ func (s *taskSource) Seed(seed int64) { s.state = uint64(seed) }
 type TaskOutcome struct {
 	// Task is the assignment.
 	Task Task
-	// Verdict is the ruling sent to the participant.
+	// Verdict is the ruling sent to the participant — except on a
+	// double-check replica, whose participant is sent a receipt and whose
+	// Verdict is the group comparison's ruling on it.
 	Verdict Verdict
 	// Reports are the screened results received.
 	Reports []Report
@@ -179,19 +181,9 @@ type preparedTask struct {
 	// ran on, nil before that and after it went back (auditKit has the rule).
 	kit *auditKit
 
-	// rdv and repIdx are set on replica attempts (double-check): the settle
-	// phase submits the upload to the rendezvous as replica repIdx and takes
-	// the group verdict instead of deciding locally, detaching
-	// (errReplicaParked) while the rendezvous is unready so the dispatcher
-	// can reuse the worker.
-	rdv    *replicaRendezvous
-	repIdx int
-
 	// ledger, when the task rides a window-settling stream, receives the
-	// task's stream digest at decision time; digested makes that exactly
-	// once even when decide re-enters after a replica park.
-	ledger   *WindowLedger
-	digested bool
+	// task's stream digest at decision time.
+	ledger *WindowLedger
 }
 
 // auditKit is everything a CBS audit needs whose shape does not change from
@@ -207,15 +199,15 @@ type preparedTask struct {
 // exchangeState.verifier, .challenge.Indices (interactive CBS) and .proofs
 // point into the kit, and taskRun.buf is its eval buffer — all of them state
 // a resumed exchange must find intact. So the kit travels with the attempt:
-// an exchange that ends in errReplicaParked or ErrConnQuarantined keeps it,
-// across sessions and connections, and a parked or quarantined attempt that
-// is later abandoned takes its kit to the collector with it. Return:
+// an exchange that ends in ErrConnQuarantined keeps it, across sessions and
+// connections, and a quarantined attempt that is later abandoned takes its
+// kit to the collector with it. Return:
 // Session.detach, the one return point, once the exchange reached its
 // outcome or failed for good, to the list of the session it ran on last —
 // after preparedTask.returnKit cut every alias above. Nothing a caller keeps
 // (the TaskOutcome, its reports and verdict) points into a kit. A list
 // therefore never holds more kits than the connection had attempts attached
-// or parked at once, and it dies with the session.
+// at once, and it dies with the session.
 type auditKit struct {
 	verifier  core.Verifier
 	scratch   merkle.ProofScratch
@@ -274,10 +266,6 @@ type taskAttempt struct {
 	pt                   preparedTask
 	bytesSent, bytesRecv int64
 	settled              bool
-	// attachedTo remembers the session the attempt last ran on. Re-running
-	// on the same live session (a replica re-claimed after parking at its
-	// barrier) must not re-announce: the participant still holds the task.
-	attachedTo *Session
 }
 
 // NewAttempt validates and prepares a task for execution without touching
@@ -287,20 +275,6 @@ func (s *Supervisor) NewAttempt(task Task) (*taskAttempt, error) {
 	if err := s.prepareTask(&at.pt, task); err != nil {
 		return nil, err
 	}
-	return at, nil
-}
-
-// newReplicaAttempt prepares one replica of a double-check group: an
-// ordinary attempt whose settle phase reports to the group rendezvous as
-// replica idx, parking (not blocking) while the group is incomplete. Each
-// replica draws its own task-seeded randomness stream.
-func (s *Supervisor) newReplicaAttempt(task Task, rdv *replicaRendezvous, idx int) (*taskAttempt, error) {
-	at, err := s.NewAttempt(task)
-	if err != nil {
-		return nil, err
-	}
-	at.pt.rdv, at.pt.repIdx = rdv, idx
-	at.pt.outcome.Replica = idx
 	return at, nil
 }
 

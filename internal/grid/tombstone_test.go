@@ -89,10 +89,8 @@ func TestVerdictTombstoneChurnBoundsOrderQueue(t *testing.T) {
 		t.Fatalf("NewParticipant: %v", err)
 	}
 	for i := 0; i < 100; i++ {
-		participant.mu.Lock()
-		delete(participant.counted, 1) // what a fresh assignment reusing ID 1 does
-		participant.mu.Unlock()
-		participant.recordVerdict(1, "honest", Verdict{Accepted: true}, 1)
+		participant.supersede(1, 0) // what a fresh assignment reusing ID 1 does
+		participant.recordVerdict(1, 0, "honest", Verdict{Accepted: true}, 1)
 	}
 	participant.mu.Lock()
 	mapLen, orderLen := len(participant.counted), len(participant.countedOrder)
@@ -105,12 +103,41 @@ func TestVerdictTombstoneChurnBoundsOrderQueue(t *testing.T) {
 	}
 }
 
+// TestStaleAssignmentKeepsNewerTombstone: a task counted on serve session 2
+// keeps its tombstone when a fresh assignment for its ID turns up on the
+// older session 1 — an assignment sent once on a link the supervisor has
+// since abandoned, delivered late — so a verdict re-delivered on session 2
+// still counts once. The same ID assigned fresh on session 2 or a newer one
+// is a new task and is counted again.
+func TestStaleAssignmentKeepsNewerTombstone(t *testing.T) {
+	participant, err := NewParticipant("worker", HonestFactory)
+	if err != nil {
+		t.Fatalf("NewParticipant: %v", err)
+	}
+	accepted := Verdict{Accepted: true}
+	if !participant.recordVerdict(7, 2, "honest", accepted, 1) {
+		t.Fatal("first verdict not counted")
+	}
+	participant.supersede(7, 1)
+	if participant.recordVerdict(7, 2, "honest", accepted, 1) {
+		t.Error("a stale assignment on an older session let a re-delivered verdict count twice")
+	}
+	for _, session := range []uint64{2, 3} {
+		participant.supersede(7, session)
+		if !participant.recordVerdict(7, session, "honest", accepted, 1) {
+			t.Errorf("a fresh assignment on session %d was not counted", session)
+		}
+	}
+	if got := participant.Totals().Tasks; got != 3 {
+		t.Errorf("counted %d tasks, want 3", got)
+	}
+}
+
 // TestSessionTaskIDMemoryBounded is the supervisor-side twin: a session
 // refuses an ID that is in flight or among the last maxVerdictTombstones
 // finished, and remembers nothing older — so three times the cap of tasks on
 // one session leave at most cap + window IDs behind, the ID that just
-// finished is still refused, one the ring has forgotten runs again, and a
-// parked task's ID (released, not finished) re-registers at once.
+// finished is still refused, and one the ring has forgotten runs again.
 func TestSessionTaskIDMemoryBounded(t *testing.T) {
 	old := maxVerdictTombstones
 	maxVerdictTombstones = 8
@@ -153,9 +180,7 @@ func TestSessionTaskIDMemoryBounded(t *testing.T) {
 		t.Errorf("ID %d still inside the ring: err = %v, want ErrBadConfig", last.ID, err)
 	}
 
-	// Parked is not finished: detach frees the ID without spending a ring
-	// entry, and the same ID registers again while the ring still refuses
-	// its finished neighbours.
+	// An ID in flight is refused, and so is one that just finished.
 	at := &taskAttempt{task: Task{ID: 1 << 40}}
 	c, err := sess.register(at)
 	if err != nil {
@@ -163,10 +188,6 @@ func TestSessionTaskIDMemoryBounded(t *testing.T) {
 	}
 	if _, err := sess.register(&taskAttempt{task: at.task}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("in-flight ID registered twice: err = %v, want ErrBadConfig", err)
-	}
-	sess.detach(c, at, errReplicaParked)
-	if c, err = sess.register(at); err != nil {
-		t.Fatalf("re-register of a parked and released ID: %v", err)
 	}
 	sess.detach(c, at, nil)
 	if _, err := sess.register(at); !errors.Is(err, ErrBadConfig) {

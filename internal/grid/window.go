@@ -114,18 +114,18 @@ func windowChain() *hashchain.Chain {
 }
 
 // recordStreamDigest banks the task's stream digest into the ledger of the
-// connection that carried it, exactly once per attempt, at the decision
-// point — the last moment the supervisor touches the task before sending the
-// verdict. The participant appends its matching digest when the verdict is
-// counted, so by the time a window commit covering this task arrives, the
-// ledger entry is already in place (the commit travels in front of the final
-// task's verdict ack, never ahead of this call).
+// connection that carried it, at the decision point — which an attempt
+// passes exactly once, resumed or not: the last moment the supervisor
+// touches the task before sending the verdict. The participant appends its
+// matching digest when the verdict is counted, so by the time a window
+// commit covering this task arrives, the ledger entry is already in place
+// (the commit travels in front of the final task's verdict ack, never ahead
+// of this call).
 func (pt *preparedTask) recordStreamDigest() {
-	if pt.ledger == nil || pt.digested {
+	if pt.ledger == nil {
 		return
 	}
-	pt.digested = true
-	st := pt.st
+	st := &pt.st
 	var body []byte
 	kind := pt.assign.Spec.Kind
 	switch kind {

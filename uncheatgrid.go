@@ -333,13 +333,9 @@ var (
 	// silently dropped frames into reconnects.
 	WithStreamRecvTimeout = grid.WithStreamRecvTimeout
 	// WithStreamReplicas makes a double-check RunTaskSource fan every task
-	// out to n pairwise-distinct connections whose uploads meet at a
-	// comparison rendezvous.
+	// out to n pairwise-distinct connections whose uploads are compared once
+	// all n settled.
 	WithStreamReplicas = grid.WithReplicas
-	// WithStreamWorkerIdentity names the participant behind each stream
-	// connection, so replica groups are placed on distinct workers even
-	// when connections are relay routes that could share one participant.
-	WithStreamWorkerIdentity = grid.WithWorkerIdentity
 	// WithSessionRecvTimeout arms one session's receive watchdog.
 	WithSessionRecvTimeout = grid.WithSessionRecvTimeout
 	// SliceTaskSource adapts a fixed task slice to the TaskSource interface.
