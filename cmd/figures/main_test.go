@@ -129,3 +129,67 @@ func TestEq2RowsInsideBinomialBand(t *testing.T) {
 		t.Errorf("parsed %d rows of eq2, want 7:\n%s", rows, out.String())
 	}
 }
+
+// eq5Golden is runEq5's output as recorded before f's chain and the hash
+// chain moved to the shortsha kernel: the re-roll attack draws its fake
+// leaves and its challenges through both, so any change to a hashed byte
+// moves the measured column.
+const eq5Golden = `re-rolling attack: rebuild the tree with fresh fake leaves until all
+self-derived samples land in D' (measured over 30 seeds)
+
+     r    m   expected 1/r^m    measured mean
+  0.50    2              4.0              4.2
+  0.50    4             16.0             21.1
+  0.50    6             64.0             80.1
+  0.75    8             10.0              9.6
+  0.90   16              5.4              6.5
+
+Eq. 5 defense: choose k in g = H^k so that (1/r^m)·m·k ≥ n·C_f
+         n      C_f      r    m     required k    honest overhead
+   1048576        8   0.90   16          97152          18.53027% (uneconomical ✓)
+  16777216       16   0.95   32        1624970          19.37115% (uneconomical ✓)
+1073741824       64   0.99   64      564354932          52.55965% (uneconomical ✓)
+
+per §4.2, the honest participant's extra cost ratio is ≈ r^m — negligible.
+`
+
+// TestEq5RowsMatchTheAttackModel pins the re-rolling figure: each measured
+// mean is 30 geometric draws with success probability r^m, so it must sit
+// within four standard deviations, √((1−p)/30)/p, of
+// ExpectedRerollAttempts; and the whole output equals the recorded one.
+func TestEq5RowsMatchTheAttackModel(t *testing.T) {
+	const seeds = 30
+	var out bytes.Buffer
+	if err := runEq5(&out); err != nil {
+		t.Fatalf("runEq5: %v", err)
+	}
+	rows := 0
+	sc := bufio.NewScanner(bytes.NewReader(out.Bytes()))
+	for sc.Scan() {
+		var r, printed, measured float64
+		var m int
+		if n, _ := fmt.Sscanf(sc.Text(), "%f %d %f %f", &r, &m, &printed, &measured); n != 4 || strings.Contains(sc.Text(), "%") {
+			continue // titles, headers and the Eq. 5 sizing rows
+		}
+		rows++
+		expected, err := analysis.ExpectedRerollAttempts(r, m)
+		if err != nil {
+			t.Fatalf("ExpectedRerollAttempts(%v, %d): %v", r, m, err)
+		}
+		if math.Abs(printed-expected) > 0.05 {
+			t.Errorf("r=%.2f m=%d: expected column prints %.1f, the model gives %.2f", r, m, printed, expected)
+		}
+		p := 1 / expected
+		sigma := math.Sqrt((1-p)/seeds) / p
+		if math.Abs(measured-expected) > 4*sigma {
+			t.Errorf("r=%.2f m=%d: measured mean %.1f is %.1f standard deviations from 1/r^m = %.1f",
+				r, m, measured, math.Abs(measured-expected)/sigma, expected)
+		}
+	}
+	if rows != 5 {
+		t.Errorf("parsed %d re-roll rows of eq5, want 5:\n%s", rows, out.String())
+	}
+	if out.String() != eq5Golden {
+		t.Errorf("eq5 output differs from the recorded one:\n%s", out.String())
+	}
+}

@@ -2,13 +2,13 @@ package grid
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"uncheatgrid/internal/shortsha"
 	"uncheatgrid/internal/transport"
 )
 
@@ -458,7 +458,7 @@ func faultSeed(seed uint64, worker, dial, direction int) int64 {
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(worker))
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(dial))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(direction))
-	sum := sha256.Sum256(buf[:])
+	sum := shortsha.Sum256(buf[:])
 	return int64(binary.LittleEndian.Uint64(sum[:8]))
 }
 

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -12,6 +11,7 @@ import (
 	"uncheatgrid/internal/baseline"
 	"uncheatgrid/internal/core"
 	"uncheatgrid/internal/merkle"
+	"uncheatgrid/internal/shortsha"
 	"uncheatgrid/internal/transport"
 	"uncheatgrid/internal/workload"
 )
@@ -62,7 +62,7 @@ func taskSeed(seed int64, taskID uint64) int64 {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
 	binary.LittleEndian.PutUint64(buf[8:], taskID)
-	sum := sha256.Sum256(buf[:])
+	sum := shortsha.Sum256(buf[:])
 	return int64(binary.LittleEndian.Uint64(sum[:8]))
 }
 

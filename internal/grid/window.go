@@ -23,7 +23,6 @@ package grid
 // a participant cannot predict it without fixing its entire history first.
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -31,6 +30,7 @@ import (
 
 	"uncheatgrid/internal/hashchain"
 	"uncheatgrid/internal/merkle"
+	"uncheatgrid/internal/shortsha"
 )
 
 // streamDigestPrefix domain-separates per-task stream digests from every
@@ -49,42 +49,45 @@ const streamCapacity = 1 << 40
 // window commitment. body is the scheme's primary payload reduced by
 // hashResults/hashIndices, or the commitment root directly.
 func streamDigest(taskID uint64, kind SchemeKind, body []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte(streamDigestPrefix))
+	st := shortsha.Get()
+	defer shortsha.Put(st)
+	st.Write([]byte(streamDigestPrefix))
 	var buf [9]byte
 	binary.LittleEndian.PutUint64(buf[:8], taskID)
 	buf[8] = byte(kind)
-	h.Write(buf[:])
-	h.Write(body)
-	return h.Sum(nil)
+	st.Write(buf[:])
+	st.Write(body)
+	return st.Sum(make([]byte, 0, shortsha.Size))
 }
 
 // hashResults condenses a full-result upload into one digest. Lengths are
 // folded in so no two distinct uploads share an image by concatenation.
 func hashResults(results [][]byte) []byte {
-	h := sha256.New()
+	st := shortsha.Get()
+	defer shortsha.Put(st)
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(results)))
-	h.Write(buf[:n])
+	st.Write(buf[:n])
 	for _, r := range results {
 		n = binary.PutUvarint(buf[:], uint64(len(r)))
-		h.Write(buf[:n])
-		h.Write(r)
+		st.Write(buf[:n])
+		st.Write(r)
 	}
-	return h.Sum(nil)
+	return st.Sum(make([]byte, 0, shortsha.Size))
 }
 
 // hashIndices condenses a ringer hit list into one digest.
 func hashIndices(indices []uint64) []byte {
-	h := sha256.New()
+	st := shortsha.Get()
+	defer shortsha.Put(st)
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(indices)))
-	h.Write(buf[:n])
+	st.Write(buf[:n])
 	for _, x := range indices {
 		binary.LittleEndian.PutUint64(buf[:8], x)
-		h.Write(buf[:8])
+		st.Write(buf[:8])
 	}
-	return h.Sum(nil)
+	return st.Sum(make([]byte, 0, shortsha.Size))
 }
 
 // windowCursorSeed derives the shared cursor seed from the scheme spec.
@@ -92,14 +95,15 @@ func hashIndices(indices []uint64) []byte {
 // both start their cursors from the same state; the chains diverge per
 // participant from window 0 on, as each absorbs that participant's roots.
 func windowCursorSeed(spec SchemeSpec) []byte {
-	h := sha256.New()
-	h.Write([]byte(windowCursorPrefix))
+	st := shortsha.Get()
+	defer shortsha.Put(st)
+	st.Write([]byte(windowCursorPrefix))
 	var buf [17]byte
 	buf[0] = byte(spec.Kind)
 	binary.LittleEndian.PutUint64(buf[1:9], uint64(spec.WindowTasks))
 	binary.LittleEndian.PutUint64(buf[9:17], uint64(spec.WindowSamples))
-	h.Write(buf[:])
-	return h.Sum(nil)
+	st.Write(buf[:])
+	return st.Sum(make([]byte, 0, shortsha.Size))
 }
 
 // windowChain builds the hash chain the window cursors run on. One base

@@ -50,7 +50,9 @@ func (cu *Cursor) Advance(root []byte) error {
 	if len(root) == 0 {
 		return ErrEmptySeed
 	}
-	cu.state = cu.chain.step(cu.chain.newHash(), cu.state, cu.state, root)
+	w := cu.chain.walker()
+	cu.state = w.step(cu.state, cu.state, root)
+	w.done()
 	cu.window++
 	return nil
 }

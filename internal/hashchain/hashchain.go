@@ -14,12 +14,13 @@
 package hashchain
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"math/bits"
+
+	"uncheatgrid/internal/shortsha"
 )
 
 // Errors reported by this package.
@@ -41,6 +42,8 @@ type Hasher func() hash.Hash
 // invocations of the base hash; the zero-cost configuration is Iterations=1.
 // A Chain is immutable and safe for concurrent use.
 type Chain struct {
+	// newHash is the WithHasher base hash, driven through hash.Hash; nil
+	// selects the default, SHA-256 on the shortsha kernel.
 	newHash    Hasher
 	iterations int
 }
@@ -62,7 +65,7 @@ func New(iterations int, opts ...Option) (*Chain, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadIterations, iterations)
 	}
-	c := &Chain{newHash: sha256.New, iterations: iterations}
+	c := &Chain{iterations: iterations}
 	for _, opt := range opts {
 		opt.apply(c)
 	}
@@ -74,20 +77,57 @@ func (c *Chain) Iterations() int { return c.iterations }
 
 // Apply computes g(value): the base hash applied Iterations times.
 func (c *Chain) Apply(value []byte) []byte {
-	h := c.newHash()
-	return c.step(h, make([]byte, 0, h.Size()), value, nil)
+	w := c.walker()
+	defer w.done()
+	return w.step(make([]byte, 0, w.size()), value, nil)
 }
 
-// step computes g(in || more) on the hash state h and returns the digest,
-// written over dst's storage. dst may alias in: every input byte is absorbed
-// before the digest is written, so a walk advances one state buffer in place
-// and allocates nothing per application.
-func (c *Chain) step(h hash.Hash, dst, in, more []byte) []byte {
-	for i := 0; i < c.iterations; i++ {
-		h.Reset()
-		h.Write(in)
-		h.Write(more)
-		dst = h.Sum(dst[:0])
+// walker is one walk's hash state: a pooled kernel State for the default
+// chain, a fresh digest of the configured hash otherwise. Exactly one of st
+// and h is set.
+type walker struct {
+	c  *Chain
+	st *shortsha.State
+	h  hash.Hash
+}
+
+func (c *Chain) walker() walker {
+	if c.newHash == nil {
+		return walker{c: c, st: shortsha.Get()}
+	}
+	return walker{c: c, h: c.newHash()}
+}
+
+// done hands a kernel State back to the pool.
+func (w walker) done() {
+	if w.st != nil {
+		shortsha.Put(w.st)
+	}
+}
+
+func (w walker) size() int {
+	if w.st != nil {
+		return shortsha.Size
+	}
+	return w.h.Size()
+}
+
+// step computes g(in || more) and returns the digest, written over dst's
+// storage. dst may alias in: every input byte is absorbed before the digest
+// is written, so a walk advances one state buffer in place and allocates
+// nothing per application.
+func (w walker) step(dst, in, more []byte) []byte {
+	for i := 0; i < w.c.iterations; i++ {
+		if w.st != nil {
+			w.st.Write(in)
+			w.st.Write(more)
+			dst = w.st.Sum(dst[:0])
+		} else {
+			w.h.Reset()
+			w.h.Write(in)
+			w.h.Write(more)
+			dst = w.h.Sum(dst[:0])
+		}
 		in, more = dst, nil
 	}
 	return dst
@@ -103,13 +143,14 @@ func (c *Chain) Walk(seed []byte, m int) ([][]byte, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
-	h := c.newHash()
-	size := h.Size()
+	w := c.walker()
+	defer w.done()
+	size := w.size()
 	slab := make([]byte, m*size)
 	states := make([][]byte, m)
 	cur := seed
 	for k := range states {
-		cur = c.step(h, slab[k*size:k*size:(k+1)*size], cur, nil)
+		cur = w.step(slab[k*size:k*size:(k+1)*size], cur, nil)
 		states[k] = cur
 	}
 	return states, nil
@@ -130,12 +171,13 @@ func (c *Chain) SampleIndices(root []byte, m int, n uint64) ([]uint64, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
-	h := c.newHash()
-	state := make([]byte, 0, h.Size())
+	w := c.walker()
+	defer w.done()
+	state := make([]byte, 0, w.size())
 	indices := make([]uint64, m)
 	cur := root
 	for k := range indices {
-		state = c.step(h, state, cur, nil)
+		state = w.step(state, cur, nil)
 		cur = state
 		indices[k] = indexFromDigest(state, n)
 	}

@@ -156,3 +156,8 @@ func TestErrClassifyFixtures(t *testing.T) {
 	runFixture(t, ErrClassify, filepath.Join("testdata", "errclassify", "bad"), nil)
 	runFixture(t, ErrClassify, filepath.Join("testdata", "errclassify", "good"), nil)
 }
+
+func TestShortSHAFixtures(t *testing.T) {
+	runFixture(t, ShortSHA, filepath.Join("testdata", "shortsha", "bad"), nil)
+	runFixture(t, ShortSHA, filepath.Join("testdata", "shortsha", "good"), nil)
+}

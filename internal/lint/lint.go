@@ -21,6 +21,9 @@
 //   - errclassify: exported functions that perform transport I/O classify
 //     transport errors (quarantine vs. resume vs. fatal) instead of
 //     returning them raw.
+//   - shortsha: non-test code outside internal/shortsha does not name
+//     crypto/sha256.Sum256 or sha256.New, so every SHA-256 the protocol
+//     takes runs on the one short-message kernel.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone — go/parser,
@@ -123,6 +126,7 @@ func Analyzers() []*Analyzer {
 		ChanSendUnderLock,
 		CounterDiscipline,
 		ErrClassify,
+		ShortSHA,
 	}
 }
 

@@ -87,7 +87,7 @@ func NewPartial(n, ell int, leafAt func(i int) []byte, opts ...Option) (*Partial
 		p.top[numBlocks+b] = cloneBytes(p.fillSubtree(b, false)[1])
 	}
 	for i := numBlocks - 1; i >= 1; i-- {
-		p.top[i] = hs.combine(p.top[2*i], p.top[2*i+1])
+		p.top[i] = p.nh.combine(p.top[2*i], p.top[2*i+1])
 	}
 	return p, nil
 }

@@ -135,14 +135,14 @@ func (b *StreamBuilder) levelRow(level int) []byte {
 
 // finalize folds the pending slots with all-pad subtree roots: the root of a
 // height-L subtree whose leaves are all pads is padAt(L) from
-// hashers.padTable, so finishing costs O(depth) hashes instead of cap-n pad
+// nodeHasher.padTable, so finishing costs O(depth) hashes instead of cap-n pad
 // pushes. The result is byte-identical to pushing each pad leaf (induction
 // on L: pushing 2^L pads yields exactly padAt(L)).
 func (b *StreamBuilder) finalize() []byte {
 	if b.cap == 1 {
 		return b.pending[0]
 	}
-	pads := b.hs.padTable(b.depth - 1)
+	pads := b.nh.padTable(b.depth - 1)
 	// cur is the root of the padded subtree covering the tail of the level,
 	// or nil while the tail is still all-pad (absorbed by higher padAt).
 	var cur []byte
@@ -150,11 +150,11 @@ func (b *StreamBuilder) finalize() []byte {
 		have := b.added>>uint(level)&1 == 1
 		switch {
 		case have && cur != nil:
-			cur = b.hs.combine(b.pending[level], cur)
+			cur = b.nh.combine(b.pending[level], cur)
 		case have:
-			cur = b.hs.combine(b.pending[level], pads[level])
+			cur = b.nh.combine(b.pending[level], pads[level])
 		case cur != nil:
-			cur = b.hs.combine(cur, pads[level])
+			cur = b.nh.combine(cur, pads[level])
 		}
 	}
 	if cur == nil {

@@ -40,6 +40,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"uncheatgrid/internal/shortsha"
 )
 
 // Errors reported by this package. They are exported so protocol layers can
@@ -151,6 +153,7 @@ type hashers struct {
 // instead of once per tree or proof. The pad is read-only like every node
 // value a Tree hands out.
 var defaultHashers = sync.OnceValue(func() hashers {
+	//gridlint:ignore shortsha the default Hasher; its nodes hash on the kernel (nodeHasher.st)
 	hs := deriveHashers(sha256.New)
 	hs.shared = true
 	return hs
@@ -175,46 +178,26 @@ func deriveHashers(newHash Hasher) hashers {
 	return hashers{newHash: newHash, pad: pad, fixedLen: fixedLen}
 }
 
-// combine computes the Φ value of an internal node from its two children,
-// with length prefixes to rule out ambiguity between variable-length leaves.
-func (hs hashers) combine(left, right []byte) []byte {
-	h := hs.newHash()
-	var lenBuf [binary.MaxVarintLen64]byte
-	h.Write([]byte{nodePrefix})
-	n := binary.PutUvarint(lenBuf[:], uint64(len(left)))
-	h.Write(lenBuf[:n])
-	h.Write(left)
-	n = binary.PutUvarint(lenBuf[:], uint64(len(right)))
-	h.Write(lenBuf[:n])
-	h.Write(right)
-	return h.Sum(nil)
-}
-
-// padTable returns padAt(0..maxLevel), where padAt(L) is the root of a
-// height-L subtree whose every leaf is the pad digest: padAt(0) = pad,
-// padAt(L) = combine(padAt(L-1), padAt(L-1)).
-func (hs hashers) padTable(maxLevel int) [][]byte {
-	pads := make([][]byte, maxLevel+1)
-	pads[0] = hs.pad
-	for l := 1; l <= maxLevel; l++ {
-		pads[l] = hs.combine(pads[l-1], pads[l-1])
-	}
-	return pads
-}
-
 // nodeHasher is a reusable hashing state for the build hot paths: one hash
 // instance reset per node instead of allocated per node, with digests written
 // into caller-provided rows. The scratch buffer is a struct field so the
-// slices handed to hash.Write never escape per call. A nodeHasher is not safe
-// for concurrent use — each goroutine takes its own from hashers.node().
+// slices handed to hash.Write never escape per call. For the default hash
+// the node is hashed by st, the SHA-256 kernel, which owns h; a WithHasher
+// hash is driven through h itself. A nodeHasher is not safe for concurrent
+// use — each goroutine takes its own from hashers.node().
 type nodeHasher struct {
 	hs  hashers
 	h   hash.Hash
+	st  shortsha.State
 	buf [1 + binary.MaxVarintLen64]byte
 }
 
 func (hs hashers) node() *nodeHasher {
-	return &nodeHasher{hs: hs, h: hs.newHash()}
+	nh := &nodeHasher{hs: hs, h: hs.newHash()}
+	if hs.shared {
+		nh.st.Init(nh.h)
+	}
+	return nh
 }
 
 // nodeFor returns a node hasher for the hash o selects: prev itself when it
@@ -228,20 +211,49 @@ func nodeFor(prev *nodeHasher, o options) *nodeHasher {
 	return newHashers(o).node()
 }
 
-// combineInto computes combine(left, right) into dst, which must have
-// capacity fixedLen. dst may alias left or right: both are absorbed into the
-// hash state before dst is written.
+// combineInto computes the Φ value of an internal node from its two
+// children into dst, which must have capacity fixedLen. The children are
+// length-prefixed to rule out ambiguity between variable-length leaves:
+// hash(0x01 || uvarint(len(left)) || left || uvarint(len(right)) || right).
+// dst may alias left or right: both are absorbed into the hash state before
+// dst is written.
 func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
-	h := nh.h
-	h.Reset()
 	nh.buf[0] = nodePrefix
 	n := binary.PutUvarint(nh.buf[1:], uint64(len(left)))
+	if nh.hs.shared {
+		nh.st.Write(nh.buf[:1+n])
+		nh.st.Write(left)
+		n = binary.PutUvarint(nh.buf[:], uint64(len(right)))
+		nh.st.Write(nh.buf[:n])
+		nh.st.Write(right)
+		return nh.st.Sum(dst[:0])
+	}
+	h := nh.h
+	h.Reset()
 	h.Write(nh.buf[:1+n])
 	h.Write(left)
 	n = binary.PutUvarint(nh.buf[:], uint64(len(right)))
 	h.Write(nh.buf[:n])
 	h.Write(right)
 	return h.Sum(dst[:0])
+}
+
+// combine is combineInto a fresh digest, for the few nodes a structure
+// keeps apart from its arena.
+func (nh *nodeHasher) combine(left, right []byte) []byte {
+	return nh.combineInto(make([]byte, 0, nh.hs.fixedLen), left, right)
+}
+
+// padTable returns padAt(0..maxLevel), where padAt(L) is the root of a
+// height-L subtree whose every leaf is the pad digest: padAt(0) = pad,
+// padAt(L) = combine(padAt(L-1), padAt(L-1)).
+func (nh *nodeHasher) padTable(maxLevel int) [][]byte {
+	pads := make([][]byte, maxLevel+1)
+	pads[0] = nh.hs.pad
+	for l := 1; l <= maxLevel; l++ {
+		pads[l] = nh.combine(pads[l-1], pads[l-1])
+	}
+	return pads
 }
 
 // Tree is a fully materialized Merkle tree over n leaf values. It is the

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -46,10 +45,7 @@ func (d *DrugScreen) AppendEval(dst []byte, x uint64) []byte {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], d.seed)
 	binary.BigEndian.PutUint64(buf[8:], x)
-	state := sha256.Sum256(buf[:])
-	for round := 1; round < scoreRounds; round++ {
-		state = sha256.Sum256(state[:])
-	}
+	state := chainSum(buf[:], scoreRounds)
 	return append(dst, state[:8]...)
 }
 

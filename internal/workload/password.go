@@ -2,10 +2,11 @@ package workload
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+
+	"uncheatgrid/internal/shortsha"
 )
 
 // Password is the paper's running example (Section 3): breaking a password
@@ -55,7 +56,7 @@ func (p *Password) AppendEval(dst []byte, x uint64) []byte {
 	var buf [16]byte
 	copy(buf[:8], p.salt[:])
 	binary.BigEndian.PutUint64(buf[8:], x)
-	sum := sha256.Sum256(buf[:])
+	sum := shortsha.Sum256(buf[:])
 	return append(dst, sum[:]...)
 }
 
@@ -64,7 +65,7 @@ func (p *Password) Eval(x uint64) []byte { return p.AppendEval(nil, x) }
 
 // GuessOutput implements Function: a random 32-byte digest.
 func (p *Password) GuessOutput(_ uint64, rng *rand.Rand) []byte {
-	guess := make([]byte, sha256.Size)
+	guess := make([]byte, shortsha.Size)
 	rng.Read(guess)
 	return guess
 }
