@@ -193,3 +193,95 @@ func TestEq5RowsMatchTheAttackModel(t *testing.T) {
 		t.Errorf("eq5 output differs from the recorded one:\n%s", out.String())
 	}
 }
+
+// TestFig2RowsMatchRequiredSamples pins Figure 2 against internal/analysis:
+// both m columns of every row are RequiredSamples at ε = 1e-4, the r = 0.5
+// row carries the paper's spot values 14 (q ≈ 0) and 33 (q = 0.5) and the
+// figure prints them, and no cheater survives the live runs at m(q = 0).
+func TestFig2RowsMatchRequiredSamples(t *testing.T) {
+	const eps = 1e-4
+	var out bytes.Buffer
+	if err := runFig2(&out); err != nil {
+		t.Fatalf("runFig2: %v", err)
+	}
+	rows := 0
+	sc := bufio.NewScanner(bytes.NewReader(out.Bytes()))
+	for sc.Scan() {
+		var r, survival float64
+		var m0, mHalf int
+		if n, _ := fmt.Sscanf(sc.Text(), "%f %d %d %f", &r, &m0, &mHalf, &survival); n != 4 {
+			continue // title, header and spot-value lines
+		}
+		rows++
+		for _, col := range []struct {
+			q       float64
+			printed int
+		}{{0, m0}, {0.5, mHalf}} {
+			want, err := analysis.RequiredSamples(eps, r, col.q)
+			if err != nil {
+				t.Fatalf("RequiredSamples(%g, %v, %v): %v", eps, r, col.q, err)
+			}
+			if col.printed != want {
+				t.Errorf("r=%.1f q=%.1f: figure prints m = %d, RequiredSamples gives %d", r, col.q, col.printed, want)
+			}
+		}
+		if r == 0.5 && (m0 != 14 || mHalf != 33) {
+			t.Errorf("r=0.5 row prints m = %d and %d, the paper's spot values are 14 and 33", m0, mHalf)
+		}
+		if survival != 0 {
+			t.Errorf("r=%.1f: %.4f of the cheaters survived m = %d samples", r, survival, m0)
+		}
+	}
+	if rows != 9 {
+		t.Errorf("parsed %d rows of fig2, want 9:\n%s", rows, out.String())
+	}
+	if !strings.Contains(out.String(), "m(r=0.5, q=0.5) = 33, m(r=0.5, q≈0) = 14") {
+		t.Errorf("fig2 does not print the paper's spot values:\n%s", out.String())
+	}
+}
+
+// TestFig3RowsMatchRCO pins Figure 3 against internal/analysis: every row
+// that stores less than the whole tree (ℓ > 0) measures exactly the
+// relative computation overhead analysis.RCO gives for its m and stored
+// slots, and prints that value as its analytic column; the full tree (ℓ = 0)
+// rebuilds nothing; and the paper's spot value RCO(64, 2^32) = 2^-25 is
+// printed.
+func TestFig3RowsMatchRCO(t *testing.T) {
+	const m = 16
+	var out bytes.Buffer
+	if err := runFig3(&out); err != nil {
+		t.Fatalf("runFig3: %v", err)
+	}
+	rows := 0
+	sc := bufio.NewScanner(bytes.NewReader(out.Bytes()))
+	for sc.Scan() {
+		var n, ell, stored, evals int
+		var measured, analytic float64
+		if k, _ := fmt.Sscanf(sc.Text(), "%d %d %d %d %f %f", &n, &ell, &stored, &evals, &measured, &analytic); k != 6 {
+			continue // title, header and spot-value lines
+		}
+		rows++
+		if ell == 0 {
+			if evals != 0 || measured != 0 || analytic != 0 {
+				t.Errorf("|D|=%d ℓ=0: the full tree rebuilt %d leaves (rco %v, analytic %v), want none", n, evals, measured, analytic)
+			}
+			continue
+		}
+		want, err := analysis.RCO(m, stored)
+		if err != nil {
+			t.Fatalf("RCO(%d, %d): %v", m, stored, err)
+		}
+		if exact := float64(evals) / float64(n); exact != want {
+			t.Errorf("|D|=%d ℓ=%d: measured rco %d/%d = %v, analysis.RCO gives %v", n, ell, evals, n, exact, want)
+		}
+		if math.Abs(measured-want) > 5e-7 || math.Abs(analytic-want) > 5e-7 {
+			t.Errorf("|D|=%d ℓ=%d: prints measured %v and analytic %v, analysis.RCO gives %v", n, ell, measured, analytic, want)
+		}
+	}
+	if rows != 15 {
+		t.Errorf("parsed %d rows of fig3, want 15:\n%s", rows, out.String())
+	}
+	if spot := fmt.Sprintf("RCO(64, 2^32) = %g = 2^-25 ✓", math.Ldexp(1, -25)); !strings.Contains(out.String(), spot) {
+		t.Errorf("fig3 does not print %q:\n%s", spot, out.String())
+	}
+}

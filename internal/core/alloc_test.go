@@ -2,7 +2,11 @@
 
 package core
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 // The race runtime allocates on its own, so the pins are excluded from race
 // builds.
@@ -73,5 +77,35 @@ func TestCommitmentChallengeCodecAllocs(t *testing.T) {
 	var ch2 Challenge
 	if allocs := testing.AllocsPerRun(100, func() { err = ch2.UnmarshalBinary(wire) }); allocs > 1 || err != nil {
 		t.Errorf("Challenge.UnmarshalBinary allocates %.1f (%v), want <= 1", allocs, err)
+	}
+}
+
+// TestUnmarshalIntoAllocs: decoded into storage a previous message sized,
+// the Step 1 and Step 2 messages cost nothing and read back what was sent.
+func TestUnmarshalIntoAllocs(t *testing.T) {
+	c := Commitment{Root: []byte("0123456789abcdef0123456789abcdef"), N: 1 << 14}
+	ch := Challenge{Indices: []uint64{3, 16000, 17, 17, 0, 63, 31, 9000}}
+	commitWire, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatalf("Commitment.MarshalBinary: %v", err)
+	}
+	challengeWire, err := ch.MarshalBinary()
+	if err != nil {
+		t.Fatalf("Challenge.MarshalBinary: %v", err)
+	}
+	root, indices := make([]byte, 0, 32), make([]uint64, 0, 8)
+	var c2 Commitment
+	var ch2 Challenge
+	if allocs := testing.AllocsPerRun(100, func() { err = c2.UnmarshalInto(root, commitWire) }); allocs != 0 || err != nil {
+		t.Errorf("Commitment.UnmarshalInto allocates %.1f (%v), want 0", allocs, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { err = ch2.UnmarshalInto(indices, challengeWire) }); allocs != 0 || err != nil {
+		t.Errorf("Challenge.UnmarshalInto allocates %.1f (%v), want 0", allocs, err)
+	}
+	if !bytes.Equal(c2.Root, c.Root) || c2.N != c.N || &c2.Root[0] != &root[:1][0] {
+		t.Errorf("commitment decoded to %x/%d, want %x/%d in the caller's buffer", c2.Root, c2.N, c.Root, c.N)
+	}
+	if !slices.Equal(ch2.Indices, ch.Indices) || &ch2.Indices[0] != &indices[:1][0] {
+		t.Errorf("challenge decoded to %v, want %v in the caller's buffer", ch2.Indices, ch.Indices)
 	}
 }

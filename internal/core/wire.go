@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"uncheatgrid/internal/merkle"
 )
@@ -48,7 +49,13 @@ func (c Commitment) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a commitment produced by MarshalBinary. The
 // commitment keeps no reference to data.
-func (c *Commitment) UnmarshalBinary(data []byte) error {
+func (c *Commitment) UnmarshalBinary(data []byte) error { return c.UnmarshalInto(nil, data) }
+
+// UnmarshalInto is UnmarshalBinary into the caller's storage: the root is
+// copied into dst's backing array, grown only when too small, and c.Root
+// aliases it — a decoder that keeps one buffer across messages allocates
+// nothing.
+func (c *Commitment) UnmarshalInto(dst, data []byte) error {
 	size, rest, err := takeUvarint(data, "root length")
 	if err != nil {
 		return err
@@ -67,7 +74,7 @@ func (c *Commitment) UnmarshalBinary(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
 	}
-	c.Root = append([]byte(nil), root...)
+	c.Root = append(dst[:0], root...)
 	c.N = n
 	return nil
 }
@@ -91,7 +98,12 @@ func (ch Challenge) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a challenge produced by MarshalBinary.
-func (ch *Challenge) UnmarshalBinary(data []byte) error {
+func (ch *Challenge) UnmarshalBinary(data []byte) error { return ch.UnmarshalInto(nil, data) }
+
+// UnmarshalInto is UnmarshalBinary into the caller's storage: the indices
+// land in dst's backing array, grown only when too small, and ch.Indices
+// aliases it. On error ch is left as it was; dst's contents may not be.
+func (ch *Challenge) UnmarshalInto(dst []uint64, data []byte) error {
 	m, rest, err := takeUvarint(data, "challenge count")
 	if err != nil {
 		return err
@@ -105,7 +117,7 @@ func (ch *Challenge) UnmarshalBinary(data []byte) error {
 		// sized so a bare count cannot buy an allocation.
 		return fmt.Errorf("%w: challenge declares %d indices, %d bytes remain", ErrProtocol, m, len(rest))
 	}
-	indices := make([]uint64, m)
+	indices := slices.Grow(dst[:0], int(m))[:m]
 	for k := range indices {
 		if indices[k], rest, err = takeUvarint(rest, "challenge index"); err != nil {
 			return err

@@ -4,6 +4,7 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -197,15 +198,22 @@ func TestSessionCodecAllocs(t *testing.T) {
 
 // taskFixedCostAllocBound is what one honest CBS task of n = 64, m = 8 may
 // allocate end to end — supervisor session, participant, both codecs — over
-// a pipe: the measured 23 plus 4. It is the benchmark's allocs_per_task on
+// a pipe: the measured 14 plus 2. It is the benchmark's allocs_per_task on
 // tcp_small as a unit test, less what only the stream dispatcher and a TCP
-// link add (100 there before the session layer stopped reading through
-// bytes.Reader and set each side up in one object, 56 after, 48 in this test
-// while every task bought its tree, proof scratch and verifier; both sides
-// now borrow them from the connection — commitKit, auditKit). What is left is
-// per task by nature: the payloads a writer owns until flush, the three task
-// objects, the batch decoder's private copies, and the workload's set-up.
-const taskFixedCostAllocBound = 27
+// link add. What is left is per task by nature:
+//   - the payloads a writer owns until flush: assignment, commitment,
+//     challenge and proofs;
+//   - decodeBatch's carve of each frame that arrives (four at window 1);
+//   - taskAttempt and TaskOutcome, because the caller keeps the outcome;
+//   - the producer the ProducerFactory builds.
+//
+// Everything else is lent by the connection or shared by the session: the
+// kits (commitKit, auditKit), the participant's task slot and its executor,
+// the workload and its screener, the supervisor's randomness stream, the
+// supervisor's task connection, and the storage the commitment and the
+// challenge decode into. (The bound was 27 while each task made those ten
+// objects itself, and 100 before the session layer read in place.)
+const taskFixedCostAllocBound = 16
 
 // TestTaskFixedCostAllocs runs that task over one Session, both ends in
 // this process.
@@ -328,5 +336,35 @@ func TestKitSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, task); allocs != 1 {
 			t.Errorf("n=%d: a task on warm kits allocates %.0f objects on both sides, want 1 (the response payload)", n, allocs)
 		}
+	}
+}
+
+// TestDispatcherLeaseAllocs pins the stream dispatcher's side: a claim's
+// lease comes back to the dispatcher when its worker releases it, so
+// claiming, starting and completing a task on a warm dispatcher allocates
+// nothing.
+func TestDispatcherLeaseAllocs(t *testing.T) {
+	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 4}}, 1)
+	if err != nil {
+		t.Fatalf("NewSupervisorPool: %v", err)
+	}
+	_, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d := newDispatcher(pool, &streamConfig{}, SliceTaskSource(nil), 1, cancel)
+	conn, _ := transport.Pipe()
+	slot := newConnSlot(conn, nil)
+	task := poolTasks(1, 64)[0]
+	cycle := func() {
+		d.mu.Lock()
+		l := d.leaseLocked(ticket{task: task}, slot)
+		d.mu.Unlock()
+		if !d.start(l) {
+			t.Fatal("lease did not start")
+		}
+		d.complete(l, false)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("claim, start and complete allocate %.1f objects on a warm dispatcher, want 0", allocs)
 	}
 }

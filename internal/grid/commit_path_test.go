@@ -309,7 +309,7 @@ func TestCrossCheckReportsLookup(t *testing.T) {
 	} {
 		var tr taskRun
 		tr.init(sup, task)
-		if got := tr.crossCheckReports(task, f, indices, tc.reports); got != tc.want {
+		if got := tr.crossCheckReports(task, &sharedWorkload{f: f, screener: f.Screener()}, indices, tc.reports); got != tc.want {
 			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
 		}
 		if tc.want == "" && tr.evals != int64(len(indices)) {

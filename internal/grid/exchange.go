@@ -255,9 +255,10 @@ func (pt *preparedTask) ingest(msg transport.Message) error {
 
 func (pt *preparedTask) ingestCommit(payload []byte) error {
 	st := &pt.st
-	if err := st.commitment.UnmarshalBinary(payload); err != nil {
+	if err := st.commitment.UnmarshalInto(pt.kit.root, payload); err != nil {
 		return fmt.Errorf("%w: commitment: %v", ErrBadPayload, err)
 	}
+	pt.kit.root = st.commitment.Root
 	st.haveCommit = true
 	st.phase = phaseAwaitReports
 	return nil
@@ -343,7 +344,7 @@ func (pt *preparedTask) afterReports() error {
 			st.phase = phaseVerdict
 			return nil
 		}
-		if err := pt.kit.verifier.Reset(st.commitment, core.WithRand(pt.tr.rng)); err != nil {
+		if err := pt.kit.verifier.Reset(st.commitment, core.WithRand(&pt.tr.rng)); err != nil {
 			return err
 		}
 		st.verifier = &pt.kit.verifier
@@ -407,7 +408,7 @@ func (pt *preparedTask) decide() error {
 		}
 		pt.outcome.Verdict = Verdict{Accepted: true}
 		if tr.sup.cfg.CrossCheckReports {
-			if reason := tr.crossCheckReports(task, pt.f, st.challenge.Indices, pt.outcome.Reports); reason != "" {
+			if reason := tr.crossCheckReports(task, pt.work, st.challenge.Indices, pt.outcome.Reports); reason != "" {
 				pt.outcome.Verdict = Verdict{Reason: reason}
 			}
 		}
@@ -415,7 +416,7 @@ func (pt *preparedTask) decide() error {
 		return nil
 
 	case SchemeNaive:
-		sampler, err := baseline.NewNaiveSampling(tr.sup.cfg.Spec.M, tr.rng)
+		sampler, err := baseline.NewNaiveSampling(tr.sup.cfg.Spec.M, &tr.rng)
 		if err != nil {
 			return err
 		}

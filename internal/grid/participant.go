@@ -188,22 +188,26 @@ const sessionInboxCap = 8
 
 // participantSession is the worker-side end of a session: the serve loop
 // demultiplexes tagged messages by task ID and executes the assigned tasks
-// concurrently, one taskExecution each. Outgoing messages funnel through a
-// coalescing batch writer.
+// concurrently, each in a task slot the session keeps. Outgoing messages
+// funnel through a coalescing batch writer.
 type participantSession struct {
 	p *Participant
 	// seq is the session's place in the participant's session order.
 	seq    uint64
 	conn   transport.Conn
 	writer *batchWriter
-	wg     sync.WaitGroup
+	// executors counts the slots' executor goroutines.
+	executors sync.WaitGroup
 	// batch is the serve loop's decode scratch.
 	batch []taggedMsg
+	// work is the workload instance the session's tasks share.
+	work workloadCache
 
-	// mu guards the in-flight tasks and, inside each, its inbox, and the
-	// free list of commitment kits.
+	// mu guards the in-flight tasks and, inside each slot, its assignment and
+	// inbox, and the free lists of task slots and commitment kits.
 	mu      sync.Mutex
 	tasks   map[uint64]*participantTask
+	slots   []*participantTask
 	kits    []*commitKit
 	done    bool
 	taskErr error
@@ -221,22 +225,24 @@ type participantSession struct {
 // startTask pops a kit off participantSession.kits (or the task makes its own
 // in runCBS when the list is empty) under the ps.mu it takes to register the
 // task. Aliases: taskExecution.digest is the kit's root buffer until the
-// window settle that follows the verdict has read it; nothing else outlives
+// window settle that follows the verdict has read it; the challenge runCBS
+// decodes into indices is read by the response alone; nothing else outlives
 // runCBS, because every message it sends — commitment, reports, proofs — is
 // marshaled into a payload of its own, which the writer owns until flush.
 // Return: participantSession.returnKit, under ps.mu, after cutting digest —
-// called by executeTask once the window settle has read the digest and
-// before the verdict ack is enqueued (the ack frees the supervisor's window
-// slot, and the task it assigns next must find the kit listed), and by
-// participantTask.run for a task that ended before that point. A task
-// resumed on a replacement connection is a new participantTask there and
-// rebuilds its tree bit-identically in that session's kit, so no kit ever
-// crosses a connection: the list never holds more kits than the connection
-// had tasks in flight at once, and it dies with the connection.
+// called by participantTask.run once the task's execution is over (the
+// window settle has read the digest) and before the verdict ack is enqueued:
+// the ack frees the supervisor's window slot, and the task it assigns next
+// must find the kit listed. A task resumed on a replacement connection runs
+// in a slot of that session and rebuilds its tree bit-identically in that
+// session's kit, so no kit ever crosses a connection: the list never holds
+// more kits than the connection had tasks in flight at once, and it dies
+// with the connection.
 type commitKit struct {
 	prover  core.Prover
 	scratch merkle.ProofScratch
 	resp    core.Response
+	indices []uint64
 	buf     []byte
 	// exec is the task borrowing the kit; claim, made once, is the leaf
 	// function the prover sees and forwards to it.
@@ -247,15 +253,19 @@ type commitKit struct {
 // scribbleKit, when set (tests only), is handed every kit on its way back to
 // a free list — a participant's commitKit or a supervisor's auditKit, the
 // other argument nil — to overwrite, so a stale alias into a returned kit
-// reads garbage instead of the previous task's bytes.
-var scribbleKit func(commit *commitKit, audit *auditKit)
+// reads garbage instead of the previous task's bytes. scribbleSlot does the
+// same for a participant's task slot.
+var (
+	scribbleKit  func(commit *commitKit, audit *auditKit)
+	scribbleSlot func(slot *participantTask)
+)
 
 // Serve owns conn until the peer closes it (io.EOF), serving the
 // supervisor's session: every frame is a msgBatch of task-tagged messages,
 // demultiplexed by task ID, and the assigned tasks execute concurrently.
 // Anything else — a bare msgAssign included — is ErrUnexpectedMessage and
 // ends the serve with the connection closed. It returns the first receive,
-// dispatch, task, or send error.
+// dispatch, task, or send error, once every task slot's executor has exited.
 func (p *Participant) Serve(conn transport.Conn) error {
 	p.mu.Lock()
 	p.sessions++
@@ -298,14 +308,18 @@ func (p *Participant) Serve(conn transport.Conn) error {
 	}
 	// Stop routing. Tasks still blocked on a message observe EOF once they
 	// drain what was queued before shutdown; messages already routed (the
-	// peer sends every verdict before closing) complete normally.
+	// peer sends every verdict before closing) complete normally. Every
+	// executor exits once its slot is idle.
 	ps.mu.Lock()
 	ps.done = true
 	for _, t := range ps.tasks {
 		t.arrived.Broadcast()
 	}
+	for _, t := range ps.slots {
+		t.arrived.Broadcast()
+	}
 	ps.mu.Unlock()
-	ps.wg.Wait()
+	ps.executors.Wait()
 	werr := ps.writer.close()
 	ps.mu.Lock()
 	taskErr := ps.taskErr
@@ -426,18 +440,36 @@ func (ps *participantSession) handleCtrl(tm taggedMsg) error {
 	}
 }
 
-// participantTask is one in-flight task on the participant side, in one
+// participantTask is a task slot of a participant session, in one
 // allocation: its end of the session (tagged sends, the inbox the serve loop
-// fills), the assignment it runs, and the execution state executeTask sets
-// up — the evaluation counter the producer is built around and the scheme
-// runner's scratch.
+// fills), the assignment it runs, the execution state executeTask sets up —
+// the evaluation counter the producer is built around and the scheme
+// runner's scratch — and an executor goroutine that runs one assignment after
+// another (serve).
+//
+// Ownership, like commitKit's. Borrow: startTask pops a slot off
+// participantSession.slots under ps.mu — or makes one and starts its
+// executor when the list is empty — clears its inbox, hands it the
+// assignment and wakes the executor. Aliases: ps.tasks routes the task's
+// messages to the slot until run takes the task out; every message the task
+// sends is a payload of its own. Return: run, under the ps.mu in which it
+// takes the task out of ps.tasks and returns its kit, and before it enqueues
+// the verdict ack — which frees the supervisor's window slot, so the task the
+// supervisor assigns next finds the slot listed. A session whose supervisor
+// waits for every ack therefore holds no more slots, nor executors, than its
+// window, and Serve, once routing stops, wakes every executor and waits for
+// it to exit.
 type participantTask struct {
 	ps  *participantSession
 	a   assignment
 	res *resumeMsg
+	// resume is the storage res points at for a resumed task.
+	resume resumeMsg
 
-	// inbox is a ring of undelivered messages, queued of them from head on;
-	// arrived wakes Recv. All three are guarded by ps.mu.
+	// assigned says the slot holds a task for its executor; inbox is a ring of
+	// undelivered messages, queued of them from head on; arrived wakes Recv
+	// and the idle executor. All four are guarded by ps.mu.
+	assigned     bool
 	inbox        [sessionInboxCap]transport.Message
 	head, queued int
 	arrived      sync.Cond
@@ -446,64 +478,105 @@ type participantTask struct {
 	exec    taskExecution
 }
 
-// startTask registers the task and executes the assignment on its own
-// goroutine over the task's end of the session. res carries the
-// supervisor's resume handshake when the task is re-announced on a
+// startTask registers the task and hands the assignment to a task slot's
+// executor, which runs it over the task's end of the session. res carries
+// the supervisor's resume handshake when the task is re-announced on a
 // replacement connection; the execution then re-derives its deterministic
 // state and replays only what the supervisor is missing.
 func (ps *participantSession) startTask(a assignment, res *resumeMsg) error {
-	t := &participantTask{ps: ps, a: a, res: res}
-	t.arrived.L = &ps.mu
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	if _, dup := ps.tasks[a.Task.ID]; dup {
-		ps.mu.Unlock()
 		return fmt.Errorf("%w: duplicate in-flight task %d", ErrUnexpectedMessage, a.Task.ID)
 	}
-	ps.tasks[a.Task.ID] = t
+	var t *participantTask
+	if last := len(ps.slots) - 1; last >= 0 {
+		t, ps.slots = ps.slots[last], ps.slots[:last]
+	} else {
+		t = &participantTask{ps: ps}
+		t.arrived.L = &ps.mu
+		ps.executors.Add(1)
+		go t.serve()
+	}
+	t.a, t.res = a, nil
+	if res != nil {
+		t.resume = *res
+		t.res = &t.resume
+	}
+	// A task that failed may have left messages behind.
+	t.inbox, t.head, t.queued = [sessionInboxCap]transport.Message{}, 0, 0
 	if last := len(ps.kits) - 1; last >= 0 {
 		t.exec.kit, ps.kits = ps.kits[last], ps.kits[:last]
 	}
-	ps.mu.Unlock()
-	ps.wg.Add(1)
-	go t.run()
+	ps.tasks[a.Task.ID] = t
+	t.assigned = true
+	t.arrived.Signal()
 	return nil
 }
 
-// run executes the task and retires it from the session.
+// serve is the slot's executor: it runs every assignment startTask hands the
+// slot and exits once the session has stopped routing and the slot is idle.
+func (t *participantTask) serve() {
+	ps := t.ps
+	defer ps.executors.Done()
+	ps.mu.Lock()
+	for {
+		for !t.assigned && !ps.done {
+			t.arrived.Wait()
+		}
+		if !t.assigned {
+			ps.mu.Unlock()
+			return
+		}
+		ps.mu.Unlock()
+		t.run()
+		ps.mu.Lock()
+	}
+}
+
+// run executes the slot's task, retires it from the session, puts its kit
+// and the slot back on the session's lists and, once the verdict landed,
+// acknowledges it — reading nothing of the slot after listing it.
 func (t *participantTask) run() {
 	ps, id := t.ps, t.a.Task.ID
-	defer ps.wg.Done()
 	err := ps.p.executeTask(t, t.a, t.res)
-	if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
-		// The connection died under the task. The supervisor holds
-		// resumable state and will re-announce on a replacement
-		// connection, so this is a clean per-task abort, not a session
-		// error.
-		err = nil
-	}
-	ps.returnKit(t) // a task that ended in an error still holds its kit
 	ps.mu.Lock()
-	if !ps.done {
-		delete(ps.tasks, id)
+	ps.returnKit(t)
+	delete(ps.tasks, id)
+	t.assigned = false
+	if scribbleSlot != nil {
+		scribbleSlot(t)
 	}
-	if err != nil && ps.taskErr == nil {
+	ps.slots = append(ps.slots, t)
+	ps.mu.Unlock()
+	if err == nil {
+		// Acknowledge so the supervisor knows the ruling landed; a verdict
+		// frame lost to a fault is re-delivered on the resumed connection
+		// until acked (recordVerdict keeps the counters exactly-once under
+		// re-delivery).
+		err = ps.writer.enqueue(taggedMsg{TaskID: id, Type: msgVerdictAck}, nil)
+	}
+	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
+		// A connection that died under the task is a clean per-task abort,
+		// not a session error: the supervisor holds resumable state and will
+		// re-announce on a replacement connection.
+		return
+	}
+	ps.mu.Lock()
+	if ps.taskErr == nil {
 		ps.taskErr = fmt.Errorf("grid: participant %s task %d: %w", ps.p.id, id, err)
 	}
 	ps.mu.Unlock()
-	if err != nil {
-		// A failed task cannot answer its supervisor-side exchange, which
-		// would otherwise wait forever. Abort the whole session: closing
-		// the connection unblocks both the peer and our own serve loop.
-		_ = ps.conn.Close()
-	}
+	// A failed task cannot answer its supervisor-side exchange, which would
+	// otherwise wait forever. Abort the whole session: closing the connection
+	// unblocks both the peer and our own serve loop.
+	_ = ps.conn.Close()
 }
 
 // returnKit puts the task's commitment kit, if it still holds one, back on
 // the session's list (commitKit has the rule): the digest is the last alias
-// into it.
+// into it. Caller holds ps.mu.
 func (ps *participantSession) returnKit(t *participantTask) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
 	kit := t.exec.kit
 	if kit == nil {
 		return
@@ -538,12 +611,13 @@ func (t *participantTask) Recv() (transport.Message, error) {
 	return m, nil
 }
 
-// executeTask runs one assignment end to end, including the verification
-// exchange the scheme requires, over the task's session endpoint. A non-nil
-// res means the supervisor is resuming the task on a replacement connection:
-// the execution recomputes its deterministic state (producers decide per
-// input, so a re-run claims identical values) and replays only the messages
-// the supervisor does not already hold.
+// executeTask runs one assignment up to its verdict, including the
+// verification exchange the scheme requires, over the task's session
+// endpoint; the caller acknowledges the verdict (run). A non-nil res means the
+// supervisor is resuming the task on a replacement connection: the execution
+// recomputes its deterministic state (producers decide per input, so a re-run
+// claims identical values) and replays only the messages the supervisor does
+// not already hold.
 func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) error {
 	if err := a.Task.validate(); err != nil {
 		return err
@@ -565,11 +639,15 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	if err := a.Spec.validate(); err != nil {
 		return err
 	}
-	base, err := workload.New(a.Task.Workload, a.Task.Seed)
+	var cache *workloadCache // a bare protoConn's task shares nothing
+	if t.ps != nil {
+		cache = &t.ps.work
+	}
+	w, err := cache.get(a.Task.Workload, a.Task.Seed)
 	if err != nil {
 		return err
 	}
-	t.counter = *workload.Count(base)
+	t.counter = *workload.Count(w.f)
 	producer, err := p.factory(&t.counter)
 	if err != nil {
 		return err
@@ -578,7 +656,7 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 		task:        a.Task,
 		spec:        a.Spec,
 		producer:    producer,
-		screener:    base.Screener(),
+		screener:    w.screener,
 		parallelism: p.cfg.proverParallelism,
 		kit:         t.exec.kit,
 	}
@@ -611,7 +689,8 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 	// A windowed task joins the rolling commitment exactly when its verdict
 	// first counts, and the window commit (if this task fills one) must be
 	// enqueued before the verdict ack: the batch writer is FIFO, so the
-	// supervisor always processes the commit before it settles the task.
+	// supervisor always processes the commit before it settles the task. The
+	// settle is the kit's last use.
 	if first && a.Spec.WindowTasks > 0 && exec.digest != nil && t.ps != nil {
 		pw, err := p.windowsFor(a.Spec)
 		if err != nil {
@@ -622,17 +701,7 @@ func (p *Participant) executeTask(conn protoConn, a assignment, res *resumeMsg) 
 			return err
 		}
 	}
-	if t.ps != nil {
-		// The settle above was the kit's last use, and the ack below frees the
-		// supervisor's window slot for a next task, which must find the kit
-		// back on the list.
-		t.ps.returnKit(t)
-	}
-	// Acknowledge so the supervisor knows the ruling landed; a verdict
-	// frame lost to a fault is re-delivered on the resumed connection until
-	// acked (recordVerdict keeps the counters exactly-once under
-	// re-delivery).
-	return conn.Send(transport.Message{Type: msgVerdictAck})
+	return nil
 }
 
 // supersede drops the counted tombstone of task id for a fresh assignment
@@ -867,9 +936,10 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 			return err
 		}
 	case res != nil && res.Challenge != nil:
-		if err := ch.UnmarshalBinary(res.Challenge); err != nil {
+		if err := ch.UnmarshalInto(kit.indices, res.Challenge); err != nil {
 			return fmt.Errorf("%w: resumed challenge: %v", ErrBadPayload, err)
 		}
+		kit.indices = ch.Indices
 	default:
 		msg, err := conn.Recv()
 		if err != nil {
@@ -878,9 +948,10 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		if msg.Type != msgChallenge {
 			return fmt.Errorf("%w: got type %d, want challenge", ErrUnexpectedMessage, msg.Type)
 		}
-		if err := ch.UnmarshalBinary(msg.Payload); err != nil {
+		if err := ch.UnmarshalInto(kit.indices, msg.Payload); err != nil {
 			return fmt.Errorf("%w: challenge: %v", ErrBadPayload, err)
 		}
+		kit.indices = ch.Indices
 	}
 	if err := prover.RespondInto(&kit.resp, &kit.scratch, ch.Indices); err != nil {
 		return err

@@ -374,7 +374,9 @@ func (s *Session) fail(err error) {
 
 // sessionTaskConn is the virtual protoConn of one in-flight task: sends are
 // tagged with the task ID and coalesced by the session writer; receives are
-// demultiplexed by ID from the shared connection.
+// demultiplexed by ID from the shared connection. It lives in the attempt's
+// audit kit, which register reopens it from (open) on every session the
+// attempt attaches to.
 type sessionTaskConn struct {
 	sess *Session
 	id   uint64
@@ -394,6 +396,19 @@ type sessionTaskConn struct {
 	sent     atomic.Int64
 	recv     int64
 	inflight sync.WaitGroup
+}
+
+// open starts c as task id's end of sess: an empty inbox and no bytes
+// counted. Its in-flight sends are already zero — the attempt's last detach
+// came after awaitSends — so nothing from the task it served before is left.
+//
+//gridlint:credit zeroes the byte counters a reused task connection starts from; detach folded them into the attempt
+func (c *sessionTaskConn) open(sess *Session, id uint64) {
+	c.sess, c.id = sess, id
+	clear(c.inboxBuf[:])
+	c.inbox, c.head = c.inboxBuf[:0], 0
+	c.sent.Store(0)
+	c.recv = 0
 }
 
 // Send implements protoConn. The message's bytes are credited when the
@@ -597,8 +612,9 @@ func (s *Session) sendCtrl(typ uint8, payload []byte) error {
 	return s.writer.enqueue(taggedMsg{TaskID: ctrlTaskID, Type: typ, Payload: payload}, nil)
 }
 
-// register adds at's task to the demultiplexer and lends the attempt an
-// audit kit if it does not travel with one. Task IDs are the wire-level
+// register adds at's task to the demultiplexer through the task connection
+// of its audit kit, lending the attempt a kit first if it does not travel
+// with one. Task IDs are the wire-level
 // routing key and must not return while the participant may still hold the
 // task that last used them: it tears its side of a finished task down
 // asynchronously, so immediate reuse would race it. That race spans one
@@ -619,9 +635,6 @@ func (s *Session) register(at *taskAttempt) (*sessionTaskConn, error) {
 		return nil, fmt.Errorf("%w: task %d already run on this session (IDs must be unique per session)", ErrBadConfig, taskID)
 	}
 	s.used[taskID] = struct{}{}
-	c := &sessionTaskConn{sess: s, id: taskID}
-	c.inbox = c.inboxBuf[:0]
-	s.tasks[taskID] = c
 	if at.pt.kit == nil {
 		if last := len(s.kits) - 1; last >= 0 {
 			at.pt.kit, s.kits = s.kits[last], s.kits[:last]
@@ -630,6 +643,9 @@ func (s *Session) register(at *taskAttempt) (*sessionTaskConn, error) {
 		}
 		at.pt.tr.buf = at.pt.kit.evalBuf
 	}
+	c := &at.pt.kit.conn
+	c.open(s, taskID)
+	s.tasks[taskID] = c
 	return c, nil
 }
 
@@ -647,6 +663,7 @@ func (s *Session) detach(c *sessionTaskConn, at *taskAttempt, err error) {
 	at.bytesSent += c.sent.Load()
 	at.bytesRecv += c.recv
 	delete(s.tasks, c.id)
+	clear(c.inbox) // what a failed exchange left unread
 	if len(s.finished) < maxVerdictTombstones {
 		s.finished = append(s.finished, c.id)
 	} else {

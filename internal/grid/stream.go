@@ -64,7 +64,10 @@ const (
 	leaseRevoked
 )
 
-// lease is one worker's revocable hold on a ticket.
+// lease is one worker's revocable hold on a ticket. The dispatcher recycles
+// it (freeLocked) once its worker is done with it: when start revokes it,
+// or when complete or parkForResume releases it. A worker reads nothing of a
+// lease after handing it to one of those three.
 type lease struct {
 	ticket
 	slot  *connSlot
@@ -141,6 +144,8 @@ type dispatcher struct {
 	pending []ticket
 	pinned  map[*connSlot][]ticket
 	leases  map[*lease]struct{}
+	// free holds released leases for the next claims.
+	free []*lease
 	// retired slots take no fresh work; dead ones (a subset) have lost their
 	// link for good.
 	retired map[*connSlot]bool
@@ -516,9 +521,21 @@ func (d *dispatcher) pinnedEmptyLocked() bool {
 }
 
 func (d *dispatcher) leaseLocked(t ticket, sl *connSlot) *lease {
-	l := &lease{ticket: t, slot: sl, state: leaseClaimed}
+	var l *lease
+	if last := len(d.free) - 1; last >= 0 {
+		l, d.free = d.free[last], d.free[:last]
+	} else {
+		l = new(lease)
+	}
+	*l = lease{ticket: t, slot: sl, state: leaseClaimed}
 	d.leases[l] = struct{}{}
 	return l
+}
+
+// freeLocked takes back a lease its worker is done with.
+func (d *dispatcher) freeLocked(l *lease) {
+	*l = lease{}
+	d.free = append(d.free, l)
 }
 
 // start transitions the lease to started, under the lock retirement takes.
@@ -530,11 +547,12 @@ func (d *dispatcher) start(l *lease) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if l.state == leaseRevoked {
+		d.freeLocked(l)
 		return false
 	}
 	if d.cancelled || (!l.bound() && d.retired[l.slot] && d.rerouteLocked(l.ticket)) {
-		l.state = leaseRevoked
 		delete(d.leases, l)
+		d.freeLocked(l)
 		d.cond.Broadcast()
 		return false
 	}
@@ -551,6 +569,7 @@ func (d *dispatcher) complete(l *lease, rejected bool) {
 		d.retireLocked(l.slot)
 	}
 	delete(d.leases, l)
+	d.freeLocked(l)
 	d.cond.Broadcast()
 	d.mu.Unlock()
 }
@@ -564,14 +583,15 @@ func (d *dispatcher) parkForResume(l *lease) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.leases, l)
-	t := l.ticket
+	t, sl := l.ticket, l.slot
+	d.freeLocked(l)
 	stays := d.replicas > 0 || (t.at != nil && t.at.started())
 	switch {
-	case stays && d.dead[l.slot]:
+	case stays && d.dead[sl]:
 		d.restartTicketLocked(t)
 	case stays:
-		t.pin = l.slot
-		d.pinned[l.slot] = append(d.pinned[l.slot], t)
+		t.pin = sl
+		d.pinned[sl] = append(d.pinned[sl], t)
 	default:
 		t.pin = nil
 		d.pending = append(d.pending, t)
@@ -894,11 +914,12 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 		if !d.start(l) {
 			continue
 		}
+		id := l.task.ID
 		if l.at == nil {
 			at, err := p.sup.NewAttempt(l.task)
 			if err != nil {
 				d.complete(l, false)
-				d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
+				d.fail(fmt.Errorf("grid: task %d: %w", id, err))
 				return
 			}
 			at.pt.outcome.Replica = l.replica
@@ -932,7 +953,7 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 			// close its eval and byte accounting here.
 			d.abandonAttempt(l.at)
 			d.complete(l, false)
-			d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
+			d.fail(fmt.Errorf("grid: task %d: %w", id, err))
 			return
 		}
 		p.bytesSent.Add(outcome.BytesSent)
@@ -944,7 +965,7 @@ func (p *SupervisorPool) streamWorker(ctx context.Context, d *dispatcher, sl *co
 		if d.replicas > 0 {
 			if settled, err = d.vote(settled[0], l.at.pt.st.results); err != nil {
 				d.complete(l, false)
-				d.fail(fmt.Errorf("grid: task %d: %w", l.task.ID, err))
+				d.fail(fmt.Errorf("grid: task %d: %w", id, err))
 				return
 			}
 		}

@@ -38,6 +38,8 @@ type SupervisorConfig struct {
 // use.
 type Supervisor struct {
 	cfg SupervisorConfig
+	// work is the workload instance every task of the supervisor shares.
+	work workloadCache
 
 	// evals counts supervisor-side evaluations of f spent on verification,
 	// aggregated across all (possibly concurrent) tasks.
@@ -68,11 +70,11 @@ func taskSeed(seed int64, taskID uint64) int64 {
 
 // taskRun carries the mutable state of one task execution — its randomness
 // stream, verification-eval counter and evaluation scratch — so concurrent
-// tasks never contend on supervisor fields. rng reads from src, so a taskRun
-// is set up in place (init) and never copied.
+// tasks never contend on supervisor fields. rng is held by value and reads
+// from src, so a taskRun is set up in place (init) and never copied.
 type taskRun struct {
 	sup   *Supervisor
-	rng   *rand.Rand
+	rng   rand.Rand
 	src   taskSource
 	evals int64
 	// buf receives every f(x) the supervisor recomputes for this task; see
@@ -95,7 +97,7 @@ func (tr *taskRun) eval(f workload.Function, x uint64) []byte {
 func (tr *taskRun) init(s *Supervisor, task Task) {
 	tr.sup = s
 	tr.src.state = uint64(taskSeed(s.cfg.Seed, task.ID))
-	tr.rng = rand.New(&tr.src)
+	tr.rng = *rand.New(&tr.src)
 }
 
 // taskSource is the generator under a task's randomness stream: splitmix64
@@ -150,6 +152,48 @@ type TaskOutcome struct {
 	Replica int
 }
 
+// sharedWorkload is one workload instance together with what both ends
+// derive from it: its screener and, when it has one, its cheap output
+// verifier. A workload.Function is deterministic and safe for concurrent use
+// by contract, and every screener is a pure function of its input, so the
+// tasks of a participant session, or of a supervisor, share one.
+type sharedWorkload struct {
+	name     string
+	seed     uint64
+	f        workload.Function
+	screener workload.Screener
+	cheap    workload.OutputVerifier
+}
+
+// workloadCache hands out the sharedWorkload of a (name, seed). It keeps the
+// one asked for last: the tasks of a stream share theirs, so a lookup is an
+// atomic load and two compares, while tasks that alternate between workloads
+// build one per switch and the cache stays one entry however many seeds it
+// sees. Safe for concurrent use.
+type workloadCache struct {
+	last atomic.Pointer[sharedWorkload]
+}
+
+// get returns the shared instance of workload name at seed; a nil cache
+// builds one that nothing else shares.
+func (c *workloadCache) get(name string, seed uint64) (*sharedWorkload, error) {
+	if c != nil {
+		if w := c.last.Load(); w != nil && w.seed == seed && w.name == name {
+			return w, nil
+		}
+	}
+	f, err := workload.New(name, seed)
+	if err != nil {
+		return nil, err
+	}
+	w := &sharedWorkload{name: name, seed: seed, f: f, screener: f.Screener()}
+	w.cheap, _ = workload.AsOutputVerifier(f)
+	if c != nil {
+		c.last.Store(w)
+	}
+	return w, nil
+}
+
 // protoConn is the one-task view of a connection: ordered Send/Recv of a
 // single task's protocol messages. A session hands each in-flight task a
 // virtual protoConn multiplexed over the one shared transport.Conn; the
@@ -170,9 +214,9 @@ type protoConn interface {
 // allocated apart.
 type preparedTask struct {
 	assign assignment
-	f      workload.Function
-	// cheap is f's output verifier when it has one (checkOutput).
-	cheap   workload.OutputVerifier
+	// work is the task's workload: f, its screener and, when it has one, its
+	// cheap output verifier (checkOutput) — the supervisor's shared instance.
+	work    *sharedWorkload
 	tr      taskRun
 	ringers *baseline.RingerSet
 	outcome *TaskOutcome
@@ -186,19 +230,22 @@ type preparedTask struct {
 	ledger *WindowLedger
 }
 
-// auditKit is everything a CBS audit needs whose shape does not change from
-// one task to the next: the verifier (root buffer, proof verifier, hash
-// state, climb scratch), the scratch the response's multiproof is decoded
-// into, the storage the interactive challenge is drawn into and the buffer
-// the supervisor's recomputations of f land in. A session lends one to each
-// attempt it runs and resets it in place for the next.
+// auditKit is everything an audit needs whose shape does not change from one
+// task to the next: the task's end of the session (its tagged sends and
+// inbox), the verifier (root buffer, proof verifier, hash state, climb
+// scratch), the storage the commitment is decoded into, the scratch the
+// response's multiproof is decoded into, the storage the interactive
+// challenge is drawn into and the buffer the supervisor's recomputations of f
+// land in. A session lends one to each attempt it runs and resets it in place
+// for the next.
 //
 // Ownership, the way transport/pool.go states it for frames. Borrow:
 // Session.register, under the sess.mu it takes to register the task, pops a
-// kit off Session.kits (or makes one) for an attempt that has none. Aliases:
-// exchangeState.verifier, .challenge.Indices (interactive CBS) and .proofs
-// point into the kit, and taskRun.buf is its eval buffer — all of them state
-// a resumed exchange must find intact. So the kit travels with the attempt:
+// kit off Session.kits (or makes one) for an attempt that has none, and
+// (re)opens the kit's task connection on that session. Aliases:
+// exchangeState.verifier, .commitment.Root, .challenge.Indices (interactive
+// CBS) and .proofs point into the kit, and taskRun.buf is its eval buffer —
+// all of them state a resumed exchange must find intact. So the kit travels with the attempt:
 // an exchange that ends in ErrConnQuarantined keeps it, across sessions and
 // connections, and a quarantined attempt that is later abandoned takes its
 // kit to the collector with it. Return:
@@ -209,7 +256,9 @@ type preparedTask struct {
 // therefore never holds more kits than the connection had attempts attached
 // at once, and it dies with the session.
 type auditKit struct {
+	conn      sessionTaskConn
 	verifier  core.Verifier
+	root      []byte
 	scratch   merkle.ProofScratch
 	challenge []uint64
 	evalBuf   []byte
@@ -222,31 +271,31 @@ func (pt *preparedTask) returnKit() {
 	pt.kit.evalBuf = pt.tr.buf[:0]
 	pt.kit, pt.tr.buf = nil, nil
 	pt.st.verifier, pt.st.challenge, pt.st.proofs = nil, core.Challenge{}, core.Response{}
+	pt.st.commitment.Root = nil
 }
 
-// prepareTask runs the assignment phase into pt: validate the task,
-// instantiate the workload and the task's private randomness stream, and
-// (ringer scheme) plant the secrets. No traffic is generated; ringer
-// evaluations are charged to the task's verification budget.
+// prepareTask runs the assignment phase into pt: validate the task, look up
+// the workload and start the task's private randomness stream, and (ringer
+// scheme) plant the secrets. No traffic is generated; ringer evaluations are
+// charged to the task's verification budget.
 func (s *Supervisor) prepareTask(pt *preparedTask, task Task) error {
 	if err := task.validate(); err != nil {
 		return err
 	}
-	f, err := workload.New(task.Workload, task.Seed)
+	w, err := s.work.get(task.Workload, task.Seed)
 	if err != nil {
 		return err
 	}
 	pt.assign = assignment{Task: task, Spec: s.cfg.Spec}
-	pt.f = f
-	pt.cheap, _ = workload.AsOutputVerifier(f)
+	pt.work = w
 	pt.tr.init(s, task)
 	pt.outcome = &TaskOutcome{Task: task, CheatIndex: -1}
 	pt.st.phase = initialPhase(s.cfg.Spec.Kind)
 	if s.cfg.Spec.Kind == SchemeRinger {
 		// Secrets are domain-relative; f is evaluated at absolute inputs.
 		pt.ringers, err = baseline.PlantRingers(
-			func(x uint64) []byte { return pt.tr.eval(f, task.Start+x) },
-			task.N, s.cfg.Spec.M, pt.tr.rng)
+			func(x uint64) []byte { return pt.tr.eval(w.f, task.Start+x) },
+			task.N, s.cfg.Spec.M, &pt.tr.rng)
 		if err != nil {
 			return err
 		}
@@ -313,13 +362,13 @@ func (s *Supervisor) sendVerdict(conn protoConn, outcome *TaskOutcome) error {
 // verification budget.
 func (pt *preparedTask) checkOutput(index uint64, output []byte) error {
 	x := pt.assign.Task.Start + index
-	if pt.cheap != nil {
-		if !pt.cheap.VerifyOutput(x, output) {
+	if cheap := pt.work.cheap; cheap != nil {
+		if !cheap.VerifyOutput(x, output) {
 			return core.ErrWrongOutput
 		}
 		return nil
 	}
-	want := pt.tr.eval(pt.f, x)
+	want := pt.tr.eval(pt.work.f, x)
 	if len(want) != len(output) {
 		return fmt.Errorf("%w: length %d, want %d", core.ErrWrongOutput, len(output), len(want))
 	}
@@ -334,8 +383,7 @@ func (pt *preparedTask) checkOutput(index uint64, output []byte) error {
 // against the malicious model of Section 2.2. The report list is untrusted:
 // it may be long, unordered and repeat an input (the later report wins), so
 // the lookup is built over the m sampled inputs, not the list.
-func (tr *taskRun) crossCheckReports(task Task, f workload.Function, indices []uint64, reports []Report) string {
-	screener := f.Screener()
+func (tr *taskRun) crossCheckReports(task Task, w *sharedWorkload, indices []uint64, reports []Report) string {
 	sampled := make([]uint64, len(indices))
 	for k, idx := range indices {
 		sampled[k] = task.Start + idx
@@ -352,7 +400,7 @@ func (tr *taskRun) crossCheckReports(task Task, f workload.Function, indices []u
 	}
 	for _, idx := range indices {
 		x := task.Start + idx
-		wantS, interesting := screener.Screen(x, tr.eval(f, x))
+		wantS, interesting := w.screener.Screen(x, tr.eval(w.f, x))
 		k, _ := slices.BinarySearch(sampled, x)
 		got := reported[k]
 		if interesting && (got == nil || got.S != wantS) {

@@ -211,3 +211,42 @@ func TestTaskSourceImplementsSource64(t *testing.T) {
 		t.Fatalf("splitmix64(0) first output = %#x, want 0xe220a8397b1dcdaf", got)
 	}
 }
+
+// TestTaskRunChallengesMatchRecorded pins the challenge a taskRun's stream
+// draws — the generator held by value in the taskRun and restarted in place
+// by init — to indices recorded when the taskRun still allocated a
+// *rand.Rand per task: supervisor seed 42, n = 100 (rejection sampling
+// runs), m = 8. One taskRun re-initialised for every task and a fresh one
+// per task draw the same.
+func TestTaskRunChallengesMatchRecorded(t *testing.T) {
+	sup, err := NewSupervisor(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 8}, Seed: 42})
+	if err != nil {
+		t.Fatalf("NewSupervisor: %v", err)
+	}
+	var reused taskRun
+	for _, tc := range []struct {
+		id   uint64
+		want []uint64
+	}{
+		{0, []uint64{73, 15, 73, 57, 72, 48, 38, 58}},
+		{1, []uint64{96, 83, 33, 94, 31, 67, 54, 77}},
+		{7, []uint64{33, 34, 33, 23, 2, 37, 80, 76}},
+		{1 << 40, []uint64{57, 7, 91, 99, 76, 83, 4, 47}},
+	} {
+		var fresh taskRun
+		for _, tr := range []*taskRun{&reused, &fresh} {
+			tr.init(sup, Task{ID: tc.id})
+			var v core.Verifier
+			if err := v.Reset(core.Commitment{Root: []byte{1}, N: 100}, core.WithRand(&tr.rng)); err != nil {
+				t.Fatalf("Verifier.Reset: %v", err)
+			}
+			got, err := v.AppendChallenge(nil, 8)
+			if err != nil {
+				t.Fatalf("AppendChallenge: %v", err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("task %d drew %v, recorded %v", tc.id, got, tc.want)
+			}
+		}
+	}
+}

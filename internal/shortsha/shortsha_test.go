@@ -3,6 +3,7 @@ package shortsha
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"fmt"
 	"testing"
 )
@@ -123,6 +124,48 @@ func BenchmarkSum256(b *testing.B) {
 		b.Run(fmt.Sprintf("crypto/%dB", n), func(b *testing.B) {
 			for b.Loop() {
 				sha256.Sum256(msg)
+			}
+		})
+	}
+}
+
+// BenchmarkFloor records what this package cannot go below with
+// crypto/sha256 underneath, so a later profile can be priced against it:
+// "block" is one 64-byte compression through the digest's Write and nothing
+// else; "readout" adds what a State's Sum pays once per message — the
+// chaining value read with AppendBinary and the digest Reset — to one such
+// block; "state" is the whole Write + Sum at the sizes this system hashes (a
+// 16-byte task seed or link of f's chain and a 32-byte hash-chain step are
+// one block, a 67-byte Merkle node two). A message of k blocks costs k ×
+// block + (readout − block); a State that reads within a few ns of that has
+// no wrapper left to remove, and going lower means a faster block function —
+// assembly, which the module does not carry.
+func BenchmarkFloor(b *testing.B) {
+	block := message(blockSize)
+	b.Run("block", func(b *testing.B) {
+		d := sha256.New()
+		for b.Loop() {
+			d.Write(block)
+		}
+	})
+	b.Run("readout", func(b *testing.B) {
+		d := sha256.New()
+		enc := d.(encoding.BinaryAppender)
+		buf := make([]byte, 0, 128)
+		for b.Loop() {
+			d.Write(block)
+			buf, _ = enc.AppendBinary(buf[:0])
+			d.Reset()
+		}
+	})
+	for _, n := range []int{16, 32, 67} {
+		msg := message(n)
+		b.Run(fmt.Sprintf("state/%dB", n), func(b *testing.B) {
+			s := New()
+			var out [Size]byte
+			for b.Loop() {
+				s.Write(msg)
+				s.Sum(out[:0])
 			}
 		})
 	}
