@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
 	"uncheatgrid/internal/analysis"
+	"uncheatgrid/internal/workload"
 )
 
 // TestCommRowMatchesModels pins the comm figure's n=2^12, m=50 row against
@@ -283,5 +285,44 @@ func TestFig3RowsMatchRCO(t *testing.T) {
 	}
 	if spot := fmt.Sprintf("RCO(64, 2^32) = %g = 2^-25 ✓", math.Ldexp(1, -25)); !strings.Contains(out.String(), spot) {
 		t.Errorf("fig3 does not print %q:\n%s", spot, out.String())
+	}
+}
+
+// TestVerifyFigureChecksEveryOutput pins the verify figure: every one of the
+// factoring workload's outputs it times passes the cheap check, the same
+// output with any one byte flipped is refused, and the figure prints its
+// three report lines. Timings are not asserted.
+func TestVerifyFigureChecksEveryOutput(t *testing.T) {
+	f := workload.NewFactor(verifySeed)
+	verifier, ok := workload.AsOutputVerifier(f)
+	if !ok {
+		t.Fatal("factor workload lost its verifier")
+	}
+	for x := uint64(0); x < verifyInputs; x++ {
+		out := f.Eval(x)
+		if !verifier.VerifyOutput(x, out) {
+			t.Fatalf("output %d = %x refused", x, out)
+		}
+		for i := range out {
+			out[i] ^= 0xff
+			if verifier.VerifyOutput(x, out) {
+				t.Fatalf("output %d with byte %d flipped (%x) verifies", x, i, out)
+			}
+			out[i] ^= 0xff
+		}
+	}
+
+	var out bytes.Buffer
+	if err := runVerify(&out); err != nil {
+		t.Fatalf("runVerify: %v", err)
+	}
+	for _, line := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^  compute \(trial division\): +\S+ +\( *[0-9.]+ µs/input\)$`),
+		regexp.MustCompile(`(?m)^  verify  \(multiply\+check\): +\S+ +\( *[0-9.]+ µs/input\)$`),
+		regexp.MustCompile(`(?m)^  compute/verify ratio: [0-9]+x$`),
+	} {
+		if !line.Match(out.Bytes()) {
+			t.Errorf("verify does not print a line matching %s:\n%s", line, out.String())
+		}
 	}
 }

@@ -8,6 +8,13 @@ import (
 	"uncheatgrid/internal/workload"
 )
 
+// verifySeed and verifyInputs fix the factoring workload runVerify times:
+// the semiprimes N(0..verifyInputs-1) of seed verifySeed.
+const (
+	verifySeed   = 2004
+	verifyInputs = 512
+)
+
 // runVerify reproduces the Step 4 remark of Section 3.1: "there are many
 // computations whose verification is much less expensive than the
 // computations themselves. For example, factoring large numbers is an
@@ -15,13 +22,13 @@ import (
 // We time the factoring workload's Eval (trial division) against its
 // VerifyOutput (two multiplications plus 16-bit primality checks).
 func runVerify(w io.Writer) error {
-	f := workload.NewFactor(2004)
+	f := workload.NewFactor(verifySeed)
 	verifier, ok := workload.AsOutputVerifier(f)
 	if !ok {
 		return fmt.Errorf("factor workload lost its verifier")
 	}
 
-	const inputs = 512
+	const inputs = verifyInputs
 	outputs := make([][]byte, inputs)
 	var slab []byte // every output back to back; outputs[x] is a view
 

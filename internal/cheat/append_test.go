@@ -145,3 +145,38 @@ func TestGuessStreamIsSplitmix64(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendClaim2MatchesAppendClaim: every behaviour's pair form appends
+// the bytes of two AppendClaim calls in index order behind a prefix it
+// leaves alone, and reports where the second claim begins — for the
+// semi-honest cheater on and off D', so its membership and guess stream are
+// those of single claims.
+func TestAppendClaim2MatchesAppendClaim(t *testing.T) {
+	for _, name := range workload.Names() {
+		f, err := workload.New(name, 7)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		semi, err := NewSemiHonest(f, 0.5, 3)
+		if err != nil {
+			t.Fatalf("NewSemiHonest: %v", err)
+		}
+		malicious, err := NewMalicious(f, 0.5, 3)
+		if err != nil {
+			t.Fatalf("NewMalicious: %v", err)
+		}
+		for _, p := range []Producer{NewHonest(f), semi, malicious} {
+			for i := 0; i+1 < len(appendInputs); i++ {
+				x0, x1 := appendInputs[i], appendInputs[i+1]
+				prefix := []byte("prefix")
+				first := p.AppendClaim(bytes.Clone(prefix), x0)
+				want := p.AppendClaim(bytes.Clone(first), x1)
+				got, split := p.AppendClaim2(bytes.Clone(prefix), x0, x1)
+				if !bytes.Equal(got, want) || split != len(first) {
+					t.Errorf("%s: AppendClaim2(prefix, %d, %d) = %x split %d, want %x split %d",
+						p.Name(), x0, x1, got, split, want, len(first))
+				}
+			}
+		}
+	}
+}

@@ -39,6 +39,11 @@ type Producer interface {
 	// and returns the extended slice, under workload.Function.AppendEval's
 	// contract: exactly the claimed bytes, dst never retained.
 	AppendClaim(dst []byte, x uint64) []byte
+	// AppendClaim2 appends the claims for x0 and then x1 to dst and returns
+	// the extended slice and the offset in it where x1's starts: the bytes
+	// of two AppendClaim calls in that order, with the two evaluations in
+	// one pass where f pairs them (workload.Function.AppendEval2).
+	AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int)
 	// HonestOn reports whether x ∈ D', i.e. whether the claim for x was
 	// computed by actually evaluating f.
 	HonestOn(x uint64) bool
@@ -63,6 +68,11 @@ func (h *Honest) Name() string { return "honest" }
 
 // AppendClaim implements Producer: always the true f(x).
 func (h *Honest) AppendClaim(dst []byte, x uint64) []byte { return h.f.AppendEval(dst, x) }
+
+// AppendClaim2 implements Producer: the true f(x0) and f(x1), in one pass.
+func (h *Honest) AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	return h.f.AppendEval2(dst, x0, x1)
+}
 
 // HonestOn implements Producer.
 func (h *Honest) HonestOn(uint64) bool { return true }
@@ -132,6 +142,14 @@ func (s *SemiHonest) AppendClaim(dst []byte, x uint64) []byte {
 	return dst
 }
 
+// AppendClaim2 implements Producer as two AppendClaim calls in index order,
+// so D' and the guess stream are those of single claims.
+func (s *SemiHonest) AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	dst = s.AppendClaim(dst, x0)
+	split := len(dst)
+	return s.AppendClaim(dst, x1), split
+}
+
 // guessStream is the generator under one input's guess: splitmix64 behind a
 // rand.Rand. A guess draws a word or two, so a stream must cost nothing to
 // start — math/rand's default source fills a 607-word table per seed, ~5 kB
@@ -196,6 +214,11 @@ func (m *Malicious) Name() string { return fmt.Sprintf("malicious(p=%g)", m.corr
 
 // AppendClaim implements Producer: the true f(x); the attack is downstream.
 func (m *Malicious) AppendClaim(dst []byte, x uint64) []byte { return m.f.AppendEval(dst, x) }
+
+// AppendClaim2 implements Producer: the true f(x0) and f(x1), in one pass.
+func (m *Malicious) AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	return m.f.AppendEval2(dst, x0, x1)
+}
 
 // HonestOn implements Producer: computation-wise the saboteur is honest.
 func (m *Malicious) HonestOn(uint64) bool { return true }

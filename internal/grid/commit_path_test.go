@@ -28,6 +28,11 @@ func (c *scriptConn) Send(m transport.Message) error {
 	return nil
 }
 
+func (c *scriptConn) SendPair(a, b transport.Message) error {
+	_ = c.Send(a)
+	return c.Send(b)
+}
+
 func (c *scriptConn) Recv() (transport.Message, error) {
 	if len(c.in) == 0 {
 		return transport.Message{}, io.EOF
@@ -55,12 +60,14 @@ func newCommitExecution(tb testing.TB, n uint64, spec SchemeSpec, screener workl
 
 // TestCBSScreensEachInputOnce pins what the commit pass's phase flag rests
 // on, at grid level: whatever ℓ is and wherever a resume picks the exchange
-// up, every input is screened exactly once and the msgReports payload is the
-// same bytes — the §3.3 subtree rebuilds behind the proofs re-evaluate f
-// (m·2^ℓ times, counted) but never re-screen or re-report.
+// up, every input is screened exactly once, in index order, and the
+// msgReports payload is the same bytes — the commit pass claims leaves in
+// pairs (the odd last one alone), and the §3.3 subtree rebuilds behind the
+// proofs re-evaluate f (m·2^ℓ times, counted) but never re-screen or
+// re-report.
 func TestCBSScreensEachInputOnce(t *testing.T) {
 	const (
-		n = 96 // not a power of two, and whole 2^3 blocks: every rebuilt leaf is real
+		n = 97 // odd, and every challenged 2^3 block is whole: every rebuilt leaf is real
 		m = 5
 	)
 	challenge, err := core.Challenge{Indices: []uint64{0, 17, 17, 64, 95}}.MarshalBinary()
@@ -81,8 +88,12 @@ func TestCBSScreensEachInputOnce(t *testing.T) {
 			for _, rc := range resumes {
 				name := fmt.Sprintf("%v/ℓ=%d/%s", kind, ell, rc.name)
 				screens := make(map[uint64]int, n)
+				inOrder := true
+				next := uint64(1000) // newCommitExecution's task starts there
 				screener := workload.ScreenerFunc(func(x uint64, out []byte) (string, bool) {
 					screens[x]++
+					inOrder = inOrder && x == next
+					next++
 					return fmt.Sprintf("%d:%x", x, out), x%7 == 0
 				})
 				spec := SchemeSpec{Kind: kind, M: m, ChainIters: 1, SubtreeHeight: ell}
@@ -107,6 +118,9 @@ func TestCBSScreensEachInputOnce(t *testing.T) {
 					if c != 1 {
 						t.Errorf("%s: input %d screened %d times, want exactly 1", name, x, c)
 					}
+				}
+				if !inOrder {
+					t.Errorf("%s: inputs not screened in index order", name)
 				}
 				wantEvals := int64(n)
 				if ell > 0 {

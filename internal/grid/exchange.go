@@ -146,7 +146,7 @@ func (s *Supervisor) runExchange(conn protoConn, pt *preparedTask) error {
 				return err
 			}
 		case phaseVerdict:
-			if err := s.sendVerdict(conn, pt.outcome); err != nil {
+			if err := conn.Send(verdictMsg(pt.outcome)); err != nil {
 				return err
 			}
 			st.phase = phaseAwaitVerdictAck
@@ -176,19 +176,24 @@ func (pt *preparedTask) announce(conn protoConn) error {
 		st.announced = true
 		return nil
 	}
-	if err := conn.Send(transport.Message{Type: msgResume, Payload: encodeResume(st.resumeState(pt.assign))}); err != nil {
+	resume := transport.Message{Type: msgResume, Payload: encodeResume(st.resumeState(pt.assign))}
+	if st.phase == phaseAwaitVerdictAck {
+		// A verdict sent but never acknowledged may have been lost with the
+		// old connection; re-deliver it. It is the one supervisor message
+		// that follows the resume with no participant reply between, so the
+		// two share a frame: a link that delivered the verdict without the
+		// resume would name a task the participant's new session was never
+		// given. The participant counts each task's verdict at most once, so
+		// a redundant re-delivery is harmless.
+		return conn.SendPair(resume, verdictMsg(pt.outcome))
+	}
+	if err := conn.Send(resume); err != nil {
 		return err
 	}
 	// The resume payload replays any challenge already issued, so a pending
 	// challenge send is satisfied by the handshake itself.
 	if st.phase == phaseSendChallenge && st.challengePayload != nil {
 		st.phase = phaseAwaitProofs
-	}
-	// A verdict sent but never acknowledged may have been lost with the old
-	// connection; re-deliver it. The participant counts each task's verdict
-	// at most once, so a redundant re-delivery is harmless.
-	if st.phase == phaseAwaitVerdictAck {
-		st.phase = phaseVerdict
 	}
 	return nil
 }

@@ -593,6 +593,14 @@ func (t *participantTask) Send(m transport.Message) error {
 	return t.ps.writer.enqueue(taggedMsg{TaskID: t.a.Task.ID, Type: m.Type, Payload: m.Payload}, nil)
 }
 
+// SendPair implements protoConn: Send for two messages the session writer
+// puts in one frame, a first.
+func (t *participantTask) SendPair(a, b transport.Message) error {
+	id := t.a.Task.ID
+	return t.ps.writer.enqueuePair(taggedMsg{TaskID: id, Type: a.Type, Payload: a.Payload},
+		taggedMsg{TaskID: id, Type: b.Type, Payload: b.Payload}, nil)
+}
+
 // Recv implements protoConn: the next routed message, io.EOF once the
 // session stopped routing and what it had queued is drained.
 func (t *participantTask) Recv() (transport.Message, error) {
@@ -809,27 +817,41 @@ type taskExecution struct {
 
 	// runCBS's tree-building state, here so its leaf function captures
 	// nothing but the execution: the screened reports, whether the commit
-	// pass is still running, and the commitment kit — the session's, lent
-	// by startTask, or the execution's own — whose buffer every claim lands
-	// in.
+	// pass is still running, whether the last call left the claim for index
+	// pending in the kit's buffer from split on, behind its pair's first,
+	// and the commitment kit — the session's, lent by startTask, or the
+	// execution's own — whose buffer every claim lands in.
 	reports    []Report
 	committing bool
+	paired     bool
+	pending    uint64
+	split      int
 	kit        *commitKit
 }
 
 // claim is runCBS's leaf function. Screening happens once per input, on the
-// tree-building pass: NewProver calls claim exactly once per index
-// (merkle.BuildFunc and NewPartial guarantee it), and every call after it
-// returns is a §3.3 subtree rebuild, which re-claims but must not re-screen
-// or re-report. The tree copies each claimed value before asking for the
-// next (the contract of merkle.BuildFunc and NewPartial), so one scratch
-// buffer serves every claim of the task.
+// tree-building pass: NewProver calls claim exactly once per index, in
+// order (merkle.BuildFunc and NewPartial guarantee it), and every call after
+// it returns is a §3.3 subtree rebuild, which re-claims but must not
+// re-screen or re-report. The tree copies each claimed value before asking
+// for the next (the contract of merkle.BuildFunc and NewPartial), so one
+// scratch buffer serves every claim of the task. The commit pass claims
+// leaves i and i+1 together (cheat.Producer.AppendClaim2), screens both in
+// index order, and answers the call for i+1 from the buffer.
 func (e *taskExecution) claim(i uint64) []byte {
 	kit := e.kit
-	if e.committing {
-		kit.buf = e.claimAndScreen(kit.buf[:0], i, &e.reports)
-	} else {
+	switch {
+	case !e.committing:
 		kit.buf = e.producer.AppendClaim(kit.buf[:0], e.task.Start+i)
+	case e.paired && i == e.pending:
+		e.paired = false
+		return kit.buf[e.split:]
+	case i+1 < e.task.N:
+		kit.buf, e.split = e.claimAndScreen2(kit.buf[:0], i, &e.reports)
+		e.paired, e.pending = true, i+1
+		return kit.buf[:e.split:e.split]
+	default:
+		kit.buf = e.claimAndScreen(kit.buf[:0], i, &e.reports)
 	}
 	return kit.buf
 }
@@ -840,12 +862,30 @@ func (e *taskExecution) claimAndScreen(dst []byte, i uint64, reports *[]Report) 
 	x := e.task.Start + i
 	start := len(dst)
 	dst = e.producer.AppendClaim(dst, x)
-	s, interesting := e.screener.Screen(x, dst[start:])
+	e.screen(x, dst[start:], reports)
+	return dst
+}
+
+// claimAndScreen2 is claimAndScreen for indices i and i+1 in one pass: it
+// returns dst extended by both claims and the offset where the second's
+// starts.
+func (e *taskExecution) claimAndScreen2(dst []byte, i uint64, reports *[]Report) ([]byte, int) {
+	x := e.task.Start + i
+	start := len(dst)
+	dst, split := e.producer.AppendClaim2(dst, x, x+1)
+	e.screen(x, dst[start:split], reports)
+	e.screen(x+1, dst[split:], reports)
+	return dst, split
+}
+
+// screen feeds the claim for x to the screener and the behaviour's report
+// filter.
+func (e *taskExecution) screen(x uint64, claim []byte, reports *[]Report) {
+	s, interesting := e.screener.Screen(x, claim)
 	s, interesting = e.producer.Report(x, s, interesting)
 	if interesting {
 		*reports = append(*reports, Report{X: x, S: s})
 	}
-	return dst
 }
 
 // claimAll claims and screens the task's whole domain in order and keeps
@@ -886,7 +926,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		e.kit = kit
 	}
 	kit.exec = e
-	e.reports, e.committing = nil, true
+	e.reports, e.committing, e.paired = nil, true, false
 	claim := kit.claim
 	var opts []core.Option
 	if e.spec.SubtreeHeight > 0 {
@@ -913,15 +953,9 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 	if err != nil {
 		return err
 	}
-	if res == nil || !res.HaveCommit {
-		if err := conn.Send(transport.Message{Type: msgCommit, Payload: commitPayload}); err != nil {
-			return err
-		}
-	}
-	if res == nil || !res.HaveReports {
-		if err := conn.Send(transport.Message{Type: msgReports, Payload: encodeReports(e.reports)}); err != nil {
-			return err
-		}
+	commit := transport.Message{Type: msgCommit, Payload: commitPayload}
+	if err := sendWithReports(conn, commit, res == nil || !res.HaveCommit, e.reports, res == nil || !res.HaveReports); err != nil {
+		return err
 	}
 	if res != nil && res.HaveProofs {
 		return nil // the supervisor holds everything; it only owes the verdict
@@ -974,48 +1008,72 @@ func (e *taskExecution) runUpload(conn protoConn, res *resumeMsg) error {
 	var reports []Report
 	results := e.claimAll(&reports)
 	e.digest = hashResults(results)
-	if res == nil || !res.ResultsDone {
+	var last transport.Message
+	sendLast := res == nil || !res.ResultsDone
+	if sendLast {
 		var from uint64
 		if res != nil {
 			from = res.Chunks
 		}
-		if err := sendResults(conn, results, from); err != nil {
+		var err error
+		if last, err = sendResults(conn, results, from); err != nil {
 			return err
 		}
 	}
-	if res == nil || !res.HaveReports {
-		return conn.Send(transport.Message{Type: msgReports, Payload: encodeReports(reports)})
+	return sendWithReports(conn, last, sendLast, reports, res == nil || !res.HaveReports)
+}
+
+// sendResults uploads the encoded result vector — a single msgResults
+// message when it fits under uploadChunkBytes, an ordered msgResultChunk
+// stream otherwise — up to its last message, which it returns unsent for
+// sendWithReports. from skips chunks a previous connection already
+// delivered.
+func sendResults(conn protoConn, results [][]byte, from uint64) (transport.Message, error) {
+	payload := encodeResults(results)
+	if len(payload) <= uploadChunkBytes {
+		if from > 0 {
+			return transport.Message{}, fmt.Errorf("%w: resume at chunk %d of an unchunked upload", ErrUnexpectedMessage, from)
+		}
+		return transport.Message{Type: msgResults, Payload: payload}, nil
+	}
+	chunks := uint64((len(payload) + uploadChunkBytes - 1) / uploadChunkBytes)
+	if from >= chunks {
+		return transport.Message{}, fmt.Errorf("%w: resume at chunk %d of %d", ErrUnexpectedMessage, from, chunks)
+	}
+	for seq := from; ; seq++ {
+		lo := int(seq) * uploadChunkBytes
+		hi := min(lo+uploadChunkBytes, len(payload))
+		c := resultChunk{Seq: seq, Final: seq == chunks-1, Data: payload[lo:hi]}
+		msg := transport.Message{Type: msgResultChunk, Payload: encodeChunk(c)}
+		if c.Final {
+			return msg, nil
+		}
+		if err := conn.Send(msg); err != nil {
+			return transport.Message{}, err
+		}
+	}
+}
+
+// sendWithReports sends a scheme's last upload message — the commitment,
+// the result vector's last message or the ringer hits — when sendLast, and
+// the task's reports when sendReports. With both due they share a frame
+// (protoConn.SendPair): the supervisor answers neither before the other
+// arrives.
+func sendWithReports(conn protoConn, last transport.Message, sendLast bool, reports []Report, sendReports bool) error {
+	switch {
+	case sendLast && sendReports:
+		return conn.SendPair(last, reportsMsg(reports))
+	case sendLast:
+		return conn.Send(last)
+	case sendReports:
+		return conn.Send(reportsMsg(reports))
 	}
 	return nil
 }
 
-// sendResults uploads the encoded result vector: a single msgResults frame
-// when it fits under uploadChunkBytes, an ordered msgResultChunk stream
-// otherwise. from skips chunks a previous connection already delivered.
-func sendResults(conn protoConn, results [][]byte, from uint64) error {
-	payload := encodeResults(results)
-	if len(payload) <= uploadChunkBytes {
-		if from > 0 {
-			return fmt.Errorf("%w: resume at chunk %d of an unchunked upload", ErrUnexpectedMessage, from)
-		}
-		return conn.Send(transport.Message{Type: msgResults, Payload: payload})
-	}
-	chunks := uint64((len(payload) + uploadChunkBytes - 1) / uploadChunkBytes)
-	if from >= chunks {
-		return fmt.Errorf("%w: resume at chunk %d of %d", ErrUnexpectedMessage, from, chunks)
-	}
-	for seq := from; seq < chunks; seq++ {
-		lo := int(seq) * uploadChunkBytes
-		hi := lo + uploadChunkBytes
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		c := resultChunk{Seq: seq, Final: seq == chunks-1, Data: payload[lo:hi]}
-		if err := conn.Send(transport.Message{Type: msgResultChunk, Payload: encodeChunk(c)}); err != nil {
-			return err
-		}
-	}
-	return nil
+// reportsMsg is the message that delivers a task's screened reports.
+func reportsMsg(reports []Report) transport.Message {
+	return transport.Message{Type: msgReports, Payload: encodeReports(reports)}
 }
 
 // runRinger executes the Golle-Mironov participant side: scan the domain,
@@ -1036,15 +1094,12 @@ func (e *taskExecution) runRinger(conn protoConn, images [][]byte, res *resumeMs
 		}
 	}
 	e.digest = hashIndices(hits)
-	if res == nil || !res.HaveHits {
-		if err := conn.Send(transport.Message{Type: msgRingerHits, Payload: encodeIndices(hits)}); err != nil {
-			return err
-		}
+	var last transport.Message
+	sendLast := res == nil || !res.HaveHits
+	if sendLast {
+		last = transport.Message{Type: msgRingerHits, Payload: encodeIndices(hits)}
 	}
-	if res == nil || !res.HaveReports {
-		return conn.Send(transport.Message{Type: msgReports, Payload: encodeReports(reports)})
-	}
-	return nil
+	return sendWithReports(conn, last, sendLast, reports, res == nil || !res.HaveReports)
 }
 
 func recvVerdict(conn protoConn) (Verdict, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -627,6 +628,121 @@ func TestDroppedVerdictIsRedelivered(t *testing.T) {
 	}
 }
 
+// frameTypes returns the message types a batch frame carries, in order.
+func frameTypes(m transport.Message) []uint8 {
+	if m.Type != msgBatch {
+		return nil
+	}
+	msgs, err := decodeBatch(nil, m.Payload)
+	if err != nil {
+		return nil
+	}
+	types := make([]uint8, len(msgs))
+	for i, tm := range msgs {
+		types[i] = tm.Type
+	}
+	return types
+}
+
+// ackDropConn is a supervisor's end of a connection on which the first
+// participant frame carrying a verdict ack is lost.
+type ackDropConn struct {
+	transport.Conn
+	dropped atomic.Bool
+}
+
+func (c *ackDropConn) Recv() (transport.Message, error) {
+	for {
+		m, err := c.Conn.Recv()
+		if err != nil || c.dropped.Load() || !slices.Contains(frameTypes(m), msgVerdictAck) {
+			return m, err
+		}
+		c.dropped.Store(true)
+	}
+}
+
+// resumeDropConn is a supervisor's end of a connection on which the first
+// frame carrying a msgResume is lost; held records what that frame carried.
+type resumeDropConn struct {
+	transport.Conn
+	mu   sync.Mutex
+	held []uint8
+}
+
+func (c *resumeDropConn) Send(m transport.Message) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if types := frameTypes(m); c.held == nil && slices.Contains(types, msgResume) {
+		c.held = types
+		return nil // the frame vanishes on the wire
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *resumeDropConn) dropped() []uint8 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held
+}
+
+// TestResumeAndRedeliveredVerdictShareAFrame pins the fix for a verdict
+// re-delivered without its task: the first connection loses the verdict
+// ack, so the supervisor resumes the task on a second connection with
+// msgResume and the unacknowledged msgVerdict and no participant reply
+// between. Losing the frame that holds the resume must lose the verdict
+// too — a participant session handed the verdict alone refuses it as a
+// message for an unknown task and closes the connection. With coalescing
+// off (soloFrames) the writer would put the two in separate frames unless
+// they are one pair; the test drops exactly the resume's frame, and the
+// task then completes on a third connection with every participant serve
+// loop ending cleanly and the verdict counted once.
+func TestResumeAndRedeliveredVerdictShareAFrame(t *testing.T) {
+	soloFrames.Store(true) // no coalescing puts the two in one frame by chance
+	t.Cleanup(func() { soloFrames.Store(false) })
+	r := newRedialableParticipant(t, HonestFactory)
+	defer r.shutdown()
+
+	first := &ackDropConn{Conn: r.dial()}
+	second := &resumeDropConn{}
+	pool, err := NewSupervisorPool(SupervisorConfig{Spec: SchemeSpec{Kind: SchemeCBS, M: 4}, Seed: 8}, 1)
+	if err != nil {
+		t.Fatalf("NewSupervisorPool: %v", err)
+	}
+	redial := func(transport.Conn) (transport.Conn, error) {
+		if r.dials() == 1 {
+			second.Conn = r.dial()
+			return second, nil
+		}
+		return r.dial(), nil
+	}
+	stream, err := pool.RunTaskSource(context.Background(),
+		[]transport.Conn{first}, SliceTaskSource(poolTasks(1, 64)), 1,
+		WithRedial(redial), WithStreamRecvTimeout(200*time.Millisecond))
+	if err != nil {
+		t.Fatalf("RunTaskSource: %v", err)
+	}
+	for so := range stream.Outcomes() {
+		if !so.Outcome.Verdict.Accepted {
+			t.Errorf("honest task %d rejected: %s", so.Outcome.Task.ID, so.Outcome.Verdict.Reason)
+		}
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+	if !first.dropped.Load() {
+		t.Fatal("no verdict ack was dropped; the test proves nothing")
+	}
+	if got, want := second.dropped(), []uint8{msgResume, msgVerdict}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dropped resume frame held types %v, want %v", got, want)
+	}
+	if r.dials() != 3 {
+		t.Fatalf("task finished after %d connections, want 3", r.dials())
+	}
+	if totals := r.p.Totals(); totals.Tasks != 1 || totals.Accepted != 1 {
+		t.Errorf("participant counted tasks=%d accepted=%d, want 1/1", totals.Tasks, totals.Accepted)
+	}
+}
+
 // TestSessionSendCreditsOnlyWireFrames pins the flush-time crediting fix:
 // frames a quarantined batch writer discards must not count toward the
 // task's sent bytes. Every send on this connection fails, so nothing
@@ -798,5 +914,42 @@ func TestParticipantRecountsReusedTaskIDs(t *testing.T) {
 	if totals.Tasks != 2 || totals.Accepted != 2 {
 		t.Errorf("reused task ID tallied %d tasks / %d accepted, want 2/2 (stale tombstone suppressed the recount)",
 			totals.Tasks, totals.Accepted)
+	}
+}
+
+// TestParticipantSendsLastUploadWithReports pins the participant's side of
+// frame pairing: the commitment, the (unchunked) result vector and the
+// ringer hits are each followed by the reports with no supervisor message
+// between, so each goes out in the reports' frame — a link that lost the
+// first and delivered the reports would hand the supervisor a message its
+// exchange is not at ("got type 5 in exchange phase 1").
+func TestParticipantSendsLastUploadWithReports(t *testing.T) {
+	soloFrames.Store(true) // no coalescing puts the two in one frame by chance
+	t.Cleanup(func() { soloFrames.Store(false) })
+	for _, tc := range []struct {
+		kind SchemeKind
+		last uint8
+	}{
+		{SchemeCBS, msgCommit},
+		{SchemeNICBS, msgCommit},
+		{SchemeNaive, msgResults},
+		{SchemeRinger, msgRingerHits},
+	} {
+		conn, shutdown := sessionFixture(t, HonestFactory)
+		task := Task{ID: 4, Start: 0, N: 64, Workload: "synthetic", Seed: 5}
+		a := assignment{Task: task, Spec: SchemeSpec{Kind: tc.kind, M: 2, ChainIters: 1}}
+		if tc.kind == SchemeRinger {
+			a.RingerImages = [][]byte{{1}}
+		}
+		peer := &taggedPeer{t: t, conn: conn, id: task.ID}
+		peer.send(msgAssign, encodeAssignment(a))
+		frame, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("%v: recv: %v", tc.kind, err)
+		}
+		if got, want := frameTypes(frame), []uint8{tc.last, msgReports}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: first frame carries types %v, want %v", tc.kind, got, want)
+		}
+		shutdown()
 	}
 }

@@ -40,8 +40,30 @@ const maxBatchPayload = transport.MaxFrameBytes - 16
 // counters. A nil owner (ctrl traffic, and everything a participant sends)
 // has nothing to settle; its flushed bytes are writer overhead.
 type outMsg struct {
-	tm    taggedMsg
-	owner *sessionTaskConn
+	tm taggedMsg
+	// then, when paired, rides in tm's frame right behind it: a pair of
+	// messages a lossy link must deliver together or not at all
+	// (sessionTaskConn.SendPair).
+	then   taggedMsg
+	paired bool
+	owner  *sessionTaskConn
+}
+
+// wireSize is the tagged bytes m puts in its frame.
+func (m outMsg) wireSize() int64 {
+	size := m.tm.wireSize()
+	if m.paired {
+		size += m.then.wireSize()
+	}
+	return size
+}
+
+// count is the number of tagged messages m puts in its frame.
+func (m outMsg) count() int {
+	if m.paired {
+		return 2
+	}
+	return 1
 }
 
 // done settles the message: sent or discarded, its owner stops waiting.
@@ -53,7 +75,7 @@ func (m outMsg) done(sent bool) int64 {
 	}
 	var size int64
 	if sent {
-		size = m.tm.wireSize()
+		size = m.wireSize()
 		m.owner.sent.Add(size)
 	}
 	m.owner.inflight.Done()
@@ -108,6 +130,11 @@ type batchWriter struct {
 	msgScratch   []taggedMsg
 }
 
+// soloFrames, when set (tests only), stops every writer coalescing: each
+// message goes out in a frame of its own, and a pair in one frame — the
+// schedule under which a lossy link separates messages sent back to back.
+var soloFrames atomic.Bool
+
 func newBatchWriter(conn transport.Conn, onFail func(error)) *batchWriter {
 	w := &batchWriter{
 		conn:   conn,
@@ -135,28 +162,30 @@ func (w *batchWriter) loop() {
 			}
 		}
 		batch := append(w.batchScratch[:0], first)
-		size := first.tm.wireSize()
+		size, count := first.wireSize(), first.count()
 		if len(w.in) == 0 && w.conn.Stats().SendCopies() {
 			// A lone message on a link that pays a system call per frame:
 			// let whoever is runnable queue its reply first.
 			runtime.Gosched()
 		}
 	coalesce:
-		for len(batch) < maxBatchMsgs && size < batchTargetBytes {
+		// count stops one short of maxBatchMsgs so a pair always fits.
+		for count < maxBatchMsgs-1 && size < batchTargetBytes && !soloFrames.Load() {
 			select {
 			case m, ok := <-w.in:
 				if !ok {
 					w.flush(batch)
 					return
 				}
-				if size+m.tm.wireSize() > maxBatchPayload {
+				if size+m.wireSize() > maxBatchPayload {
 					// Adding m would overflow a legal frame; it opens the
 					// next one instead.
 					carry, carried = m, true
 					break coalesce
 				}
 				batch = append(batch, m)
-				size += m.tm.wireSize()
+				size += m.wireSize()
+				count += m.count()
 			default:
 				break coalesce
 			}
@@ -184,6 +213,9 @@ func (w *batchWriter) flush(batch []outMsg) {
 	msgs := w.msgScratch[:0]
 	for _, m := range batch {
 		msgs = append(msgs, m.tm)
+		if m.paired {
+			msgs = append(msgs, m.then)
+		}
 	}
 	w.msgScratch = msgs[:0]
 	frame := transport.Message{Type: msgBatch, Payload: encodeBatch(msgs)}
@@ -241,10 +273,21 @@ func (w *batchWriter) overheadBytes() int64 {
 // discarded — unless enqueue itself returns an error, in which case the
 // message was never queued.
 func (w *batchWriter) enqueue(tm taggedMsg, owner *sessionTaskConn) error {
+	return w.put(outMsg{tm: tm, owner: owner})
+}
+
+// enqueuePair is enqueue for two messages that go out in one frame, tm
+// first: a link that drops or corrupts the frame loses both. The owner is
+// settled once, for both.
+func (w *batchWriter) enqueuePair(tm, then taggedMsg, owner *sessionTaskConn) error {
+	return w.put(outMsg{tm: tm, then: then, paired: true, owner: owner})
+}
+
+func (w *batchWriter) put(m outMsg) error {
 	if err := w.failed(); err != nil {
 		return err
 	}
-	w.in <- outMsg{tm: tm, owner: owner}
+	w.in <- m
 	return nil
 }
 
@@ -417,6 +460,18 @@ func (c *sessionTaskConn) open(sess *Session, id uint64) {
 func (c *sessionTaskConn) Send(m transport.Message) error {
 	c.inflight.Add(1)
 	err := c.sess.writer.enqueue(taggedMsg{TaskID: c.id, Type: m.Type, Payload: m.Payload}, c)
+	if err != nil {
+		c.inflight.Done() // never queued; the writer will not settle it
+	}
+	return err
+}
+
+// SendPair implements protoConn: Send for two messages the writer puts in
+// one frame, a first.
+func (c *sessionTaskConn) SendPair(a, b transport.Message) error {
+	c.inflight.Add(1)
+	err := c.sess.writer.enqueuePair(taggedMsg{TaskID: c.id, Type: a.Type, Payload: a.Payload},
+		taggedMsg{TaskID: c.id, Type: b.Type, Payload: b.Payload}, c)
 	if err != nil {
 		c.inflight.Done() // never queued; the writer will not settle it
 	}

@@ -201,6 +201,12 @@ func (c *workloadCache) get(name string, seed uint64) (*sharedWorkload, error) {
 // this interface.
 type protoConn interface {
 	Send(m transport.Message) error
+	// SendPair sends a and then b in one frame, so a lossy link delivers
+	// both or neither. Either end pairs the messages it sends with no reply
+	// from the peer between them, where losing the first frame and
+	// delivering the second would hand the peer a message its side of the
+	// exchange is not at.
+	SendPair(a, b transport.Message) error
 	Recv() (transport.Message, error)
 }
 
@@ -352,8 +358,9 @@ func (s *Supervisor) settle(pt *preparedTask) {
 	s.evals.Add(pt.tr.evals)
 }
 
-func (s *Supervisor) sendVerdict(conn protoConn, outcome *TaskOutcome) error {
-	return conn.Send(transport.Message{Type: msgVerdict, Payload: encodeVerdict(outcome.Verdict)})
+// verdictMsg is the message that delivers a decided task's verdict.
+func verdictMsg(outcome *TaskOutcome) transport.Message {
+	return transport.Message{Type: msgVerdict, Payload: encodeVerdict(outcome.Verdict)}
 }
 
 // checkOutput is the Step 4 output check (a core.CheckFunc): f's cheap

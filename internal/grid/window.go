@@ -49,45 +49,33 @@ const streamCapacity = 1 << 40
 // window commitment. body is the scheme's primary payload reduced by
 // hashResults/hashIndices, or the commitment root directly.
 func streamDigest(taskID uint64, kind SchemeKind, body []byte) []byte {
-	st := shortsha.Get()
-	defer shortsha.Put(st)
-	st.Write([]byte(streamDigestPrefix))
-	var buf [9]byte
-	binary.LittleEndian.PutUint64(buf[:8], taskID)
-	buf[8] = byte(kind)
-	st.Write(buf[:])
-	st.Write(body)
-	return st.Sum(make([]byte, 0, shortsha.Size))
+	var stack [128]byte
+	msg := append(stack[:0], streamDigestPrefix...)
+	msg = binary.LittleEndian.AppendUint64(msg, taskID)
+	msg = append(msg, byte(kind))
+	return sum256(append(msg, body...))
 }
 
 // hashResults condenses a full-result upload into one digest. Lengths are
 // folded in so no two distinct uploads share an image by concatenation.
 func hashResults(results [][]byte) []byte {
-	st := shortsha.Get()
-	defer shortsha.Put(st)
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(results)))
-	st.Write(buf[:n])
+	var stack [512]byte
+	msg := binary.AppendUvarint(stack[:0], uint64(len(results)))
 	for _, r := range results {
-		n = binary.PutUvarint(buf[:], uint64(len(r)))
-		st.Write(buf[:n])
-		st.Write(r)
+		msg = binary.AppendUvarint(msg, uint64(len(r)))
+		msg = append(msg, r...)
 	}
-	return st.Sum(make([]byte, 0, shortsha.Size))
+	return sum256(msg)
 }
 
 // hashIndices condenses a ringer hit list into one digest.
 func hashIndices(indices []uint64) []byte {
-	st := shortsha.Get()
-	defer shortsha.Put(st)
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(indices)))
-	st.Write(buf[:n])
+	var stack [512]byte
+	msg := binary.AppendUvarint(stack[:0], uint64(len(indices)))
 	for _, x := range indices {
-		binary.LittleEndian.PutUint64(buf[:8], x)
-		st.Write(buf[:8])
+		msg = binary.LittleEndian.AppendUint64(msg, x)
 	}
-	return st.Sum(make([]byte, 0, shortsha.Size))
+	return sum256(msg)
 }
 
 // windowCursorSeed derives the shared cursor seed from the scheme spec.
@@ -95,15 +83,20 @@ func hashIndices(indices []uint64) []byte {
 // both start their cursors from the same state; the chains diverge per
 // participant from window 0 on, as each absorbs that participant's roots.
 func windowCursorSeed(spec SchemeSpec) []byte {
-	st := shortsha.Get()
-	defer shortsha.Put(st)
-	st.Write([]byte(windowCursorPrefix))
-	var buf [17]byte
-	buf[0] = byte(spec.Kind)
-	binary.LittleEndian.PutUint64(buf[1:9], uint64(spec.WindowTasks))
-	binary.LittleEndian.PutUint64(buf[9:17], uint64(spec.WindowSamples))
-	st.Write(buf[:])
-	return st.Sum(make([]byte, 0, shortsha.Size))
+	var stack [64]byte
+	msg := append(stack[:0], windowCursorPrefix...)
+	msg = append(msg, byte(spec.Kind))
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(spec.WindowTasks))
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(spec.WindowSamples))
+	return sum256(msg)
+}
+
+// sum256 is shortsha.Sum256 into a digest of its own. The window helpers
+// lay their messages out on the stack, spilling to the heap only for an
+// upload or hit list too long for it.
+func sum256(msg []byte) []byte {
+	sum := shortsha.Sum256(msg)
+	return sum[:]
 }
 
 // windowChain builds the hash chain the window cursors run on. One base

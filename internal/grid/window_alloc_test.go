@@ -5,8 +5,9 @@ package grid
 import "testing"
 
 // TestWindowDigestAllocs pins each window helper to the one digest it
-// returns: the hash state is a pooled shortsha.State, not a fresh digest
-// per call. Excluded from race builds, whose runtime allocates on its own.
+// returns: the message is laid out on the stack and hashed by
+// shortsha.Sum256, not fed to a fresh digest per call. Excluded from race
+// builds, whose runtime allocates on its own.
 func TestWindowDigestAllocs(t *testing.T) {
 	results := [][]byte{{1, 2}, []byte("abc")}
 	indices := []uint64{5, 1 << 33}

@@ -52,7 +52,6 @@ func (cu *Cursor) Advance(root []byte) error {
 	}
 	w := cu.chain.walker()
 	cu.state = w.step(cu.state, cu.state, root)
-	w.done()
 	cu.window++
 	return nil
 }

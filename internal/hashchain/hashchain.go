@@ -78,35 +78,26 @@ func (c *Chain) Iterations() int { return c.iterations }
 // Apply computes g(value): the base hash applied Iterations times.
 func (c *Chain) Apply(value []byte) []byte {
 	w := c.walker()
-	defer w.done()
 	return w.step(make([]byte, 0, w.size()), value, nil)
 }
 
-// walker is one walk's hash state: a pooled kernel State for the default
-// chain, a fresh digest of the configured hash otherwise. Exactly one of st
-// and h is set.
+// walker is one walk's hash state: none for the default chain, which
+// hashes on the shortsha kernel, a fresh digest of the configured hash
+// otherwise.
 type walker struct {
-	c  *Chain
-	st *shortsha.State
-	h  hash.Hash
+	c *Chain
+	h hash.Hash
 }
 
 func (c *Chain) walker() walker {
 	if c.newHash == nil {
-		return walker{c: c, st: shortsha.Get()}
+		return walker{c: c}
 	}
 	return walker{c: c, h: c.newHash()}
 }
 
-// done hands a kernel State back to the pool.
-func (w walker) done() {
-	if w.st != nil {
-		shortsha.Put(w.st)
-	}
-}
-
 func (w walker) size() int {
-	if w.st != nil {
+	if w.h == nil {
 		return shortsha.Size
 	}
 	return w.h.Size()
@@ -117,17 +108,20 @@ func (w walker) size() int {
 // is written, so a walk advances one state buffer in place and allocates
 // nothing per application.
 func (w walker) step(dst, in, more []byte) []byte {
-	for i := 0; i < w.c.iterations; i++ {
-		if w.st != nil {
-			w.st.Write(in)
-			w.st.Write(more)
-			dst = w.st.Sum(dst[:0])
-		} else {
-			w.h.Reset()
-			w.h.Write(in)
-			w.h.Write(more)
-			dst = w.h.Sum(dst[:0])
+	if w.h == nil {
+		if len(more) > 0 {
+			// A cursor's state and a window root: one digest each.
+			var buf [2 * shortsha.Size]byte
+			in = append(append(buf[:0], in...), more...)
 		}
+		sum := shortsha.Chain(in, w.c.iterations)
+		return append(dst[:0], sum[:]...)
+	}
+	for i := 0; i < w.c.iterations; i++ {
+		w.h.Reset()
+		w.h.Write(in)
+		w.h.Write(more)
+		dst = w.h.Sum(dst[:0])
 		in, more = dst, nil
 	}
 	return dst
@@ -144,7 +138,6 @@ func (c *Chain) Walk(seed []byte, m int) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
 	w := c.walker()
-	defer w.done()
 	size := w.size()
 	slab := make([]byte, m*size)
 	states := make([][]byte, m)
@@ -172,7 +165,6 @@ func (c *Chain) SampleIndices(root []byte, m int, n uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: got %d", ErrBadSampleCount, m)
 	}
 	w := c.walker()
-	defer w.done()
 	state := make([]byte, 0, w.size())
 	indices := make([]uint64, m)
 	cur := root

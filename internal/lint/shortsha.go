@@ -6,11 +6,13 @@ package lint
 // about as much again. The rule: non-test code outside the kernel package
 // does not name crypto/sha256.Sum256 or crypto/sha256.New — called or
 // passed as a value. The one exception is merkle's default Hasher, which
-// names sha256.New to hand the kernel its digest and carries a
+// names sha256.New as the hash.Hash a WithHasher option replaces and carries
+// a
 //
 //	//gridlint:ignore shortsha <reason>
 //
-// directive; everything else hashes on shortsha.State or shortsha.Sum256.
+// directive; everything else hashes on shortsha.Sum256 or shortsha.Chain,
+// or on their two-lane forms Sum256x2 and Chain2.
 
 import (
 	"go/ast"
@@ -43,7 +45,7 @@ func runShortSHA(pass *Pass) error {
 				return true
 			}
 			if name := fn.Name(); name == "Sum256" || name == "New" {
-				pass.Reportf(sel.Pos(), "crypto/sha256.%s outside internal/shortsha; hash on shortsha.State or shortsha.Sum256, which skip the per-call wrapper", name)
+				pass.Reportf(sel.Pos(), "crypto/sha256.%s outside internal/shortsha; hash on shortsha.Sum256, Sum256x2, Chain or Chain2, which skip the per-call wrapper", name)
 			}
 			return true
 		})

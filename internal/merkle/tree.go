@@ -153,7 +153,7 @@ type hashers struct {
 // instead of once per tree or proof. The pad is read-only like every node
 // value a Tree hands out.
 var defaultHashers = sync.OnceValue(func() hashers {
-	//gridlint:ignore shortsha the default Hasher; its nodes hash on the kernel (nodeHasher.st)
+	//gridlint:ignore shortsha the default Hasher derives the pad digest; its nodes hash on the kernel (nodeHasher.combineInto)
 	hs := deriveHashers(sha256.New)
 	hs.shared = true
 	return hs
@@ -178,26 +178,40 @@ func deriveHashers(newHash Hasher) hashers {
 	return hashers{newHash: newHash, pad: pad, fixedLen: fixedLen}
 }
 
-// nodeHasher is a reusable hashing state for the build hot paths: one hash
-// instance reset per node instead of allocated per node, with digests written
-// into caller-provided rows. The scratch buffer is a struct field so the
-// slices handed to hash.Write never escape per call. For the default hash
-// the node is hashed by st, the SHA-256 kernel, which owns h; a WithHasher
-// hash is driven through h itself. A nodeHasher is not safe for concurrent
-// use — each goroutine takes its own from hashers.node().
+// nodeHasher is a reusable hashing state for the build hot paths, with
+// digests written into caller-provided rows. For the default hash a node's
+// message is laid out in msg and hashed on the shortsha kernel; a WithHasher
+// hash is one instance h, reset per node instead of allocated per node, fed
+// through buf, a struct field so the slices handed to hash.Write never
+// escape per call. A nodeHasher is not safe for concurrent use — each
+// goroutine takes its own from hashers.node().
 type nodeHasher struct {
 	hs  hashers
 	h   hash.Hash
-	st  shortsha.State
+	msg [2][]byte
 	buf [1 + binary.MaxVarintLen64]byte
+	// msgInit is msg's first storage, enough for two 32-byte children each.
+	msgInit [2][2*(1+shortsha.Size) + 1]byte
 }
 
 func (hs hashers) node() *nodeHasher {
-	nh := &nodeHasher{hs: hs, h: hs.newHash()}
+	nh := &nodeHasher{hs: hs}
 	if hs.shared {
-		nh.st.Init(nh.h)
+		nh.msg = [2][]byte{nh.msgInit[0][:0], nh.msgInit[1][:0]}
+	} else {
+		nh.h = hs.newHash()
 	}
 	return nh
+}
+
+// nodeMsg appends the message of the node over left and right to dst:
+// 0x01 || uvarint(len(left)) || left || uvarint(len(right)) || right.
+func nodeMsg(dst, left, right []byte) []byte {
+	dst = append(dst, nodePrefix)
+	dst = binary.AppendUvarint(dst, uint64(len(left)))
+	dst = append(dst, left...)
+	dst = binary.AppendUvarint(dst, uint64(len(right)))
+	return append(dst, right...)
 }
 
 // nodeFor returns a node hasher for the hash o selects: prev itself when it
@@ -218,16 +232,13 @@ func nodeFor(prev *nodeHasher, o options) *nodeHasher {
 // dst may alias left or right: both are absorbed into the hash state before
 // dst is written.
 func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
+	if nh.hs.shared {
+		nh.msg[0] = nodeMsg(nh.msg[0][:0], left, right)
+		sum := shortsha.Sum256(nh.msg[0])
+		return append(dst[:0], sum[:]...)
+	}
 	nh.buf[0] = nodePrefix
 	n := binary.PutUvarint(nh.buf[1:], uint64(len(left)))
-	if nh.hs.shared {
-		nh.st.Write(nh.buf[:1+n])
-		nh.st.Write(left)
-		n = binary.PutUvarint(nh.buf[:], uint64(len(right)))
-		nh.st.Write(nh.buf[:n])
-		nh.st.Write(right)
-		return nh.st.Sum(dst[:0])
-	}
 	h := nh.h
 	h.Reset()
 	h.Write(nh.buf[:1+n])
@@ -236,6 +247,22 @@ func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
 	h.Write(nh.buf[:n])
 	h.Write(right)
 	return h.Sum(dst[:0])
+}
+
+// combine2Into is combineInto for two nodes, hashed in one pass of the
+// kernel's two lanes for the default hash. Neither destination may alias the
+// other node's children.
+func (nh *nodeHasher) combine2Into(dst0, left0, right0, dst1, left1, right1 []byte) {
+	if !nh.hs.shared {
+		nh.combineInto(dst0, left0, right0)
+		nh.combineInto(dst1, left1, right1)
+		return
+	}
+	nh.msg[0] = nodeMsg(nh.msg[0][:0], left0, right0)
+	nh.msg[1] = nodeMsg(nh.msg[1][:0], left1, right1)
+	sum0, sum1 := shortsha.Sum256x2(nh.msg[0], nh.msg[1])
+	copy(dst0[:shortsha.Size], sum0[:])
+	copy(dst1[:shortsha.Size], sum1[:])
 }
 
 // combine is combineInto a fresh digest, for the few nodes a structure
@@ -440,13 +467,19 @@ func (t *Tree) fillLeaves(slab []byte, lo, hi int, at func(i int) []byte, stop *
 // hashSubtree fills the internal nodes of the subtree rooted at heap node
 // root, which spans span leaves (a power of two), bottom-up. The nodes of
 // the level holding w of them are exactly [root*w, (root+1)*w) in heap
-// layout. The leaves below must already be in place.
+// layout; w is a power of two, so every level but the subtree's root is
+// hashed in pairs (q, q+1), two lanes per pass. The leaves below must
+// already be in place.
 func (t *Tree) hashSubtree(nh *nodeHasher, root, span int) {
 	size := t.hs.fixedLen
-	for w := span / 2; w >= 1; w /= 2 {
-		for q := root * w; q < (root+1)*w; q++ {
-			nh.combineInto(arenaRow(t.arena, size, q), t.node(2*q), t.node(2*q+1))
+	for w := span / 2; w >= 2; w /= 2 {
+		for q := root * w; q < (root+1)*w; q += 2 {
+			nh.combine2Into(arenaRow(t.arena, size, q), t.node(2*q), t.node(2*q+1),
+				arenaRow(t.arena, size, q+1), t.node(2*q+2), t.node(2*q+3))
 		}
+	}
+	if span >= 2 {
+		nh.combineInto(arenaRow(t.arena, size, root), t.node(2*root), t.node(2*root+1))
 	}
 }
 

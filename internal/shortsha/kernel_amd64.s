@@ -1,0 +1,413 @@
+// Copyright 2024 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+//go:build amd64 && !purego
+
+// The SHA-256 compressions under shortsha. The rounds are blockSHANI's from
+// the Go distribution's crypto/internal/fips140/sha256/sha256block_amd64.s
+// (the code its _asm/sha256block_amd64_shani.go generates, after S. Gulley
+// et al., "New Instructions Supporting the Secure Hash Algorithm on Intel®
+// Architecture Processors", July 2013), with the AVX moves replaced by their
+// SSE2 forms, a block's message words loaded before its first round, the
+// round constants at a 16-byte stride and the state passed as eight words.
+//
+// Two lanes. SHA256RNDS2 reads its round inputs from X0 implicitly, so
+// ROUNDS2 emits every live range of X0 first for lane A and then for lane B;
+// lane A keeps blockSHANI's registers and lane B takes X9-X15. Each
+// SHA256RNDS2 depends on the one before it in its own lane only, so the two
+// chains overlap in the core.
+//
+// Registers: AX the round constants, SI and BX the two lanes' data, DX the
+// end of lane A's, DI and R8 the two lanes' state words, CX the links a
+// chain has left; X0 the message words plus constants, X8 the byte-swap
+// mask. Lane A: X1 (ABEF) and X2 (CDGH) the state, X3-X6 the message
+// schedule, X7 scratch. Lane B: X9, X10, X11-X14 and X15 likewise. block
+// keeps lane A's saved state in X9 and X10, block2 keeps both lanes' on the
+// frame, and a chain's link adds back the initial value from iv_abef.
+
+#include "textflag.h"
+
+// LOADSTATE reads the eight state words at p into the order SHA256RNDS2
+// works in: DCBA, HGFE -> ABEF, CDGH.
+#define LOADSTATE(p, abef, cdgh, tmp) \
+	MOVOU	(p), abef; \
+	MOVOU	16(p), cdgh; \
+	PSHUFD	$0xb1, abef, abef; \
+	PSHUFD	$0x1b, cdgh, cdgh; \
+	MOVO	abef, tmp; \
+	PALIGNR	$8, cdgh, abef; \
+	PBLENDW	$0xf0, tmp, cdgh
+
+// WORDORDER puts the state in abef and cdgh back in word order, H0-H3 in
+// lo and H4-H7 in hi.
+#define WORDORDER(abef, cdgh, lo, hi, tmp) \
+	PSHUFD	$0x1b, abef, lo; \
+	PSHUFD	$0xb1, cdgh, hi; \
+	MOVO	lo, tmp; \
+	PBLENDW	$0xf0, hi, lo; \
+	PALIGNR	$8, tmp, hi
+
+// STORESTATE is LOADSTATE's inverse.
+#define STORESTATE(p, abef, cdgh, tmp) \
+	WORDORDER(abef, cdgh, abef, cdgh, tmp); \
+	MOVOU	abef, (p); \
+	MOVOU	cdgh, 16(p)
+
+// LOADMSG loads the block at p as sixteen big-endian message words.
+#define LOADMSG(p, m0, m1, m2, m3) \
+	MOVOU	(p), m0; \
+	PSHUFB	X8, m0; \
+	MOVOU	16(p), m1; \
+	PSHUFB	X8, m1; \
+	MOVOU	32(p), m2; \
+	PSHUFB	X8, m2; \
+	MOVOU	48(p), m3; \
+	PSHUFB	X8, m3
+
+// LINKMSG makes the state the message of a chain's next link — the digest
+// in W0-W7, a 32-byte message's padding from link_pad in W8-W15 — and
+// starts the link from the initial hash value.
+#define LINKMSG(abef, cdgh, m0, m1, m2, m3, tmp) \
+	WORDORDER(abef, cdgh, m0, m1, tmp); \
+	MOVOU	link_pad<>+0(SB), m2; \
+	MOVOU	link_pad<>+16(SB), m3; \
+	MOVOU	iv_abef<>+0(SB), abef; \
+	MOVOU	iv_abef<>+16(SB), cdgh
+
+// QUAD runs rounds 4c..4c+3 on the schedule words in m; k is 16c.
+#define QUAD(k, abef, cdgh, m) \
+	MOVO	m, X0; \
+	PADDD	k(AX), X0; \
+	SHA256RNDS2	X0, abef, cdgh; \
+	PSHUFD	$0x0e, X0, X0; \
+	SHA256RNDS2	X0, cdgh, abef
+
+// QUADSCHED is QUAD with one step of the message schedule (PALIGNR, PADDD,
+// SHA256MSG2 into t) between its two halves, where blockSHANI puts it.
+#define QUADSCHED(k, abef, cdgh, m, a, t, tmp) \
+	MOVO	m, X0; \
+	PADDD	k(AX), X0; \
+	SHA256RNDS2	X0, abef, cdgh; \
+	MOVO	m, tmp; \
+	PALIGNR	$4, a, tmp; \
+	PADDD	tmp, t; \
+	SHA256MSG2	m, t; \
+	PSHUFD	$0x0e, X0, X0; \
+	SHA256RNDS2	X0, cdgh, abef
+
+// ROUNDS1 runs the 64 rounds of lane A on the message in X3-X6.
+#define ROUNDS1 \
+	QUAD(0, X1, X2, X3); \
+	QUAD(16, X1, X2, X4); \
+	SHA256MSG1 X4, X3; \
+	QUAD(32, X1, X2, X5); \
+	SHA256MSG1 X5, X4; \
+	QUADSCHED(48, X1, X2, X6, X5, X3, X7); \
+	SHA256MSG1 X6, X5; \
+	QUADSCHED(64, X1, X2, X3, X6, X4, X7); \
+	SHA256MSG1 X3, X6; \
+	QUADSCHED(80, X1, X2, X4, X3, X5, X7); \
+	SHA256MSG1 X4, X3; \
+	QUADSCHED(96, X1, X2, X5, X4, X6, X7); \
+	SHA256MSG1 X5, X4; \
+	QUADSCHED(112, X1, X2, X6, X5, X3, X7); \
+	SHA256MSG1 X6, X5; \
+	QUADSCHED(128, X1, X2, X3, X6, X4, X7); \
+	SHA256MSG1 X3, X6; \
+	QUADSCHED(144, X1, X2, X4, X3, X5, X7); \
+	SHA256MSG1 X4, X3; \
+	QUADSCHED(160, X1, X2, X5, X4, X6, X7); \
+	SHA256MSG1 X5, X4; \
+	QUADSCHED(176, X1, X2, X6, X5, X3, X7); \
+	SHA256MSG1 X6, X5; \
+	QUADSCHED(192, X1, X2, X3, X6, X4, X7); \
+	SHA256MSG1 X3, X6; \
+	QUADSCHED(208, X1, X2, X4, X3, X5, X7); \
+	QUADSCHED(224, X1, X2, X5, X4, X6, X7); \
+	QUAD(240, X1, X2, X6)
+
+// ROUNDS2 runs the 64 rounds of both lanes, four at a time per lane.
+#define ROUNDS2 \
+	QUAD(0, X1, X2, X3); \
+	QUAD(0, X9, X10, X11); \
+	QUAD(16, X1, X2, X4); \
+	SHA256MSG1 X4, X3; \
+	QUAD(16, X9, X10, X12); \
+	SHA256MSG1 X12, X11; \
+	QUAD(32, X1, X2, X5); \
+	SHA256MSG1 X5, X4; \
+	QUAD(32, X9, X10, X13); \
+	SHA256MSG1 X13, X12; \
+	QUADSCHED(48, X1, X2, X6, X5, X3, X7); \
+	SHA256MSG1 X6, X5; \
+	QUADSCHED(48, X9, X10, X14, X13, X11, X15); \
+	SHA256MSG1 X14, X13; \
+	QUADSCHED(64, X1, X2, X3, X6, X4, X7); \
+	SHA256MSG1 X3, X6; \
+	QUADSCHED(64, X9, X10, X11, X14, X12, X15); \
+	SHA256MSG1 X11, X14; \
+	QUADSCHED(80, X1, X2, X4, X3, X5, X7); \
+	SHA256MSG1 X4, X3; \
+	QUADSCHED(80, X9, X10, X12, X11, X13, X15); \
+	SHA256MSG1 X12, X11; \
+	QUADSCHED(96, X1, X2, X5, X4, X6, X7); \
+	SHA256MSG1 X5, X4; \
+	QUADSCHED(96, X9, X10, X13, X12, X14, X15); \
+	SHA256MSG1 X13, X12; \
+	QUADSCHED(112, X1, X2, X6, X5, X3, X7); \
+	SHA256MSG1 X6, X5; \
+	QUADSCHED(112, X9, X10, X14, X13, X11, X15); \
+	SHA256MSG1 X14, X13; \
+	QUADSCHED(128, X1, X2, X3, X6, X4, X7); \
+	SHA256MSG1 X3, X6; \
+	QUADSCHED(128, X9, X10, X11, X14, X12, X15); \
+	SHA256MSG1 X11, X14; \
+	QUADSCHED(144, X1, X2, X4, X3, X5, X7); \
+	SHA256MSG1 X4, X3; \
+	QUADSCHED(144, X9, X10, X12, X11, X13, X15); \
+	SHA256MSG1 X12, X11; \
+	QUADSCHED(160, X1, X2, X5, X4, X6, X7); \
+	SHA256MSG1 X5, X4; \
+	QUADSCHED(160, X9, X10, X13, X12, X14, X15); \
+	SHA256MSG1 X13, X12; \
+	QUADSCHED(176, X1, X2, X6, X5, X3, X7); \
+	SHA256MSG1 X6, X5; \
+	QUADSCHED(176, X9, X10, X14, X13, X11, X15); \
+	SHA256MSG1 X14, X13; \
+	QUADSCHED(192, X1, X2, X3, X6, X4, X7); \
+	SHA256MSG1 X3, X6; \
+	QUADSCHED(192, X9, X10, X11, X14, X12, X15); \
+	SHA256MSG1 X11, X14; \
+	QUADSCHED(208, X1, X2, X4, X3, X5, X7); \
+	QUADSCHED(208, X9, X10, X12, X11, X13, X15); \
+	QUADSCHED(224, X1, X2, X5, X4, X6, X7); \
+	QUADSCHED(224, X9, X10, X13, X12, X14, X15); \
+	QUAD(240, X1, X2, X6); \
+	QUAD(240, X9, X10, X14)
+
+// func block(h *[8]uint32, p []byte)
+TEXT ·block(SB), NOSPLIT, $0-32
+	MOVQ	h+0(FP), DI
+	MOVQ	p_base+8(FP), SI
+	MOVQ	p_len+16(FP), DX
+	ANDQ	$-64, DX
+	JZ	done
+	ADDQ	SI, DX
+	LOADSTATE(DI, X1, X2, X7)
+	MOVOU	flip_mask<>(SB), X8
+	LEAQ	k256<>(SB), AX
+
+loop:
+	MOVO	X1, X9
+	MOVO	X2, X10
+	LOADMSG(SI, X3, X4, X5, X6)
+	ROUNDS1
+	PADDD	X9, X1
+	PADDD	X10, X2
+	ADDQ	$64, SI
+	CMPQ	SI, DX
+	JNE	loop
+	STORESTATE(DI, X1, X2, X7)
+
+done:
+	RET
+
+// func block2(h0, h1 *[8]uint32, p0, p1 []byte)
+TEXT ·block2(SB), NOSPLIT, $64-64
+	MOVQ	h0+0(FP), DI
+	MOVQ	h1+8(FP), R8
+	MOVQ	p0_base+16(FP), SI
+	MOVQ	p0_len+24(FP), DX
+	MOVQ	p1_base+40(FP), BX
+	ANDQ	$-64, DX
+	JZ	done
+	ADDQ	SI, DX
+	LOADSTATE(DI, X1, X2, X7)
+	LOADSTATE(R8, X9, X10, X15)
+	MOVOU	flip_mask<>(SB), X8
+	LEAQ	k256<>(SB), AX
+
+loop:
+	MOVOU	X1, 0(SP)
+	MOVOU	X2, 16(SP)
+	MOVOU	X9, 32(SP)
+	MOVOU	X10, 48(SP)
+	LOADMSG(SI, X3, X4, X5, X6)
+	LOADMSG(BX, X11, X12, X13, X14)
+	ROUNDS2
+	MOVOU	0(SP), X0
+	PADDD	X0, X1
+	MOVOU	16(SP), X0
+	PADDD	X0, X2
+	MOVOU	32(SP), X0
+	PADDD	X0, X9
+	MOVOU	48(SP), X0
+	PADDD	X0, X10
+	ADDQ	$64, SI
+	ADDQ	$64, BX
+	CMPQ	SI, DX
+	JNE	loop
+	STORESTATE(DI, X1, X2, X7)
+	STORESTATE(R8, X9, X10, X15)
+
+done:
+	RET
+
+// func chain(h *[8]uint32, links int)
+TEXT ·chain(SB), NOSPLIT, $0-16
+	MOVQ	h+0(FP), DI
+	MOVQ	links+8(FP), CX
+	TESTQ	CX, CX
+	JLE	done
+	LOADSTATE(DI, X1, X2, X7)
+	LEAQ	k256<>(SB), AX
+
+loop:
+	LINKMSG(X1, X2, X3, X4, X5, X6, X7)
+	ROUNDS1
+	PADDD	iv_abef<>+0(SB), X1
+	PADDD	iv_abef<>+16(SB), X2
+	DECQ	CX
+	JNZ	loop
+	STORESTATE(DI, X1, X2, X7)
+
+done:
+	RET
+
+// func chain2(h0, h1 *[8]uint32, links int)
+TEXT ·chain2(SB), NOSPLIT, $0-24
+	MOVQ	h0+0(FP), DI
+	MOVQ	h1+8(FP), R8
+	MOVQ	links+16(FP), CX
+	TESTQ	CX, CX
+	JLE	done
+	LOADSTATE(DI, X1, X2, X7)
+	LOADSTATE(R8, X9, X10, X15)
+	LEAQ	k256<>(SB), AX
+
+loop:
+	LINKMSG(X1, X2, X3, X4, X5, X6, X7)
+	LINKMSG(X9, X10, X11, X12, X13, X14, X15)
+	ROUNDS2
+	PADDD	iv_abef<>+0(SB), X1
+	PADDD	iv_abef<>+16(SB), X2
+	PADDD	iv_abef<>+0(SB), X9
+	PADDD	iv_abef<>+16(SB), X10
+	DECQ	CX
+	JNZ	loop
+	STORESTATE(DI, X1, X2, X7)
+	STORESTATE(R8, X9, X10, X15)
+
+done:
+	RET
+
+// func kernelSupported() bool
+TEXT ·kernelSupported(SB), NOSPLIT, $0-1
+	MOVB	$0, ret+0(FP)
+	XORL	AX, AX
+	CPUID
+	CMPL	AX, $7
+	JB	done
+	MOVL	$1, AX
+	CPUID
+	ANDL	$0x80200, CX // SSSE3 (bit 9) and SSE4.1 (bit 19)
+	CMPL	CX, $0x80200
+	JNE	done
+	MOVL	$7, AX
+	XORL	CX, CX
+	CPUID
+	BTL	$29, BX // SHA
+	JCC	done
+	MOVB	$1, ret+0(FP)
+
+done:
+	RET
+
+// flip_mask byte-swaps each 32-bit word.
+DATA flip_mask<>+0(SB)/8, $0x0405060700010203
+DATA flip_mask<>+8(SB)/8, $0x0c0d0e0f08090a0b
+GLOBL flip_mask<>(SB), RODATA|NOPTR, $16
+
+// iv_abef is SHA-256's initial hash value (FIPS 180-4 §5.3.3) in
+// LOADSTATE's order: H5 H4 H1 H0, then H7 H6 H3 H2.
+DATA iv_abef<>+0(SB)/8, $0x510e527f9b05688c
+DATA iv_abef<>+8(SB)/8, $0x6a09e667bb67ae85
+DATA iv_abef<>+16(SB)/8, $0x1f83d9ab5be0cd19
+DATA iv_abef<>+24(SB)/8, $0x3c6ef372a54ff53a
+GLOBL iv_abef<>(SB), RODATA|NOPTR, $32
+
+// link_pad is message words W8-W15 of every 32-byte message: the 1 bit,
+// zeros, and the length, 256 bits.
+DATA link_pad<>+0(SB)/8, $0x0000000080000000
+DATA link_pad<>+8(SB)/8, $0
+DATA link_pad<>+16(SB)/8, $0
+DATA link_pad<>+24(SB)/8, $0x0000010000000000
+GLOBL link_pad<>(SB), RODATA|NOPTR, $32
+
+// k256 holds the 64 round constants, four to a 16-byte row.
+DATA k256<>+0(SB)/4, $0x428a2f98
+DATA k256<>+4(SB)/4, $0x71374491
+DATA k256<>+8(SB)/4, $0xb5c0fbcf
+DATA k256<>+12(SB)/4, $0xe9b5dba5
+DATA k256<>+16(SB)/4, $0x3956c25b
+DATA k256<>+20(SB)/4, $0x59f111f1
+DATA k256<>+24(SB)/4, $0x923f82a4
+DATA k256<>+28(SB)/4, $0xab1c5ed5
+DATA k256<>+32(SB)/4, $0xd807aa98
+DATA k256<>+36(SB)/4, $0x12835b01
+DATA k256<>+40(SB)/4, $0x243185be
+DATA k256<>+44(SB)/4, $0x550c7dc3
+DATA k256<>+48(SB)/4, $0x72be5d74
+DATA k256<>+52(SB)/4, $0x80deb1fe
+DATA k256<>+56(SB)/4, $0x9bdc06a7
+DATA k256<>+60(SB)/4, $0xc19bf174
+DATA k256<>+64(SB)/4, $0xe49b69c1
+DATA k256<>+68(SB)/4, $0xefbe4786
+DATA k256<>+72(SB)/4, $0x0fc19dc6
+DATA k256<>+76(SB)/4, $0x240ca1cc
+DATA k256<>+80(SB)/4, $0x2de92c6f
+DATA k256<>+84(SB)/4, $0x4a7484aa
+DATA k256<>+88(SB)/4, $0x5cb0a9dc
+DATA k256<>+92(SB)/4, $0x76f988da
+DATA k256<>+96(SB)/4, $0x983e5152
+DATA k256<>+100(SB)/4, $0xa831c66d
+DATA k256<>+104(SB)/4, $0xb00327c8
+DATA k256<>+108(SB)/4, $0xbf597fc7
+DATA k256<>+112(SB)/4, $0xc6e00bf3
+DATA k256<>+116(SB)/4, $0xd5a79147
+DATA k256<>+120(SB)/4, $0x06ca6351
+DATA k256<>+124(SB)/4, $0x14292967
+DATA k256<>+128(SB)/4, $0x27b70a85
+DATA k256<>+132(SB)/4, $0x2e1b2138
+DATA k256<>+136(SB)/4, $0x4d2c6dfc
+DATA k256<>+140(SB)/4, $0x53380d13
+DATA k256<>+144(SB)/4, $0x650a7354
+DATA k256<>+148(SB)/4, $0x766a0abb
+DATA k256<>+152(SB)/4, $0x81c2c92e
+DATA k256<>+156(SB)/4, $0x92722c85
+DATA k256<>+160(SB)/4, $0xa2bfe8a1
+DATA k256<>+164(SB)/4, $0xa81a664b
+DATA k256<>+168(SB)/4, $0xc24b8b70
+DATA k256<>+172(SB)/4, $0xc76c51a3
+DATA k256<>+176(SB)/4, $0xd192e819
+DATA k256<>+180(SB)/4, $0xd6990624
+DATA k256<>+184(SB)/4, $0xf40e3585
+DATA k256<>+188(SB)/4, $0x106aa070
+DATA k256<>+192(SB)/4, $0x19a4c116
+DATA k256<>+196(SB)/4, $0x1e376c08
+DATA k256<>+200(SB)/4, $0x2748774c
+DATA k256<>+204(SB)/4, $0x34b0bcb5
+DATA k256<>+208(SB)/4, $0x391c0cb3
+DATA k256<>+212(SB)/4, $0x4ed8aa4a
+DATA k256<>+216(SB)/4, $0x5b9cca4f
+DATA k256<>+220(SB)/4, $0x682e6ff3
+DATA k256<>+224(SB)/4, $0x748f82ee
+DATA k256<>+228(SB)/4, $0x78a5636f
+DATA k256<>+232(SB)/4, $0x84c87814
+DATA k256<>+236(SB)/4, $0x8cc70208
+DATA k256<>+240(SB)/4, $0x90befffa
+DATA k256<>+244(SB)/4, $0xa4506ceb
+DATA k256<>+248(SB)/4, $0xbef9a3f7
+DATA k256<>+252(SB)/4, $0xc67178f2
+GLOBL k256<>(SB), RODATA|NOPTR, $256

@@ -1,39 +1,47 @@
-// Package shortsha computes SHA-256 at the price of its compressions. Every
-// hash this system takes is one or two blocks long — a Merkle node, a link
-// of f's chain, a hash-chain step, a task seed — and for messages that
-// short crypto/sha256's per-call wrapper (Sum's copy of the digest, the
-// padding Write, the copy into its block buffer) costs about as much as the
-// compression itself. A State skips the wrapper and keeps the block
-// function.
+// Package shortsha computes SHA-256 at the price of its compressions, two
+// messages at a time where a caller has two. Every hash this system takes is
+// one or two blocks long — a Merkle node, a link of f's chain, a hash-chain
+// step, a task seed — and for messages that short crypto/sha256's per-call
+// wrapper (the digest's copy, the padding Write, the copy into its block
+// buffer) costs about as much as the compression itself.
 //
 // Padding. FIPS 180-4 §5.1.1 pads an ℓ-bit message m to a multiple of 512
 // bits: m, one 1 bit, the fewest 0 bits that leave 64 bits of the last
-// block free, and ℓ as a 64-bit big-endian integer. A State buffers m in a
-// two-block array inside the struct, writes that padding behind it itself,
-// and hands the digest only whole padded blocks, so the digest's Write goes
-// straight to the block function and never buffers. A message of at most
-// 119 bytes is one Write of one or two blocks; a longer one flushes whole
-// blocks as its buffer fills.
+// block free, and ℓ as a 64-bit big-endian integer. The whole blocks of a
+// message longer than 119 bytes are compressed where they lie; the rest —
+// all of a shorter message — is copied into a two-block array on the stack
+// with the padding written behind it, so a message of at most 119 bytes is
+// one kernel call of one or two blocks. A link of a chain hashes the
+// previous digest, 32 bytes, so its block is the state words followed by a
+// constant template of padding: the kernel builds it in registers and never
+// reads the digest back from memory.
 //
 // Readout. SHA-256(m) is the chaining value after the last block of pad(m)
-// is compressed — the eight state words, big-endian. The digest's
-// encoding.BinaryAppender form is a 4-byte magic, those eight words
-// big-endian, the partial block and the length; crypto/sha256 keeps that
-// layout stable so saved states restore across releases. Once pad(m) has
-// been written the partial block is empty and bytes 4..36 of the encoding
-// are SHA-256(m).
+// is compressed: the eight state words, big-endian. The kernel keeps those
+// words itself — FIPS 180-4 §5.3.3's initial value in, the chaining value
+// out — so nothing is encoded, copied or reset between messages.
 //
-// Nothing a caller passes crosses an interface: only the State's own buffer
-// goes to the digest, so a State allocates nothing per message, and the
-// pooled Sum256 nothing per call.
+// Lanes. SHA-NI's rounds form one serial dependency chain per message, and
+// a core overlaps two such chains in part (1.13-1.25 times one lane's rate
+// on the CPU ROADMAP records). Sum256x2 and Chain2 hash two independent
+// messages in one instruction stream, interleaved round by round
+// (kernel_amd64.s): the lanes share the blocks both messages have, and the
+// longer message finishes alone. The Merkle levels pair their
+// nodes and f's evaluations pair their inputs to use it; everything else
+// hashes one lane at a time with Sum256 and Chain.
+//
+// Dispatch. The kernel is amd64 assembly and needs the SHA extensions,
+// SSSE3 and SSE4.1, checked once with CPUID. On other architectures, on
+// CPUs without those features and under the purego build tag every entry
+// point is crypto/sha256.Sum256 per message, with the same results.
+//
+// Nothing a caller passes is retained or crosses an interface, so no entry
+// point allocates.
 package shortsha
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
-	"hash"
-	"sync"
 )
 
 // Size is the length of a SHA-256 digest in bytes.
@@ -43,107 +51,151 @@ const (
 	blockSize = sha256.BlockSize
 	// lenSize is the trailing bit-length field of a padded message.
 	lenSize = 8
-	// stateOff is where the chaining value starts in the digest's binary
-	// encoding, after the "sha\x03" magic.
-	stateOff = 4
+	// maxTail is the longest message end the two-block tail holds with its
+	// padding.
+	maxTail = 2*blockSize - 1 - lenSize
 )
 
-// State hashes one message at a time with SHA-256: Write absorbs the
-// message, Sum appends its digest and readies the State for the next one.
-// A State is not safe for concurrent use; the zero State is unusable — get
-// one from New or Get, or bind one with Init.
-type State struct {
-	d   hash.Hash
-	enc encoding.BinaryAppender
-	// n counts the bytes buffered in buf; total counts the whole message.
-	n     int
-	total uint64
-	buf   [2 * blockSize]byte
+// iv is SHA-256's initial hash value, FIPS 180-4 §5.3.3.
+var iv = [8]uint32{
+	0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+	0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 }
 
-// New returns a State over a fresh crypto/sha256 digest.
-func New() *State {
-	s := new(State)
-	s.Init(sha256.New())
+// Sum256 returns SHA-256 of msg.
+func Sum256(msg []byte) [Size]byte {
+	if !useKernel {
+		return sha256.Sum256(msg)
+	}
+	s := sumWords(msg)
+	return digest(&s)
+}
+
+// Sum256x2 returns SHA-256 of m0 and of m1, hashed in one pass: the two
+// messages may have any lengths, and the blocks both have run side by side.
+func Sum256x2(m0, m1 []byte) (d0, d1 [Size]byte) {
+	if !useKernel {
+		return sha256.Sum256(m0), sha256.Sum256(m1)
+	}
+	s0, s1 := sumWords2(m0, m1)
+	return digest(&s0), digest(&s1)
+}
+
+// Chain returns SHA-256 applied rounds times to msg, each link hashing the
+// previous digest; rounds below 1 count as 1.
+func Chain(msg []byte, rounds int) [Size]byte {
+	if !useKernel {
+		return portableChain(msg, rounds)
+	}
+	s := sumWords(msg)
+	if rounds > 1 {
+		chain(&s, rounds-1)
+	}
+	return digest(&s)
+}
+
+// Chain2 is Chain of m0 and of m1 in one pass.
+func Chain2(m0, m1 []byte, rounds int) (d0, d1 [Size]byte) {
+	if !useKernel {
+		return portableChain(m0, rounds), portableChain(m1, rounds)
+	}
+	s0, s1 := sumWords2(m0, m1)
+	if rounds > 1 {
+		chain2(&s0, &s1, rounds-1)
+	}
+	return digest(&s0), digest(&s1)
+}
+
+// portableChain is Chain on crypto/sha256.
+func portableChain(msg []byte, rounds int) [Size]byte {
+	d := sha256.Sum256(msg)
+	for i := 1; i < rounds; i++ {
+		d = sha256.Sum256(d[:])
+	}
+	return d
+}
+
+// padded is the end of a message cut for the kernel, the part that is not
+// compressed in place: tail[:ntail] holds the rest of the message and its
+// padding, one or two blocks.
+type padded struct {
+	ntail int
+	tail  [2 * blockSize]byte
+}
+
+// pad copies the end of msg into p and returns the head: the fewest whole
+// blocks that leave at most maxTail bytes behind, none for a message of up
+// to maxTail bytes, compressed where they lie.
+func (p *padded) pad(msg []byte) (head []byte) {
+	h := 0
+	if len(msg) > maxTail {
+		h = (len(msg) - maxTail + blockSize - 1) &^ (blockSize - 1)
+	}
+	n := copy(p.tail[:], msg[h:])
+	p.tail[n] = 0x80
+	p.ntail = blockSize
+	if n+1+lenSize > blockSize {
+		p.ntail = 2 * blockSize
+	}
+	binary.BigEndian.PutUint64(p.tail[p.ntail-lenSize:], uint64(len(msg))<<3)
+	return msg[:h]
+}
+
+// sumWords returns the state words of SHA-256(msg).
+func sumWords(msg []byte) [8]uint32 {
+	var p padded
+	head := p.pad(msg)
+	s := iv
+	if len(head) > 0 {
+		block(&s, head)
+	}
+	block(&s, p.tail[:p.ntail])
 	return s
 }
 
-// Init binds s to d, a digest from crypto/sha256.New, which s then owns:
-// a caller that already holds a SHA-256 digest keeps one hash state, not
-// two. It panics if d cannot encode its state.
-func (s *State) Init(d hash.Hash) {
-	enc, ok := d.(encoding.BinaryAppender)
-	if !ok || d.Size() != Size || d.BlockSize() != blockSize {
-		panic("shortsha: Init needs a crypto/sha256 digest")
-	}
-	*s = State{d: d, enc: enc}
-	d.Reset()
-}
-
-// Write absorbs p into the message.
-func (s *State) Write(p []byte) {
-	s.total += uint64(len(p))
+// sumWords2 is sumWords of m0 and m1, two lanes while both have blocks
+// left. Each lane's blocks come from its head and then its tail, so the
+// pass is cut wherever either lane changes source.
+func sumWords2(m0, m1 []byte) (s0, s1 [8]uint32) {
+	var p0, p1 padded
+	b0 := p0.pad(m0)
+	b1 := p1.pad(m1)
+	t0, t1 := p0.tail[:p0.ntail], p1.tail[:p1.ntail]
+	s0, s1 = iv, iv
 	for {
-		c := copy(s.buf[s.n:], p)
-		if s.n += c; s.n < len(s.buf) {
-			return
+		if len(b0) == 0 {
+			b0, t0 = t0, nil
 		}
-		s.d.Write(s.buf[:])
-		s.n, p = 0, p[c:]
+		if len(b1) == 0 {
+			b1, t1 = t1, nil
+		}
+		n := min(len(b0), len(b1))
+		if n == 0 {
+			break
+		}
+		block2(&s0, &s1, b0[:n], b1[:n])
+		b0, b1 = b0[n:], b1[n:]
+	}
+	finish(&s0, b0, t0)
+	finish(&s1, b1, t1)
+	return s0, s1
+}
+
+// finish compresses what is left of a lane alone: the rest of its current
+// source and, when that was the head, the tail.
+func finish(s *[8]uint32, b, t []byte) {
+	if len(b) > 0 {
+		block(s, b)
+	}
+	if len(t) > 0 {
+		block(s, t)
 	}
 }
 
-// Sum appends SHA-256 of the message written since the last Sum to dst and
-// returns the result. dst may alias anything already written. The State is
-// then empty, ready for the next message.
-func (s *State) Sum(dst []byte) []byte {
-	n := s.n
-	if n+1+lenSize > len(s.buf) {
-		// The padding does not fit behind the last 120..127 bytes: compress
-		// the first block now and pad the second.
-		s.d.Write(s.buf[:blockSize])
-		n = copy(s.buf[:], s.buf[blockSize:n])
+// digest reads the state words out as a digest.
+func digest(s *[8]uint32) (d [Size]byte) {
+	for i, w := range s {
+		binary.BigEndian.PutUint32(d[4*i:], w)
 	}
-	end := blockSize
-	if n+1+lenSize > blockSize {
-		end = 2 * blockSize
-	}
-	s.buf[n] = 0x80
-	clear(s.buf[n+1 : end-lenSize])
-	binary.BigEndian.PutUint64(s.buf[end-lenSize:end], s.total<<3)
-	s.d.Write(s.buf[:end])
-	enc, _ := s.enc.AppendBinary(s.buf[:0])
-	dst = append(dst, enc[stateOff:stateOff+Size]...)
-	s.Reset()
-	return dst
-}
-
-// Reset discards the message written so far.
-func (s *State) Reset() {
-	s.d.Reset()
-	s.n, s.total = 0, 0
-}
-
-var pool = sync.Pool{New: func() any { return New() }}
-
-// Get borrows an empty State from a process-wide pool, for a caller that
-// hashes several messages in a row (a chain of them, or one in parts).
-// Hand it back with Put.
-func Get() *State { return pool.Get().(*State) }
-
-// Put returns a State taken from Get. The State must not be used again.
-func Put(s *State) {
-	s.Reset()
-	pool.Put(s)
-}
-
-// Sum256 returns SHA-256 of msg, as crypto/sha256.Sum256 does, on a pooled
-// State.
-func Sum256(msg []byte) [Size]byte {
-	s := Get()
-	s.Write(msg)
-	var sum [Size]byte
-	s.Sum(sum[:0])
-	pool.Put(s) // Sum left it empty
-	return sum
+	return d
 }

@@ -1,122 +1,167 @@
 package shortsha
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding"
 	"fmt"
 	"testing"
 )
 
-// message returns n deterministic bytes.
-func message(n int) []byte {
+// message returns n deterministic bytes; salt tells two messages of one
+// length apart.
+func message(n int, salt byte) []byte {
 	msg := make([]byte, n)
 	for i := range msg {
-		msg[i] = byte(i*131 + 7)
+		msg[i] = byte(i*131+7) ^ salt
 	}
 	return msg
 }
 
-// checkSplits compares Sum256 and a State fed msg in two parts, split at
-// every offset, against crypto/sha256. One State serves every split, so a
-// Sum that failed to leave it empty shows as a wrong digest on the next.
-func checkSplits(t *testing.T, s *State, msg []byte) {
+// forEachPath runs check on the assembly lanes, when this build and CPU
+// have them, and on the portable path, so every test below is a three-way
+// differential: kernel, portable, and crypto/sha256 in the test itself.
+func forEachPath(t *testing.T, check func(t *testing.T)) {
 	t.Helper()
-	want := sha256.Sum256(msg)
-	if got := Sum256(msg); got != want {
-		t.Fatalf("Sum256 of %d bytes = %x, want %x", len(msg), got, want)
+	saved := useKernel
+	defer func() { useKernel = saved }()
+	paths := []bool{false}
+	if saved {
+		paths = append(paths, true)
+	} else {
+		t.Log("no kernel in this build or on this CPU: portable path only")
 	}
-	for split := 0; split <= len(msg); split++ {
-		s.Write(msg[:split])
-		s.Write(msg[split:])
-		if got := s.Sum(nil); !bytes.Equal(got, want[:]) {
-			t.Fatalf("%d bytes split at %d: %x, want %x", len(msg), split, got, want)
+	for _, kernel := range paths {
+		useKernel = kernel
+		name := "portable"
+		if kernel {
+			name = "kernel"
 		}
+		t.Run(name, check)
 	}
 }
 
-// TestMatchesCryptoSHA256 covers every length through five blocks, so every
-// padding edge — 55/56 bytes (one block or two), 63/64, 119/120 (the
-// buffer's own edge) and the flushes of longer messages — meets every split
-// point.
+// refChain is SHA-256 applied rounds times (at least once), on crypto/sha256.
+func refChain(msg []byte, rounds int) [Size]byte {
+	d := sha256.Sum256(msg)
+	for i := 1; i < rounds; i++ {
+		d = sha256.Sum256(d[:])
+	}
+	return d
+}
+
+// TestMatchesCryptoSHA256 covers every Sum256 length through five blocks,
+// so every padding edge — 55/56 bytes (one block or two), 63/64, 119/120
+// (the tail's own edge) and the in-place heads of longer messages — is met.
 func TestMatchesCryptoSHA256(t *testing.T) {
-	s := New()
-	for n := 0; n <= 320; n++ {
-		checkSplits(t, s, message(n))
-	}
-}
-
-// TestSumAppendsAndAliases: Sum appends to dst, and a chain that writes a
-// digest's bytes and sums over them in place gives H(H(m)).
-func TestSumAppendsAndAliases(t *testing.T) {
-	s := Get()
-	defer Put(s)
-	s.Write([]byte("abc"))
-	got := s.Sum([]byte("prefix"))
-	want := sha256.Sum256([]byte("abc"))
-	if !bytes.Equal(got, append([]byte("prefix"), want[:]...)) {
-		t.Fatalf("Sum(prefix) = %x", got)
-	}
-	state := got[len("prefix"):]
-	s.Write(state)
-	state = s.Sum(state[:0])
-	if twice := sha256.Sum256(want[:]); !bytes.Equal(state, twice[:]) {
-		t.Fatalf("H(H(abc)) in place = %x, want %x", state, twice)
-	}
-}
-
-// TestResetDiscardsAMessage: a State reset mid-message hashes the next one
-// alone, however much of the first it had buffered or flushed.
-func TestResetDiscardsAMessage(t *testing.T) {
-	s := New()
-	for _, n := range []int{1, 64, 127, 128, 300} {
-		s.Write(message(n))
-		s.Reset()
-		s.Write([]byte("next"))
-		if got, want := s.Sum(nil), sha256.Sum256([]byte("next")); !bytes.Equal(got, want[:]) {
-			t.Fatalf("after resetting %d bytes: %x, want %x", n, got, want)
+	forEachPath(t, func(t *testing.T) {
+		for n := 0; n <= 320; n++ {
+			msg := message(n, 0)
+			if got, want := Sum256(msg), sha256.Sum256(msg); got != want {
+				t.Fatalf("Sum256 of %d bytes = %x, want %x", n, got, want)
+			}
 		}
+	})
+}
+
+// TestSum256x2MatchesCryptoSHA256 takes every pair of lengths through
+// 160 bytes: lanes of equal and of different block counts, heads of
+// different lengths, and each lane finishing alone.
+func TestSum256x2MatchesCryptoSHA256(t *testing.T) {
+	msgs := make([][2][]byte, 161)
+	for n := range msgs {
+		msgs[n] = [2][]byte{message(n, 0), message(n, 0x5a)}
 	}
-}
-
-// TestInitRefusesOtherDigests: the readout is SHA-256's encoding, so only
-// its digest is accepted.
-func TestInitRefusesOtherDigests(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Init(sha256.New224()) did not panic")
+	forEachPath(t, func(t *testing.T) {
+		for a := range msgs {
+			for b := range msgs {
+				m0, m1 := msgs[a][0], msgs[b][1]
+				d0, d1 := Sum256x2(m0, m1)
+				if want := sha256.Sum256(m0); d0 != want {
+					t.Fatalf("Sum256x2(%d B, %d B) lane 0 = %x, want %x", a, b, d0, want)
+				}
+				if want := sha256.Sum256(m1); d1 != want {
+					t.Fatalf("Sum256x2(%d B, %d B) lane 1 = %x, want %x", a, b, d1, want)
+				}
+			}
 		}
-	}()
-	new(State).Init(sha256.New224())
+	})
 }
 
+// chainLengths are the first links' lengths the chain tests pair up: f's
+// 16-byte input, a digest, and the padding edges.
+var chainLengths = []int{0, 16, 32, 55, 56, 64, 119, 120, 200}
+
+// TestChainMatchesCryptoSHA256 runs Chain and Chain2 for rounds 0-8 (0 is
+// one hash) over every pair of chainLengths.
+func TestChainMatchesCryptoSHA256(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		for rounds := 0; rounds <= 8; rounds++ {
+			for _, a := range chainLengths {
+				m0 := message(a, 0)
+				want0 := refChain(m0, rounds)
+				if got := Chain(m0, rounds); got != want0 {
+					t.Fatalf("Chain(%d B, %d) = %x, want %x", a, rounds, got, want0)
+				}
+				for _, b := range chainLengths {
+					m1 := message(b, 0x5a)
+					d0, d1 := Chain2(m0, m1, rounds)
+					if want1 := refChain(m1, rounds); d0 != want0 || d1 != want1 {
+						t.Fatalf("Chain2(%d B, %d B, %d) = %x, %x; want %x, %x", a, b, rounds, d0, d1, want0, want1)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMessagesAreNotWritten: the entry points read their messages only,
+// including a head compressed in place.
+func TestMessagesAreNotWritten(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		m0, m1 := message(300, 0), message(67, 1)
+		c0, c1 := message(300, 0), message(67, 1)
+		Sum256(m0)
+		Sum256x2(m0, m1)
+		Chain2(m1, m0, 3)
+		if string(m0) != string(c0) || string(m1) != string(c1) {
+			t.Fatal("an entry point wrote to its message")
+		}
+	})
+}
+
+// FuzzShortSum is the kernel's differential against crypto/sha256 over
+// every entry point: two messages of any lengths and a round count.
 func FuzzShortSum(f *testing.F) {
 	for _, n := range []int{0, 55, 56, 64, 119, 120, 200} {
-		f.Add(message(n))
+		f.Add(message(n, 0), message(n/2, 1), uint8(n%5))
 	}
-	s := New()
-	f.Fuzz(func(t *testing.T, msg []byte) {
-		checkSplits(t, s, msg)
+	f.Fuzz(func(t *testing.T, m0, m1 []byte, rounds uint8) {
+		r := int(rounds % 9)
+		want0, want1 := sha256.Sum256(m0), sha256.Sum256(m1)
+		chain0, chain1 := refChain(m0, r), refChain(m1, r)
+		forEachPath(t, func(t *testing.T) {
+			if got := Sum256(m0); got != want0 {
+				t.Fatalf("Sum256 = %x, want %x", got, want0)
+			}
+			if d0, d1 := Sum256x2(m0, m1); d0 != want0 || d1 != want1 {
+				t.Fatalf("Sum256x2 = %x, %x; want %x, %x", d0, d1, want0, want1)
+			}
+			if got := Chain(m0, r); got != chain0 {
+				t.Fatalf("Chain(%d) = %x, want %x", r, got, chain0)
+			}
+			if d0, d1 := Chain2(m0, m1, r); d0 != chain0 || d1 != chain1 {
+				t.Fatalf("Chain2(%d) = %x, %x; want %x, %x", r, d0, d1, chain0, chain1)
+			}
+		})
 	})
 }
 
 // BenchmarkSum256 sets the kernel beside crypto/sha256.Sum256 at the
-// message sizes this system hashes: a task seed, a hash-chain link and a
-// Merkle node of two digests. "state" reuses one State, as the Merkle
-// builders and f's chains do; "pooled" is the one-shot Sum256, which adds a
-// pool borrow.
+// message sizes this system hashes: a task seed or a link of f's chain, a
+// hash-chain step and a Merkle node of two digests.
 func BenchmarkSum256(b *testing.B) {
 	for _, n := range []int{16, 32, 67} {
-		msg := message(n)
-		b.Run(fmt.Sprintf("state/%dB", n), func(b *testing.B) {
-			s := New()
-			var out [Size]byte
-			for b.Loop() {
-				s.Write(msg)
-				s.Sum(out[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("pooled/%dB", n), func(b *testing.B) {
+		msg := message(n, 0)
+		b.Run(fmt.Sprintf("kernel/%dB", n), func(b *testing.B) {
 			for b.Loop() {
 				Sum256(msg)
 			}
@@ -129,44 +174,56 @@ func BenchmarkSum256(b *testing.B) {
 	}
 }
 
-// BenchmarkFloor records what this package cannot go below with
-// crypto/sha256 underneath, so a later profile can be priced against it:
-// "block" is one 64-byte compression through the digest's Write and nothing
-// else; "readout" adds what a State's Sum pays once per message — the
-// chaining value read with AppendBinary and the digest Reset — to one such
-// block; "state" is the whole Write + Sum at the sizes this system hashes (a
-// 16-byte task seed or link of f's chain and a 32-byte hash-chain step are
-// one block, a 67-byte Merkle node two). A message of k blocks costs k ×
-// block + (readout − block); a State that reads within a few ns of that has
-// no wrapper left to remove, and going lower means a faster block function —
-// assembly, which the module does not carry.
+// BenchmarkLanes prices the second lane: a pair of Merkle nodes (67 B, two
+// blocks each) and a pair of f's leaves (a 16-byte input, four links) in
+// one pass and one lane at a time. A pair in one pass costs less than two
+// one at a time by what the core overlaps.
+func BenchmarkLanes(b *testing.B) {
+	node0, node1 := message(67, 0), message(67, 1)
+	b.Run("node/x2", func(b *testing.B) {
+		for b.Loop() {
+			Sum256x2(node0, node1)
+		}
+	})
+	b.Run("node/x1x1", func(b *testing.B) {
+		for b.Loop() {
+			Sum256(node0)
+			Sum256(node1)
+		}
+	})
+	in0, in1 := message(16, 0), message(16, 1)
+	b.Run("leaf/x2", func(b *testing.B) {
+		for b.Loop() {
+			Chain2(in0, in1, 4)
+		}
+	})
+	b.Run("leaf/x1x1", func(b *testing.B) {
+		for b.Loop() {
+			Chain(in0, 4)
+			Chain(in1, 4)
+		}
+	})
+}
+
+// BenchmarkFloor records what the kernel cannot go below: one 64-byte
+// compression per call, on one lane ("block") and on two ("block2", two
+// compressions per op). The entry points add their padding and readout to
+// that; ROADMAP quotes the per-lane figures.
 func BenchmarkFloor(b *testing.B) {
-	block := message(blockSize)
-	b.Run("block", func(b *testing.B) {
-		d := sha256.New()
-		for b.Loop() {
-			d.Write(block)
-		}
-	})
-	b.Run("readout", func(b *testing.B) {
-		d := sha256.New()
-		enc := d.(encoding.BinaryAppender)
-		buf := make([]byte, 0, 128)
-		for b.Loop() {
-			d.Write(block)
-			buf, _ = enc.AppendBinary(buf[:0])
-			d.Reset()
-		}
-	})
-	for _, n := range []int{16, 32, 67} {
-		msg := message(n)
-		b.Run(fmt.Sprintf("state/%dB", n), func(b *testing.B) {
-			s := New()
-			var out [Size]byte
-			for b.Loop() {
-				s.Write(msg)
-				s.Sum(out[:0])
-			}
-		})
+	if !useKernel {
+		b.Skip("no kernel in this build or on this CPU")
 	}
+	p0, p1 := message(blockSize, 0), message(blockSize, 1)
+	b.Run("block", func(b *testing.B) {
+		s := iv
+		for b.Loop() {
+			block(&s, p0)
+		}
+	})
+	b.Run("block2", func(b *testing.B) {
+		s0, s1 := iv, iv
+		for b.Loop() {
+			block2(&s0, &s1, p0, p1)
+		}
+	})
 }

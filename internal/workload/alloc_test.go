@@ -5,8 +5,8 @@ package workload
 import "testing"
 
 // TestAppendEvalZeroAlloc pins the append contract's point: evaluating into
-// a buffer that already has room allocates nothing for the workloads whose
-// evaluation is hashing or integer arithmetic. Excluded from race builds,
+// a buffer that already has room, one input or a pair, allocates nothing for
+// the workloads whose evaluation is hashing or integer arithmetic. Excluded from race builds,
 // whose runtime allocates on its own.
 func TestAppendEvalZeroAlloc(t *testing.T) {
 	for _, name := range []string{"synthetic", "password", "drugscreen", "factor"} {
@@ -22,6 +22,13 @@ func TestAppendEvalZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: AppendEval into a warmed buffer allocates %.1f objects per call, want 0", name, allocs)
+		}
+		buf, _ = f.AppendEval2(buf[:0], 0, 1)
+		if allocs := testing.AllocsPerRun(100, func() {
+			x += 2
+			buf, _ = f.AppendEval2(buf[:0], x, x+1)
+		}); allocs != 0 {
+			t.Errorf("%s: AppendEval2 into a warmed buffer allocates %.1f objects per call, want 0", name, allocs)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+
+	"uncheatgrid/internal/shortsha"
 )
 
 // DrugScreen models the IBM smallpox-research grid the paper cites: scoring
@@ -42,11 +44,18 @@ func (d *DrugScreen) Name() string { return "drugscreen" }
 
 // AppendEval implements Function: the synthetic docking score of molecule x.
 func (d *DrugScreen) AppendEval(dst []byte, x uint64) []byte {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], d.seed)
-	binary.BigEndian.PutUint64(buf[8:], x)
-	state := chainSum(buf[:], scoreRounds)
+	in := seededInput(d.seed, x)
+	state := shortsha.Chain(in[:], scoreRounds)
 	return append(dst, state[:8]...)
+}
+
+// AppendEval2 implements Function: the two scores' chains in one pass.
+func (d *DrugScreen) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	in0, in1 := seededInput(d.seed, x0), seededInput(d.seed, x1)
+	state0, state1 := shortsha.Chain2(in0[:], in1[:], scoreRounds)
+	dst = append(dst, state0[:8]...)
+	split := len(dst)
+	return append(dst, state1[:8]...), split
 }
 
 // Eval implements Function.

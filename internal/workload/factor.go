@@ -68,6 +68,11 @@ func (f *Factor) AppendEval(dst []byte, x uint64) []byte {
 // Eval implements Function.
 func (f *Factor) Eval(x uint64) []byte { return f.AppendEval(nil, x) }
 
+// AppendEval2 implements Function: two AppendEval calls.
+func (f *Factor) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	return appendEvalPair(f, dst, x0, x1)
+}
+
 // GuessOutput implements Function: two random odd 16-bit values.
 func (f *Factor) GuessOutput(_ uint64, rng *rand.Rand) []byte {
 	a := uint64(1<<15 | rng.Intn(1<<15) | 1)

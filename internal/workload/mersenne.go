@@ -52,6 +52,11 @@ func (m *Mersenne) AppendEval(dst []byte, x uint64) []byte {
 // Eval implements Function.
 func (m *Mersenne) Eval(x uint64) []byte { return m.AppendEval(nil, x) }
 
+// AppendEval2 implements Function: two AppendEval calls.
+func (m *Mersenne) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	return appendEvalPair(m, dst, x0, x1)
+}
+
 // GuessOutput implements Function: an unbiased coin, the paper's q = 0.5
 // guesser. (A sharper cheater could exploit the skew toward 0; the paper's
 // analysis parameterizes exactly this through q.)

@@ -53,11 +53,26 @@ func (p *Password) Target() []byte {
 
 // AppendEval implements Function: f(x) = SHA-256(salt || x).
 func (p *Password) AppendEval(dst []byte, x uint64) []byte {
-	var buf [16]byte
-	copy(buf[:8], p.salt[:])
-	binary.BigEndian.PutUint64(buf[8:], x)
-	sum := shortsha.Sum256(buf[:])
+	in := p.input(x)
+	sum := shortsha.Sum256(in[:])
 	return append(dst, sum[:]...)
+}
+
+// AppendEval2 implements Function: the two digests in one pass.
+func (p *Password) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	in0, in1 := p.input(x0), p.input(x1)
+	sum0, sum1 := shortsha.Sum256x2(in0[:], in1[:])
+	dst = append(dst, sum0[:]...)
+	split := len(dst)
+	return append(dst, sum1[:]...), split
+}
+
+// input is the hashed message salt || x.
+func (p *Password) input(x uint64) [16]byte {
+	var in [16]byte
+	copy(in[:8], p.salt[:])
+	binary.BigEndian.PutUint64(in[8:], x)
+	return in
 }
 
 // Eval implements Function.

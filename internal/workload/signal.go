@@ -78,6 +78,11 @@ func (s *Signal) AppendEval(dst []byte, x uint64) []byte {
 // Eval implements Function.
 func (s *Signal) Eval(x uint64) []byte { return s.AppendEval(nil, x) }
 
+// AppendEval2 implements Function: two AppendEval calls.
+func (s *Signal) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	return appendEvalPair(s, dst, x0, x1)
+}
+
 // GuessOutput implements Function: a random bin plus a ratio drawn near the
 // noise floor, the cheapest plausible fabrication.
 func (s *Signal) GuessOutput(_ uint64, rng *rand.Rand) []byte {

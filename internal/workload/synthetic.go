@@ -14,8 +14,10 @@ import (
 //
 //   - cost: Eval performs CostIters chained SHA-256 compressions, so the
 //     cost ratio C_f/C_hash of Eq. 5 is simply CostIters — in time as well
-//     as in count: every link is one block hashed on the shortsha kernel,
-//     which costs its compression and no wrapper.
+//     as in count: the chain is shortsha.Chain, whose every link is one
+//     block compressed in the kernel's registers with no wrapper, and
+//     AppendEval2 runs two inputs' chains in one pass of its two lanes,
+//     the way the Merkle levels pair their nodes.
 //   - q: outputs are OutputBits uniform bits, so a uniform guesser succeeds
 //     with probability exactly q = 2^-OutputBits. OutputBits=1 reproduces
 //     the paper's q = 0.5 curve in Fig. 2.
@@ -54,26 +56,27 @@ func (s *Synthetic) OutputBits() uint { return s.outputBits }
 // AppendEval implements Function: CostIters chained hashes truncated to
 // OutputBits.
 func (s *Synthetic) AppendEval(dst []byte, x uint64) []byte {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], s.seed)
-	binary.BigEndian.PutUint64(buf[8:], x)
-	state := chainSum(buf[:], s.costIters)
+	in := seededInput(s.seed, x)
+	state := shortsha.Chain(in[:], s.costIters)
 	return appendTruncated(dst, state[:], s.outputBits)
 }
 
-// chainSum returns SHA-256 applied rounds times to msg, each link hashing
-// the previous digest, on one pooled kernel State.
-func chainSum(msg []byte, rounds int) [shortsha.Size]byte {
-	st := shortsha.Get()
-	var state [shortsha.Size]byte
-	st.Write(msg)
-	st.Sum(state[:0])
-	for i := 1; i < rounds; i++ {
-		st.Write(state[:])
-		st.Sum(state[:0])
-	}
-	shortsha.Put(st)
-	return state
+// AppendEval2 implements Function: the two chains in one pass.
+func (s *Synthetic) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	in0, in1 := seededInput(s.seed, x0), seededInput(s.seed, x1)
+	state0, state1 := shortsha.Chain2(in0[:], in1[:], s.costIters)
+	dst = appendTruncated(dst, state0[:], s.outputBits)
+	split := len(dst)
+	return appendTruncated(dst, state1[:], s.outputBits), split
+}
+
+// seededInput is the first link's message of a chain-of-hashes f: the
+// workload's seed and x, big-endian.
+func seededInput(seed, x uint64) [16]byte {
+	var in [16]byte
+	binary.BigEndian.PutUint64(in[:8], seed)
+	binary.BigEndian.PutUint64(in[8:], x)
+	return in
 }
 
 // Eval implements Function.

@@ -45,6 +45,12 @@ type Function interface {
 	Name() string
 	// AppendEval appends f(x) to dst and returns the extended slice.
 	AppendEval(dst []byte, x uint64) []byte
+	// AppendEval2 appends f(x0) and then f(x1) to dst and returns the
+	// extended slice and the offset in it where f(x1) starts, under
+	// AppendEval's contract. The workloads whose f is hashing evaluate the
+	// two in one pass of the shortsha kernel's two lanes; the others make
+	// two AppendEval calls.
+	AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int)
 	// Eval computes f(x) into a fresh slice: the allocating convenience,
 	// always AppendEval(nil, x).
 	Eval(x uint64) []byte
@@ -113,6 +119,14 @@ func (c *Counter) AppendEval(dst []byte, x uint64) []byte {
 	return c.inner.AppendEval(dst, x)
 }
 
+// AppendEval2 implements Function, incrementing the counter twice.
+//
+//gridlint:credit the Counter wrapper exists to count evaluations
+func (c *Counter) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
+	c.evals += 2
+	return c.inner.AppendEval2(dst, x0, x1)
+}
+
 // Eval implements Function; it counts once, through AppendEval.
 func (c *Counter) Eval(x uint64) []byte { return c.AppendEval(nil, x) }
 
@@ -149,6 +163,14 @@ func AsOutputVerifier(f Function) (OutputVerifier, bool) {
 		}
 		f = c.Unwrap()
 	}
+}
+
+// appendEvalPair is AppendEval2 as two AppendEval calls, for the functions
+// whose two evaluations share nothing.
+func appendEvalPair(f Function, dst []byte, x0, x1 uint64) ([]byte, int) {
+	dst = f.AppendEval(dst, x0)
+	split := len(dst)
+	return f.AppendEval(dst, x1), split
 }
 
 // Builder constructs a workload from a seed, letting command-line tools and

@@ -531,3 +531,32 @@ func TestSyntheticClamping(t *testing.T) {
 		t.Errorf("OutputBits(999) = %d, want 256", got)
 	}
 }
+
+// TestAppendEval2MatchesAppendEval: for every workload the pair form appends
+// exactly the bytes of two AppendEval calls, x0's first, behind a prefix it
+// leaves alone, and reports where x1's begin; through a Counter it counts
+// two evaluations.
+func TestAppendEval2MatchesAppendEval(t *testing.T) {
+	pairs := [][2]uint64{{0, 1}, {1, 0}, {5, 5}, {255, 1<<32 + 5}, {1<<64 - 2, 1<<64 - 1}}
+	for _, name := range Names() {
+		f, err := New(name, 7)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		c := Count(f)
+		for _, p := range pairs {
+			prefix := []byte("prefix")
+			want := f.AppendEval(f.AppendEval(bytes.Clone(prefix), p[0]), p[1])
+			got, split := c.AppendEval2(bytes.Clone(prefix), p[0], p[1])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: AppendEval2(prefix, %d, %d) = %x, want %x", name, p[0], p[1], got, want)
+			}
+			if first := f.Eval(p[0]); split != len(prefix)+len(first) {
+				t.Fatalf("%s: AppendEval2(prefix, %d, %d) splits at %d, want %d", name, p[0], p[1], split, len(prefix)+len(first))
+			}
+		}
+		if got, want := c.Evals(), int64(2*len(pairs)); got != want {
+			t.Errorf("%s: Counter counted %d evaluations for %d pairs, want %d", name, got, len(pairs), want)
+		}
+	}
+}
