@@ -3,6 +3,7 @@ package cheat
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uncheatgrid/internal/workload"
@@ -146,35 +147,58 @@ func TestGuessStreamIsSplitmix64(t *testing.T) {
 	}
 }
 
-// TestAppendClaim2MatchesAppendClaim: every behaviour's pair form appends
-// the bytes of two AppendClaim calls in index order behind a prefix it
-// leaves alone, and reports where the second claim begins — for the
-// semi-honest cheater on and off D', so its membership and guess stream are
-// those of single claims.
-func TestAppendClaim2MatchesAppendClaim(t *testing.T) {
+// TestAppendClaimBatchMatchesAppendClaim: every behaviour's batch form
+// appends the bytes of k AppendClaim calls in index order behind a prefix
+// it leaves alone, reports where each claim ends, and evaluates f exactly
+// as often as the single calls do — k times for the honest and malicious
+// producers, once per input in D' for the semi-honest cheater, whose
+// membership and guess stream are those of single claims.
+func TestAppendClaimBatchMatchesAppendClaim(t *testing.T) {
+	starts := []uint64{0, 255, 1<<32 + 5, 1<<64 - 40}
+	sizes := []int{1, 2, 3, 16, 17, 31, 40}
 	for _, name := range workload.Names() {
 		f, err := workload.New(name, 7)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		semi, err := NewSemiHonest(f, 0.5, 3)
-		if err != nil {
-			t.Fatalf("NewSemiHonest: %v", err)
+		single, batched := workload.Count(f), workload.Count(f)
+		producers := func(f workload.Function) []Producer {
+			semi, err := NewSemiHonest(f, 0.5, 3)
+			if err != nil {
+				t.Fatalf("NewSemiHonest: %v", err)
+			}
+			malicious, err := NewMalicious(f, 0.5, 3)
+			if err != nil {
+				t.Fatalf("NewMalicious: %v", err)
+			}
+			return []Producer{NewHonest(f), semi, malicious}
 		}
-		malicious, err := NewMalicious(f, 0.5, 3)
-		if err != nil {
-			t.Fatalf("NewMalicious: %v", err)
-		}
-		for _, p := range []Producer{NewHonest(f), semi, malicious} {
-			for i := 0; i+1 < len(appendInputs); i++ {
-				x0, x1 := appendInputs[i], appendInputs[i+1]
-				prefix := []byte("prefix")
-				first := p.AppendClaim(bytes.Clone(prefix), x0)
-				want := p.AppendClaim(bytes.Clone(first), x1)
-				got, split := p.AppendClaim2(bytes.Clone(prefix), x0, x1)
-				if !bytes.Equal(got, want) || split != len(first) {
-					t.Errorf("%s: AppendClaim2(prefix, %d, %d) = %x split %d, want %x split %d",
-						p.Name(), x0, x1, got, split, want, len(first))
+		singles, batches := producers(single), producers(batched)
+		for pi, p := range batches {
+			for _, x0 := range starts {
+				for _, k := range sizes {
+					single.Reset()
+					batched.Reset()
+					prefix := []byte("prefix")
+					want := bytes.Clone(prefix)
+					wantEnds := make([]int, k)
+					for i := range k {
+						want = singles[pi].AppendClaim(want, x0+uint64(i))
+						wantEnds[i] = len(want)
+					}
+					ends := make([]int, k)
+					got := p.AppendClaimBatch(bytes.Clone(prefix), x0, ends)
+					if !bytes.Equal(got, want) || !slices.Equal(ends, wantEnds) {
+						t.Fatalf("%s over %s: AppendClaimBatch(prefix, %d, [%d]) = %x ending %v, want %x ending %v",
+							p.Name(), name, x0, k, got, ends, want, wantEnds)
+					}
+					if batched.Evals() != single.Evals() {
+						t.Fatalf("%s over %s: a batch of %d from %d evaluates f %d times, single claims %d",
+							p.Name(), name, k, x0, batched.Evals(), single.Evals())
+					}
+					if _, semi := p.(*SemiHonest); !semi && batched.Evals() != int64(k) {
+						t.Fatalf("%s over %s: a batch of %d evaluates f %d times", p.Name(), name, k, batched.Evals())
+					}
 				}
 			}
 		}

@@ -39,11 +39,12 @@ type Producer interface {
 	// and returns the extended slice, under workload.Function.AppendEval's
 	// contract: exactly the claimed bytes, dst never retained.
 	AppendClaim(dst []byte, x uint64) []byte
-	// AppendClaim2 appends the claims for x0 and then x1 to dst and returns
-	// the extended slice and the offset in it where x1's starts: the bytes
-	// of two AppendClaim calls in that order, with the two evaluations in
-	// one pass where f pairs them (workload.Function.AppendEval2).
-	AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int)
+	// AppendClaimBatch appends the claims for x0, x0+1, …, x0+k-1 for
+	// k = len(ends) to dst and sets ends[i] to the offset in the returned
+	// slice where x0+i's ends: the bytes of k AppendClaim calls in index
+	// order, with the evaluations batched where f batches them
+	// (workload.Function.AppendEvalBatch).
+	AppendClaimBatch(dst []byte, x0 uint64, ends []int) []byte
 	// HonestOn reports whether x ∈ D', i.e. whether the claim for x was
 	// computed by actually evaluating f.
 	HonestOn(x uint64) bool
@@ -69,9 +70,9 @@ func (h *Honest) Name() string { return "honest" }
 // AppendClaim implements Producer: always the true f(x).
 func (h *Honest) AppendClaim(dst []byte, x uint64) []byte { return h.f.AppendEval(dst, x) }
 
-// AppendClaim2 implements Producer: the true f(x0) and f(x1), in one pass.
-func (h *Honest) AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	return h.f.AppendEval2(dst, x0, x1)
+// AppendClaimBatch implements Producer: the true values, in one batch.
+func (h *Honest) AppendClaimBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return h.f.AppendEvalBatch(dst, x0, ends)
 }
 
 // HonestOn implements Producer.
@@ -134,6 +135,11 @@ func (s *SemiHonest) AppendClaim(dst []byte, x uint64) []byte {
 	if s.HonestOn(x) {
 		return s.f.AppendEval(dst, x)
 	}
+	return s.appendGuess(dst, x)
+}
+
+// appendGuess appends the guess f̌(x) to dst.
+func (s *SemiHonest) appendGuess(dst []byte, x uint64) []byte {
 	g := guessStreams.Get().(*guessStream)
 	// Seed also drops bytes a previous input's rng.Read left buffered.
 	g.rng.Seed(int64(mix(s.seed ^ mix(x^0x6355))))
@@ -142,12 +148,25 @@ func (s *SemiHonest) AppendClaim(dst []byte, x uint64) []byte {
 	return dst
 }
 
-// AppendClaim2 implements Producer as two AppendClaim calls in index order,
-// so D' and the guess stream are those of single claims.
-func (s *SemiHonest) AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	dst = s.AppendClaim(dst, x0)
-	split := len(dst)
-	return s.AppendClaim(dst, x1), split
+// AppendClaimBatch implements Producer. It decides each input in index
+// order, so D' and the guess stream are those of single claims, and
+// evaluates each run of consecutive inputs in D' as one batch of f.
+func (s *SemiHonest) AppendClaimBatch(dst []byte, x0 uint64, ends []int) []byte {
+	for i := 0; i < len(ends); {
+		j := i
+		for j < len(ends) && s.HonestOn(x0+uint64(j)) {
+			j++
+		}
+		if j > i {
+			dst = s.f.AppendEvalBatch(dst, x0+uint64(i), ends[i:j])
+			i = j
+			continue
+		}
+		dst = s.appendGuess(dst, x0+uint64(i))
+		ends[i] = len(dst)
+		i++
+	}
+	return dst
 }
 
 // guessStream is the generator under one input's guess: splitmix64 behind a
@@ -215,9 +234,9 @@ func (m *Malicious) Name() string { return fmt.Sprintf("malicious(p=%g)", m.corr
 // AppendClaim implements Producer: the true f(x); the attack is downstream.
 func (m *Malicious) AppendClaim(dst []byte, x uint64) []byte { return m.f.AppendEval(dst, x) }
 
-// AppendClaim2 implements Producer: the true f(x0) and f(x1), in one pass.
-func (m *Malicious) AppendClaim2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	return m.f.AppendEval2(dst, x0, x1)
+// AppendClaimBatch implements Producer: the true values, in one batch.
+func (m *Malicious) AppendClaimBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return m.f.AppendEvalBatch(dst, x0, ends)
 }
 
 // HonestOn implements Producer: computation-wise the saboteur is honest.

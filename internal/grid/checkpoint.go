@@ -75,17 +75,49 @@ func parseCheckpointFile(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// writeCheckpointFile atomically persists payload at path, creating the
-// checkpoint directory on first use.
+// writeCheckpointFile durably and atomically persists payload at path,
+// creating the checkpoint directory on first use: the bytes go to a temp
+// file that is fsynced before it is renamed over path, and the directory is
+// fsynced after, so a crash at any point leaves path holding the previous
+// checkpoint or this one, never a prefix of this one — and a returned nil
+// means the new one survives a crash.
 func writeCheckpointFile(path string, payload []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, encodeCheckpointFile(payload), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(encodeCheckpointFile(payload))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readCheckpointFile loads and validates the checkpoint at path.

@@ -88,6 +88,84 @@ func TestParticipantCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornWrites cuts a real participant checkpoint at every byte
+// offset, as a crash mid-write can leave it. A torn temp file — the crash
+// came before the rename — must leave the previous checkpoint restoring
+// whole; a torn file at the checkpoint's own path — what an unsynced rename
+// can leave behind — must be ErrCheckpointCorrupt. No cut restores anything
+// else.
+func TestCheckpointTornWrites(t *testing.T) {
+	dir := t.TempDir()
+	p, err := NewParticipant("worker-t", HonestFactory, WithCheckpointDir(dir))
+	if err != nil {
+		t.Fatalf("NewParticipant: %v", err)
+	}
+	spec := windowSpec(4, 2)
+	pw, err := p.windowsFor(spec)
+	if err != nil {
+		t.Fatalf("windowsFor: %v", err)
+	}
+	settle := func(from, to uint64) {
+		for id := from; id < to; id++ {
+			if err := pw.settle(id, streamDigest(id, spec.Kind, []byte{byte(id)}),
+				func(uint8, []byte) error { return nil }); err != nil {
+				t.Fatalf("settle: %v", err)
+			}
+		}
+	}
+	path := participantCheckpointPath(dir, "worker-t")
+	settle(0, 3)
+	if err := p.WriteCheckpoint(1); err != nil {
+		t.Fatalf("WriteCheckpoint(1): %v", err)
+	}
+	previous, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read the previous checkpoint: %v", err)
+	}
+	settle(3, 6)
+	if err := p.WriteCheckpoint(2); err != nil {
+		t.Fatalf("WriteCheckpoint(2): %v", err)
+	}
+	next, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read the new checkpoint: %v", err)
+	}
+	restore := func() (uint64, error) {
+		q, err := NewParticipant("worker-t", HonestFactory, WithCheckpointDir(dir))
+		if err != nil {
+			t.Fatalf("NewParticipant: %v", err)
+		}
+		seq, ok, err := q.RestoreCheckpoint()
+		if err == nil && !ok {
+			t.Fatal("RestoreCheckpoint found no checkpoint")
+		}
+		return seq, err
+	}
+	for cut := 0; cut < len(next); cut++ {
+		if err := os.WriteFile(path, previous, 0o644); err != nil {
+			t.Fatalf("restore the previous file: %v", err)
+		}
+		if err := os.WriteFile(path+".tmp", next[:cut], 0o644); err != nil {
+			t.Fatalf("write a torn temp file: %v", err)
+		}
+		if seq, err := restore(); err != nil || seq != 1 {
+			t.Fatalf("temp file torn at %d of %d bytes: restored (%d, %v), want the previous checkpoint", cut, len(next), seq, err)
+		}
+		if err := os.WriteFile(path, next[:cut], 0o644); err != nil {
+			t.Fatalf("write a torn checkpoint: %v", err)
+		}
+		if seq, err := restore(); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("checkpoint torn at %d of %d bytes: restored (%d, %v), want ErrCheckpointCorrupt", cut, len(next), seq, err)
+		}
+	}
+	if err := os.WriteFile(path, next, 0o644); err != nil {
+		t.Fatalf("rewrite the new checkpoint: %v", err)
+	}
+	if seq, err := restore(); err != nil || seq != 2 {
+		t.Fatalf("whole checkpoint restored (%d, %v), want seq 2", seq, err)
+	}
+}
+
 func TestParticipantCheckpointMissingIsFreshStart(t *testing.T) {
 	p, err := NewParticipant("worker-2", HonestFactory, WithCheckpointDir(t.TempDir()))
 	if err != nil {

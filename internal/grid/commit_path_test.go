@@ -62,95 +62,129 @@ func newCommitExecution(tb testing.TB, n uint64, spec SchemeSpec, screener workl
 // on, at grid level: whatever ℓ is and wherever a resume picks the exchange
 // up, every input is screened exactly once, in index order, and the
 // msgReports payload is the same bytes — the commit pass claims leaves in
-// pairs (the odd last one alone), and the §3.3 subtree rebuilds behind the
-// proofs re-evaluate f (m·2^ℓ times, counted) but never re-screen or
-// re-report.
+// runs of shortsha.Lanes (n = 16, 17, 31 and 97 end on a full run, a single
+// leaf, a run one short and a single one), evaluating f exactly n times, and
+// the §3.3 subtree rebuilds behind the proofs re-evaluate f (once per real
+// leaf of each challenged sample's 2^ℓ block, counted) but never re-screen
+// or re-report.
 func TestCBSScreensEachInputOnce(t *testing.T) {
-	const (
-		n = 97 // odd, and every challenged 2^3 block is whole: every rebuilt leaf is real
-		m = 5
-	)
-	challenge, err := core.Challenge{Indices: []uint64{0, 17, 17, 64, 95}}.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal challenge: %v", err)
+	const m = 5
+	challenges := map[uint64][]uint64{
+		16: {0, 3, 3, 8, 15},
+		17: {0, 3, 3, 9, 16},
+		31: {0, 9, 9, 17, 30},
+		97: {0, 17, 17, 64, 95},
 	}
 	resumes := []struct {
-		name string
-		res  *resumeMsg
+		name      string
+		resumed   bool
+		challenge bool
 	}{
-		{"fresh", nil},
-		{"resumed after commit", &resumeMsg{HaveCommit: true}},
-		{"resumed after challenge", &resumeMsg{HaveCommit: true, Challenge: challenge}},
+		{"fresh", false, false},
+		{"resumed after commit", true, false},
+		{"resumed after challenge", true, true},
 	}
-	var wantReports []byte
-	for _, kind := range []SchemeKind{SchemeCBS, SchemeNICBS} {
-		for _, ell := range []int{0, 3} {
-			for _, rc := range resumes {
-				name := fmt.Sprintf("%v/ℓ=%d/%s", kind, ell, rc.name)
-				screens := make(map[uint64]int, n)
-				inOrder := true
-				next := uint64(1000) // newCommitExecution's task starts there
-				screener := workload.ScreenerFunc(func(x uint64, out []byte) (string, bool) {
-					screens[x]++
-					inOrder = inOrder && x == next
-					next++
-					return fmt.Sprintf("%d:%x", x, out), x%7 == 0
-				})
-				spec := SchemeSpec{Kind: kind, M: m, ChainIters: 1, SubtreeHeight: ell}
-				exec, counted := newCommitExecution(t, n, spec, screener)
-				conn := &scriptConn{sent: make(map[uint8][]byte)}
-				var chain *hashchain.Chain
-				if kind == SchemeNICBS {
-					if chain, err = hashchain.New(spec.ChainIters); err != nil {
-						t.Fatalf("hashchain.New: %v", err)
-					}
-				} else if rc.res == nil || rc.res.Challenge == nil {
-					conn.in = []transport.Message{{Type: msgChallenge, Payload: challenge}}
-				}
-				if err := exec.runCBS(conn, kind == SchemeNICBS, chain, rc.res); err != nil {
-					t.Fatalf("%s: runCBS: %v", name, err)
-				}
-
-				if len(screens) != n {
-					t.Errorf("%s: %d distinct inputs screened, want %d", name, len(screens), n)
-				}
-				for x, c := range screens {
-					if c != 1 {
-						t.Errorf("%s: input %d screened %d times, want exactly 1", name, x, c)
-					}
-				}
-				if !inOrder {
-					t.Errorf("%s: inputs not screened in index order", name)
-				}
-				wantEvals := int64(n)
-				if ell > 0 {
-					wantEvals += m << ell // each proof rebuilds its 2^ℓ-leaf subtree
-				}
-				if counted.Evals() != wantEvals {
-					t.Errorf("%s: %d evaluations of f, want %d", name, counted.Evals(), wantEvals)
-				}
-				reports, ok := conn.sent[msgReports]
-				if !ok || conn.sent[msgProofs] == nil {
-					t.Fatalf("%s: reports or proofs not sent", name)
-				}
-				if _, sent := conn.sent[msgCommit]; sent != (rc.res == nil) {
-					t.Errorf("%s: commitment sent = %v", name, sent)
-				}
-				if wantReports == nil {
-					wantReports = reports
-					wantHits := 0
-					for x := exec.task.Start; x < exec.task.Start+n; x++ {
-						if x%7 == 0 {
-							wantHits++
+	for _, n := range []uint64{16, 17, 31, 97} {
+		challenge, err := core.Challenge{Indices: challenges[n]}.MarshalBinary()
+		if err != nil {
+			t.Fatalf("marshal challenge: %v", err)
+		}
+		var wantReports []byte
+		for _, kind := range []SchemeKind{SchemeCBS, SchemeNICBS} {
+			for _, ell := range []int{0, 3} {
+				for _, rc := range resumes {
+					name := fmt.Sprintf("n=%d/%v/ℓ=%d/%s", n, kind, ell, rc.name)
+					var res *resumeMsg
+					if rc.resumed {
+						res = &resumeMsg{HaveCommit: true}
+						if rc.challenge {
+							res.Challenge = challenge
 						}
 					}
-					decoded, err := decodeReports(reports)
-					if err != nil || len(decoded) != wantHits {
-						t.Fatalf("%s: %d reports decoded (%v), want %d", name, len(decoded), err, wantHits)
+					screens := make(map[uint64]int, n)
+					inOrder := true
+					next := uint64(1000) // newCommitExecution's task starts there
+					var counted *workload.Counter
+					commitEvals := int64(-1)
+					screener := workload.ScreenerFunc(func(x uint64, out []byte) (string, bool) {
+						screens[x]++
+						inOrder = inOrder && x == next
+						next++
+						if x == 1000+n-1 {
+							commitEvals = counted.Evals()
+						}
+						return fmt.Sprintf("%d:%x", x, out), x%7 == 0
+					})
+					spec := SchemeSpec{Kind: kind, M: m, ChainIters: 1, SubtreeHeight: ell}
+					var exec *taskExecution
+					exec, counted = newCommitExecution(t, n, spec, screener)
+					conn := &scriptConn{sent: make(map[uint8][]byte)}
+					var chain *hashchain.Chain
+					if kind == SchemeNICBS {
+						if chain, err = hashchain.New(spec.ChainIters); err != nil {
+							t.Fatalf("hashchain.New: %v", err)
+						}
+					} else if !rc.challenge {
+						conn.in = []transport.Message{{Type: msgChallenge, Payload: challenge}}
 					}
-				}
-				if !bytes.Equal(reports, wantReports) {
-					t.Errorf("%s: msgReports payload differs from the fresh full-tree run's", name)
+					if err := exec.runCBS(conn, kind == SchemeNICBS, chain, res); err != nil {
+						t.Fatalf("%s: runCBS: %v", name, err)
+					}
+
+					if len(screens) != int(n) {
+						t.Errorf("%s: %d distinct inputs screened, want %d", name, len(screens), n)
+					}
+					for x, c := range screens {
+						if c != 1 {
+							t.Errorf("%s: input %d screened %d times, want exactly 1", name, x, c)
+						}
+					}
+					if !inOrder {
+						t.Errorf("%s: inputs not screened in index order", name)
+					}
+					if commitEvals != int64(n) {
+						t.Errorf("%s: the commit pass evaluated f %d times, want %d", name, commitEvals, n)
+					}
+					indices := challenges[n]
+					if kind == SchemeNICBS {
+						if indices, err = chain.SampleIndices(exec.digest, m, n); err != nil {
+							t.Fatalf("%s: SampleIndices: %v", name, err)
+						}
+					}
+					wantEvals := int64(n)
+					if ell > 0 {
+						// Each proof rebuilds its sample's 2^ℓ-leaf block.
+						for _, idx := range indices {
+							lo := idx >> ell << ell
+							wantEvals += int64(min(lo+1<<ell, n) - lo)
+						}
+					}
+					if counted.Evals() != wantEvals {
+						t.Errorf("%s: %d evaluations of f, want %d", name, counted.Evals(), wantEvals)
+					}
+					reports, ok := conn.sent[msgReports]
+					if !ok || conn.sent[msgProofs] == nil {
+						t.Fatalf("%s: reports or proofs not sent", name)
+					}
+					if _, sent := conn.sent[msgCommit]; sent != !rc.resumed {
+						t.Errorf("%s: commitment sent = %v", name, sent)
+					}
+					if wantReports == nil {
+						wantReports = reports
+						wantHits := 0
+						for x := exec.task.Start; x < exec.task.Start+n; x++ {
+							if x%7 == 0 {
+								wantHits++
+							}
+						}
+						decoded, err := decodeReports(reports)
+						if err != nil || len(decoded) != wantHits {
+							t.Fatalf("%s: %d reports decoded (%v), want %d", name, len(decoded), err, wantHits)
+						}
+					}
+					if !bytes.Equal(reports, wantReports) {
+						t.Errorf("%s: msgReports payload differs from the fresh full-tree run's", name)
+					}
 				}
 			}
 		}

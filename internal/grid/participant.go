@@ -11,6 +11,7 @@ import (
 	"uncheatgrid/internal/core"
 	"uncheatgrid/internal/hashchain"
 	"uncheatgrid/internal/merkle"
+	"uncheatgrid/internal/shortsha"
 	"uncheatgrid/internal/transport"
 	"uncheatgrid/internal/workload"
 )
@@ -244,6 +245,8 @@ type commitKit struct {
 	resp    core.Response
 	indices []uint64
 	buf     []byte
+	// ends delimits the claims of the commit pass's current run in buf.
+	ends [shortsha.Lanes]int
 	// exec is the task borrowing the kit; claim, made once, is the leaf
 	// function the prover sees and forwards to it.
 	exec  *taskExecution
@@ -817,16 +820,14 @@ type taskExecution struct {
 
 	// runCBS's tree-building state, here so its leaf function captures
 	// nothing but the execution: the screened reports, whether the commit
-	// pass is still running, whether the last call left the claim for index
-	// pending in the kit's buffer from split on, behind its pair's first,
-	// and the commitment kit — the session's, lent by startTask, or the
-	// execution's own — whose buffer every claim lands in.
-	reports    []Report
-	committing bool
-	paired     bool
-	pending    uint64
-	split      int
-	kit        *commitKit
+	// pass is still running, the run of leaves [runLo, runHi) whose claims
+	// sit in the kit's buffer, and the commitment kit — the session's, lent
+	// by startTask, or the execution's own — whose buffer every claim lands
+	// in.
+	reports      []Report
+	committing   bool
+	runLo, runHi uint64
+	kit          *commitKit
 }
 
 // claim is runCBS's leaf function. Screening happens once per input, on the
@@ -835,25 +836,32 @@ type taskExecution struct {
 // it returns is a §3.3 subtree rebuild, which re-claims but must not
 // re-screen or re-report. The tree copies each claimed value before asking
 // for the next (the contract of merkle.BuildFunc and NewPartial), so one
-// scratch buffer serves every claim of the task. The commit pass claims
-// leaves i and i+1 together (cheat.Producer.AppendClaim2), screens both in
-// index order, and answers the call for i+1 from the buffer.
+// scratch buffer serves every claim of the task. The commit pass claims a
+// run of up to shortsha.Lanes leaves at a time
+// (cheat.Producer.AppendClaimBatch), screens them in index order, and
+// answers the calls for the rest of the run from the buffer.
 func (e *taskExecution) claim(i uint64) []byte {
 	kit := e.kit
-	switch {
-	case !e.committing:
+	if !e.committing {
 		kit.buf = e.producer.AppendClaim(kit.buf[:0], e.task.Start+i)
-	case e.paired && i == e.pending:
-		e.paired = false
-		return kit.buf[e.split:]
-	case i+1 < e.task.N:
-		kit.buf, e.split = e.claimAndScreen2(kit.buf[:0], i, &e.reports)
-		e.paired, e.pending = true, i+1
-		return kit.buf[:e.split:e.split]
-	default:
-		kit.buf = e.claimAndScreen(kit.buf[:0], i, &e.reports)
+		return kit.buf
 	}
-	return kit.buf
+	if i < e.runLo || i >= e.runHi {
+		e.runLo, e.runHi = i, min(i+shortsha.Lanes, e.task.N)
+		ends := kit.ends[:e.runHi-e.runLo]
+		kit.buf = e.producer.AppendClaimBatch(kit.buf[:0], e.task.Start+i, ends)
+		start := 0
+		for j, end := range ends {
+			e.screen(e.task.Start+i+uint64(j), kit.buf[start:end], &e.reports)
+			start = end
+		}
+	}
+	j := i - e.runLo
+	start, end := 0, kit.ends[j]
+	if j > 0 {
+		start = kit.ends[j-1]
+	}
+	return kit.buf[start:end:end]
 }
 
 // claimAndScreen appends the participant's claimed value for domain index i
@@ -864,18 +872,6 @@ func (e *taskExecution) claimAndScreen(dst []byte, i uint64, reports *[]Report) 
 	dst = e.producer.AppendClaim(dst, x)
 	e.screen(x, dst[start:], reports)
 	return dst
-}
-
-// claimAndScreen2 is claimAndScreen for indices i and i+1 in one pass: it
-// returns dst extended by both claims and the offset where the second's
-// starts.
-func (e *taskExecution) claimAndScreen2(dst []byte, i uint64, reports *[]Report) ([]byte, int) {
-	x := e.task.Start + i
-	start := len(dst)
-	dst, split := e.producer.AppendClaim2(dst, x, x+1)
-	e.screen(x, dst[start:split], reports)
-	e.screen(x+1, dst[split:], reports)
-	return dst, split
 }
 
 // screen feeds the claim for x to the screener and the behaviour's report
@@ -926,7 +922,7 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 		e.kit = kit
 	}
 	kit.exec = e
-	e.reports, e.committing, e.paired = nil, true, false
+	e.reports, e.committing, e.runLo, e.runHi = nil, true, 0, 0
 	claim := kit.claim
 	var opts []core.Option
 	if e.spec.SubtreeHeight > 0 {

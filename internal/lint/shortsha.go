@@ -12,7 +12,7 @@ package lint
 //	//gridlint:ignore shortsha <reason>
 //
 // directive; everything else hashes on shortsha.Sum256 or shortsha.Chain,
-// or on their two-lane forms Sum256x2 and Chain2.
+// or, for many messages of one length, on the batch entry shortsha.Batch.
 
 import (
 	"go/ast"
@@ -45,7 +45,7 @@ func runShortSHA(pass *Pass) error {
 				return true
 			}
 			if name := fn.Name(); name == "Sum256" || name == "New" {
-				pass.Reportf(sel.Pos(), "crypto/sha256.%s outside internal/shortsha; hash on shortsha.Sum256, Sum256x2, Chain or Chain2, which skip the per-call wrapper", name)
+				pass.Reportf(sel.Pos(), "crypto/sha256.%s outside internal/shortsha; hash on shortsha.Sum256, Chain or the batch entry Batch, which skip the per-call wrapper", name)
 			}
 			return true
 		})

@@ -280,13 +280,17 @@ func (v *ProofVerifier) rootMulti(p *MultiProof) ([]byte, error) {
 		nodes = append(nodes, p.Values[i])
 	}
 	// The climb's i-th digest lives in the i-th row of the scratch. A level
-	// has no more nodes than the one below, so a row is rewritten only after
-	// the node it held was absorbed (combineInto reads before it writes).
+	// is hashed in runs of shortsha.Lanes nodes, and a run's outputs
+	// [first, out) are written once all its nodes are named: a node's
+	// inputs sit at or past its output's index, so a run's rows alias only
+	// its own nodes' children (hashRun lays those out before it writes) and
+	// never a later run's.
 	size := v.nh.hs.fixedLen
 	rows := v.rows(k)
 	siblings := p.Siblings
+	var run nodeRun
 	for pos[0] > 1 {
-		out := 0
+		first, out := 0, 0
 		for i := 0; i < len(pos); i++ {
 			at, left, right := pos[i], nodes[i], []byte(nil)
 			switch {
@@ -300,9 +304,15 @@ func (v *ProofVerifier) rootMulti(p *MultiProof) ([]byte, error) {
 			default:
 				left, right, siblings = siblings[0], left, siblings[1:]
 			}
-			nodes[out] = v.nh.combineInto(rows[out*size:out*size:(out+1)*size], left, right)
+			run.add(left, right)
 			pos[out] = at / 2
 			out++
+			if run.full() || i+1 == len(pos) {
+				v.nh.hashRun(rows[first*size:out*size], &run)
+				for ; first < out; first++ {
+					nodes[first] = rows[first*size : (first+1)*size : (first+1)*size]
+				}
+			}
 		}
 		pos, nodes = pos[:out], nodes[:out]
 	}

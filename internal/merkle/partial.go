@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"uncheatgrid/internal/shortsha"
 )
 
 // ErrBadSubtreeHeight is returned when the requested subtree height ℓ is
@@ -143,8 +145,19 @@ func (p *PartialTree) fillSubtree(b int, counted bool) [][]byte {
 		}
 	}
 	p.leafSlab = slab
-	for i := p.blockSize - 1; i >= 1; i-- {
-		sub[i] = p.nh.combineInto(arenaRow(p.scratchArena, p.hs.fixedLen, i), sub[2*i], sub[2*i+1])
+	size := p.hs.fixedLen
+	var run nodeRun
+	for w := p.blockSize / 2; w >= 1; w /= 2 {
+		for q := w; q < 2*w; q += shortsha.Lanes {
+			end := min(q+shortsha.Lanes, 2*w)
+			for i := q; i < end; i++ {
+				run.add(sub[2*i], sub[2*i+1])
+			}
+			p.nh.hashRun(p.scratchArena[q*size:end*size], &run)
+			for i := q; i < end; i++ {
+				sub[i] = p.scratchArena[i*size : (i+1)*size : (i+1)*size]
+			}
+		}
 	}
 	return sub
 }

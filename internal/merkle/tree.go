@@ -188,16 +188,16 @@ func deriveHashers(newHash Hasher) hashers {
 type nodeHasher struct {
 	hs  hashers
 	h   hash.Hash
-	msg [2][]byte
+	msg []byte
 	buf [1 + binary.MaxVarintLen64]byte
-	// msgInit is msg's first storage, enough for two 32-byte children each.
-	msgInit [2][2*(1+shortsha.Size) + 1]byte
+	// msgInit is msg's first storage, enough for two 32-byte children.
+	msgInit [maxRunMsg]byte
 }
 
 func (hs hashers) node() *nodeHasher {
 	nh := &nodeHasher{hs: hs}
 	if hs.shared {
-		nh.msg = [2][]byte{nh.msgInit[0][:0], nh.msgInit[1][:0]}
+		nh.msg = nh.msgInit[:0]
 	} else {
 		nh.h = hs.newHash()
 	}
@@ -233,8 +233,8 @@ func nodeFor(prev *nodeHasher, o options) *nodeHasher {
 // dst is written.
 func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
 	if nh.hs.shared {
-		nh.msg[0] = nodeMsg(nh.msg[0][:0], left, right)
-		sum := shortsha.Sum256(nh.msg[0])
+		nh.msg = nodeMsg(nh.msg[:0], left, right)
+		sum := shortsha.Sum256(nh.msg)
 		return append(dst[:0], sum[:]...)
 	}
 	nh.buf[0] = nodePrefix
@@ -249,20 +249,62 @@ func (nh *nodeHasher) combineInto(dst, left, right []byte) []byte {
 	return h.Sum(dst[:0])
 }
 
-// combine2Into is combineInto for two nodes, hashed in one pass of the
-// kernel's two lanes for the default hash. Neither destination may alias the
-// other node's children.
-func (nh *nodeHasher) combine2Into(dst0, left0, right0, dst1, left1, right1 []byte) {
-	if !nh.hs.shared {
-		nh.combineInto(dst0, left0, right0)
-		nh.combineInto(dst1, left1, right1)
+// nodeRun is up to shortsha.Lanes nodes of one level, named by their
+// children, for hashRun to hash together. It is a builder's stack value.
+type nodeRun struct {
+	k           int
+	left, right [shortsha.Lanes][]byte
+}
+
+// add appends the node over left and right to the run.
+func (r *nodeRun) add(left, right []byte) {
+	r.left[r.k], r.right[r.k] = left, right
+	r.k++
+}
+
+// full reports whether the run holds shortsha.Lanes nodes.
+func (r *nodeRun) full() bool { return r.k == shortsha.Lanes }
+
+// maxRunMsg is the longest node message hashRun lays out for a batch, and
+// the room combineInto starts with: two children of at most a digest each,
+// each behind its one-byte length.
+const maxRunMsg = 1 + 2*(1+shortsha.Size)
+
+// hashRun writes the Φ values of r's nodes, node j's to the row
+// dst[j*fixedLen:(j+1)*fixedLen], and empties r. For the default hash it
+// lays every node's message out on the stack before it writes any row, and
+// hashes each stretch of consecutive nodes whose messages have one length
+// in one shortsha.Batch call — a level is one length but for the run where
+// real leaves meet the pad digest. A WithHasher hash, or a run with a child
+// longer than a digest, is hashed node by node in order, each row written
+// once its own node's children are read. Either way a row may alias a child
+// of its own node or of an earlier one, never of a later one.
+func (nh *nodeHasher) hashRun(dst []byte, r *nodeRun) {
+	size, k := nh.hs.fixedLen, r.k
+	r.k = 0
+	batched := nh.hs.shared
+	for j := 0; j < k && batched; j++ {
+		batched = len(r.left[j]) <= shortsha.Size && len(r.right[j]) <= shortsha.Size
+	}
+	if !batched {
+		for j := range k {
+			nh.combineInto(dst[j*size:j*size:(j+1)*size], r.left[j], r.right[j])
+		}
 		return
 	}
-	nh.msg[0] = nodeMsg(nh.msg[0][:0], left0, right0)
-	nh.msg[1] = nodeMsg(nh.msg[1][:0], left1, right1)
-	sum0, sum1 := shortsha.Sum256x2(nh.msg[0], nh.msg[1])
-	copy(dst0[:shortsha.Size], sum0[:])
-	copy(dst1[:shortsha.Size], sum1[:])
+	var msgs [shortsha.Lanes * maxRunMsg]byte
+	var lens [shortsha.Lanes]int
+	for j := range k {
+		lens[j] = len(nodeMsg(msgs[j*maxRunMsg:j*maxRunMsg:(j+1)*maxRunMsg], r.left[j], r.right[j]))
+	}
+	for j := 0; j < k; {
+		e := j + 1
+		for e < k && lens[e] == lens[j] {
+			e++
+		}
+		shortsha.Batch(dst[j*size:e*size], msgs[j*maxRunMsg:], maxRunMsg, lens[j], 1)
+		j = e
+	}
 }
 
 // combine is combineInto a fresh digest, for the few nodes a structure
@@ -467,19 +509,19 @@ func (t *Tree) fillLeaves(slab []byte, lo, hi int, at func(i int) []byte, stop *
 // hashSubtree fills the internal nodes of the subtree rooted at heap node
 // root, which spans span leaves (a power of two), bottom-up. The nodes of
 // the level holding w of them are exactly [root*w, (root+1)*w) in heap
-// layout; w is a power of two, so every level but the subtree's root is
-// hashed in pairs (q, q+1), two lanes per pass. The leaves below must
-// already be in place.
+// layout, consecutive arena rows, so a level is hashed in runs of
+// shortsha.Lanes nodes. The leaves below must already be in place.
 func (t *Tree) hashSubtree(nh *nodeHasher, root, span int) {
 	size := t.hs.fixedLen
-	for w := span / 2; w >= 2; w /= 2 {
-		for q := root * w; q < (root+1)*w; q += 2 {
-			nh.combine2Into(arenaRow(t.arena, size, q), t.node(2*q), t.node(2*q+1),
-				arenaRow(t.arena, size, q+1), t.node(2*q+2), t.node(2*q+3))
+	var run nodeRun
+	for w := span / 2; w >= 1; w /= 2 {
+		for q, hi := root*w, (root+1)*w; q < hi; q += shortsha.Lanes {
+			end := min(q+shortsha.Lanes, hi)
+			for i := q; i < end; i++ {
+				run.add(t.node(2*i), t.node(2*i+1))
+			}
+			nh.hashRun(t.arena[q*size:end*size], &run)
 		}
-	}
-	if span >= 2 {
-		nh.combineInto(arenaRow(t.arena, size, root), t.node(2*root), t.node(2*root+1))
 	}
 }
 
@@ -491,13 +533,6 @@ func newNodeArena(hs hashers, capacity int) []byte {
 		return nil
 	}
 	return make([]byte, capacity*hs.fixedLen)
-}
-
-// arenaRow returns internal node i's slab row as an empty slice with exactly
-// one digest of capacity, ready for combineInto. Rows are capacity-bounded so
-// adjacent nodes can never bleed into each other.
-func arenaRow(arena []byte, size, i int) []byte {
-	return arena[i*size : i*size : (i+1)*size]
 }
 
 // parallelMinLeaves is the tree size below which goroutine startup costs

@@ -3,6 +3,7 @@ package merkle
 import (
 	"bytes"
 	"crypto/md5"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -162,6 +163,49 @@ var treeReferenceSeeds = []struct {
 func TestRebuildDirtyTreeMatchesReference(t *testing.T) {
 	for _, s := range treeReferenceSeeds {
 		checkTreeMatchesReference(t, s.nSeed, s.parallel, s.useMD5, s.data)
+	}
+}
+
+// TestRunsAtPowerOfTwoEdgesMatchReference hashes 8-byte leaves at n = 2^k
+// and 2^k ± 1: at 2^k + 1 most of the bottom level is pad, and at 2^k - 1
+// (k >= 4) one run of shortsha.Lanes nodes hashes leaf pairs (19-byte
+// messages) beside the pair of a leaf and the 32-byte pad digest (43 bytes).
+// Tree, PartialTree and the multiproof over every leaf must give the
+// reference root.
+func TestRunsAtPowerOfTwoEdgesMatchReference(t *testing.T) {
+	hs := defaultHashers()
+	for k := 1; k <= 10; k++ {
+		for _, n := range []int{1<<k - 1, 1 << k, 1<<k + 1} {
+			values := make([][]byte, n)
+			all := make([]uint64, n)
+			for i := range values {
+				values[i] = binary.BigEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15)
+				all[i] = uint64(i)
+			}
+			root := referenceHeap(hs, values)[1]
+			tree, err := Build(values)
+			if err != nil {
+				t.Fatalf("Build(n=%d): %v", n, err)
+			}
+			if got := tree.Root(); !bytes.Equal(got, root) {
+				t.Fatalf("n=%d: Tree root %x, reference %x", n, got, root)
+			}
+			ell := min(5, tree.Height())
+			partial, err := NewPartial(n, ell, func(i int) []byte { return values[i] })
+			if err != nil {
+				t.Fatalf("NewPartial(n=%d, ℓ=%d): %v", n, ell, err)
+			}
+			if got := partial.Root(); !bytes.Equal(got, root) {
+				t.Fatalf("n=%d ℓ=%d: PartialTree root %x, reference %x", n, ell, got, root)
+			}
+			mp, err := partial.ProveMulti(all)
+			if err != nil {
+				t.Fatalf("n=%d: PartialTree.ProveMulti: %v", n, err)
+			}
+			if err := NewProofVerifier().VerifyMulti(root, &mp); err != nil {
+				t.Fatalf("n=%d: the multiproof over every leaf: %v", n, err)
+			}
+		}
 	}
 }
 

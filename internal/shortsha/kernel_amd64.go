@@ -24,10 +24,25 @@ func chain(h *[8]uint32, links int)
 //go:noescape
 func chain2(h0, h1 *[8]uint32, links int)
 
+// lanes16 hashes sixteen padded messages of blocks blocks each, lane i's at
+// tails[i*tailStride:], applies links more links of a chain to every lane,
+// and writes lane i's digest to dst[i*Size:].
+//
+//go:noescape
+func lanes16(dst *[Lanes * Size]byte, tails *[Lanes * tailStride]byte, blocks, links int)
+
 // kernelSupported reports whether the CPU has the SHA extensions and the
-// SSSE3 and SSE4.1 shuffles the kernel uses.
+// SSSE3 and SSE4.1 shuffles the SHA-NI kernel uses.
 func kernelSupported() bool
 
-// useKernel selects the kernel over the portable path; the tests clear it to
-// compare the two.
-var useKernel = kernelSupported()
+// lanes16Supported reports whether the CPU has AVX512F and AVX512BW and the
+// operating system saves the opmask and ZMM registers (XCR0).
+func lanes16Supported() bool
+
+// useKernel selects the SHA-NI kernel over the portable path, and
+// useLanes16 the sixteen-lane kernel for Batch's full groups; both are
+// decided once, at startup, and the tests switch them to compare the paths.
+var (
+	useKernel  = kernelSupported()
+	useLanes16 = lanes16Supported()
+)

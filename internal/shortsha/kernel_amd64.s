@@ -4,13 +4,16 @@
 
 //go:build amd64 && !purego
 
-// The SHA-256 compressions under shortsha. The rounds are blockSHANI's from
-// the Go distribution's crypto/internal/fips140/sha256/sha256block_amd64.s
-// (the code its _asm/sha256block_amd64_shani.go generates, after S. Gulley
-// et al., "New Instructions Supporting the Secure Hash Algorithm on Intel®
-// Architecture Processors", July 2013), with the AVX moves replaced by their
-// SSE2 forms, a block's message words loaded before its first round, the
-// round constants at a 16-byte stride and the state passed as eight words.
+// The SHA-256 compressions under shortsha. The SHA-NI rounds are
+// blockSHANI's from the Go distribution's
+// crypto/internal/fips140/sha256/sha256block_amd64.s (the code its
+// _asm/sha256block_amd64_shani.go generates, after S. Gulley et al., "New
+// Instructions Supporting the Secure Hash Algorithm on Intel® Architecture
+// Processors", July 2013), with the AVX moves replaced by their SSE2 forms,
+// a block's message words loaded before its first round, the round
+// constants at a 16-byte stride and the state passed as eight words.
+// The sixteen-lane AVX-512 kernel after them, lanes16, is FIPS 180-4 §6.2.2
+// written on vectors and has its own notes.
 //
 // Two lanes. SHA256RNDS2 reads its round inputs from X0 implicitly, so
 // ROUNDS2 emits every live range of X0 first for lane A and then for lane B;
@@ -323,6 +326,312 @@ TEXT ·kernelSupported(SB), NOSPLIT, $0-1
 
 done:
 	RET
+
+// Sixteen lanes. lanes16 runs sixteen messages through the rounds in one
+// instruction stream with AVX-512: each ZMM register holds one 32-bit word
+// for all sixteen lanes, so a round is the FIPS 180-4 §6.2.2 round written
+// once on vectors, with Σ and σ as three VPRORD/VPSRLD joined by one
+// three-way VPTERNLOGD XOR, Ch and Maj as one VPTERNLOGD each, and K[t]
+// broadcast from k256 (.BCST). The lanes never interact, so nothing here is
+// serial across messages; the bound is the vector shifts' issue rate.
+//
+// Registers: Z0-Z7 the state words a-h, renamed round by round instead of
+// moved (ROUND16's argument lists rotate them); Z8-Z23 the sixteen message
+// words W[t mod 16], the schedule overwriting each in place; Z24-Z26
+// scratch; Z28 the gather offsets (lane*128), Z29 the byte-swap mask, Z30
+// the scatter offsets (lane*32); K2 all ones, copied into K1 before every
+// gather and scatter, which clear their mask. AX the round constants, BX the
+// schedule groups left, CX the blocks left, DX the links left, SI the next
+// block of lane 0, DI the digests; the frame holds the state a block adds
+// back at its end.
+
+// ROUND is round t on lanes of state (a, ..., h) and message word w, whose
+// constant is at k(AX): h becomes the new a and d the new e.
+#define ROUND(a, b, c, d, e, f, g, h, w, k) \
+	VPADDD.BCST	k(AX), w, Z24; \
+	VPADDD	Z24, h, h; \
+	VPRORD	$6, e, Z24; \
+	VPRORD	$11, e, Z25; \
+	VPRORD	$25, e, Z26; \
+	VPTERNLOGD	$0x96, Z26, Z25, Z24; \
+	VPADDD	Z24, h, h; \
+	VMOVDQA32	e, Z25; \
+	VPTERNLOGD	$0xca, g, f, Z25; \
+	VPADDD	Z25, h, h; \
+	VPADDD	h, d, d; \
+	VPRORD	$2, a, Z24; \
+	VPRORD	$13, a, Z25; \
+	VPRORD	$22, a, Z26; \
+	VPTERNLOGD	$0x96, Z26, Z25, Z24; \
+	VPADDD	Z24, h, h; \
+	VMOVDQA32	a, Z25; \
+	VPTERNLOGD	$0xe8, c, b, Z25; \
+	VPADDD	Z25, h, h
+
+// SCHED computes W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16] into
+// wt, the register that held W[t-16].
+#define SCHED(wt, w15, w7, w2) \
+	VPRORD	$7, w15, Z24; \
+	VPRORD	$18, w15, Z25; \
+	VPSRLD	$3, w15, Z26; \
+	VPTERNLOGD	$0x96, Z26, Z25, Z24; \
+	VPADDD	Z24, wt, wt; \
+	VPRORD	$17, w2, Z24; \
+	VPRORD	$19, w2, Z25; \
+	VPSRLD	$10, w2, Z26; \
+	VPTERNLOGD	$0x96, Z26, Z25, Z24; \
+	VPADDD	Z24, wt, wt; \
+	VPADDD	w7, wt, wt
+
+// ROUND16 runs sixteen rounds on the message words in place: after them
+// the state is back in Z0-Z7 in order.
+#define ROUND16 \
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, 0); \
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z9, 4); \
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z10, 8); \
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z11, 12); \
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z12, 16); \
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z13, 20); \
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z14, 24); \
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z15, 28); \
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 32); \
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 36); \
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 40); \
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 44); \
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 48); \
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 52); \
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 56); \
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 60)
+
+// SCHEDROUND16 is ROUND16 with the schedule step before each round.
+#define SCHEDROUND16 \
+	SCHED(Z8, Z9, Z17, Z22); \
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, 0); \
+	SCHED(Z9, Z10, Z18, Z23); \
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z9, 4); \
+	SCHED(Z10, Z11, Z19, Z8); \
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z10, 8); \
+	SCHED(Z11, Z12, Z20, Z9); \
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z11, 12); \
+	SCHED(Z12, Z13, Z21, Z10); \
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z12, 16); \
+	SCHED(Z13, Z14, Z22, Z11); \
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z13, 20); \
+	SCHED(Z14, Z15, Z23, Z12); \
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z14, 24); \
+	SCHED(Z15, Z16, Z8, Z13); \
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z15, 28); \
+	SCHED(Z16, Z17, Z9, Z14); \
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 32); \
+	SCHED(Z17, Z18, Z10, Z15); \
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 36); \
+	SCHED(Z18, Z19, Z11, Z16); \
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 40); \
+	SCHED(Z19, Z20, Z12, Z17); \
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 44); \
+	SCHED(Z20, Z21, Z13, Z18); \
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 48); \
+	SCHED(Z21, Z22, Z14, Z19); \
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 52); \
+	SCHED(Z22, Z23, Z15, Z20); \
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 56); \
+	SCHED(Z23, Z8, Z16, Z21); \
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 60)
+
+// GATHER loads the message word at offset off of every lane's block at SI,
+// big-endian.
+#define GATHER(off, w) \
+	KMOVW	K2, K1; \
+	VPGATHERDD	off(SI)(Z28*1), K1, w; \
+	VPSHUFB	Z29, w, w
+
+// SCATTER writes a state word into offset off of every lane's digest,
+// big-endian.
+#define SCATTER(off, s) \
+	VPSHUFB	Z29, s, s; \
+	KMOVW	K2, K1; \
+	VPSCATTERDD	s, K1, off(DI)(Z30*1)
+
+// func lanes16(dst *[16 * Size]byte, tails *[16 * tailStride]byte, blocks, links int)
+TEXT ·lanes16(SB), 0, $512-32
+	MOVQ	dst+0(FP), DI
+	MOVQ	tails+8(FP), SI
+	MOVQ	blocks+16(FP), CX
+	MOVQ	links+24(FP), DX
+	KXNORW	K2, K2, K2
+	VMOVDQU32	lane_index<>(SB), Z30
+	VPSLLD	$7, Z30, Z28
+	VPSLLD	$5, Z30, Z30
+	VBROADCASTI32X4	flip_mask<>(SB), Z29
+
+	VPBROADCASTD	iv<>+0(SB), Z0
+	VPBROADCASTD	iv<>+4(SB), Z1
+	VPBROADCASTD	iv<>+8(SB), Z2
+	VPBROADCASTD	iv<>+12(SB), Z3
+	VPBROADCASTD	iv<>+16(SB), Z4
+	VPBROADCASTD	iv<>+20(SB), Z5
+	VPBROADCASTD	iv<>+24(SB), Z6
+	VPBROADCASTD	iv<>+28(SB), Z7
+
+pass:
+	TESTQ	CX, CX
+	JZ	link
+
+	VMOVDQU32	Z0, 0(SP)
+	VMOVDQU32	Z1, 64(SP)
+	VMOVDQU32	Z2, 128(SP)
+	VMOVDQU32	Z3, 192(SP)
+	VMOVDQU32	Z4, 256(SP)
+	VMOVDQU32	Z5, 320(SP)
+	VMOVDQU32	Z6, 384(SP)
+	VMOVDQU32	Z7, 448(SP)
+	GATHER(0, Z8)
+	GATHER(4, Z9)
+	GATHER(8, Z10)
+	GATHER(12, Z11)
+	GATHER(16, Z12)
+	GATHER(20, Z13)
+	GATHER(24, Z14)
+	GATHER(28, Z15)
+	GATHER(32, Z16)
+	GATHER(36, Z17)
+	GATHER(40, Z18)
+	GATHER(44, Z19)
+	GATHER(48, Z20)
+	GATHER(52, Z21)
+	GATHER(56, Z22)
+	GATHER(60, Z23)
+	ADDQ	$64, SI
+	DECQ	CX
+	JMP	rounds
+
+link:
+	// The next link's message is the digest, W0-W7 = the state words, and
+	// a 32-byte message's padding; it starts from the initial value.
+	VMOVDQA32	Z0, Z8
+	VMOVDQA32	Z1, Z9
+	VMOVDQA32	Z2, Z10
+	VMOVDQA32	Z3, Z11
+	VMOVDQA32	Z4, Z12
+	VMOVDQA32	Z5, Z13
+	VMOVDQA32	Z6, Z14
+	VMOVDQA32	Z7, Z15
+	VPBROADCASTD	link_pad<>+0(SB), Z16
+	VPXORD	Z17, Z17, Z17
+	VPXORD	Z18, Z18, Z18
+	VPXORD	Z19, Z19, Z19
+	VPXORD	Z20, Z20, Z20
+	VPXORD	Z21, Z21, Z21
+	VPXORD	Z22, Z22, Z22
+	VPBROADCASTD	link_pad<>+28(SB), Z23
+	VPBROADCASTD	iv<>+0(SB), Z0
+	VMOVDQU32	Z0, 0(SP)
+	VPBROADCASTD	iv<>+4(SB), Z1
+	VMOVDQU32	Z1, 64(SP)
+	VPBROADCASTD	iv<>+8(SB), Z2
+	VMOVDQU32	Z2, 128(SP)
+	VPBROADCASTD	iv<>+12(SB), Z3
+	VMOVDQU32	Z3, 192(SP)
+	VPBROADCASTD	iv<>+16(SB), Z4
+	VMOVDQU32	Z4, 256(SP)
+	VPBROADCASTD	iv<>+20(SB), Z5
+	VMOVDQU32	Z5, 320(SP)
+	VPBROADCASTD	iv<>+24(SB), Z6
+	VMOVDQU32	Z6, 384(SP)
+	VPBROADCASTD	iv<>+28(SB), Z7
+	VMOVDQU32	Z7, 448(SP)
+	DECQ	DX
+
+rounds:
+	LEAQ	k256<>(SB), AX
+	ROUND16
+	MOVQ	$3, BX
+
+sched:
+	ADDQ	$64, AX
+	SCHEDROUND16
+	DECQ	BX
+	JNZ	sched
+	VPADDD	0(SP), Z0, Z0
+	VPADDD	64(SP), Z1, Z1
+	VPADDD	128(SP), Z2, Z2
+	VPADDD	192(SP), Z3, Z3
+	VPADDD	256(SP), Z4, Z4
+	VPADDD	320(SP), Z5, Z5
+	VPADDD	384(SP), Z6, Z6
+	VPADDD	448(SP), Z7, Z7
+	TESTQ	CX, CX
+	JNZ	pass
+	TESTQ	DX, DX
+	JNZ	pass
+
+	SCATTER(0, Z0)
+	SCATTER(4, Z1)
+	SCATTER(8, Z2)
+	SCATTER(12, Z3)
+	SCATTER(16, Z4)
+	SCATTER(20, Z5)
+	SCATTER(24, Z6)
+	SCATTER(28, Z7)
+	VZEROUPPER
+	RET
+
+// func lanes16Supported() bool
+TEXT ·lanes16Supported(SB), NOSPLIT, $0-1
+	MOVB	$0, ret+0(FP)
+	XORL	AX, AX
+	CPUID
+	CMPL	AX, $7
+	JB	nolanes
+	MOVL	$1, AX
+	CPUID
+	BTL	$27, CX // OSXSAVE: XGETBV is available
+	JCC	nolanes
+	MOVL	$7, AX
+	XORL	CX, CX
+	CPUID
+	ANDL	$0x40010000, BX // AVX512F (bit 16) and AVX512BW (bit 30)
+	CMPL	BX, $0x40010000
+	JNE	nolanes
+	XORL	CX, CX
+	XGETBV
+	ANDL	$0xe6, AX // XCR0: SSE, AVX, opmask, ZMM0-15 upper halves, ZMM16-31
+	CMPL	AX, $0xe6
+	JNE	nolanes
+	MOVB	$1, ret+0(FP)
+
+nolanes:
+	RET
+
+// iv is SHA-256's initial hash value, FIPS 180-4 §5.3.3, in word order.
+DATA iv<>+0(SB)/4, $0x6a09e667
+DATA iv<>+4(SB)/4, $0xbb67ae85
+DATA iv<>+8(SB)/4, $0x3c6ef372
+DATA iv<>+12(SB)/4, $0xa54ff53a
+DATA iv<>+16(SB)/4, $0x510e527f
+DATA iv<>+20(SB)/4, $0x9b05688c
+DATA iv<>+24(SB)/4, $0x1f83d9ab
+DATA iv<>+28(SB)/4, $0x5be0cd19
+GLOBL iv<>(SB), RODATA|NOPTR, $32
+
+// lane_index is 0, 1, ..., 15, one dword per lane.
+DATA lane_index<>+0(SB)/4, $0
+DATA lane_index<>+4(SB)/4, $1
+DATA lane_index<>+8(SB)/4, $2
+DATA lane_index<>+12(SB)/4, $3
+DATA lane_index<>+16(SB)/4, $4
+DATA lane_index<>+20(SB)/4, $5
+DATA lane_index<>+24(SB)/4, $6
+DATA lane_index<>+28(SB)/4, $7
+DATA lane_index<>+32(SB)/4, $8
+DATA lane_index<>+36(SB)/4, $9
+DATA lane_index<>+40(SB)/4, $10
+DATA lane_index<>+44(SB)/4, $11
+DATA lane_index<>+48(SB)/4, $12
+DATA lane_index<>+52(SB)/4, $13
+DATA lane_index<>+56(SB)/4, $14
+DATA lane_index<>+60(SB)/4, $15
+GLOBL lane_index<>(SB), RODATA|NOPTR, $64
 
 // flip_mask byte-swaps each 32-bit word.
 DATA flip_mask<>+0(SB)/8, $0x0405060700010203

@@ -1,39 +1,52 @@
-// Package shortsha computes SHA-256 at the price of its compressions, two
-// messages at a time where a caller has two. Every hash this system takes is
-// one or two blocks long — a Merkle node, a link of f's chain, a hash-chain
-// step, a task seed — and for messages that short crypto/sha256's per-call
-// wrapper (the digest's copy, the padding Write, the copy into its block
-// buffer) costs about as much as the compression itself.
+// Package shortsha computes SHA-256 at the price of its compressions, many
+// messages at a time where a caller has many. Every hash this system takes
+// is one or two blocks long — a Merkle node, a link of f's chain, a
+// hash-chain step, a task seed — and for messages that short crypto/sha256's
+// per-call wrapper (the digest's copy, the padding Write, the copy into its
+// block buffer) costs about as much as the compression itself.
+//
+// Entry points. Sum256 and Chain hash one message; Batch hashes k messages
+// of one length laid out at a stride in one buffer, each chained the same
+// number of rounds, and is the only entry that knows how many lanes a pass
+// has: it cuts its batch into groups of sixteen, two and one itself. Callers
+// that hash in runs — f over consecutive inputs, a Merkle level — make them
+// Lanes long, and nothing outside this package names a lane count.
 //
 // Padding. FIPS 180-4 §5.1.1 pads an ℓ-bit message m to a multiple of 512
 // bits: m, one 1 bit, the fewest 0 bits that leave 64 bits of the last
 // block free, and ℓ as a 64-bit big-endian integer. The whole blocks of a
 // message longer than 119 bytes are compressed where they lie; the rest —
-// all of a shorter message — is copied into a two-block array on the stack
+// all of a shorter message — is copied into a two-block tail on the stack
 // with the padding written behind it, so a message of at most 119 bytes is
 // one kernel call of one or two blocks. A link of a chain hashes the
 // previous digest, 32 bytes, so its block is the state words followed by a
-// constant template of padding: the kernel builds it in registers and never
-// reads the digest back from memory.
+// constant template of padding: the kernels build it in registers and never
+// read the digest back from memory.
 //
 // Readout. SHA-256(m) is the chaining value after the last block of pad(m)
-// is compressed: the eight state words, big-endian. The kernel keeps those
-// words itself — FIPS 180-4 §5.3.3's initial value in, the chaining value
-// out — so nothing is encoded, copied or reset between messages.
+// is compressed: the eight state words, big-endian. The kernels keep those
+// words themselves — FIPS 180-4 §5.3.3's initial value in, the chaining
+// value out — so nothing is encoded, copied or reset between messages.
 //
 // Lanes. SHA-NI's rounds form one serial dependency chain per message, and
 // a core overlaps two such chains in part (1.13-1.25 times one lane's rate
-// on the CPU ROADMAP records). Sum256x2 and Chain2 hash two independent
-// messages in one instruction stream, interleaved round by round
-// (kernel_amd64.s): the lanes share the blocks both messages have, and the
-// longer message finishes alone. The Merkle levels pair their
-// nodes and f's evaluations pair their inputs to use it; everything else
-// hashes one lane at a time with Sum256 and Chain.
+// on the CPU ROADMAP records), so the SHA-NI kernel hashes one message or
+// two interleaved round by round. AVX-512 has no SHA instructions but
+// sixteen 32-bit lanes per register: the sixteen-lane kernel runs the
+// rounds as plain vector arithmetic on sixteen messages at once, each
+// register one state or message word of every lane, and costs about 2.2
+// SHA-NI lanes' time per block for sixteen blocks (kernel_amd64.s has the
+// register plan). Batch gives it groups of sixteen messages of at most 119
+// bytes, whose tails it gathers from the stack and whose digests it
+// scatters into the caller's buffer, and the rest of a batch to SHA-NI.
 //
-// Dispatch. The kernel is amd64 assembly and needs the SHA extensions,
-// SSSE3 and SSE4.1, checked once with CPUID. On other architectures, on
-// CPUs without those features and under the purego build tag every entry
-// point is crypto/sha256.Sum256 per message, with the same results.
+// Dispatch. The kernels are amd64 assembly. The SHA-NI one needs the SHA
+// extensions, SSSE3 and SSE4.1; the sixteen-lane one AVX512F and AVX512BW
+// with the opmask and ZMM state enabled by the operating system (XCR0).
+// Both are checked once, at startup, with CPUID and XGETBV, and nothing
+// else selects them. Where the SHA-NI kernel is missing, on other
+// architectures and under the purego build tag every message the
+// sixteen lanes do not take is crypto/sha256.Sum256, with the same results.
 //
 // Nothing a caller passes is retained or crosses an interface, so no entry
 // point allocates.
@@ -71,16 +84,6 @@ func Sum256(msg []byte) [Size]byte {
 	return digest(&s)
 }
 
-// Sum256x2 returns SHA-256 of m0 and of m1, hashed in one pass: the two
-// messages may have any lengths, and the blocks both have run side by side.
-func Sum256x2(m0, m1 []byte) (d0, d1 [Size]byte) {
-	if !useKernel {
-		return sha256.Sum256(m0), sha256.Sum256(m1)
-	}
-	s0, s1 := sumWords2(m0, m1)
-	return digest(&s0), digest(&s1)
-}
-
 // Chain returns SHA-256 applied rounds times to msg, each link hashing the
 // previous digest; rounds below 1 count as 1.
 func Chain(msg []byte, rounds int) [Size]byte {
@@ -94,16 +97,75 @@ func Chain(msg []byte, rounds int) [Size]byte {
 	return digest(&s)
 }
 
-// Chain2 is Chain of m0 and of m1 in one pass.
-func Chain2(m0, m1 []byte, rounds int) (d0, d1 [Size]byte) {
+// Lanes is the widest batch one kernel pass hashes. A caller that hashes
+// in runs — f over consecutive inputs, a Merkle level — makes its runs this
+// long; Batch splits whatever it is given itself.
+const Lanes = 16
+
+// tailStride is the room one lane's padded tail takes in lanes16's scratch.
+const tailStride = 2 * blockSize
+
+// Batch hashes k = len(dst)/Size messages of n bytes each, message i being
+// msgs[i*stride : i*stride+n], and writes SHA-256 applied rounds times to it
+// (each further round hashing the previous digest, rounds below 1 counting
+// as 1) to dst[i*Size : (i+1)*Size]. It hashes them sixteen to a pass on
+// AVX-512 when n is at most 119 bytes, then two to a pass and one at a time
+// on SHA-NI, or one at a time on the portable path. dst must not overlap
+// msgs.
+func Batch(dst, msgs []byte, stride, n, rounds int) {
+	k := len(dst) / Size
+	if k == 0 {
+		return
+	}
+	_ = msgs[(k-1)*stride : (k-1)*stride+n]
+	rounds = max(rounds, 1)
+	i := 0
+	if useLanes16 && n <= maxTail {
+		for ; i+Lanes <= k; i += Lanes {
+			batch16(dst[i*Size:], msgs[i*stride:], stride, n, rounds)
+		}
+	}
 	if !useKernel {
-		return portableChain(m0, rounds), portableChain(m1, rounds)
+		for ; i < k; i++ {
+			d := portableChain(msgs[i*stride:i*stride+n], rounds)
+			copy(dst[i*Size:], d[:])
+		}
+		return
 	}
-	s0, s1 := sumWords2(m0, m1)
-	if rounds > 1 {
-		chain2(&s0, &s1, rounds-1)
+	for ; i+2 <= k; i += 2 {
+		s0, s1 := sumWords2(msgs[i*stride:i*stride+n], msgs[(i+1)*stride:(i+1)*stride+n])
+		if rounds > 1 {
+			chain2(&s0, &s1, rounds-1)
+		}
+		putDigest(dst[i*Size:], &s0)
+		putDigest(dst[(i+1)*Size:], &s1)
 	}
-	return digest(&s0), digest(&s1)
+	if i < k {
+		s := sumWords(msgs[i*stride : i*stride+n])
+		if rounds > 1 {
+			chain(&s, rounds-1)
+		}
+		putDigest(dst[i*Size:], &s)
+	}
+}
+
+// batch16 is Batch of sixteen messages of at most maxTail bytes on the
+// AVX-512 kernel: each message and its padding are copied into a tail of
+// their own on the stack, where the kernel gathers them from.
+func batch16(dst, msgs []byte, stride, n, rounds int) {
+	var tails [Lanes * tailStride]byte
+	blocks := 1
+	if n+1+lenSize > blockSize {
+		blocks = 2
+	}
+	end := blocks * blockSize
+	for i := range Lanes {
+		t := tails[i*tailStride : i*tailStride+end]
+		copy(t, msgs[i*stride:i*stride+n])
+		t[n] = 0x80
+		binary.BigEndian.PutUint64(t[end-lenSize:], uint64(n)<<3)
+	}
+	lanes16((*[Lanes * Size]byte)(dst), &tails, blocks, rounds-1)
 }
 
 // portableChain is Chain on crypto/sha256.
@@ -194,8 +256,14 @@ func finish(s *[8]uint32, b, t []byte) {
 
 // digest reads the state words out as a digest.
 func digest(s *[8]uint32) (d [Size]byte) {
-	for i, w := range s {
-		binary.BigEndian.PutUint32(d[4*i:], w)
-	}
+	putDigest(d[:], s)
 	return d
+}
+
+// putDigest writes the state words into dst as a digest.
+func putDigest(dst []byte, s *[8]uint32) {
+	_ = dst[Size-1]
+	for i, w := range s {
+		binary.BigEndian.PutUint32(dst[4*i:], w)
+	}
 }

@@ -16,26 +16,54 @@ func message(n int, salt byte) []byte {
 	return msg
 }
 
-// forEachPath runs check on the assembly lanes, when this build and CPU
-// have them, and on the portable path, so every test below is a three-way
-// differential: kernel, portable, and crypto/sha256 in the test itself.
+// path is one way this build and CPU can hash: the flags it sets.
+type path struct {
+	name            string
+	kernel, lanes16 bool
+}
+
+// paths lists the portable path and every kernel this build and CPU have.
+func paths() []path {
+	ps := []path{{name: "portable"}}
+	if useKernel {
+		ps = append(ps, path{name: "kernel", kernel: true})
+	}
+	if useLanes16 {
+		ps = append(ps, path{name: "avx512", kernel: useKernel, lanes16: true})
+	}
+	if useLanes16 && useKernel {
+		// A CPU with AVX-512 but no SHA-NI hashes Batch's leftovers portably.
+		ps = append(ps, path{name: "avx512-portable", lanes16: true})
+	}
+	return ps
+}
+
+// forEachPath runs check on every path of paths(), so every test below is
+// a differential between the kernels, the portable path and crypto/sha256
+// in the test itself. The kernel path is the SHA-NI one; the avx512 path
+// hashes Batch's full groups in sixteen lanes and the rest as the kernel
+// path does, or portably on a CPU without SHA-NI.
 func forEachPath(t *testing.T, check func(t *testing.T)) {
 	t.Helper()
-	saved := useKernel
-	defer func() { useKernel = saved }()
-	paths := []bool{false}
-	if saved {
-		paths = append(paths, true)
-	} else {
-		t.Log("no kernel in this build or on this CPU: portable path only")
+	savedKernel, savedLanes16 := useKernel, useLanes16
+	defer func() { useKernel, useLanes16 = savedKernel, savedLanes16 }()
+	for _, p := range paths() {
+		useKernel, useLanes16 = p.kernel, p.lanes16
+		t.Run(p.name, check)
 	}
-	for _, kernel := range paths {
-		useKernel = kernel
-		name := "portable"
-		if kernel {
-			name = "kernel"
-		}
-		t.Run(name, check)
+}
+
+// TestKernelPath logs which paths this build and CPU hash on, so a CI log
+// says whether the runner ran the kernels.
+func TestKernelPath(t *testing.T) {
+	for _, p := range paths() {
+		t.Logf("path %s", p.name)
+	}
+	if !useLanes16 {
+		t.Log("no sixteen-lane kernel in this build or on this CPU")
+	}
+	if !useKernel {
+		t.Log("no SHA-NI kernel in this build or on this CPU")
 	}
 }
 
@@ -62,51 +90,85 @@ func TestMatchesCryptoSHA256(t *testing.T) {
 	})
 }
 
-// TestSum256x2MatchesCryptoSHA256 takes every pair of lengths through
-// 160 bytes: lanes of equal and of different block counts, heads of
-// different lengths, and each lane finishing alone.
-func TestSum256x2MatchesCryptoSHA256(t *testing.T) {
-	msgs := make([][2][]byte, 161)
-	for n := range msgs {
-		msgs[n] = [2][]byte{message(n, 0), message(n, 0x5a)}
-	}
+// chainLengths are the first links' lengths the Chain test covers: f's
+// 16-byte input, a digest, and the padding edges.
+var chainLengths = []int{0, 16, 32, 55, 56, 64, 119, 120, 200}
+
+// TestChainMatchesCryptoSHA256 runs Chain for rounds 0-8 (0 is one hash).
+func TestChainMatchesCryptoSHA256(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
-		for a := range msgs {
-			for b := range msgs {
-				m0, m1 := msgs[a][0], msgs[b][1]
-				d0, d1 := Sum256x2(m0, m1)
-				if want := sha256.Sum256(m0); d0 != want {
-					t.Fatalf("Sum256x2(%d B, %d B) lane 0 = %x, want %x", a, b, d0, want)
-				}
-				if want := sha256.Sum256(m1); d1 != want {
-					t.Fatalf("Sum256x2(%d B, %d B) lane 1 = %x, want %x", a, b, d1, want)
+		for rounds := 0; rounds <= 8; rounds++ {
+			for _, n := range chainLengths {
+				msg := message(n, 0)
+				if got, want := Chain(msg, rounds), refChain(msg, rounds); got != want {
+					t.Fatalf("Chain(%d B, %d) = %x, want %x", n, rounds, got, want)
 				}
 			}
 		}
 	})
 }
 
-// chainLengths are the first links' lengths the chain tests pair up: f's
-// 16-byte input, a digest, and the padding edges.
-var chainLengths = []int{0, 16, 32, 55, 56, 64, 119, 120, 200}
+// batchStride lays the test batches' messages out with a gap, so a kernel
+// that assumed stride == n would read the wrong bytes.
+const batchStride = maxTail + 5
 
-// TestChainMatchesCryptoSHA256 runs Chain and Chain2 for rounds 0-8 (0 is
-// one hash) over every pair of chainLengths.
-func TestChainMatchesCryptoSHA256(t *testing.T) {
+// batchMessages returns k messages of every length up to maxTail, message
+// i at i*batchStride, distinct in every byte position.
+func batchMessages(k int) []byte {
+	return message(k*batchStride, 0x3c)
+}
+
+// TestBatchMatchesCryptoSHA256 takes every batch size 1-40 (full groups of
+// sixteen, then pairs and a single), every message length 0-119 (one tail
+// block or two, the padding edges at 55/56 and 63/64) and chain rounds 1-8.
+func TestBatchMatchesCryptoSHA256(t *testing.T) {
+	const maxK, maxRounds = 40, 8
+	msgs := batchMessages(maxK)
+	// want[n][i][r] is message i of n bytes hashed r+1 times.
+	want := make([][maxK][maxRounds][Size]byte, maxTail+1)
+	for n := range want {
+		for i := range maxK {
+			d := sha256.Sum256(msgs[i*batchStride : i*batchStride+n])
+			for r := range maxRounds {
+				want[n][i][r] = d
+				d = sha256.Sum256(d[:])
+			}
+		}
+	}
+	dst := make([]byte, maxK*Size)
 	forEachPath(t, func(t *testing.T) {
-		for rounds := 0; rounds <= 8; rounds++ {
-			for _, a := range chainLengths {
-				m0 := message(a, 0)
-				want0 := refChain(m0, rounds)
-				if got := Chain(m0, rounds); got != want0 {
-					t.Fatalf("Chain(%d B, %d) = %x, want %x", a, rounds, got, want0)
-				}
-				for _, b := range chainLengths {
-					m1 := message(b, 0x5a)
-					d0, d1 := Chain2(m0, m1, rounds)
-					if want1 := refChain(m1, rounds); d0 != want0 || d1 != want1 {
-						t.Fatalf("Chain2(%d B, %d B, %d) = %x, %x; want %x, %x", a, b, rounds, d0, d1, want0, want1)
+		for n := range want {
+			for rounds := 1; rounds <= maxRounds; rounds++ {
+				for k := 1; k <= maxK; k++ {
+					clear(dst)
+					Batch(dst[:k*Size], msgs, batchStride, n, rounds)
+					for i := range k {
+						if got := dst[i*Size : (i+1)*Size]; string(got) != string(want[n][i][rounds-1][:]) {
+							t.Fatalf("Batch of %d × %d B, %d rounds: message %d = %x, want %x",
+								k, n, rounds, i, got, want[n][i][rounds-1])
+						}
 					}
+					if rest := dst[k*Size:]; string(rest) != string(make([]byte, len(rest))) {
+						t.Fatalf("Batch of %d × %d B wrote past its %d digests", k, n, k)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestBatchLongMessages covers messages too long for the sixteen lanes'
+// tails: their heads are compressed in place, two lanes at a time.
+func TestBatchLongMessages(t *testing.T) {
+	const k = 19
+	msgs := message(k*300, 0x11)
+	dst := make([]byte, k*Size)
+	forEachPath(t, func(t *testing.T) {
+		for _, n := range []int{120, 128, 200, 300} {
+			Batch(dst, msgs, 300, n, 3)
+			for i := range k {
+				if want := refChain(msgs[i*300:i*300+n], 3); string(dst[i*Size:(i+1)*Size]) != string(want[:]) {
+					t.Fatalf("Batch of %d × %d B: message %d = %x, want %x", k, n, i, dst[i*Size:(i+1)*Size], want)
 				}
 			}
 		}
@@ -117,11 +179,13 @@ func TestChainMatchesCryptoSHA256(t *testing.T) {
 // including a head compressed in place.
 func TestMessagesAreNotWritten(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
-		m0, m1 := message(300, 0), message(67, 1)
-		c0, c1 := message(300, 0), message(67, 1)
+		m0, m1 := message(300, 0), message(67*Lanes, 1)
+		c0, c1 := message(300, 0), message(67*Lanes, 1)
+		var dst [Lanes * Size]byte
 		Sum256(m0)
-		Sum256x2(m0, m1)
-		Chain2(m1, m0, 3)
+		Chain(m0, 3)
+		Batch(dst[:2*Size], m0, 150, 150, 2)
+		Batch(dst[:], m1, 67, 67, 3)
 		if string(m0) != string(c0) || string(m1) != string(c1) {
 			t.Fatal("an entry point wrote to its message")
 		}
@@ -129,27 +193,38 @@ func TestMessagesAreNotWritten(t *testing.T) {
 }
 
 // FuzzShortSum is the kernel's differential against crypto/sha256 over
-// every entry point: two messages of any lengths and a round count.
+// every entry point: a buffer cut into a batch of equal-length messages at
+// a stride, and a round count.
 func FuzzShortSum(f *testing.F) {
 	for _, n := range []int{0, 55, 56, 64, 119, 120, 200} {
-		f.Add(message(n, 0), message(n/2, 1), uint8(n%5))
+		f.Add(message(17*n+3, 0), uint8(n), uint8(n+1), uint8(n%5))
 	}
-	f.Fuzz(func(t *testing.T, m0, m1 []byte, rounds uint8) {
+	f.Fuzz(func(t *testing.T, buf []byte, msgLen, gap, rounds uint8) {
 		r := int(rounds % 9)
-		want0, want1 := sha256.Sum256(m0), sha256.Sum256(m1)
-		chain0, chain1 := refChain(m0, r), refChain(m1, r)
+		n := min(int(msgLen), len(buf))
+		stride := n + int(gap%8)
+		k := 1
+		if stride > 0 {
+			k += (len(buf) - n) / stride
+		}
+		k = min(k, 3*Lanes+3)
+		want := make([]byte, 0, k*Size)
+		for i := range k {
+			d := refChain(buf[i*stride:i*stride+n], r)
+			want = append(want, d[:]...)
+		}
+		sum, chained := sha256.Sum256(buf), refChain(buf, r)
+		got := make([]byte, k*Size)
 		forEachPath(t, func(t *testing.T) {
-			if got := Sum256(m0); got != want0 {
-				t.Fatalf("Sum256 = %x, want %x", got, want0)
+			if d := Sum256(buf); d != sum {
+				t.Fatalf("Sum256 = %x, want %x", d, sum)
 			}
-			if d0, d1 := Sum256x2(m0, m1); d0 != want0 || d1 != want1 {
-				t.Fatalf("Sum256x2 = %x, %x; want %x, %x", d0, d1, want0, want1)
+			if d := Chain(buf, r); d != chained {
+				t.Fatalf("Chain(%d) = %x, want %x", r, d, chained)
 			}
-			if got := Chain(m0, r); got != chain0 {
-				t.Fatalf("Chain(%d) = %x, want %x", r, got, chain0)
-			}
-			if d0, d1 := Chain2(m0, m1, r); d0 != chain0 || d1 != chain1 {
-				t.Fatalf("Chain2(%d) = %x, %x; want %x, %x", r, d0, d1, chain0, chain1)
+			Batch(got, buf, stride, n, r)
+			if string(got) != string(want) {
+				t.Fatalf("Batch of %d × %d B at stride %d, %d rounds = %x, want %x", k, n, stride, r, got, want)
 			}
 		})
 	})
@@ -174,56 +249,74 @@ func BenchmarkSum256(b *testing.B) {
 	}
 }
 
-// BenchmarkLanes prices the second lane: a pair of Merkle nodes (67 B, two
-// blocks each) and a pair of f's leaves (a 16-byte input, four links) in
-// one pass and one lane at a time. A pair in one pass costs less than two
-// one at a time by what the core overlaps.
+// BenchmarkLanes prices the lanes at the runs this system hashes: sixteen
+// Merkle nodes over leaves (19 B, one block) and over digests (67 B, two
+// blocks) and sixteen of f's leaves (a 16-byte input, four links), as one
+// Batch and as sixteen single calls. b.N counts runs.
 func BenchmarkLanes(b *testing.B) {
-	node0, node1 := message(67, 0), message(67, 1)
-	b.Run("node/x2", func(b *testing.B) {
-		for b.Loop() {
-			Sum256x2(node0, node1)
-		}
-	})
-	b.Run("node/x1x1", func(b *testing.B) {
-		for b.Loop() {
-			Sum256(node0)
-			Sum256(node1)
-		}
-	})
-	in0, in1 := message(16, 0), message(16, 1)
-	b.Run("leaf/x2", func(b *testing.B) {
-		for b.Loop() {
-			Chain2(in0, in1, 4)
-		}
-	})
-	b.Run("leaf/x1x1", func(b *testing.B) {
-		for b.Loop() {
-			Chain(in0, 4)
-			Chain(in1, 4)
-		}
-	})
+	var dst [Lanes * Size]byte
+	for _, c := range []struct {
+		name      string
+		n, rounds int
+	}{{"leafnode", 19, 1}, {"node", 67, 1}, {"leaf", 16, 4}} {
+		msgs := message(Lanes*c.n, 0)
+		forEachPathB(b, c.name+"/batch", func(b *testing.B) {
+			for b.Loop() {
+				Batch(dst[:], msgs, c.n, c.n, c.rounds)
+			}
+		})
+		b.Run(c.name+"/single", func(b *testing.B) {
+			for b.Loop() {
+				for i := range Lanes {
+					Chain(msgs[i*c.n:(i+1)*c.n], c.rounds)
+				}
+			}
+		})
+	}
 }
 
-// BenchmarkFloor records what the kernel cannot go below: one 64-byte
-// compression per call, on one lane ("block") and on two ("block2", two
-// compressions per op). The entry points add their padding and readout to
-// that; ROADMAP quotes the per-lane figures.
+// forEachPathB is forEachPath for a benchmark.
+func forEachPathB(b *testing.B, name string, bench func(b *testing.B)) {
+	savedKernel, savedLanes16 := useKernel, useLanes16
+	defer func() { useKernel, useLanes16 = savedKernel, savedLanes16 }()
+	for _, p := range paths() {
+		useKernel, useLanes16 = p.kernel, p.lanes16
+		b.Run(name+"/"+p.name, bench)
+	}
+}
+
+// BenchmarkFloor records what the kernels cannot go below: 64-byte
+// compressions with no padding or readout of the entry points, on one
+// SHA-NI lane ("block", one compression per op), on two ("block2", two per
+// op) and on sixteen AVX-512 lanes ("lanes16", sixteen one-block messages
+// per op, with their scatter). ROADMAP quotes the per-lane figures.
 func BenchmarkFloor(b *testing.B) {
-	if !useKernel {
+	if useKernel {
+		p0, p1 := message(blockSize, 0), message(blockSize, 1)
+		b.Run("block", func(b *testing.B) {
+			s := iv
+			for b.Loop() {
+				block(&s, p0)
+			}
+		})
+		b.Run("block2", func(b *testing.B) {
+			s0, s1 := iv, iv
+			for b.Loop() {
+				block2(&s0, &s1, p0, p1)
+			}
+		})
+	}
+	if useLanes16 {
+		var tails [Lanes * tailStride]byte
+		copy(tails[:], message(len(tails), 2))
+		var dst [Lanes * Size]byte
+		b.Run("lanes16", func(b *testing.B) {
+			for b.Loop() {
+				lanes16(&dst, &tails, 1, 0)
+			}
+		})
+	}
+	if !useKernel && !useLanes16 {
 		b.Skip("no kernel in this build or on this CPU")
 	}
-	p0, p1 := message(blockSize, 0), message(blockSize, 1)
-	b.Run("block", func(b *testing.B) {
-		s := iv
-		for b.Loop() {
-			block(&s, p0)
-		}
-	})
-	b.Run("block2", func(b *testing.B) {
-		s0, s1 := iv, iv
-		for b.Loop() {
-			block2(&s0, &s1, p0, p1)
-		}
-	})
 }

@@ -5,9 +5,9 @@ package workload
 import "testing"
 
 // TestAppendEvalZeroAlloc pins the append contract's point: evaluating into
-// a buffer that already has room, one input or a pair, allocates nothing for
-// the workloads whose evaluation is hashing or integer arithmetic. Excluded from race builds,
-// whose runtime allocates on its own.
+// a buffer that already has room, one input or a batch, allocates nothing
+// for the workloads whose evaluation is hashing or integer arithmetic.
+// Excluded from race builds, whose runtime allocates on its own.
 func TestAppendEvalZeroAlloc(t *testing.T) {
 	for _, name := range []string{"synthetic", "password", "drugscreen", "factor"} {
 		f, err := New(name, 1)
@@ -23,12 +23,13 @@ func TestAppendEvalZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: AppendEval into a warmed buffer allocates %.1f objects per call, want 0", name, allocs)
 		}
-		buf, _ = f.AppendEval2(buf[:0], 0, 1)
+		var ends [19]int
+		buf = f.AppendEvalBatch(buf[:0], 0, ends[:])
 		if allocs := testing.AllocsPerRun(100, func() {
-			x += 2
-			buf, _ = f.AppendEval2(buf[:0], x, x+1)
+			x += uint64(len(ends))
+			buf = f.AppendEvalBatch(buf[:0], x, ends[:])
 		}); allocs != 0 {
-			t.Errorf("%s: AppendEval2 into a warmed buffer allocates %.1f objects per call, want 0", name, allocs)
+			t.Errorf("%s: AppendEvalBatch into a warmed buffer allocates %.1f objects per call, want 0", name, allocs)
 		}
 	}
 }

@@ -49,13 +49,10 @@ func (d *DrugScreen) AppendEval(dst []byte, x uint64) []byte {
 	return append(dst, state[:8]...)
 }
 
-// AppendEval2 implements Function: the two scores' chains in one pass.
-func (d *DrugScreen) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	in0, in1 := seededInput(d.seed, x0), seededInput(d.seed, x1)
-	state0, state1 := shortsha.Chain2(in0[:], in1[:], scoreRounds)
-	dst = append(dst, state0[:8]...)
-	split := len(dst)
-	return append(dst, state1[:8]...), split
+// AppendEvalBatch implements Function: the scores' chains in shortsha.Batch
+// runs.
+func (d *DrugScreen) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return appendChainBatch(dst, x0, ends, d.seed, scoreRounds, 64)
 }
 
 // Eval implements Function.

@@ -68,9 +68,9 @@ func (f *Factor) AppendEval(dst []byte, x uint64) []byte {
 // Eval implements Function.
 func (f *Factor) Eval(x uint64) []byte { return f.AppendEval(nil, x) }
 
-// AppendEval2 implements Function: two AppendEval calls.
-func (f *Factor) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	return appendEvalPair(f, dst, x0, x1)
+// AppendEvalBatch implements Function: one AppendEval call per input.
+func (f *Factor) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return appendEvalEach(f, dst, x0, ends)
 }
 
 // GuessOutput implements Function: two random odd 16-bit values.

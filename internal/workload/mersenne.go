@@ -52,9 +52,9 @@ func (m *Mersenne) AppendEval(dst []byte, x uint64) []byte {
 // Eval implements Function.
 func (m *Mersenne) Eval(x uint64) []byte { return m.AppendEval(nil, x) }
 
-// AppendEval2 implements Function: two AppendEval calls.
-func (m *Mersenne) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	return appendEvalPair(m, dst, x0, x1)
+// AppendEvalBatch implements Function: one AppendEval call per input.
+func (m *Mersenne) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return appendEvalEach(m, dst, x0, ends)
 }
 
 // GuessOutput implements Function: an unbiased coin, the paper's q = 0.5

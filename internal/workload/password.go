@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -11,15 +10,16 @@ import (
 
 // Password is the paper's running example (Section 3): breaking a password
 // by brute force, i.e. inverting a one-way function over a keyspace. Here
-// f(x) = SHA-256(salt || x) over a 2^KeyBits keyspace, and the screener
-// reports any x whose digest equals the target.
+// f(x) = SHA-256(salt || x) over a 2^KeyBits keyspace, the salt being the
+// seed big-endian, and the screener reports any x whose digest equals the
+// target.
 //
 // The output is a 32-byte digest, so the guessing probability q is
 // negligible (2^-256). Because f itself is one-way, this workload is also
 // the one class the ringer scheme of Golle-Mironov supports, making it the
 // comparison substrate for the baselines.
 type Password struct {
-	salt    [8]byte
+	seed    uint64
 	keyBits uint
 	target  []byte
 }
@@ -33,8 +33,7 @@ func NewPassword(seed uint64, keyBits uint) *Password {
 	if keyBits == 0 || keyBits > 63 {
 		keyBits = 20
 	}
-	p := &Password{keyBits: keyBits}
-	binary.BigEndian.PutUint64(p.salt[:], seed)
+	p := &Password{seed: seed, keyBits: keyBits}
 	secret := splitmix(seed) & ((1 << keyBits) - 1)
 	p.target = p.Eval(secret)
 	return p
@@ -53,26 +52,14 @@ func (p *Password) Target() []byte {
 
 // AppendEval implements Function: f(x) = SHA-256(salt || x).
 func (p *Password) AppendEval(dst []byte, x uint64) []byte {
-	in := p.input(x)
+	in := seededInput(p.seed, x)
 	sum := shortsha.Sum256(in[:])
 	return append(dst, sum[:]...)
 }
 
-// AppendEval2 implements Function: the two digests in one pass.
-func (p *Password) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	in0, in1 := p.input(x0), p.input(x1)
-	sum0, sum1 := shortsha.Sum256x2(in0[:], in1[:])
-	dst = append(dst, sum0[:]...)
-	split := len(dst)
-	return append(dst, sum1[:]...), split
-}
-
-// input is the hashed message salt || x.
-func (p *Password) input(x uint64) [16]byte {
-	var in [16]byte
-	copy(in[:8], p.salt[:])
-	binary.BigEndian.PutUint64(in[8:], x)
-	return in
+// AppendEvalBatch implements Function: the digests in shortsha.Batch runs.
+func (p *Password) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return appendChainBatch(dst, x0, ends, p.seed, 1, 8*shortsha.Size)
 }
 
 // Eval implements Function.

@@ -78,9 +78,9 @@ func (s *Signal) AppendEval(dst []byte, x uint64) []byte {
 // Eval implements Function.
 func (s *Signal) Eval(x uint64) []byte { return s.AppendEval(nil, x) }
 
-// AppendEval2 implements Function: two AppendEval calls.
-func (s *Signal) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	return appendEvalPair(s, dst, x0, x1)
+// AppendEvalBatch implements Function: one AppendEval call per input.
+func (s *Signal) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return appendEvalEach(s, dst, x0, ends)
 }
 
 // GuessOutput implements Function: a random bin plus a ratio drawn near the

@@ -16,8 +16,8 @@ import (
 //     cost ratio C_f/C_hash of Eq. 5 is simply CostIters — in time as well
 //     as in count: the chain is shortsha.Chain, whose every link is one
 //     block compressed in the kernel's registers with no wrapper, and
-//     AppendEval2 runs two inputs' chains in one pass of its two lanes,
-//     the way the Merkle levels pair their nodes.
+//     AppendEvalBatch runs consecutive inputs' chains side by side in the
+//     kernel's lanes, the way the Merkle levels hash their nodes.
 //   - q: outputs are OutputBits uniform bits, so a uniform guesser succeeds
 //     with probability exactly q = 2^-OutputBits. OutputBits=1 reproduces
 //     the paper's q = 0.5 curve in Fig. 2.
@@ -61,13 +61,9 @@ func (s *Synthetic) AppendEval(dst []byte, x uint64) []byte {
 	return appendTruncated(dst, state[:], s.outputBits)
 }
 
-// AppendEval2 implements Function: the two chains in one pass.
-func (s *Synthetic) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	in0, in1 := seededInput(s.seed, x0), seededInput(s.seed, x1)
-	state0, state1 := shortsha.Chain2(in0[:], in1[:], s.costIters)
-	dst = appendTruncated(dst, state0[:], s.outputBits)
-	split := len(dst)
-	return appendTruncated(dst, state1[:], s.outputBits), split
+// AppendEvalBatch implements Function: the chains in shortsha.Batch runs.
+func (s *Synthetic) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	return appendChainBatch(dst, x0, ends, s.seed, s.costIters, s.outputBits)
 }
 
 // seededInput is the first link's message of a chain-of-hashes f: the
@@ -77,6 +73,31 @@ func seededInput(seed, x uint64) [16]byte {
 	binary.BigEndian.PutUint64(in[:8], seed)
 	binary.BigEndian.PutUint64(in[8:], x)
 	return in
+}
+
+// appendChainBatch is AppendEvalBatch for the workloads whose f(x) is the
+// first bits of a SHA-256 chain of rounds links over seededInput(seed, x):
+// shortsha.Lanes inputs per shortsha.Batch call, laid out and hashed on the
+// stack.
+func appendChainBatch(dst []byte, x0 uint64, ends []int, seed uint64, rounds int, bits uint) []byte {
+	const inSize = 16
+	var ins [shortsha.Lanes * inSize]byte
+	var sums [shortsha.Lanes * shortsha.Size]byte
+	for len(ends) > 0 {
+		k := min(len(ends), shortsha.Lanes)
+		for i := range k {
+			in := seededInput(seed, x0+uint64(i))
+			copy(ins[i*inSize:], in[:])
+		}
+		shortsha.Batch(sums[:k*shortsha.Size], ins[:], inSize, inSize, rounds)
+		for i := range k {
+			dst = appendTruncated(dst, sums[i*shortsha.Size:], bits)
+			ends[i] = len(dst)
+		}
+		x0 += uint64(k)
+		ends = ends[k:]
+	}
+	return dst
 }
 
 // Eval implements Function.

@@ -45,12 +45,13 @@ type Function interface {
 	Name() string
 	// AppendEval appends f(x) to dst and returns the extended slice.
 	AppendEval(dst []byte, x uint64) []byte
-	// AppendEval2 appends f(x0) and then f(x1) to dst and returns the
-	// extended slice and the offset in it where f(x1) starts, under
-	// AppendEval's contract. The workloads whose f is hashing evaluate the
-	// two in one pass of the shortsha kernel's two lanes; the others make
-	// two AppendEval calls.
-	AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int)
+	// AppendEvalBatch appends f(x0), f(x0+1), …, f(x0+k-1) for
+	// k = len(ends) to dst, in that order and under AppendEval's contract,
+	// and sets ends[i] to the offset in the returned slice where f(x0+i)
+	// ends. The workloads whose f is hashing evaluate the batch in
+	// shortsha.Batch calls of shortsha.Lanes inputs, hashed side by side in
+	// the kernel's lanes; the others make k AppendEval calls.
+	AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte
 	// Eval computes f(x) into a fresh slice: the allocating convenience,
 	// always AppendEval(nil, x).
 	Eval(x uint64) []byte
@@ -119,12 +120,12 @@ func (c *Counter) AppendEval(dst []byte, x uint64) []byte {
 	return c.inner.AppendEval(dst, x)
 }
 
-// AppendEval2 implements Function, incrementing the counter twice.
+// AppendEvalBatch implements Function, counting len(ends) evaluations.
 //
 //gridlint:credit the Counter wrapper exists to count evaluations
-func (c *Counter) AppendEval2(dst []byte, x0, x1 uint64) ([]byte, int) {
-	c.evals += 2
-	return c.inner.AppendEval2(dst, x0, x1)
+func (c *Counter) AppendEvalBatch(dst []byte, x0 uint64, ends []int) []byte {
+	c.evals += int64(len(ends))
+	return c.inner.AppendEvalBatch(dst, x0, ends)
 }
 
 // Eval implements Function; it counts once, through AppendEval.
@@ -165,12 +166,14 @@ func AsOutputVerifier(f Function) (OutputVerifier, bool) {
 	}
 }
 
-// appendEvalPair is AppendEval2 as two AppendEval calls, for the functions
-// whose two evaluations share nothing.
-func appendEvalPair(f Function, dst []byte, x0, x1 uint64) ([]byte, int) {
-	dst = f.AppendEval(dst, x0)
-	split := len(dst)
-	return f.AppendEval(dst, x1), split
+// appendEvalEach is AppendEvalBatch as one AppendEval call per input, for
+// the functions whose evaluations share nothing.
+func appendEvalEach(f Function, dst []byte, x0 uint64, ends []int) []byte {
+	for i := range ends {
+		dst = f.AppendEval(dst, x0+uint64(i))
+		ends[i] = len(dst)
+	}
+	return dst
 }
 
 // Builder constructs a workload from a seed, letting command-line tools and

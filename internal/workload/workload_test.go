@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -532,31 +533,44 @@ func TestSyntheticClamping(t *testing.T) {
 	}
 }
 
-// TestAppendEval2MatchesAppendEval: for every workload the pair form appends
-// exactly the bytes of two AppendEval calls, x0's first, behind a prefix it
-// leaves alone, and reports where x1's begin; through a Counter it counts
-// two evaluations.
-func TestAppendEval2MatchesAppendEval(t *testing.T) {
-	pairs := [][2]uint64{{0, 1}, {1, 0}, {5, 5}, {255, 1<<32 + 5}, {1<<64 - 2, 1<<64 - 1}}
+// TestAppendEvalBatchMatchesAppendEval: for every workload the batch form
+// appends exactly the bytes of k AppendEval calls over x0, x0+1, …, in
+// index order, behind a prefix it leaves alone, and reports where each
+// ends; through a Counter it counts k evaluations. The sizes cover a full
+// run of shortsha.Lanes, runs with a pair and a single left over, and the
+// top of the input domain.
+func TestAppendEvalBatchMatchesAppendEval(t *testing.T) {
+	starts := []uint64{0, 5, 1<<32 - 3, 1<<64 - 40}
+	sizes := []int{1, 2, 3, 15, 16, 17, 18, 31, 33, 40}
 	for _, name := range Names() {
 		f, err := New(name, 7)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 		c := Count(f)
-		for _, p := range pairs {
-			prefix := []byte("prefix")
-			want := f.AppendEval(f.AppendEval(bytes.Clone(prefix), p[0]), p[1])
-			got, split := c.AppendEval2(bytes.Clone(prefix), p[0], p[1])
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: AppendEval2(prefix, %d, %d) = %x, want %x", name, p[0], p[1], got, want)
-			}
-			if first := f.Eval(p[0]); split != len(prefix)+len(first) {
-				t.Fatalf("%s: AppendEval2(prefix, %d, %d) splits at %d, want %d", name, p[0], p[1], split, len(prefix)+len(first))
+		counted := 0
+		for _, x0 := range starts {
+			for _, k := range sizes {
+				prefix := []byte("prefix")
+				want := bytes.Clone(prefix)
+				wantEnds := make([]int, k)
+				for i := range k {
+					want = f.AppendEval(want, x0+uint64(i))
+					wantEnds[i] = len(want)
+				}
+				ends := make([]int, k)
+				got := c.AppendEvalBatch(bytes.Clone(prefix), x0, ends)
+				counted += k
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: AppendEvalBatch(prefix, %d, [%d]) = %x, want %x", name, x0, k, got, want)
+				}
+				if !slices.Equal(ends, wantEnds) {
+					t.Fatalf("%s: AppendEvalBatch(prefix, %d, [%d]) ends at %v, want %v", name, x0, k, ends, wantEnds)
+				}
 			}
 		}
-		if got, want := c.Evals(), int64(2*len(pairs)); got != want {
-			t.Errorf("%s: Counter counted %d evaluations for %d pairs, want %d", name, got, len(pairs), want)
+		if got := c.Evals(); got != int64(counted) {
+			t.Errorf("%s: Counter counted %d evaluations for %d batched inputs", name, got, counted)
 		}
 	}
 }
