@@ -20,51 +20,56 @@ type Prover struct {
 	partial *merkle.PartialTree
 	// root is Φ(R), taken from the tree once per task into one buffer.
 	root []byte
-	// claim is the current task's claim function, held while a tree may call
-	// it; leafAt, made once, is the trees' view of it.
-	claim  func(i uint64) []byte
-	leafAt func(i int) []byte
 }
 
 // NewProver builds the participant's Merkle tree over n claimed results
 // (Step 1 of Section 3.1). claim(i) must return the value the participant
 // stands behind for domain index i; for an honest participant that is
-// f(x_i). The tree copies each value as it is produced and keeps no
-// reference to it, so claim may reuse one buffer between calls
-// (workload.Function.AppendEval into buf[:0]) — unless the tree options ask
-// for a parallel build, which calls claim from several goroutines. With
-// WithSubtreeHeight(ℓ > 0), claim must be deterministic since audited
-// subtrees are recomputed on demand.
+// f(x_i). It is Reset with merkle.PerLeaf's run over claim: the tree copies
+// each value as it is produced and keeps no reference to it, so claim may
+// reuse one buffer between calls (workload.Function.AppendEval into
+// buf[:0]) — unless the tree options ask for a parallel build, which calls
+// claim from several goroutines. With WithSubtreeHeight(ℓ > 0), claim must
+// be deterministic since audited subtrees are recomputed on demand.
 func NewProver(n int, claim func(i uint64) []byte, opts ...Option) (*Prover, error) {
+	if claim == nil {
+		return nil, fmt.Errorf("%w: nil claim function", ErrProtocol)
+	}
 	p := new(Prover)
-	if err := p.Reset(n, claim, opts...); err != nil {
+	run := merkle.PerLeaf(func(i int) []byte { return claim(uint64(i)) })
+	if err := p.Reset(n, run, opts...); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Reset commits p to a new task exactly as NewProver(n, claim, opts...)
-// commits a fresh prover — it is the one build routine — but into what p
-// already holds: the full tree is rebuilt in place (merkle.Tree.Rebuild) and
-// the root lands in the same buffer, so a prover that has served a task this
-// size commits to the next without allocating. The storage-bounded tree is
-// built anew each time. The previous task's commitment root and every
-// response drawn from its tree are overwritten; the caller must be done with
-// them. After an error p must be Reset again before it is used.
-func (p *Prover) Reset(n int, claim func(i uint64) []byte, opts ...Option) error {
+// Reset commits p to a new task — the one build routine, NewProver being
+// Reset of a fresh prover — into what p already holds: the full tree is
+// rebuilt in place (merkle.Tree.Rebuild) and the root lands in the same
+// buffer, so a prover that has served a task this size commits to the next
+// without allocating. The storage-bounded tree is built anew each time.
+//
+// run appends the claimed values of domain indices lo, …, lo+len(ends)-1
+// straight into the tree's leaf storage (merkle.LeafRun, the shape of
+// cheat.Producer.AppendClaimBatch). The commitment pass asks for every index
+// once, in runs in index order — concurrently, shard by shard, when the tree
+// options ask for a parallel build — and a storage-bounded tree asks again,
+// in runs, for each audited subtree, so run must then be deterministic.
+//
+// The previous task's commitment root and every response drawn from its
+// tree are overwritten; the caller must be done with them. After an error p
+// must be Reset again before it is used.
+func (p *Prover) Reset(n int, run merkle.LeafRun, opts ...Option) error {
 	if n < 1 {
 		return fmt.Errorf("%w: got %d", ErrBadDomain, n)
 	}
-	if claim == nil {
-		return fmt.Errorf("%w: nil claim function", ErrProtocol)
+	if run == nil {
+		return fmt.Errorf("%w: nil claim run", ErrProtocol)
 	}
 	cfg := buildConfig(opts)
-	if p.leafAt == nil {
-		p.leafAt = func(i int) []byte { return p.claim(uint64(i)) }
-	}
-	p.n, p.claim, p.partial = n, claim, nil
+	p.n, p.partial = n, nil
 	if cfg.subtreeHeight > 0 {
-		partial, err := merkle.NewPartial(n, cfg.subtreeHeight, p.leafAt, cfg.treeOptions...)
+		partial, err := merkle.NewPartialRuns(n, cfg.subtreeHeight, run, cfg.treeOptions...)
 		if err != nil {
 			return fmt.Errorf("core: build partial tree: %w", err)
 		}
@@ -74,9 +79,7 @@ func (p *Prover) Reset(n int, claim func(i uint64) []byte, opts ...Option) error
 	if p.tree == nil {
 		p.tree = new(merkle.Tree)
 	}
-	err := p.tree.Rebuild(n, p.leafAt, cfg.treeOptions...)
-	p.claim = nil // proofs read the tree's slab; do not pin what claim captured
-	if err != nil {
+	if err := p.tree.Rebuild(n, run, cfg.treeOptions...); err != nil {
 		return fmt.Errorf("core: build tree: %w", err)
 	}
 	p.root = p.tree.AppendRoot(p.root[:0])

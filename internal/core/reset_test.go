@@ -28,14 +28,20 @@ type resetCase struct {
 func runResetCase(t *testing.T, tc resetCase, prover *Prover, verifier *Verifier) (root []byte, challenge []uint64, resp []byte, verdict error, convicted int64) {
 	t.Helper()
 	f := testFunction(tc.seed)
-	claim := func(i uint64) []byte {
-		out := f.Eval(i)
-		if int(i) == tc.lieAt {
-			out[0] ^= 0xff
+	// The claims come a run at a time, as the participant's commit pass
+	// makes them, the lie flipped in place.
+	run := func(dst []byte, lo int, ends []int) []byte {
+		start := len(dst)
+		dst = f.AppendEvalBatch(dst, uint64(lo), ends)
+		if j := tc.lieAt - lo; tc.lieAt >= 0 && j >= 0 && j < len(ends) {
+			if j > 0 {
+				start = ends[j-1]
+			}
+			dst[start] ^= 0xff
 		}
-		return out
+		return dst
 	}
-	if err := prover.Reset(tc.n, claim, tc.opts...); err != nil {
+	if err := prover.Reset(tc.n, run, tc.opts...); err != nil {
 		t.Fatalf("%s: Prover.Reset: %v", tc.name, err)
 	}
 	c := prover.Commitment()
@@ -125,16 +131,17 @@ func TestResetEqualsFresh(t *testing.T) {
 func TestResetRefusesWhatConstructorsRefuse(t *testing.T) {
 	f := testFunction(9)
 	prover := honestProver(t, f, 64)
-	if err := prover.Reset(0, func(uint64) []byte { return nil }); !errors.Is(err, ErrBadDomain) {
+	nilLeaves := merkle.PerLeaf(func(int) []byte { return nil })
+	if err := prover.Reset(0, nilLeaves); !errors.Is(err, ErrBadDomain) {
 		t.Errorf("Prover.Reset(0): err = %v, want ErrBadDomain", err)
 	}
 	if err := prover.Reset(8, nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("Prover.Reset(nil claim): err = %v, want ErrProtocol", err)
 	}
-	if err := prover.Reset(8, func(uint64) []byte { return nil }); err == nil {
-		t.Error("Prover.Reset over nil leaves succeeded")
+	if err := prover.Reset(8, nilLeaves); !errors.Is(err, merkle.ErrNilLeaf) {
+		t.Errorf("Prover.Reset over nil leaves: err = %v, want merkle.ErrNilLeaf", err)
 	}
-	if err := prover.Reset(32, func(i uint64) []byte { return f.Eval(i) }); err != nil {
+	if err := prover.Reset(32, merkle.PerLeaf(func(i int) []byte { return f.Eval(uint64(i)) })); err != nil {
 		t.Fatalf("Prover.Reset after the refusals: %v", err)
 	}
 	if want := honestProver(t, f, 32).Commitment(); !bytes.Equal(prover.Commitment().Root, want.Root) || prover.N() != 32 {

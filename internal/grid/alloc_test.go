@@ -295,9 +295,8 @@ func TestKitSteadyStateAllocs(t *testing.T) {
 	for _, n := range []int{64, 1 << 14} {
 		var commit commitKit
 		var audit auditKit
-		claim := func(i uint64) []byte {
-			commit.buf = f.AppendEval(commit.buf[:0], i)
-			return commit.buf
+		run := func(dst []byte, lo int, ends []int) []byte {
+			return f.AppendEvalBatch(dst, uint64(lo), ends)
 		}
 		check := func(i uint64, output []byte) error {
 			audit.evalBuf = f.AppendEval(audit.evalBuf[:0], i)
@@ -309,7 +308,7 @@ func TestKitSteadyStateAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		var payload []byte
 		task := func() {
-			if err := commit.prover.Reset(n, claim); err != nil {
+			if err := commit.prover.Reset(n, run); err != nil {
 				t.Fatalf("Prover.Reset: %v", err)
 			}
 			if err := audit.verifier.Reset(commit.prover.Commitment(), core.WithRand(rng)); err != nil {

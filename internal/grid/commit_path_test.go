@@ -58,15 +58,32 @@ func newCommitExecution(tb testing.TB, n uint64, spec SchemeSpec, screener workl
 	return &taskExecution{task: task, spec: spec, producer: cheat.NewHonest(counted), screener: screener}, counted
 }
 
+// warmCommitKit returns a commitment kit that has served an n-input task,
+// so its tree's leaf slab is sized and the next commit pass's runs are
+// whole from the first.
+func warmCommitKit(tb testing.TB, n uint64) *commitKit {
+	tb.Helper()
+	chain, err := hashchain.New(1)
+	if err != nil {
+		tb.Fatalf("hashchain.New: %v", err)
+	}
+	exec, _ := newCommitExecution(tb, n, SchemeSpec{Kind: SchemeNICBS, M: 4, ChainIters: 1}, nil)
+	if err := exec.runCBS(&scriptConn{}, true, chain, nil); err != nil {
+		tb.Fatalf("warm-up runCBS: %v", err)
+	}
+	return exec.kit
+}
+
 // TestCBSScreensEachInputOnce pins what the commit pass's phase flag rests
 // on, at grid level: whatever ℓ is and wherever a resume picks the exchange
 // up, every input is screened exactly once, in index order, and the
-// msgReports payload is the same bytes — the commit pass claims leaves in
-// runs of shortsha.Lanes (n = 16, 17, 31 and 97 end on a full run, a single
-// leaf, a run one short and a single one), evaluating f exactly n times, and
-// the §3.3 subtree rebuilds behind the proofs re-evaluate f (once per real
-// leaf of each challenged sample's 2^ℓ block, counted) but never re-screen
-// or re-report.
+// msgReports payload is the same bytes — the commit pass appends claims into
+// the tree's slab in runs of shortsha.Lanes (n = 16, 17, 31 and 97 end on a
+// full run, a single leaf, a run one short and a single one; a fresh kit's
+// first run is cut into one leaf and the rest, a warm kit's is whole),
+// evaluating f exactly n times, and the §3.3 subtree rebuilds behind the
+// proofs re-evaluate f (once per real leaf of each challenged sample's 2^ℓ
+// block, counted) but never re-screen or re-report.
 func TestCBSScreensEachInputOnce(t *testing.T) {
 	const m = 5
 	challenges := map[uint64][]uint64{
@@ -79,10 +96,12 @@ func TestCBSScreensEachInputOnce(t *testing.T) {
 		name      string
 		resumed   bool
 		challenge bool
+		warmKit   bool
 	}{
-		{"fresh", false, false},
-		{"resumed after commit", true, false},
-		{"resumed after challenge", true, true},
+		{"fresh", false, false, false},
+		{"fresh on a warm kit", false, false, true},
+		{"resumed after commit", true, false, false},
+		{"resumed after challenge", true, true, false},
 	}
 	for _, n := range []uint64{16, 17, 31, 97} {
 		challenge, err := core.Challenge{Indices: challenges[n]}.MarshalBinary()
@@ -118,6 +137,9 @@ func TestCBSScreensEachInputOnce(t *testing.T) {
 					spec := SchemeSpec{Kind: kind, M: m, ChainIters: 1, SubtreeHeight: ell}
 					var exec *taskExecution
 					exec, counted = newCommitExecution(t, n, spec, screener)
+					if rc.warmKit {
+						exec.kit = warmCommitKit(t, n)
+					}
 					conn := &scriptConn{sent: make(map[uint8][]byte)}
 					var chain *hashchain.Chain
 					if kind == SchemeNICBS {

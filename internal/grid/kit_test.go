@@ -33,14 +33,20 @@ import (
 // through the packages' own entry points: a garbage task committed, proven
 // and audited in the kit.
 
-// scribbleClaim is the garbage task's claim function.
-func scribbleClaim(uint64) []byte { return []byte{0xA5, 0xA5, 0xA5, 0xA5, 0xA5} }
+// scribbleRun is the garbage task's leaf run: five bytes of 0xA5 a leaf.
+func scribbleRun(dst []byte, _ int, ends []int) []byte {
+	for j := range ends {
+		dst = append(dst, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5)
+		ends[j] = len(dst)
+	}
+	return dst
+}
 
 // scribbleProof is a valid encoded multiproof of garbage, larger than any
 // proof these tests audit.
 var scribbleProof = sync.OnceValue(func() []byte {
-	tree, err := merkle.BuildFunc(512, func(int) []byte { return scribbleClaim(0) })
-	if err != nil {
+	tree := new(merkle.Tree)
+	if err := tree.Rebuild(512, scribbleRun); err != nil {
 		panic(err)
 	}
 	challenged := make([]uint64, 40)
@@ -73,7 +79,7 @@ var scribbleBytes = bytes.Repeat([]byte{0xA5}, 40)
 func scribble(commit *commitKit, audit *auditKit) {
 	if commit != nil {
 		n := max(commit.prover.N(), 64)
-		if err := commit.prover.Reset(n, scribbleClaim); err != nil {
+		if err := commit.prover.Reset(n, scribbleRun); err != nil {
 			panic(err)
 		}
 		indices := make([]uint64, 40)
@@ -83,7 +89,6 @@ func scribble(commit *commitKit, audit *auditKit) {
 		if err := commit.prover.RespondInto(&commit.resp, &commit.scratch, indices); err != nil {
 			panic(err)
 		}
-		fill(commit.buf, 0xA5)
 		fill(commit.indices, 0xA5A5A5A5A5A5A5A5)
 		return
 	}

@@ -215,12 +215,12 @@ type participantSession struct {
 }
 
 // commitKit is everything a CBS commitment needs whose shape does not change
-// from one task to the next: the prover (tree arena, leaf slab, offsets, hash
-// state, root buffer), the multiproof scratch, the response and the buffer
-// every claim lands in. A connection lends one to each task in flight and
-// rebuilds it in place for the next, so a participant's O(n) tree storage
-// (Section 3.3 is about shrinking it) is bought once per task in flight
-// rather than once per task.
+// from one task to the next: the prover (tree arena, leaf slab — where the
+// commit pass appends every claim — offsets, hash state, root buffer), the
+// multiproof scratch and the response. A connection lends one to each task in
+// flight and rebuilds it in place for the next, so a participant's O(n) tree
+// storage (Section 3.3 is about shrinking it) is bought once per task in
+// flight rather than once per task.
 //
 // Ownership, the way transport/pool.go states it for frames. Borrow:
 // startTask pops a kit off participantSession.kits (or the task makes its own
@@ -244,13 +244,10 @@ type commitKit struct {
 	scratch merkle.ProofScratch
 	resp    core.Response
 	indices []uint64
-	buf     []byte
-	// ends delimits the claims of the commit pass's current run in buf.
-	ends [shortsha.Lanes]int
-	// exec is the task borrowing the kit; claim, made once, is the leaf
-	// function the prover sees and forwards to it.
-	exec  *taskExecution
-	claim func(i uint64) []byte
+	// exec is the task borrowing the kit; run, made once, is the leaf run
+	// the prover sees and forwards to it.
+	exec *taskExecution
+	run  merkle.LeafRun
 }
 
 // scribbleKit, when set (tests only), is handed every kit on its way back to
@@ -818,50 +815,36 @@ type taskExecution struct {
 	// by the scheme runner once that payload is fixed.
 	digest []byte
 
-	// runCBS's tree-building state, here so its leaf function captures
-	// nothing but the execution: the screened reports, whether the commit
-	// pass is still running, the run of leaves [runLo, runHi) whose claims
-	// sit in the kit's buffer, and the commitment kit — the session's, lent
-	// by startTask, or the execution's own — whose buffer every claim lands
-	// in.
-	reports      []Report
-	committing   bool
-	runLo, runHi uint64
-	kit          *commitKit
+	// runCBS's tree-building state, here so its leaf run captures nothing
+	// but the execution: the screened reports, whether the pass claiming
+	// the domain is still running (so claims are screened as they are
+	// made), and the commitment kit — the session's, lent by startTask, or
+	// the execution's own.
+	reports   []Report
+	screening bool
+	kit       *commitKit
 }
 
-// claim is runCBS's leaf function. Screening happens once per input, on the
-// tree-building pass: NewProver calls claim exactly once per index, in
-// order (merkle.BuildFunc and NewPartial guarantee it), and every call after
-// it returns is a §3.3 subtree rebuild, which re-claims but must not
-// re-screen or re-report. The tree copies each claimed value before asking
-// for the next (the contract of merkle.BuildFunc and NewPartial), so one
-// scratch buffer serves every claim of the task. The commit pass claims a
-// run of up to shortsha.Lanes leaves at a time
-// (cheat.Producer.AppendClaimBatch), screens them in index order, and
-// answers the calls for the rest of the run from the buffer.
-func (e *taskExecution) claim(i uint64) []byte {
-	kit := e.kit
-	if !e.committing {
-		kit.buf = e.producer.AppendClaim(kit.buf[:0], e.task.Start+i)
-		return kit.buf
-	}
-	if i < e.runLo || i >= e.runHi {
-		e.runLo, e.runHi = i, min(i+shortsha.Lanes, e.task.N)
-		ends := kit.ends[:e.runHi-e.runLo]
-		kit.buf = e.producer.AppendClaimBatch(kit.buf[:0], e.task.Start+i, ends)
-		start := 0
+// claimRun is the participant's merkle.LeafRun: it appends the claims for
+// domain indices lo, …, lo+len(ends)-1 to dst in one
+// cheat.Producer.AppendClaimBatch call and sets their ends. The pass that
+// claims the domain — the tree's commit pass, which asks for every index
+// once, in runs in index order (merkle.Tree.Rebuild and NewPartialRuns
+// guarantee it), or claimAll — screens each claim as it lands, in index
+// order. Every run asked for after it is a §3.3 subtree rebuild, which
+// re-claims but must not re-screen or re-report. dst is the tree's own leaf
+// storage, so the claims are hashed where they were made.
+func (e *taskExecution) claimRun(dst []byte, lo int, ends []int) []byte {
+	start := len(dst)
+	x0 := e.task.Start + uint64(lo)
+	dst = e.producer.AppendClaimBatch(dst, x0, ends)
+	if e.screening {
 		for j, end := range ends {
-			e.screen(e.task.Start+i+uint64(j), kit.buf[start:end], &e.reports)
+			e.screen(x0+uint64(j), dst[start:end], &e.reports)
 			start = end
 		}
 	}
-	j := i - e.runLo
-	start, end := 0, kit.ends[j]
-	if j > 0 {
-		start = kit.ends[j-1]
-	}
-	return kit.buf[start:end:end]
+	return dst
 }
 
 // claimAndScreen appends the participant's claimed value for domain index i
@@ -884,65 +867,82 @@ func (e *taskExecution) screen(x uint64, claim []byte, reports *[]Report) {
 	}
 }
 
-// claimAll claims and screens the task's whole domain in order and keeps
-// every value: values[i] is a capacity-bounded view into one slab, sized
-// from the first value (exact when outputs are uniform, as every workload's
-// are), so n retained values cost a slab and a view table, not n slices. A
-// view taken before the slab had to grow keeps pointing at the outgrown
-// array, whose bytes append leaves as they were.
-func (e *taskExecution) claimAll(reports *[]Report) [][]byte {
-	values := make([][]byte, e.task.N)
-	var slab []byte
-	for i := range values {
-		start := len(slab)
-		slab = e.claimAndScreen(slab, uint64(i), reports)
-		if i == 0 {
-			slab = slices.Grow(slab, (len(values)-1)*len(slab))
+// claimAll claims and screens the task's whole domain in order into
+// e.reports, a run of shortsha.Lanes inputs at a time, and keeps every
+// claim: back to back in one slab, sized from the first run (exact when
+// outputs are uniform, as every workload's are), claim i ending at ends[i].
+func (e *taskExecution) claimAll() (slab []byte, ends []int) {
+	n := int(e.task.N)
+	ends = make([]int, n)
+	e.reports, e.screening = nil, true
+	for lo := 0; lo < n; lo += shortsha.Lanes {
+		hi := min(lo+shortsha.Lanes, n)
+		slab = e.claimRun(slab, lo, ends[lo:hi])
+		if lo == 0 {
+			slab = slices.Grow(slab, (n-hi)*len(slab)/hi)
 		}
-		values[i] = slab[start:len(slab):len(slab)]
 	}
-	return values
+	e.screening = false
+	return slab, ends
+}
+
+// claimedRun is the merkle.LeafRun over claims claimAll made: it copies
+// each run out of slab, for the parallel tree build, whose shards ask for
+// their runs concurrently.
+func claimedRun(slab []byte, ends []int) merkle.LeafRun {
+	return func(dst []byte, lo int, out []int) []byte {
+		start := 0
+		if lo > 0 {
+			start = ends[lo-1]
+		}
+		shift := len(dst) - start
+		dst = append(dst, slab[start:ends[lo+len(out)-1]]...)
+		for j := range out {
+			out[j] = ends[lo+j] + shift
+		}
+		return dst
+	}
 }
 
 // runCBS executes Steps 1-3 of (NI-)CBS: build the tree over claimed values
 // while screening, send commitment and reports, then answer the challenge
-// (interactive) or self-derive it (non-interactive). The tree, the proof and
-// the claim buffer are the commitment kit's, rebuilt in place (commitKit has
-// the ownership rule). On resume the tree is rebuilt — bit-identical, since
-// claims are deterministic — and only the messages the supervisor lacks are
-// sent; a challenge the supervisor already issued arrives replayed inside res
-// instead of over the wire.
+// (interactive) or self-derive it (non-interactive). The tree — whose leaf
+// slab the claims are appended into — and the proof are the commitment kit's,
+// rebuilt in place (commitKit has the ownership rule). On resume the tree is
+// rebuilt — bit-identical, since claims are deterministic — and only the
+// messages the supervisor lacks are sent; a challenge the supervisor already
+// issued arrives replayed inside res instead of over the wire.
 func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashchain.Chain, res *resumeMsg) error {
 	kit := e.kit
 	if kit == nil {
 		// No session lent one (its list was empty, or the runner is driven
 		// directly): the execution makes the kit it, or the session, keeps.
 		kit = new(commitKit)
-		kit.claim = func(i uint64) []byte { return kit.exec.claim(i) }
+		kit.run = func(dst []byte, lo int, ends []int) []byte { return kit.exec.claimRun(dst, lo, ends) }
 		e.kit = kit
 	}
 	kit.exec = e
-	e.reports, e.committing, e.runLo, e.runHi = nil, true, 0, 0
-	claim := kit.claim
+	e.reports, e.screening = nil, true
+	run := kit.run
 	var opts []core.Option
 	if e.spec.SubtreeHeight > 0 {
 		opts = append(opts, core.WithSubtreeHeight(e.spec.SubtreeHeight))
 	}
 	if e.parallelism > 1 && e.spec.SubtreeHeight == 0 {
-		// Parallel tree build: the prover calls claim from many goroutines,
-		// but screening must stay a serial in-order pass (report order and
-		// producer state are part of the protocol contract). Materialize the
-		// claimed values first, then hash the tree in parallel over the
-		// frozen slice — the root is bit-identical to the sequential build.
-		values := e.claimAll(&e.reports)
-		claim = func(i uint64) []byte { return values[i] }
+		// Parallel tree build: the prover's shards ask for runs from many
+		// goroutines, but screening must stay a serial in-order pass (report
+		// order and producer state are part of the protocol contract). Claim
+		// the domain first, then hash the tree in parallel over the frozen
+		// claims — the root is bit-identical to the sequential build.
+		run = claimedRun(e.claimAll())
 		opts = append(opts, core.WithTreeOptions(merkle.WithParallelism(e.parallelism)))
 	}
 	prover := &kit.prover
-	if err := prover.Reset(int(e.task.N), claim, opts...); err != nil {
+	err := prover.Reset(int(e.task.N), run, opts...)
+	e.screening = false
+	if err != nil {
 		return err
 	}
-	e.committing = false
 	commitment := prover.Commitment()
 	e.digest = commitment.Root
 	commitPayload, err := commitment.MarshalBinary()
@@ -1001,8 +1001,13 @@ func (e *taskExecution) runCBS(conn protoConn, nonInteractive bool, chain *hashc
 // resume, the upload restarts at the first chunk the supervisor is missing
 // (chunk boundaries are deterministic, so the stream splices exactly).
 func (e *taskExecution) runUpload(conn protoConn, res *resumeMsg) error {
-	var reports []Report
-	results := e.claimAll(&reports)
+	slab, ends := e.claimAll()
+	results := make([][]byte, len(ends))
+	start := 0
+	for i, end := range ends {
+		results[i], start = slab[start:end:end], end
+	}
+	reports := e.reports
 	e.digest = hashResults(results)
 	var last transport.Message
 	sendLast := res == nil || !res.ResultsDone

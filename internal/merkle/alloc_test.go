@@ -4,6 +4,7 @@ package merkle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -106,6 +107,39 @@ func TestBuildAllocsAreDepthBound(t *testing.T) {
 	perLeaf := float64(after.TotalAlloc-before.TotalAlloc) / float64((runs+1)*n)
 	if perLeaf > 64 {
 		t.Errorf("Build of %d 8-byte leaves allocates %.1f B per leaf, want <= 64", n, perLeaf)
+	}
+}
+
+// TestRebuildZeroAllocSteadyState pins the commit pass's storage: a Tree
+// rebuilt through the run path — each run of leaves appended straight into
+// the leaf slab, the nodes hashed a run at a time — allocates nothing once
+// it has held a tree this size, at a run's edges and at the size the
+// benchmark commits.
+func TestRebuildZeroAllocSteadyState(t *testing.T) {
+	run := func(dst []byte, lo int, ends []int) []byte {
+		for j := range ends {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(lo+j)*0x9e3779b97f4a7c15)
+			ends[j] = len(dst)
+		}
+		return dst
+	}
+	for _, n := range []int{1, 16, 17, 64, 1 << 14} {
+		var tree Tree
+		if err := tree.Rebuild(n, run); err != nil {
+			t.Fatalf("Rebuild(%d): %v", n, err)
+		}
+		root := tree.Root()
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := tree.Rebuild(n, run); err != nil {
+				t.Fatalf("Rebuild(%d): %v", n, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: Rebuild through the run path allocates %.0f in steady state, want 0", n, allocs)
+		}
+		if !bytes.Equal(tree.Root(), root) {
+			t.Errorf("n=%d: a rebuilt tree's root differs from its first build's", n)
+		}
 	}
 }
 

@@ -174,7 +174,10 @@ func (p *PartialTree) ProveMulti(challenged []uint64) (MultiProof, error) {
 	}
 	for _, idx := range challenged {
 		block := int(idx) / p.blockSize
-		sub := p.fillSubtree(block, true)
+		sub, err := p.fillSubtree(block, true)
+		if err != nil {
+			return MultiProof{}, err
+		}
 		for i, idx := range mp.Indices {
 			if int(idx)/p.blockSize == block && mp.Values[i] == nil {
 				mp.Values[i] = cloneBytes(sub[p.blockSize+int(idx)%p.blockSize])

@@ -28,9 +28,9 @@ type PartialTree struct {
 	blockSize int // 2^ℓ leaves per rebuilt subtree
 	// top is a heap-layout tree over the 2^(H-ℓ) subtree roots; top[1] is
 	// the overall root.
-	top    [][]byte
-	leafAt func(i int) []byte
-	hs     hashers
+	top [][]byte
+	run LeafRun
+	hs  hashers
 
 	// rebuiltLeaves counts leaf recomputations performed to serve proofs;
 	// the experiments use it to measure rco.
@@ -38,28 +38,43 @@ type PartialTree struct {
 
 	mu sync.Mutex // serializes the scratch state below
 	// scratch is a reusable buffer for subtree rebuilds (2*blockSize slots):
-	// its internal-node digests live in scratchArena rows, the leaf values
-	// are copied into leafSlab and nh is the reusable hash state, so a
-	// rebuild allocates nothing.
+	// its internal-node digests live in scratchArena rows, run appends the
+	// leaf values into leafSlab and their ends into ends, and nh is the
+	// reusable hash state, so a rebuild allocates nothing.
 	scratch      [][]byte
 	scratchArena []byte
 	leafSlab     []byte
+	ends         [shortsha.Lanes]int
 	nh           *nodeHasher
 }
 
 // NewPartial builds a partial tree over n leaves whose values are produced
-// by leafAt. leafAt must be deterministic: construction calls it exactly
-// once per index in [0, n) — callers may hang once-per-input side effects on
-// that pass — and ProveMulti calls it again for every leaf of each subtree
-// it rebuilds. As with BuildFunc, each value is copied as it is produced and
-// not retained, so leafAt may reuse its buffer between calls. ℓ = 0 stores
-// the full tree; ℓ = H stores only the root.
+// by leafAt: NewPartialRuns with PerLeaf(leafAt). leafAt must be
+// deterministic: construction calls it exactly once per index in [0, n), in
+// order — callers may hang once-per-input side effects on that pass — and
+// ProveMulti calls it again for every leaf of each subtree it rebuilds. Each
+// value is copied as it is produced and not retained, so leafAt may reuse
+// its buffer between calls. ℓ = 0 stores the full tree; ℓ = H stores only
+// the root.
 func NewPartial(n, ell int, leafAt func(i int) []byte, opts ...Option) (*PartialTree, error) {
+	if leafAt == nil {
+		return nil, fmt.Errorf("%w: nil leafAt", ErrNilLeaf)
+	}
+	return NewPartialRuns(n, ell, PerLeaf(leafAt), opts...)
+}
+
+// NewPartialRuns builds a partial tree over n leaves whose values run
+// produces, appending them into the tree's rebuild slab. run must be
+// deterministic: construction asks for every index in [0, n) exactly once,
+// in runs of at most shortsha.Lanes leaves in index order — callers may hang
+// once-per-input side effects on that pass — and ProveMulti asks again, in
+// the same runs, for the real leaves of each subtree it rebuilds.
+func NewPartialRuns(n, ell int, run LeafRun, opts ...Option) (*PartialTree, error) {
 	if n <= 0 {
 		return nil, ErrEmptyTree
 	}
-	if leafAt == nil {
-		return nil, fmt.Errorf("%w: nil leafAt", ErrNilLeaf)
+	if run == nil {
+		return nil, fmt.Errorf("%w: nil leaf run", ErrNilLeaf)
 	}
 	capacity := nextPow2(n)
 	height := log2(capacity)
@@ -79,14 +94,18 @@ func NewPartial(n, ell int, leafAt func(i int) []byte, opts ...Option) (*Partial
 		ell:          ell,
 		blockSize:    blockSize,
 		top:          make([][]byte, 2*numBlocks),
-		leafAt:       leafAt,
+		run:          run,
 		hs:           hs,
 		scratch:      make([][]byte, 2*blockSize),
 		scratchArena: newNodeArena(hs, blockSize),
 		nh:           hs.node(),
 	}
 	for b := 0; b < numBlocks; b++ {
-		p.top[numBlocks+b] = cloneBytes(p.fillSubtree(b, false)[1])
+		sub, err := p.fillSubtree(b, false)
+		if err != nil {
+			return nil, err
+		}
+		p.top[numBlocks+b] = cloneBytes(sub[1])
 	}
 	for i := numBlocks - 1; i >= 1; i-- {
 		p.top[i] = p.nh.combine(p.top[2*i], p.top[2*i+1])
@@ -121,28 +140,35 @@ func (p *PartialTree) Root() []byte {
 
 // fillSubtree populates the scratch buffer with the heap-layout subtree of
 // block b and returns it; the next rebuild overwrites it. Leaves beyond n
-// take the pad digest, and every other leaf value is copied into the
-// reusable slab: leafAt may hand back the same buffer each time. A slot set
-// before the slab had to grow keeps pointing at the outgrown array, whose
-// bytes append leaves as they were. When counted is true the leaf
-// evaluations are added to the rebuild accounting. Callers must hold p.mu
-// (or be the constructor, which runs before the tree is shared).
-func (p *PartialTree) fillSubtree(b int, counted bool) [][]byte {
+// take the pad digest, and run appends the real ones into the reusable
+// slab, shortsha.Lanes at a time. A slot set before the slab had to grow
+// keeps pointing at the outgrown array, whose bytes append leaves as they
+// were. When counted is true the leaf evaluations are added to the rebuild
+// accounting. Callers must hold p.mu (or be the constructor, which runs
+// before the tree is shared).
+func (p *PartialTree) fillSubtree(b int, counted bool) ([][]byte, error) {
 	sub := p.scratch
 	base := b * p.blockSize
-	slab := p.leafSlab[:0]
-	for j := 0; j < p.blockSize; j++ {
-		idx := base + j
-		if idx >= p.n {
-			sub[p.blockSize+j] = p.hs.pad
-			continue
-		}
+	leaves := max(min(p.blockSize, p.n-base), 0)
+	slab, ends := p.leafSlab[:0], p.ends[:]
+	for j := 0; j < leaves; {
+		k := min(shortsha.Lanes, leaves-j)
 		start := len(slab)
-		slab = append(slab, p.leafAt(idx)...)
-		sub[p.blockSize+j] = slab[start:len(slab):len(slab)]
-		if counted {
-			p.rebuiltLeaves.Add(1)
+		slab = p.run(slab, base+j, ends[:k])
+		for _, end := range ends[:k] {
+			if end < start || end > len(slab) {
+				return nil, fmt.Errorf("%w: index %d", ErrNilLeaf, base+j)
+			}
+			sub[p.blockSize+j] = slab[start:end:end]
+			start = end
+			j++
 		}
+		if counted {
+			p.rebuiltLeaves.Add(int64(k))
+		}
+	}
+	for j := leaves; j < p.blockSize; j++ {
+		sub[p.blockSize+j] = p.hs.pad
 	}
 	p.leafSlab = slab
 	size := p.hs.fixedLen
@@ -159,7 +185,7 @@ func (p *PartialTree) fillSubtree(b int, counted bool) [][]byte {
 			}
 		}
 	}
-	return sub
+	return sub, nil
 }
 
 func cloneBytes(b []byte) []byte {

@@ -116,12 +116,13 @@ func (o parallelismOption) apply(opts options) options {
 // 1024 padded leaves always build sequentially — goroutine startup would
 // cost more than it saves.
 //
-// With p > 1 the leaf producer passed to BuildFunc is called concurrently
-// from multiple goroutines (still exactly once per index, but no longer in
-// order), so it must be safe for concurrent use. Trees built by Build are
-// unaffected: slice indexing is always safe.
+// With p > 1 the leaf run passed to Rebuild — or the per-leaf producer
+// passed to BuildFunc — is called concurrently from multiple goroutines
+// (still exactly once per index, but no longer in order), so it must be
+// safe for concurrent use. Trees built by Build are unaffected: slice
+// indexing is always safe.
 //
-// Only Build and BuildFunc honour the option. NewStreamBuilder,
+// Only Build, BuildFunc and Rebuild honour the option. NewStreamBuilder,
 // RestoreStreamBuilder, NewPartial and verification accept and ignore it,
 // so one option list serves them all.
 func WithParallelism(p int) Option { return parallelismOption{p: p} }
@@ -272,10 +273,12 @@ const maxRunMsg = 1 + 2*(1+shortsha.Size)
 
 // hashRun writes the Φ values of r's nodes, node j's to the row
 // dst[j*fixedLen:(j+1)*fixedLen], and empties r. For the default hash it
-// lays every node's message out on the stack before it writes any row, and
-// hashes each stretch of consecutive nodes whose messages have one length
-// in one shortsha.Batch call — a level is one length but for the run where
-// real leaves meet the pad digest. A WithHasher hash, or a run with a child
+// lays every node's message out on the stack before it writes any row —
+// node j's at offset j*maxRunMsg, its fields at fixed places, since a child
+// of at most a digest has a one-byte uvarint length — and hashes each
+// stretch of consecutive nodes whose messages have one length in one
+// shortsha.Batch call: a level is one length but for the run where real
+// leaves meet the pad digest. A WithHasher hash, or a run with a child
 // longer than a digest, is hashed node by node in order, each row written
 // once its own node's children are read. Either way a row may alias a child
 // of its own node or of an earlier one, never of a later one.
@@ -295,14 +298,21 @@ func (nh *nodeHasher) hashRun(dst []byte, r *nodeRun) {
 	var msgs [shortsha.Lanes * maxRunMsg]byte
 	var lens [shortsha.Lanes]int
 	for j := range k {
-		lens[j] = len(nodeMsg(msgs[j*maxRunMsg:j*maxRunMsg:(j+1)*maxRunMsg], r.left[j], r.right[j]))
+		left, right := r.left[j], r.right[j]
+		m := msgs[j*maxRunMsg : (j+1)*maxRunMsg]
+		m[0] = nodePrefix
+		m[1] = byte(len(left))
+		copy(m[2:], left)
+		m[2+len(left)] = byte(len(right))
+		copy(m[3+len(left):], right)
+		lens[j] = 3 + len(left) + len(right)
 	}
 	for j := 0; j < k; {
 		e := j + 1
 		for e < k && lens[e] == lens[j] {
 			e++
 		}
-		shortsha.Batch(dst[j*size:e*size], msgs[j*maxRunMsg:], maxRunMsg, lens[j], 1)
+		shortsha.Batch(dst[j*size:e*size], msgs[j*maxRunMsg:(e-1)*maxRunMsg+lens[j]], maxRunMsg, lens[j], 1)
 		j = e
 	}
 }
@@ -349,6 +359,38 @@ type Tree struct {
 	// when every leaf is empty: a leaf value never reads as nil.
 	slab []byte
 	offs []uint32
+	// ends is the sequential build's run ends, here because a LeafRun is
+	// free to keep what it is handed as far as the compiler knows.
+	ends [shortsha.Lanes]int
+}
+
+// LeafRun produces leaf values a run of consecutive leaves at a time, in the
+// shape of cheat.Producer.AppendClaimBatch: it appends the values of leaves
+// lo, lo+1, …, lo+len(ends)-1 to dst in index order, sets ends[j] to the
+// offset in the returned slice where leaf lo+j's value ends, and returns the
+// extended slice. dst is the structure's own leaf storage, so the values
+// land where they are hashed from and are copied nowhere else; a LeafRun
+// must not retain dst. A run that has no value for a leaf — PerLeaf's nil —
+// sets its end to -1, which fails the build with ErrNilLeaf.
+type LeafRun func(dst []byte, lo int, ends []int) []byte
+
+// PerLeaf is the LeafRun of a per-leaf producer: each run calls at once per
+// index, in order, and appends each value before asking for the next, so at
+// may reuse its buffer between calls. A nil value ends the run at its index
+// with end -1.
+func PerLeaf(at func(i int) []byte) LeafRun {
+	return func(dst []byte, lo int, ends []int) []byte {
+		for j := range ends {
+			v := at(lo + j)
+			if v == nil {
+				ends[j] = -1
+				return dst
+			}
+			dst = append(dst, v...)
+			ends[j] = len(dst)
+		}
+		return dst
+	}
 }
 
 // Build constructs the tree over the given leaf values. values[i] holds the
@@ -363,9 +405,9 @@ func Build(values [][]byte, opts ...Option) (*Tree, error) {
 }
 
 // BuildFunc constructs the tree over n leaves whose values are produced by
-// at(i). It avoids materializing a separate value slice: each value is
-// copied into the tree's leaf slab as it is produced and not retained, so at
-// may reuse its buffer between calls.
+// at(i): Rebuild of an empty Tree with PerLeaf(at). It avoids materializing
+// a separate value slice: each value is copied into the tree's leaf slab as
+// it is produced and not retained, so at may reuse its buffer between calls.
 //
 // Construction calls at exactly once per index in [0, n) — in order by
 // default, concurrently (and out of order) when WithParallelism selects a
@@ -373,33 +415,41 @@ func Build(values [][]byte, opts ...Option) (*Tree, error) {
 // once-per-input side effects on at.
 func BuildFunc(n int, at func(i int) []byte, opts ...Option) (*Tree, error) {
 	t := new(Tree)
-	if err := t.Rebuild(n, at, opts...); err != nil {
+	if err := t.Rebuild(n, PerLeaf(at), opts...); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// Rebuild makes t the tree BuildFunc(n, at, opts...) returns — the one build
-// routine, BuildFunc being Rebuild of an empty Tree — inside the storage t
-// already owns: the arena, the offset table and the leaf slab are kept
-// wherever they are large enough, and so is the hash state when both trees
-// hash with the default. Nothing kept is cleared first: every arena row and
-// every offset is written before it is read. A parallel build still joins
-// its shards into a slab of its own.
+// Rebuild makes t the tree over n leaves whose values run produces — the
+// one build routine, BuildFunc being Rebuild of an empty Tree — inside the
+// storage t already owns: the arena, the offset table and the leaf slab are
+// kept wherever they are large enough, and so is the hash state when both
+// trees hash with the default. Nothing kept is cleared first: every arena
+// row and every offset is written before it is read. A parallel build still
+// joins its shards into a slab of its own.
+//
+// run appends its values straight into the leaf slab, shortsha.Lanes
+// leaves a run (a slab not yet sized has its first run cut in two: one
+// leaf, whose length sizes it, then the rest). Construction asks for every
+// index in [0, n) exactly once, in runs in index order by default,
+// concurrently (and out of order, each shard's runs in order) when
+// WithParallelism selects a worker pool — and never afterwards: proofs read
+// the slab. Callers may hang once-per-input side effects on run.
 //
 // Everything the previous tree handed out — leaves, proofs' sibling digests —
 // aliases that storage and is overwritten; the caller must be done with it,
 // and with every concurrent read. After an error t holds no tree and must be
 // rebuilt before it is used.
-func (t *Tree) Rebuild(n int, at func(i int) []byte, opts ...Option) error {
+func (t *Tree) Rebuild(n int, run LeafRun, opts ...Option) error {
 	o := buildOptions(opts)
 	if err := t.layout(n, o); err != nil {
 		return err
 	}
 	if workers := buildWorkers(o.parallelism, t.cap); workers > 1 {
-		return t.fillParallel(at, workers)
+		return t.fillParallel(run, workers)
 	}
-	slab, err := t.fillLeaves(t.slab, 0, n, at, nil)
+	slab, err := t.fillLeaves(t.slab, 0, n, run, t.ends[:], nil)
 	if err != nil {
 		return err
 	}
@@ -470,38 +520,45 @@ func checkSlab(size, add int) error {
 	return nil
 }
 
-// abortStride bounds how many leaves a fill evaluates between checks of the
-// shared failure flag, so one bad leaf stops a parallel build quickly
-// instead of after every other shard finishes.
-const abortStride = 256
-
-// fillLeaves evaluates leaves [lo, hi) into a slab — the one passed in when
-// it is large enough for the size the first value predicts, a fresh one
-// otherwise, and never a nil one — calling at once per index in order, and
-// records each leaf's end offset within that slab in offs[i+1]; offs[lo] is
-// not touched, so concurrent fills of disjoint spans do not share an entry.
-// With a non-nil stop (the parallel builder's shared failure flag) it
-// returns early with a nil slab once stop is set.
-func (t *Tree) fillLeaves(slab []byte, lo, hi int, at func(i int) []byte, stop *atomic.Bool) ([]byte, error) {
-	for i := lo; i < hi; i++ {
-		if stop != nil && i%abortStride == 0 && stop.Load() {
+// fillLeaves has run append leaves [lo, hi) to a slab — the one passed in,
+// grown when it is smaller than the size the first value predicts, and
+// never a nil one — in runs of len(ends) leaves from lo on, in order (a
+// fresh slab's first run is one leaf, whose length sizes it, and the next
+// the rest of that run), and records each leaf's end offset within that
+// slab in offs[i+1]; offs[lo] is not touched, so concurrent fills of
+// disjoint spans do not share an entry. With a non-nil stop (the parallel
+// builder's shared failure flag) it returns early with a nil slab once stop
+// is set.
+func (t *Tree) fillLeaves(slab []byte, lo, hi int, run LeafRun, ends []int, stop *atomic.Bool) ([]byte, error) {
+	slab = slab[:0]
+	for i := lo; i < hi; {
+		if stop != nil && stop.Load() {
 			return nil, nil
 		}
-		v := at(i)
-		if v == nil {
-			return nil, fmt.Errorf("%w: index %d", ErrNilLeaf, i)
+		k := min(len(ends)-(i-lo)%len(ends), hi-i)
+		if i == lo && cap(slab) == 0 {
+			k = 1 // a fresh slab is sized from the first value
 		}
-		if i == lo {
-			if guess := slabGuess(hi-lo, len(v)); slab == nil || cap(slab) < guess {
-				slab = make([]byte, 0, guess)
+		start := len(slab)
+		slab = run(slab, i, ends[:k])
+		for j, end := range ends[:k] {
+			if end < start || end > len(slab) {
+				return nil, fmt.Errorf("%w: index %d", ErrNilLeaf, i+j)
 			}
-			slab = slab[:0]
+			t.offs[i+j+1], start = uint32(end), end
 		}
-		if err := checkSlab(len(slab), len(v)); err != nil {
+		if err := checkSlab(len(slab), 0); err != nil {
 			return nil, err
 		}
-		slab = append(slab, v...)
-		t.offs[i+1] = uint32(len(slab))
+		if i == lo {
+			if guess := slabGuess(hi-lo, ends[0]); cap(slab) < guess {
+				slab = append(make([]byte, 0, guess), slab...)
+			}
+		}
+		i += k
+	}
+	if slab == nil {
+		slab = []byte{}
 	}
 	return slab, nil
 }
@@ -565,7 +622,7 @@ func buildWorkers(requested, capacity int) int {
 // sequentially — shards-1 nodes, a negligible tail. The node values are
 // bit-identical to the sequential schedule because the tree structure,
 // padding, and hash inputs are unchanged.
-func (t *Tree) fillParallel(at func(i int) []byte, workers int) error {
+func (t *Tree) fillParallel(run LeafRun, workers int) error {
 	shards := nextPow2(workers)
 	if shards > t.cap/2 {
 		shards = t.cap / 2
@@ -602,7 +659,7 @@ func (t *Tree) fillParallel(at func(i int) []byte, workers int) error {
 	var failed atomic.Bool
 	forShards(func(s int) {
 		lo, hi := realLeaves(s)
-		slabs[s], errs[s] = t.fillLeaves(nil, lo, hi, at, &failed)
+		slabs[s], errs[s] = t.fillLeaves(nil, lo, hi, run, make([]int, shortsha.Lanes), &failed)
 		if errs[s] != nil {
 			failed.Store(true)
 		}

@@ -31,7 +31,7 @@ func rebuildParallelDirect(t testing.TB, tree *Tree, n, workers int, at func(i i
 	if workers < 1 {
 		workers = 1
 	}
-	if err := tree.fillParallel(at, workers); err != nil {
+	if err := tree.fillParallel(PerLeaf(at), workers); err != nil {
 		t.Fatalf("fillParallel(n=%d, workers=%d): %v", n, workers, err)
 	}
 	return tree

@@ -102,7 +102,7 @@ func checkTreeMatchesReference(t *testing.T, nSeed uint16, parallel, useMD5 bool
 		tree := into.tree
 		if parallel && n > 1 {
 			rebuildParallelDirect(t, tree, n, 4, at, opts...)
-		} else if err := tree.Rebuild(n, at, opts...); err != nil {
+		} else if err := tree.Rebuild(n, PerLeaf(at), opts...); err != nil {
 			t.Fatalf("Rebuild(n=%d) into %s: %v", n, into.what, err)
 		}
 		desc := fmt.Sprintf("n=%d parallel=%v md5=%v into %s", n, parallel, useMD5, into.what)

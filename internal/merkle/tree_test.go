@@ -599,7 +599,7 @@ func TestRebuildKeepsStorage(t *testing.T) {
 		for i := range values {
 			values[i] = values[i][:min(len(values[i]), 8)] // never more bytes than the first build's
 		}
-		if err := tree.Rebuild(n, func(i int) []byte { return values[i] }); err != nil {
+		if err := tree.Rebuild(n, PerLeaf(func(i int) []byte { return values[i] })); err != nil {
 			t.Fatalf("Rebuild(%d): %v", n, err)
 		}
 		if want := mustBuild(t, values); !bytes.Equal(tree.Root(), want.Root()) || tree.N() != n {
@@ -609,13 +609,13 @@ func TestRebuildKeepsStorage(t *testing.T) {
 			t.Fatalf("Rebuild(%d) replaced storage that was large enough", n)
 		}
 	}
-	if err := tree.Rebuild(3000, leafFunc(3000)); err != nil {
+	if err := tree.Rebuild(3000, PerLeaf(leafFunc(3000))); err != nil {
 		t.Fatalf("Rebuild(3000): %v", err)
 	}
 	if want := mustBuild(t, leafValues(3000)); !bytes.Equal(tree.Root(), want.Root()) {
 		t.Fatal("Rebuild past the held capacity differs from BuildFunc")
 	}
-	if err := tree.Rebuild(37, leafFunc(37), WithHasher(md5.New)); err != nil {
+	if err := tree.Rebuild(37, PerLeaf(leafFunc(37)), WithHasher(md5.New)); err != nil {
 		t.Fatalf("Rebuild under md5: %v", err)
 	}
 	if want := mustBuild(t, leafValues(37), WithHasher(md5.New)); !bytes.Equal(tree.Root(), want.Root()) || tree.nh == nh {
@@ -627,19 +627,19 @@ func TestRebuildKeepsStorage(t *testing.T) {
 // still use.
 func TestRebuildAfterError(t *testing.T) {
 	tree := mustBuild(t, leafValues(64))
-	err := tree.Rebuild(64, func(i int) []byte {
+	err := tree.Rebuild(64, PerLeaf(func(i int) []byte {
 		if i == 40 {
 			return nil
 		}
 		return []byte{byte(i)}
-	})
+	}))
 	if !errors.Is(err, ErrNilLeaf) {
 		t.Fatalf("Rebuild over a nil leaf: err = %v, want ErrNilLeaf", err)
 	}
-	if err := tree.Rebuild(0, leafFunc(1)); !errors.Is(err, ErrEmptyTree) {
+	if err := tree.Rebuild(0, PerLeaf(leafFunc(1))); !errors.Is(err, ErrEmptyTree) {
 		t.Fatalf("Rebuild(0): err = %v, want ErrEmptyTree", err)
 	}
-	if err := tree.Rebuild(50, leafFunc(50)); err != nil {
+	if err := tree.Rebuild(50, PerLeaf(leafFunc(50))); err != nil {
 		t.Fatalf("Rebuild after the failures: %v", err)
 	}
 	if want := mustBuild(t, leafValues(50)); !bytes.Equal(tree.Root(), want.Root()) {

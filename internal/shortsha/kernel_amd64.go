@@ -24,12 +24,15 @@ func chain(h *[8]uint32, links int)
 //go:noescape
 func chain2(h0, h1 *[8]uint32, links int)
 
-// lanes16 hashes sixteen padded messages of blocks blocks each, lane i's at
-// tails[i*tailStride:], applies links more links of a chain to every lane,
-// and writes lane i's digest to dst[i*Size:].
+// lanes16 hashes sixteen messages of n bytes each, minLanes16 <= n <=
+// maxTail, lane i's at msgs[i*stride:] and read where it lies, padding
+// them in registers; applies links more links of a chain to every lane; and
+// writes lane i's digest to dst[i*Size:]. It reads no byte outside the
+// sixteen messages. (Lanes-1)*stride must fit an int32: the gathers' lane
+// offsets are 32-bit.
 //
 //go:noescape
-func lanes16(dst *[Lanes * Size]byte, tails *[Lanes * tailStride]byte, blocks, links int)
+func lanes16(dst *[Lanes * Size]byte, msgs *byte, stride, n, links int)
 
 // kernelSupported reports whether the CPU has the SHA extensions and the
 // SSSE3 and SSE4.1 shuffles the SHA-NI kernel uses.

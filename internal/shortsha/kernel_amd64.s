@@ -335,15 +335,26 @@ done:
 // broadcast from k256 (.BCST). The lanes never interact, so nothing here is
 // serial across messages; the bound is the vector shifts' issue rate.
 //
+// Padding in registers. Every lane's message has the same length n (4 to
+// 119 bytes), so one padded layout serves all sixteen: the n/4 whole words
+// are gathered where the message lies, word n/4 holds the last n%4 bytes
+// and the 1 bit, the words after it are zero but for the bit length in the
+// last one, and a message of more than 55 bytes takes a second block. Word
+// n/4 is the same for every lane but its message bytes, so it is built
+// once: 0x80000000 when n%4 is 0, else the word ending at byte n — inside
+// the message, since n >= 4 — shifted up past the bytes before it, with the
+// 1 bit behind them. No byte outside msgs[i*stride : i*stride+n] is read.
+//
 // Registers: Z0-Z7 the state words a-h, renamed round by round instead of
 // moved (ROUND16's argument lists rotate them); Z8-Z23 the sixteen message
 // words W[t mod 16], the schedule overwriting each in place; Z24-Z26
-// scratch; Z28 the gather offsets (lane*128), Z29 the byte-swap mask, Z30
-// the scatter offsets (lane*32); K2 all ones, copied into K1 before every
-// gather and scatter, which clear their mask. AX the round constants, BX the
-// schedule groups left, CX the blocks left, DX the links left, SI the next
-// block of lane 0, DI the digests; the frame holds the state a block adds
-// back at its end.
+// scratch; Z27 word n/4; Z28 the gather offsets (lane*stride), Z29 the
+// byte-swap mask, Z30 the scatter offsets (lane*32); K2 all ones, copied
+// into K1 before every gather and scatter, which clear their mask. AX the
+// round constants, BX the schedule groups left, CX the blocks left, DX the
+// links left, SI the current block of lane 0's message, DI the digests, R9
+// the whole-word bytes from SI on (negative once word n/4 is behind), R10
+// the bit length; the frame holds the state a block adds back at its end.
 
 // ROUND is round t on lanes of state (a, ..., h) and message word w, whose
 // constant is at k(AX): h becomes the new a and d the new e.
@@ -452,17 +463,60 @@ done:
 	KMOVW	K2, K1; \
 	VPSCATTERDD	s, K1, off(DI)(Z30*1)
 
-// func lanes16(dst *[16 * Size]byte, tails *[16 * tailStride]byte, blocks, links int)
-TEXT ·lanes16(SB), 0, $512-32
+// WORD gathers the block's word at offset off into w when it is a whole
+// word of the message, and otherwise jumps to tail, which puts word n/4 in
+// w and ends the block's words: the ones after it stay zero but for the bit
+// length.
+#define WORD(off, w, tail) \
+	CMPQ	R9, $(off+4); \
+	JLT	tail; \
+	GATHER(off, w)
+
+// func lanes16(dst *[Lanes * Size]byte, msgs *byte, stride, n, links int)
+TEXT ·lanes16(SB), 0, $512-40
 	MOVQ	dst+0(FP), DI
-	MOVQ	tails+8(FP), SI
-	MOVQ	blocks+16(FP), CX
-	MOVQ	links+24(FP), DX
+	MOVQ	msgs+8(FP), SI
+	MOVQ	stride+16(FP), AX
+	MOVQ	n+24(FP), R9
+	MOVQ	links+32(FP), DX
 	KXNORW	K2, K2, K2
 	VMOVDQU32	lane_index<>(SB), Z30
-	VPSLLD	$7, Z30, Z28
+	VPBROADCASTD	AX, Z28
+	VPMULLD	Z30, Z28, Z28
 	VPSLLD	$5, Z30, Z30
 	VBROADCASTI32X4	flip_mask<>(SB), Z29
+
+	// Z27 = word n/4: the 1 bit behind the n%4 bytes left, and those bytes
+	// from the word that ends the message, shifted up by 32 - 8(n%4).
+	MOVQ	R9, CX
+	ANDQ	$3, CX
+	SHLQ	$3, CX
+	MOVL	$0x80000000, R10
+	SHRL	CX, R10
+	VPBROADCASTD	R10, Z27
+	TESTQ	CX, CX
+	JZ	layout
+	LEAQ	-4(SI)(R9*1), R11
+	KMOVW	K2, K1
+	VPXORD	Z26, Z26, Z26
+	VPGATHERDD	(R11)(Z28*1), K1, Z26
+	VPSHUFB	Z29, Z26, Z26
+	NEGQ	CX
+	ADDQ	$32, CX
+	VPBROADCASTD	CX, Z25
+	VPSLLVD	Z25, Z26, Z26
+	VPORD	Z26, Z27, Z27
+
+layout:
+	MOVQ	R9, R10
+	SHLQ	$3, R10
+	MOVQ	$1, CX
+	CMPQ	R9, $55
+	JLE	whole
+	MOVQ	$2, CX
+
+whole:
+	ANDQ	$-4, R9
 
 	VPBROADCASTD	iv<>+0(SB), Z0
 	VPBROADCASTD	iv<>+4(SB), Z1
@@ -485,23 +539,114 @@ pass:
 	VMOVDQU32	Z5, 320(SP)
 	VMOVDQU32	Z6, 384(SP)
 	VMOVDQU32	Z7, 448(SP)
-	GATHER(0, Z8)
-	GATHER(4, Z9)
-	GATHER(8, Z10)
-	GATHER(12, Z11)
-	GATHER(16, Z12)
-	GATHER(20, Z13)
-	GATHER(24, Z14)
-	GATHER(28, Z15)
-	GATHER(32, Z16)
-	GATHER(36, Z17)
-	GATHER(40, Z18)
-	GATHER(44, Z19)
-	GATHER(48, Z20)
-	GATHER(52, Z21)
-	GATHER(56, Z22)
-	GATHER(60, Z23)
+	VPXORD	Z8, Z8, Z8
+	VPXORD	Z9, Z9, Z9
+	VPXORD	Z10, Z10, Z10
+	VPXORD	Z11, Z11, Z11
+	VPXORD	Z12, Z12, Z12
+	VPXORD	Z13, Z13, Z13
+	VPXORD	Z14, Z14, Z14
+	VPXORD	Z15, Z15, Z15
+	VPXORD	Z16, Z16, Z16
+	VPXORD	Z17, Z17, Z17
+	VPXORD	Z18, Z18, Z18
+	VPXORD	Z19, Z19, Z19
+	VPXORD	Z20, Z20, Z20
+	VPXORD	Z21, Z21, Z21
+	VPXORD	Z22, Z22, Z22
+	VPXORD	Z23, Z23, Z23
+	TESTQ	R9, R9
+	JS	padded
+	WORD(0, Z8, tail0)
+	WORD(4, Z9, tail1)
+	WORD(8, Z10, tail2)
+	WORD(12, Z11, tail3)
+	WORD(16, Z12, tail4)
+	WORD(20, Z13, tail5)
+	WORD(24, Z14, tail6)
+	WORD(28, Z15, tail7)
+	WORD(32, Z16, tail8)
+	WORD(36, Z17, tail9)
+	WORD(40, Z18, tail10)
+	WORD(44, Z19, tail11)
+	WORD(48, Z20, tail12)
+	WORD(52, Z21, tail13)
+	WORD(56, Z22, tail14)
+	WORD(60, Z23, tail15)
+	JMP	padded
+
+tail0:
+	VMOVDQA32	Z27, Z8
+	JMP	padded
+
+tail1:
+	VMOVDQA32	Z27, Z9
+	JMP	padded
+
+tail2:
+	VMOVDQA32	Z27, Z10
+	JMP	padded
+
+tail3:
+	VMOVDQA32	Z27, Z11
+	JMP	padded
+
+tail4:
+	VMOVDQA32	Z27, Z12
+	JMP	padded
+
+tail5:
+	VMOVDQA32	Z27, Z13
+	JMP	padded
+
+tail6:
+	VMOVDQA32	Z27, Z14
+	JMP	padded
+
+tail7:
+	VMOVDQA32	Z27, Z15
+	JMP	padded
+
+tail8:
+	VMOVDQA32	Z27, Z16
+	JMP	padded
+
+tail9:
+	VMOVDQA32	Z27, Z17
+	JMP	padded
+
+tail10:
+	VMOVDQA32	Z27, Z18
+	JMP	padded
+
+tail11:
+	VMOVDQA32	Z27, Z19
+	JMP	padded
+
+tail12:
+	VMOVDQA32	Z27, Z20
+	JMP	padded
+
+tail13:
+	VMOVDQA32	Z27, Z21
+	JMP	padded
+
+tail14:
+	VMOVDQA32	Z27, Z22
+	JMP	padded
+
+tail15:
+	VMOVDQA32	Z27, Z23
+
+padded:
+	// The last block ends in the bit length; its word 14 is zero.
+	CMPQ	CX, $1
+	JNE	next
+	VPBROADCASTD	R10, Z23
+
+next:
 	ADDQ	$64, SI
+	SUBQ	$64, R9
 	DECQ	CX
 	JMP	rounds
 

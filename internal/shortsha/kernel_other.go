@@ -18,6 +18,6 @@ func chain(h *[8]uint32, links int) { panic("shortsha: no kernel") }
 
 func chain2(h0, h1 *[8]uint32, links int) { panic("shortsha: no kernel") }
 
-func lanes16(dst *[Lanes * Size]byte, tails *[Lanes * tailStride]byte, blocks, links int) {
+func lanes16(dst *[Lanes * Size]byte, msgs *byte, stride, n, links int) {
 	panic("shortsha: no kernel")
 }

@@ -14,14 +14,20 @@
 //
 // Padding. FIPS 180-4 §5.1.1 pads an ℓ-bit message m to a multiple of 512
 // bits: m, one 1 bit, the fewest 0 bits that leave 64 bits of the last
-// block free, and ℓ as a 64-bit big-endian integer. The whole blocks of a
-// message longer than 119 bytes are compressed where they lie; the rest —
-// all of a shorter message — is copied into a two-block tail on the stack
-// with the padding written behind it, so a message of at most 119 bytes is
-// one kernel call of one or two blocks. A link of a chain hashes the
-// previous digest, 32 bytes, so its block is the state words followed by a
-// constant template of padding: the kernels build it in registers and never
-// read the digest back from memory.
+// block free, and ℓ as a 64-bit big-endian integer. The sixteen-lane kernel
+// pads in registers: its sixteen messages share one length n, so it gathers
+// each lane's whole words where the message lies, builds the word holding
+// the last n%4 bytes and the 1 bit once from the word that ends each
+// message, and sets the zero fill and the bit length without reading
+// memory — it never reads a byte outside a message, and takes no message
+// shorter than a word. On SHA-NI the whole blocks of a message longer than
+// 119 bytes are compressed where they lie, and the rest — all of a shorter
+// message — is copied into a two-block tail on the stack with the padding
+// written behind it, so a message of at most 119 bytes is one kernel call
+// of one or two blocks. A link of a chain hashes the previous digest, 32
+// bytes, so its block is the state words followed by a constant template of
+// padding: the kernels build it in registers and never read the digest back
+// from memory.
 //
 // Readout. SHA-256(m) is the chaining value after the last block of pad(m)
 // is compressed: the eight state words, big-endian. The kernels keep those
@@ -36,9 +42,10 @@
 // rounds as plain vector arithmetic on sixteen messages at once, each
 // register one state or message word of every lane, and costs about 2.2
 // SHA-NI lanes' time per block for sixteen blocks (kernel_amd64.s has the
-// register plan). Batch gives it groups of sixteen messages of at most 119
-// bytes, whose tails it gathers from the stack and whose digests it
-// scatters into the caller's buffer, and the rest of a batch to SHA-NI.
+// register plan). Batch gives it groups of sixteen messages of 4 to 119
+// bytes, which it gathers from the caller's buffer at the caller's stride
+// and whose digests it scatters into the caller's buffer, and the rest of a
+// batch to SHA-NI.
 //
 // Dispatch. The kernels are amd64 assembly. The SHA-NI one needs the SHA
 // extensions, SSSE3 and SSE4.1; the sixteen-lane one AVX512F and AVX512BW
@@ -55,6 +62,7 @@ package shortsha
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 )
 
 // Size is the length of a SHA-256 digest in bytes.
@@ -102,15 +110,21 @@ func Chain(msg []byte, rounds int) [Size]byte {
 // long; Batch splits whatever it is given itself.
 const Lanes = 16
 
-// tailStride is the room one lane's padded tail takes in lanes16's scratch.
-const tailStride = 2 * blockSize
+// The sixteen-lane kernel takes messages of minLanes16 to maxTail bytes —
+// it reads a message's last partial word from the whole word that ends it —
+// at strides up to maxLaneStride, its gathers' 32-bit lane offsets.
+const (
+	minLanes16    = 4
+	maxLaneStride = math.MaxInt32 / (Lanes - 1)
+)
 
 // Batch hashes k = len(dst)/Size messages of n bytes each, message i being
 // msgs[i*stride : i*stride+n], and writes SHA-256 applied rounds times to it
 // (each further round hashing the previous digest, rounds below 1 counting
 // as 1) to dst[i*Size : (i+1)*Size]. It hashes them sixteen to a pass on
-// AVX-512 when n is at most 119 bytes, then two to a pass and one at a time
-// on SHA-NI, or one at a time on the portable path. dst must not overlap
+// AVX-512, read where they lie, when n is 4 to 119 bytes, then two to a
+// pass and one at a time on SHA-NI, or one at a time on the portable path.
+// It reads no byte of msgs outside the k messages. dst must not overlap
 // msgs.
 func Batch(dst, msgs []byte, stride, n, rounds int) {
 	k := len(dst) / Size
@@ -120,9 +134,9 @@ func Batch(dst, msgs []byte, stride, n, rounds int) {
 	_ = msgs[(k-1)*stride : (k-1)*stride+n]
 	rounds = max(rounds, 1)
 	i := 0
-	if useLanes16 && n <= maxTail {
+	if useLanes16 && n >= minLanes16 && n <= maxTail && stride <= maxLaneStride {
 		for ; i+Lanes <= k; i += Lanes {
-			batch16(dst[i*Size:], msgs[i*stride:], stride, n, rounds)
+			lanes16((*[Lanes * Size]byte)(dst[i*Size:]), &msgs[i*stride], stride, n, rounds-1)
 		}
 	}
 	if !useKernel {
@@ -147,25 +161,6 @@ func Batch(dst, msgs []byte, stride, n, rounds int) {
 		}
 		putDigest(dst[i*Size:], &s)
 	}
-}
-
-// batch16 is Batch of sixteen messages of at most maxTail bytes on the
-// AVX-512 kernel: each message and its padding are copied into a tail of
-// their own on the stack, where the kernel gathers them from.
-func batch16(dst, msgs []byte, stride, n, rounds int) {
-	var tails [Lanes * tailStride]byte
-	blocks := 1
-	if n+1+lenSize > blockSize {
-		blocks = 2
-	}
-	end := blocks * blockSize
-	for i := range Lanes {
-		t := tails[i*tailStride : i*tailStride+end]
-		copy(t, msgs[i*stride:i*stride+n])
-		t[n] = 0x80
-		binary.BigEndian.PutUint64(t[end-lenSize:], uint64(n)<<3)
-	}
-	lanes16((*[Lanes * Size]byte)(dst), &tails, blocks, rounds-1)
 }
 
 // portableChain is Chain on crypto/sha256.

@@ -119,8 +119,10 @@ func batchMessages(k int) []byte {
 }
 
 // TestBatchMatchesCryptoSHA256 takes every batch size 1-40 (full groups of
-// sixteen, then pairs and a single), every message length 0-119 (one tail
-// block or two, the padding edges at 55/56 and 63/64) and chain rounds 1-8.
+// sixteen, then pairs and a single), every message length 0-119 (one block
+// or two, the padding edges at 55/56 and 63/64, every n%4 of the last
+// partial word, and the lengths under a word that the sixteen lanes leave
+// to SHA-NI) and chain rounds 1-8.
 func TestBatchMatchesCryptoSHA256(t *testing.T) {
 	const maxK, maxRounds = 40, 8
 	msgs := batchMessages(maxK)
@@ -158,7 +160,7 @@ func TestBatchMatchesCryptoSHA256(t *testing.T) {
 }
 
 // TestBatchLongMessages covers messages too long for the sixteen lanes'
-// tails: their heads are compressed in place, two lanes at a time.
+// two blocks: their heads are compressed in place, two lanes at a time.
 func TestBatchLongMessages(t *testing.T) {
 	const k = 19
 	msgs := message(k*300, 0x11)
@@ -194,23 +196,27 @@ func TestMessagesAreNotWritten(t *testing.T) {
 
 // FuzzShortSum is the kernel's differential against crypto/sha256 over
 // every entry point: a buffer cut into a batch of equal-length messages at
-// a stride, and a round count.
+// a stride of up to 255 bytes past their length — the Merkle scratch's 19 B
+// nodes at stride 67 among them — handed to Batch ending at the last
+// message's last byte, and a round count.
 func FuzzShortSum(f *testing.F) {
 	for _, n := range []int{0, 55, 56, 64, 119, 120, 200} {
 		f.Add(message(17*n+3, 0), uint8(n), uint8(n+1), uint8(n%5))
 	}
+	f.Add(message(Lanes*67, 0), uint8(19), uint8(67-19), uint8(0))
 	f.Fuzz(func(t *testing.T, buf []byte, msgLen, gap, rounds uint8) {
 		r := int(rounds % 9)
 		n := min(int(msgLen), len(buf))
-		stride := n + int(gap%8)
+		stride := n + int(gap)
 		k := 1
 		if stride > 0 {
 			k += (len(buf) - n) / stride
 		}
 		k = min(k, 3*Lanes+3)
+		msgs := buf[:(k-1)*stride+n]
 		want := make([]byte, 0, k*Size)
 		for i := range k {
-			d := refChain(buf[i*stride:i*stride+n], r)
+			d := refChain(msgs[i*stride:i*stride+n], r)
 			want = append(want, d[:]...)
 		}
 		sum, chained := sha256.Sum256(buf), refChain(buf, r)
@@ -222,7 +228,7 @@ func FuzzShortSum(f *testing.F) {
 			if d := Chain(buf, r); d != chained {
 				t.Fatalf("Chain(%d) = %x, want %x", r, d, chained)
 			}
-			Batch(got, buf, stride, n, r)
+			Batch(got, msgs, stride, n, r)
 			if string(got) != string(want) {
 				t.Fatalf("Batch of %d × %d B at stride %d, %d rounds = %x, want %x", k, n, stride, r, got, want)
 			}
@@ -249,26 +255,30 @@ func BenchmarkSum256(b *testing.B) {
 	}
 }
 
-// BenchmarkLanes prices the lanes at the runs this system hashes: sixteen
-// Merkle nodes over leaves (19 B, one block) and over digests (67 B, two
-// blocks) and sixteen of f's leaves (a 16-byte input, four links), as one
-// Batch and as sixteen single calls. b.N counts runs.
+// laneRuns are the runs this system hashes, at the strides its callers lay
+// them out at: sixteen of f's leaves (a 16-byte input, four links, packed),
+// and sixteen Merkle nodes over leaves (19 B, one block) and over digests
+// (67 B, two blocks), each in a 67-byte slot of the tree's node scratch.
+var laneRuns = []struct {
+	name              string
+	n, stride, rounds int
+}{{"leaf", 16, 16, 4}, {"leafnode", 19, 67, 1}, {"node", 67, 67, 1}}
+
+// BenchmarkLanes prices the lanes at laneRuns, as one Batch and as sixteen
+// single calls. b.N counts runs.
 func BenchmarkLanes(b *testing.B) {
 	var dst [Lanes * Size]byte
-	for _, c := range []struct {
-		name      string
-		n, rounds int
-	}{{"leafnode", 19, 1}, {"node", 67, 1}, {"leaf", 16, 4}} {
-		msgs := message(Lanes*c.n, 0)
+	for _, c := range laneRuns {
+		msgs := message(Lanes*c.stride, 0)
 		forEachPathB(b, c.name+"/batch", func(b *testing.B) {
 			for b.Loop() {
-				Batch(dst[:], msgs, c.n, c.n, c.rounds)
+				Batch(dst[:], msgs, c.stride, c.n, c.rounds)
 			}
 		})
 		b.Run(c.name+"/single", func(b *testing.B) {
 			for b.Loop() {
 				for i := range Lanes {
-					Chain(msgs[i*c.n:(i+1)*c.n], c.rounds)
+					Chain(msgs[i*c.stride:i*c.stride+c.n], c.rounds)
 				}
 			}
 		})
@@ -287,9 +297,11 @@ func forEachPathB(b *testing.B, name string, bench func(b *testing.B)) {
 
 // BenchmarkFloor records what the kernels cannot go below: 64-byte
 // compressions with no padding or readout of the entry points, on one
-// SHA-NI lane ("block", one compression per op), on two ("block2", two per
-// op) and on sixteen AVX-512 lanes ("lanes16", sixteen one-block messages
-// per op, with their scatter). ROADMAP quotes the per-lane figures.
+// SHA-NI lane ("block", one compression per op) and on two ("block2", two
+// per op), and the sixteen-lane kernel called directly on laneRuns
+// ("lanes16/<run>", sixteen messages per op, gathered where they lie,
+// padded in registers and scattered out). ROADMAP quotes the per-lane
+// figures.
 func BenchmarkFloor(b *testing.B) {
 	if useKernel {
 		p0, p1 := message(blockSize, 0), message(blockSize, 1)
@@ -307,14 +319,15 @@ func BenchmarkFloor(b *testing.B) {
 		})
 	}
 	if useLanes16 {
-		var tails [Lanes * tailStride]byte
-		copy(tails[:], message(len(tails), 2))
 		var dst [Lanes * Size]byte
-		b.Run("lanes16", func(b *testing.B) {
-			for b.Loop() {
-				lanes16(&dst, &tails, 1, 0)
-			}
-		})
+		for _, c := range laneRuns {
+			msgs := message(Lanes*c.stride, 2)
+			b.Run("lanes16/"+c.name, func(b *testing.B) {
+				for b.Loop() {
+					lanes16(&dst, &msgs[0], c.stride, c.n, c.rounds-1)
+				}
+			})
+		}
 	}
 	if !useKernel && !useLanes16 {
 		b.Skip("no kernel in this build or on this CPU")
