@@ -16,63 +16,99 @@ package grid
 // so neither side serializes in-flight task state: the participant saves
 // its counters and rolling-window state, the supervisor (via the sim or
 // embedding application) saves its window ledgers and progress cursor.
+//
+// Version 2 is written. A participant payload is, in uvarints and
+// length-prefixed fields,
+//
+//	seq | id | behavior | evals | tasks | accepted | rejected | windows flag (1 byte) | windows
+//	windows = w | m | commits | cursor state | cursor window | pending count | (task ID | digest)*
+//
+// Version-1 files still restore. Their windows state ends in one more
+// length-prefixed field, the frontier of a full-stream Merkle tree that no
+// code ever checked (the cursor binds the window history); the decoder
+// skips it. The window ledger and simulator payloads are the same in both
+// versions. Every decoder walks its payload with the wire codecs' walker
+// and fails as ErrCheckpointCorrupt.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"uncheatgrid/internal/hashchain"
-	"uncheatgrid/internal/merkle"
 )
 
 // ErrCheckpointCorrupt reports a checkpoint file that failed structural or
 // checksum validation.
 var ErrCheckpointCorrupt = errors.New("grid: checkpoint file corrupt")
 
-// checkpointMagic opens every checkpoint file; the trailing byte is the
-// format version.
-var checkpointMagic = []byte{'U', 'G', 'C', 'P', 0x01}
+// checkpointMagic opens every checkpoint file; the format version follows
+// it.
+const checkpointMagic = "UGCP"
+
+// checkpointVersion is the format written; every version from 1 up
+// restores.
+const checkpointVersion = 2
 
 // encodeCheckpointFile wraps payload in the checkpoint envelope.
 func encodeCheckpointFile(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Write(checkpointMagic)
-	putUvarint(&buf, uint64(len(payload)))
-	buf.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-	return buf.Bytes()
+	out := append(make([]byte, 0, len(checkpointMagic)+1+prefixedLen(len(payload))+4), checkpointMagic...)
+	out = appendBytes(append(out, checkpointVersion), payload)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
-// parseCheckpointFile validates the envelope and returns the payload.
-func parseCheckpointFile(data []byte) ([]byte, error) {
-	if len(data) < len(checkpointMagic)+1+4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCheckpointCorrupt, len(data))
+// parseCheckpointFile validates the envelope and returns the format version
+// and the payload, a view of data.
+func parseCheckpointFile(data []byte) (version byte, payload []byte, err error) {
+	if len(data) < len(checkpointMagic)+1+1+4 {
+		return 0, nil, fmt.Errorf("%w: %d bytes", ErrCheckpointCorrupt, len(data))
 	}
-	if !bytes.Equal(data[:len(checkpointMagic)], checkpointMagic) {
-		return nil, fmt.Errorf("%w: bad magic or version", ErrCheckpointCorrupt)
+	version = data[len(checkpointMagic)]
+	if string(data[:len(checkpointMagic)]) != checkpointMagic || version < 1 || version > checkpointVersion {
+		return 0, nil, fmt.Errorf("%w: bad magic or version", ErrCheckpointCorrupt)
 	}
 	body, crc := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != crc {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
+		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
 	}
-	r := bytes.NewReader(body[len(checkpointMagic):])
-	n, err := binary.ReadUvarint(r)
-	if err != nil || n != uint64(r.Len()) {
-		return nil, fmt.Errorf("%w: payload length", ErrCheckpointCorrupt)
+	w := walker{buf: body[len(checkpointMagic)+1:]}
+	payload = w.bytes("payload")
+	if err := w.done(); err != nil {
+		return 0, nil, corrupt("envelope", err)
 	}
-	payload := make([]byte, n)
-	copy(payload, body[len(body)-int(n):])
-	return payload, nil
+	return version, payload, nil
+}
+
+// corrupt reports a walker's failure on a checkpoint payload as
+// ErrCheckpointCorrupt.
+func corrupt(what string, err error) error {
+	return fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, what, err)
+}
+
+// counter reads a uvarint that must fit an int64: a counter restored
+// negative would count backwards.
+func (w *walker) counter(what string) int64 {
+	v := w.uvarint(what)
+	if v > math.MaxInt64 {
+		w.fail("%s %d overflows int64", what, v)
+		return 0
+	}
+	return int64(v)
+}
+
+// flag reads a one-byte boolean, refusing any byte but 0 and 1.
+func (w *walker) flag(what string) bool {
+	b := w.byte(what)
+	if b > 1 {
+		w.fail("%s %d", what, b)
+	}
+	return b == 1
 }
 
 // writeCheckpointFile durably and atomically persists payload at path,
@@ -121,10 +157,10 @@ func syncDir(dir string) error {
 }
 
 // readCheckpointFile loads and validates the checkpoint at path.
-func readCheckpointFile(path string) ([]byte, error) {
+func readCheckpointFile(path string) (version byte, payload []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	return parseCheckpointFile(data)
 }
@@ -146,11 +182,7 @@ func (p *Participant) WriteCheckpoint(seq uint64) error {
 	if p.cfg.checkpointDir == "" {
 		return nil
 	}
-	payload, err := p.encodeCheckpointPayload(seq)
-	if err != nil {
-		return err
-	}
-	return writeCheckpointFile(participantCheckpointPath(p.cfg.checkpointDir, p.id), payload)
+	return writeCheckpointFile(participantCheckpointPath(p.cfg.checkpointDir, p.id), p.encodeCheckpointPayload(seq))
 }
 
 // RestoreCheckpoint loads the participant's durable state from the
@@ -161,85 +193,58 @@ func (p *Participant) RestoreCheckpoint() (seq uint64, ok bool, err error) {
 	if p.cfg.checkpointDir == "" {
 		return 0, false, nil
 	}
-	payload, err := readCheckpointFile(participantCheckpointPath(p.cfg.checkpointDir, p.id))
+	version, payload, err := readCheckpointFile(participantCheckpointPath(p.cfg.checkpointDir, p.id))
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, false, nil
 	}
 	if err != nil {
 		return 0, false, err
 	}
-	seq, err = p.decodeCheckpointPayload(payload)
+	seq, err = p.decodeCheckpointPayload(version, payload)
 	if err != nil {
 		return 0, false, err
 	}
 	return seq, true, nil
 }
 
-func (p *Participant) encodeCheckpointPayload(seq uint64) ([]byte, error) {
+func (p *Participant) encodeCheckpointPayload(seq uint64) []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var buf bytes.Buffer
-	putUvarint(&buf, seq)
-	putString(&buf, p.id)
-	putString(&buf, p.behavior)
-	putUvarint(&buf, uint64(p.evals))
-	putUvarint(&buf, uint64(p.tasks))
-	putUvarint(&buf, uint64(p.accepted))
-	putUvarint(&buf, uint64(p.rejected))
+	out := binary.AppendUvarint(nil, seq)
+	out = appendString(appendString(out, p.id), p.behavior)
+	for _, c := range []int64{p.evals, int64(p.tasks), int64(p.accepted), int64(p.rejected)} {
+		out = binary.AppendUvarint(out, uint64(c))
+	}
+	out = appendFlag(out, p.windows != nil)
 	if p.windows == nil {
-		buf.WriteByte(0)
-		return buf.Bytes(), nil
+		return out
 	}
-	buf.WriteByte(1)
-	if err := p.windows.encodeState(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return p.windows.appendState(out)
 }
 
-func (p *Participant) decodeCheckpointPayload(payload []byte) (uint64, error) {
-	bad := func(field string, err error) error {
-		return fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, field, err)
-	}
-	r := bytes.NewReader(payload)
-	seq, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, bad("seq", err)
-	}
-	id, err := getString(r)
-	if err != nil {
-		return 0, bad("id", err)
-	}
-	if id != p.id {
+func (p *Participant) decodeCheckpointPayload(version byte, payload []byte) (uint64, error) {
+	w := walker{buf: payload}
+	seq := w.uvarint("seq")
+	id := w.string("id")
+	if w.err == nil && id != p.id {
 		return 0, fmt.Errorf("%w: checkpoint of participant %q restored into %q", ErrCheckpointCorrupt, id, p.id)
 	}
-	behavior, err := getString(r)
-	if err != nil {
-		return 0, bad("behavior", err)
-	}
-	var counters [4]uint64
+	behavior := w.string("behavior")
+	var counters [4]int64
 	for i, name := range []string{"evals", "tasks", "accepted", "rejected"} {
-		if counters[i], err = binary.ReadUvarint(r); err != nil {
-			return 0, bad(name, err)
-		}
-	}
-	hasWindows, err := r.ReadByte()
-	if err != nil || hasWindows > 1 {
-		return 0, bad("windows flag", err)
+		counters[i] = w.counter(name)
 	}
 	var windows *participantWindows
-	if hasWindows == 1 {
-		if windows, err = decodeParticipantWindows(r); err != nil {
-			return 0, err
-		}
+	if w.flag("windows flag") {
+		windows = w.participantWindows(version)
 	}
-	if r.Len() != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.Len())
+	if err := w.done(); err != nil {
+		return 0, corrupt("participant", err)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.behavior = behavior
-	p.evals = int64(counters[0])
+	p.evals = counters[0]
 	p.tasks = int(counters[1])
 	p.accepted = int(counters[2])
 	p.rejected = int(counters[3])
@@ -247,124 +252,91 @@ func (p *Participant) decodeCheckpointPayload(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// encodeState serializes the rolling-window state: window geometry, cursor,
-// commit count, the digests of tasks settled but not yet covered by a
-// window, and the full-stream builder's frontier.
-func (pw *participantWindows) encodeState(buf *bytes.Buffer) error {
+// appendState appends the rolling-window state: window geometry, commit
+// count, cursor, and the digests of tasks settled but not yet covered by a
+// window.
+func (pw *participantWindows) appendState(dst []byte) []byte {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
-	putUvarint(buf, uint64(pw.w))
-	putUvarint(buf, uint64(pw.m))
-	putUvarint(buf, pw.commits)
-	snap := pw.cursor.Snapshot()
-	putBytes(buf, snap.State)
-	putUvarint(buf, snap.Window)
-	putUvarint(buf, uint64(len(pw.ids)))
+	dst = binary.AppendUvarint(dst, uint64(pw.w))
+	dst = binary.AppendUvarint(dst, uint64(pw.m))
+	dst = binary.AppendUvarint(dst, pw.commits)
+	dst = appendCursor(dst, pw.cursor)
+	dst = binary.AppendUvarint(dst, uint64(len(pw.ids)))
 	for i, id := range pw.ids {
-		putUvarint(buf, id)
-		putBytes(buf, pw.digests[i])
+		dst = appendBytes(binary.AppendUvarint(dst, id), pw.digests[i])
 	}
-	streamSnap, err := pw.stream.Snapshot()
-	if err != nil {
-		return err
-	}
-	streamBytes, err := streamSnap.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	putBytes(buf, streamBytes)
-	return nil
+	return dst
 }
 
-// decodeParticipantWindows reverses encodeState.
-func decodeParticipantWindows(r *bytes.Reader) (*participantWindows, error) {
-	bad := func(field string, err error) error {
-		return fmt.Errorf("%w: windows %s: %v", ErrCheckpointCorrupt, field, err)
+// participantWindows reads what appendState wrote and, from a version-1
+// file, skips the trailing frontier field. The pending digests are cloned:
+// the state outlives the payload.
+func (w *walker) participantWindows(version byte) *participantWindows {
+	win := w.uvarint("windows w")
+	if w.err == nil && (win < 1 || win > maxWindowCommitTasks) {
+		w.fail("windows w %d", win)
 	}
-	w, err := binary.ReadUvarint(r)
-	if err != nil || w < 1 || w > maxWindowCommitTasks {
-		return nil, bad("w", err)
+	m := w.uvarint("windows m")
+	if w.err == nil && (m < 1 || m > win) {
+		w.fail("windows m %d", m)
 	}
-	m, err := binary.ReadUvarint(r)
-	if err != nil || m < 1 || m > w {
-		return nil, bad("m", err)
-	}
-	commits, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, bad("commits", err)
-	}
-	cursorState, err := getBytes(r)
-	if err != nil {
-		return nil, bad("cursor state", err)
-	}
-	cursorWindow, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, bad("cursor window", err)
-	}
-	cursor, err := windowChain().RestoreCursor(hashchain.CursorSnapshot{State: cursorState, Window: cursorWindow})
-	if err != nil {
-		return nil, bad("cursor", err)
-	}
-	pendN, err := binary.ReadUvarint(r)
-	if err != nil || pendN >= w {
-		return nil, bad("pending count", err)
-	}
-	ids := make([]uint64, pendN)
-	digests := make([][]byte, pendN)
+	commits := w.uvarint("windows commits")
+	cursor := w.cursor()
+	n := w.count("pending tasks", win-1, 2)
+	ids := make([]uint64, n)
+	digests := make([][]byte, n)
 	for i := range ids {
-		if ids[i], err = binary.ReadUvarint(r); err != nil {
-			return nil, bad("pending id", err)
-		}
-		if digests[i], err = getBytes(r); err != nil {
-			return nil, bad("pending digest", err)
-		}
+		ids[i] = w.uvarint("pending id")
+		digests[i] = slices.Clone(w.bytes("pending digest"))
 	}
-	streamBytes, err := getBytes(r)
-	if err != nil {
-		return nil, bad("stream snapshot", err)
+	if version == 1 {
+		w.bytes("stream frontier")
 	}
-	var streamSnap merkle.StreamSnapshot
-	if err := streamSnap.UnmarshalBinary(streamBytes); err != nil {
-		return nil, bad("stream snapshot", err)
+	if w.err != nil {
+		return nil
 	}
-	stream, err := merkle.RestoreStreamBuilder(&streamSnap)
-	if err != nil {
-		return nil, bad("stream builder", err)
-	}
-	return &participantWindows{
-		w:       int(w),
-		m:       int(m),
-		cursor:  cursor,
-		commits: commits,
-		ids:     ids,
-		digests: digests,
-		stream:  stream,
-	}, nil
+	return &participantWindows{w: int(win), m: int(m), cursor: cursor, commits: commits, ids: ids, digests: digests}
 }
 
-// encodeState serializes the supervisor-side window ledger; pending digests
+// appendCursor appends a window cursor's state and window number.
+func appendCursor(dst []byte, cu *hashchain.Cursor) []byte {
+	snap := cu.Snapshot()
+	return binary.AppendUvarint(appendBytes(dst, snap.State), snap.Window)
+}
+
+// cursor reads what appendCursor wrote. RestoreCursor copies the state.
+func (w *walker) cursor() *hashchain.Cursor {
+	snap := hashchain.CursorSnapshot{State: w.bytes("cursor state"), Window: w.uvarint("cursor window")}
+	if w.err != nil {
+		return nil
+	}
+	cu, err := windowChain().RestoreCursor(snap)
+	if err != nil {
+		w.fail("cursor: %v", err)
+	}
+	return cu
+}
+
+// appendState appends the supervisor-side window ledger; pending digests
 // are sorted by task ID so equal ledgers serialize to equal bytes.
-func (led *WindowLedger) encodeState() []byte {
+func (led *WindowLedger) appendState(dst []byte) []byte {
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	var buf bytes.Buffer
-	snap := led.cursor.Snapshot()
-	putBytes(&buf, snap.State)
-	putUvarint(&buf, snap.Window)
-	putUvarint(&buf, led.settled)
-	putUvarint(&buf, led.violations)
-	putString(&buf, led.lastReason)
+	dst = appendCursor(dst, led.cursor)
+	dst = binary.AppendUvarint(dst, led.settled)
+	dst = binary.AppendUvarint(dst, led.violations)
+	dst = appendString(dst, led.lastReason)
 	ids := make([]uint64, 0, len(led.pend))
 	for id := range led.pend {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	putUvarint(&buf, uint64(len(ids)))
+	slices.Sort(ids)
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		putUvarint(&buf, id)
-		putBytes(&buf, led.pend[id])
+		dst = appendBytes(binary.AppendUvarint(dst, id), led.pend[id])
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // Snapshot serializes the ledger — hash-chain cursor, settled/violation
@@ -376,7 +348,7 @@ func (led *WindowLedger) encodeState() []byte {
 // restored to the same barrier; take it at a quiesced checkpoint boundary,
 // as RunSim's kill drills do.
 func (led *WindowLedger) Snapshot() []byte {
-	return encodeCheckpointFile(led.encodeState())
+	return encodeCheckpointFile(led.appendState(nil))
 }
 
 // RestoreWindowLedger rebuilds a ledger from a Snapshot taken under the
@@ -384,105 +356,35 @@ func (led *WindowLedger) Snapshot() []byte {
 // run with rolling-commitment continuity: the restored ledger expects
 // exactly the next window the participant's restored committer will send.
 // A corrupt or truncated snapshot surfaces as ErrCheckpointCorrupt — the
-// envelope CRC covers every byte.
+// envelope CRC covers every byte. The ledger keeps no reference to snap.
 func RestoreWindowLedger(spec SchemeSpec, snap []byte) (*WindowLedger, error) {
-	payload, err := parseCheckpointFile(snap)
+	_, payload, err := parseCheckpointFile(snap)
 	if err != nil {
 		return nil, err
 	}
-	return restoreWindowLedger(spec, payload)
+	return decodeWindowLedger(spec, payload)
 }
 
-// restoreWindowLedger rebuilds a ledger for spec from encodeState output.
-func restoreWindowLedger(spec SchemeSpec, data []byte) (*WindowLedger, error) {
-	bad := func(field string, err error) error {
-		return fmt.Errorf("%w: ledger %s: %v", ErrCheckpointCorrupt, field, err)
-	}
+// decodeWindowLedger rebuilds a ledger for spec from appendState output,
+// which both format versions share. The pending digests are cloned: the
+// ledger outlives data.
+func decodeWindowLedger(spec SchemeSpec, data []byte) (*WindowLedger, error) {
 	led, err := NewWindowLedger(spec)
 	if err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(data)
-	cursorState, err := getBytes(r)
-	if err != nil {
-		return nil, bad("cursor state", err)
+	w := walker{buf: data}
+	led.cursor = w.cursor()
+	led.settled = w.uvarint("settled")
+	led.violations = w.uvarint("violations")
+	led.lastReason = w.string("last reason")
+	n := w.count("pending tasks", math.MaxInt, 2)
+	for i := 0; i < n && w.err == nil; i++ {
+		id := w.uvarint("pending id")
+		led.pend[id] = slices.Clone(w.bytes("pending digest"))
 	}
-	cursorWindow, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, bad("cursor window", err)
-	}
-	if led.cursor, err = windowChain().RestoreCursor(hashchain.CursorSnapshot{State: cursorState, Window: cursorWindow}); err != nil {
-		return nil, bad("cursor", err)
-	}
-	if led.settled, err = binary.ReadUvarint(r); err != nil {
-		return nil, bad("settled", err)
-	}
-	if led.violations, err = binary.ReadUvarint(r); err != nil {
-		return nil, bad("violations", err)
-	}
-	if led.lastReason, err = getString(r); err != nil {
-		return nil, bad("last reason", err)
-	}
-	pendN, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, bad("pending count", err)
-	}
-	for i := uint64(0); i < pendN; i++ {
-		id, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, bad("pending id", err)
-		}
-		digest, err := getBytes(r)
-		if err != nil {
-			return nil, bad("pending digest", err)
-		}
-		led.pend[id] = digest
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: ledger: %d trailing bytes", ErrCheckpointCorrupt, r.Len())
+	if err := w.done(); err != nil {
+		return nil, corrupt("ledger", err)
 	}
 	return led, nil
-}
-
-// The checkpoint codecs run once per segment, not once per task, and still
-// write through a bytes.Buffer and read through a bytes.Reader; the wire
-// codecs (wire.go) do neither.
-
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func putBytes(buf *bytes.Buffer, b []byte) {
-	putUvarint(buf, uint64(len(b)))
-	buf.Write(b)
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func getBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("declared %d bytes, %d remain", n, r.Len())
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func getString(r *bytes.Reader) (string, error) {
-	b, err := getBytes(r)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -1,9 +1,13 @@
 package grid
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -52,10 +56,15 @@ func TestWindowDigestsMatchRecorded(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileMatchesRecorded writes a participant checkpoint holding
-// one committed window, two pending digests, the cursor and the stream
-// frontier — every hash the window machinery takes — and pins the file.
-func TestCheckpointFileMatchesRecorded(t *testing.T) {
+// participantV1Fixture is the file checkpointWithWindows wrote in format
+// version 1, which also held the frontier of a full-stream Merkle tree.
+const participantV1Fixture = "testdata/participant-v1.ckpt"
+
+// checkpointWithWindows writes a participant checkpoint holding one
+// committed window, two pending digests and the cursor — every hash the
+// window machinery takes — and returns the file.
+func checkpointWithWindows(t *testing.T) []byte {
+	t.Helper()
 	dir := t.TempDir()
 	p, err := NewParticipant("worker-1", HonestFactory, WithCheckpointDir(dir))
 	if err != nil {
@@ -79,8 +88,63 @@ func TestCheckpointFileMatchesRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read checkpoint: %v", err)
 	}
-	const want = "df4bf433f01dfa4dbf1c89b1238bdd05530be23e8dee282c208af7176a710954"
-	if sum := sha256.Sum256(data); len(data) != 211 || hex.EncodeToString(sum[:]) != want {
-		t.Errorf("checkpoint file: %d bytes hashing to %x, recorded 211 bytes hashing to %s", len(data), sum, want)
+	return data
+}
+
+// TestCheckpointFileMatchesRecorded pins the version-2 file.
+func TestCheckpointFileMatchesRecorded(t *testing.T) {
+	data := checkpointWithWindows(t)
+	const want = "164d75c1c757405659da2bd63a587a82a4efa7ce95ceb7c43d5468470118fd61"
+	if sum := sha256.Sum256(data); len(data) != 132 || hex.EncodeToString(sum[:]) != want {
+		t.Errorf("checkpoint file: %d bytes hashing to %x, recorded 132 bytes hashing to %s", len(data), sum, want)
+	}
+}
+
+// TestCheckpointV1FixtureRestores holds the format change to the one field
+// it drops. The version-1 file of the same state restores to what the
+// version-2 file restores to, and the version-2 file is the version-1 file
+// with version byte 2, the trailing 78-byte frontier field cut, and the
+// length prefix and CRC recomputed.
+func TestCheckpointV1FixtureRestores(t *testing.T) {
+	v1, err := os.ReadFile(participantV1Fixture)
+	if err != nil {
+		t.Fatalf("read the version-1 fixture: %v", err)
+	}
+	const v1Sum = "df4bf433f01dfa4dbf1c89b1238bdd05530be23e8dee282c208af7176a710954"
+	if sum := sha256.Sum256(v1); len(v1) != 211 || hex.EncodeToString(sum[:]) != v1Sum {
+		t.Fatalf("fixture: %d bytes hashing to %x, recorded 211 bytes hashing to %s", len(v1), sum, v1Sum)
+	}
+	v2 := checkpointWithWindows(t)
+
+	// 5 bytes of magic and version, a 2-byte length (200), 4 of CRC.
+	cut := v1[5+2 : len(v1)-4-v1FrontierField]
+	want := binary.AppendUvarint([]byte("UGCP\x02"), uint64(len(cut)))
+	want = append(want, cut...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+	if !bytes.Equal(v2, want) {
+		t.Errorf("version-2 file\n%x\nis not the fixture minus its frontier\n%x", v2, want)
+	}
+
+	restore := func(file []byte) participantView {
+		dir := t.TempDir()
+		if err := os.WriteFile(participantCheckpointPath(dir, "worker-1"), file, 0o644); err != nil {
+			t.Fatalf("write checkpoint: %v", err)
+		}
+		p, err := NewParticipant("worker-1", HonestFactory, WithCheckpointDir(dir))
+		if err != nil {
+			t.Fatalf("NewParticipant: %v", err)
+		}
+		seq, ok, err := p.RestoreCheckpoint()
+		if err != nil || !ok {
+			t.Fatalf("RestoreCheckpoint = (%d, %v, %v)", seq, ok, err)
+		}
+		return viewParticipant(p, seq)
+	}
+	got, wantView := restore(v1), restore(v2)
+	if !reflect.DeepEqual(got, wantView) {
+		t.Fatalf("version-1 fixture restores to\n%+v\nversion-2 file to\n%+v", got, wantView)
+	}
+	if w := got.Windows; got.Seq != 9 || w == nil || w.Commits != 1 || w.Cursor.Window != 1 || len(w.IDs) != 2 {
+		t.Fatalf("fixture restored %+v, want seq 9, one commit, two pending tasks", got)
 	}
 }

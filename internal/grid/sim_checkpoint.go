@@ -12,7 +12,6 @@ package grid
 // A run without checkpoints keeps the same state in memory only.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,24 +76,17 @@ func newSimState(cfg SimConfig) (*simState, error) {
 // loadSimState returns the checkpointed coordinator state, or a fresh one
 // when no checkpoint directory is configured or no file exists yet.
 func loadSimState(cfg SimConfig) (*simState, error) {
-	st, err := newSimState(cfg)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.CheckpointDir == "" {
-		return st, nil
+		return newSimState(cfg)
 	}
-	payload, err := readCheckpointFile(supervisorCheckpointPath(cfg.CheckpointDir))
+	_, payload, err := readCheckpointFile(supervisorCheckpointPath(cfg.CheckpointDir))
 	if errors.Is(err, fs.ErrNotExist) {
-		return st, nil
+		return newSimState(cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := st.decode(cfg, payload); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return decodeSimState(cfg, payload)
 }
 
 func (st *simState) save(cfg SimConfig) error {
@@ -106,22 +98,17 @@ func (st *simState) save(cfg SimConfig) error {
 }
 
 func (st *simState) encode() ([]byte, error) {
-	var buf bytes.Buffer
-	putUvarint(&buf, st.seq)
-	putUvarint(&buf, uint64(st.nextTask))
-	putUvarint(&buf, uint64(st.supEvals))
-	putUvarint(&buf, uint64(st.supSent))
-	putUvarint(&buf, uint64(st.supRecv))
-	putUvarint(&buf, uint64(len(st.partSent)))
+	out := binary.AppendUvarint(nil, st.seq)
+	for _, v := range []int64{int64(st.nextTask), st.supEvals, st.supSent, st.supRecv, int64(len(st.partSent))} {
+		out = binary.AppendUvarint(out, uint64(v))
+	}
 	for i := range st.partSent {
-		putUvarint(&buf, uint64(st.partSent[i]))
-		putUvarint(&buf, uint64(st.partRecv[i]))
-		if st.ledgers == nil {
-			buf.WriteByte(0)
-			continue
+		out = binary.AppendUvarint(out, uint64(st.partSent[i]))
+		out = binary.AppendUvarint(out, uint64(st.partRecv[i]))
+		out = appendFlag(out, st.ledgers != nil)
+		if st.ledgers != nil {
+			out = appendBytes(out, st.ledgers[i].appendState(nil))
 		}
-		buf.WriteByte(1)
-		putBytes(&buf, st.ledgers[i].encodeState())
 	}
 	// Settled tasks are exactly [0, nextTask): segments complete in full
 	// before a checkpoint is taken, and checkpointed runs are unreplicated.
@@ -130,95 +117,62 @@ func (st *simState) encode() ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("grid: checkpoint: no verdict for settled task %d", id)
 		}
-		putBytes(&buf, encodeVerdict(rec.verdict))
-		putBytes(&buf, encodeReports(rec.reports))
-		putUvarint(&buf, uint64(rec.sent))
-		putUvarint(&buf, uint64(rec.recv))
+		out = appendBytes(out, encodeVerdict(rec.verdict))
+		out = appendBytes(out, encodeReports(rec.reports))
+		out = binary.AppendUvarint(out, uint64(rec.sent))
+		out = binary.AppendUvarint(out, uint64(rec.recv))
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
-func (st *simState) decode(cfg SimConfig, payload []byte) error {
-	bad := func(field string, err error) error {
-		return fmt.Errorf("%w: supervisor %s: %v", ErrCheckpointCorrupt, field, err)
+// decodeSimState rebuilds the coordinator state for cfg from encode's
+// output, which both format versions share.
+func decodeSimState(cfg SimConfig, payload []byte) (*simState, error) {
+	st, err := newSimState(cfg)
+	if err != nil {
+		return nil, err
 	}
-	r := bytes.NewReader(payload)
-	var err error
-	if st.seq, err = binary.ReadUvarint(r); err != nil {
-		return bad("seq", err)
+	w := walker{buf: payload}
+	st.seq = w.uvarint("seq")
+	next := w.uvarint("next task")
+	if w.err == nil && next > uint64(cfg.Tasks) {
+		return nil, fmt.Errorf("%w: checkpoint at task %d beyond the %d-task run", ErrCheckpointCorrupt, next, cfg.Tasks)
 	}
-	var scalars [4]uint64
-	for i, name := range []string{"next task", "evals", "bytes sent", "bytes recv"} {
-		if scalars[i], err = binary.ReadUvarint(r); err != nil {
-			return bad(name, err)
-		}
-	}
-	st.nextTask = int(scalars[0])
-	st.supEvals = int64(scalars[1])
-	st.supSent = int64(scalars[2])
-	st.supRecv = int64(scalars[3])
-	n, err := binary.ReadUvarint(r)
-	if err != nil || int(n) != len(st.partSent) {
-		return fmt.Errorf("%w: checkpoint covers %d participants, pool has %d",
+	st.nextTask = int(next)
+	st.supEvals = w.counter("evals")
+	st.supSent = w.counter("bytes sent")
+	st.supRecv = w.counter("bytes recv")
+	if n := w.uvarint("participants"); w.err == nil && n != uint64(len(st.partSent)) {
+		return nil, fmt.Errorf("%w: checkpoint covers %d participants, pool has %d",
 			ErrCheckpointCorrupt, n, len(st.partSent))
 	}
-	for i := 0; i < int(n); i++ {
-		var counters [2]uint64
-		for j, name := range []string{"participant sent", "participant recv"} {
-			if counters[j], err = binary.ReadUvarint(r); err != nil {
-				return bad(name, err)
-			}
+	for i := 0; i < len(st.partSent) && w.err == nil; i++ {
+		st.partSent[i] = w.counter("participant sent")
+		st.partRecv[i] = w.counter("participant recv")
+		hasLedger := w.flag("ledger flag")
+		if w.err == nil && hasLedger != (st.ledgers != nil) {
+			return nil, fmt.Errorf("%w: checkpoint and config disagree on window commitments", ErrCheckpointCorrupt)
 		}
-		st.partSent[i], st.partRecv[i] = int64(counters[0]), int64(counters[1])
-		hasLedger, err := r.ReadByte()
-		if err != nil || hasLedger > 1 {
-			return bad("ledger flag", err)
-		}
-		if (hasLedger == 1) != (st.ledgers != nil) {
-			return fmt.Errorf("%w: checkpoint and config disagree on window commitments", ErrCheckpointCorrupt)
-		}
-		if hasLedger == 1 {
-			data, err := getBytes(r)
-			if err != nil {
-				return bad("ledger", err)
-			}
-			if st.ledgers[i], err = restoreWindowLedger(cfg.Spec, data); err != nil {
-				return err
+		if hasLedger {
+			// A failed walk hands decodeWindowLedger nil; done reports it.
+			if st.ledgers[i], err = decodeWindowLedger(cfg.Spec, w.bytes("ledger")); err != nil && w.err == nil {
+				return nil, err
 			}
 		}
 	}
-	if st.nextTask > cfg.Tasks {
-		return fmt.Errorf("%w: checkpoint at task %d beyond the %d-task run", ErrCheckpointCorrupt, st.nextTask, cfg.Tasks)
+	for id := 0; id < st.nextTask && w.err == nil; id++ {
+		v, verr := decodeVerdict(w.bytes("verdict"))
+		reports, rerr := decodeReports(w.bytes("reports"))
+		rec := settledTask{verdict: v, reports: reports, sent: w.counter("task bytes sent"), recv: w.counter("task bytes recv")}
+		if err := errors.Join(verr, rerr); w.err == nil && err != nil {
+			return nil, corrupt("supervisor task", err)
+		}
+		st.settled[outcomeKey{task: uint64(id)}] = rec
 	}
-	for id := 0; id < st.nextTask; id++ {
-		vb, err := getBytes(r)
-		if err != nil {
-			return bad("verdict", err)
-		}
-		v, err := decodeVerdict(vb)
-		if err != nil {
-			return bad("verdict", err)
-		}
-		rb, err := getBytes(r)
-		if err != nil {
-			return bad("reports", err)
-		}
-		reports, err := decodeReports(rb)
-		if err != nil {
-			return bad("reports", err)
-		}
-		var taskBytes [2]uint64
-		for j, name := range []string{"task bytes sent", "task bytes recv"} {
-			if taskBytes[j], err = binary.ReadUvarint(r); err != nil {
-				return bad(name, err)
-			}
-		}
-		st.settled[outcomeKey{task: uint64(id)}] = settledTask{v, reports, int64(taskBytes[0]), int64(taskBytes[1])}
+	if err := w.done(); err != nil {
+		return nil, corrupt("supervisor", err)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: supervisor checkpoint: %d trailing bytes", ErrCheckpointCorrupt, r.Len())
-	}
-	return nil
+	return st, nil
 }
 
 // restorePool restores every participant from its durable checkpoint and

@@ -40,11 +40,6 @@ const streamDigestPrefix = "uncheatgrid/stream-digest/v1"
 // windowCursorPrefix domain-separates the window cursor's shared seed.
 const windowCursorPrefix = "uncheatgrid/window-cursor/v1"
 
-// streamCapacity is the leaf capacity of the full-stream Merkle builder a
-// participant maintains alongside its windows: 2^40 tasks is unreachable in
-// practice, and the builder's frontier stays O(log capacity) regardless.
-const streamCapacity = 1 << 40
-
 // streamDigest reduces one settled task to the fixed-size leaf value of its
 // window commitment. body is the scheme's primary payload reduced by
 // hashResults/hashIndices, or the commitment root directly.
@@ -140,9 +135,9 @@ func (pt *preparedTask) recordStreamDigest() {
 }
 
 // participantWindows is a participant's rolling-commitment state: the
-// digests of settled-but-uncommitted tasks, the shared challenge cursor, and
-// a full-stream Merkle builder whose O(log n) frontier binds the entire
-// history into every checkpoint.
+// digests of settled-but-uncommitted tasks and the challenge cursor shared
+// with the supervisor. The cursor binds the history: it has absorbed every
+// window root so far, so each window's challenge depends on all of them.
 type participantWindows struct {
 	mu      sync.Mutex
 	w, m    int
@@ -150,7 +145,6 @@ type participantWindows struct {
 	commits uint64
 	ids     []uint64
 	digests [][]byte
-	stream  *merkle.StreamBuilder
 }
 
 // newParticipantWindows starts rolling-commitment tracking for spec.
@@ -159,15 +153,10 @@ func newParticipantWindows(spec SchemeSpec) (*participantWindows, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream, err := merkle.NewStreamBuilder(streamCapacity)
-	if err != nil {
-		return nil, err
-	}
 	return &participantWindows{
 		w:      spec.WindowTasks,
 		m:      spec.WindowSamples,
 		cursor: cursor,
-		stream: stream,
 	}, nil
 }
 
@@ -180,9 +169,6 @@ func newParticipantWindows(spec SchemeSpec) (*participantWindows, error) {
 func (pw *participantWindows) settle(taskID uint64, digest []byte, send func(typ uint8, payload []byte) error) error {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
-	if err := pw.stream.Add(digest); err != nil {
-		return fmt.Errorf("grid: window stream: %w", err)
-	}
 	pw.ids = append(pw.ids, taskID)
 	pw.digests = append(pw.digests, digest)
 	if len(pw.ids) < pw.w {

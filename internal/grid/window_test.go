@@ -260,17 +260,13 @@ func TestWindowStateCheckpointRoundTrip(t *testing.T) {
 		settleTask(t, pw, led, id, streamDigest(id, spec.Kind, []byte{byte(id)}))
 	}
 
-	var buf bytes.Buffer
-	if err := pw.encodeState(&buf); err != nil {
-		t.Fatalf("encodeState: %v", err)
-	}
-	restoredPW, err := decodeParticipantWindows(bytes.NewReader(buf.Bytes()))
+	restoredPW, err := walkParticipantWindows(checkpointVersion, pw.appendState(nil))
 	if err != nil {
-		t.Fatalf("decodeParticipantWindows: %v", err)
+		t.Fatalf("walkParticipantWindows: %v", err)
 	}
-	restoredLed, err := restoreWindowLedger(spec, led.encodeState())
+	restoredLed, err := decodeWindowLedger(spec, led.appendState(nil))
 	if err != nil {
-		t.Fatalf("restoreWindowLedger: %v", err)
+		t.Fatalf("decodeWindowLedger: %v", err)
 	}
 
 	for id := uint64(6); id < 12; id++ {

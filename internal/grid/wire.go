@@ -91,9 +91,9 @@ const (
 	// Participant → supervisor.
 	msgWindowCommit
 	// msgCheckpoint orders the participant to write its durable state
-	// (counters, window buffer, chain cursor, stream frontier) to its
-	// checkpoint file. Sent only at a quiesced stream boundary, as a
-	// ctrl-tagged batch sub-message. Supervisor → participant.
+	// (counters, window buffer, chain cursor) to its checkpoint file. Sent
+	// only at a quiesced stream boundary, as a ctrl-tagged batch
+	// sub-message. Supervisor → participant.
 	msgCheckpoint
 	// msgCheckpointAck confirms the checkpoint file hit disk (empty
 	// payload, ctrl-tagged). Participant → supervisor.

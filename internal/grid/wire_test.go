@@ -191,10 +191,12 @@ func TestSeedCorpusCommitted(t *testing.T) {
 // TestGridCodecGoldenBytes holds "every encoding stays byte-identical" to
 // bytes: one fixed value per encoder, the expected encodings recorded from
 // the build before wire.go's encoders became append forms (its bytes.Buffer
-// encoders wrote them). The one deliberate difference is msgCredit, whose
-// third field — the advertised window nobody read — left the wire: the
-// parent wrote e707808010 followed by 808002. Every encoder but the two
-// that draw a pooled frame buffer must also size its output exactly.
+// encoders wrote them). Two differences are deliberate. msgCredit's third
+// field — the advertised window nobody read — left the wire: the parent
+// wrote e707808010 followed by 808002. And participant window state lost
+// its trailing full-stream frontier with checkpoint format version 2. Every
+// encoder but the two that draw a pooled frame buffer must also size its
+// output exactly.
 func TestGridCodecGoldenBytes(t *testing.T) {
 	a := assignment{
 		Task:         Task{ID: 300, Start: 1 << 33, N: 4096, Workload: "synthetic", Seed: 77},
@@ -218,7 +220,7 @@ func TestGridCodecGoldenBytes(t *testing.T) {
 			TaskIDs: []uint64{328, 329, 1 << 40},
 			Proof:   []byte{0x01, 0x02},
 		}), "2904aabbccdd03c802c902808080808020020102"},
-		{"participant windows", participantWindowsState(t), participantWindowsGolden},
+		{"participant windows", participantWindowsState(t), participantWindowsGolden[:len(participantWindowsGolden)-2*v1FrontierField]},
 		{"checkpoint", encodeCheckpoint(checkpointMsg{Seq: 1 << 40}), "808080808020"},
 		{"batch", encodeBatch([]taggedMsg{
 			{TaskID: 1, Type: msgCommit, Payload: []byte{1, 2, 3}},
@@ -242,34 +244,37 @@ func TestGridCodecGoldenBytes(t *testing.T) {
 		if hex.EncodeToString(g.got) != g.want {
 			t.Errorf("%s encodes as %x, the parent wrote %s", g.name, g.got, g.want)
 		}
-		// Two encoders draw a pooled frame buffer; checkpoint state is
-		// written into the checkpoint file's buffer.
+		// Two encoders draw a pooled frame buffer; window state is
+		// appended to the participant's checkpoint payload.
 		unsized := g.name == "routed" || strings.HasSuffix(g.name, "batch") || g.name == "participant windows"
 		if !unsized && cap(g.got) != len(g.got) {
 			t.Errorf("%s: %d-byte encoding in a %d-byte buffer, want an exact size", g.name, len(g.got), cap(g.got))
 		}
 	}
 
-	// Window state checkpointed by the parent restores and writes itself
-	// back byte for byte.
+	// Window state checkpointed in format version 1 restores and writes
+	// itself back without its frontier field.
 	parent, err := hex.DecodeString(participantWindowsGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := decodeParticipantWindows(bytes.NewReader(parent))
+	pw, err := walkParticipantWindows(1, parent)
 	if err != nil {
-		t.Fatalf("decodeParticipantWindows(parent checkpoint): %v", err)
+		t.Fatalf("decode the version-1 window state: %v", err)
 	}
-	var again bytes.Buffer
-	if err := pw.encodeState(&again); err != nil || !bytes.Equal(again.Bytes(), parent) {
-		t.Fatalf("restored parent window state re-encodes as %x (%v)", again.Bytes(), err)
+	if again := pw.appendState(nil); !bytes.Equal(again, parent[:len(parent)-v1FrontierField]) {
+		t.Fatalf("restored version-1 window state re-encodes as %x", again)
 	}
 }
 
-// participantWindowsGolden is participantWindowsState as the parent of the
-// one-multiproof window commit wrote it: the stream snapshot inside ends in
-// the window flag 0.
+// participantWindowsGolden is participantWindowsState as format version 1
+// wrote it: its last v1FrontierField bytes are the length-prefixed
+// frontier of the full-stream Merkle tree version 2 dropped.
 const participantWindowsGolden = "040201206c1590201214685d2f2f462ebda9d9280a15d23c9acac41dc7ae432cff90d2b70102042042354c67d99d2848f65408a76266ab029efdda0533e23c18c8147c4999b34bc1052009f09ca7274808f1e934b3da4b92b59240f2d33ad92cc653f5c6e9af142595304d80808080802006020220424b93a9d16fc2a99412a16bbdf638ef853119edf140ced59a5882bf18d8185b0120b1c572de5a00a23b45a715e44070adc5c864970be5b42c380f61324d16f761dd00"
+
+// v1FrontierField is the size of that frontier field: a 1-byte length
+// and 77 bytes of snapshot. A participant file of version 1 ends in it too.
+const v1FrontierField = 78
 
 // participantWindowsState checkpoints a participant's window state after
 // one settled window of four and two pending tasks.
@@ -280,11 +285,7 @@ func participantWindowsState(t *testing.T) []byte {
 	for id := uint64(0); id < 6; id++ {
 		settleTask(t, pw, led, id, streamDigest(id, spec.Kind, []byte{byte(id)}))
 	}
-	var buf bytes.Buffer
-	if err := pw.encodeState(&buf); err != nil {
-		t.Fatalf("encodeState: %v", err)
-	}
-	return buf.Bytes()
+	return pw.appendState(nil)
 }
 
 // TestDecodedPayloadsSurviveFrameReuse is the guard for the carving scheme

@@ -50,23 +50,14 @@ func NewStreamBuilder(n int, opts ...Option) (*StreamBuilder, error) {
 	if n <= 0 {
 		return nil, ErrEmptyTree
 	}
-	return newStream(n, 0, nil, buildOptions(opts))
-}
-
-// newStream builds the engine at position added over the given frontier:
-// empty for a fresh builder, a snapshot's for a restored one. Frontier
-// digests are cloned onto the heap: later merges read them and never write
-// them, so they need no arena row.
-func newStream(n, added int, frontier []FrontierEntry, o options) (*StreamBuilder, error) {
-	hs := newHashers(o)
+	hs := newHashers(buildOptions(opts))
 	if hs.fixedLen == 0 {
 		return nil, ErrHasherSize
 	}
 	capacity := nextPow2(n)
 	depth := log2(capacity)
-	b := &StreamBuilder{
+	return &StreamBuilder{
 		n:       n,
-		added:   added,
 		cap:     capacity,
 		depth:   depth,
 		hs:      hs,
@@ -74,11 +65,7 @@ func newStream(n, added int, frontier []FrontierEntry, o options) (*StreamBuilde
 		flip:    make([]uint8, depth+1),
 		arena:   make([]byte, 2*depth*hs.fixedLen),
 		nh:      hs.node(),
-	}
-	for _, e := range frontier {
-		b.pending[e.Level] = cloneBytes(e.Digest)
-	}
-	return b, nil
+	}, nil
 }
 
 // Add appends the next leaf value (leaves must arrive in index order). The

@@ -145,7 +145,7 @@ func TestStreamBuilderShardedMatchesSerial(t *testing.T) {
 					t.Fatalf("Root: %v", err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("stream root %x != sharded tree root %x", got, want)
+					t.Fatalf("stream root %x != tree root %x", got, want)
 				}
 			})
 		}
@@ -255,10 +255,11 @@ func TestStreamBuilderShardedVariableHasher(t *testing.T) {
 	}
 }
 
-// FuzzStreamBuilderSharded fuzzes the stream builder against the tree Build
-// shards under the same option: random leaf count, random per-leaf sizes
-// carved from the fuzz input, random parallelism.
-func FuzzStreamBuilderSharded(f *testing.F) {
+// FuzzStreamBuilderMatchesBuild fuzzes the stream builder against Build
+// under the same option: random leaf count, random per-leaf sizes carved
+// from the fuzz input, random parallelism (which Build honours and the
+// stream builder ignores).
+func FuzzStreamBuilderMatchesBuild(f *testing.F) {
 	f.Add(uint16(1), uint8(0), []byte{0x01})
 	f.Add(uint16(5), uint8(3), []byte("hello fuzzer"))
 	f.Add(uint16(64), uint8(4), bytes.Repeat([]byte{0xAB}, 64))
@@ -299,7 +300,7 @@ func FuzzStreamBuilderSharded(f *testing.F) {
 			t.Fatalf("Root: %v", err)
 		}
 		if want := tree.Root(); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d p=%d: stream root %x != sharded tree root %x", n, p, got, want)
+			t.Fatalf("n=%d p=%d: stream root %x != tree root %x", n, p, got, want)
 		}
 	})
 }

@@ -123,8 +123,8 @@ func (o parallelismOption) apply(opts options) options {
 // indexing is always safe.
 //
 // Only Build, BuildFunc and Rebuild honour the option. NewStreamBuilder,
-// RestoreStreamBuilder, NewPartial and verification accept and ignore it,
-// so one option list serves them all.
+// NewPartial and verification accept and ignore it, so one option list
+// serves them all.
 func WithParallelism(p int) Option { return parallelismOption{p: p} }
 
 func buildOptions(opts []Option) options {
